@@ -51,7 +51,7 @@ int main() {
               "no BN calib");
 
   // FP32 baseline once.
-  const double fp32 = fp32_baseline(w, protocol);
+  const double fp32 = make_eval_plan(w, protocol).fp32_score;
 
   for (int samples : {128, 512, 1024, 3072}) {
     const int batch = 64;

@@ -5,12 +5,10 @@
 //   * blocked matmul throughput in GFLOP/s;
 //   * packed FP8 GEMM (decode-in-register, docs/KERNELS.md) vs the
 //     dequantize-then-matmul baseline, per FP8 format, at the dispatched
-//     ISA tier (recorded in the row and the top-level "isa" field);
-//   * accuracy-tuner wall time with the quantized-weight cache off vs on
-//     (embedding-heavy workload, where weight quantization dominates).
+//     ISA tier (recorded in the row and the top-level "isa" field).
 //
 // Writes BENCH_kernels.json (override with --out=<path>). `--smoke` runs a
-// reduced configuration that skips the long tuner sweep; the CI perf gate
+// reduced configuration with fewer and smaller shapes; the CI perf gate
 // is `fp8q_report check-bench` / `fp8q_report diff` over the written JSON
 // with explicit thresholds (tools/ci.sh, docs/PERFORMANCE.md).
 #include <cstdio>
@@ -25,10 +23,7 @@
 #include "nn/matmul.h"
 #include "nn/packed_gemm.h"
 #include "obs/trace.h"
-#include "quant/weight_cache.h"
 #include "tensor/rng.h"
-#include "tune/tuner.h"
-#include "workloads/registry.h"
 
 #include "bench_report.h"
 
@@ -176,59 +171,6 @@ PackedGemmResult measure_packed_gemm(Fp8Kind kind, std::int64_t m, std::int64_t 
           static_cast<std::int64_t>(b.numel() * sizeof(float))};
 }
 
-struct TunerResult {
-  std::string workload;
-  int trials_off = 0;
-  int trials_on = 0;
-  double wall_ms_off = 0.0;
-  double wall_ms_on = 0.0;
-  double reduction_pct = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-};
-
-/// Times `rounds` autotune sweeps on one workload with the weight cache
-/// disabled, then enabled. Embedding-heavy workloads spend most of each
-/// trial quantizing the same large tables, which is exactly what the cache
-/// elides; forward-dominated workloads see little change (the caveat is
-/// documented in docs/PERFORMANCE.md). Multiple rounds amortize timer
-/// noise and match the suite-sweep usage where one process tunes many
-/// configurations against the same models.
-TunerResult measure_tuner(const Workload& w, const EvalProtocol& protocol, int rounds) {
-  TunerResult r;
-  r.workload = w.name;
-  TuneOptions options;
-  options.accuracy_criterion = -1.0;  // never met: every arm runs
-
-  set_weight_cache_capacity_bytes(0);
-  weight_cache_clear();
-  std::uint64_t t0 = obs_now_ns();
-  for (int round = 0; round < rounds; ++round) {
-    const TuneResult off = autotune(w, DType::kE4M3, protocol, options);
-    r.trials_off = off.trials();
-  }
-  r.wall_ms_off = seconds_since(t0) * 1e3;
-
-  set_weight_cache_capacity_bytes(256ll << 20);
-  weight_cache_clear();
-  const auto stats_before = weight_cache_stats();
-  t0 = obs_now_ns();
-  for (int round = 0; round < rounds; ++round) {
-    const TuneResult on = autotune(w, DType::kE4M3, protocol, options);
-    r.trials_on = on.trials();
-  }
-  r.wall_ms_on = seconds_since(t0) * 1e3;
-  const auto stats_after = weight_cache_stats();
-  r.cache_hits = stats_after.hits - stats_before.hits;
-  r.cache_misses = stats_after.misses - stats_before.misses;
-
-  set_weight_cache_capacity_bytes(-1);
-  weight_cache_clear();
-  r.reduction_pct =
-      r.wall_ms_off > 0.0 ? (r.wall_ms_off - r.wall_ms_on) / r.wall_ms_off * 100.0 : 0.0;
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -277,25 +219,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<TunerResult> tuners;
-  if (!smoke) {
-    ScopedStage stage("kernels/tuner-cache");
-    const auto suite = build_suite();
-    EvalProtocol protocol;  // trimmed: weight quantization dominates
-    protocol.calib_batches = 1;
-    protocol.calib_batch_size = 4;
-    protocol.eval_batches = 1;
-    protocol.eval_batch_size = 8;
-    protocol.bn_calibration_batches = 0;
-    // The cache's target population: weight-quantization-dominated models
-    // (large embedding tables, cheap forwards). Compute-dominated models
-    // spend their trials in matmuls, not weight quantization, so they are
-    // measured by the cast/matmul sections above instead.
-    for (const char* name : {"dlrm-ish"}) {
-      tuners.push_back(measure_tuner(find_workload(suite, name), protocol, 10));
-    }
-  }
-
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_kernels: cannot write %s\n", out_path.c_str());
@@ -335,19 +258,6 @@ int main(int argc, char** argv) {
                  static_cast<long long>(p.fp32_bytes),
                  i + 1 < packed_gemms.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"tuner\": [\n");
-  for (std::size_t i = 0; i < tuners.size(); ++i) {
-    const auto& t = tuners[i];
-    std::fprintf(f,
-                 "    {\"workload\": \"%s\", \"trials\": %d, "
-                 "\"wall_ms_cache_off\": %.1f, \"wall_ms_cache_on\": %.1f, "
-                 "\"reduction_pct\": %.1f, \"cache_hits\": %llu, "
-                 "\"cache_misses\": %llu}%s\n",
-                 t.workload.c_str(), t.trials_on, t.wall_ms_off, t.wall_ms_on,
-                 t.reduction_pct, static_cast<unsigned long long>(t.cache_hits),
-                 static_cast<unsigned long long>(t.cache_misses),
-                 i + 1 < tuners.size() ? "," : "");
-  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 
@@ -368,12 +278,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(p.n), p.format, isa_label(), p.packed_gflops,
                 p.dequant_gflops, p.speedup);
   }
-  for (const auto& t : tuners) {
-    std::printf("  tuner %-16s off %.0f ms  on %.0f ms  (-%.1f%%, %llu hits)\n",
-                t.workload.c_str(), t.wall_ms_off, t.wall_ms_on, t.reduction_pct,
-                static_cast<unsigned long long>(t.cache_hits));
-  }
-
   // The perf gate itself lives in `fp8q_report check-bench` (tools/ci.sh),
   // which reads the JSON written above and applies explicit thresholds;
   // this binary only measures.

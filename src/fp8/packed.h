@@ -33,7 +33,7 @@
 // (tested exhaustively). NaN inputs are the one exception -- fake quant
 // passes NaN payloads through, and an 8-bit code cannot carry them -- so
 // consumers that need unconditional bit-exactness verify at pack time
-// (quant/weight_cache.h does).
+// (quantize_weight_packed in quant/quantizer.h does).
 #pragma once
 
 #include <bit>
@@ -113,9 +113,9 @@ class PackedFp8Tensor {
   [[nodiscard]] static PackedFp8Tensor pack_per_channel(const Tensor& t, Fp8Kind kind);
 
   /// Packs with caller-provided per-channel scales (one per size(0) slice,
-  /// already sanitized): code = fp8_encode(x * scale_c). This is how the
-  /// weight cache builds packed entries that decode bit-identically to the
-  /// fake-quantized payload (quant/weight_cache.h).
+  /// already sanitized): code = fp8_encode(x * scale_c). This is how
+  /// quantize_weight_packed (quant/quantizer.h) builds codes that decode
+  /// bit-identically to the fake-quantized payload.
   [[nodiscard]] static PackedFp8Tensor pack_per_channel_scaled(const Tensor& t,
                                                                Fp8Kind kind,
                                                                std::vector<float> scales);

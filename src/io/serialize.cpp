@@ -224,9 +224,11 @@ RunReport report_from_json(std::istream& in) {
   if (version == nullptr || version->kind != Value::Kind::kNumber) {
     throw std::runtime_error("fp8q report: missing fp8q_report_version");
   }
-  // Older reports (v1: no "weight_cache"; v2: no "memory"/"histograms")
-  // parse fine with the missing fields defaulted, so accept every version
-  // up to the current. Newer reports are rejected outright: fields this
+  // Older reports (v1..v2: no "memory"/"histograms"; v1..v3: no "isa"/
+  // "kernel_paths") parse fine with the missing fields defaulted, so accept
+  // every version up to the current. v2..v4 documents also carry a
+  // "weight_cache" block and a "cache_decode" kernel path, counters of a
+  // quantized-weight cache that v5 removed; the reader ignores both. Newer reports are rejected outright: fields this
   // reader does not know about would be silently dropped, which matters
   // when a resident fp8qd daemon and the fp8q_report CLI are built at
   // different versions.
@@ -248,12 +250,6 @@ RunReport report_from_json(std::istream& in) {
   report.num_threads = static_cast<int>(root.number_or("num_threads"));
   report.isa = root.string_or("isa");
   report.counters = parse_counters(root.find("counters"));
-  if (const Value* wc = root.find("weight_cache"); wc != nullptr && wc->is_object()) {
-    for (int e = 0; e < kObsCacheEventCount; ++e) {
-      report.weight_cache.counts[e] = static_cast<std::uint64_t>(
-          wc->number_or(to_string(static_cast<ObsCacheEvent>(e))));
-    }
-  }
   if (const Value* kp = root.find("kernel_paths"); kp != nullptr && kp->is_object()) {
     for (int e = 0; e < kObsKernelPathCount; ++e) {
       report.kernel_paths.counts[e] = static_cast<std::uint64_t>(

@@ -55,10 +55,8 @@ class Graph {
   void clear_taps();
 
   /// Deep copy: every op (and its weights) is cloned, so the copy can be
-  /// mutated, quantized and run concurrently with the original. Cloned
-  /// weight tensors adopt the source's identity (Tensor::identity()), so
-  /// quantizing a clone hits the weight cache warmed by a sibling. Taps
-  /// are NOT copied -- they hold caller context bound to this graph.
+  /// mutated, quantized and run concurrently with the original. Taps are
+  /// NOT copied -- they hold caller context bound to this graph.
   [[nodiscard]] Graph clone() const;
 
   [[nodiscard]] int node_count() const { return static_cast<int>(nodes_.size()); }

@@ -77,9 +77,8 @@ class Op {
   /// Quantization passes fake-quantize these in place.
   [[nodiscard]] virtual std::vector<Tensor*> weights() { return {}; }
 
-  /// Deep copy (weights included, copied tensors adopt the source's
-  /// identity -- see Tensor::identity()). Lets Graph::clone() produce
-  /// independent graphs for concurrent evaluation of one prototype.
+  /// Deep copy, weights included. Lets Graph::clone() produce independent
+  /// graphs for concurrent evaluation of one prototype.
   [[nodiscard]] virtual std::unique_ptr<Op> clone() const = 0;
 
   /// Total parameter count, used for the model-size buckets of Figure 5.

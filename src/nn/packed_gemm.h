@@ -90,8 +90,8 @@ struct PackedConvWeight {
 /// for the bit-exactness contract they all satisfy).
 struct PackedKernelTable {
   /// Decodes `count` codes sharing one reciprocal scale:
-  /// out[i] = decode(codes[i]) * inv. Used for conv weight rows and
-  /// weight-cache hits, where the scale is constant per channel.
+  /// out[i] = decode(codes[i]) * inv. Used for conv weight rows, where
+  /// the scale is constant per channel.
   void (*decode_mul)(const std::uint8_t* codes, float inv, float* out, std::int64_t count,
                      Fp8Kind kind);
 

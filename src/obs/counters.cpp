@@ -189,61 +189,6 @@ void counters_reset() {
 }
 
 namespace {
-std::atomic<std::uint64_t> g_cache_counts[kObsCacheEventCount] = {};
-}  // namespace
-
-const char* to_string(ObsCacheEvent event) {
-  switch (event) {
-    case ObsCacheEvent::kHit: return "hit";
-    case ObsCacheEvent::kMiss: return "miss";
-    case ObsCacheEvent::kEvict: return "evict";
-    case ObsCacheEvent::kBypass: return "bypass";
-  }
-  return "?";
-}
-
-void cache_counter_add(ObsCacheEvent event, std::uint64_t n) {
-  if (n == 0) return;
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->add_cache(event, n);
-    return;
-  }
-  g_cache_counts[static_cast<int>(event)].fetch_add(n, std::memory_order_relaxed);
-}
-
-bool CacheCounterSnapshot::any() const {
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    if (counts[e] != 0) return true;
-  }
-  return false;
-}
-
-CacheCounterSnapshot CacheCounterSnapshot::since(const CacheCounterSnapshot& earlier) const {
-  CacheCounterSnapshot delta;
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    delta.counts[e] = counts[e] >= earlier.counts[e] ? counts[e] - earlier.counts[e] : 0;
-  }
-  return delta;
-}
-
-CacheCounterSnapshot cache_counters_snapshot() {
-  if (const CounterDomain* domain = current_counter_domain()) return domain->cache_counters();
-  CacheCounterSnapshot snap;
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    snap.counts[e] = g_cache_counts[e].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
-void cache_counters_reset() {
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->reset_cache_counters();
-    return;
-  }
-  for (auto& c : g_cache_counts) c.store(0, std::memory_order_relaxed);
-}
-
-namespace {
 std::atomic<std::uint64_t> g_kernel_counts[kObsKernelPathCount] = {};
 }  // namespace
 
@@ -255,7 +200,6 @@ const char* to_string(ObsKernelPath path) {
     case ObsKernelPath::kConvFp32: return "conv_fp32";
     case ObsKernelPath::kMatmulPacked: return "matmul_packed";
     case ObsKernelPath::kMatmulFp32: return "matmul_fp32";
-    case ObsKernelPath::kCacheDecode: return "cache_decode";
   }
   return "?";
 }

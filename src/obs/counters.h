@@ -97,60 +97,16 @@ struct CounterSnapshot {
 void counters_reset();
 
 // ---------------------------------------------------------------------------
-// Cache-event counters (the quantized-weight cache, quant/weight_cache.h).
-//
-// Orders of magnitude rarer than quantization events (one per weight-quant
-// call, not per element), so these are plain process-global atomics rather
-// than per-thread shards, and they are always on -- the cache mirrors its
-// internal stats here unconditionally so a report written after the fact
-// still sees them. Kept obs-local so the cache's owner (quant/) stays above
-// obs/ in the link order, same as the format counters.
-
-/// What happened to one cache lookup.
-enum class ObsCacheEvent : std::uint8_t {
-  kHit,     ///< entry found; quantized data copied out, tally replayed
-  kMiss,    ///< computed and inserted
-  kEvict,   ///< entry dropped to satisfy the capacity cap
-  kBypass,  ///< uncacheable request (dtype/granularity), computed directly
-};
-inline constexpr int kObsCacheEventCount = 4;
-
-/// Stable lowercase names used in report.json ("hit", "miss", ...).
-[[nodiscard]] const char* to_string(ObsCacheEvent event);
-
-/// Adds `n` to one cache-event cell. Thread-safe, relaxed.
-void cache_counter_add(ObsCacheEvent event, std::uint64_t n);
-
-/// Point-in-time aggregate of the cache-event counters.
-struct CacheCounterSnapshot {
-  std::uint64_t counts[kObsCacheEventCount] = {};
-
-  [[nodiscard]] std::uint64_t get(ObsCacheEvent event) const {
-    return counts[static_cast<int>(event)];
-  }
-  [[nodiscard]] bool any() const;
-  /// Cell-wise difference (per-job deltas in the fp8qd service); saturates
-  /// at 0 if a reset happened in between.
-  [[nodiscard]] CacheCounterSnapshot since(const CacheCounterSnapshot& earlier) const;
-
-  friend bool operator==(const CacheCounterSnapshot&, const CacheCounterSnapshot&) = default;
-};
-
-[[nodiscard]] CacheCounterSnapshot cache_counters_snapshot();
-
-/// Zeroes the cache-event counters. Call only between runs.
-void cache_counters_reset();
-
-// ---------------------------------------------------------------------------
 // Kernel-path counters (the packed-FP8 compute paths, docs/KERNELS.md).
 //
 // Records, per forward call (not per element), whether a compute op ran on
 // packed 8-bit weight codes or fell back to the dequantized FP32 path, so
 // a run report shows at a glance how much of the graph the packed kernels
-// actually covered. One event per op forward -- rare like cache events --
-// so these are the same always-on process-global atomics.
+// actually covered. One event per op forward -- orders of magnitude rarer
+// than quantization events -- so these are plain process-global atomics
+// rather than per-thread shards, and they are always on.
 
-/// Which compute path one op forward (or cache decode) took.
+/// Which compute path one op forward took.
 enum class ObsKernelPath : std::uint8_t {
   kLinearPacked,  ///< LinearOp forward on packed codes
   kLinearFp32,    ///< LinearOp forward on the FP32 weight
@@ -158,9 +114,8 @@ enum class ObsKernelPath : std::uint8_t {
   kConvFp32,      ///< Conv2dOp forward on the FP32 weight
   kMatmulPacked,  ///< packed_matmul on packed codes
   kMatmulFp32,    ///< MatMulOp forward (both operands FP32)
-  kCacheDecode,   ///< weight-cache hit served by decoding packed codes
 };
-inline constexpr int kObsKernelPathCount = 7;
+inline constexpr int kObsKernelPathCount = 6;
 
 /// Stable lowercase names used in report.json ("linear_packed", ...).
 [[nodiscard]] const char* to_string(ObsKernelPath path);

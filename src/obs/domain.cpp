@@ -11,10 +11,6 @@ void CounterDomain::add(ObsFormat fmt, ObsEvent event, std::uint64_t n) {
       n, std::memory_order_relaxed);
 }
 
-void CounterDomain::add_cache(ObsCacheEvent event, std::uint64_t n) {
-  cache_counts_[static_cast<int>(event)].fetch_add(n, std::memory_order_relaxed);
-}
-
 void CounterDomain::add_kernel(ObsKernelPath path, std::uint64_t n) {
   kernel_counts_[static_cast<int>(path)].fetch_add(n, std::memory_order_relaxed);
 }
@@ -31,14 +27,6 @@ CounterSnapshot CounterDomain::counters() const {
     for (int e = 0; e < kObsEventCount; ++e) {
       snap.counts[f][e] = counts_[f][e].load(std::memory_order_relaxed);
     }
-  }
-  return snap;
-}
-
-CacheCounterSnapshot CounterDomain::cache_counters() const {
-  CacheCounterSnapshot snap;
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    snap.counts[e] = cache_counts_[e].load(std::memory_order_relaxed);
   }
   return snap;
 }
@@ -62,10 +50,6 @@ void CounterDomain::reset_counters() {
   }
 }
 
-void CounterDomain::reset_cache_counters() {
-  for (auto& cell : cache_counts_) cell.store(0, std::memory_order_relaxed);
-}
-
 void CounterDomain::reset_kernel_counters() {
   for (auto& cell : kernel_counts_) cell.store(0, std::memory_order_relaxed);
 }
@@ -77,7 +61,6 @@ void CounterDomain::reset_histograms() {
 
 void CounterDomain::reset() {
   reset_counters();
-  reset_cache_counters();
   reset_kernel_counters();
   reset_histograms();
   alloc_sink_.reset();
@@ -93,10 +76,6 @@ void CounterDomain::fold_into_global() {
       const std::uint64_t n = counts_[f][e].exchange(0, std::memory_order_relaxed);
       if (n != 0) counter_add(static_cast<ObsFormat>(f), static_cast<ObsEvent>(e), n);
     }
-  }
-  for (int e = 0; e < kObsCacheEventCount; ++e) {
-    const std::uint64_t n = cache_counts_[e].exchange(0, std::memory_order_relaxed);
-    if (n != 0) cache_counter_add(static_cast<ObsCacheEvent>(e), n);
   }
   for (int e = 0; e < kObsKernelPathCount; ++e) {
     const std::uint64_t n = kernel_counts_[e].exchange(0, std::memory_order_relaxed);

@@ -1,11 +1,11 @@
 // Scoped observation domains (docs/OBSERVABILITY.md, docs/THREADING.md).
 //
 // A CounterDomain is a private copy of the observation state one unit of
-// work accumulates: the quantization-event counter matrix, the cache- and
+// work accumulates: the quantization-event counter matrix, the
 // kernel-path counters, an allocation sink, and the fixed histogram
 // channels. A thread binds a domain with ScopedCounterDomain; while
-// bound, every obs write primitive (counter_add, cache_counter_add,
-// kernel_counter_add, hist_record, hist_merge, alloc_counter_add) lands
+// bound, every obs write primitive (counter_add, kernel_counter_add,
+// hist_record, hist_merge, alloc_counter_add) lands
 // in the domain instead of the process globals, and every matching
 // snapshot function reads the domain's view. Unbound threads are
 // untouched: with no domain bound, the primitives hit the same sharded /
@@ -16,7 +16,7 @@
 // minus after" no longer isolates one job's events. Instead each job runs
 // under a fresh domain -- bound on the executor worker and propagated to
 // the core/parallel threads the job fans out to (core/parallel.h) -- so
-// its report-v4 counter blocks are exact deltas by construction, at any
+// its report counter blocks are exact deltas by construction, at any
 // worker count and any interleaving. When the job finishes,
 // fold_into_global() moves the domain's totals into the enclosing sink
 // (the caller's currently bound domain, or the process globals), so
@@ -55,14 +55,12 @@ class CounterDomain {
 
   // -- write primitives (called by the obs routing layer, not directly) --
   void add(ObsFormat fmt, ObsEvent event, std::uint64_t n);
-  void add_cache(ObsCacheEvent event, std::uint64_t n);
   void add_kernel(ObsKernelPath path, std::uint64_t n);
   void merge_histogram(HistChannel channel, const HistogramSnapshot& snap);
   [[nodiscard]] AllocSink& alloc_sink() { return alloc_sink_; }
 
   // -- the domain's view (what the snapshot functions return when bound) --
   [[nodiscard]] CounterSnapshot counters() const;
-  [[nodiscard]] CacheCounterSnapshot cache_counters() const;
   [[nodiscard]] KernelCounterSnapshot kernel_counters() const;
   [[nodiscard]] AllocCounterSnapshot alloc_counters() const { return alloc_sink_.snapshot(); }
   [[nodiscard]] HistogramSnapshot histogram(HistChannel channel) const;
@@ -70,7 +68,6 @@ class CounterDomain {
   /// Zeroes one counter family (the reset functions route here when a
   /// domain is bound) or everything.
   void reset_counters();
-  void reset_cache_counters();
   void reset_kernel_counters();
   void reset_histograms();
   void reset();
@@ -86,7 +83,6 @@ class CounterDomain {
 
  private:
   std::atomic<std::uint64_t> counts_[kObsFormatCount][kObsEventCount] = {};
-  std::atomic<std::uint64_t> cache_counts_[kObsCacheEventCount] = {};
   std::atomic<std::uint64_t> kernel_counts_[kObsKernelPathCount] = {};
   AllocSink alloc_sink_;
   mutable std::mutex hist_mutex_;

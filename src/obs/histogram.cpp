@@ -131,8 +131,6 @@ const char* to_string(HistChannel channel) {
     case HistChannel::kCastMagOther: return "cast_mag/other";
     case HistChannel::kStageWallNs: return "latency/stage_ns";
     case HistChannel::kTuneTrialNs: return "latency/tune_trial_ns";
-    case HistChannel::kCacheHitNs: return "latency/cache_hit_ns";
-    case HistChannel::kCacheMissNs: return "latency/cache_miss_ns";
     case HistChannel::kParallelTaskNs: return "latency/parallel_task_ns";
   }
   return "?";

@@ -2,8 +2,8 @@
 //
 // The paper's analysis is distributional -- tensor-value histograms
 // (Fig. 3), per-format saturation behavior -- and so are the operational
-// questions the telemetry layer must answer (tail latency, cache lookup
-// cost). Scalars cannot express either; these histograms can, while
+// questions the telemetry layer must answer (tail latency, per-stage and
+// per-trial cost). Scalars cannot express either; these histograms can, while
 // keeping the two properties the rest of the obs layer guarantees:
 //
 //   determinism   Bucket counts are integers and bucket assignment is a
@@ -121,7 +121,7 @@ struct LocalHistogram {
 /// own range), one channel per ObsFormat; they are deterministic and
 /// thread-count-invariant. The latency/* channels record wall-clock
 /// durations in nanoseconds; their *values* are nondeterministic (clock)
-/// and their counts may vary with thread count (chunking, cache hits) --
+/// and their counts may vary with thread count (chunking) --
 /// they are performance observations, not results.
 enum class HistChannel : std::uint8_t {
   kCastMagE5M2,
@@ -131,11 +131,9 @@ enum class HistChannel : std::uint8_t {
   kCastMagOther,
   kStageWallNs,      ///< ScopedStage durations
   kTuneTrialNs,      ///< tuner per-trial evaluation times
-  kCacheHitNs,       ///< weight-cache lookups that hit
-  kCacheMissNs,      ///< weight-cache lookups that missed (incl. quantize)
   kParallelTaskNs,   ///< parallel_run task durations (needs tracing on)
 };
-inline constexpr int kHistChannelCount = 10;
+inline constexpr int kHistChannelCount = 8;
 
 /// Stable names used in report.json ("cast_mag/e4m3", "latency/stage_ns").
 [[nodiscard]] const char* to_string(HistChannel channel);

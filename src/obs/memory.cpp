@@ -1,11 +1,9 @@
 #include "obs/memory.h"
 
 #include <atomic>
-#include <cstdio>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <unistd.h>
 #define FP8Q_HAVE_GETRUSAGE 1
 #endif
 
@@ -73,23 +71,6 @@ std::uint64_t peak_rss_bytes() {
 #else
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;  // KiB on Linux
 #endif
-#else
-  return 0;
-#endif
-}
-
-std::uint64_t current_rss_bytes() {
-#if defined(__linux__)
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long long pages_total = 0;
-  unsigned long long pages_resident = 0;
-  const int matched = std::fscanf(f, "%llu %llu", &pages_total, &pages_resident);
-  std::fclose(f);
-  if (matched != 2) return 0;
-  const long page = sysconf(_SC_PAGESIZE);
-  if (page <= 0) return 0;
-  return static_cast<std::uint64_t>(pages_resident) * static_cast<std::uint64_t>(page);
 #else
   return 0;
 #endif

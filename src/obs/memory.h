@@ -7,8 +7,6 @@
 //                        (getrusage ru_maxrss), sampled at call time --
 //                        monotonically nondecreasing over a process
 //                        lifetime, 0 where unsupported.
-//   current_rss_bytes()  the resident set right now (/proc/self/statm),
-//                        0 where unsupported.
 //   alloc counters       bytes/allocations routed through Tensor's
 //                        allocating constructors (tensor/tensor.cpp) --
 //                        allocation *traffic*, counting copies too, which
@@ -16,7 +14,7 @@
 //
 // The counters are always-on process-global relaxed atomics (one add per
 // tensor construction, not per element -- the same always-on rationale as
-// the cache counters in obs/counters.h). This header is the bottom of the
+// the kernel-path counters in obs/counters.h). This header is the bottom of the
 // obs layer: it must stay dependency-free because fp8q_tensor links it
 // (as fp8q_obs_base) while the rest of obs sits above tensor via metrics.
 //
@@ -101,9 +99,5 @@ void alloc_counter_merge(const AllocCounterSnapshot& delta);
 /// Peak resident set size of the process in bytes, sampled now; 0 when the
 /// platform offers no getrusage. Never decreases within a process.
 [[nodiscard]] std::uint64_t peak_rss_bytes();
-
-/// Current resident set size in bytes (/proc/self/statm); 0 when
-/// unavailable.
-[[nodiscard]] std::uint64_t current_rss_bytes();
 
 }  // namespace fp8q

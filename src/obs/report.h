@@ -36,13 +36,15 @@
 namespace fp8q {
 
 /// Schema version written as "fp8q_report_version".
-/// v2 added the "weight_cache" block (quantized-weight cache counters);
+/// v2 added the quantized-weight cache counters (dropped in v5);
 /// v3 added the "memory" block (peak RSS + allocation totals), per-stage
 /// allocation deltas, and the "histograms" block (obs/histogram.h);
 /// v4 added the "isa" field (selected dispatch tier, core/cpu_dispatch.h)
-/// and the "kernel_paths" block (packed-vs-FP32 path counts).
+/// and the "kernel_paths" block (packed-vs-FP32 path counts);
+/// v5 dropped the cache counters and the cache-decode kernel path, along
+/// with the cache itself (io/serialize.cpp still reads v1..v4 documents).
 /// The reader accepts every version from 1 up, defaulting missing blocks.
-inline constexpr int kReportVersion = 4;
+inline constexpr int kReportVersion = 5;
 
 /// One named phase of a run.
 struct StageReport {
@@ -75,8 +77,6 @@ struct RunReport {
   std::vector<AccuracyRecord> records;
   /// Cumulative counters at write time (totals, independent of stages).
   CounterSnapshot counters;
-  /// Quantized-weight cache events at write time (quant/weight_cache.h).
-  CacheCounterSnapshot weight_cache;
   /// Packed-vs-FP32 kernel path counts at write time (schema v4).
   KernelCounterSnapshot kernel_paths;
   /// Peak RSS and allocation totals at write time (schema v3).

@@ -11,7 +11,6 @@
 #include "obs/trace.h"
 #include "quant/calibrate.h"
 #include "quant/smoothquant.h"
-#include "quant/weight_cache.h"
 #include "tensor/stats.h"
 
 namespace fp8q {
@@ -95,19 +94,13 @@ void QuantizedGraph::quantize_weights() {
     if (ws.empty()) continue;
     // The main weight (index 0) is quantized per-channel on axis 0; biases
     // and other parameters stay FP32.
-    Tensor& w = *ws[0];
-    if (!packed_compute_enabled()) {
-      quantize_weight_cached(w, config_.scheme.weight_dtype, Granularity::kPerChannel, 0);
-      continue;
-    }
+    auto packed = quantize_weight_packed(*ws[0], config_.scheme.weight_dtype);
+    if (!packed_compute_enabled()) continue;
     // Packed compute (docs/KERNELS.md): hand Linear/Conv ops the verified
     // 8-bit codes so their forward decodes in-register instead of reading
-    // the fake-quantized FP32 weight. A null handle (non-FP8 dtype,
-    // non-standard recipe, NaN payloads) leaves the op on the
-    // bit-identical FP32 path; so does any op kind without a packed
-    // kernel.
-    auto packed = quantize_weight_cached_packed(w, config_.scheme.weight_dtype,
-                                                Granularity::kPerChannel, 0);
+    // the fake-quantized FP32 weight. A null handle (non-FP8 dtype, NaN
+    // payloads) leaves the op on the bit-identical FP32 path; so does any
+    // op kind without a packed kernel.
     if (auto* lin = dynamic_cast<LinearOp*>(node.op.get())) {
       lin->set_packed_weight(
           packed ? std::make_shared<PackedWeightMatrix>(pack_gemm_weight(*packed))
@@ -187,15 +180,7 @@ void QuantizedGraph::prepare(std::span<const std::vector<Tensor>> calib_batches)
     if (ws.empty()) continue;
     std::vector<Tensor> copy;
     copy.reserve(ws.size());
-    for (Tensor* w : ws) {
-      // Stamp the identity before copying: the backup then carries the
-      // stamped (id, version), and restoring it by copy-assignment gives
-      // the live tensor the SAME identity -- so the weight cache's
-      // identity memo keeps hitting across prepare() cycles instead of
-      // rehashing unchanged weights every trial (quant/weight_cache.h).
-      (void)w->identity();
-      copy.push_back(*w);
-    }
+    for (Tensor* w : ws) copy.push_back(*w);
     weight_backup_[id] = std::move(copy);
   }
 

@@ -33,7 +33,7 @@ struct Job {
   std::uint64_t submit_ns = 0;  ///< obs_now_ns() at admission
   std::uint64_t start_ns = 0;   ///< when the executor picked it up
   std::uint64_t finish_ns = 0;  ///< when it reached a terminal state
-  std::string report_json;      ///< report-v4 JSON (state == kDone)
+  std::string report_json;      ///< report JSON (state == kDone)
   std::string error;            ///< failure reason (kFailed/kExpired/kCancelled)
 };
 

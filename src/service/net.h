@@ -27,7 +27,7 @@
 
 namespace fp8q::service {
 
-/// Hard cap on one frame's payload. Large enough for any report-v4 JSON
+/// Hard cap on one frame's payload. Large enough for any report JSON
 /// (full 75-workload sweeps serialize well under 1 MB), small enough that
 /// a malicious or corrupt length prefix cannot make the server buffer
 /// unbounded memory.

@@ -13,9 +13,7 @@
 #include "obs/trace.h"
 #include "quant/qconfig.h"
 #include "quant/quantized_graph.h"
-#include "quant/weight_cache.h"
 #include "service/protocol.h"
-#include "tensor/rng.h"
 #include "tune/tuner.h"
 #include "workloads/registry.h"
 
@@ -106,7 +104,7 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
   report.isa = isa_label();
 
   // The whole job body runs under a fresh observation domain: every
-  // counter, cache/kernel event, allocation and histogram channel the job
+  // counter, kernel-path event, allocation and histogram channel the job
   // (and its parallel fan-out) produces lands in `domain`, so the
   // report's counter blocks are this job's exact events -- no global
   // before/after snapshots, hence exact even with other jobs running
@@ -138,16 +136,7 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
         ScopedStage stage("quantize:" + w.name);
         const ModelQuantConfig cfg = default_model_config(w, scheme_for_spec(spec), protocol);
         Graph graph = w.build();
-        // Exactly make_eval_plan's calibration stream (same generator and
-        // seed derivation), so quantize jobs hit the same weight-cache
-        // entries the eval path populates.
-        const auto& calib_gen = w.make_calib_batch ? w.make_calib_batch : w.make_batch;
-        Rng calib_rng(w.data_seed * 7919 + 1);
-        std::vector<std::vector<Tensor>> calib;
-        calib.reserve(static_cast<std::size_t>(protocol.calib_batches));
-        for (int b = 0; b < protocol.calib_batches; ++b) {
-          calib.push_back(calib_gen(calib_rng, protocol.calib_batch_size));
-        }
+        const auto calib = make_calib_batches(w, protocol);
         QuantizedGraph quantized(&graph, cfg);
         quantized.prepare(std::span<const std::vector<Tensor>>(calib));
         break;
@@ -156,7 +145,6 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
   }
 
   report.counters = domain.counters();
-  report.weight_cache = domain.cache_counters();
   report.kernel_paths = domain.kernel_counters();
   const AllocCounterSnapshot alloc_delta = domain.alloc_counters();
   report.memory.alloc_bytes = alloc_delta.bytes;
@@ -335,6 +323,20 @@ bool Server::expire_if_overdue_locked(Job& job, bool already_popped) {
   return true;
 }
 
+void Server::evict_terminal_jobs_locked() {
+  std::size_t terminal = 0;
+  for (const auto& [id, job] : jobs_) terminal += is_terminal(job->state) ? 1 : 0;
+  // jobs_ is ordered by id, i.e. by submission: the oldest go first.
+  for (auto it = jobs_.begin(); it != jobs_.end() && terminal >= kMaxTerminalJobs;) {
+    if (is_terminal(it->second->state)) {
+      it = jobs_.erase(it);
+      --terminal;
+    } else {
+      ++it;
+    }
+  }
+}
+
 void Server::begin_drain(bool cancel_queued) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -372,9 +374,6 @@ std::string Server::result_response_locked(const Job& job) {
 }
 
 std::string Server::stats_response_locked() {
-  const WeightCacheStats cache = weight_cache_stats();
-  const std::uint64_t lookups = cache.hits + cache.misses;
-
   std::string out = "{\"ok\":true,\"uptime_ms\":";
   out += std::to_string(static_cast<double>(obs_now_ns() - start_ns_) / 1e6);
   out += ",\"isa\":";
@@ -424,23 +423,7 @@ std::string Server::stats_response_locked() {
     out += std::to_string(fraction);
     out += "}";
   }
-  out += "]},\"weight_cache\":{\"hits\":";
-  out += std::to_string(cache.hits);
-  out += ",\"misses\":";
-  out += std::to_string(cache.misses);
-  out += ",\"evictions\":";
-  out += std::to_string(cache.evictions);
-  out += ",\"bypasses\":";
-  out += std::to_string(cache.bypasses);
-  out += ",\"bytes\":";
-  out += std::to_string(cache.bytes);
-  out += ",\"entries\":";
-  out += std::to_string(cache.entries);
-  out += ",\"hit_rate\":";
-  out += std::to_string(lookups != 0 ? static_cast<double>(cache.hits) /
-                                           static_cast<double>(lookups)
-                                     : 0.0);
-  out += "},\"latency_ms\":{";
+  out += "]},\"latency_ms\":{";
   append_hist_ms(out, "job_wall", job_wall_ns_.snap);
   out += ",";
   append_hist_ms(out, "queue_wait", queue_wait_ns_.snap);
@@ -483,6 +466,7 @@ std::optional<std::string> Server::handle_frame(const std::string& payload,
       }
       ++next_job_id_;
       ++submitted_;
+      evict_terminal_jobs_locked();
       jobs_.emplace(job->id, job);
       executor_cv_.notify_one();
       std::string out = "{\"ok\":true,\"job_id\":";
@@ -582,7 +566,11 @@ void Server::flush_waiters(std::vector<Client>& clients) {
       std::vector<std::uint64_t> still_waiting;
       for (const std::uint64_t id : client.waiting) {
         const auto it = jobs_.find(id);
-        if (it != jobs_.end() && is_terminal(it->second->state)) {
+        if (it == jobs_.end()) {
+          // Evicted from the job table (evict_terminal_jobs_locked) before
+          // this waiter could be answered.
+          responses.push_back(error_response("unknown_job", "no job " + std::to_string(id)));
+        } else if (is_terminal(it->second->state)) {
           responses.push_back(result_response_locked(*it->second));
         } else {
           still_waiting.push_back(id);

@@ -3,9 +3,9 @@
 // Turns the one-shot CLI workflow into a long-running daemon: clients
 // connect over a Unix-domain (or loopback-TCP) socket, submit
 // quantize/eval/tune jobs against the 75-workload suite, and stream back
-// the same structured report-v4 JSON the CLI writes -- with the process
-// staying resident, so the quantized-weight cache (quant/weight_cache.h)
-// and the warmed thread pool carry over between requests.
+// the same structured report JSON the CLI writes -- with the process
+// staying resident, so the built workload suite and the warmed thread pool
+// carry over between requests.
 //
 // Concurrency model: one poll(2) I/O thread (the caller of run())
 // multiplexes every connection and owns all protocol state, and a pool of
@@ -14,28 +14,32 @@
 //
 //   * Scoped observation domains (obs/domain.h): every job runs under a
 //     fresh CounterDomain, bound on its executor and propagated to the
-//     core/parallel threads it fans out to, so its report-v4 counter
-//     blocks are exact per-job deltas by construction -- bit-identical to
-//     a one-shot run of the same spec at any worker count and any
-//     interleaving (the weight cache replays miss tallies on hits into
-//     the calling job's domain). The domain folds into the process
-//     globals when the job finishes, so cumulative totals still add up.
+//     core/parallel threads it fans out to, so its report counter blocks
+//     are exact per-job deltas by construction -- bit-identical to a
+//     one-shot run of the same spec at any worker count and any
+//     interleaving. The domain folds into the process globals when the
+//     job finishes, so cumulative totals still add up.
 //   * Per-worker arenas (core/parallel.h, ParallelArena): each executor
 //     owns a max(1, num_threads()/workers)-budget slice of the parallel
 //     runtime, so N workers x M pool threads never oversubscribe the
 //     machine and jobs never serialize on the global pool's region lock.
 //
-// The weight-cache mutex (bookkeeping only; payload delivery happens
-// outside it) is the one remaining cross-job serialization point.
+// A running job shares no mutable state with other jobs: it builds its own
+// model, data and quantized weights. The only locks it can contend on are
+// the process-global telemetry tables (named histograms, trace buffers).
+//
+// Memory stays bounded under sustained load: the job table keeps at most
+// kMaxTerminalJobs finished (terminal) jobs, evicting the oldest at each
+// submit, and an evicted id answers unknown_job.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/thread_annotations.h"
@@ -65,6 +69,10 @@ struct ServerOptions {
   /// Clamped to [1, 64].
   int workers = 1;
 };
+
+/// Terminal (done/failed/cancelled/expired) jobs the job table retains for
+/// status/result queries. Beyond it, each submit forgets the oldest ones.
+inline constexpr std::size_t kMaxTerminalJobs = 256;
 
 /// ServerOptions from the environment: FP8QD_SOCKET (default
 /// "fp8qd.sock"), FP8QD_TCP_PORT, FP8QD_QUEUE_MAX, FP8QD_WORKERS.
@@ -132,7 +140,7 @@ class Server {
   void request_shutdown() noexcept;
 
   /// Snapshot for embedders/tools (the JSON stats endpoint carries the
-  /// same numbers plus weight-cache and ISA details).
+  /// same numbers plus ISA details).
   [[nodiscard]] ServiceStats stats_snapshot() const;
 
  private:
@@ -157,6 +165,9 @@ class Server {
   /// Answers every deferred result-wait whose job reached a terminal
   /// state.
   void flush_waiters(std::vector<Client>& clients);
+  /// Forgets the oldest terminal jobs until fewer than kMaxTerminalJobs
+  /// remain. Called at submit; caller holds mutex_.
+  void evict_terminal_jobs_locked();
   /// Enters drain mode; with cancel_queued, empties the queue as
   /// kCancelled first.
   void begin_drain(bool cancel_queued);
@@ -190,7 +201,8 @@ class Server {
   mutable std::mutex mutex_;
   std::condition_variable executor_cv_;
   JobQueue queue_ FP8Q_GUARDED_BY(mutex_);
-  std::unordered_map<std::uint64_t, std::shared_ptr<Job>> jobs_ FP8Q_GUARDED_BY(mutex_);
+  /// Every live job plus at most kMaxTerminalJobs terminal ones, by id.
+  std::map<std::uint64_t, std::shared_ptr<Job>> jobs_ FP8Q_GUARDED_BY(mutex_);
   std::uint64_t next_job_id_ FP8Q_GUARDED_BY(mutex_) = 1;
   std::size_t active_jobs_ FP8Q_GUARDED_BY(mutex_) = 0;
   bool drain_mode_ FP8Q_GUARDED_BY(mutex_) = false;

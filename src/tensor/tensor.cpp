@@ -1,6 +1,5 @@
 #include "tensor/tensor.h"
 
-#include <atomic>
 #include <cassert>
 #include <numeric>
 #include <sstream>
@@ -9,25 +8,6 @@
 #include "obs/memory.h"
 
 namespace fp8q {
-
-namespace {
-// Global stamp source for TensorIdentity ids and versions. Monotonic and
-// never reused, so a (id, version) pair observed once can never later name
-// different contents.
-std::uint64_t next_tensor_stamp() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-}  // namespace
-
-TensorIdentity Tensor::identity() {
-  if (dirty_) {
-    if (id_ == 0) id_ = next_tensor_stamp();
-    version_ = next_tensor_stamp();
-    dirty_ = false;
-  }
-  return {id_, version_};
-}
 
 std::int64_t shape_numel(const Shape& shape) {
   std::int64_t n = 1;
@@ -56,16 +36,8 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
   alloc_counter_add(data_.size() * sizeof(float));
 }
 
-// Copies duplicate the payload, so they count as allocations. All five
-// members come across unchanged -- including (id_, version_, dirty_) --
-// because a copy holds the same bits as the source and must ADOPT its
-// identity (see identity()).
-Tensor::Tensor(const Tensor& other)
-    : shape_(other.shape_),
-      data_(other.data_),
-      id_(other.id_),
-      version_(other.version_),
-      dirty_(other.dirty_) {
+// Copies duplicate the payload, so they count as allocations.
+Tensor::Tensor(const Tensor& other) : shape_(other.shape_), data_(other.data_) {
   alloc_counter_add(data_.size() * sizeof(float));
 }
 
@@ -73,9 +45,6 @@ Tensor& Tensor::operator=(const Tensor& other) {
   if (this == &other) return *this;
   shape_ = other.shape_;
   data_ = other.data_;
-  id_ = other.id_;
-  version_ = other.version_;
-  dirty_ = other.dirty_;
   alloc_counter_add(data_.size() * sizeof(float));
   return *this;
 }
@@ -109,7 +78,6 @@ std::int64_t flatten_index(const Shape& shape, std::initializer_list<std::int64_
 }  // namespace
 
 float& Tensor::at(std::initializer_list<std::int64_t> idx) {
-  dirty_ = true;
   return data_[static_cast<size_t>(flatten_index(shape_, idx))];
 }
 
@@ -141,33 +109,28 @@ Tensor Tensor::reshape(Shape new_shape) const {
 }
 
 Tensor& Tensor::fill(float v) {
-  dirty_ = true;
   std::fill(data_.begin(), data_.end(), v);
   return *this;
 }
 
 Tensor& Tensor::scale(float s) {
-  dirty_ = true;
   for (float& v : data_) v *= s;
   return *this;
 }
 
 Tensor& Tensor::add_scalar(float s) {
-  dirty_ = true;
   for (float& v : data_) v += s;
   return *this;
 }
 
 Tensor& Tensor::add(const Tensor& other) {
   if (!same_shape(other)) throw std::invalid_argument("add: shape mismatch");
-  dirty_ = true;
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   return *this;
 }
 
 Tensor& Tensor::mul(const Tensor& other) {
   if (!same_shape(other)) throw std::invalid_argument("mul: shape mismatch");
-  dirty_ = true;
   for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
   return *this;
 }

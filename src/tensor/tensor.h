@@ -15,16 +15,6 @@ namespace fp8q {
 
 using Shape = std::vector<std::int64_t>;
 
-/// Stable (id, version) pair naming one observed state of a tensor's
-/// contents (see Tensor::identity()). Two tensors with equal identities
-/// hold bit-identical data; a mutated tensor never repeats an old version.
-struct TensorIdentity {
-  std::uint64_t id = 0;       ///< allocation identity (0 = never observed)
-  std::uint64_t version = 0;  ///< bumped past every observed mutation
-
-  [[nodiscard]] bool operator==(const TensorIdentity&) const = default;
-};
-
 class Tensor {
  public:
   Tensor() = default;
@@ -58,15 +48,9 @@ class Tensor {
   [[nodiscard]] std::int64_t numel() const { return static_cast<std::int64_t>(data_.size()); }
   [[nodiscard]] bool empty() const { return data_.empty(); }
 
-  [[nodiscard]] std::span<float> flat() {
-    dirty_ = true;
-    return {data_.data(), data_.size()};
-  }
+  [[nodiscard]] std::span<float> flat() { return {data_.data(), data_.size()}; }
   [[nodiscard]] std::span<const float> flat() const { return {data_.data(), data_.size()}; }
-  [[nodiscard]] float* data() {
-    dirty_ = true;
-    return data_.data();
-  }
+  [[nodiscard]] float* data() { return data_.data(); }
   [[nodiscard]] const float* data() const { return data_.data(); }
 
   /// Row-major strides (in elements).
@@ -76,10 +60,7 @@ class Tensor {
   [[nodiscard]] float& at(std::initializer_list<std::int64_t> idx);
   [[nodiscard]] float at(std::initializer_list<std::int64_t> idx) const;
 
-  [[nodiscard]] float& operator[](std::int64_t i) {
-    dirty_ = true;
-    return data_[static_cast<size_t>(i)];
-  }
+  [[nodiscard]] float& operator[](std::int64_t i) { return data_[static_cast<size_t>(i)]; }
   [[nodiscard]] float operator[](std::int64_t i) const { return data_[static_cast<size_t>(i)]; }
 
   /// Returns a copy with a new shape covering the same number of elements.
@@ -100,27 +81,9 @@ class Tensor {
 
   [[nodiscard]] bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
 
-  /// Returns a (id, version) pair that names this tensor's CURRENT
-  /// contents, for memoization (quant/weight_cache.h): the id is minted on
-  /// first observation, and the version is re-stamped from a global
-  /// monotonic counter whenever the data may have changed since the last
-  /// call. "May have changed" is tracked with a dirty bit set by every
-  /// non-const accessor and in-place op -- a plain bool store, so hot
-  /// loops pay nothing. Copies ADOPT the source's identity (the copy holds
-  /// the same bits), so restoring a backup by copy-assignment revalidates
-  /// cached entries instead of orphaning them.
-  ///
-  /// Caveat: a raw pointer or span obtained before the identity() call and
-  /// written through afterwards bypasses the dirty bit. Callers that hold
-  /// long-lived views must re-acquire them (or call data()) after mutating.
-  [[nodiscard]] TensorIdentity identity();
-
  private:
   Shape shape_;
   std::vector<float> data_;
-  std::uint64_t id_ = 0;
-  std::uint64_t version_ = 0;
-  bool dirty_ = true;
 };
 
 /// Total element count of a shape; throws on negative axes.

@@ -21,8 +21,7 @@ struct Arm {
 /// Evaluates one arm (accuracy record + quantized-compute fraction)
 /// against the shared plan. The plan carries the trial-invariant state
 /// (model prototype, data, FP32 targets), so each trial only pays for a
-/// clone plus the quantized passes -- and repeated weights hit the
-/// quantized-weight cache across trials.
+/// clone plus the quantized passes.
 TuneStep make_step(const EvalPlan& plan, const Arm& arm, const TuneOptions& options) {
   TuneStep step;
   step.description = arm.description;

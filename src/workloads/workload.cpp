@@ -115,20 +115,6 @@ struct ScoreAccumulator {
 
 }  // namespace
 
-double fp32_baseline(const Workload& w, const EvalProtocol& protocol) {
-  Graph g = w.build();
-  Rng eval_rng(w.data_seed * 104729 + 2);
-  ScoreAccumulator acc{w.metric, w.margin_quantile};
-  for (int b = 0; b < protocol.eval_batches; ++b) {
-    auto clean = w.make_batch(eval_rng, protocol.eval_batch_size);
-    auto perturbed = w.perturb(eval_rng, clean);
-    const Tensor target = g.forward(clean);
-    const Tensor out = g.forward(perturbed);
-    acc.add(target, out);
-  }
-  return acc.score();
-}
-
 ModelQuantConfig default_model_config(const Workload& w, const SchemeConfig& scheme,
                                       const EvalProtocol& protocol) {
   ModelQuantConfig cfg;
@@ -146,6 +132,20 @@ AccuracyRecord evaluate_workload(const Workload& w, const SchemeConfig& scheme,
   return evaluate_workload_config(w, default_model_config(w, scheme, protocol), protocol);
 }
 
+std::vector<std::vector<Tensor>> make_calib_batches(const Workload& w,
+                                                    const EvalProtocol& protocol) {
+  // Clean data, as in real PTQ; Figure 7 swaps in an augmented generator
+  // via make_calib_batch.
+  const auto& calib_gen = w.make_calib_batch ? w.make_calib_batch : w.make_batch;
+  Rng calib_rng(w.data_seed * 7919 + 1);
+  std::vector<std::vector<Tensor>> calib;
+  calib.reserve(static_cast<size_t>(protocol.calib_batches));
+  for (int b = 0; b < protocol.calib_batches; ++b) {
+    calib.push_back(calib_gen(calib_rng, protocol.calib_batch_size));
+  }
+  return calib;
+}
+
 EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
   if (!w.build || !w.make_batch || !w.perturb) {
     throw std::invalid_argument("make_eval_plan: incomplete workload " + w.name);
@@ -157,15 +157,7 @@ EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
   plan.margin_quantile = w.margin_quantile;
   plan.prototype = w.build();
   plan.model_size_mb = plan.prototype.size_mb();
-
-  // Calibration set (clean data, as in real PTQ; Figure 7 swaps in an
-  // augmented generator via make_calib_batch).
-  const auto& calib_gen = w.make_calib_batch ? w.make_calib_batch : w.make_batch;
-  Rng calib_rng(w.data_seed * 7919 + 1);
-  plan.calib.reserve(static_cast<size_t>(protocol.calib_batches));
-  for (int b = 0; b < protocol.calib_batches; ++b) {
-    plan.calib.push_back(calib_gen(calib_rng, protocol.calib_batch_size));
-  }
+  plan.calib = make_calib_batches(w, protocol);
 
   // Evaluation set; FP32 targets and the FP32 baseline come first, while
   // the weights are pristine. Exactly evaluate_workload_config's stream:
@@ -183,14 +175,6 @@ EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
     plan.batches.push_back(std::move(pb));
   }
   plan.fp32_score = fp32_acc.score();
-
-  // Stamp every weight identity now, so per-trial clones inherit stamped
-  // identities and the weight cache's memo skips rehashing across trials.
-  for (Graph::NodeId id : plan.prototype.node_ids()) {
-    auto& node = plan.prototype.node(id);
-    if (!node.op) continue;
-    for (Tensor* t : node.op->weights()) (void)t->identity();
-  }
   return plan;
 }
 

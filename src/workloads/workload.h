@@ -77,11 +77,6 @@ struct EvalProtocol {
 /// evaluation data generation, the clean FP32 forward passes that produce
 /// the teacher targets, and the FP32 baseline score. Each trial then only
 /// pays for a Graph::clone() plus the quantized passes.
-///
-/// The prototype's weight identities are stamped (Tensor::identity()) at
-/// plan-build time, so every per-trial clone adopts them and the
-/// quantized-weight cache (quant/weight_cache.h) recognizes the repeated
-/// weights across trials without rehashing their contents.
 struct EvalPlan {
   std::string workload_name;
   std::string domain;
@@ -91,7 +86,7 @@ struct EvalPlan {
 
   /// Pristine FP32 model; trials clone it, never mutate it.
   Graph prototype;
-  /// Calibration batches (clean data, or the workload's calib generator).
+  /// Calibration batches (make_calib_batches).
   std::vector<std::vector<Tensor>> calib;
 
   struct PlanBatch {
@@ -103,6 +98,14 @@ struct EvalPlan {
   /// FP32 score on the perturbed batches (the baseline of the record).
   double fp32_score = 0.0;
 };
+
+/// The workload's calibration stream under the protocol: calib_batches
+/// batches from make_calib_batch (or make_batch), with the seed derived
+/// from data_seed. EvalPlan::calib is exactly this stream; callers that
+/// need only calibration data (fp8qd's quantize jobs) use it directly and
+/// skip the FP32 teacher passes a full plan runs.
+[[nodiscard]] std::vector<std::vector<Tensor>> make_calib_batches(
+    const Workload& workload, const EvalProtocol& protocol = {});
 
 /// Builds the trial-invariant evaluation state. Uses exactly the data
 /// streams of evaluate_workload_config (same seeds, same draw order), so
@@ -137,9 +140,5 @@ struct EvalPlan {
 [[nodiscard]] ModelQuantConfig default_model_config(const Workload& workload,
                                                     const SchemeConfig& scheme,
                                                     const EvalProtocol& protocol = {});
-
-/// FP32 baseline score of a workload under the protocol (no quantization).
-[[nodiscard]] double fp32_baseline(const Workload& workload,
-                                   const EvalProtocol& protocol = {});
 
 }  // namespace fp8q

@@ -184,7 +184,6 @@ TEST(KernelCounters, PathNamesAreStable) {
   EXPECT_STREQ(to_string(ObsKernelPath::kConvFp32), "conv_fp32");
   EXPECT_STREQ(to_string(ObsKernelPath::kMatmulPacked), "matmul_packed");
   EXPECT_STREQ(to_string(ObsKernelPath::kMatmulFp32), "matmul_fp32");
-  EXPECT_STREQ(to_string(ObsKernelPath::kCacheDecode), "cache_decode");
 }
 
 }  // namespace

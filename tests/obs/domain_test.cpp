@@ -27,7 +27,6 @@ void reset_globals() {
   set_counters_enabled(true);
   set_histograms_enabled(true);
   counters_reset();
-  cache_counters_reset();
   kernel_counters_reset();
   histograms_reset();
   alloc_counters_reset();
@@ -42,14 +41,12 @@ TEST(CounterDomain, BoundThreadRoutesWritesAndReadsToTheDomain) {
     ScopedCounterDomain scope(&domain);
     counter_add(ObsFormat::kE4M3, ObsEvent::kQuantized, 40);
     counter_add(ObsFormat::kE4M3, ObsEvent::kSaturated, 2);
-    cache_counter_add(ObsCacheEvent::kMiss, 1);
     kernel_counter_add(ObsKernelPath::kLinearPacked, 3);
     alloc_counter_add(512);
     hist_record(HistChannel::kCastMagE4M3, 1.5);
 
     // The bound thread's snapshots ARE the domain's view.
     EXPECT_EQ(counters_snapshot().get(ObsFormat::kE4M3, ObsEvent::kQuantized), 40u);
-    EXPECT_EQ(cache_counters_snapshot().get(ObsCacheEvent::kMiss), 1u);
     EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearPacked), 3u);
     EXPECT_EQ(alloc_counters_snapshot().bytes, 512u);
     EXPECT_EQ(alloc_counters_snapshot().allocs, 1u);
@@ -58,13 +55,11 @@ TEST(CounterDomain, BoundThreadRoutesWritesAndReadsToTheDomain) {
 
   // Unbound again: globals never saw any of it.
   EXPECT_TRUE(counters_snapshot() == global_before);
-  EXPECT_EQ(cache_counters_snapshot().get(ObsCacheEvent::kMiss), 0u);
   EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearPacked), 0u);
   EXPECT_EQ(alloc_counters_snapshot().bytes, 0u);
   EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE4M3).total, 0u);
   // The domain still holds the tallies.
   EXPECT_EQ(domain.counters().get(ObsFormat::kE4M3, ObsEvent::kQuantized), 40u);
-  EXPECT_EQ(domain.cache_counters().get(ObsCacheEvent::kMiss), 1u);
   EXPECT_EQ(domain.kernel_counters().get(ObsKernelPath::kLinearPacked), 3u);
   EXPECT_EQ(domain.alloc_counters().bytes, 512u);
   EXPECT_EQ(domain.histogram(HistChannel::kCastMagE4M3).total, 1u);
@@ -107,7 +102,7 @@ TEST(CounterDomain, FoldMovesTalliesIntoGlobalsExactlyOnce) {
   {
     ScopedCounterDomain scope(&domain);
     counter_add(ObsFormat::kE3M4, ObsEvent::kFlushedToZero, 7);
-    cache_counter_add(ObsCacheEvent::kHit, 2);
+    kernel_counter_add(ObsKernelPath::kConvPacked, 2);
     alloc_counter_add(64);
     hist_record(HistChannel::kCastMagE3M4, 0.25);
   }
@@ -115,7 +110,7 @@ TEST(CounterDomain, FoldMovesTalliesIntoGlobalsExactlyOnce) {
 
   // Conservation: the fold moved every tally into the globals...
   EXPECT_EQ(counters_snapshot().get(ObsFormat::kE3M4, ObsEvent::kFlushedToZero), 7u);
-  EXPECT_EQ(cache_counters_snapshot().get(ObsCacheEvent::kHit), 2u);
+  EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kConvPacked), 2u);
   EXPECT_EQ(alloc_counters_snapshot().bytes, 64u);
   EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE3M4).total, 1u);
   // ...and left the domain empty, so a second fold adds nothing.

@@ -176,8 +176,8 @@ TEST(HistRegistry, GatingSkipsRecordingWhenDisabled) {
   // recording. Verify the flag flips and recording lands when enabled.
   set_histograms_enabled(true);
   EXPECT_TRUE(histograms_enabled());
-  hist_record(HistChannel::kCacheHitNs, 123.0);
-  EXPECT_EQ(histogram_snapshot(HistChannel::kCacheHitNs).total, 1u);
+  hist_record(HistChannel::kTuneTrialNs, 123.0);
+  EXPECT_EQ(histogram_snapshot(HistChannel::kTuneTrialNs).total, 1u);
 }
 
 TEST(HistRegistry, NamedHistogramsSortedAndMerged) {

@@ -2,6 +2,7 @@
 // io/serialize reader, ScopedStage collection, and env-gated emission.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,7 +31,7 @@ RunReport sample_report() {
   r.num_threads = 3;
   r.isa = "native:avx2";
   r.kernel_paths.counts[static_cast<int>(ObsKernelPath::kLinearPacked)] = 17;
-  r.kernel_paths.counts[static_cast<int>(ObsKernelPath::kCacheDecode)] = 4;
+  r.kernel_paths.counts[static_cast<int>(ObsKernelPath::kConvFp32)] = 4;
 
   StageReport stage;
   stage.name = "phase \"one\"\nwith newline";  // exercises escaping
@@ -104,7 +105,6 @@ TEST(Report, V3MemoryHistogramAndStageAllocBlocksRoundTrip) {
   original.memory.peak_rss_bytes = 123456789;
   original.memory.alloc_bytes = 777;
   original.memory.allocs = 9;
-  original.weight_cache.counts[static_cast<int>(ObsCacheEvent::kHit)] = 11;
 
   NamedHistogram nh;
   nh.name = "cast_mag/e4m3";
@@ -124,7 +124,6 @@ TEST(Report, V3MemoryHistogramAndStageAllocBlocksRoundTrip) {
   EXPECT_EQ(parsed.memory.peak_rss_bytes, 123456789u);
   EXPECT_EQ(parsed.memory.alloc_bytes, 777u);
   EXPECT_EQ(parsed.memory.allocs, 9u);
-  EXPECT_EQ(parsed.weight_cache.counts[static_cast<int>(ObsCacheEvent::kHit)], 11u);
 
   ASSERT_EQ(parsed.histograms.size(), 1u);
   EXPECT_EQ(parsed.histograms[0].name, "cast_mag/e4m3");
@@ -147,6 +146,32 @@ TEST(Report, PreV3ReportsDefaultTheNewBlocks) {
   EXPECT_TRUE(parsed.histograms.empty());
   ASSERT_EQ(parsed.stages.size(), 1u);
   EXPECT_EQ(parsed.stages[0].alloc_bytes, 0u);
+}
+
+TEST(Report, V4CacheBlocksAreIgnoredAndV5OmitsThem) {
+  // v2..v4 documents carry a "weight_cache" block and a "cache_decode"
+  // kernel path, counters of the quantized-weight cache v5 removed. They
+  // must still load, with both dropped and every other count intact.
+  std::istringstream in(
+      R"({"fp8q_report_version": 4, "tool": "old", "num_threads": 2,
+          "isa": "native:avx2",
+          "weight_cache": {"hit": 11, "miss": 3, "evict": 0, "bypass": 1},
+          "kernel_paths": {"linear_packed": 5, "conv_fp32": 2, "cache_decode": 7}})");
+  const RunReport parsed = report_from_json(in);
+  EXPECT_EQ(parsed.tool, "old");
+  EXPECT_EQ(parsed.isa, "native:avx2");
+  EXPECT_EQ(parsed.kernel_paths.get(ObsKernelPath::kLinearPacked), 5u);
+  EXPECT_EQ(parsed.kernel_paths.get(ObsKernelPath::kConvFp32), 2u);
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : parsed.kernel_paths.counts) total += c;
+  EXPECT_EQ(total, 7u);  // the cache_decode count went nowhere
+
+  // Re-written, the report is v5 and carries neither block.
+  EXPECT_EQ(kReportVersion, 5);
+  const std::string v5 = parsed.to_json();
+  EXPECT_NE(v5.find("\"fp8q_report_version\": 5"), std::string::npos);
+  EXPECT_EQ(v5.find("weight_cache"), std::string::npos);
+  EXPECT_EQ(v5.find("cache_decode"), std::string::npos);
 }
 
 TEST(Report, EmptyReportRoundTrips) {

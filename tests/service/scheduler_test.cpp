@@ -3,16 +3,10 @@
 // artifact. The central suite boots the same daemon at 1, 2 and 4
 // executor workers, submits one mixed-priority job set each time, and
 // asserts that every job's report -- accuracy records, quantization-event
-// counters, weight-cache delta, kernel-path counts, per-stage counter
-// deltas -- is identical to a one-shot run of the same spec
-// (docs/THREADING.md, "Scoped observation domains"). Also covers the
-// deadline-at-observation path and the scheduler stats fields.
-//
-// The job set uses a DISTINCT (workload, format) pair per job and the
-// weight cache is cleared before every run: per-job cache hit/miss
-// deltas are interleaving-dependent when concurrent jobs share weight
-// content (whoever runs first takes the miss), so sharing is exactly
-// what a bit-identity fixture must not do.
+// counters, kernel-path counts, per-stage counter deltas -- is identical
+// to a one-shot run of the same spec (docs/THREADING.md, "Scoped
+// observation domains"). Also covers the deadline-at-observation path and
+// the scheduler stats fields.
 //
 // Tests live outside src/, so std::thread and raw sleeps are fair game
 // here (the linted library keeps to core/parallel and obs_now_ns).
@@ -34,7 +28,6 @@
 #include "io/json.h"
 #include "io/serialize.h"
 #include "obs/counters.h"
-#include "quant/weight_cache.h"
 #include "service/net.h"
 #include "service/protocol.h"
 #include "workloads/registry.h"
@@ -92,7 +85,7 @@ struct SpecRow {
   int priority;
 };
 
-/// Distinct (workload, format) per row -- see the file comment.
+/// Mixed kinds, workloads, formats and priorities.
 constexpr SpecRow kJobSet[] = {
     {"eval", "dlrm-ish", "E4M3", 0},
     {"quantize", "dlrm-ish", "E5M2", 5},
@@ -147,7 +140,7 @@ RunReport through_json(const RunReport& report) {
 /// The scheduler-invisibility fingerprint: everything about a job's
 /// report that the observation-domain contract pins down. Wall times,
 /// num_threads, RSS and allocation figures are environmental and stay
-/// out; counters, cache and kernel-path deltas, records and per-stage
+/// out; counter and kernel-path deltas, records and per-stage
 /// counter deltas must be byte-identical at any worker count.
 void expect_scheduler_invisible(const RunReport& served, const RunReport& baseline,
                                 const std::string& label) {
@@ -162,8 +155,6 @@ void expect_scheduler_invisible(const RunReport& served, const RunReport& baseli
     EXPECT_EQ(served.records[i].model_size_mb, baseline.records[i].model_size_mb) << label;
   }
   EXPECT_TRUE(served.counters == baseline.counters) << label << ": counter delta differs";
-  EXPECT_TRUE(served.weight_cache == baseline.weight_cache)
-      << label << ": weight-cache delta differs";
   EXPECT_TRUE(served.kernel_paths == baseline.kernel_paths)
       << label << ": kernel-path delta differs";
   ASSERT_EQ(served.stages.size(), baseline.stages.size()) << label;
@@ -203,8 +194,7 @@ TEST(Scheduler, PerJobReportsBitIdenticalAcrossWorkerCounts) {
   // varies across the worker counts below (4, 2, 1 threads per job).
   set_num_threads(4);
 
-  // Baseline: one-shot runs of every spec against a cold cache.
-  weight_cache_clear();
+  // Baseline: one-shot runs of every spec.
   const std::vector<Workload> suite = build_suite();
   std::vector<RunReport> baseline;
   for (const SpecRow& row : kJobSet) {
@@ -212,7 +202,6 @@ TEST(Scheduler, PerJobReportsBitIdenticalAcrossWorkerCounts) {
   }
 
   for (const int workers : {1, 2, 4}) {
-    weight_cache_clear();
     SchedulerFixture fixture(workers);
     const std::vector<RunReport> served = run_set_on_server(fixture);
     fixture.stop();

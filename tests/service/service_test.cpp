@@ -5,7 +5,7 @@
 // the same accuracy records and the same quantization-event counter
 // delta as a one-shot run of the same spec -- plus the operational
 // paths: admission control, cancel, deadlines, malformed input, stats,
-// and the draining shutdown.
+// the bounded job table, and the draining shutdown.
 //
 // Tests live outside src/, so std::thread and raw sleeps are fair game
 // here (the linted library keeps to core/parallel and obs_now_ns).
@@ -358,6 +358,39 @@ TEST(Service, GracefulShutdownDrainsAndAnswersWaiters) {
   // New submits during/after drain are refused.
   fixture.stop();
   (void)a;
+}
+
+TEST(Service, JobTableRetainsOnlyTheNewestTerminalJobs) {
+  set_counters_enabled(true);
+  ServerFixture fixture;
+  Connection conn = fixture.connect();
+
+  // Each job is terminal before the next submit, so every submit past the
+  // bound evicts exactly the oldest id: after kMaxTerminalJobs + 3 jobs,
+  // ids 1..3 are gone and id 4 onward still answer.
+  const std::uint64_t total = kMaxTerminalJobs + 3;
+  std::uint64_t newest = 0;
+  for (std::uint64_t i = 0; i < total; ++i) {
+    const json::Value result = submit_and_wait(conn, submit_payload("eval", "dlrm-ish"));
+    ASSERT_EQ(result.string_or("state"), "done") << result.string_or("error");
+    newest = static_cast<std::uint64_t>(result.number_or("job_id"));
+  }
+  ASSERT_EQ(newest, total);
+
+  for (const char* cmd : {"status", "result", "cancel"}) {
+    const json::Value evicted =
+        roundtrip(conn, std::string("{\"cmd\":\"") + cmd + "\",\"job_id\":3}");
+    EXPECT_EQ(evicted.string_or("code"), "unknown_job") << cmd;
+  }
+  const json::Value oldest_kept = roundtrip(conn, "{\"cmd\":\"status\",\"job_id\":4}");
+  EXPECT_EQ(oldest_kept.string_or("state"), "done");
+  const json::Value latest = roundtrip(
+      conn, "{\"cmd\":\"result\",\"job_id\":" + std::to_string(newest) + "}");
+  EXPECT_EQ(latest.string_or("state"), "done");
+  const json::Value* report = latest.find("report");
+  ASSERT_NE(report, nullptr);
+  ASSERT_NE(report->find("records"), nullptr);
+  EXPECT_EQ(report->find("records")->array.size(), 1u);
 }
 
 TEST(Service, LoopbackTcpServesJobsToo) {

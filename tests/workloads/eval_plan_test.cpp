@@ -1,11 +1,13 @@
 // EvalPlan: the trial-invariant evaluation state must reproduce the
 // one-shot pipeline bit for bit, and repeated trials against one plan
-// (weight-cache hits included) must be deterministic.
+// must be deterministic.
 #include "workloads/workload.h"
 
 #include <gtest/gtest.h>
 
-#include "quant/weight_cache.h"
+#include <bit>
+#include <cstdint>
+
 #include "workloads/registry.h"
 
 namespace fp8q {
@@ -58,8 +60,8 @@ TEST(EvalPlan, MatchesOneShotEvaluation) {
 }
 
 TEST(EvalPlan, RepeatedTrialsAreDeterministic) {
-  // Trial 2+ hits the weight cache warmed by trial 1; results must not
-  // move, and the plan's prototype must stay pristine throughout.
+  // Results must not move across trials, and the plan's prototype must
+  // stay pristine throughout.
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "distilbert-mrpc-ish");
   const auto protocol = quick_protocol();
@@ -73,27 +75,29 @@ TEST(EvalPlan, RepeatedTrialsAreDeterministic) {
   expect_same_record(first, third);
 }
 
-TEST(EvalPlan, CacheOnAndOffAgreeBitwise) {
-  // The weight cache must be invisible in results: the same trial with
-  // caching disabled produces the identical record.
+TEST(EvalPlan, CalibIsExactlyTheCalibStream) {
+  // fp8qd's quantize jobs calibrate on make_calib_batches without building
+  // a plan; both must see the same batches, bit for bit.
   const auto suite = build_suite();
-  const Workload& w = find_workload(suite, "dlrm-ish");
   const auto protocol = quick_protocol();
-  const auto config =
-      default_model_config(w, standard_fp8_scheme(DType::kE3M4), protocol);
-  const EvalPlan plan = make_eval_plan(w, protocol);
-
-  weight_cache_clear();
-  const auto warm1 = evaluate_with_plan(plan, config);
-  const auto warm2 = evaluate_with_plan(plan, config);  // served from cache
-
-  set_weight_cache_capacity_bytes(0);  // disable
-  const auto cold = evaluate_with_plan(plan, config);
-  set_weight_cache_capacity_bytes(-1);  // restore default
-  weight_cache_clear();
-
-  expect_same_record(warm1, warm2);
-  expect_same_record(warm1, cold);
+  for (const char* name : {"distilbert-mrpc-ish", "resnet50-ish"}) {
+    const Workload& w = find_workload(suite, name);
+    const EvalPlan plan = make_eval_plan(w, protocol);
+    const auto calib = make_calib_batches(w, protocol);
+    ASSERT_EQ(calib.size(), plan.calib.size()) << name;
+    for (std::size_t b = 0; b < calib.size(); ++b) {
+      ASSERT_EQ(calib[b].size(), plan.calib[b].size()) << name;
+      for (std::size_t i = 0; i < calib[b].size(); ++i) {
+        const auto want = plan.calib[b][i].flat();
+        const auto got = calib[b][i].flat();
+        ASSERT_EQ(got.size(), want.size()) << name;
+        for (std::size_t j = 0; j < got.size(); ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j]), std::bit_cast<std::uint32_t>(want[j]))
+              << name << " batch " << b << " input " << i << " elem " << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(EvalPlan, DifferentConfigsShareOnePlan) {

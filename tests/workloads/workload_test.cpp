@@ -119,7 +119,7 @@ TEST(Evaluate, BaselineBelowPerfectWithNoise) {
   const auto suite = build_suite();
   double total = 0.0;
   for (const char* name : {"resnet50-ish", "distilbert-mrpc-ish", "bloom7b-ish"}) {
-    const double fp32 = fp32_baseline(find_workload(suite, name), quick_protocol());
+    const double fp32 = make_eval_plan(find_workload(suite, name), quick_protocol()).fp32_score;
     EXPECT_GT(fp32, 0.5) << name;
     EXPECT_LE(fp32, 1.0) << name;
     total += fp32;

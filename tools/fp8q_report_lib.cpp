@@ -105,21 +105,6 @@ std::string format_report(const RunReport& report) {
     print_counters(os, report.counters, "  ");
   }
 
-  {
-    bool any = false;
-    for (int e = 0; e < kObsCacheEventCount; ++e) {
-      any = any || report.weight_cache.counts[e] != 0;
-    }
-    if (any) {
-      os << "weight_cache:";
-      for (int e = 0; e < kObsCacheEventCount; ++e) {
-        os << "  " << to_string(static_cast<ObsCacheEvent>(e)) << "="
-           << report.weight_cache.counts[e];
-      }
-      os << "\n";
-    }
-  }
-
   if (!report.histograms.empty()) {
     os << "histograms (" << report.histograms.size() << "):\n";
     for (const auto& nh : report.histograms) {

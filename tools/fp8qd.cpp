@@ -4,7 +4,7 @@
 //
 // Listens on a Unix-domain socket (and optionally loopback TCP), accepts
 // quantize/eval/tune jobs over the length-prefixed line-JSON protocol,
-// and serves back per-job report-v4 JSON. --workers executor threads run
+// and serves back per-job report JSON. --workers executor threads run
 // jobs concurrently, each under its own observation domain and a
 // num_threads()/workers parallel arena (docs/SERVICE.md, "Scheduler").
 // Flags override the FP8QD_* environment knobs (FP8QD_SOCKET,

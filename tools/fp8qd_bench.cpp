@@ -60,7 +60,7 @@ struct BenchOptions {
   bool append = false;
   std::string out_path = "BENCH_service.json";
   /// When set, one canonical job (first mix kind, same workload/format)
-  /// runs after the timed load and its report-v4 JSON lands here -- the
+  /// runs after the timed load and its report JSON lands here -- the
   /// artifact `fp8q_report diff --max-counter-drift-pct=0` compares
   /// across daemon worker counts.
   std::string report_out_path;
@@ -237,7 +237,7 @@ std::vector<std::string> load_prior_runs(const BenchOptions& opts) {
 }
 
 /// Submits one canonical job over `conn`, waits for its result, and
-/// returns the embedded report-v4 JSON object. The result frame ends
+/// returns the embedded report JSON object. The result frame ends
 /// ...,"report":{...}} with nothing after the report, so the object is
 /// the substring from the key to the frame's closing brace.
 std::string fetch_canonical_report(service::Connection& conn, const BenchOptions& opts,
@@ -283,7 +283,7 @@ int usage() {
       "  [--append]          keep prior runs' rows in the snapshot's \"runs\"\n"
       "                      array (one scaling curve across daemon restarts)\n"
       "  [--report-out=PATH] run one canonical job after the load and save its\n"
-      "                      report-v4 JSON (for fp8q_report diff across worker\n"
+      "                      report JSON (for fp8q_report diff across worker\n"
       "                      counts)\n"
       "  [--shutdown]        ask the daemon to drain and exit afterwards\n");
   return 2;
