@@ -2,15 +2,16 @@
 //
 //   * fake-quant cast throughput, scalar fast-cast loop vs the batched
 //     branch-free kernel, per FP8 format, pinned to one thread;
-//   * blocked matmul throughput in GFLOP/s;
-//   * packed FP8 GEMM (decode-in-register, docs/KERNELS.md) vs the
-//     dequantize-then-matmul baseline, per FP8 format, at the dispatched
-//     ISA tier (recorded in the row and the top-level "isa" field).
+//   * MatMulOp throughput in GFLOP/s;
+//   * the GEMM microkernel (nn/gemm.h, docs/KERNELS.md) at the scalar
+//     reference tier and at the dispatched ISA tier (the top-level "isa"
+//     field), and the speedup between them.
 //
 // Writes BENCH_kernels.json (override with --out=<path>). `--smoke` runs a
 // reduced configuration with fewer and smaller shapes; the CI perf gate
 // is `fp8q_report check-bench` / `fp8q_report diff` over the written JSON
 // with explicit thresholds (tools/ci.sh, docs/PERFORMANCE.md).
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -19,9 +20,8 @@
 #include "core/cpu_dispatch.h"
 #include "core/parallel.h"
 #include "fp8/cast_fast.h"
-#include "fp8/packed.h"
+#include "nn/gemm.h"
 #include "nn/matmul.h"
-#include "nn/packed_gemm.h"
 #include "obs/trace.h"
 #include "tensor/rng.h"
 
@@ -109,66 +109,50 @@ MatmulResult measure_matmul(std::int64_t m, std::int64_t k, std::int64_t n, int 
   return {m, k, n, best};
 }
 
-struct PackedGemmResult {
+struct GemmResult {
   std::int64_t m, k, n;
-  const char* format;
-  double packed_gflops;
-  double dequant_gflops;
-  double speedup;
-  std::int64_t packed_bytes;
-  std::int64_t fp32_bytes;
+  double scalar_gflops;
+  double gflops;
 };
 
-/// Packed FP8 GEMM (decode codes in-register, nn/packed_gemm.h) against
-/// the baseline a deployment would otherwise run: dequantize the stored
-/// codes to an FP32 weight, then the blocked FP32 matmul. Both paths
-/// produce bit-identical outputs (the packed kernels' contract), so the
-/// comparison is pure throughput. The weight is [n, k] row-major like
-/// LinearOp's, and the baseline's unpack() is inside the timed loop --
-/// that materialization cost is exactly what the packed path deletes.
-PackedGemmResult measure_packed_gemm(Fp8Kind kind, std::int64_t m, std::int64_t k,
-                                     std::int64_t n, int iters, int reps) {
+/// GFLOP/s of one tier's kernel on y += a * b, from one timing that
+/// repeats the call until it has lasted `min_seconds`, so fast and slow
+/// tiers are both timed over the same wall span.
+double time_gemm(GemmKernel kernel, const Tensor& a, const Tensor& b, Tensor& y,
+                 double min_seconds) {
+  const std::int64_t m = a.size(0);
+  const std::int64_t k = a.size(1);
+  const std::int64_t n = b.size(1);
+  const std::uint64_t t0 = obs_now_ns();
+  int calls = 0;
+  double elapsed = 0.0;
+  do {
+    kernel(a.data(), b.data(), y.data(), m, n, k);
+    ++calls;
+    elapsed = seconds_since(t0);
+  } while (elapsed < min_seconds);
+  return 2.0 * static_cast<double>(m) * static_cast<double>(k) * static_cast<double>(n) *
+         calls / elapsed / 1e9;
+}
+
+/// The GEMM microkernel (nn/gemm.h) at the scalar reference tier and at
+/// the dispatched tier, single-threaded, best of `reps` timings each. The
+/// two tiers' timings alternate, so a drift in machine speed hits both.
+/// Every tier computes the same bits, so the ratio is pure throughput.
+GemmResult measure_gemm(std::int64_t m, std::int64_t k, std::int64_t n, double min_seconds,
+                        int reps) {
   Rng rng(29);
-  Tensor a = randn(rng, {m, k});
-  Tensor b = randn(rng, {n, k});
-  const PackedFp8Tensor packed = PackedFp8Tensor::pack_per_channel(b, kind);
-  const PackedWeightMatrix w = pack_gemm_weight(packed);
-  MatMulOp op(false, /*transpose_b=*/true);
-  const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(k) *
-                       static_cast<double>(n) * iters;
-  double packed_best = 0.0;
-  double dequant_best = 0.0;
-  volatile float sink = 0.0f;
+  const Tensor a = randn(rng, {m, k});
+  const Tensor b = randn(rng, {k, n});
+  Tensor y({m, n});
+  GemmResult result{m, k, n, 0.0, 0.0};
   for (int r = 0; r < reps; ++r) {
-    std::uint64_t t0 = obs_now_ns();
-    for (int it = 0; it < iters; ++it) {
-      const Tensor y = packed_matmul(a, w);
-      sink = y[0];
-    }
-    const double packed_rate = flops / seconds_since(t0) / 1e9;
-
-    t0 = obs_now_ns();
-    for (int it = 0; it < iters; ++it) {
-      const Tensor wt = packed.unpack();
-      const std::vector<Tensor> in = {a, wt};
-      const Tensor y = op.forward(in);
-      sink = y[0];
-    }
-    const double dequant_rate = flops / seconds_since(t0) / 1e9;
-
-    if (packed_rate > packed_best) packed_best = packed_rate;
-    if (dequant_rate > dequant_best) dequant_best = dequant_rate;
+    result.scalar_gflops = std::max(
+        result.scalar_gflops, time_gemm(gemm_kernel(IsaTier::kScalar), a, b, y, min_seconds));
+    result.gflops =
+        std::max(result.gflops, time_gemm(gemm_kernel(isa_tier()), a, b, y, min_seconds));
   }
-  (void)sink;
-  return {m,
-          k,
-          n,
-          to_string(kind).data(),
-          packed_best,
-          dequant_best,
-          dequant_best > 0.0 ? packed_best / dequant_best : 0.0,
-          static_cast<std::int64_t>(w.storage_bytes()),
-          static_cast<std::int64_t>(b.numel() * sizeof(float))};
+  return result;
 }
 
 }  // namespace
@@ -208,15 +192,10 @@ int main(int argc, char** argv) {
     if (!smoke) matmuls.push_back(measure_matmul(128, 512, 512, 8, reps));
   }
 
-  std::vector<PackedGemmResult> packed_gemms;
+  std::vector<GemmResult> gemms;
   {
-    ScopedStage stage("kernels/packed-gemm");
-    for (Fp8Kind kind : {Fp8Kind::E5M2, Fp8Kind::E4M3, Fp8Kind::E3M4}) {
-      packed_gemms.push_back(measure_packed_gemm(kind, 64, 256, 256, smoke ? 4 : 16, reps));
-    }
-    if (!smoke) {
-      packed_gemms.push_back(measure_packed_gemm(Fp8Kind::E4M3, 128, 512, 512, 8, reps));
-    }
+    ScopedStage stage("kernels/gemm");
+    gemms.push_back(measure_gemm(64, 256, 256, smoke ? 0.02 : 0.2, 5));
   }
 
   FILE* f = std::fopen(out_path.c_str(), "w");
@@ -245,18 +224,15 @@ int main(int argc, char** argv) {
                  static_cast<long long>(m.n), m.gflops,
                  i + 1 < matmuls.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"packed_gemm\": [\n");
-  for (std::size_t i = 0; i < packed_gemms.size(); ++i) {
-    const auto& p = packed_gemms[i];
+  std::fprintf(f, "  ],\n  \"gemm\": [\n");
+  for (std::size_t i = 0; i < gemms.size(); ++i) {
+    const auto& g = gemms[i];
     std::fprintf(f,
-                 "    {\"m\": %lld, \"k\": %lld, \"n\": %lld, \"format\": \"%s\", "
-                 "\"packed_gflops\": %.2f, \"dequant_gflops\": %.2f, "
-                 "\"speedup\": %.2f, \"packed_bytes\": %lld, \"fp32_bytes\": %lld}%s\n",
-                 static_cast<long long>(p.m), static_cast<long long>(p.k),
-                 static_cast<long long>(p.n), p.format, p.packed_gflops, p.dequant_gflops,
-                 p.speedup, static_cast<long long>(p.packed_bytes),
-                 static_cast<long long>(p.fp32_bytes),
-                 i + 1 < packed_gemms.size() ? "," : "");
+                 "    {\"m\": %lld, \"k\": %lld, \"n\": %lld, \"scalar_gflops\": %.2f, "
+                 "\"gflops\": %.2f, \"speedup\": %.2f}%s\n",
+                 static_cast<long long>(g.m), static_cast<long long>(g.k),
+                 static_cast<long long>(g.n), g.scalar_gflops, g.gflops,
+                 g.gflops / g.scalar_gflops, i + 1 < gemms.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -271,12 +247,11 @@ int main(int argc, char** argv) {
     std::printf("  matmul %lldx%lldx%lld: %.2f GFLOP/s\n", static_cast<long long>(m.m),
                 static_cast<long long>(m.k), static_cast<long long>(m.n), m.gflops);
   }
-  for (const auto& p : packed_gemms) {
-    std::printf("  packed_gemm %lldx%lldx%lld %-5s [%s]: packed %.2f GFLOP/s  dequant %.2f "
-                "GFLOP/s  (%.2fx)\n",
-                static_cast<long long>(p.m), static_cast<long long>(p.k),
-                static_cast<long long>(p.n), p.format, isa_label(), p.packed_gflops,
-                p.dequant_gflops, p.speedup);
+  for (const auto& g : gemms) {
+    std::printf("  gemm %lldx%lldx%lld [%s]: %.2f GFLOP/s  scalar %.2f GFLOP/s  (%.2fx)\n",
+                static_cast<long long>(g.m), static_cast<long long>(g.k),
+                static_cast<long long>(g.n), isa_label(), g.gflops, g.scalar_gflops,
+                g.gflops / g.scalar_gflops);
   }
   // The perf gate itself lives in `fp8q_report check-bench` (tools/ci.sh),
   // which reads the JSON written above and applies explicit thresholds;

@@ -9,10 +9,7 @@ namespace fp8q {
 namespace {
 
 bool probe_native() {
-#if defined(__aarch64__)
-  // Advanced SIMD (NEON) is architecturally mandatory on AArch64.
-  return true;
-#elif defined(__x86_64__) || defined(__i386__)
+#if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") != 0;
 #else
   return false;
@@ -27,15 +24,10 @@ bool native_available_cached() {
 /// FP8Q_ISA parse; falls back to the best supported tier on unset/unknown.
 IsaTier env_default_tier() {
   const char* v = std::getenv("FP8Q_ISA");
-  const IsaTier best = native_available_cached() ? IsaTier::kNative : IsaTier::kBatched;
-  if (v == nullptr || v[0] == '\0') return best;
-  if (std::strcmp(v, "scalar") == 0) return IsaTier::kScalar;
-  if (std::strcmp(v, "batched") == 0) return IsaTier::kBatched;
-  if (std::strcmp(v, "native") == 0 || std::strcmp(v, "avx2") == 0 ||
-      std::strcmp(v, "neon") == 0) {
-    return best;  // a native request clamps to batched when unsupported
-  }
-  return best;
+  if (v != nullptr && std::strcmp(v, "scalar") == 0) return IsaTier::kScalar;
+  if (v != nullptr && std::strcmp(v, "batched") == 0) return IsaTier::kBatched;
+  // Unset, "native", "avx2" or unknown: the best tier this CPU runs.
+  return native_available_cached() ? IsaTier::kNative : IsaTier::kBatched;
 }
 
 IsaTier env_tier_cached() {
@@ -45,19 +37,6 @@ IsaTier env_tier_cached() {
 
 /// -1 = use the FP8Q_ISA / probe default; otherwise an IsaTier value.
 std::atomic<int> g_tier_override{-1};
-
-/// -1 = use the FP8Q_PACKED default; 0/1 = explicit override.
-std::atomic<int> g_packed_override{-1};
-
-bool env_packed_default() {
-  // Default ON: packed compute is bit-identical to the dequantized path
-  // (docs/KERNELS.md), so the knob only exists to measure the difference.
-  static const bool value = [] {
-    const char* v = std::getenv("FP8Q_PACKED");
-    return !(v != nullptr && v[0] == '0' && v[1] == '\0');
-  }();
-  return value;
-}
 
 }  // namespace
 
@@ -85,41 +64,13 @@ void reset_isa_tier() { g_tier_override.store(-1, std::memory_order_relaxed); }
 
 bool isa_native_available() { return native_available_cached(); }
 
-const char* isa_native_name() {
-#if defined(__aarch64__)
-  return "neon";
-#elif defined(__x86_64__) || defined(__i386__)
-  return native_available_cached() ? "avx2" : "none";
-#else
-  return "none";
-#endif
-}
-
 const char* isa_label() {
   switch (isa_tier()) {
     case IsaTier::kScalar: return "scalar";
     case IsaTier::kBatched: return "batched";
-    case IsaTier::kNative:
-#if defined(__aarch64__)
-      return "native:neon";
-#else
-      return "native:avx2";
-#endif
+    case IsaTier::kNative: return "native:avx2";
   }
   return "?";
-}
-
-bool packed_compute_enabled() {
-  const int override_v = g_packed_override.load(std::memory_order_relaxed);
-  return override_v >= 0 ? override_v != 0 : env_packed_default();
-}
-
-void set_packed_compute_enabled(bool enabled) {
-  g_packed_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
-void reset_packed_compute_enabled() {
-  g_packed_override.store(-1, std::memory_order_relaxed);
 }
 
 }  // namespace fp8q

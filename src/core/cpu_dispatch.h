@@ -1,46 +1,40 @@
-// Runtime CPU dispatch for the packed FP8 kernels (docs/KERNELS.md).
+// Runtime CPU dispatch for the GEMM microkernel (docs/KERNELS.md).
 //
-// The packed GEMM/conv kernels (nn/packed_gemm.h) come in three tiers
-// that produce bit-identical results and differ only in speed:
+// The f32 GEMM kernel under Linear, MatMul and Conv2d (nn/gemm.h) comes
+// in three tiers that produce bit-identical results and differ only in
+// speed:
 //
-//   kScalar   portable reference: table-lookup decode, plain loops. The
+//   kScalar   portable reference: one row at a time, plain loops. The
 //             bit-exactness anchor every other tier is tested against.
-//   kBatched  branch-free uint32-lane decode written so the compiler
-//             auto-vectorizes it (the fp8_quantize_batch style). Works on
-//             every target; the default when no native path exists.
-//   kNative   explicit SIMD (AVX2 on x86-64, NEON on aarch64) with the
-//             same per-element operation order as the scalar tier.
+//   kBatched  four rows per pass, loops written so the compiler
+//             auto-vectorizes them. Works on every target; the default
+//             when no native path exists.
+//   kNative   explicit AVX2 on x86-64, with the same per-element
+//             operation order as the scalar tier.
 //
 // Tier resolution order: set_isa_tier() override > the FP8Q_ISA
-// environment variable ("scalar" | "batched" | "native"; "avx2"/"neon"
-// are accepted aliases for "native") > the best tier the CPU supports.
-// A request for kNative on a machine without a native path clamps to
-// kBatched, so isa_tier() always names a tier that can actually run.
+// environment variable ("scalar" | "batched" | "native"; "avx2" is an
+// accepted alias for "native") > the best tier the CPU supports. A
+// request for kNative on a machine without AVX2 clamps to kBatched, so
+// isa_tier() always names a tier that can actually run.
 //
 // The probe is a one-time cpuid check (__builtin_cpu_supports on x86-64;
-// NEON is baseline on aarch64), cached after first use. Dispatch happens
-// per kernel call by indexing a per-kernel function table with the tier
-// (packed_kernels in nn/packed_gemm.h), so tests can flip tiers between
-// calls with set_isa_tier().
-//
-// FP8Q_PACKED gates whether the quantization pipeline attaches packed
-// weights to ops at all (QuantizedGraph::prepare); default on, "0"
-// disables and restores the dequantize-to-FP32 path. Because the packed
-// kernels are bit-identical to that path, the knob is a performance
-// switch, not a numerics switch.
+// every other architecture has no native tier), cached after first use.
+// Dispatch happens per op call by indexing the kernel table with the tier
+// (gemm_kernel in nn/gemm.h), so tests can flip tiers between calls with
+// set_isa_tier().
 #pragma once
 
 namespace fp8q {
 
 /// Kernel implementation tiers, ordered from reference to fastest.
 enum class IsaTier { kScalar = 0, kBatched = 1, kNative = 2 };
-inline constexpr int kIsaTierCount = 3;
 
 /// Stable lowercase tier names used in reports and bench JSON
 /// ("scalar", "batched", "native").
 [[nodiscard]] const char* to_string(IsaTier tier);
 
-/// The tier packed kernels dispatch on (see resolution order above).
+/// The tier the kernels dispatch on (see resolution order above).
 /// Always satisfiable: never returns kNative unless isa_native_available().
 [[nodiscard]] IsaTier isa_tier();
 
@@ -51,25 +45,11 @@ void set_isa_tier(IsaTier tier);
 /// Clears the override and restores the FP8Q_ISA / probe default.
 void reset_isa_tier();
 
-/// True when an explicit SIMD path exists for this CPU (AVX2 or NEON).
+/// True when the CPU supports the AVX2 native tier.
 [[nodiscard]] bool isa_native_available();
-
-/// Name of the native path: "avx2", "neon", or "none". Independent of the
-/// selected tier -- reports record both.
-[[nodiscard]] const char* isa_native_name();
 
 /// "scalar" / "batched" / "native:avx2" -- the fully resolved dispatch
 /// label written into run reports and bench rows.
 [[nodiscard]] const char* isa_label();
-
-/// True when QuantizedGraph should attach packed weights to compute ops
-/// (FP8Q_PACKED, default on; set_packed_compute_enabled overrides).
-[[nodiscard]] bool packed_compute_enabled();
-
-/// Programmatic override of FP8Q_PACKED (tests).
-void set_packed_compute_enabled(bool enabled);
-
-/// Clears the override and restores the FP8Q_PACKED default.
-void reset_packed_compute_enabled();
 
 }  // namespace fp8q

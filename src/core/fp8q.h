@@ -61,11 +61,11 @@
 #include "nn/conv.h"       // IWYU pragma: export
 #include "nn/elementwise.h"  // IWYU pragma: export
 #include "nn/embedding.h"  // IWYU pragma: export
+#include "nn/gemm.h"       // IWYU pragma: export
 #include "nn/graph.h"      // IWYU pragma: export
 #include "nn/linear.h"     // IWYU pragma: export
 #include "nn/matmul.h"     // IWYU pragma: export
 #include "nn/norm.h"       // IWYU pragma: export
-#include "nn/packed_gemm.h"  // IWYU pragma: export
 #include "nn/shape_ops.h"  // IWYU pragma: export
 #include "obs/counters.h"  // IWYU pragma: export
 #include "obs/report.h"    // IWYU pragma: export

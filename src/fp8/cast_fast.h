@@ -14,12 +14,6 @@
 //                               (constant shifts, compare-selects, no
 //                               per-lane control flow). Bit-identical to
 //                               the scalar path, including NaN payloads.
-//
-// The packed GEMM kernels (nn/packed_gemm.h, docs/KERNELS.md) apply the
-// same design to the DECODE direction: fp8_decode_bits in fp8/packed.h is
-// the uint32-lane counterpart of fp8_quantize_batch's encode, with the
-// same reference-vs-batched pairing and the same exhaustive bit-equality
-// test policy.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "fp8/packed.h"
 
-#include <array>
-#include <bit>
 #include <stdexcept>
 
 #include "fp8/cast.h"
@@ -9,69 +7,21 @@
 
 namespace fp8q {
 
-const Fp8DecodeTable& fp8_decode_table(Fp8Kind kind) {
-  // Built from the reference decoder once; the table IS the scalar kernel
-  // tier and the bit-exactness anchor for the arithmetic decode.
-  static const std::array<Fp8DecodeTable, 3> tables = [] {
-    std::array<Fp8DecodeTable, 3> t{};
-    for (int k = 0; k < 3; ++k) {
-      const FormatSpec& spec = format_spec(static_cast<Fp8Kind>(k));
-      for (int c = 0; c < 256; ++c) {
-        t[static_cast<size_t>(k)].values[c] = fp8_decode(static_cast<std::uint8_t>(c), spec);
-      }
-    }
-    return t;
-  }();
-  return tables[static_cast<size_t>(kind)];
-}
-
-Fp8DecodeSpec::Fp8DecodeSpec(const FormatSpec& spec)
-    : man_shift(static_cast<std::uint32_t>(23 - spec.man_bits)),
-      exp_add(static_cast<std::uint32_t>(127 - spec.bias) << 23),
-      // 2^(1 - bias - man_bits), assembled as a float32 bit pattern:
-      // always a normal power of two for the paper formats (the smallest,
-      // E5M2's 2^-16, has biased exponent 111).
-      sub_scale(std::bit_cast<float>(
-          static_cast<std::uint32_t>(127 + 1 - spec.bias - spec.man_bits) << 23)),
-      sub_lo(1u << spec.man_bits),
-      special_lo(spec.family == EncodingFamily::kIeee
-                     ? (((1u << spec.exp_bits) - 1u) << spec.man_bits)
-                     : 0x7Fu),
-      ieee(spec.family == EncodingFamily::kIeee) {}
-
-const Fp8DecodeSpec& fp8_decode_spec(Fp8Kind kind) {
-  static const Fp8DecodeSpec specs[3] = {Fp8DecodeSpec(format_spec(Fp8Kind::E5M2)),
-                                         Fp8DecodeSpec(format_spec(Fp8Kind::E4M3)),
-                                         Fp8DecodeSpec(format_spec(Fp8Kind::E3M4))};
-  return specs[static_cast<int>(kind)];
-}
-
 PackedFp8Tensor PackedFp8Tensor::pack_per_channel(const Tensor& t, Fp8Kind kind) {
   if (t.dim() < 1) throw std::invalid_argument("pack_per_channel: need rank >= 1");
   if (t.size(0) == 0) {
     // channels == 0 would divide by zero computing the block size below.
     throw std::invalid_argument("pack_per_channel: need size(0) > 0");
   }
-  const auto& spec = format_spec(kind);
-  const auto maxima = absmax_per_channel(t, 0);
-  std::vector<float> scales(maxima.size());
-  for (size_t c = 0; c < maxima.size(); ++c) {
-    scales[c] = maxima[c] > 0.0f ? spec.max_value() / maxima[c] : 1.0f;
-  }
-  return pack_per_channel_scaled(t, kind, std::move(scales));
-}
-
-PackedFp8Tensor PackedFp8Tensor::pack_per_channel_scaled(const Tensor& t, Fp8Kind kind,
-                                                         std::vector<float> scales) {
-  if (t.dim() < 1) throw std::invalid_argument("pack_per_channel_scaled: need rank >= 1");
-  if (t.size(0) == 0 || scales.size() != static_cast<size_t>(t.size(0))) {
-    throw std::invalid_argument("pack_per_channel_scaled: need one scale per channel");
-  }
   PackedFp8Tensor p;
   p.kind_ = kind;
   p.shape_ = t.shape();
-  p.scales_ = std::move(scales);
   const auto& spec = format_spec(kind);
+  const auto maxima = absmax_per_channel(t, 0);
+  p.scales_.resize(maxima.size());
+  for (size_t c = 0; c < maxima.size(); ++c) {
+    p.scales_[c] = maxima[c] > 0.0f ? spec.max_value() / maxima[c] : 1.0f;
+  }
   const std::int64_t channels = t.size(0);
   const std::int64_t block = t.numel() / channels;
   p.codes_.resize(static_cast<size_t>(t.numel()));

@@ -224,14 +224,14 @@ RunReport report_from_json(std::istream& in) {
   if (version == nullptr || version->kind != Value::Kind::kNumber) {
     throw std::runtime_error("fp8q report: missing fp8q_report_version");
   }
-  // Older reports (v1..v2: no "memory"/"histograms"; v1..v3: no "isa"/
-  // "kernel_paths") parse fine with the missing fields defaulted, so accept
-  // every version up to the current. v2..v4 documents also carry a
-  // "weight_cache" block and a "cache_decode" kernel path, counters of a
-  // quantized-weight cache that v5 removed; the reader ignores both. Newer reports are rejected outright: fields this
-  // reader does not know about would be silently dropped, which matters
-  // when a resident fp8qd daemon and the fp8q_report CLI are built at
-  // different versions.
+  // Older reports (v1..v2: no "memory"/"histograms"; v1..v3: no "isa")
+  // parse fine with the missing fields defaulted, so accept every version
+  // up to the current. Blocks later versions removed are ignored: v2..v4's
+  // "weight_cache" (the quantized-weight cache, gone in v5) and v4..v5's
+  // "kernel_paths" (packed-vs-FP32 kernel counts, gone in v6). Newer
+  // reports are rejected outright: fields this reader does not know about
+  // would be silently dropped, which matters when a resident fp8qd daemon
+  // and the fp8q_report CLI are built at different versions.
   const int doc_version = static_cast<int>(version->number);
   if (doc_version > kReportVersion) {
     throw std::runtime_error(
@@ -250,12 +250,6 @@ RunReport report_from_json(std::istream& in) {
   report.num_threads = static_cast<int>(root.number_or("num_threads"));
   report.isa = root.string_or("isa");
   report.counters = parse_counters(root.find("counters"));
-  if (const Value* kp = root.find("kernel_paths"); kp != nullptr && kp->is_object()) {
-    for (int e = 0; e < kObsKernelPathCount; ++e) {
-      report.kernel_paths.counts[e] = static_cast<std::uint64_t>(
-          kp->number_or(to_string(static_cast<ObsKernelPath>(e))));
-    }
-  }
   if (const Value* mem = root.find("memory"); mem != nullptr && mem->is_object()) {
     report.memory.peak_rss_bytes =
         static_cast<std::uint64_t>(mem->number_or("peak_rss_bytes"));

@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "core/parallel.h"
-#include "obs/counters.h"
-#include "obs/histogram.h"
-#include "obs/trace.h"
+#include "nn/gemm.h"
 
 namespace fp8q {
 
@@ -38,14 +36,6 @@ std::vector<Tensor*> Conv2dOp::weights() {
   return ws;
 }
 
-void Conv2dOp::set_packed_weight(std::shared_ptr<const PackedConvWeight> packed) {
-  if (packed && (packed->oc != weight_.size(0) ||
-                 packed->block != weight_.size(1) * weight_.size(2) * weight_.size(3))) {
-    throw std::invalid_argument("Conv2dOp: packed weight dims mismatch");
-  }
-  packed_ = std::move(packed);
-}
-
 Tensor Conv2dOp::forward(std::span<const Tensor> inputs) {
   if (inputs.size() != 1) throw std::invalid_argument("Conv2dOp: expects 1 input");
   const Tensor& x = inputs[0];
@@ -71,93 +61,55 @@ Tensor Conv2dOp::forward(std::span<const Tensor> inputs) {
   const float* bd = bias_.empty() ? nullptr : bias_.data();
   float* yd = y.data();
 
-  // Packed path: same loops, but each plane's weights come from decoding
-  // that output channel's codes into a scratch row (decode once per
-  // channel per chunk, amortized over the oh*ow positions). The decoded
-  // row is bitwise the fake-quantized weight row, and the tap accumulation
-  // order below is untouched, so both paths produce identical bits.
-  const PackedConvWeight* pw = packed_.get();
-  kernel_counter_add(pw ? ObsKernelPath::kConvPacked : ObsKernelPath::kConvFp32, 1);
-  TraceSpan span(pw ? "conv_packed" : "conv_fp32");
-  const bool hists = pw && histograms_enabled();
-  const std::uint64_t start_ns = hists ? obs_now_ns() : 0;
-
-  const std::int64_t oc_per_group = oc / groups_;
-  // Parallel over the n*oc output planes: each plane writes a disjoint
-  // oh*ow block of y with a plane-local accumulator, so results match the
-  // serial loop bit-for-bit. Grain targets ~kParallelGrainFlops
-  // multiply-adds per chunk; the chained capped_cost keeps the five-factor
-  // product from overflowing for huge shapes.
-  const std::int64_t flops_per_plane = std::max<std::int64_t>(
+  // One GEMM per (image, group): y[ocg, P] += W_g[ocg, K] * col[K, P], with
+  // K = icg*kh*kw taps in the weight's (c, ky, kx) order and P = oh*ow
+  // output positions. Row kk of col holds tap kk's input value at every
+  // output position, +0 where the tap falls in the padding.
+  const std::int64_t ocg = oc / groups_;
+  const std::int64_t taps = icg * kh * kw;
+  const std::int64_t positions = oh * ow;
+  const GemmKernel kernel = gemm_kernel(isa_tier());
+  // Parallel over images: each image writes a disjoint block of y, so
+  // results match the serial loop bit for bit. Grain targets
+  // ~kParallelGrainFlops multiply-adds per chunk; the chained capped_cost
+  // keeps the product from overflowing for huge shapes.
+  const std::int64_t flops_per_image = std::max<std::int64_t>(
       std::int64_t{1},
-      capped_cost(capped_cost(capped_cost(capped_cost(oh, ow, kParallelGrainFlops), icg,
-                                          kParallelGrainFlops),
-                              kh, kParallelGrainFlops),
-                  kw, kParallelGrainFlops));
+      capped_cost(capped_cost(oc, taps, kParallelGrainFlops), positions, kParallelGrainFlops));
   const std::int64_t grain =
-      std::max<std::int64_t>(std::int64_t{1}, kParallelGrainFlops / flops_per_plane);
-  const PackedKernelTable* kt = pw ? &packed_kernels(isa_tier()) : nullptr;
-  parallel_for(0, n * oc, grain, [&](std::int64_t plane_lo, std::int64_t plane_hi) {
-    // Decode (batch, out-channel) once per chunk and step incrementally;
-    // the division leaves the plane loop entirely.
-    std::int64_t b = plane_lo / oc;
-    std::int64_t o = plane_lo - b * oc;
-    std::vector<float> wdec;
-    std::int64_t decoded_o = -1;
-    for (std::int64_t plane = plane_lo; plane < plane_hi; ++plane) {
-      const std::int64_t g = o / oc_per_group;
-      const float bias_v = bd ? bd[o] : 0.0f;
-      const float* wbase;
-      if (pw != nullptr) {
-        if (o != decoded_o) {
-          wdec.resize(static_cast<std::size_t>(pw->block));
-          kt->decode_mul(pw->codes.data() + o * pw->block,
-                         pw->inv_scales[static_cast<std::size_t>(o)], wdec.data(),
-                         pw->block, pw->kind);
-          decoded_o = o;
+      std::max<std::int64_t>(std::int64_t{1}, kParallelGrainFlops / flops_per_image);
+  parallel_for(0, n, grain, [&](std::int64_t lo, std::int64_t hi) {
+    std::vector<float> col(static_cast<std::size_t>(taps * positions));
+    for (std::int64_t b = lo; b < hi; ++b) {
+      float* yimg = yd + b * oc * positions;
+      if (bd != nullptr) {
+        for (std::int64_t o = 0; o < oc; ++o) {
+          std::fill_n(yimg + o * positions, positions, bd[o]);
         }
-        wbase = wdec.data();
-      } else {
-        wbase = wd + o * icg * kh * kw;
       }
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        const std::int64_t iy0 = oy * stride_ - padding_;
-        // Clamp the kernel window to the input once per output row /
-        // column instead of bounds-testing every tap. Out-of-range taps
-        // never contributed to the sum, so skipping them wholesale leaves
-        // the in-range accumulation order -- and thus the result bits --
-        // unchanged.
-        const std::int64_t ky_lo = std::max<std::int64_t>(std::int64_t{0}, -iy0);
-        const std::int64_t ky_hi = std::min<std::int64_t>(kh, h - iy0);
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          float acc = bias_v;
-          const std::int64_t ix0 = ox * stride_ - padding_;
-          const std::int64_t kx_lo = std::max<std::int64_t>(std::int64_t{0}, -ix0);
-          const std::int64_t kx_hi = std::min<std::int64_t>(kw, w - ix0);
-          for (std::int64_t c = 0; c < icg; ++c) {
-            const std::int64_t in_c = g * icg + c;
-            const float* xplane = xd + ((b * ic + in_c) * h) * w;
-            const float* wplane = wbase + (c * kh) * kw;
-            for (std::int64_t ky = ky_lo; ky < ky_hi; ++ky) {
-              const float* xrow = xplane + (iy0 + ky) * w + ix0;
-              const float* wrow = wplane + ky * kw;
-              for (std::int64_t kx = kx_lo; kx < kx_hi; ++kx) {
-                acc += xrow[kx] * wrow[kx];
+      for (std::int64_t g = 0; g < groups_; ++g) {
+        float* row = col.data();
+        for (std::int64_t c = 0; c < icg; ++c) {
+          const float* xplane = xd + (b * ic + g * icg + c) * h * w;
+          for (std::int64_t ky = 0; ky < kh; ++ky) {
+            for (std::int64_t kx = 0; kx < kw; ++kx, row += positions) {
+              for (std::int64_t oy = 0; oy < oh; ++oy) {
+                const std::int64_t iy = oy * stride_ - padding_ + ky;
+                for (std::int64_t ox = 0; ox < ow; ++ox) {
+                  const std::int64_t ix = ox * stride_ - padding_ + kx;
+                  row[oy * ow + ox] = iy >= 0 && iy < h && ix >= 0 && ix < w
+                                          ? xplane[iy * w + ix]
+                                          : 0.0f;
+                }
               }
             }
           }
-          yd[((b * oc + o) * oh + oy) * ow + ox] = acc;
         }
-      }
-      if (++o == oc) {
-        o = 0;
-        ++b;
+        kernel(wd + g * ocg * taps, col.data(), yimg + g * ocg * positions, ocg, positions,
+               taps);
       }
     }
   });
-  if (hists) {
-    hist_record_named("kernel:conv_packed", static_cast<double>(obs_now_ns() - start_ns));
-  }
   return y;
 }
 

@@ -1,17 +1,14 @@
 // 2D convolution (NCHW, optionally grouped/depthwise).
 //
-// Like LinearOp, the op has an FP32 path over weight_ and a packed path
-// (docs/KERNELS.md): with a PackedConvWeight attached, each (image,
-// output-channel) plane decodes its channel's taps once into a scratch
-// row via the dispatched decode kernel, then runs the same clamped tap
-// loops -- bit-identical to the FP32 path on the fake-quantized weight,
-// while streaming 1 byte per tap instead of 4 from memory.
+// forward() lowers onto the one GEMM microkernel (nn/gemm.h,
+// docs/KERNELS.md): for each image and group it builds an im2col matrix
+// [ic/g * kh * kw, oh * ow] in task-local scratch and multiplies the
+// group's [oc/g, ic/g * kh * kw] weight rows by it, writing the NCHW
+// output planes directly on top of the broadcast bias. Padded taps enter
+// the sum as 0 * w terms; docs/KERNELS.md states when that is exact.
 #pragma once
 
-#include <memory>
-
 #include "nn/op.h"
-#include "nn/packed_gemm.h"
 
 namespace fp8q {
 
@@ -36,21 +33,12 @@ class Conv2dOp final : public Op {
 
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<Conv2dOp>(*this); }
 
-  /// Attaches packed 8-bit weight codes; subsequent forwards decode per
-  /// output channel instead of reading weight_. Shared and immutable
-  /// (clones share it). Throws if its dims don't match the op's weight.
-  void set_packed_weight(std::shared_ptr<const PackedConvWeight> packed);
-  /// Detaches the packed weight; forward returns to the FP32 path.
-  void clear_packed_weight() { packed_.reset(); }
-  [[nodiscard]] bool has_packed_weight() const { return packed_ != nullptr; }
-
  private:
   Tensor weight_;  ///< [oc, ic/groups, kh, kw]
   Tensor bias_;    ///< [oc] or empty
   int stride_;
   int padding_;
   int groups_;
-  std::shared_ptr<const PackedConvWeight> packed_;  ///< nullptr = FP32 path
 };
 
 }  // namespace fp8q

@@ -1,0 +1,49 @@
+// The one f32 GEMM microkernel under LinearOp, MatMulOp and Conv2dOp
+// (docs/KERNELS.md).
+//
+// Contract, at every tier and every thread count:
+//
+//   y[r][j] += sum_kk a[r][kk] * b[kk][j]      r < m, j < n, kk < k
+//
+// a is [m, k], b is [k, n] and y is [m, n], all dense row-major. y's
+// incoming value (a bias, or 0) is the first term of every sum, kk runs
+// strictly ascending per output element, and every product and every sum
+// is rounded on its own (fp contraction is off in each kernel TU). So
+// every tier produces the bits of the naive triple loop, and rows never
+// interact: any split of the m rows gives the same result.
+//
+// Callers lower onto it (docs/KERNELS.md): Linear computes x * W^T with
+// the weight transposed per call, MatMul passes B in place, and Conv2d
+// multiplies each group's weight rows by an im2col matrix.
+//
+// Dispatch: gemm_kernel(tier) returns that tier's kernel; callers index it
+// with isa_tier() (core/cpu_dispatch.h). The kNative kernel lives in
+// gemm_avx2.cpp; without AVX2 (CPU or build) kNative falls back to the
+// kBatched kernel.
+#pragma once
+
+#include <cstdint>
+
+#include "core/cpu_dispatch.h"
+
+namespace fp8q {
+
+/// One tier's kernel: y += a * b over m rows, single-threaded (contract in
+/// the file comment).
+using GemmKernel = void (*)(const float* a, const float* b, float* y, std::int64_t m,
+                            std::int64_t n, std::int64_t k);
+
+/// The kernel of one tier. kNative falls back to kBatched when no native
+/// kernel is available.
+[[nodiscard]] GemmKernel gemm_kernel(IsaTier tier);
+
+/// dst[c][r] = src[r][c] for a dense row-major [rows, cols] src: the
+/// Linear weight and MatMul's transpose_b operand become a k-major b.
+void transpose(const float* src, std::int64_t rows, std::int64_t cols, float* dst);
+
+namespace detail {
+/// Defined by gemm_avx2.cpp, which only x86-64 builds compile.
+[[nodiscard]] GemmKernel gemm_kernel_avx2();
+}  // namespace detail
+
+}  // namespace fp8q

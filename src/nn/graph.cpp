@@ -1,6 +1,8 @@
 #include "nn/graph.h"
 
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 namespace fp8q {
 
@@ -63,37 +65,36 @@ Tensor Graph::forward(std::span<const Tensor> inputs) {
     if (output_tap_) output_tap_(input_ids_[i], values[static_cast<size_t>(input_ids_[i])]);
   }
 
-  std::vector<Tensor> modified;        // storage for tap-replaced inputs
-  std::vector<const Tensor*> effective;  // pointers into values/modified
   for (size_t n = 0; n < nodes_.size(); ++n) {
     Node& node = nodes_[n];
     if (!node.op) continue;  // graph input
     const auto id = static_cast<NodeId>(n);
 
-    modified.clear();
-    modified.reserve(node.inputs.size());
-    effective.clear();
-    for (size_t s = 0; s < node.inputs.size(); ++s) {
-      const Tensor& src = values[static_cast<size_t>(node.inputs[s])];
-      if (input_tap_) {
-        if (auto replaced = input_tap_(id, static_cast<int>(s), src)) {
-          modified.push_back(std::move(*replaced));
-          effective.push_back(&modified.back());
-          continue;
+    // The input tap may replace an operand with a tensor of its own.
+    auto tapped = [&](size_t s) -> std::optional<Tensor> {
+      if (!input_tap_) return std::nullopt;
+      return input_tap_(id, static_cast<int>(s),
+                        values[static_cast<size_t>(node.inputs[s])]);
+    };
+    if (node.inputs.size() == 1) {
+      const std::optional<Tensor> replaced = tapped(0);
+      const Tensor& in =
+          replaced ? *replaced : values[static_cast<size_t>(node.inputs[0])];
+      values[n] = node.op->forward({&in, 1});
+    } else {
+      // Ops take a contiguous Tensor span, so multi-input operands are
+      // gathered: tap-replaced ones move in, and only untouched ones are
+      // copied (Tensor copies copy data).
+      std::vector<Tensor> gathered;
+      gathered.reserve(node.inputs.size());
+      for (size_t s = 0; s < node.inputs.size(); ++s) {
+        std::optional<Tensor> replaced = tapped(s);
+        if (replaced) {
+          gathered.push_back(std::move(*replaced));
+        } else {
+          gathered.push_back(values[static_cast<size_t>(node.inputs[s])]);
         }
       }
-      effective.push_back(&src);
-    }
-
-    // Materialize the op's input span. Ops take contiguous Tensor spans, so
-    // gather (cheap: at most 2 inputs, and untouched ones share no copy --
-    // Tensor copies do copy data, so only copy when a tap replaced).
-    if (effective.size() == 1) {
-      values[n] = node.op->forward({effective[0], 1});
-    } else {
-      std::vector<Tensor> gathered;
-      gathered.reserve(effective.size());
-      for (const Tensor* t : effective) gathered.push_back(*t);
       values[n] = node.op->forward(gathered);
     }
     if (output_tap_) output_tap_(id, values[n]);

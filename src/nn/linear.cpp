@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/parallel.h"
-#include "obs/counters.h"
-#include "obs/histogram.h"
-#include "obs/trace.h"
+#include "nn/gemm.h"
 
 namespace fp8q {
 
@@ -25,63 +24,6 @@ std::vector<Tensor*> LinearOp::weights() {
   return ws;
 }
 
-void LinearOp::set_packed_weight(std::shared_ptr<const PackedWeightMatrix> packed) {
-  if (packed && (packed->k != in_features() || packed->n != out_features())) {
-    throw std::invalid_argument("LinearOp: packed weight dims mismatch");
-  }
-  packed_ = std::move(packed);
-}
-
-namespace {
-
-// Computes `rows` consecutive input rows: y[r*out + o] = bias[o] +
-// dot(x[r*in ..], w[o*in ..]), every accumulation strictly ascending in
-// the feature index so results match the naive serial loop bit for bit.
-// Four rows share one pass over each weight row (the large operand): four
-// independent accumulators for ILP, 4x less weight traffic, and no change
-// to any element's own summation order.
-void linear_row_block(const float* x, const float* w, const float* bias, float* y,
-                      std::int64_t rows, std::int64_t out, std::int64_t in) {
-  std::int64_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const float* x0 = x + (r + 0) * in;
-    const float* x1 = x + (r + 1) * in;
-    const float* x2 = x + (r + 2) * in;
-    const float* x3 = x + (r + 3) * in;
-    for (std::int64_t o = 0; o < out; ++o) {
-      const float* wr = w + o * in;
-      const float bias_v = bias ? bias[o] : 0.0f;
-      float acc0 = bias_v;
-      float acc1 = bias_v;
-      float acc2 = bias_v;
-      float acc3 = bias_v;
-      for (std::int64_t i = 0; i < in; ++i) {
-        const float wv = wr[i];
-        acc0 += x0[i] * wv;
-        acc1 += x1[i] * wv;
-        acc2 += x2[i] * wv;
-        acc3 += x3[i] * wv;
-      }
-      y[(r + 0) * out + o] = acc0;
-      y[(r + 1) * out + o] = acc1;
-      y[(r + 2) * out + o] = acc2;
-      y[(r + 3) * out + o] = acc3;
-    }
-  }
-  for (; r < rows; ++r) {
-    const float* xr = x + r * in;
-    float* yr = y + r * out;
-    for (std::int64_t o = 0; o < out; ++o) {
-      const float* wr = w + o * in;
-      float acc = bias ? bias[o] : 0.0f;
-      for (std::int64_t i = 0; i < in; ++i) acc += xr[i] * wr[i];
-      yr[o] = acc;
-    }
-  }
-}
-
-}  // namespace
-
 Tensor LinearOp::forward(std::span<const Tensor> inputs) {
   if (inputs.size() != 1) throw std::invalid_argument("LinearOp: expects 1 input");
   const Tensor& x = inputs[0];
@@ -96,38 +38,27 @@ Tensor LinearOp::forward(std::span<const Tensor> inputs) {
   out_shape.back() = out;
   Tensor y(std::move(out_shape));
 
+  // The kernel's b operand is k-major: W^T as [in, out].
+  std::vector<float> wt(static_cast<std::size_t>(in * out));
+  transpose(weight_.data(), out, in, wt.data());
+
   const float* xd = x.data();
   const float* bd = bias_.empty() ? nullptr : bias_.data();
   float* yd = y.data();
-
-  if (packed_) {
-    // Packed path: stream the 8-bit codes through the dispatched GEMM
-    // tier. Bit-identical to the FP32 path below on the fake-quantized
-    // weight (docs/KERNELS.md), so this is purely a bandwidth win.
-    kernel_counter_add(ObsKernelPath::kLinearPacked, 1);
-    TraceSpan span("linear_packed");
-    const bool hists = histograms_enabled();
-    const std::uint64_t start_ns = hists ? obs_now_ns() : 0;
-    packed_gemm_forward(xd, *packed_, bd, yd, rows);
-    if (hists) {
-      hist_record_named("kernel:linear_packed",
-                        static_cast<double>(obs_now_ns() - start_ns));
-    }
-    return y;
-  }
-
-  kernel_counter_add(ObsKernelPath::kLinearFp32, 1);
-  const float* wd = weight_.data();
-  // Parallel over input rows: each row owns a disjoint slice of y with
-  // row-local accumulators, so the result is bit-identical to the serial
-  // loop at any thread count. Grain targets ~kParallelGrainFlops
-  // multiply-adds per chunk (overflow-safe for huge out*in).
+  const GemmKernel kernel = gemm_kernel(isa_tier());
+  // Parallel over input rows: each row owns a disjoint slice of y, so the
+  // result is bit-identical at any thread count. Grain targets
+  // ~kParallelGrainFlops multiply-adds per chunk (overflow-safe for huge
+  // out*in).
   const std::int64_t cost_per_row = std::max<std::int64_t>(
       std::int64_t{1}, capped_cost(out, in, kParallelGrainFlops));
   const std::int64_t grain =
       std::max<std::int64_t>(std::int64_t{1}, kParallelGrainFlops / cost_per_row);
   parallel_for(0, rows, grain, [&](std::int64_t lo, std::int64_t hi) {
-    linear_row_block(xd + lo * in, wd, bd, yd + lo * out, hi - lo, out, in);
+    if (bd != nullptr) {
+      for (std::int64_t r = lo; r < hi; ++r) std::copy(bd, bd + out, yd + r * out);
+    }
+    kernel(xd + lo * in, wt.data(), yd + lo * out, hi - lo, out, in);
   });
   return y;
 }

@@ -1,19 +1,13 @@
 // Fully-connected layer: y = x W^T + b.
 //
-// Two forward paths (docs/KERNELS.md):
-//   * FP32: the blocked row-kernel over the weight_ tensor -- always
-//     available, and what runs for unquantized graphs.
-//   * Packed: when a PackedWeightMatrix is attached (set_packed_weight,
-//     done by QuantizedGraph::prepare when FP8Q_PACKED is on), forward
-//     streams the 8-bit weight codes through packed_gemm_forward and never
-//     touches weight_. Bit-identical to running the FP32 path on the
-//     fake-quantized weight, at every ISA tier and thread count.
+// forward() lowers onto the one GEMM microkernel (nn/gemm.h,
+// docs/KERNELS.md): it transposes the [out, in] weight to [in, out] into
+// per-call scratch and runs y = x * W^T on top of the broadcast bias. No
+// transposed copy is cached, because the weight can change through
+// weights() between calls (weight quantization does exactly that).
 #pragma once
 
-#include <memory>
-
 #include "nn/op.h"
-#include "nn/packed_gemm.h"
 
 namespace fp8q {
 
@@ -23,8 +17,7 @@ class LinearOp final : public Op {
   /// empty for no bias.
   LinearOp(Tensor weight, Tensor bias);
 
-  /// Input [..., in_features] -> output [..., out_features]. Dispatches to
-  /// the packed kernel when a packed weight is attached (file comment).
+  /// Input [..., in_features] -> output [..., out_features].
   Tensor forward(std::span<const Tensor> inputs) override;
 
   [[nodiscard]] OpKind kind() const override { return OpKind::kLinear; }
@@ -36,18 +29,9 @@ class LinearOp final : public Op {
   [[nodiscard]] Tensor& weight() { return weight_; }
   [[nodiscard]] Tensor& bias() { return bias_; }
 
-  /// Attaches packed 8-bit weight codes; subsequent forwards compute on
-  /// them directly. The operand is shared and immutable (clones share it).
-  /// Throws if its dims don't match the op's weight.
-  void set_packed_weight(std::shared_ptr<const PackedWeightMatrix> packed);
-  /// Detaches the packed weight; forward returns to the FP32 path.
-  void clear_packed_weight() { packed_.reset(); }
-  [[nodiscard]] bool has_packed_weight() const { return packed_ != nullptr; }
-
  private:
   Tensor weight_;  ///< [out, in]
   Tensor bias_;    ///< [out] or empty
-  std::shared_ptr<const PackedWeightMatrix> packed_;  ///< nullptr = FP32 path
 };
 
 }  // namespace fp8q

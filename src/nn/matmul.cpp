@@ -5,64 +5,15 @@
 #include <vector>
 
 #include "core/parallel.h"
-#include "obs/counters.h"
+#include "nn/gemm.h"
 
 namespace fp8q {
-namespace {
-
-// Computes `rows` consecutive output rows of one batch against a B operand
-// packed as [n, k]: y[i*n + j] = dot(a[i*k ..], bpack[j*k ..]) with the
-// k-summation strictly ascending, so every output element matches the
-// naive serial loop bit for bit. Rows are processed four at a time sharing
-// a single pass over each packed B row -- four independent accumulators
-// give the core ILP and cut B-operand traffic 4x, and the grouping never
-// changes any individual element's own summation order.
-void matmul_row_block(const float* a, const float* bpack, float* y, std::int64_t rows,
-                      std::int64_t n, std::int64_t k) {
-  std::int64_t i = 0;
-  for (; i + 4 <= rows; i += 4) {
-    const float* a0 = a + (i + 0) * k;
-    const float* a1 = a + (i + 1) * k;
-    const float* a2 = a + (i + 2) * k;
-    const float* a3 = a + (i + 3) * k;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* br = bpack + j * k;
-      float acc0 = 0.0f;
-      float acc1 = 0.0f;
-      float acc2 = 0.0f;
-      float acc3 = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float bv = br[kk];
-        acc0 += a0[kk] * bv;
-        acc1 += a1[kk] * bv;
-        acc2 += a2[kk] * bv;
-        acc3 += a3[kk] * bv;
-      }
-      y[(i + 0) * n + j] = acc0;
-      y[(i + 1) * n + j] = acc1;
-      y[(i + 2) * n + j] = acc2;
-      y[(i + 3) * n + j] = acc3;
-    }
-  }
-  for (; i < rows; ++i) {
-    const float* ar = a + i * k;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* br = bpack + j * k;
-      float acc = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) acc += ar[kk] * br[kk];
-      y[i * n + j] = acc;
-    }
-  }
-}
-
-}  // namespace
 
 MatMulOp::MatMulOp(bool batched, bool transpose_b)
     : batched_(batched), transpose_b_(transpose_b) {}
 
 Tensor MatMulOp::forward(std::span<const Tensor> inputs) {
   if (inputs.size() != 2) throw std::invalid_argument("MatMulOp: expects 2 inputs");
-  kernel_counter_add(ObsKernelPath::kMatmulFp32, 1);
   const Tensor& a = inputs[0];
   const Tensor& b = inputs[1];
   if (a.dim() < 2 || b.dim() < 2 || a.dim() != b.dim()) {
@@ -90,58 +41,45 @@ Tensor MatMulOp::forward(std::span<const Tensor> inputs) {
   const float* bd = b.data();
   float* yd = y.data();
   const std::int64_t a_stride = m * k;
-  const std::int64_t b_stride = transpose_b_ ? n * k : k * n;
+  const std::int64_t b_stride = k * n;
   const std::int64_t y_stride = m * n;
 
-  // The inner kernel wants B as [n, k] so both operands stream
-  // contiguously. transpose_b_ already has that layout; otherwise B is
-  // transposed ONCE per call (not once per row as the old per-element
-  // strided loads effectively did). Packed size is exactly b.numel().
-  const float* bpack = bd;
-  std::int64_t bp_stride = b_stride;
-  std::vector<float> packed;
-  if (!transpose_b_) {
-    packed.resize(static_cast<std::size_t>(b.numel()));
-    float* pd = packed.data();
-    const std::int64_t pack_grain = std::max<std::int64_t>(
-        std::int64_t{1},
-        kParallelGrainBytes / static_cast<std::int64_t>(sizeof(float)) /
-            std::max<std::int64_t>(std::int64_t{1}, k));
-    parallel_for(0, batch * n, pack_grain, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t t = lo; t < hi; ++t) {
-        const std::int64_t bi = t / n;
-        const std::int64_t j = t - bi * n;
-        const float* src = bd + bi * b_stride + j;
-        float* dst = pd + t * k;
-        for (std::int64_t kk = 0; kk < k; ++kk) dst[kk] = src[kk * n];
+  // The kernel wants each batch's B as [k, n], which is B's own layout
+  // unless transpose_b_ is set; then each [n, k] slice is transposed once
+  // per call into scratch.
+  std::vector<float> bt;
+  if (transpose_b_) {
+    bt.resize(static_cast<std::size_t>(b.numel()));
+    float* td = bt.data();
+    const std::int64_t transpose_grain = std::max<std::int64_t>(
+        std::int64_t{1}, kParallelGrainBytes / static_cast<std::int64_t>(sizeof(float)) /
+                             std::max<std::int64_t>(std::int64_t{1}, b_stride));
+    parallel_for(0, batch, transpose_grain, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t bi = lo; bi < hi; ++bi) {
+        transpose(bd + bi * b_stride, n, k, td + bi * b_stride);
       }
     });
-    bpack = pd;
-    bp_stride = n * k;
+    bd = td;
   }
 
-  // Row-blocked parallel loop over all batch*m output rows. Each row owns
-  // a disjoint slice of y and accumulates into row-local scalars, so the
-  // result is bit-identical to the serial loop at any thread count. Grain
+  // Parallel over all batch*m output rows. Each row owns a disjoint slice
+  // of y, so the result is bit-identical at any thread count. Grain
   // targets ~kParallelGrainFlops multiply-adds per chunk (overflow-safe
   // for huge n*k) so small matmuls stay inline.
+  const GemmKernel kernel = gemm_kernel(isa_tier());
   const std::int64_t cost_per_row = std::max<std::int64_t>(
       std::int64_t{1}, capped_cost(n, k, kParallelGrainFlops));
   const std::int64_t grain =
       std::max<std::int64_t>(std::int64_t{1}, kParallelGrainFlops / cost_per_row);
   parallel_for(0, batch * m, grain, [&](std::int64_t lo, std::int64_t hi) {
-    // Decode (batch, row) once per chunk and step incrementally; the
-    // division leaves the hot loop entirely.
+    // A chunk may span batches: run the kernel once per batch segment.
     std::int64_t bi = lo / m;
     std::int64_t i = lo - bi * m;
-    std::int64_t r = lo;
-    while (r < hi) {
+    for (std::int64_t r = lo; r < hi; ++bi, i = 0) {
       const std::int64_t rows = std::min(m - i, hi - r);
-      matmul_row_block(ad + bi * a_stride + i * k, bpack + bi * bp_stride,
-                       yd + bi * y_stride + i * n, rows, n, k);
+      kernel(ad + bi * a_stride + i * k, bd + bi * b_stride, yd + bi * y_stride + i * n, rows,
+             n, k);
       r += rows;
-      i = 0;
-      ++bi;
     }
   });
   return y;

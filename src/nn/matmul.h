@@ -1,10 +1,10 @@
 // MatMul and BatchMatMul between two graph tensors (e.g. attention scores
 // and context products). Both operands come from the graph, so under the
-// extended scheme *both* inputs are quantized -- which also means there is
-// no persistent weight to attach packed codes to; MatMulOp always runs the
-// FP32 blocked kernel. For a matmul against a *stored* FP8 operand, use
-// packed_matmul (nn/packed_gemm.h), which consumes the 8-bit codes
-// directly and is bit-identical to unpacking + MatMulOp with transpose_b.
+// extended scheme *both* inputs are quantized.
+//
+// forward() lowers onto the one GEMM microkernel (nn/gemm.h,
+// docs/KERNELS.md): B is used in place, or transposed into per-call
+// scratch when transpose_b is set.
 #pragma once
 
 #include "nn/op.h"

@@ -188,61 +188,4 @@ void counters_reset() {
   }
 }
 
-namespace {
-std::atomic<std::uint64_t> g_kernel_counts[kObsKernelPathCount] = {};
-}  // namespace
-
-const char* to_string(ObsKernelPath path) {
-  switch (path) {
-    case ObsKernelPath::kLinearPacked: return "linear_packed";
-    case ObsKernelPath::kLinearFp32: return "linear_fp32";
-    case ObsKernelPath::kConvPacked: return "conv_packed";
-    case ObsKernelPath::kConvFp32: return "conv_fp32";
-    case ObsKernelPath::kMatmulPacked: return "matmul_packed";
-    case ObsKernelPath::kMatmulFp32: return "matmul_fp32";
-  }
-  return "?";
-}
-
-void kernel_counter_add(ObsKernelPath path, std::uint64_t n) {
-  if (n == 0) return;
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->add_kernel(path, n);
-    return;
-  }
-  g_kernel_counts[static_cast<int>(path)].fetch_add(n, std::memory_order_relaxed);
-}
-
-bool KernelCounterSnapshot::any() const {
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    if (counts[e] != 0) return true;
-  }
-  return false;
-}
-
-KernelCounterSnapshot KernelCounterSnapshot::since(const KernelCounterSnapshot& earlier) const {
-  KernelCounterSnapshot delta;
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    delta.counts[e] = counts[e] >= earlier.counts[e] ? counts[e] - earlier.counts[e] : 0;
-  }
-  return delta;
-}
-
-KernelCounterSnapshot kernel_counters_snapshot() {
-  if (const CounterDomain* domain = current_counter_domain()) return domain->kernel_counters();
-  KernelCounterSnapshot snap;
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    snap.counts[e] = g_kernel_counts[e].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
-void kernel_counters_reset() {
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->reset_kernel_counters();
-    return;
-  }
-  for (auto& c : g_kernel_counts) c.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace fp8q

@@ -96,51 +96,4 @@ struct CounterSnapshot {
 /// Zeroes every shard. Call only while no instrumented work is running.
 void counters_reset();
 
-// ---------------------------------------------------------------------------
-// Kernel-path counters (the packed-FP8 compute paths, docs/KERNELS.md).
-//
-// Records, per forward call (not per element), whether a compute op ran on
-// packed 8-bit weight codes or fell back to the dequantized FP32 path, so
-// a run report shows at a glance how much of the graph the packed kernels
-// actually covered. One event per op forward -- orders of magnitude rarer
-// than quantization events -- so these are plain process-global atomics
-// rather than per-thread shards, and they are always on.
-
-/// Which compute path one op forward took.
-enum class ObsKernelPath : std::uint8_t {
-  kLinearPacked,  ///< LinearOp forward on packed codes
-  kLinearFp32,    ///< LinearOp forward on the FP32 weight
-  kConvPacked,    ///< Conv2dOp forward on packed codes
-  kConvFp32,      ///< Conv2dOp forward on the FP32 weight
-  kMatmulPacked,  ///< packed_matmul on packed codes
-  kMatmulFp32,    ///< MatMulOp forward (both operands FP32)
-};
-inline constexpr int kObsKernelPathCount = 6;
-
-/// Stable lowercase names used in report.json ("linear_packed", ...).
-[[nodiscard]] const char* to_string(ObsKernelPath path);
-
-/// Adds `n` to one kernel-path cell. Thread-safe, relaxed.
-void kernel_counter_add(ObsKernelPath path, std::uint64_t n);
-
-/// Point-in-time aggregate of the kernel-path counters.
-struct KernelCounterSnapshot {
-  std::uint64_t counts[kObsKernelPathCount] = {};
-
-  [[nodiscard]] std::uint64_t get(ObsKernelPath path) const {
-    return counts[static_cast<int>(path)];
-  }
-  [[nodiscard]] bool any() const;
-  /// Cell-wise difference (per-job deltas in the fp8qd service); saturates
-  /// at 0 if a reset happened in between.
-  [[nodiscard]] KernelCounterSnapshot since(const KernelCounterSnapshot& earlier) const;
-
-  friend bool operator==(const KernelCounterSnapshot&, const KernelCounterSnapshot&) = default;
-};
-
-[[nodiscard]] KernelCounterSnapshot kernel_counters_snapshot();
-
-/// Zeroes the kernel-path counters. Call only between runs.
-void kernel_counters_reset();
-
 }  // namespace fp8q

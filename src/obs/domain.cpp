@@ -11,10 +11,6 @@ void CounterDomain::add(ObsFormat fmt, ObsEvent event, std::uint64_t n) {
       n, std::memory_order_relaxed);
 }
 
-void CounterDomain::add_kernel(ObsKernelPath path, std::uint64_t n) {
-  kernel_counts_[static_cast<int>(path)].fetch_add(n, std::memory_order_relaxed);
-}
-
 void CounterDomain::merge_histogram(HistChannel channel, const HistogramSnapshot& snap) {
   if (snap.total == 0) return;
   std::lock_guard<std::mutex> lock(hist_mutex_);
@@ -31,14 +27,6 @@ CounterSnapshot CounterDomain::counters() const {
   return snap;
 }
 
-KernelCounterSnapshot CounterDomain::kernel_counters() const {
-  KernelCounterSnapshot snap;
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    snap.counts[e] = kernel_counts_[e].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
 HistogramSnapshot CounterDomain::histogram(HistChannel channel) const {
   std::lock_guard<std::mutex> lock(hist_mutex_);
   return hist_channels_[static_cast<int>(channel)];
@@ -50,10 +38,6 @@ void CounterDomain::reset_counters() {
   }
 }
 
-void CounterDomain::reset_kernel_counters() {
-  for (auto& cell : kernel_counts_) cell.store(0, std::memory_order_relaxed);
-}
-
 void CounterDomain::reset_histograms() {
   std::lock_guard<std::mutex> lock(hist_mutex_);
   for (auto& channel : hist_channels_) channel = HistogramSnapshot{};
@@ -61,7 +45,6 @@ void CounterDomain::reset_histograms() {
 
 void CounterDomain::reset() {
   reset_counters();
-  reset_kernel_counters();
   reset_histograms();
   alloc_sink_.reset();
 }
@@ -76,10 +59,6 @@ void CounterDomain::fold_into_global() {
       const std::uint64_t n = counts_[f][e].exchange(0, std::memory_order_relaxed);
       if (n != 0) counter_add(static_cast<ObsFormat>(f), static_cast<ObsEvent>(e), n);
     }
-  }
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    const std::uint64_t n = kernel_counts_[e].exchange(0, std::memory_order_relaxed);
-    if (n != 0) kernel_counter_add(static_cast<ObsKernelPath>(e), n);
   }
   HistogramSnapshot hists[kHistChannelCount];
   {

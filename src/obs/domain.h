@@ -1,11 +1,10 @@
 // Scoped observation domains (docs/OBSERVABILITY.md, docs/THREADING.md).
 //
 // A CounterDomain is a private copy of the observation state one unit of
-// work accumulates: the quantization-event counter matrix, the
-// kernel-path counters, an allocation sink, and the fixed histogram
-// channels. A thread binds a domain with ScopedCounterDomain; while
-// bound, every obs write primitive (counter_add, kernel_counter_add,
-// hist_record, hist_merge, alloc_counter_add) lands
+// work accumulates: the quantization-event counter matrix, an allocation
+// sink, and the fixed histogram channels. A thread binds a domain with
+// ScopedCounterDomain; while bound, every obs write primitive
+// (counter_add, hist_record, hist_merge, alloc_counter_add) lands
 // in the domain instead of the process globals, and every matching
 // snapshot function reads the domain's view. Unbound threads are
 // untouched: with no domain bound, the primitives hit the same sharded /
@@ -55,20 +54,17 @@ class CounterDomain {
 
   // -- write primitives (called by the obs routing layer, not directly) --
   void add(ObsFormat fmt, ObsEvent event, std::uint64_t n);
-  void add_kernel(ObsKernelPath path, std::uint64_t n);
   void merge_histogram(HistChannel channel, const HistogramSnapshot& snap);
   [[nodiscard]] AllocSink& alloc_sink() { return alloc_sink_; }
 
   // -- the domain's view (what the snapshot functions return when bound) --
   [[nodiscard]] CounterSnapshot counters() const;
-  [[nodiscard]] KernelCounterSnapshot kernel_counters() const;
   [[nodiscard]] AllocCounterSnapshot alloc_counters() const { return alloc_sink_.snapshot(); }
   [[nodiscard]] HistogramSnapshot histogram(HistChannel channel) const;
 
   /// Zeroes one counter family (the reset functions route here when a
   /// domain is bound) or everything.
   void reset_counters();
-  void reset_kernel_counters();
   void reset_histograms();
   void reset();
 
@@ -83,7 +79,6 @@ class CounterDomain {
 
  private:
   std::atomic<std::uint64_t> counts_[kObsFormatCount][kObsEventCount] = {};
-  std::atomic<std::uint64_t> kernel_counts_[kObsKernelPathCount] = {};
   AllocSink alloc_sink_;
   mutable std::mutex hist_mutex_;
   HistogramSnapshot hist_channels_[kHistChannelCount] FP8Q_GUARDED_BY(hist_mutex_);

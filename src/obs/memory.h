@@ -12,10 +12,9 @@
 //                        allocation *traffic*, counting copies too, which
 //                        is what per-stage deltas in the run report need.
 //
-// The counters are always-on process-global relaxed atomics (one add per
-// tensor construction, not per element -- the same always-on rationale as
-// the kernel-path counters in obs/counters.h). This header is the bottom of the
-// obs layer: it must stay dependency-free because fp8q_tensor links it
+// The counters are always-on process-global relaxed atomics: one add per
+// tensor construction, not per element, is cheap enough to need no gate.
+// This header is the bottom of the obs layer: it must stay dependency-free because fp8q_tensor links it
 // (as fp8q_obs_base) while the rest of obs sits above tensor via metrics.
 //
 // Scoped routing: a thread may bind an AllocSink (set_thread_alloc_sink);

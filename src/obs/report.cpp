@@ -146,13 +146,6 @@ void RunReport::write_json(std::ostream& out) const {
   write_counters(out, counters, "  ");
   out << ",\n";
 
-  out << "  \"kernel_paths\": {";
-  for (int e = 0; e < kObsKernelPathCount; ++e) {
-    out << (e == 0 ? "" : ", ") << '"' << to_string(static_cast<ObsKernelPath>(e))
-        << "\": " << kernel_paths.counts[e];
-  }
-  out << "},\n";
-
   out << "  \"memory\": {\"peak_rss_bytes\": " << memory.peak_rss_bytes
       << ", \"alloc_bytes\": " << memory.alloc_bytes << ", \"allocs\": " << memory.allocs
       << "},\n";
@@ -265,7 +258,6 @@ bool write_report_if_requested(RunReport& report) {
   const char* path = report_env_path();
   if (path == nullptr) return false;
   report.counters = counters_snapshot();
-  report.kernel_paths = kernel_counters_snapshot();
   const AllocCounterSnapshot allocs = alloc_counters_snapshot();
   report.memory.peak_rss_bytes = peak_rss_bytes();
   report.memory.alloc_bytes = allocs.bytes;

@@ -40,11 +40,13 @@ namespace fp8q {
 /// v3 added the "memory" block (peak RSS + allocation totals), per-stage
 /// allocation deltas, and the "histograms" block (obs/histogram.h);
 /// v4 added the "isa" field (selected dispatch tier, core/cpu_dispatch.h)
-/// and the "kernel_paths" block (packed-vs-FP32 path counts);
+/// and a block of packed-vs-FP32 kernel path counts;
 /// v5 dropped the cache counters and the cache-decode kernel path, along
-/// with the cache itself (io/serialize.cpp still reads v1..v4 documents).
-/// The reader accepts every version from 1 up, defaulting missing blocks.
-inline constexpr int kReportVersion = 5;
+/// with the cache itself;
+/// v6 dropped the kernel path counts, along with the packed kernels.
+/// The reader accepts every version from 1 up, defaulting missing blocks
+/// and ignoring removed ones (io/serialize.cpp).
+inline constexpr int kReportVersion = 6;
 
 /// One named phase of a run.
 struct StageReport {
@@ -77,8 +79,6 @@ struct RunReport {
   std::vector<AccuracyRecord> records;
   /// Cumulative counters at write time (totals, independent of stages).
   CounterSnapshot counters;
-  /// Packed-vs-FP32 kernel path counts at write time (schema v4).
-  KernelCounterSnapshot kernel_paths;
   /// Peak RSS and allocation totals at write time (schema v3).
   MemoryReport memory;
   /// Every histogram with data at write time, sorted by name (schema v3).

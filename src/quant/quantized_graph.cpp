@@ -3,11 +3,7 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/cpu_dispatch.h"
-#include "nn/conv.h"
-#include "nn/linear.h"
 #include "nn/norm.h"
-#include "nn/packed_gemm.h"
 #include "obs/trace.h"
 #include "quant/calibrate.h"
 #include "quant/smoothquant.h"
@@ -94,22 +90,8 @@ void QuantizedGraph::quantize_weights() {
     if (ws.empty()) continue;
     // The main weight (index 0) is quantized per-channel on axis 0; biases
     // and other parameters stay FP32.
-    auto packed = quantize_weight_packed(*ws[0], config_.scheme.weight_dtype);
-    if (!packed_compute_enabled()) continue;
-    // Packed compute (docs/KERNELS.md): hand Linear/Conv ops the verified
-    // 8-bit codes so their forward decodes in-register instead of reading
-    // the fake-quantized FP32 weight. A null handle (non-FP8 dtype, NaN
-    // payloads) leaves the op on the bit-identical FP32 path; so does any
-    // op kind without a packed kernel.
-    if (auto* lin = dynamic_cast<LinearOp*>(node.op.get())) {
-      lin->set_packed_weight(
-          packed ? std::make_shared<PackedWeightMatrix>(pack_gemm_weight(*packed))
-                 : nullptr);
-    } else if (auto* conv = dynamic_cast<Conv2dOp*>(node.op.get())) {
-      conv->set_packed_weight(
-          packed ? std::make_shared<PackedConvWeight>(pack_conv_weight(*packed))
-                 : nullptr);
-    }
+    Tensor& w = *ws[0];
+    apply_quant_inplace(w, make_weight_params(w, config_.scheme.weight_dtype));
   }
 }
 
@@ -273,17 +255,6 @@ void QuantizedGraph::restore_weights() {
   for (auto& [id, backup] : weight_backup_) {
     auto ws = graph_->node(id).op->weights();
     for (size_t i = 0; i < ws.size() && i < backup.size(); ++i) *ws[i] = backup[i];
-  }
-  // Detach packed weights everywhere: the restored FP32 tensors are the
-  // pre-quantization originals, and stale codes must not shadow them.
-  for (Graph::NodeId id : graph_->node_ids()) {
-    auto& node = graph_->node(id);
-    if (!node.op) continue;
-    if (auto* lin = dynamic_cast<LinearOp*>(node.op.get())) {
-      lin->clear_packed_weight();
-    } else if (auto* conv = dynamic_cast<Conv2dOp*>(node.op.get())) {
-      conv->clear_packed_weight();
-    }
   }
   weight_backup_.clear();
   smooth_factors_.clear();

@@ -1,13 +1,11 @@
 #include "quant/quantizer.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
 #include "fp8/cast.h"
 #include "fp8/cast_fast.h"
-#include "obs/counters.h"
 #include "obs/trace.h"
 #include "quant/calibrate.h"
 #include "tensor/stats.h"
@@ -217,57 +215,6 @@ Tensor apply_quant(const Tensor& t, const QuantParams& p) {
   Tensor out = t;
   apply_quant_inplace(out, p);
   return out;
-}
-
-std::shared_ptr<const PackedFp8Tensor> quantize_weight_packed(Tensor& w, DType dtype) {
-  QuantParams params = make_weight_params(w, dtype);
-  if (!is_fp8(dtype) || w.dim() < 1 || w.empty()) {
-    apply_quant_inplace(w, params);
-    return nullptr;
-  }
-  // The reference path's per-channel scales, sanitized as
-  // fp8_quantize_scaled_fast does, so the in-place result below matches
-  // apply_quant_inplace bit for bit. The codes are encoded from the
-  // ORIGINAL values, before the weight is overwritten.
-  for (float& scale : params.channel_scales) {
-    if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
-  }
-  const Fp8Kind kind = fp8_kind(dtype);
-  auto packed = std::make_shared<PackedFp8Tensor>(
-      PackedFp8Tensor::pack_per_channel_scaled(w, kind, std::move(params.channel_scales)));
-  const std::vector<float>& scales = packed->scales();
-  const std::int64_t channels = w.size(0);
-  const std::int64_t block = w.numel() / channels;
-  const FastCastSpec& spec = fast_cast_spec(kind);
-  CastTally tally;
-  CastTally* tally_out = counters_enabled() ? &tally : nullptr;
-  auto data = w.flat();
-  for (std::int64_t c = 0; c < channels; ++c) {
-    auto span = data.subspan(static_cast<std::size_t>(c * block),
-                             static_cast<std::size_t>(block));
-    fp8_quantize_batch(span, span, spec, scales[static_cast<std::size_t>(c)], tally_out);
-  }
-  if (tally_out != nullptr) {
-    counter_add(spec.obs_fmt, ObsEvent::kQuantized, tally.quantized);
-    counter_add(spec.obs_fmt, ObsEvent::kSaturated, tally.saturated);
-    counter_add(spec.obs_fmt, ObsEvent::kFlushedToZero, tally.flushed);
-  }
-  // Verify against the reference decode table, which every dispatch tier
-  // is tested bit-equal to.
-  const Fp8DecodeTable& lut = fp8_decode_table(kind);
-  const std::uint8_t* codes = packed->codes().data();
-  for (std::int64_t c = 0; c < channels; ++c) {
-    const float inv = 1.0f / scales[static_cast<std::size_t>(c)];
-    const float* payload = data.data() + c * block;
-    const std::uint8_t* crow = codes + c * block;
-    for (std::int64_t i = 0; i < block; ++i) {
-      if (std::bit_cast<std::uint32_t>(lut.values[crow[i]] * inv) !=
-          std::bit_cast<std::uint32_t>(payload[i])) {
-        return nullptr;
-      }
-    }
-  }
-  return packed;
 }
 
 }  // namespace fp8q

@@ -8,8 +8,7 @@
 // decides *which* QuantParams each tensor gets.
 //
 // The paper's standard scheme (section 3.1) maps to: weights via
-// quantize_weight_packed (per-channel symmetric absmax on axis 0, the
-// same recipe make_weight_params resolves, plus the verified 8-bit codes),
+// make_weight_params (per-channel symmetric absmax on axis 0),
 // activations via make_activation_params from a calibrated range
 // (per-tensor; E5M2 direct with scale 1). The extended additions map
 // to make_dynamic_activation_params (runtime per-batch scales, section
@@ -22,11 +21,9 @@
 // quantization-event counters (docs/OBSERVABILITY.md).
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "fp8/int8.h"
-#include "fp8/packed.h"
 #include "quant/qconfig.h"
 #include "tensor/tensor.h"
 
@@ -86,18 +83,5 @@ void apply_per_token_dynamic(Tensor& x, DType dtype);
 /// Fake-quantizes out-of-place / in-place.
 [[nodiscard]] Tensor apply_quant(const Tensor& t, const QuantParams& params);
 void apply_quant_inplace(Tensor& t, const QuantParams& params);
-
-/// Quantizes a main weight tensor in place with the paper's recipe and
-/// returns its packed form. The in-place result is bit-identical to
-/// apply_quant_inplace(w, make_weight_params(w, dtype)), and so are the
-/// quantization-event counts. For FP8 dtypes the codes are encoded with
-/// the same per-channel scales and verified bit for bit against the
-/// reference decode table: decode(code) * (1/scale) reproduces w's new
-/// contents, so the packed compute kernels (nn/packed_gemm.h) can read
-/// them in place of the FP32 weight. Returns nullptr for non-FP8 dtypes
-/// and for weights that fail verification (NaN payloads survive fake
-/// quantization but not an 8-bit code); w still gets the reference result.
-[[nodiscard]] std::shared_ptr<const PackedFp8Tensor> quantize_weight_packed(Tensor& w,
-                                                                          DType dtype);
 
 }  // namespace fp8q

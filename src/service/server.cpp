@@ -104,8 +104,8 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
   report.isa = isa_label();
 
   // The whole job body runs under a fresh observation domain: every
-  // counter, kernel-path event, allocation and histogram channel the job
-  // (and its parallel fan-out) produces lands in `domain`, so the
+  // counter, allocation and histogram channel the job (and its parallel
+  // fan-out) produces lands in `domain`, so the
   // report's counter blocks are this job's exact events -- no global
   // before/after snapshots, hence exact even with other jobs running
   // concurrently. The fold guard moves the tallies into the caller's
@@ -145,7 +145,6 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
   }
 
   report.counters = domain.counters();
-  report.kernel_paths = domain.kernel_counters();
   const AllocCounterSnapshot alloc_delta = domain.alloc_counters();
   report.memory.alloc_bytes = alloc_delta.bytes;
   report.memory.allocs = alloc_delta.allocs;

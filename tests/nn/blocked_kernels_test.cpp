@@ -1,13 +1,19 @@
-// The cache-blocked matmul/linear/conv kernels must be bit-identical to a
-// naive triple-loop reference: blocking, packing and tap-window clamping
-// only reorder memory accesses, never any element's summation order.
+// Linear, MatMul and Conv2d lower onto the GEMM microkernel (nn/gemm.h),
+// and must be bit-identical to a naive loop reference at every dispatch
+// tier and thread count: transposition, im2col and row/image partitioning
+// only move data, never change any element's summation order.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "core/cpu_dispatch.h"
+#include "core/parallel.h"
 #include "nn/conv.h"
 #include "nn/linear.h"
 #include "nn/matmul.h"
@@ -15,6 +21,27 @@
 
 namespace fp8q {
 namespace {
+
+/// Restores tier and thread-count overrides even when a test fails.
+struct DispatchGuard {
+  ~DispatchGuard() {
+    reset_isa_tier();
+    set_num_threads(0);  // 0 = restore the env/hardware default
+  }
+};
+
+/// Runs `body` once per dispatch tier and thread count, with a label for
+/// failure messages.
+void for_each_tier_and_thread_count(const std::function<void(const std::string&)>& body) {
+  DispatchGuard guard;
+  for (IsaTier tier : {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative}) {
+    for (int threads : {1, 4, 8}) {
+      set_isa_tier(tier);
+      set_num_threads(threads);
+      body(std::string(to_string(tier)) + " threads " + std::to_string(threads));
+    }
+  }
+}
 
 /// Naive matmul over the last two axes; k-ascending accumulation, the same
 /// order the production kernel must preserve.
@@ -47,11 +74,14 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b, bool transpose_b) {
   return y;
 }
 
-void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
-  ASSERT_EQ(a.shape(), b.shape());
+void expect_bitwise_equal(const Tensor& a, const Tensor& b, const std::string& what) {
+  ASSERT_EQ(a.shape(), b.shape()) << what;
   const auto fa = a.flat();
   const auto fb = b.flat();
-  for (std::size_t i = 0; i < fa.size(); ++i) EXPECT_EQ(fa[i], fb[i]) << i;
+  for (std::size_t i = 0; i < fa.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(fa[i]), std::bit_cast<std::uint32_t>(fb[i]))
+        << what << " at " << i;
+  }
 }
 
 TEST(BlockedMatMul, MatchesNaiveAcrossShapesAndFlags) {
@@ -61,8 +91,8 @@ TEST(BlockedMatMul, MatchesNaiveAcrossShapesAndFlags) {
     bool batched;
     bool transpose_b;
   };
-  // Odd sizes exercise the 4-row remainder and packing edge cases; sizes
-  // past the grain heuristic exercise the parallel split.
+  // Odd sizes exercise the 4-row and 8-column remainders; sizes past the
+  // grain heuristic exercise the parallel split.
   const Case cases[] = {
       {1, 1, 1, false, false},  {3, 5, 7, false, false},  {4, 8, 4, false, true},
       {7, 33, 13, false, false}, {7, 33, 13, false, true}, {5, 17, 9, true, false},
@@ -77,9 +107,10 @@ TEST(BlockedMatMul, MatchesNaiveAcrossShapesAndFlags) {
     Tensor b = randn(rng, b_shape);
     MatMulOp op(c.batched, c.transpose_b);
     const std::vector<Tensor> in = {a, b};
-    const Tensor got = op.forward(in);
     const Tensor ref = naive_matmul(a, b, c.transpose_b);
-    expect_bitwise_equal(got, ref);
+    for_each_tier_and_thread_count([&](const std::string& what) {
+      expect_bitwise_equal(op.forward(in), ref, what);
+    });
   }
 }
 
@@ -109,65 +140,106 @@ TEST(BlockedLinear, MatchesNaiveWithAndWithoutBias) {
         }
       }
       LinearOp op(w, bias);
-      const Tensor got = op.forward({&x, 1});
-      expect_bitwise_equal(got, ref);
+      for_each_tier_and_thread_count([&](const std::string& what) {
+        expect_bitwise_equal(op.forward({&x, 1}), ref, what);
+      });
     }
   }
 }
 
+struct ConvCase {
+  std::int64_t n, ic, h, w, oc, kh, kw;
+  int stride, padding, groups;
+  bool with_bias;
+};
+
+/// Naive conv that skips padded taps. With a bias that is not -0.0f and
+/// finite weights, skipping them and adding them as 0 * w agree bit for
+/// bit (docs/KERNELS.md).
+Tensor naive_conv(const Tensor& x, const Tensor& weight, const Tensor& bias,
+                  const ConvCase& c) {
+  const std::int64_t oh = (c.h + 2 * c.padding - c.kh) / c.stride + 1;
+  const std::int64_t ow = (c.w + 2 * c.padding - c.kw) / c.stride + 1;
+  const std::int64_t icg = c.ic / c.groups;
+  const std::int64_t ocg = c.oc / c.groups;
+  Tensor ref({c.n, c.oc, oh, ow});
+  const auto xd = x.flat();
+  const auto wd = weight.flat();
+  auto rd = ref.flat();
+  for (std::int64_t b = 0; b < c.n; ++b) {
+    for (std::int64_t o = 0; o < c.oc; ++o) {
+      const std::int64_t g = o / ocg;
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          float acc = c.with_bias ? bias[o] : 0.0f;
+          for (std::int64_t ci = 0; ci < icg; ++ci) {
+            for (std::int64_t ky = 0; ky < c.kh; ++ky) {
+              const std::int64_t iy = oy * c.stride + ky - c.padding;
+              if (iy < 0 || iy >= c.h) continue;
+              for (std::int64_t kx = 0; kx < c.kw; ++kx) {
+                const std::int64_t ix = ox * c.stride + kx - c.padding;
+                if (ix < 0 || ix >= c.w) continue;
+                acc += xd[static_cast<std::size_t>(((b * c.ic + g * icg + ci) * c.h + iy) *
+                                                       c.w +
+                                                   ix)] *
+                       wd[static_cast<std::size_t>(((o * icg + ci) * c.kh + ky) * c.kw + kx)];
+              }
+            }
+          }
+          rd[static_cast<std::size_t>(((b * c.oc + o) * oh + oy) * ow + ox)] = acc;
+        }
+      }
+    }
+  }
+  return ref;
+}
+
 TEST(BlockedConv, MatchesNaiveAcrossStridePaddingGroups) {
   Rng rng(303);
-  struct Case {
-    std::int64_t n, ic, h, w, oc, kh, kw;
-    int stride, padding, groups;
-  };
-  const Case cases[] = {
-      {1, 1, 5, 5, 1, 3, 3, 1, 0, 1},  {2, 3, 9, 7, 4, 3, 3, 1, 1, 1},
-      {1, 4, 8, 8, 6, 1, 1, 1, 0, 2},  {2, 4, 11, 13, 8, 3, 5, 2, 2, 4},
-      {1, 2, 6, 6, 2, 3, 3, 2, 0, 1},
+  const ConvCase cases[] = {
+      {1, 1, 5, 5, 1, 3, 3, 1, 0, 1, true},
+      {2, 3, 9, 7, 4, 3, 3, 1, 1, 1, true},
+      {1, 4, 8, 8, 6, 1, 1, 1, 0, 2, true},
+      {2, 4, 11, 13, 8, 3, 5, 2, 2, 4, true},
+      {1, 2, 6, 6, 2, 3, 3, 2, 0, 1, true},
+      // Depthwise: one channel per group, no bias.
+      {3, 6, 7, 9, 6, 3, 3, 1, 1, 6, false},
+      // 1x1, unpadded, ungrouped: im2col is a plain copy of the input.
+      {5, 7, 6, 5, 9, 1, 1, 1, 0, 1, true},
+      // Stride 2 with padding and kh != kw.
+      {2, 3, 10, 9, 5, 5, 3, 2, 1, 1, true},
   };
   for (const auto& c : cases) {
     Tensor x = randn(rng, {c.n, c.ic, c.h, c.w});
     Tensor weight = randn(rng, {c.oc, c.ic / c.groups, c.kh, c.kw});
-    Tensor bias = randn(rng, {c.oc});
+    Tensor bias = c.with_bias ? randn(rng, {c.oc}) : Tensor{};
     Conv2dOp op(weight, bias, c.stride, c.padding, c.groups);
-    const Tensor got = op.forward({&x, 1});
-
-    const std::int64_t oh = (c.h + 2 * c.padding - c.kh) / c.stride + 1;
-    const std::int64_t ow = (c.w + 2 * c.padding - c.kw) / c.stride + 1;
-    const std::int64_t icg = c.ic / c.groups;
-    const std::int64_t ocg = c.oc / c.groups;
-    Tensor ref({c.n, c.oc, oh, ow});
-    const auto xd = x.flat();
-    const auto wd = weight.flat();
-    auto rd = ref.flat();
-    for (std::int64_t b = 0; b < c.n; ++b) {
-      for (std::int64_t o = 0; o < c.oc; ++o) {
-        const std::int64_t g = o / ocg;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            float acc = bias[o];
-            for (std::int64_t ci = 0; ci < icg; ++ci) {
-              for (std::int64_t ky = 0; ky < c.kh; ++ky) {
-                const std::int64_t iy = oy * c.stride + ky - c.padding;
-                if (iy < 0 || iy >= c.h) continue;
-                for (std::int64_t kx = 0; kx < c.kw; ++kx) {
-                  const std::int64_t ix = ox * c.stride + kx - c.padding;
-                  if (ix < 0 || ix >= c.w) continue;
-                  acc += xd[static_cast<std::size_t>(
-                             ((b * c.ic + g * icg + ci) * c.h + iy) * c.w + ix)] *
-                         wd[static_cast<std::size_t>(
-                             ((o * icg + ci) * c.kh + ky) * c.kw + kx)];
-                }
-              }
-            }
-            rd[static_cast<std::size_t>(((b * c.oc + o) * oh + oy) * ow + ox)] = acc;
-          }
-        }
-      }
-    }
-    expect_bitwise_equal(got, ref);
+    const Tensor ref = naive_conv(x, weight, bias, c);
+    for_each_tier_and_thread_count([&](const std::string& what) {
+      expect_bitwise_equal(op.forward({&x, 1}), ref, what);
+    });
   }
+}
+
+TEST(BlockedConv, PaddedTapTurnsANegativeZeroBiasPositive) {
+  // The padded-tap policy (docs/KERNELS.md): im2col adds each padded tap
+  // as a +0 * w term rather than skipping it. The one visible difference
+  // is a -0.0f accumulator: -0 + +0 is +0. A 3x3 window over a 1x1 input
+  // with padding 1 has 8 padded taps around the one real tap, so with a
+  // -0.0f bias and a -0.0f input the output is +0 here, where skipping
+  // the padded taps would give -0 + (-0 * 1) = -0. Without padding the
+  // sign survives.
+  const Tensor x({1, 1, 1, 1}, -0.0f);
+  const Tensor bias({1}, -0.0f);
+  Conv2dOp padded(Tensor({1, 1, 3, 3}, 1.0f), bias, /*stride=*/1, /*padding=*/1);
+  Conv2dOp unpadded(Tensor({1, 1, 1, 1}, 1.0f), bias);
+  for_each_tier_and_thread_count([&](const std::string& what) {
+    const Tensor y = padded.forward({&x, 1});
+    ASSERT_EQ(y.shape(), (Shape{1, 1, 1, 1})) << what;
+    EXPECT_EQ(y[0], 0.0f) << what;
+    EXPECT_FALSE(std::signbit(y[0])) << what;
+    EXPECT_TRUE(std::signbit(unpadded.forward({&x, 1})[0])) << what;
+  });
 }
 
 }  // namespace

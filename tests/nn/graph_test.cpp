@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "nn/elementwise.h"
 #include "nn/linear.h"
+#include "nn/matmul.h"
+#include "obs/memory.h"
 
 namespace fp8q {
 namespace {
@@ -98,6 +102,31 @@ TEST(Graph, InputTapNulloptPassesThrough) {
   EXPECT_FLOAT_EQ(g.forward(x)[0], 2.0f);
   g.clear_taps();
   EXPECT_FLOAT_EQ(g.forward(x)[0], 2.0f);
+}
+
+TEST(Graph, TapReplacedOperandsAreMovedNotCopied) {
+  // A MatMul whose input tap replaces both operands. Each replacement is
+  // the tap's own tensor and must move into the op's operand span, so one
+  // forward allocates: the 2 graph inputs copied into the value table, the
+  // tap's 2 replacements, the product and the returned copy.
+  Graph g;
+  const auto a = g.add_input("a");
+  const auto b = g.add_input("b");
+  g.add("mm", std::make_unique<MatMulOp>(), {a, b});
+  g.set_input_tap([](Graph::NodeId, int, const Tensor& v) -> std::optional<Tensor> {
+    Tensor t = v;
+    t.scale(2.0f);
+    return t;
+  });
+  std::vector<Tensor> ins;
+  ins.push_back(Tensor({2, 3}, 1.0f));
+  ins.push_back(Tensor({3, 4}, 1.0f));
+
+  const AllocCounterSnapshot before = alloc_counters_snapshot();
+  const Tensor y = g.forward(ins);
+  const std::uint64_t allocs = alloc_counters_snapshot().since(before).allocs;
+  EXPECT_FLOAT_EQ(y[0], 12.0f);  // 3 terms of 2 * 2
+  EXPECT_EQ(allocs, 6u);
 }
 
 TEST(Graph, OutputTapSeesEveryNode) {

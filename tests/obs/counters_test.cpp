@@ -159,32 +159,5 @@ TEST(Counters, ResetZeroesEverything) {
   EXPECT_FALSE(counters_snapshot().any());
 }
 
-TEST(KernelCounters, AlwaysOnAddSnapshotReset) {
-  // Kernel-path counters are per-op-forward events: always on (no enable
-  // gate), process-global, and reset independently of the quantization
-  // counters.
-  kernel_counters_reset();
-  EXPECT_FALSE(kernel_counters_snapshot().any());
-  kernel_counter_add(ObsKernelPath::kLinearPacked, 3);
-  kernel_counter_add(ObsKernelPath::kMatmulFp32, 1);
-  const auto snap = kernel_counters_snapshot();
-  EXPECT_TRUE(snap.any());
-  EXPECT_EQ(snap.get(ObsKernelPath::kLinearPacked), 3u);
-  EXPECT_EQ(snap.get(ObsKernelPath::kMatmulFp32), 1u);
-  EXPECT_EQ(snap.get(ObsKernelPath::kConvPacked), 0u);
-  kernel_counters_reset();
-  EXPECT_FALSE(kernel_counters_snapshot().any());
-}
-
-TEST(KernelCounters, PathNamesAreStable) {
-  // report.json keys -- renaming one breaks downstream report consumers.
-  EXPECT_STREQ(to_string(ObsKernelPath::kLinearPacked), "linear_packed");
-  EXPECT_STREQ(to_string(ObsKernelPath::kLinearFp32), "linear_fp32");
-  EXPECT_STREQ(to_string(ObsKernelPath::kConvPacked), "conv_packed");
-  EXPECT_STREQ(to_string(ObsKernelPath::kConvFp32), "conv_fp32");
-  EXPECT_STREQ(to_string(ObsKernelPath::kMatmulPacked), "matmul_packed");
-  EXPECT_STREQ(to_string(ObsKernelPath::kMatmulFp32), "matmul_fp32");
-}
-
 }  // namespace
 }  // namespace fp8q

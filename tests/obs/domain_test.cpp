@@ -27,7 +27,6 @@ void reset_globals() {
   set_counters_enabled(true);
   set_histograms_enabled(true);
   counters_reset();
-  kernel_counters_reset();
   histograms_reset();
   alloc_counters_reset();
 }
@@ -41,13 +40,11 @@ TEST(CounterDomain, BoundThreadRoutesWritesAndReadsToTheDomain) {
     ScopedCounterDomain scope(&domain);
     counter_add(ObsFormat::kE4M3, ObsEvent::kQuantized, 40);
     counter_add(ObsFormat::kE4M3, ObsEvent::kSaturated, 2);
-    kernel_counter_add(ObsKernelPath::kLinearPacked, 3);
     alloc_counter_add(512);
     hist_record(HistChannel::kCastMagE4M3, 1.5);
 
     // The bound thread's snapshots ARE the domain's view.
     EXPECT_EQ(counters_snapshot().get(ObsFormat::kE4M3, ObsEvent::kQuantized), 40u);
-    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearPacked), 3u);
     EXPECT_EQ(alloc_counters_snapshot().bytes, 512u);
     EXPECT_EQ(alloc_counters_snapshot().allocs, 1u);
     EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE4M3).total, 1u);
@@ -55,12 +52,10 @@ TEST(CounterDomain, BoundThreadRoutesWritesAndReadsToTheDomain) {
 
   // Unbound again: globals never saw any of it.
   EXPECT_TRUE(counters_snapshot() == global_before);
-  EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearPacked), 0u);
   EXPECT_EQ(alloc_counters_snapshot().bytes, 0u);
   EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE4M3).total, 0u);
   // The domain still holds the tallies.
   EXPECT_EQ(domain.counters().get(ObsFormat::kE4M3, ObsEvent::kQuantized), 40u);
-  EXPECT_EQ(domain.kernel_counters().get(ObsKernelPath::kLinearPacked), 3u);
   EXPECT_EQ(domain.alloc_counters().bytes, 512u);
   EXPECT_EQ(domain.histogram(HistChannel::kCastMagE4M3).total, 1u);
 }
@@ -102,7 +97,6 @@ TEST(CounterDomain, FoldMovesTalliesIntoGlobalsExactlyOnce) {
   {
     ScopedCounterDomain scope(&domain);
     counter_add(ObsFormat::kE3M4, ObsEvent::kFlushedToZero, 7);
-    kernel_counter_add(ObsKernelPath::kConvPacked, 2);
     alloc_counter_add(64);
     hist_record(HistChannel::kCastMagE3M4, 0.25);
   }
@@ -110,7 +104,6 @@ TEST(CounterDomain, FoldMovesTalliesIntoGlobalsExactlyOnce) {
 
   // Conservation: the fold moved every tally into the globals...
   EXPECT_EQ(counters_snapshot().get(ObsFormat::kE3M4, ObsEvent::kFlushedToZero), 7u);
-  EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kConvPacked), 2u);
   EXPECT_EQ(alloc_counters_snapshot().bytes, 64u);
   EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE3M4).total, 1u);
   // ...and left the domain empty, so a second fold adds nothing.

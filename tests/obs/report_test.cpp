@@ -30,8 +30,6 @@ RunReport sample_report() {
   r.tool = "unit-test";
   r.num_threads = 3;
   r.isa = "native:avx2";
-  r.kernel_paths.counts[static_cast<int>(ObsKernelPath::kLinearPacked)] = 17;
-  r.kernel_paths.counts[static_cast<int>(ObsKernelPath::kConvFp32)] = 4;
 
   StageReport stage;
   stage.name = "phase \"one\"\nwith newline";  // exercises escaping
@@ -72,7 +70,6 @@ TEST(Report, JsonRoundTripsThroughSerializeReader) {
   EXPECT_EQ(parsed.tool, original.tool);
   EXPECT_EQ(parsed.num_threads, original.num_threads);
   EXPECT_EQ(parsed.isa, original.isa);
-  EXPECT_TRUE(parsed.kernel_paths == original.kernel_paths);
   EXPECT_TRUE(parsed.counters == original.counters);
   EXPECT_EQ(parsed.spans_dropped, original.spans_dropped);
 
@@ -148,30 +145,46 @@ TEST(Report, PreV3ReportsDefaultTheNewBlocks) {
   EXPECT_EQ(parsed.stages[0].alloc_bytes, 0u);
 }
 
-TEST(Report, V4CacheBlocksAreIgnoredAndV5OmitsThem) {
+TEST(Report, V4CacheBlocksAreIgnored) {
   // v2..v4 documents carry a "weight_cache" block and a "cache_decode"
   // kernel path, counters of the quantized-weight cache v5 removed. They
-  // must still load, with both dropped and every other count intact.
+  // must still load, with both dropped and every other field intact.
   std::istringstream in(
       R"({"fp8q_report_version": 4, "tool": "old", "num_threads": 2,
           "isa": "native:avx2",
           "weight_cache": {"hit": 11, "miss": 3, "evict": 0, "bypass": 1},
-          "kernel_paths": {"linear_packed": 5, "conv_fp32": 2, "cache_decode": 7}})");
+          "kernel_paths": {"linear_packed": 5, "conv_fp32": 2, "cache_decode": 7},
+          "counters": {"e4m3": {"quantized": 9}}})");
   const RunReport parsed = report_from_json(in);
   EXPECT_EQ(parsed.tool, "old");
   EXPECT_EQ(parsed.isa, "native:avx2");
-  EXPECT_EQ(parsed.kernel_paths.get(ObsKernelPath::kLinearPacked), 5u);
-  EXPECT_EQ(parsed.kernel_paths.get(ObsKernelPath::kConvFp32), 2u);
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : parsed.kernel_paths.counts) total += c;
-  EXPECT_EQ(total, 7u);  // the cache_decode count went nowhere
+  EXPECT_EQ(parsed.counters.get(ObsFormat::kE4M3, ObsEvent::kQuantized), 9u);
+  const std::string rewritten = parsed.to_json();
+  EXPECT_EQ(rewritten.find("weight_cache"), std::string::npos);
+  EXPECT_EQ(rewritten.find("cache_decode"), std::string::npos);
+}
 
-  // Re-written, the report is v5 and carries neither block.
-  EXPECT_EQ(kReportVersion, 5);
-  const std::string v5 = parsed.to_json();
-  EXPECT_NE(v5.find("\"fp8q_report_version\": 5"), std::string::npos);
-  EXPECT_EQ(v5.find("weight_cache"), std::string::npos);
-  EXPECT_EQ(v5.find("cache_decode"), std::string::npos);
+TEST(Report, V5KernelPathsAreIgnoredAndV6OmitsThem) {
+  // v4..v5 documents carry a "kernel_paths" block, packed-vs-FP32 op
+  // forward counts of the packed kernels v6 removed. They must still load,
+  // with the block dropped and every other field intact.
+  std::istringstream in(
+      R"({"fp8q_report_version": 5, "tool": "old", "num_threads": 2,
+          "isa": "native:avx2",
+          "counters": {"e5m2": {"saturated": 4}},
+          "kernel_paths": {"linear_packed": 5, "linear_fp32": 1, "conv_packed": 2,
+                           "conv_fp32": 0, "matmul_packed": 0, "matmul_fp32": 3}})");
+  const RunReport parsed = report_from_json(in);
+  EXPECT_EQ(parsed.tool, "old");
+  EXPECT_EQ(parsed.isa, "native:avx2");
+  EXPECT_EQ(parsed.counters.get(ObsFormat::kE5M2, ObsEvent::kSaturated), 4u);
+
+  // Re-written, the report is v6 and carries no kernel path counts.
+  EXPECT_EQ(kReportVersion, 6);
+  const std::string v6 = parsed.to_json();
+  EXPECT_NE(v6.find("\"fp8q_report_version\": 6"), std::string::npos);
+  EXPECT_EQ(v6.find("kernel_paths"), std::string::npos);
+  EXPECT_EQ(v6.find("linear_packed"), std::string::npos);
 }
 
 TEST(Report, EmptyReportRoundTrips) {

@@ -3,13 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
-#include "core/cpu_dispatch.h"
 #include "metrics/metrics.h"
-#include "obs/counters.h"
 #include "nn/conv.h"
 #include "nn/elementwise.h"
 #include "nn/linear.h"
@@ -391,108 +388,6 @@ TEST(QuantizedGraph, QuantizedComputeFraction) {
                          OpKind::kBatchMatMul, OpKind::kEmbedding};
   QuantizedGraph qn(&g, none);
   EXPECT_DOUBLE_EQ(qn.quantized_compute_fraction(), 0.0);
-}
-
-TEST(QuantizedGraph, PackedComputeIsBitIdenticalToDequantizedPath) {
-  // FP8Q_PACKED is a performance switch, never a numerics switch
-  // (docs/KERNELS.md): the packed kernels must reproduce the
-  // dequantize-to-FP32 forward bit for bit, on MLPs and CNNs alike.
-  struct PackedToggleGuard {
-    ~PackedToggleGuard() { reset_packed_compute_enabled(); }
-  } guard;
-
-  ModelQuantConfig cfg;
-  cfg.scheme = standard_fp8_scheme(DType::kE4M3);
-  cfg.scheme.skip_first_last = false;
-
-  {
-    Rng rng(43);
-    Graph g = make_mlp(rng);
-    Tensor x = randn(rng, {4, 16});
-    auto calib = make_batches(rng, 2, {4, 16});
-
-    set_packed_compute_enabled(false);
-    Tensor ref;
-    {
-      QuantizedGraph qg(&g, cfg);
-      qg.prepare(std::span<const Tensor>(calib));
-      ref = qg.forward(x);
-    }
-    set_packed_compute_enabled(true);
-    kernel_counters_reset();
-    QuantizedGraph qg(&g, cfg);
-    qg.prepare(std::span<const Tensor>(calib));
-    const Tensor got = qg.forward(x);
-    ASSERT_EQ(ref.numel(), got.numel());
-    for (std::int64_t i = 0; i < ref.numel(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]), std::bit_cast<std::uint32_t>(got[i]))
-          << i;
-    }
-    // Every forward of a quantized Linear took the packed path: 2 ops
-    // across 2 calibration batches plus the eval forward, none on FP32.
-    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearPacked), 6u);
-    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearFp32), 0u);
-  }
-
-  {
-    Rng rng(47);
-    Graph g;
-    const auto in = g.add_input("x");
-    const auto c1 = g.add("conv1",
-                          std::make_unique<Conv2dOp>(randn(rng, {4, 3, 3, 3}, 0.0f, 0.2f),
-                                                     randn(rng, {4}, 0.0f, 0.1f), 1, 1),
-                          {in});
-    g.add("relu", std::make_unique<ActivationOp>(OpKind::kRelu), {c1});
-    Tensor x = randn(rng, {2, 3, 8, 8});
-    auto calib = make_batches(rng, 2, {2, 3, 8, 8});
-
-    set_packed_compute_enabled(false);
-    Tensor ref;
-    {
-      QuantizedGraph qg(&g, cfg);
-      qg.prepare(std::span<const Tensor>(calib));
-      ref = qg.forward(x);
-    }
-    set_packed_compute_enabled(true);
-    kernel_counters_reset();
-    QuantizedGraph qg(&g, cfg);
-    qg.prepare(std::span<const Tensor>(calib));
-    const Tensor got = qg.forward(x);
-    for (std::int64_t i = 0; i < ref.numel(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(ref[i]), std::bit_cast<std::uint32_t>(got[i]))
-          << i;
-    }
-    // 1 conv op x (2 calibration batches + 1 eval forward), all packed.
-    EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kConvPacked), 3u);
-  }
-}
-
-TEST(QuantizedGraph, RestoreClearsPackedWeights) {
-  // After the QuantizedGraph restores FP32 weights, the ops must not keep
-  // serving stale packed codes: the original graph's forward has to match
-  // its pre-quantization output exactly.
-  struct PackedToggleGuard {
-    ~PackedToggleGuard() { reset_packed_compute_enabled(); }
-  } guard;
-  set_packed_compute_enabled(true);
-
-  Rng rng(53);
-  Graph g = make_mlp(rng);
-  Tensor x = randn(rng, {4, 16});
-  const Tensor before = g.forward(x);
-
-  ModelQuantConfig cfg;
-  cfg.scheme = standard_fp8_scheme(DType::kE4M3);
-  {
-    QuantizedGraph qg(&g, cfg);
-    auto calib = make_batches(rng, 2, {4, 16});
-    qg.prepare(std::span<const Tensor>(calib));
-    (void)qg.forward(x);
-  }
-  kernel_counters_reset();
-  const Tensor after = g.forward(x);
-  EXPECT_EQ(max_abs_error(before.flat(), after.flat()), 0.0);
-  EXPECT_EQ(kernel_counters_snapshot().get(ObsKernelPath::kLinearPacked), 0u);
 }
 
 }  // namespace

@@ -4,13 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 
 #include "fp8/cast.h"
 #include "metrics/metrics.h"
-#include "obs/counters.h"
 #include "tensor/rng.h"
 #include "tensor/stats.h"
 
@@ -192,99 +189,6 @@ TEST(ApplyQuant, LlmScaleOutliersHurtInt8MoreThanAllCalibratedFp8) {
   const double i8 = mse(x, apply_quant(x, make_activation_params(DType::kINT8, lo, hi)));
   EXPECT_LT(e4, i8);
   EXPECT_LT(e3, i8);
-}
-
-// quantize_weight_packed: the one weight-quantization entry point. Its
-// in-place result and event counts must equal the reference path
-// (make_weight_params + apply_quant_inplace), and its codes must decode
-// back to that result bit for bit.
-
-Tensor reference_quantize(const Tensor& w, DType dtype) {
-  Tensor copy = w;
-  apply_quant_inplace(copy, make_weight_params(copy, dtype));
-  return copy;
-}
-
-void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
-  ASSERT_EQ(a.shape(), b.shape());
-  const auto fa = a.flat();
-  const auto fb = b.flat();
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(fa[i]), std::bit_cast<std::uint32_t>(fb[i]))
-        << "element " << i;
-  }
-}
-
-/// A weight with a zero channel and flush-to-zero-sized entries, so the
-/// neutral-scale and event-counting corners are exercised.
-Tensor awkward_weight(std::uint64_t seed, Shape shape) {
-  Rng rng(seed);
-  Tensor w = randn(rng, std::move(shape));
-  const std::int64_t block = w.numel() / w.size(0);
-  for (std::int64_t i = 0; i < block; ++i) w[block + i] = 0.0f;  // channel 1
-  w[0] = 1e-30f;
-  w[2 * block + 1] = -1e-30f;
-  return w;
-}
-
-class QuantizeWeightPacked : public ::testing::TestWithParam<DType> {};
-
-TEST_P(QuantizeWeightPacked, InPlaceResultMatchesReferenceBitwise) {
-  for (const Shape& shape : {Shape{8, 32}, Shape{6, 3, 3, 3}}) {
-    const Tensor base = awkward_weight(31, shape);
-    Tensor w = base;
-    const auto packed = quantize_weight_packed(w, GetParam());
-    ASSERT_NE(packed, nullptr);
-    expect_bitwise_equal(w, reference_quantize(base, GetParam()));
-  }
-}
-
-TEST_P(QuantizeWeightPacked, UnpackedCodesEqualThePayload) {
-  Tensor w = awkward_weight(32, {16, 24});
-  const auto packed = quantize_weight_packed(w, GetParam());
-  ASSERT_NE(packed, nullptr);
-  EXPECT_EQ(packed->kind(), fp8_kind(GetParam()));
-  EXPECT_EQ(packed->scales().size(), 16u);
-  expect_bitwise_equal(packed->unpack(), w);
-}
-
-TEST_P(QuantizeWeightPacked, NanPayloadReturnsNullWithReferenceResult) {
-  // Fake quantization passes a NaN payload through, but a code decodes only
-  // to the canonical quiet NaN, so verification must reject the codes.
-  Tensor base = awkward_weight(33, {8, 32});
-  base[5] = std::bit_cast<float>(0xFFC00001u);
-  Tensor w = base;
-  EXPECT_EQ(quantize_weight_packed(w, GetParam()), nullptr);
-  expect_bitwise_equal(w, reference_quantize(base, GetParam()));
-}
-
-TEST_P(QuantizeWeightPacked, EventCountsEqualTheReferencePath) {
-  set_counters_enabled(true);
-  const Tensor base = awkward_weight(34, {8, 32});
-  counters_reset();
-  (void)reference_quantize(base, GetParam());
-  const CounterSnapshot reference = counters_snapshot();
-  counters_reset();
-  Tensor w = base;
-  (void)quantize_weight_packed(w, GetParam());
-  const CounterSnapshot packed = counters_snapshot();
-  counters_reset();
-  set_counters_enabled(false);
-  EXPECT_GT(reference.total(ObsEvent::kQuantized), 0u);
-  EXPECT_GT(reference.total(ObsEvent::kFlushedToZero), 0u);
-  EXPECT_TRUE(packed == reference);
-}
-
-INSTANTIATE_TEST_SUITE_P(Fp8Formats, QuantizeWeightPacked,
-                         ::testing::Values(DType::kE5M2, DType::kE4M3, DType::kE3M4));
-
-TEST(QuantizeWeightPackedNonFp8, Int8AndFp32ReturnNullWithReferenceResult) {
-  for (const DType dtype : {DType::kINT8, DType::kFP32}) {
-    const Tensor base = awkward_weight(35, {8, 32});
-    Tensor w = base;
-    EXPECT_EQ(quantize_weight_packed(w, dtype), nullptr);
-    expect_bitwise_equal(w, reference_quantize(base, dtype));
-  }
 }
 
 }  // namespace

@@ -241,21 +241,21 @@ TEST(BenchGate, CheckBenchAppliesTheSpeedupFloor) {
   EXPECT_EQ(report_cli::check_bench(json::parse(R"({"cast": []})"), 1.0, 0.0, 0.0, out), 1);
 }
 
-TEST(BenchGate, CheckBenchAppliesThePackedGemmFloor) {
+TEST(BenchGate, CheckBenchAppliesTheGemmFloor) {
   const json::Value bench = json::parse(
       R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
                     "batched_elems_per_sec": 3e8, "speedup": 3.0}],
-          "packed_gemm": [{"m": 64, "k": 256, "n": 256, "format": "E4M3",
-                           "packed_gflops": 15.0, "dequant_gflops": 3.0,
-                           "speedup": 5.0}]})");
+          "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
+                    "gflops": 24.0, "speedup": 3.0}]})");
   std::ostringstream out;
-  // <= 0 skips the packed gate entirely; above the floor passes; a floor
+  // <= 0 skips the gemm gate entirely; above the floor passes; a floor
   // above the measured speedup breaches.
   EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 0.0, out), 0);
   EXPECT_EQ(report_cli::check_bench(bench, 1.0, 2.0, 0.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 6.0, 0.0, out), 1);
-  // With the packed gate armed, a snapshot without packed_gemm rows is a
-  // breach (silent gate = no gate); unarmed, the old snapshot stays valid.
+  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 3.5, 0.0, out), 1);
+  EXPECT_NE(out.str().find("gemm 64x256x256"), std::string::npos);
+  // With the gemm gate armed, a snapshot without gemm rows is a breach
+  // (silent gate = no gate); unarmed, the old snapshot stays valid.
   const json::Value cast_only = json::parse(
       R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
                     "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
@@ -278,7 +278,7 @@ TEST(BenchGate, CheckBenchAppliesTheServiceJobsPerSecFloor) {
   EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 5.0, out), 1);
   EXPECT_NE(out.str().find("jobs/sec"), std::string::npos);
   // With the service gate armed, a kernel-only snapshot is a breach
-  // (silent gate = no gate), mirroring the packed_gemm rule.
+  // (silent gate = no gate), mirroring the gemm rule.
   const json::Value cast_only = json::parse(
       R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
                     "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
@@ -288,15 +288,23 @@ TEST(BenchGate, CheckBenchAppliesTheServiceJobsPerSecFloor) {
 TEST(BenchGate, DiffBenchCatchesThroughputRegressions) {
   const json::Value base = json::parse(
       R"({"cast": [{"format": "E4M3", "batched_elems_per_sec": 4e8}],
-          "matmul": [{"m": 64, "k": 256, "n": 256, "gflops": 10.0}]})");
+          "matmul": [{"m": 64, "k": 256, "n": 256, "gflops": 10.0}],
+          "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0, "gflops": 30.0}]})");
   const json::Value slower = json::parse(
       R"({"cast": [{"format": "E4M3", "batched_elems_per_sec": 2e8}],
-          "matmul": [{"m": 64, "k": 256, "n": 256, "gflops": 9.5}]})");
+          "matmul": [{"m": 64, "k": 256, "n": 256, "gflops": 9.5}],
+          "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0, "gflops": 29.0}]})");
   std::ostringstream out;
-  // Cast halved (-50%) breaches a 20% limit; matmul -5% does not.
+  // Cast halved (-50%) breaches a 20% limit; matmul -5% and gemm -3% do not.
   EXPECT_EQ(report_cli::diff_bench(base, slower, 20.0, out), 1);
   EXPECT_EQ(report_cli::diff_bench(base, slower, 60.0, out), 0);
   EXPECT_EQ(report_cli::diff_bench(base, base, 0.0, out), 0);
+  EXPECT_NE(out.str().find("gemm 64x256x256 GFLOP/s"), std::string::npos);
+
+  // A gemm throughput drop alone is caught too.
+  const json::Value slower_gemm = json::parse(
+      R"({"gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0, "gflops": 12.0}]})");
+  EXPECT_EQ(report_cli::diff_bench(base, slower_gemm, 20.0, out), 1);
 }
 
 TEST(RunCli, ExitCodesAndFlagParsing) {
@@ -345,12 +353,14 @@ TEST(RunCli, ExitCodesAndFlagParsing) {
   EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=2.5"},
                             out, err), 1);
 
-  // --min-packed-gemm-speedup arms the packed gate: this snapshot has no
-  // packed_gemm section, so a positive floor fails while the default
-  // (0 = off) keeps it valid.
+  // --min-gemm-speedup arms the gemm gate: this snapshot has no gemm
+  // section, so a positive floor fails while the default (0 = off) keeps
+  // it valid. The removed packed-GEMM flag is now unknown.
   EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=1.5",
-                             "--min-packed-gemm-speedup=2.0"},
+                             "--min-gemm-speedup=2.0"},
                             out, err), 1);
+  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-packed-gemm-speedup=2.0"},
+                            out, err), 2);
 
   // diff-bench wires through to the regression gate.
   EXPECT_EQ(report_cli::run({"diff-bench", bench_path, bench_path}, out, err), 0);

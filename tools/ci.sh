@@ -8,13 +8,13 @@
 #      annotation tooling (fails on any finding)
 #   3. perf + telemetry smoke: bench_kernels --smoke twice, with report /
 #      trace export on; `fp8q_report check-bench` enforces the batched >=
-#      scalar cast-speedup floor and the packed-GEMM >= 2x dequantize
-#      floor (docs/KERNELS.md), `fp8q_report check-trace` validates the
-#      Chrome trace JSON, and `fp8q_report diff` between the two runs
-#      gates counter determinism and wall/memory regressions with explicit
-#      thresholds (docs/PERFORMANCE.md, docs/OBSERVABILITY.md). A third
+#      scalar cast-speedup floor and the dispatched GEMM kernel >= 2x
+#      scalar-tier floor (docs/KERNELS.md), `fp8q_report check-trace`
+#      validates the Chrome trace JSON, and `fp8q_report diff` between the
+#      two runs gates counter determinism and wall/memory regressions with
+#      explicit thresholds (docs/PERFORMANCE.md, docs/OBSERVABILITY.md). A third
 #      bench run pinned to FP8Q_ISA=scalar re-checks counter determinism
-#      across dispatch tiers (the packed kernels' bit-exactness contract).
+#      across dispatch tiers (the GEMM kernel's bit-exactness contract).
 #   4. service smoke: boot fp8qd at 1 worker and again at 2 workers on a
 #      private socket, drive both with fp8qd_bench (--append folds the two
 #      runs into one BENCH_service.json scaling curve), gate the snapshot
@@ -62,8 +62,8 @@ step "perf + telemetry smoke (bench_kernels --smoke through fp8q_report)"
 # Instrumented run: report + histograms + trace export all on. The gates
 # live in fp8q_report, each with an explicit threshold:
 #   check-bench   batched cast kernel must not lose to the scalar loop;
-#                 packed FP8 GEMM must beat dequantize-then-matmul >= 2x
-#                 (docs/KERNELS.md -- the decode-in-register win)
+#                 the dispatched GEMM kernel must beat the scalar tier
+#                 >= 2x (docs/KERNELS.md -- catches a silent fallback)
 #   check-trace   FP8Q_TRACE_JSON output must be valid, properly nested
 #                 Chrome trace JSON
 #   print         the run report must round-trip through the hardened
@@ -72,7 +72,7 @@ FP8Q_TRACE=1 FP8Q_TRACE_JSON="$PREFIX/trace_smoke.json" \
   FP8Q_REPORT="$PREFIX/report_smoke.json" \
   "$PREFIX/bench/bench_kernels" --smoke --out="$PREFIX/BENCH_kernels_smoke.json"
 "$PREFIX/tools/fp8q_report" check-bench "$PREFIX/BENCH_kernels_smoke.json" \
-  --min-cast-speedup=1.0 --min-packed-gemm-speedup=2.0
+  --min-cast-speedup=1.0 --min-gemm-speedup=2.0
 "$PREFIX/tools/fp8q_report" check-trace "$PREFIX/trace_smoke.json"
 "$PREFIX/tools/fp8q_report" print "$PREFIX/report_smoke.json" > /dev/null
 
@@ -87,9 +87,9 @@ FP8Q_REPORT="$PREFIX/report_smoke2.json" \
 
 # Third run pinned to the scalar dispatch tier: the quantization-event
 # counters must STILL be bit-identical to the native-tier runs above (the
-# packed kernels' cross-tier bit-exactness contract, docs/KERNELS.md).
-# No packed-gemm floor here -- the scalar tier measures the reference, not
-# the optimized path.
+# GEMM kernel's cross-tier bit-exactness contract, docs/KERNELS.md).
+# No gemm floor here -- pinned to scalar, the dispatched tier IS the
+# reference.
 FP8Q_ISA=scalar FP8Q_REPORT="$PREFIX/report_smoke_scalar.json" \
   "$PREFIX/bench/bench_kernels" --smoke --out="$PREFIX/BENCH_kernels_smoke_scalar.json"
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_smoke.json" \

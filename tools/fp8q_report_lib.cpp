@@ -330,7 +330,7 @@ std::vector<std::string> validate_chrome_trace(std::string_view json_text) {
   return problems;
 }
 
-int check_bench(const json::Value& bench, double min_speedup, double min_packed_speedup,
+int check_bench(const json::Value& bench, double min_speedup, double min_gemm_speedup,
                 double min_jobs_per_sec, std::ostream& out) {
   Gate gate{out};
   const json::Value* casts = bench.is_object() ? bench.find("cast") : nullptr;
@@ -355,23 +355,22 @@ int check_bench(const json::Value& bench, double min_speedup, double min_packed_
       gate.check(speedup < min_speedup, line.str());
     }
   }
-  if (min_packed_speedup > 0.0) {
-    const json::Value* packed = bench.is_object() ? bench.find("packed_gemm") : nullptr;
-    if (packed == nullptr || !packed->is_array() || packed->array.empty()) {
-      gate.check(true, "bench json has no packed_gemm measurements");
+  if (min_gemm_speedup > 0.0) {
+    const json::Value* gemm = bench.is_object() ? bench.find("gemm") : nullptr;
+    if (gemm == nullptr || !gemm->is_array() || gemm->array.empty()) {
+      gate.check(true, "bench json has no gemm measurements");
       return gate.breaches;
     }
-    for (const json::Value& p : packed->array) {
-      if (!p.is_object()) continue;
-      const double pg = p.number_or("packed_gflops");
-      const double dg = p.number_or("dequant_gflops");
-      const double speedup = p.number_or("speedup", dg > 0.0 ? pg / dg : 0.0);
+    for (const json::Value& g : gemm->array) {
+      if (!g.is_object()) continue;
+      const double scalar = g.number_or("scalar_gflops");
+      const double speedup =
+          g.number_or("speedup", scalar > 0.0 ? g.number_or("gflops") / scalar : 0.0);
       std::ostringstream line;
-      line << "packed_gemm " << p.number_or("m") << "x" << p.number_or("k") << "x"
-           << p.number_or("n") << " " << p.string_or("format")
-           << " packed/dequant speedup " << std::fixed << std::setprecision(2) << speedup
-           << "x (min " << min_packed_speedup << "x)";
-      gate.check(speedup < min_packed_speedup, line.str());
+      line << "gemm " << g.number_or("m") << "x" << g.number_or("k") << "x"
+           << g.number_or("n") << " dispatched/scalar speedup " << std::fixed
+           << std::setprecision(2) << speedup << "x (min " << min_gemm_speedup << "x)";
+      gate.check(speedup < min_gemm_speedup, line.str());
     }
   }
   if (min_jobs_per_sec > 0.0) {
@@ -439,43 +438,26 @@ int diff_bench(const json::Value& base, const json::Value& candidate,
     }
   }
 
-  const json::Value* base_mm = base.is_object() ? base.find("matmul") : nullptr;
-  const json::Value* cand_mm = candidate.is_object() ? candidate.find("matmul") : nullptr;
-  if (base_mm != nullptr && base_mm->is_array() && cand_mm != nullptr &&
-      cand_mm->is_array()) {
-    for (const json::Value& bm : base_mm->array) {
-      for (const json::Value& cm : cand_mm->array) {
+  // "matmul" (MatMulOp) and "gemm" (the dispatched kernel) rows both
+  // carry per-shape GFLOP/s.
+  for (const char* section : {"matmul", "gemm"}) {
+    const json::Value* base_rows = base.is_object() ? base.find(section) : nullptr;
+    const json::Value* cand_rows = candidate.is_object() ? candidate.find(section) : nullptr;
+    if (base_rows == nullptr || !base_rows->is_array() || cand_rows == nullptr ||
+        !cand_rows->is_array()) {
+      continue;
+    }
+    for (const json::Value& bm : base_rows->array) {
+      for (const json::Value& cm : cand_rows->array) {
         if (cm.number_or("m") != bm.number_or("m") ||
             cm.number_or("k") != bm.number_or("k") ||
             cm.number_or("n") != bm.number_or("n")) {
           continue;
         }
         std::ostringstream shape;
-        shape << "matmul " << bm.number_or("m") << "x" << bm.number_or("k") << "x"
+        shape << section << " " << bm.number_or("m") << "x" << bm.number_or("k") << "x"
               << bm.number_or("n") << " GFLOP/s";
         gate_rate(shape.str(), bm.number_or("gflops"), cm.number_or("gflops"));
-        break;
-      }
-    }
-  }
-
-  const json::Value* base_pg = base.is_object() ? base.find("packed_gemm") : nullptr;
-  const json::Value* cand_pg = candidate.is_object() ? candidate.find("packed_gemm") : nullptr;
-  if (base_pg != nullptr && base_pg->is_array() && cand_pg != nullptr &&
-      cand_pg->is_array()) {
-    for (const json::Value& bp : base_pg->array) {
-      for (const json::Value& cp : cand_pg->array) {
-        if (cp.number_or("m") != bp.number_or("m") ||
-            cp.number_or("k") != bp.number_or("k") ||
-            cp.number_or("n") != bp.number_or("n") ||
-            cp.string_or("format") != bp.string_or("format")) {
-          continue;
-        }
-        std::ostringstream shape;
-        shape << "packed_gemm " << bp.number_or("m") << "x" << bp.number_or("k") << "x"
-              << bp.number_or("n") << " " << bp.string_or("format") << " GFLOP/s";
-        gate_rate(shape.str(), bp.number_or("packed_gflops"),
-                  cp.number_or("packed_gflops"));
         break;
       }
     }
@@ -516,7 +498,7 @@ constexpr const char* kUsage =
     "       [--max-counter-drift-pct=P]   (negative disables a check)\n"
     "  check-trace <trace.json>\n"
     "  check-bench <BENCH.json> [--min-cast-speedup=S]\n"
-    "       [--min-packed-gemm-speedup=S]   (<= 0 skips the packed gate)\n"
+    "       [--min-gemm-speedup=S]          (<= 0 skips the gemm gate)\n"
     "       [--min-jobs-per-sec=J]          (<= 0 skips the service gate)\n"
     "  diff-bench <base_BENCH.json> <candidate_BENCH.json> [--max-regress-pct=P]\n";
 
@@ -571,18 +553,18 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
 
     if (cmd == "check-bench" && args.size() >= 2) {
       double min_speedup = 1.0;
-      double min_packed_speedup = 0.0;  // off unless requested: old snapshots stay valid
-      double min_jobs_per_sec = 0.0;    // off unless requested: kernel snapshots stay valid
+      double min_gemm_speedup = 0.0;  // off unless requested: old snapshots stay valid
+      double min_jobs_per_sec = 0.0;  // off unless requested: kernel snapshots stay valid
       for (std::size_t i = 2; i < args.size(); ++i) {
         if (!flag_value(args[i], "--min-cast-speedup", &min_speedup) &&
-            !flag_value(args[i], "--min-packed-gemm-speedup", &min_packed_speedup) &&
+            !flag_value(args[i], "--min-gemm-speedup", &min_gemm_speedup) &&
             !flag_value(args[i], "--min-jobs-per-sec", &min_jobs_per_sec)) {
           err << "fp8q_report: unknown flag " << args[i] << "\n" << kUsage;
           return 2;
         }
       }
       const int breaches = check_bench(json::parse(read_file(args[1])), min_speedup,
-                                       min_packed_speedup, min_jobs_per_sec, out);
+                                       min_gemm_speedup, min_jobs_per_sec, out);
       out << (breaches > 0 ? "fp8q_report: bench gate FAILED\n" : "fp8q_report: bench ok\n");
       return breaches > 0 ? 1 : 0;
     }

@@ -54,9 +54,9 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
 
 /// Gate over one BENCH_*.json snapshot. Kernel snapshots (bench_kernels):
 /// every "cast" entry's batched/scalar speedup must be >= min_speedup,
-/// and -- when min_packed_speedup > 0 -- every "packed_gemm" entry's
-/// packed/dequant speedup must be >= min_packed_speedup (a missing
-/// packed_gemm section is then a breach; <= 0 skips the packed gate).
+/// and -- when min_gemm_speedup > 0 -- every "gemm" entry's
+/// dispatched/scalar kernel speedup must be >= min_gemm_speedup (a
+/// missing gemm section is then a breach; <= 0 skips the gemm gate).
 /// Service snapshots (fp8qd_bench, docs/SERVICE.md): when
 /// min_jobs_per_sec > 0, the "service" section's sustained jobs_per_sec
 /// must be >= that floor (a missing service section is then a breach;
@@ -64,13 +64,12 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
 /// --append worker-scaling curve) is echoed one note per row. A snapshot
 /// with neither a cast nor a service section is always a breach. Returns
 /// breach count.
-int check_bench(const json::Value& bench, double min_speedup, double min_packed_speedup,
+int check_bench(const json::Value& bench, double min_speedup, double min_gemm_speedup,
                 double min_jobs_per_sec, std::ostream& out);
 
 /// Diffs two BENCH_kernels*.json snapshots: batched cast throughput (per
-/// format), matmul GFLOP/s (per shape) and packed-GEMM GFLOP/s (per
-/// shape+format) may regress at most max_regress_pct percent. Returns
-/// breach count.
+/// format), matmul GFLOP/s and dispatched GEMM-kernel GFLOP/s (per shape)
+/// may regress at most max_regress_pct percent. Returns breach count.
 int diff_bench(const json::Value& base, const json::Value& candidate,
                double max_regress_pct, std::ostream& out);
 
