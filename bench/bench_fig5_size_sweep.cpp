@@ -21,27 +21,15 @@ int main(int argc, char** argv) {
   const bool full = argc > 1 && std::strcmp(argv[1], "--full") == 0;
 
   auto suite = build_suite();
-  if (!full) {
-    std::vector<Workload> subset;
-    for (size_t i = 0; i < suite.size(); i += 5) subset.push_back(suite[i]);
-    suite = std::move(subset);
-  }
+  if (!full) suite = quick_suite(suite);
 
   EvalProtocol protocol;
   protocol.eval_batches = 6;
 
-  std::vector<AccuracyRecord> records;
-  int done = 0;
-  for (const auto& w : suite) {
-    for (DType fmt : {DType::kE4M3, DType::kE3M4, DType::kE5M2}) {
-      records.push_back(evaluate_workload(w, standard_fp8_scheme(fmt), protocol));
-    }
-    auto rec = evaluate_workload(w, int8_scheme(w.domain != "CV"), protocol);
-    rec.config = "INT8";
-    records.push_back(rec);
-    std::fprintf(stderr, "\r[fig5] %d/%zu workloads", ++done, suite.size());
-  }
-  std::fprintf(stderr, "\n");
+  const auto records = evaluate_table2(
+      suite, {standard_fp8_scheme(DType::kE4M3), standard_fp8_scheme(DType::kE3M4),
+              standard_fp8_scheme(DType::kE5M2)},
+      protocol);
 
   // Log-size quartile buckets over the evaluated suite.
   std::vector<double> sizes;

@@ -9,13 +9,12 @@
 //   --dump   also print the per-workload accuracy records
 //
 // The sweep fans out over the global thread pool (FP8Q_NUM_THREADS /
-// set_num_threads, see docs/THREADING.md); records are merged in workload
+// set_num_threads, see docs/THREADING.md); records come back in workload
 // order so the output is identical at any thread count.
 //
 // Observability (docs/OBSERVABILITY.md): FP8Q_REPORT=<path> writes a
 // structured run report (per-phase timings, quantization-event counters,
 // all accuracy records); FP8Q_TRACE=1 additionally captures spans.
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -58,57 +57,21 @@ int main(int argc, char** argv) {
   }
 
   auto suite = build_suite();
-  if (quick) {
-    std::vector<Workload> subset;
-    for (size_t i = 0; i < suite.size(); i += 5) subset.push_back(suite[i]);
-    suite = std::move(subset);
-  }
+  if (quick) suite = quick_suite(suite);
 
   BenchReport bench_report("bench_table2_passrate");
 
-  EvalProtocol protocol;
-  const auto fp8_schemes = table2_fp8_schemes();
-  const size_t total_pairs = suite.size() * (fp8_schemes.size() + 1);
-  auto progress = [total_pairs](int done_pairs) {
-    std::fprintf(stderr, "\r[table2] %d/%zu evaluations (%d threads)", done_pairs,
-                 total_pairs, fp8q::num_threads());
-  };
-
-  // The five FP8 configurations, fanned out over (workload, scheme) pairs.
-  std::vector<AccuracyRecord> fp8_records;
+  // All six rows, fanned out over (workload, scheme) pairs: the five FP8
+  // configurations, then INT8 (static on CV, dynamic on NLP), workload-major.
+  std::vector<AccuracyRecord> records;
   {
-    ScopedStage stage("suite/fp8");
-    fp8_records = evaluate_suite(suite, fp8_schemes, protocol, progress);
-  }
-  // INT8 baseline: static on CV, dynamic on NLP (paper Table 2 row 6) --
-  // the scheme depends on the workload's domain, so it runs as its own
-  // per-workload fan-out.
-  std::atomic<int> int8_done{0};
-  const auto int8_offset = static_cast<int>(fp8_records.size());
-  std::vector<AccuracyRecord> int8_records;
-  {
-    ScopedStage stage("suite/int8");
-    int8_records =
-        parallel_map(static_cast<std::int64_t>(suite.size()), [&](std::int64_t i) {
-          const auto& w = suite[static_cast<size_t>(i)];
-          auto rec = evaluate_workload(w, int8_scheme(w.domain != "CV"), protocol);
-          rec.config = "INT8";
-          progress(int8_offset + int8_done.fetch_add(1) + 1);
-          return rec;
-        });
+    ScopedStage stage("suite");
+    records = evaluate_table2(suite, table2_fp8_schemes(), {}, [&](int done) {
+      std::fprintf(stderr, "\r[table2] %d/%zu evaluations (%d threads)", done,
+                   6 * suite.size(), num_threads());
+    });
   }
   std::fprintf(stderr, "\n");
-
-  // Merge in workload-major order (FP8 rows then INT8), exactly the
-  // sequence the original serial double loop produced.
-  std::vector<AccuracyRecord> records;
-  records.reserve(total_pairs);
-  for (size_t wi = 0; wi < suite.size(); ++wi) {
-    for (size_t si = 0; si < fp8_schemes.size(); ++si) {
-      records.push_back(fp8_records[wi * fp8_schemes.size() + si]);
-    }
-    records.push_back(int8_records[wi]);
-  }
 
   if (dump) {
     std::printf("%-26s %-6s %-14s %8s %8s %8s\n", "workload", "domain", "config", "fp32",

@@ -10,7 +10,6 @@
 #include <map>
 #include <string>
 
-#include "core/parallel.h"
 #include "obs/report.h"
 #include "workloads/registry.h"
 
@@ -46,13 +45,14 @@ int main() {
     const Workload& w = find_workload(suite, name);
     std::printf("%-22s", name.c_str());
 
-    AccuracyRecord recs[4];
+    std::vector<AccuracyRecord> recs;
     {
       ScopedStage stage("model/" + name);
-      recs[0] = evaluate_workload(w, standard_fp8_scheme(DType::kE5M2), protocol);
-      recs[1] = evaluate_workload(w, standard_fp8_scheme(DType::kE4M3), protocol);
-      recs[2] = evaluate_workload(w, standard_fp8_scheme(DType::kE3M4), protocol);
-      recs[3] = evaluate_workload(w, int8_scheme(w.domain != "CV"), protocol);
+      recs = evaluate_suite({w},
+                            {standard_fp8_scheme(DType::kE5M2),
+                             standard_fp8_scheme(DType::kE4M3),
+                             standard_fp8_scheme(DType::kE3M4), int8_scheme(w.domain != "CV")},
+                            protocol);
     }
     for (const auto& r : recs) bench_report.report.records.push_back(r);
 

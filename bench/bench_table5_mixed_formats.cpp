@@ -26,21 +26,23 @@ int main() {
       "Longformer/MRPC  0.9146 | 0.8374 0.9113 0.9084 | 0.9143",
   };
 
+  std::vector<Workload> workloads;
+  for (const char* name : names) workloads.push_back(find_workload(suite, name));
+  const auto recs = evaluate_suite(
+      workloads,
+      {standard_fp8_scheme(DType::kE5M2), standard_fp8_scheme(DType::kE4M3),
+       standard_fp8_scheme(DType::kE3M4), mixed_fp8_scheme()},
+      protocol);
+
   std::printf("Table 5: single vs mixed FP8 formats (measured)\n\n");
   std::printf("%-22s %8s | %8s %8s %8s | %8s\n", "workload", "FP32", "E5M2", "E4M3",
               "E3M4", "Mixed");
-  int i = 0;
-  for (const char* name : names) {
-    const Workload& w = find_workload(suite, name);
-    const auto e5 = evaluate_workload(w, standard_fp8_scheme(DType::kE5M2), protocol);
-    const auto e4 = evaluate_workload(w, standard_fp8_scheme(DType::kE4M3), protocol);
-    const auto e3 = evaluate_workload(w, standard_fp8_scheme(DType::kE3M4), protocol);
-    const auto mx = evaluate_workload(w, mixed_fp8_scheme(), protocol);
-    std::printf("%-22s %8.4f | %8.4f %8.4f %8.4f | %8.4f\n", name, e4.fp32_accuracy,
-                e5.quant_accuracy, e4.quant_accuracy, e3.quant_accuracy,
-                mx.quant_accuracy);
-    std::printf("  paper: %s\n", paper_rows[i++]);
-    std::fflush(stdout);
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    const AccuracyRecord* r = &recs[4 * i];
+    std::printf("%-22s %8.4f | %8.4f %8.4f %8.4f | %8.4f\n", names[i], r[0].fp32_accuracy,
+                r[0].quant_accuracy, r[1].quant_accuracy, r[2].quant_accuracy,
+                r[3].quant_accuracy);
+    std::printf("  paper: %s\n", paper_rows[i]);
   }
   std::printf("\npaper shape: mixed E4M3-act/E3M4-weight matches or beats every single\n"
               "format; E3M4 collapses on the range-extreme (Funnel-like) row.\n");

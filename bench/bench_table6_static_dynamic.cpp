@@ -29,15 +29,14 @@ int main() {
   std::printf("%-22s %-6s | %10s %10s %12s | paper (dyn vs static)\n", "workload",
               "fmt", "dynamic", "static", "improvement");
   for (const Row& r : rows) {
-    const Workload& w = find_workload(suite, r.workload);
-    const auto stat = evaluate_workload(w, standard_fp8_scheme(r.fmt, false), protocol);
-    const auto dyn = evaluate_workload(w, standard_fp8_scheme(r.fmt, true), protocol);
-    const double improvement =
-        100.0 * (dyn.quant_accuracy - stat.quant_accuracy) /
-        (stat.quant_accuracy != 0.0 ? stat.quant_accuracy : 1.0);
+    const auto recs = evaluate_suite(
+        {find_workload(suite, r.workload)},
+        {standard_fp8_scheme(r.fmt, false), standard_fp8_scheme(r.fmt, true)}, protocol);
+    const double stat = recs[0].quant_accuracy;
+    const double dyn = recs[1].quant_accuracy;
+    const double improvement = 100.0 * (dyn - stat) / (stat != 0.0 ? stat : 1.0);
     std::printf("%-22s %-6s | %10.4f %10.4f %+11.2f%% | %s\n", r.workload,
-                std::string(to_string(r.fmt)).c_str(), dyn.quant_accuracy,
-                stat.quant_accuracy, improvement, r.paper);
+                std::string(to_string(r.fmt)).c_str(), dyn, stat, improvement, r.paper);
     std::fflush(stdout);
   }
   std::printf("\npaper shape: dynamic quantization gives small positive improvements\n"

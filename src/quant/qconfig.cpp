@@ -81,4 +81,15 @@ SchemeConfig int8_scheme(bool dynamic) {
   return cfg;
 }
 
+SchemeConfig scheme_from_name(std::string_view name, bool dynamic) {
+  if (name == "INT8" || name == "int8") return int8_scheme(dynamic);
+  if (name == "mixed") return mixed_fp8_scheme();
+  switch (fp8_kind_from_string(name)) {
+    case Fp8Kind::E5M2: return standard_fp8_scheme(DType::kE5M2, dynamic);
+    case Fp8Kind::E4M3: return standard_fp8_scheme(DType::kE4M3, dynamic);
+    case Fp8Kind::E3M4: return standard_fp8_scheme(DType::kE3M4, dynamic);
+  }
+  throw std::invalid_argument("scheme_from_name: unknown FP8 kind");
+}
+
 }  // namespace fp8q

@@ -89,4 +89,10 @@ struct SchemeConfig {
 /// The INT8 baseline of Table 2: static for CV, dynamic for NLP.
 [[nodiscard]] SchemeConfig int8_scheme(bool dynamic);
 
+/// The scheme a format name selects (fp8q_cli eval, fp8qd jobs): "INT8" or
+/// "int8" -> int8_scheme(dynamic), "mixed" -> mixed_fp8_scheme(), else the
+/// named FP8 format's standard_fp8_scheme; an unknown name throws
+/// std::invalid_argument (fp8_kind_from_string).
+[[nodiscard]] SchemeConfig scheme_from_name(std::string_view name, bool dynamic);
+
 }  // namespace fp8q

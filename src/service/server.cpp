@@ -21,19 +21,6 @@ namespace fp8q::service {
 
 namespace {
 
-/// The CLI's scheme mapping (fp8q_cli scheme_from_args), shared verbatim
-/// so a served job and a one-shot run resolve formats identically.
-SchemeConfig scheme_for_spec(const JobSpec& spec) {
-  if (spec.format == "INT8" || spec.format == "int8") return int8_scheme(spec.dynamic);
-  if (spec.format == "mixed") return mixed_fp8_scheme();
-  switch (fp8_kind_from_string(spec.format)) {
-    case Fp8Kind::E5M2: return standard_fp8_scheme(DType::kE5M2, spec.dynamic);
-    case Fp8Kind::E4M3: return standard_fp8_scheme(DType::kE4M3, spec.dynamic);
-    case Fp8Kind::E3M4: return standard_fp8_scheme(DType::kE3M4, spec.dynamic);
-  }
-  throw std::runtime_error("unknown format \"" + spec.format + "\"");
-}
-
 /// Evaluation budget for a job: the full protocol, or the smoke-sized one
 /// when the spec asks for quick (same shape the unit tests use -- seconds
 /// instead of minutes per job, with every determinism property intact).
@@ -121,7 +108,8 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
     ScopedThreadReport report_scope(&report);
     switch (spec.kind) {
       case JobKind::kEval: {
-        report.records.push_back(evaluate_workload(w, scheme_for_spec(spec), protocol));
+        report.records.push_back(
+            evaluate_workload(w, scheme_from_name(spec.format, spec.dynamic), protocol));
         break;
       }
       case JobKind::kTune: {
@@ -134,7 +122,8 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
       }
       case JobKind::kQuantize: {
         ScopedStage stage("quantize:" + w.name);
-        const ModelQuantConfig cfg = default_model_config(w, scheme_for_spec(spec), protocol);
+        const ModelQuantConfig cfg =
+            default_model_config(w, scheme_from_name(spec.format, spec.dynamic), protocol);
         Graph graph = w.build();
         const auto calib = make_calib_batches(w, protocol);
         QuantizedGraph quantized(&graph, cfg);
@@ -444,7 +433,7 @@ std::optional<std::string> Server::handle_frame(const std::string& payload,
       // Validate outside the lock; both throw on bad input.
       try {
         (void)find_workload(suite_, req.spec.workload);
-        (void)scheme_for_spec(req.spec);
+        (void)scheme_from_name(req.spec.format, req.spec.dynamic);
       } catch (const std::exception& e) {
         return error_response("unknown_workload", e.what());
       }

@@ -1,6 +1,9 @@
 #include "workloads/registry.h"
 
 #include <atomic>
+#include <exception>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "core/parallel.h"
@@ -594,23 +597,72 @@ std::vector<Workload> build_suite() {
   return suite;
 }
 
-std::vector<AccuracyRecord> evaluate_suite(const std::vector<Workload>& suite,
+std::vector<Workload> quick_suite(const std::vector<Workload>& suite) {
+  std::vector<Workload> subset;
+  for (std::size_t i = 0; i < suite.size(); i += 5) subset.push_back(suite[i]);
+  return subset;
+}
+
+namespace {
+
+/// The one loop under evaluate_suite and evaluate_table2: per workload, a
+/// pair per scheme, then with `int8_row` a pair for int8_scheme(domain !=
+/// "CV") whose record is labelled "INT8".
+std::vector<AccuracyRecord> evaluate_pairs(const std::vector<Workload>& suite,
                                            const std::vector<SchemeConfig>& schemes,
-                                           const EvalProtocol& protocol,
+                                           bool int8_row, const EvalProtocol& protocol,
                                            const std::function<void(int)>& progress) {
-  const auto n_schemes = static_cast<std::int64_t>(schemes.size());
-  const auto total = static_cast<std::int64_t>(suite.size()) * n_schemes;
+  struct SharedPlan {
+    std::once_flag built;
+    std::optional<EvalPlan> plan;
+    std::exception_ptr error;
+    std::atomic<std::int64_t> finished{0};
+  };
+  const auto n = static_cast<std::int64_t>(schemes.size()) + (int8_row ? 1 : 0);
+  std::vector<SharedPlan> shared(suite.size());
   std::atomic<int> completed{0};
   // One task per (workload, scheme) pair; parallel_map stores each record
   // at its pair index, so the returned order matches the serial double
   // loop no matter how tasks are scheduled.
-  return parallel_map(total, [&](std::int64_t pair) {
-    const auto& w = suite[static_cast<std::size_t>(pair / n_schemes)];
-    const auto& scheme = schemes[static_cast<std::size_t>(pair % n_schemes)];
-    AccuracyRecord rec = evaluate_workload(w, scheme, protocol);
+  return parallel_map(static_cast<std::int64_t>(suite.size()) * n, [&](std::int64_t pair) {
+    const Workload& w = suite[static_cast<std::size_t>(pair / n)];
+    SharedPlan& s = shared[static_cast<std::size_t>(pair / n)];
+    // A failed build is rethrown by every pair of the workload, never thrown
+    // through call_once: after a throwing once-callable, some call_once
+    // implementations (ThreadSanitizer's, for one) never wake the waiters.
+    std::call_once(s.built, [&] {
+      try {
+        s.plan.emplace(make_eval_plan(w, protocol));
+      } catch (...) {
+        s.error = std::current_exception();
+      }
+    });
+    if (s.error) std::rethrow_exception(s.error);
+    const auto j = static_cast<std::size_t>(pair % n);
+    const bool int8 = j == schemes.size();
+    const SchemeConfig scheme = int8 ? int8_scheme(w.domain != "CV") : schemes[j];
+    AccuracyRecord rec = evaluate_with_plan(*s.plan, default_model_config(w, scheme, protocol));
+    if (int8) rec.config = "INT8";
+    if (s.finished.fetch_add(1) + 1 == n) s.plan.reset();
     if (progress) progress(completed.fetch_add(1, std::memory_order_relaxed) + 1);
     return rec;
   });
+}
+
+}  // namespace
+
+std::vector<AccuracyRecord> evaluate_suite(const std::vector<Workload>& suite,
+                                           const std::vector<SchemeConfig>& schemes,
+                                           const EvalProtocol& protocol,
+                                           const std::function<void(int)>& progress) {
+  return evaluate_pairs(suite, schemes, false, protocol, progress);
+}
+
+std::vector<AccuracyRecord> evaluate_table2(const std::vector<Workload>& suite,
+                                            const std::vector<SchemeConfig>& fp8_schemes,
+                                            const EvalProtocol& protocol,
+                                            const std::function<void(int)>& progress) {
+  return evaluate_pairs(suite, fp8_schemes, true, protocol, progress);
 }
 
 const Workload& find_workload(const std::vector<Workload>& suite, const std::string& name) {

@@ -19,16 +19,28 @@ namespace fp8q {
 /// Builds the full 75-entry suite (deterministic).
 [[nodiscard]] std::vector<Workload> build_suite();
 
+/// Every fifth workload of `suite`: the 15-workload quick subset.
+[[nodiscard]] std::vector<Workload> quick_suite(const std::vector<Workload>& suite);
+
 /// Evaluates every (workload, scheme) pair of the cross product --
-/// suite-level task parallelism over the global thread pool (see
-/// docs/THREADING.md). Records are returned grouped by workload, with the
-/// schemes in the given order within each group: exactly the order a
-/// serial double loop would produce, regardless of which task finished
-/// first. `progress`, if set, is invoked once per completed pair with the
-/// running completion count; it may be called from any pool thread
-/// concurrently with other tasks, so it must be thread-safe.
+/// suite-level task parallelism over the global thread pool, with one
+/// EvalPlan per workload built by its first pair to run and freed by its
+/// last (docs/THREADING.md). Records are returned grouped by workload,
+/// with the schemes in the given order within each group: exactly the
+/// order a serial double loop would produce, regardless of which task
+/// finished first. `progress`, if set, is invoked once per completed pair
+/// with the running completion count; it may be called from any pool
+/// thread concurrently with other tasks, so it must be thread-safe.
 [[nodiscard]] std::vector<AccuracyRecord> evaluate_suite(
     const std::vector<Workload>& suite, const std::vector<SchemeConfig>& schemes,
+    const EvalProtocol& protocol = {},
+    const std::function<void(int)>& progress = nullptr);
+
+/// Paper Table 2's row set, on evaluate_suite's loop: per workload, the
+/// records of `fp8_schemes`, then INT8 (int8_scheme(domain != "CV"):
+/// static on CV, dynamic on NLP) with its config relabelled "INT8".
+[[nodiscard]] std::vector<AccuracyRecord> evaluate_table2(
+    const std::vector<Workload>& suite, const std::vector<SchemeConfig>& fp8_schemes,
     const EvalProtocol& protocol = {},
     const std::function<void(int)>& progress = nullptr);
 
@@ -39,10 +51,9 @@ namespace fp8q {
 /// The named Table-3 representative workloads, in the paper's row order.
 [[nodiscard]] std::vector<std::string> table3_workload_names();
 
-/// The 6 study configurations of paper Table 2, in row order:
-/// E5M2 direct, E4M3 static, E4M3 dynamic, E3M4 static, E3M4 dynamic,
-/// INT8 (static on CV, dynamic on NLP -- the caller resolves per domain
-/// via int8_scheme(domain != "CV")).
+/// The five FP8 rows of paper Table 2, in row order: E5M2 direct, E4M3
+/// static, E4M3 dynamic, E3M4 static, E3M4 dynamic. The sixth row, INT8,
+/// depends on the workload's domain; evaluate_table2 appends it.
 [[nodiscard]] std::vector<SchemeConfig> table2_fp8_schemes();
 
 }  // namespace fp8q

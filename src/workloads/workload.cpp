@@ -127,11 +127,6 @@ ModelQuantConfig default_model_config(const Workload& w, const SchemeConfig& sch
   return cfg;
 }
 
-AccuracyRecord evaluate_workload(const Workload& w, const SchemeConfig& scheme,
-                                 const EvalProtocol& protocol) {
-  return evaluate_workload_config(w, default_model_config(w, scheme, protocol), protocol);
-}
-
 std::vector<std::vector<Tensor>> make_calib_batches(const Workload& w,
                                                     const EvalProtocol& protocol) {
   // Clean data, as in real PTQ; Figure 7 swaps in an augmented generator
@@ -160,8 +155,8 @@ EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
   plan.calib = make_calib_batches(w, protocol);
 
   // Evaluation set; FP32 targets and the FP32 baseline come first, while
-  // the weights are pristine. Exactly evaluate_workload_config's stream:
-  // same seed, same per-batch draw order (clean, then perturbed).
+  // the weights are pristine. Each batch draws clean, then perturbed, from
+  // one seeded stream.
   Rng eval_rng(w.data_seed * 104729 + 2);
   plan.batches.reserve(static_cast<size_t>(protocol.eval_batches));
   ScoreAccumulator fp32_acc{w.metric, w.margin_quantile};
@@ -200,9 +195,10 @@ AccuracyRecord evaluate_with_plan(const EvalPlan& plan, const ModelQuantConfig& 
   return record;
 }
 
-AccuracyRecord evaluate_workload_config(const Workload& w, const ModelQuantConfig& config,
-                                        const EvalProtocol& protocol) {
-  return evaluate_with_plan(make_eval_plan(w, protocol), config);
+AccuracyRecord evaluate_workload(const Workload& w, const SchemeConfig& scheme,
+                                 const EvalProtocol& protocol) {
+  return evaluate_with_plan(make_eval_plan(w, protocol),
+                            default_model_config(w, scheme, protocol));
 }
 
 }  // namespace fp8q

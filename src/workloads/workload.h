@@ -68,7 +68,6 @@ struct EvalProtocol {
   int eval_batches = 14;
   int eval_batch_size = 128;
   int bn_calibration_batches = 4;
-  double pass_threshold = kDefaultPassThreshold;
 };
 
 /// Precomputed evaluation state shared across every quantization trial of
@@ -107,33 +106,26 @@ struct EvalPlan {
 [[nodiscard]] std::vector<std::vector<Tensor>> make_calib_batches(
     const Workload& workload, const EvalProtocol& protocol = {});
 
-/// Builds the trial-invariant evaluation state. Uses exactly the data
-/// streams of evaluate_workload_config (same seeds, same draw order), so
-/// evaluate_with_plan() reproduces its results bit for bit.
+/// Builds the trial-invariant evaluation state. The data streams depend
+/// only on the workload's seeds and the protocol, so every plan built for
+/// one (workload, protocol) pair is the same, bit for bit.
 [[nodiscard]] EvalPlan make_eval_plan(const Workload& workload,
                                       const EvalProtocol& protocol = {});
 
 /// Scores one quantization configuration against a prebuilt plan. Clones
-/// the prototype, runs the PTQ pipeline on the clone, and returns the same
-/// AccuracyRecord evaluate_workload_config would produce.
+/// the prototype and runs the PTQ pipeline on the clone; the config is
+/// taken as-is (no domain defaults are applied), and the plan is only
+/// read, so concurrent trials may share it.
 [[nodiscard]] AccuracyRecord evaluate_with_plan(const EvalPlan& plan,
                                                 const ModelQuantConfig& config);
 
-/// Runs the full PTQ pipeline for `scheme` on one workload and returns the
-/// (fp32, quantized) accuracy record. SmoothQuant is enabled automatically
-/// on NLP-domain workloads (paper section 4.2.1); the CNN first/last and
-/// BatchNorm-calibration rules apply to is_cnn workloads.
+/// One evaluation: make_eval_plan plus evaluate_with_plan under
+/// default_model_config (SmoothQuant on NLP, paper section 4.2.1; CNN
+/// first/last and BatchNorm-calibration rules on is_cnn workloads). For
+/// several schemes of one workload, evaluate_suite builds the plan once.
 [[nodiscard]] AccuracyRecord evaluate_workload(const Workload& workload,
                                                const SchemeConfig& scheme,
                                                const EvalProtocol& protocol = {});
-
-/// Same pipeline, but with full control over the model-level quantization
-/// configuration (fallback sets, BN calibration, SmoothQuant) -- the entry
-/// point used by the accuracy-driven tuner. The config is taken as-is; no
-/// domain defaults are applied.
-[[nodiscard]] AccuracyRecord evaluate_workload_config(const Workload& workload,
-                                                      const ModelQuantConfig& config,
-                                                      const EvalProtocol& protocol = {});
 
 /// The ModelQuantConfig that evaluate_workload derives from a scheme for
 /// this workload (SmoothQuant on NLP, CNN flags, BN calibration).

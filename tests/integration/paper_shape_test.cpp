@@ -2,6 +2,9 @@
 // reports must hold on representative workloads of the suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "tune/tuner.h"
 #include "workloads/registry.h"
 
@@ -14,21 +17,25 @@ EvalProtocol protocol() {
   return EvalProtocol{};
 }
 
-double loss(const Workload& w, const SchemeConfig& scheme) {
-  return evaluate_workload(w, scheme, protocol()).relative_loss();
-}
-
-double int8_loss(const Workload& w) {
-  return evaluate_workload(w, int8_scheme(w.domain != "CV"), protocol()).relative_loss();
+/// Relative loss of each scheme on `w`, in order, from one evaluate_suite
+/// call (one plan for all of them).
+std::vector<double> losses(const Workload& w, const std::vector<SchemeConfig>& schemes) {
+  std::vector<double> out;
+  for (const auto& rec : evaluate_suite({w}, schemes, protocol())) {
+    out.push_back(rec.relative_loss());
+  }
+  return out;
 }
 
 TEST(PaperShape, OutlierNlpBreaksInt8ButNotFp8) {
   // Section 1 / Figure 1 mechanism end-to-end: a range-bound NLP encoder.
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "nlp/bert-outlier-1");
-  const double e4 = loss(w, standard_fp8_scheme(DType::kE4M3));
-  const double e3 = loss(w, standard_fp8_scheme(DType::kE3M4));
-  const double i8 = int8_loss(w);
+  const auto l = losses(w, {standard_fp8_scheme(DType::kE4M3),
+                            standard_fp8_scheme(DType::kE3M4), int8_scheme(w.domain != "CV")});
+  const double e4 = l[0];
+  const double e3 = l[1];
+  const double i8 = l[2];
   EXPECT_GT(i8, 0.01);  // INT8 fails the criterion
   EXPECT_LT(e4, i8);
   EXPECT_LT(e3, i8);
@@ -38,19 +45,22 @@ TEST(PaperShape, RangeExtremeBreaksE3M4ButNotE4M3) {
   // Table 5's Funnel row: range demand beyond E3M4's usable span.
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "nlp/lm-extreme-2");
-  const double e4 = loss(w, standard_fp8_scheme(DType::kE4M3));
-  const double e3 = loss(w, standard_fp8_scheme(DType::kE3M4));
+  const auto l =
+      losses(w, {standard_fp8_scheme(DType::kE4M3), standard_fp8_scheme(DType::kE3M4)});
+  const double e4 = l[0];
+  const double e3 = l[1];
   EXPECT_GT(e3, 0.01);
   EXPECT_LT(e4, e3);
 }
 
 TEST(PaperShape, MildWorkloadsPassEveryFp8Format) {
   const auto suite = build_suite();
+  const DType fmts[] = {DType::kE4M3, DType::kE3M4};
   for (const char* name : {"distilbert-mrpc-ish", "resnet50-ish"}) {
-    const Workload& w = find_workload(suite, name);
-    for (DType fmt : {DType::kE4M3, DType::kE3M4}) {
-      EXPECT_LE(loss(w, standard_fp8_scheme(fmt)), 0.015)
-          << name << " " << to_string(fmt);
+    const auto l = losses(find_workload(suite, name),
+                          {standard_fp8_scheme(fmts[0]), standard_fp8_scheme(fmts[1])});
+    for (size_t i = 0; i < l.size(); ++i) {
+      EXPECT_LE(l[i], 0.015) << name << " " << to_string(fmts[i]);
     }
   }
 }
@@ -61,9 +71,11 @@ TEST(PaperShape, ContinuousMetricSeparatesE5M2) {
   // weakest FP8).
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "cv/unet-ish-c8");
-  const double e5 = loss(w, standard_fp8_scheme(DType::kE5M2));
-  const double e4 = loss(w, standard_fp8_scheme(DType::kE4M3));
-  const double e3 = loss(w, standard_fp8_scheme(DType::kE3M4));
+  const auto l = losses(w, {standard_fp8_scheme(DType::kE5M2), standard_fp8_scheme(DType::kE4M3),
+                            standard_fp8_scheme(DType::kE3M4)});
+  const double e5 = l[0];
+  const double e4 = l[1];
+  const double e3 = l[2];
   EXPECT_GT(e5, e4);
   EXPECT_GT(e5, e3);
 }
@@ -74,9 +86,11 @@ TEST(PaperShape, MixedFormatCompetitiveOnNlp) {
   // and stays within sampling noise of the single-format results.
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "nlp/bert-outlier-2");
-  const double mixed = loss(w, mixed_fp8_scheme());
-  const double e4 = loss(w, standard_fp8_scheme(DType::kE4M3));
-  const double e3 = loss(w, standard_fp8_scheme(DType::kE3M4));
+  const auto l = losses(w, {mixed_fp8_scheme(), standard_fp8_scheme(DType::kE4M3),
+                            standard_fp8_scheme(DType::kE3M4)});
+  const double mixed = l[0];
+  const double e4 = l[1];
+  const double e3 = l[2];
   EXPECT_LE(mixed, 0.011);  // the paper's pass criterion
   EXPECT_LE(mixed, std::max(e4, e3) + 0.015);  // competitive with singles
 }
@@ -92,19 +106,20 @@ TEST(PaperShape, ExtendedOpsCoverageStaysAccurateForE4M3) {
   ext4.quantize_extended_ops = true;
   SchemeConfig ext5 = standard_fp8_scheme(DType::kE5M2);
   ext5.quantize_extended_ops = true;
-  const double l4 = loss(w, ext4);
+  const auto l = losses(w, {ext4, ext5});
+  const double l4 = l[0];
   EXPECT_LE(l4, 0.08);
-  EXPECT_LE(l4, loss(w, ext5) + 0.01);
+  EXPECT_LE(l4, l[1] + 0.01);
 }
 
 TEST(PaperShape, RecommendedDefaultsPassTheirDomains) {
   // Section 5: E3M4 default for CV, E4M3 for NLP.
   const auto suite = build_suite();
-  EXPECT_LE(loss(find_workload(suite, "densenet121-ish"),
-                 standard_fp8_scheme(recommended_format("CV"))),
+  EXPECT_LE(losses(find_workload(suite, "densenet121-ish"),
+                   {standard_fp8_scheme(recommended_format("CV"))})[0],
             0.015);
-  EXPECT_LE(loss(find_workload(suite, "bert-base-stsb-ish"),
-                 standard_fp8_scheme(recommended_format("NLP"))),
+  EXPECT_LE(losses(find_workload(suite, "bert-base-stsb-ish"),
+                   {standard_fp8_scheme(recommended_format("NLP"))})[0],
             0.015);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace fp8q {
 namespace {
 
@@ -63,6 +65,16 @@ TEST(SchemeConfig, Int8Baseline) {
 TEST(SchemeConfig, Labels) {
   EXPECT_EQ(standard_fp8_scheme(DType::kE4M3).label(), "E4M3/static");
   EXPECT_EQ(standard_fp8_scheme(DType::kE3M4, true).label(), "E3M4/dynamic");
+}
+
+TEST(SchemeConfig, FromName) {
+  EXPECT_EQ(scheme_from_name("INT8", true).label(), int8_scheme(true).label());
+  EXPECT_EQ(scheme_from_name("int8", false).label(), int8_scheme(false).label());
+  EXPECT_EQ(scheme_from_name("mixed", false).label(), mixed_fp8_scheme().label());
+  EXPECT_EQ(scheme_from_name("e4m3", true).label(), "E4M3/dynamic");
+  EXPECT_EQ(scheme_from_name("E3M4", false).label(), "E3M4/static");
+  EXPECT_EQ(scheme_from_name("E5M2", true).label(), "E5M2/direct");
+  EXPECT_THROW((void)scheme_from_name("E2M5", false), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 // compares 1-thread and 8-thread results directly.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "obs/histogram.h"
 #include "tensor/rng.h"
 #include "workloads/registry.h"
+#include "workloads/workload.h"
 
 namespace fp8q {
 namespace {
@@ -44,6 +49,38 @@ std::vector<Workload> sample_workloads() {
   picked.push_back(find_workload(suite, "distilbert-mrpc-ish"));
   picked.push_back(find_workload(suite, "nlp/lm-ish-0"));
   return picked;
+}
+
+/// More workloads than the 8-thread runs have threads, all cheap under
+/// quick_protocol(): BN-calibrated CNNs, a ViT, SmoothQuant NLP encoders, a
+/// decoder LM, speech models, an MLP and dlrm-ish.
+std::vector<Workload> wide_workloads() {
+  auto suite = build_suite();
+  std::vector<Workload> picked;
+  for (const char* name : {"cv/resnet-ish-c8-b2", "cv/superres-0", "cv/unet-ish-c6",
+                           "cv/vit-ish-1", "distilbert-mrpc-ish", "nlp/bert-outlier-0",
+                           "nlp/lm-ish-0", "wav2vec2-ish", "hubert-ish", "nlp/distil-mlp-0",
+                           "dlrm-ish"}) {
+    picked.push_back(find_workload(suite, name));
+  }
+  return picked;
+}
+
+/// Records equal bit for bit: labels, and the raw bits of every double.
+void expect_bit_identical(const AccuracyRecord& got, const AccuracyRecord& want) {
+  const std::string where = want.workload + " " + want.config;
+  EXPECT_EQ(got.workload, want.workload) << where;
+  EXPECT_EQ(got.domain, want.domain) << where;
+  EXPECT_EQ(got.config, want.config) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.fp32_accuracy),
+            std::bit_cast<std::uint64_t>(want.fp32_accuracy))
+      << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.quant_accuracy),
+            std::bit_cast<std::uint64_t>(want.quant_accuracy))
+      << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.model_size_mb),
+            std::bit_cast<std::uint64_t>(want.model_size_mb))
+      << where;
 }
 
 TEST(Determinism, BulkCastBitIdenticalAcrossThreadCounts) {
@@ -113,6 +150,103 @@ TEST(Determinism, AccuracyRecordsIdenticalAt1And8Threads) {
     EXPECT_EQ(serial[i].fp32_accuracy, parallel[i].fp32_accuracy) << serial[i].workload;
     EXPECT_EQ(serial[i].quant_accuracy, parallel[i].quant_accuracy) << serial[i].workload;
     EXPECT_EQ(serial[i].model_size_mb, parallel[i].model_size_mb) << serial[i].workload;
+  }
+}
+
+TEST(Determinism, SuiteSharedPlanMatchesFreshPlanPerPair) {
+  // evaluate_suite scores every pair of a workload against one shared
+  // plan; each record must equal a fresh plan built for that pair alone.
+  ThreadCountGuard guard;
+  const auto workloads = wide_workloads();
+  ASSERT_GT(workloads.size(), 8u);
+  const EvalProtocol protocol = quick_protocol();
+  const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3),
+                                             standard_fp8_scheme(DType::kE3M4, true),
+                                             standard_fp8_scheme(DType::kE5M2)};
+  std::vector<AccuracyRecord> fresh;
+  for (const auto& w : workloads) {
+    for (const auto& scheme : schemes) {
+      fresh.push_back(evaluate_with_plan(make_eval_plan(w, protocol),
+                                         default_model_config(w, scheme, protocol)));
+    }
+  }
+  for (int threads : {1, 8}) {
+    set_num_threads(threads);
+    const auto shared = evaluate_suite(workloads, schemes, protocol);
+    ASSERT_EQ(shared.size(), fresh.size()) << "threads=" << threads;
+    for (size_t i = 0; i < fresh.size(); ++i) expect_bit_identical(shared[i], fresh[i]);
+  }
+}
+
+TEST(Determinism, SuiteBuildsEachWorkloadOncePerCall) {
+  ThreadCountGuard guard;
+  auto workloads = wide_workloads();
+  std::vector<std::atomic<int>> builds(workloads.size());
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    workloads[i].build = [inner = workloads[i].build, &count = builds[i]] {
+      count.fetch_add(1);
+      return inner();
+    };
+  }
+  const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3),
+                                             standard_fp8_scheme(DType::kE3M4)};
+  int calls = 0;
+  for (int threads : {1, 8}) {
+    set_num_threads(threads);
+    (void)evaluate_suite(workloads, schemes, quick_protocol());
+    ++calls;
+    for (size_t i = 0; i < workloads.size(); ++i) {
+      EXPECT_EQ(builds[i].load(), calls) << workloads[i].name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(Determinism, SuiteWithIncompleteWorkloadThrows) {
+  // A plan that cannot be built fails every pair of its workload with the
+  // build's exception; pairs waiting on that build must wake up, not hang.
+  ThreadCountGuard guard;
+  set_num_threads(8);
+  auto suite = build_suite();
+  Workload incomplete = find_workload(suite, "dlrm-ish");
+  incomplete.name = "incomplete";
+  incomplete.perturb = nullptr;
+  Workload failing = find_workload(suite, "cv/superres-0");
+  failing.name = "failing-build";
+  failing.build = [inner = failing.build]() -> Graph {
+    (void)inner();  // long enough for the other pairs to wait on the build
+    throw std::invalid_argument("failing-build");
+  };
+  const std::vector<Workload> workloads = {find_workload(suite, "nlp/distil-mlp-0"),
+                                           incomplete, failing,
+                                           find_workload(suite, "hubert-ish")};
+  const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3),
+                                             standard_fp8_scheme(DType::kE3M4),
+                                             standard_fp8_scheme(DType::kE5M2)};
+  EXPECT_THROW((void)evaluate_suite(workloads, schemes, quick_protocol()),
+               std::invalid_argument);
+}
+
+TEST(Determinism, Table2RowsAreWorkloadMajorWithInt8Last) {
+  ThreadCountGuard guard;
+  set_num_threads(8);
+  const auto suite = build_suite();
+  const std::vector<Workload> workloads = {find_workload(suite, "cv/resnet-ish-c8-b2"),
+                                           find_workload(suite, "distilbert-mrpc-ish")};
+  const std::vector<SchemeConfig> fp8 = {standard_fp8_scheme(DType::kE4M3),
+                                         standard_fp8_scheme(DType::kE5M2)};
+  const EvalProtocol protocol = quick_protocol();
+  const auto rows = evaluate_table2(workloads, fp8, protocol);
+  const size_t per_workload = fp8.size() + 1;
+  ASSERT_EQ(rows.size(), workloads.size() * per_workload);
+  for (size_t wi = 0; wi < workloads.size(); ++wi) {
+    const Workload& w = workloads[wi];
+    for (size_t j = 0; j < fp8.size(); ++j) {
+      EXPECT_EQ(rows[wi * per_workload + j].workload, w.name);
+      EXPECT_EQ(rows[wi * per_workload + j].config, fp8[j].label());
+    }
+    AccuracyRecord int8 = evaluate_workload(w, int8_scheme(w.domain != "CV"), protocol);
+    int8.config = "INT8";
+    expect_bit_identical(rows[wi * per_workload + fp8.size()], int8);
   }
 }
 

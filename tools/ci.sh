@@ -15,6 +15,9 @@
 #      explicit thresholds (docs/PERFORMANCE.md, docs/OBSERVABILITY.md). A third
 #      bench run pinned to FP8Q_ISA=scalar re-checks counter determinism
 #      across dispatch tiers (the GEMM kernel's bit-exactness contract).
+#      Then the Table 2 bit-identity gate: bench_table2_passrate --quick at
+#      FP8Q_NUM_THREADS=1 and at the default count, diffed at zero counter
+#      drift and zero accuracy drop.
 #   4. service smoke: boot fp8qd at 1 worker and again at 2 workers on a
 #      private socket, drive both with fp8qd_bench (--append folds the two
 #      runs into one BENCH_service.json scaling curve), gate the snapshot
@@ -58,7 +61,7 @@ cmake --build "$PREFIX" --target check_static
   --sarif="$PREFIX/lint.sarif" "$ROOT/src" "$ROOT/tools" "$ROOT/bench"
 echo "ci: SARIF artifact: $PREFIX/lint.sarif"
 
-step "perf + telemetry smoke (bench_kernels --smoke through fp8q_report)"
+step "perf + telemetry smoke (bench_kernels --smoke, table2 --quick through fp8q_report)"
 # Instrumented run: report + histograms + trace export all on. The gates
 # live in fp8q_report, each with an explicit threshold:
 #   check-bench   batched cast kernel must not lose to the scalar loop;
@@ -96,6 +99,15 @@ FP8Q_ISA=scalar FP8Q_REPORT="$PREFIX/report_smoke_scalar.json" \
   "$PREFIX/report_smoke_scalar.json" \
   --max-counter-drift-pct=0 --max-wall-regress-pct=400 \
   --max-alloc-growth-pct=50 --max-rss-growth-pct=100
+
+# Table 2 bit-identity gate: records and counters of the quick sweep at
+# one thread must equal those at the default count (docs/THREADING.md).
+FP8Q_NUM_THREADS=1 FP8Q_REPORT="$PREFIX/report_table2_t1.json" \
+  "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
+FP8Q_REPORT="$PREFIX/report_table2.json" \
+  "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
+"$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2_t1.json" \
+  "$PREFIX/report_table2.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
 
 step "service smoke (fp8qd at 1 and 2 workers + fp8qd_bench through fp8q_report)"
 # Boot the resident daemon twice -- one executor worker, then two -- and

@@ -60,19 +60,6 @@ int cmd_list() {
   return 0;
 }
 
-SchemeConfig scheme_from_args(const char* fmt_str, bool dynamic) {
-  const std::string fmt(fmt_str);
-  if (fmt == "INT8" || fmt == "int8") return int8_scheme(dynamic);
-  if (fmt == "mixed") return mixed_fp8_scheme();
-  const Fp8Kind kind = fp8_kind_from_string(fmt);
-  switch (kind) {
-    case Fp8Kind::E5M2: return standard_fp8_scheme(DType::kE5M2, dynamic);
-    case Fp8Kind::E4M3: return standard_fp8_scheme(DType::kE4M3, dynamic);
-    case Fp8Kind::E3M4: return standard_fp8_scheme(DType::kE3M4, dynamic);
-  }
-  throw std::invalid_argument("unknown scheme");
-}
-
 int cmd_eval(const char* workload, const char* fmt, bool dynamic) {
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, workload);
@@ -81,7 +68,7 @@ int cmd_eval(const char* workload, const char* fmt, bool dynamic) {
   report.num_threads = num_threads();
   report.isa = isa_label();
   set_active_report(&report);
-  const auto rec = evaluate_workload(w, scheme_from_args(fmt, dynamic));
+  const auto rec = evaluate_workload(w, scheme_from_name(fmt, dynamic));
   set_active_report(nullptr);
   std::printf("workload:  %s (%s, %s)\n", rec.workload.c_str(), rec.domain.c_str(),
               w.task.c_str());
@@ -134,22 +121,10 @@ int cmd_tune(const char* workload, const char* fmt) {
 
 int cmd_sweep(const char* out_path, bool quick) {
   auto suite = build_suite();
-  if (quick) {
-    std::vector<Workload> subset;
-    for (size_t i = 0; i < suite.size(); i += 5) subset.push_back(suite[i]);
-    suite = std::move(subset);
-  }
-  std::vector<AccuracyRecord> records;
-  int done = 0;
-  for (const auto& w : suite) {
-    for (const auto& scheme : table2_fp8_schemes()) {
-      records.push_back(evaluate_workload(w, scheme));
-    }
-    auto rec = evaluate_workload(w, int8_scheme(w.domain != "CV"));
-    rec.config = "INT8";
-    records.push_back(rec);
-    std::fprintf(stderr, "\r%d/%zu", ++done, suite.size());
-  }
+  if (quick) suite = quick_suite(suite);
+  const auto records = evaluate_table2(suite, table2_fp8_schemes(), {}, [&](int done) {
+    std::fprintf(stderr, "\r%d/%zu", done, 6 * suite.size());
+  });
   std::fprintf(stderr, "\n");
   std::ofstream out(out_path);
   records_to_csv(records, out);
