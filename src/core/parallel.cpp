@@ -9,7 +9,6 @@
 
 #include "core/thread_annotations.h"
 #include "obs/domain.h"
-#include "obs/histogram.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -151,7 +150,7 @@ class ThreadPool {
       }
       if (fn) {
         // Adopt the dispatcher's obs context for this region: its domain
-        // (or nullptr = global routing) and its report binding.
+        // (the root when it bound none) and its report binding.
         ScopedCounterDomain domain_scope(domain);
         const ThreadReportBinding prev = set_thread_report(report);
         drain(n, *fn);
@@ -279,19 +278,9 @@ void parallel_run(std::int64_t n, const std::function<void(std::int64_t)>& fn) {
   // parent (the innermost span open on the *dispatching* thread) is
   // captured here and passed explicitly; see obs/trace.h.
   const std::int64_t parent = current_span_id();
-  const bool histed = histograms_enabled();
-  const std::function<void(std::int64_t)> traced = [&fn, parent, histed](std::int64_t i) {
+  const std::function<void(std::int64_t)> traced = [&fn, parent](std::int64_t i) {
     TraceSpan span("parallel/task", parent);
-    if (!histed) {
-      fn(i);
-      return;
-    }
-    // latency/parallel_task_ns: observational (wall-clock), feeds the
-    // per-task latency histogram when histograms are on alongside tracing.
-    const std::uint64_t t0 = obs_now_ns();
     fn(i);
-    hist_record(HistChannel::kParallelTaskNs,
-                static_cast<double>(obs_now_ns() - t0));
   };
   run_region(n, traced);
 }

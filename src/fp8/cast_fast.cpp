@@ -138,7 +138,7 @@ void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
   if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
   const auto n = static_cast<std::int64_t>(in.size() < out.size() ? in.size() : out.size());
   // Event counting is decided once per bulk call (not per element); tallies
-  // are folded into the sharded counters once per chunk, and the batch
+  // are folded into the counters once per chunk, and the batch
   // kernel computes them in a separate pass so outputs are bit-identical
   // with counters on or off.
   const bool counted = counters_enabled();
@@ -160,7 +160,7 @@ void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
       for (std::size_t i = 0; i < len; ++i) {
         local.record(std::fabs(static_cast<double>(src[i]) * scale));
       }
-      hist_merge(cast_mag_channel(spec.obs_fmt), local);
+      hist_merge(spec.obs_fmt, local);
     }
     if (!counted) {
       fp8_quantize_batch(src, dst, spec, scale);

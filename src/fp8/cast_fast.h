@@ -66,7 +66,7 @@ void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
 /// Vector form: out[i] = fp8_quantize_fast(in[i] * scale) / scale.
 /// `out` may alias `in`. A non-finite or non-positive scale is treated as 1.
 /// Parallelizes over ~kParallelGrainBytes chunks and folds one event tally
-/// per chunk into the sharded counters when counting is enabled.
+/// per chunk into the counters when counting is enabled.
 void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
                               const FastCastSpec& spec, float scale);
 

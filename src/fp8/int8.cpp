@@ -76,7 +76,7 @@ void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Pa
     // counts do not depend on call granularity.
     LocalHistogram local;
     for (size_t i = 0; i < n; ++i) local.record(std::fabs(static_cast<double>(in[i])));
-    hist_merge(HistChannel::kCastMagInt8, local);
+    hist_merge(ObsFormat::kInt8, local);
   }
   if (!counters_enabled()) {
     for (size_t i = 0; i < n; ++i) out[i] = int8_quantize(in[i], p);

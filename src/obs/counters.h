@@ -14,24 +14,22 @@
 //                   not counted
 //   kInfProduced    Inf output from a finite input (kInfinityNan, E5M2)
 //
-// Design: counters are sharded per thread. counter_add() touches only the
-// calling thread's shard (a relaxed atomic add, no cross-thread cache-line
-// contention on the hot path), and counters_snapshot() aggregates every
-// live shard plus the totals of already-exited threads. This is compatible
-// with the docs/THREADING.md determinism contract: counting never changes
-// a computed value, and aggregated totals are identical at every thread
-// count (per-shard split differs, the sum does not).
+// Design: every add lands in the calling thread's observation domain
+// (obs/domain.h): the CounterDomain bound with ScopedCounterDomain, else
+// the process's root domain, which every unbound thread shares. A cell is
+// one relaxed atomic add; counters_snapshot() reads the same domain. This
+// is compatible with the docs/THREADING.md determinism contract: counting
+// never changes a computed value, and totals are integer sums, identical
+// at every thread count.
 //
 // Cost when disabled: instrumented sites check counters_enabled() once per
 // *bulk call* (one relaxed atomic load), never per element, and run their
 // original uninstrumented loops. Enable with FP8Q_TRACE=1, by setting
 // FP8Q_REPORT, or programmatically via set_counters_enabled(true).
 //
-// Scoped routing: a thread bound to a CounterDomain (obs/domain.h,
-// ScopedCounterDomain) redirects every add/snapshot/reset in this header
-// to that domain instead of the shards/globals -- how fp8qd isolates one
-// job's events under concurrent execution. Unbound threads (every
-// non-daemon caller) behave exactly as documented above.
+// Scoped routing is how fp8qd isolates one job's events under concurrent
+// execution: a job's threads bind its own domain, so every add, snapshot
+// and reset in this header acts on that domain instead of the root.
 #pragma once
 
 #include <cstdint>
@@ -65,12 +63,12 @@ inline constexpr int kObsEventCount = 5;
 /// Programmatic override of the environment default (tests, embedders).
 void set_counters_enabled(bool enabled);
 
-/// Adds `n` to one cell of the calling thread's shard. Thread-safe and
+/// Adds `n` to one cell of the calling thread's domain. Thread-safe and
 /// wait-free against other writers; callers batch per-chunk local tallies
 /// into one add rather than incrementing per element.
 void counter_add(ObsFormat fmt, ObsEvent event, std::uint64_t n);
 
-/// Point-in-time aggregate of all shards (live threads + exited threads).
+/// Point-in-time copy of a domain's counter matrix.
 struct CounterSnapshot {
   std::uint64_t counts[kObsFormatCount][kObsEventCount] = {};
 
@@ -88,12 +86,13 @@ struct CounterSnapshot {
   friend bool operator==(const CounterSnapshot&, const CounterSnapshot&);
 };
 
-/// Aggregates every shard. Safe to call concurrently with counter_add;
-/// concurrent adds may or may not be included (each cell is internally
-/// consistent, the snapshot is not a cross-cell atomic cut).
+/// The calling thread's domain's counters. Safe to call concurrently with
+/// counter_add; concurrent adds may or may not be included (each cell is
+/// internally consistent, the snapshot is not a cross-cell atomic cut).
 [[nodiscard]] CounterSnapshot counters_snapshot();
 
-/// Zeroes every shard. Call only while no instrumented work is running.
+/// Zeroes the calling thread's domain's counters. Call only while no
+/// instrumented work is running.
 void counters_reset();
 
 }  // namespace fp8q

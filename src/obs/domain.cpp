@@ -1,9 +1,21 @@
 #include "obs/domain.h"
 
+#include <utility>
+
 namespace fp8q {
 
 namespace {
+
+/// The calling thread's bound domain; nullptr routes to the root.
 thread_local CounterDomain* tls_domain = nullptr;
+
+/// Where unbound threads' observations land. Intentionally leaked (never
+/// destroyed) so threads that outlive static destruction can still write.
+CounterDomain& root_domain() {
+  static CounterDomain* root = new CounterDomain();
+  return *root;
+}
+
 }  // namespace
 
 void CounterDomain::add(ObsFormat fmt, ObsEvent event, std::uint64_t n) {
@@ -11,10 +23,15 @@ void CounterDomain::add(ObsFormat fmt, ObsEvent event, std::uint64_t n) {
       n, std::memory_order_relaxed);
 }
 
-void CounterDomain::merge_histogram(HistChannel channel, const HistogramSnapshot& snap) {
+void CounterDomain::add_alloc(std::uint64_t bytes) {
+  alloc_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  allocs_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void CounterDomain::merge_histogram(ObsFormat fmt, const HistogramSnapshot& snap) {
   if (snap.total == 0) return;
   std::lock_guard<std::mutex> lock(hist_mutex_);
-  hist_channels_[static_cast<int>(channel)].merge_from(snap);
+  hists_[static_cast<int>(fmt)].merge_from(snap);
 }
 
 CounterSnapshot CounterDomain::counters() const {
@@ -27,9 +44,16 @@ CounterSnapshot CounterDomain::counters() const {
   return snap;
 }
 
-HistogramSnapshot CounterDomain::histogram(HistChannel channel) const {
+AllocCounterSnapshot CounterDomain::alloc_counters() const {
+  AllocCounterSnapshot snap;
+  snap.bytes = alloc_bytes_.load(std::memory_order_relaxed);
+  snap.allocs = allocs_.load(std::memory_order_relaxed);
+  return snap;
+}
+
+HistogramSnapshot CounterDomain::histogram(ObsFormat fmt) const {
   std::lock_guard<std::mutex> lock(hist_mutex_);
-  return hist_channels_[static_cast<int>(channel)];
+  return hists_[static_cast<int>(fmt)];
 }
 
 void CounterDomain::reset_counters() {
@@ -38,63 +62,49 @@ void CounterDomain::reset_counters() {
   }
 }
 
-void CounterDomain::reset_histograms() {
-  std::lock_guard<std::mutex> lock(hist_mutex_);
-  for (auto& channel : hist_channels_) channel = HistogramSnapshot{};
+void CounterDomain::reset_alloc_counters() {
+  alloc_bytes_.store(0, std::memory_order_relaxed);
+  allocs_.store(0, std::memory_order_relaxed);
 }
 
-void CounterDomain::reset() {
-  reset_counters();
-  reset_histograms();
-  alloc_sink_.reset();
+void CounterDomain::reset_histograms() {
+  std::lock_guard<std::mutex> lock(hist_mutex_);
+  for (auto& hist : hists_) hist = HistogramSnapshot{};
 }
 
 void CounterDomain::fold_into_global() {
-  // Each tally is *moved* (exchange/swap with zero), then re-emitted
-  // through the ordinary write primitives so the fold lands wherever the
-  // calling thread currently routes -- an enclosing domain when domains
-  // nest, else the process globals.
+  CounterDomain& target = *current_counter_domain();
+  if (&target == this) return;
+  // Each tally is *moved* (exchange/swap with zero) into the target. The
+  // two histogram mutexes are never held together.
   for (int f = 0; f < kObsFormatCount; ++f) {
     for (int e = 0; e < kObsEventCount; ++e) {
-      const std::uint64_t n = counts_[f][e].exchange(0, std::memory_order_relaxed);
-      if (n != 0) counter_add(static_cast<ObsFormat>(f), static_cast<ObsEvent>(e), n);
+      target.counts_[f][e].fetch_add(counts_[f][e].exchange(0, std::memory_order_relaxed),
+                                     std::memory_order_relaxed);
     }
   }
-  HistogramSnapshot hists[kHistChannelCount];
+  target.alloc_bytes_.fetch_add(alloc_bytes_.exchange(0, std::memory_order_relaxed),
+                                std::memory_order_relaxed);
+  target.allocs_.fetch_add(allocs_.exchange(0, std::memory_order_relaxed),
+                           std::memory_order_relaxed);
+  HistogramSnapshot hists[kObsFormatCount];
   {
     std::lock_guard<std::mutex> lock(hist_mutex_);
-    for (int c = 0; c < kHistChannelCount; ++c) {
-      hists[c] = hist_channels_[c];
-      hist_channels_[c] = HistogramSnapshot{};
-    }
+    for (int f = 0; f < kObsFormatCount; ++f) std::swap(hists[f], hists_[f]);
   }
-  for (int c = 0; c < kHistChannelCount; ++c) {
-    if (hists[c].total == 0) continue;
-    LocalHistogram local;
-    local.snap = hists[c];
-    hist_merge(static_cast<HistChannel>(c), local);
+  for (int f = 0; f < kObsFormatCount; ++f) {
+    target.merge_histogram(static_cast<ObsFormat>(f), hists[f]);
   }
-  AllocCounterSnapshot allocs;
-  allocs.bytes = alloc_sink_.bytes.exchange(0, std::memory_order_relaxed);
-  allocs.allocs = alloc_sink_.allocs.exchange(0, std::memory_order_relaxed);
-  alloc_counter_merge(allocs);
 }
 
-CounterDomain* current_counter_domain() { return tls_domain; }
+CounterDomain* current_counter_domain() {
+  return tls_domain != nullptr ? tls_domain : &root_domain();
+}
 
-CounterDomain* set_thread_counter_domain(CounterDomain* domain) {
-  CounterDomain* previous = tls_domain;
+ScopedCounterDomain::ScopedCounterDomain(CounterDomain* domain) : prev_(tls_domain) {
   tls_domain = domain;
-  return previous;
 }
 
-ScopedCounterDomain::ScopedCounterDomain(CounterDomain* domain)
-    : prev_domain_(set_thread_counter_domain(domain)),
-      prev_sink_(set_thread_alloc_sink(domain != nullptr ? &domain->alloc_sink() : nullptr)) {}
-
-ScopedCounterDomain::~ScopedCounterDomain() {
-  set_thread_alloc_sink(prev_sink_);
-  set_thread_counter_domain(prev_domain_);
-}
+ScopedCounterDomain::~ScopedCounterDomain() { tls_domain = prev_; }
 
 }  // namespace fp8q

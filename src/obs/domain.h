@@ -1,34 +1,33 @@
 // Scoped observation domains (docs/OBSERVABILITY.md, docs/THREADING.md).
 //
-// A CounterDomain is a private copy of the observation state one unit of
-// work accumulates: the quantization-event counter matrix, an allocation
-// sink, and the fixed histogram channels. A thread binds a domain with
-// ScopedCounterDomain; while bound, every obs write primitive
-// (counter_add, hist_record, hist_merge, alloc_counter_add) lands
-// in the domain instead of the process globals, and every matching
-// snapshot function reads the domain's view. Unbound threads are
-// untouched: with no domain bound, the primitives hit the same sharded /
-// global state they always have, so non-daemon callers see no change.
+// A CounterDomain holds the observation state one unit of work
+// accumulates: the quantization-event counter matrix, the allocation
+// tally, and the cast_mag histograms. Every obs primitive (counter_add,
+// hist_merge, alloc_counter_add and their snapshot and reset functions)
+// acts on the calling thread's domain: the one bound with
+// ScopedCounterDomain, else the process's root domain, which every
+// unbound thread shares. A non-daemon caller never binds anything, so its
+// whole run lands in the root.
 //
 // This exists for concurrent job execution in fp8qd (docs/SERVICE.md):
-// with N executor workers running jobs at once, "global counters before
+// with N executor workers running jobs at once, "root counters before
 // minus after" no longer isolates one job's events. Instead each job runs
 // under a fresh domain -- bound on the executor worker and propagated to
 // the core/parallel threads the job fans out to (core/parallel.h) -- so
 // its report counter blocks are exact deltas by construction, at any
 // worker count and any interleaving. When the job finishes,
-// fold_into_global() moves the domain's totals into the enclosing sink
-// (the caller's currently bound domain, or the process globals), so
-// cumulative process-wide totals -- the daemon's exit report, the stats
-// endpoint -- still add up as if no domain had ever been bound.
+// fold_into_global() moves the domain's totals into the enclosing domain
+// (the caller's bound domain, or the root), so cumulative process-wide
+// totals -- the daemon's exit report, the stats endpoint -- still add up
+// as if no domain had ever been bound.
 //
 // Determinism: a domain is pure routing. It never changes a computed
 // value, and a fold preserves every count exactly (integer adds, exact
-// min/max histogram merges), so "sum over domains + globals" is invariant.
+// min/max histogram merges), so "sum over domains + root" is invariant.
 //
-// Named histograms (hist_record_named) and trace spans stay process-
-// global: both are open-ended observational telemetry keyed by name/time,
-// not part of a job's deterministic result surface.
+// Trace spans stay process-global (obs/trace.h): they are timing
+// telemetry keyed by thread and time, not part of a job's deterministic
+// result surface.
 #pragma once
 
 #include <atomic>
@@ -42,10 +41,11 @@
 
 namespace fp8q {
 
-/// One unit of work's private observation state. Writes are relaxed
-/// atomics (histograms: a domain-local mutex), so any number of threads
-/// bound to the same domain may record concurrently -- the fan-out of one
-/// job over the core/parallel pool.
+/// One unit of work's observation state. Counter and allocation writes are
+/// relaxed atomics, histogram merges take a domain-local mutex, so any
+/// number of threads bound to the same domain may record concurrently --
+/// the fan-out of one job over the core/parallel pool, or every unbound
+/// thread writing to the root.
 class CounterDomain {
  public:
   CounterDomain() = default;
@@ -54,51 +54,43 @@ class CounterDomain {
 
   // -- write primitives (called by the obs routing layer, not directly) --
   void add(ObsFormat fmt, ObsEvent event, std::uint64_t n);
-  void merge_histogram(HistChannel channel, const HistogramSnapshot& snap);
-  [[nodiscard]] AllocSink& alloc_sink() { return alloc_sink_; }
+  void add_alloc(std::uint64_t bytes);
+  void merge_histogram(ObsFormat fmt, const HistogramSnapshot& snap);
 
-  // -- the domain's view (what the snapshot functions return when bound) --
+  // -- the domain's view (what the snapshot functions return) --
   [[nodiscard]] CounterSnapshot counters() const;
-  [[nodiscard]] AllocCounterSnapshot alloc_counters() const { return alloc_sink_.snapshot(); }
-  [[nodiscard]] HistogramSnapshot histogram(HistChannel channel) const;
+  [[nodiscard]] AllocCounterSnapshot alloc_counters() const;
+  [[nodiscard]] HistogramSnapshot histogram(ObsFormat fmt) const;
 
-  /// Zeroes one counter family (the reset functions route here when a
-  /// domain is bound) or everything.
+  /// Zeroes one family (the reset functions route here).
   void reset_counters();
+  void reset_alloc_counters();
   void reset_histograms();
-  void reset();
 
   /// Moves (not copies: the domain is left empty) every tally into the
-  /// calling thread's enclosing sink -- the currently bound domain when
-  /// domains nest, else the process globals. Call after the last
-  /// ScopedCounterDomain binding this domain has been destroyed; folding
-  /// while still bound routes the counts straight back (a no-op, nothing
-  /// is lost). Not safe to call while other threads still write to this
-  /// domain.
+  /// calling thread's domain -- the enclosing bound domain when domains
+  /// nest, else the root. Call after the last ScopedCounterDomain binding
+  /// this domain has been destroyed; folding while still bound is a no-op
+  /// (nothing is lost). Not safe to call while other threads still write
+  /// to this domain.
   void fold_into_global();
 
  private:
   std::atomic<std::uint64_t> counts_[kObsFormatCount][kObsEventCount] = {};
-  AllocSink alloc_sink_;
+  std::atomic<std::uint64_t> alloc_bytes_{0};
+  std::atomic<std::uint64_t> allocs_{0};
   mutable std::mutex hist_mutex_;
-  HistogramSnapshot hist_channels_[kHistChannelCount] FP8Q_GUARDED_BY(hist_mutex_);
+  HistogramSnapshot hists_[kObsFormatCount] FP8Q_GUARDED_BY(hist_mutex_);
 };
 
-/// The calling thread's bound domain, or nullptr (global routing).
+/// The domain the calling thread's observations land in: its bound domain,
+/// else the process root. Never null.
 [[nodiscard]] CounterDomain* current_counter_domain();
 
-/// Binds `domain` to the calling thread (nullptr restores global routing)
-/// and returns the previous binding. Prefer ScopedCounterDomain; this raw
-/// form exists for the parallel runtime, which saves/restores around each
-/// pool job when propagating the dispatching thread's obs context
-/// (core/parallel.cpp).
-CounterDomain* set_thread_counter_domain(CounterDomain* domain);
-
-/// RAII binding: routes this thread's obs writes (and the allocation
-/// sink, obs/memory.h) to `domain` for the scope's lifetime, restoring
-/// the previous binding -- bindings nest -- on destruction. Passing
-/// nullptr pins global routing for the scope (a job explicitly opting
-/// out of an enclosing domain).
+/// RAII binding: routes this thread's obs writes and reads to `domain` for
+/// the scope's lifetime, restoring the previous binding -- bindings nest --
+/// on destruction. Passing nullptr pins the root for the scope (a job
+/// explicitly opting out of an enclosing domain).
 class ScopedCounterDomain {
  public:
   explicit ScopedCounterDomain(CounterDomain* domain);
@@ -108,8 +100,7 @@ class ScopedCounterDomain {
   ScopedCounterDomain& operator=(const ScopedCounterDomain&) = delete;
 
  private:
-  CounterDomain* prev_domain_;
-  AllocSink* prev_sink_;
+  CounterDomain* prev_;
 };
 
 }  // namespace fp8q

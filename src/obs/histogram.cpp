@@ -4,50 +4,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <map>
-#include <memory>
-#include <mutex>
 
-#include "core/thread_annotations.h"
 #include "obs/domain.h"
 
 namespace fp8q {
 
 namespace {
-
-/// One thread's histogram shard: every channel, guarded by one mutex.
-/// Recording locks only the owning thread's shard (uncontended in steady
-/// state); snapshots lock each shard briefly while merging. Shards are
-/// shared_ptr-held by both the registry and the owning thread, so data
-/// survives thread exit (pool resizes), mirroring obs/trace.cpp.
-struct HistShard {
-  std::mutex mutex;
-  HistogramSnapshot channels[kHistChannelCount] FP8Q_GUARDED_BY(mutex);
-};
-
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::shared_ptr<HistShard>> shards FP8Q_GUARDED_BY(mutex);
-  /// Open-ended named histograms (per-stage latencies): global table,
-  /// per-region event rate, so one mutex is fine.
-  std::map<std::string, HistogramSnapshot, std::less<>> named FP8Q_GUARDED_BY(mutex);
-};
-
-Registry& registry() {
-  static Registry* reg = new Registry();  // leaked: see obs/counters.cpp
-  return *reg;
-}
-
-HistShard& local_shard() {
-  thread_local std::shared_ptr<HistShard> shard = [] {
-    auto s = std::make_shared<HistShard>();
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    reg.shards.push_back(s);
-    return s;
-  }();
-  return *shard;
-}
 
 /// -1 = use the environment default; 0/1 = explicit override.
 std::atomic<int> g_enabled_override{-1};
@@ -58,8 +20,8 @@ bool env_truthy(const char* name) {
 }
 
 bool env_default_enabled() {
-  static const bool value = env_truthy("FP8Q_HIST") || env_truthy("FP8Q_TRACE") ||
-                            std::getenv("FP8Q_REPORT") != nullptr;
+  static const bool value =
+      env_truthy("FP8Q_TRACE") || std::getenv("FP8Q_REPORT") != nullptr;
   return value;
 }
 
@@ -122,28 +84,6 @@ void HistogramSnapshot::merge_from(const HistogramSnapshot& other) {
   total += other.total;
 }
 
-const char* to_string(HistChannel channel) {
-  switch (channel) {
-    case HistChannel::kCastMagE5M2: return "cast_mag/e5m2";
-    case HistChannel::kCastMagE4M3: return "cast_mag/e4m3";
-    case HistChannel::kCastMagE3M4: return "cast_mag/e3m4";
-    case HistChannel::kCastMagInt8: return "cast_mag/int8";
-    case HistChannel::kCastMagOther: return "cast_mag/other";
-    case HistChannel::kStageWallNs: return "latency/stage_ns";
-    case HistChannel::kTuneTrialNs: return "latency/tune_trial_ns";
-    case HistChannel::kParallelTaskNs: return "latency/parallel_task_ns";
-  }
-  return "?";
-}
-
-HistChannel cast_mag_channel(ObsFormat fmt) {
-  static_assert(static_cast<int>(HistChannel::kCastMagE5M2) ==
-                static_cast<int>(ObsFormat::kE5M2));
-  static_assert(static_cast<int>(HistChannel::kCastMagOther) ==
-                static_cast<int>(ObsFormat::kOther));
-  return static_cast<HistChannel>(static_cast<int>(fmt));
-}
-
 bool histograms_enabled() {
   const int override_v = g_enabled_override.load(std::memory_order_relaxed);
   return override_v >= 0 ? override_v != 0 : env_default_enabled();
@@ -153,95 +93,26 @@ void set_histograms_enabled(bool enabled) {
   g_enabled_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
-void hist_record(HistChannel channel, double v) {
-  LocalHistogram one;
-  one.record(v);
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->merge_histogram(channel, one.snap);
-    return;
-  }
-  HistShard& shard = local_shard();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.channels[static_cast<int>(channel)].merge_from(one.snap);
+void hist_merge(ObsFormat fmt, const LocalHistogram& local) {
+  current_counter_domain()->merge_histogram(fmt, local.snap);
 }
 
-void hist_merge(HistChannel channel, const LocalHistogram& local) {
-  if (local.snap.total == 0) return;
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->merge_histogram(channel, local.snap);
-    return;
-  }
-  HistShard& shard = local_shard();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.channels[static_cast<int>(channel)].merge_from(local.snap);
-}
-
-void hist_record_named(std::string_view name, double v) {
-  LocalHistogram one;
-  one.record(v);
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  auto it = reg.named.find(name);
-  if (it == reg.named.end()) it = reg.named.emplace(std::string(name), HistogramSnapshot{}).first;
-  it->second.merge_from(one.snap);
-}
-
-HistogramSnapshot histogram_snapshot(HistChannel channel) {
-  if (const CounterDomain* domain = current_counter_domain()) return domain->histogram(channel);
-  Registry& reg = registry();
-  std::vector<std::shared_ptr<HistShard>> shards;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    shards = reg.shards;
-  }
-  HistogramSnapshot merged;
-  for (const auto& shard : shards) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    merged.merge_from(shard->channels[static_cast<int>(channel)]);
-  }
-  return merged;
-}
-
-std::vector<NamedHistogram> named_histogram_snapshot() {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  std::vector<NamedHistogram> out;
-  out.reserve(reg.named.size());
-  for (const auto& [name, hist] : reg.named) out.push_back({name, hist});
-  return out;  // std::map iteration is already name-sorted
+HistogramSnapshot histogram_snapshot(ObsFormat fmt) {
+  return current_counter_domain()->histogram(fmt);
 }
 
 std::vector<NamedHistogram> all_histograms_snapshot() {
   std::vector<NamedHistogram> out;
-  for (int c = 0; c < kHistChannelCount; ++c) {
-    const auto channel = static_cast<HistChannel>(c);
-    HistogramSnapshot snap = histogram_snapshot(channel);
-    if (snap.any()) out.push_back({to_string(channel), std::move(snap)});
+  for (int f = 0; f < kObsFormatCount; ++f) {
+    const auto fmt = static_cast<ObsFormat>(f);
+    HistogramSnapshot snap = histogram_snapshot(fmt);
+    if (snap.any()) out.push_back({std::string("cast_mag/") + to_string(fmt), std::move(snap)});
   }
-  std::vector<NamedHistogram> named = named_histogram_snapshot();
-  out.insert(out.end(), std::make_move_iterator(named.begin()),
-             std::make_move_iterator(named.end()));
   std::sort(out.begin(), out.end(),
             [](const NamedHistogram& a, const NamedHistogram& b) { return a.name < b.name; });
   return out;
 }
 
-void histograms_reset() {
-  if (CounterDomain* domain = current_counter_domain()) {
-    domain->reset_histograms();
-    return;
-  }
-  Registry& reg = registry();
-  std::vector<std::shared_ptr<HistShard>> shards;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    shards = reg.shards;
-    reg.named.clear();
-  }
-  for (const auto& shard : shards) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto& channel : shard->channels) channel = HistogramSnapshot{};
-  }
-}
+void histograms_reset() { current_counter_domain()->reset_histograms(); }
 
 }  // namespace fp8q

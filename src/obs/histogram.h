@@ -1,9 +1,10 @@
-// Log-bucketed value/latency histograms (docs/OBSERVABILITY.md).
+// Log-bucketed histograms (docs/OBSERVABILITY.md).
 //
 // The paper's analysis is distributional -- tensor-value histograms
-// (Fig. 3), per-format saturation behavior -- and so are the operational
-// questions the telemetry layer must answer (tail latency, per-stage and
-// per-trial cost). Scalars cannot express either; these histograms can, while
+// (Fig. 3), per-format saturation behavior -- and scalars cannot express
+// it. Each counted bulk cast records the |x| distribution it quantizes
+// into one cast_mag/<format> histogram per ObsFormat (the fp8qd stats
+// endpoint reuses the bucket types for its own latency quantiles),
 // keeping the two properties the rest of the obs layer guarantees:
 //
 //   determinism   Bucket counts are integers and bucket assignment is a
@@ -27,23 +28,14 @@
 // (clamped into [min, max]), so p50/p95/p99 are exact to one bucket and
 // max is exact.
 //
-// Sharding mirrors obs/trace.cpp: each thread owns a registry-held shard
-// (kept alive by shared_ptr across pool resizes); recording locks only
-// the calling thread's shard, and snapshots merge every shard plus a
-// global named-histogram table. Channels (HistChannel) are the fixed,
-// hot instrumentation points; named histograms cover open-ended keys
-// (per-stage latencies) at map-lookup cost.
-//
-// Scoped routing: a thread bound to a CounterDomain (obs/domain.h)
-// redirects the *channel* record/merge/snapshot/reset functions to the
-// domain. The named table stays process-global -- open-ended telemetry,
-// not part of a job's deterministic result surface.
+// Routing mirrors obs/counters.h: hist_merge, histogram_snapshot and
+// histograms_reset act on the calling thread's observation domain
+// (obs/domain.h) -- its bound CounterDomain, else the process root.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/counters.h"
@@ -75,7 +67,7 @@ inline constexpr int kHistBucketCount =
 [[nodiscard]] double hist_bucket_lower_bound(int bucket);
 
 /// A merged (or merging) histogram: integer bucket counts plus exact
-/// min/max. Also the per-thread shard cell and the JSON round-trip form.
+/// min/max. Also a domain's stored form and the JSON round-trip form.
 struct HistogramSnapshot {
   std::uint64_t counts[kHistBucketCount] = {};
   std::uint64_t total = 0;
@@ -91,14 +83,14 @@ struct HistogramSnapshot {
   /// bucket counts.
   [[nodiscard]] double quantile(double q) const;
 
-  /// Commutative, associative merge; the shard-fold primitive.
+  /// Commutative, associative merge; the domain-fold primitive.
   void merge_from(const HistogramSnapshot& other);
 
   friend bool operator==(const HistogramSnapshot&, const HistogramSnapshot&) = default;
 };
 
 /// Stack-local accumulator for hot loops: record per element, fold into
-/// the shared shard once per chunk with hist_merge (one lock per chunk,
+/// the domain once per chunk with hist_merge (one lock per chunk,
 /// mirroring how CastTally folds into counter_add).
 struct LocalHistogram {
   HistogramSnapshot snap;
@@ -116,66 +108,31 @@ struct LocalHistogram {
   }
 };
 
-/// Fixed instrumentation channels. The cast_mag/* channels record the
-/// pre-quantization |x| distribution in the scaled domain (the format's
-/// own range), one channel per ObsFormat; they are deterministic and
-/// thread-count-invariant. The latency/* channels record wall-clock
-/// durations in nanoseconds; their *values* are nondeterministic (clock)
-/// and their counts may vary with thread count (chunking) --
-/// they are performance observations, not results.
-enum class HistChannel : std::uint8_t {
-  kCastMagE5M2,
-  kCastMagE4M3,
-  kCastMagE3M4,
-  kCastMagInt8,
-  kCastMagOther,
-  kStageWallNs,      ///< ScopedStage durations
-  kTuneTrialNs,      ///< tuner per-trial evaluation times
-  kParallelTaskNs,   ///< parallel_run task durations (needs tracing on)
-};
-inline constexpr int kHistChannelCount = 8;
-
-/// Stable names used in report.json ("cast_mag/e4m3", "latency/stage_ns").
-[[nodiscard]] const char* to_string(HistChannel channel);
-
-/// The magnitude channel for a format (same order as ObsFormat).
-[[nodiscard]] HistChannel cast_mag_channel(ObsFormat fmt);
-
 /// True when instrumented sites should record. Defaults to the
-/// environment: enabled when FP8Q_HIST or FP8Q_TRACE is truthy or
-/// FP8Q_REPORT is set; set_histograms_enabled overrides.
+/// environment: enabled when FP8Q_TRACE is truthy or FP8Q_REPORT is set;
+/// set_histograms_enabled overrides.
 [[nodiscard]] bool histograms_enabled();
 void set_histograms_enabled(bool enabled);
 
-/// Records one value into the calling thread's shard. Callers on hot
-/// loops accumulate a LocalHistogram and fold with hist_merge instead.
-void hist_record(HistChannel channel, double v);
+/// Folds a chunk-local accumulation of pre-quantization magnitudes into
+/// the calling thread's domain, under cast_mag/<fmt>.
+void hist_merge(ObsFormat fmt, const LocalHistogram& local);
 
-/// Folds a chunk-local accumulation into the calling thread's shard.
-void hist_merge(HistChannel channel, const LocalHistogram& local);
+/// The calling thread's domain's cast_mag/<fmt> histogram.
+[[nodiscard]] HistogramSnapshot histogram_snapshot(ObsFormat fmt);
 
-/// Records into the open-ended named table (per-stage latencies). The
-/// table is process-global and mutex-guarded; use for per-region events,
-/// not per-element ones.
-void hist_record_named(std::string_view name, double v);
-
-/// One named histogram as surfaced in reports.
+/// One histogram as surfaced in reports.
 struct NamedHistogram {
   std::string name;
   HistogramSnapshot hist;
 };
 
-/// Merged snapshot of one channel across every shard (live and retired).
-[[nodiscard]] HistogramSnapshot histogram_snapshot(HistChannel channel);
-
-/// Every named histogram, sorted by name.
-[[nodiscard]] std::vector<NamedHistogram> named_histogram_snapshot();
-
-/// All channels with any() data plus all named histograms, each under its
-/// stable name, sorted. The report writer's source.
+/// Every cast_mag/<format> histogram with any() data, under its stable
+/// report name ("cast_mag/e4m3"), sorted by name. The report writer's
+/// source.
 [[nodiscard]] std::vector<NamedHistogram> all_histograms_snapshot();
 
-/// Zeroes every shard and the named table. Call only while no
+/// Zeroes the calling thread's domain's histograms. Call only while no
 /// instrumented work is running.
 void histograms_reset();
 

@@ -209,25 +209,17 @@ ScopedThreadReport::~ScopedThreadReport() {
 }
 
 ScopedStage::ScopedStage(std::string_view name) : span_(name) {
-  report_armed_ = active_report() != nullptr;
-  if (!report_armed_ && !histograms_enabled()) return;
+  if (active_report() == nullptr) return;
   armed_ = true;
   name_ = name;
   start_ns_ = obs_now_ns();
-  if (report_armed_) {
-    start_counters_ = counters_snapshot();
-    start_allocs_ = alloc_counters_snapshot();
-  }
+  start_counters_ = counters_snapshot();
+  start_allocs_ = alloc_counters_snapshot();
 }
 
 ScopedStage::~ScopedStage() {
   if (!armed_) return;
   const std::uint64_t wall_ns = obs_now_ns() - start_ns_;
-  if (histograms_enabled()) {
-    hist_record(HistChannel::kStageWallNs, static_cast<double>(wall_ns));
-    hist_record_named("stage:" + name_, static_cast<double>(wall_ns));
-  }
-  if (!report_armed_) return;
   const AllocCounterSnapshot alloc_delta = alloc_counters_snapshot().since(start_allocs_);
   report_add_stage(name_, static_cast<double>(wall_ns) / 1e6,
                    counters_snapshot().since(start_counters_), alloc_delta.bytes,

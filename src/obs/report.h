@@ -16,8 +16,9 @@
 // report-capable via the environment alone.
 //
 // Determinism note (docs/THREADING.md): stage wall times are
-// nondeterministic, and a stage's counter delta is the *process-global*
-// total over the stage's wall window -- under concurrent stages (the
+// nondeterministic, and a stage's counter delta is its observation
+// domain's total (obs/domain.h; the process root unless the thread binds
+// one) over the stage's wall window -- under concurrent stages (the
 // tuner's parallel ladder) events are attributed to every stage whose
 // window they fall in. Stage order, record order and counter totals over
 // the whole run are deterministic.
@@ -54,8 +55,8 @@ struct StageReport {
   double wall_ms = 0.0;
   /// Counter delta over the stage window (see determinism note above).
   CounterSnapshot counters;
-  /// Tensor-allocation delta over the stage window (obs/memory.h). Like
-  /// the counter delta, process-global over the wall window.
+  /// Tensor-allocation delta over the stage window (obs/memory.h), from
+  /// the same domain as the counter delta.
   std::uint64_t alloc_bytes = 0;
   std::uint64_t allocs = 0;
 };
@@ -132,11 +133,8 @@ ThreadReportBinding set_thread_report(ThreadReportBinding binding);
 
 /// RAII stage: measures wall time, the counter delta and the allocation
 /// delta of a scope and appends a StageReport to the active report (if
-/// any) on destruction. Also opens a TraceSpan of the same name, and --
-/// when histograms are enabled -- records the stage duration into the
-/// latency/stage_ns channel plus a per-name "stage:<name>" histogram.
-/// With no active report, tracing off and histograms off, cost is three
-/// relaxed flag checks.
+/// any) on destruction. Also opens a TraceSpan of the same name. With no
+/// active report and tracing off, cost is two relaxed flag checks.
 class ScopedStage {
  public:
   explicit ScopedStage(std::string_view name);
@@ -146,8 +144,7 @@ class ScopedStage {
   ScopedStage& operator=(const ScopedStage&) = delete;
 
  private:
-  bool armed_ = false;         ///< timing is live (report active or hists on)
-  bool report_armed_ = false;  ///< a report was active at construction
+  bool armed_ = false;  ///< a report was active at construction
   std::string name_;
   std::uint64_t start_ns_ = 0;
   CounterSnapshot start_counters_;

@@ -91,13 +91,12 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
   report.isa = isa_label();
 
   // The whole job body runs under a fresh observation domain: every
-  // counter, allocation and histogram channel the job (and its parallel
-  // fan-out) produces lands in `domain`, so the
-  // report's counter blocks are this job's exact events -- no global
-  // before/after snapshots, hence exact even with other jobs running
-  // concurrently. The fold guard moves the tallies into the caller's
-  // enclosing sink (normally the process globals) on every exit path, so
-  // cumulative process-wide totals are unchanged by the detour.
+  // counter, allocation and histogram the job (and its parallel fan-out)
+  // produces lands in `domain`, so the report's counter blocks are this
+  // job's exact events -- no root before/after snapshots, hence exact even
+  // with other jobs running concurrently. The fold guard moves the tallies
+  // into the caller's enclosing domain (normally the root) on every exit
+  // path, so cumulative process-wide totals are unchanged by the detour.
   CounterDomain domain;
   struct FoldGuard {
     CounterDomain& domain;
@@ -283,12 +282,6 @@ void Server::executor_loop(int slot) {
       mine.busy_ns += job->finish_ns - job->start_ns;
       mine.busy_since_ns = 0;
       --active_jobs_;
-    }
-    if (histograms_enabled()) {
-      hist_record_named("service:job_wall_ns",
-                        static_cast<double>(job->finish_ns - job->start_ns));
-      hist_record_named("service:queue_wait_ns",
-                        static_cast<double>(job->start_ns - job->submit_ns));
     }
     wake_.signal();
   }

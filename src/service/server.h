@@ -17,8 +17,8 @@
 //     core/parallel threads it fans out to, so its report counter blocks
 //     are exact per-job deltas by construction -- bit-identical to a
 //     one-shot run of the same spec at any worker count and any
-//     interleaving. The domain folds into the process globals when the
-//     job finishes, so cumulative totals still add up.
+//     interleaving. The domain folds into the process root domain when
+//     the job finishes, so cumulative totals still add up.
 //   * Per-worker arenas (core/parallel.h, ParallelArena): each executor
 //     owns a max(1, num_threads()/workers)-budget slice of the parallel
 //     runtime, so N workers x M pool threads never oversubscribe the
@@ -26,7 +26,7 @@
 //
 // A running job shares no mutable state with other jobs: it builds its own
 // model, data and quantized weights. The only locks it can contend on are
-// the process-global telemetry tables (named histograms, trace buffers).
+// the process-global trace buffers.
 //
 // Memory stays bounded under sustained load: the job table keeps at most
 // kMaxTerminalJobs finished (terminal) jobs, evicting the oldest at each
@@ -108,7 +108,7 @@ struct ServiceStats {
 /// Executes one job spec end to end and returns its report -- exactly the
 /// code path the daemon's executors run, minus the queueing. The job body
 /// runs under a fresh CounterDomain (obs/domain.h) that folds into the
-/// caller's enclosing sink on return, so the report's counter blocks are
+/// caller's enclosing domain on return, so the report's counter blocks are
 /// the job's exact events whether the caller is an executor worker, a
 /// test, or an embedder -- served and one-shot runs are the same code by
 /// construction. Public so the end-to-end tests can compare a served

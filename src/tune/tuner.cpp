@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "core/parallel.h"
-#include "obs/histogram.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -47,9 +46,6 @@ TuneStep make_step(const EvalPlan& plan, const Arm& arm, const TuneOptions& opti
 /// deterministic history order even when the arms evaluated in parallel.
 bool absorb(TuneResult& result, TuneStep step) {
   report_add_stage("trial:" + step.description, step.eval_ms);
-  if (histograms_enabled()) {
-    hist_record(HistChannel::kTuneTrialNs, step.eval_ms * 1e6);
-  }
   const bool first = result.history.empty();
   const bool better =
       first || step.record.relative_loss() < result.best_record.relative_loss();

@@ -1,6 +1,6 @@
-// Quantization-event counter semantics (src/obs/counters.h): sharded
-// totals must be independent of thread count, cost nothing when disabled,
-// and survive thread exit via the retired accumulator.
+// Quantization-event counter semantics (src/obs/counters.h): totals must
+// be independent of thread count, cost nothing when disabled, and survive
+// the exit of the threads that counted them.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -146,7 +146,8 @@ TEST(Counters, ExitedThreadsFoldIntoRetiredTotals) {
         [] { counter_add(ObsFormat::kOther, ObsEvent::kQuantized, 10); });
   }
   for (auto& t : threads) t.join();
-  // All four shards are gone; the retired accumulator carries their totals.
+  // All four threads are gone; their adds live on in the root domain they
+  // shared, which no thread owns.
   EXPECT_EQ(counters_snapshot().get(ObsFormat::kOther, ObsEvent::kQuantized), 40u);
 }
 

@@ -2,10 +2,10 @@
 //
 // While a thread is bound to a CounterDomain, every obs write primitive
 // lands in the domain and every snapshot reads the domain's view; the
-// process globals are untouched until fold_into_global() moves the
-// tallies over. The suite pins: isolation from globals, isolation
-// BETWEEN domains (the fp8qd concurrent-jobs property), nesting, the
-// conservation law (sum over domains + globals is invariant under
+// root domain unbound threads share is untouched until fold_into_global()
+// moves the tallies over. The suite pins: isolation from the root,
+// isolation BETWEEN domains (the fp8qd concurrent-jobs property), nesting,
+// the conservation law (sum over domains + root is invariant under
 // folds), propagation across parallel regions, and the unbound fallback.
 #include "obs/domain.h"
 
@@ -22,7 +22,15 @@
 namespace fp8q {
 namespace {
 
-/// Fresh global state; counters on, histograms on.
+/// One magnitude merged the way the casts record: a LocalHistogram folded
+/// with hist_merge.
+void merge_one(ObsFormat fmt, double v) {
+  LocalHistogram local;
+  local.record(v);
+  hist_merge(fmt, local);
+}
+
+/// Fresh root (process-global) state; counters on, histograms on.
 void reset_globals() {
   set_counters_enabled(true);
   set_histograms_enabled(true);
@@ -33,7 +41,7 @@ void reset_globals() {
 
 TEST(CounterDomain, BoundThreadRoutesWritesAndReadsToTheDomain) {
   reset_globals();
-  const CounterSnapshot global_before = counters_snapshot();
+  const CounterSnapshot root_before = counters_snapshot();
 
   CounterDomain domain;
   {
@@ -41,23 +49,23 @@ TEST(CounterDomain, BoundThreadRoutesWritesAndReadsToTheDomain) {
     counter_add(ObsFormat::kE4M3, ObsEvent::kQuantized, 40);
     counter_add(ObsFormat::kE4M3, ObsEvent::kSaturated, 2);
     alloc_counter_add(512);
-    hist_record(HistChannel::kCastMagE4M3, 1.5);
+    merge_one(ObsFormat::kE4M3, 1.5);
 
     // The bound thread's snapshots ARE the domain's view.
     EXPECT_EQ(counters_snapshot().get(ObsFormat::kE4M3, ObsEvent::kQuantized), 40u);
     EXPECT_EQ(alloc_counters_snapshot().bytes, 512u);
     EXPECT_EQ(alloc_counters_snapshot().allocs, 1u);
-    EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE4M3).total, 1u);
+    EXPECT_EQ(histogram_snapshot(ObsFormat::kE4M3).total, 1u);
   }
 
-  // Unbound again: globals never saw any of it.
-  EXPECT_TRUE(counters_snapshot() == global_before);
+  // Unbound again: the root never saw any of it.
+  EXPECT_TRUE(counters_snapshot() == root_before);
   EXPECT_EQ(alloc_counters_snapshot().bytes, 0u);
-  EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE4M3).total, 0u);
+  EXPECT_EQ(histogram_snapshot(ObsFormat::kE4M3).total, 0u);
   // The domain still holds the tallies.
   EXPECT_EQ(domain.counters().get(ObsFormat::kE4M3, ObsEvent::kQuantized), 40u);
   EXPECT_EQ(domain.alloc_counters().bytes, 512u);
-  EXPECT_EQ(domain.histogram(HistChannel::kCastMagE4M3).total, 1u);
+  EXPECT_EQ(domain.histogram(ObsFormat::kE4M3).total, 1u);
 }
 
 TEST(CounterDomain, ConcurrentDomainsIsolatePerfectly) {
@@ -74,7 +82,7 @@ TEST(CounterDomain, ConcurrentDomainsIsolatePerfectly) {
       ScopedCounterDomain scope(&domains[static_cast<std::size_t>(t)]);
       for (int i = 0; i < 1000; ++i) {
         counter_add(ObsFormat::kE5M2, ObsEvent::kQuantized, static_cast<std::uint64_t>(t) + 1);
-        hist_record(HistChannel::kCastMagE5M2, static_cast<double>(t));
+        merge_one(ObsFormat::kE5M2, static_cast<double>(t));
       }
     });
   }
@@ -84,7 +92,7 @@ TEST(CounterDomain, ConcurrentDomainsIsolatePerfectly) {
                                                                   ObsEvent::kQuantized),
               1000u * (static_cast<std::uint64_t>(t) + 1));
     const HistogramSnapshot h =
-        domains[static_cast<std::size_t>(t)].histogram(HistChannel::kCastMagE5M2);
+        domains[static_cast<std::size_t>(t)].histogram(ObsFormat::kE5M2);
     EXPECT_EQ(h.total, 1000u);
     EXPECT_EQ(h.max_value, static_cast<double>(t));
   }
@@ -98,14 +106,15 @@ TEST(CounterDomain, FoldMovesTalliesIntoGlobalsExactlyOnce) {
     ScopedCounterDomain scope(&domain);
     counter_add(ObsFormat::kE3M4, ObsEvent::kFlushedToZero, 7);
     alloc_counter_add(64);
-    hist_record(HistChannel::kCastMagE3M4, 0.25);
+    merge_one(ObsFormat::kE3M4, 0.25);
   }
   domain.fold_into_global();
 
-  // Conservation: the fold moved every tally into the globals...
+  // Conservation: the fold moved every tally into the root...
   EXPECT_EQ(counters_snapshot().get(ObsFormat::kE3M4, ObsEvent::kFlushedToZero), 7u);
   EXPECT_EQ(alloc_counters_snapshot().bytes, 64u);
-  EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE3M4).total, 1u);
+  EXPECT_EQ(alloc_counters_snapshot().allocs, 1u);
+  EXPECT_EQ(histogram_snapshot(ObsFormat::kE3M4).total, 1u);
   // ...and left the domain empty, so a second fold adds nothing.
   EXPECT_FALSE(domain.counters().any());
   domain.fold_into_global();
@@ -124,7 +133,7 @@ TEST(CounterDomain, NestedDomainsFoldIntoTheEnclosingDomain) {
       counter_add(ObsFormat::kE4M3, ObsEvent::kQuantized, 5);
     }
     // Folding while the OUTER binding is live lands in outer, not the
-    // globals -- the nesting rule run_job_oneshot relies on when an
+    // root -- the nesting rule run_job_oneshot relies on when an
     // embedder calls it under a domain of its own.
     inner.fold_into_global();
     EXPECT_EQ(counters_snapshot().get(ObsFormat::kE4M3, ObsEvent::kQuantized), 15u);
@@ -135,7 +144,7 @@ TEST(CounterDomain, NestedDomainsFoldIntoTheEnclosingDomain) {
 
 TEST(CounterDomain, ResetRoutesToTheDomainAndSparesGlobals) {
   reset_globals();
-  counter_add(ObsFormat::kInt8, ObsEvent::kQuantized, 99);  // global
+  counter_add(ObsFormat::kInt8, ObsEvent::kQuantized, 99);  // root
   CounterDomain domain;
   {
     ScopedCounterDomain scope(&domain);
@@ -144,26 +153,50 @@ TEST(CounterDomain, ResetRoutesToTheDomainAndSparesGlobals) {
     EXPECT_FALSE(counters_snapshot().any());
   }
   EXPECT_FALSE(domain.counters().any());
-  // The global tally survived the bound thread's reset.
+  // The root tally survived the bound thread's reset.
   EXPECT_EQ(counters_snapshot().get(ObsFormat::kInt8, ObsEvent::kQuantized), 99u);
   counters_reset();
 }
 
+/// 64 pool tasks over 4 threads, each adding one counter event, one
+/// histogram value and one allocation.
+void record_from_the_pool() {
+  set_num_threads(4);
+  parallel_run(64, [](std::int64_t) {
+    counter_add(ObsFormat::kE4M3, ObsEvent::kQuantized, 1);
+    merge_one(ObsFormat::kE4M3, 2.0);
+    alloc_counter_add(8);
+  });
+  set_num_threads(0);
+}
+
 TEST(CounterDomain, ParallelRegionsInheritTheDispatchersDomain) {
   reset_globals();
-  set_num_threads(4);
   CounterDomain domain;
   {
     ScopedCounterDomain scope(&domain);
-    // Pool workers must adopt the dispatcher's binding: every per-chunk
-    // add lands in the domain no matter which thread ran the chunk.
-    parallel_run(64, [](std::int64_t) {
-      counter_add(ObsFormat::kE4M3, ObsEvent::kQuantized, 1);
-    });
+    // Pool workers must adopt the dispatcher's binding: every per-task
+    // write lands in the domain no matter which thread ran the task.
+    record_from_the_pool();
   }
-  set_num_threads(0);
   EXPECT_EQ(domain.counters().get(ObsFormat::kE4M3, ObsEvent::kQuantized), 64u);
+  EXPECT_EQ(domain.histogram(ObsFormat::kE4M3).total, 64u);
+  EXPECT_EQ(domain.alloc_counters().allocs, 64u);
+  EXPECT_EQ(domain.alloc_counters().bytes, 64u * 8u);
   EXPECT_FALSE(counters_snapshot().any());
+  EXPECT_FALSE(histogram_snapshot(ObsFormat::kE4M3).any());
+  EXPECT_EQ(alloc_counters_snapshot().allocs, 0u);
+}
+
+TEST(CounterDomain, UnboundParallelRegionsShareTheRoot) {
+  reset_globals();
+  // No domain bound anywhere: every pool thread writes to the one root.
+  record_from_the_pool();
+  EXPECT_EQ(counters_snapshot().get(ObsFormat::kE4M3, ObsEvent::kQuantized), 64u);
+  EXPECT_EQ(histogram_snapshot(ObsFormat::kE4M3).total, 64u);
+  EXPECT_EQ(alloc_counters_snapshot().allocs, 64u);
+  EXPECT_EQ(alloc_counters_snapshot().bytes, 64u * 8u);
+  reset_globals();
 }
 
 TEST(CounterDomain, BindingNullptrPinsGlobalRouting) {

@@ -1,5 +1,5 @@
 // Log-bucketed histograms (src/obs/histogram.h): bucket math, nearest-rank
-// quantiles, shard merging, and the determinism contract -- merged channel
+// quantiles, merging, and the determinism contract -- merged cast_mag
 // snapshots must be bitwise-identical at every thread count. This binary is
 // registered twice with ctest (plain and with FP8Q_NUM_THREADS=4,
 // tests/CMakeLists.txt) so the whole suite also runs on a resized pool.
@@ -153,9 +153,9 @@ TEST(HistDeterminism, MergedSnapshotInvariantAcrossThreadCounts) {
     parallel_for(0, n, 1024, [&](std::int64_t lo, std::int64_t hi) {
       LocalHistogram local;
       for (std::int64_t i = lo; i < hi; ++i) local.record(values[static_cast<std::size_t>(i)]);
-      hist_merge(HistChannel::kCastMagE4M3, local);
+      hist_merge(ObsFormat::kE4M3, local);
     });
-    return histogram_snapshot(HistChannel::kCastMagE4M3);
+    return histogram_snapshot(ObsFormat::kE4M3);
   };
 
   const HistogramSnapshot serial = run_at(1);
@@ -176,38 +176,31 @@ TEST(HistRegistry, GatingSkipsRecordingWhenDisabled) {
   // recording. Verify the flag flips and recording lands when enabled.
   set_histograms_enabled(true);
   EXPECT_TRUE(histograms_enabled());
-  hist_record(HistChannel::kTuneTrialNs, 123.0);
-  EXPECT_EQ(histogram_snapshot(HistChannel::kTuneTrialNs).total, 1u);
-}
-
-TEST(HistRegistry, NamedHistogramsSortedAndMerged) {
-  HistGuard guard;
-  hist_record_named("stage:zeta", 2.0);
-  hist_record_named("stage:alpha", 1.0);
-  hist_record_named("stage:alpha", 3.0);
-
-  const auto named = named_histogram_snapshot();
-  ASSERT_EQ(named.size(), 2u);
-  EXPECT_EQ(named[0].name, "stage:alpha");
-  EXPECT_EQ(named[0].hist.total, 2u);
-  EXPECT_EQ(named[0].hist.min_value, 1.0);
-  EXPECT_EQ(named[0].hist.max_value, 3.0);
-  EXPECT_EQ(named[1].name, "stage:zeta");
+  LocalHistogram local;
+  local.record(123.0);
+  hist_merge(ObsFormat::kE4M3, local);
+  EXPECT_EQ(histogram_snapshot(ObsFormat::kE4M3).total, 1u);
 }
 
 TEST(HistRegistry, AllHistogramsUseStableNamesSorted) {
   HistGuard guard;
-  hist_record(HistChannel::kCastMagE5M2, 1.0);
-  hist_record_named("aaa-first", 1.0);
+  // ObsFormat order (e5m2, e4m3, e3m4, int8) is not name order.
+  for (const ObsFormat fmt : {ObsFormat::kInt8, ObsFormat::kE5M2, ObsFormat::kE3M4}) {
+    LocalHistogram local;
+    local.record(1.0);
+    hist_merge(fmt, local);
+  }
 
   const auto all = all_histograms_snapshot();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].name, "aaa-first");
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].name, "cast_mag/e3m4");
   EXPECT_EQ(all[1].name, "cast_mag/e5m2");
+  EXPECT_EQ(all[2].name, "cast_mag/int8");
+  EXPECT_EQ(all[2].hist.total, 1u);
 
   histograms_reset();
   EXPECT_TRUE(all_histograms_snapshot().empty());
-  EXPECT_EQ(histogram_snapshot(HistChannel::kCastMagE5M2).total, 0u);
+  EXPECT_EQ(histogram_snapshot(ObsFormat::kE5M2).total, 0u);
 }
 
 }  // namespace

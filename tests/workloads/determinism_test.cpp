@@ -257,7 +257,7 @@ TEST(Determinism, CastMagnitudeHistogramInvariantAcrossThreadCounts) {
   for (float& v : in) v = rng.normal(0.0f, 3.0f);
   std::vector<float> out(in.size());
 
-  // Histograms on, tracing off: the cast_mag/* channels classify each
+  // Histograms on, tracing off: the cast_mag/* histograms classify each
   // element's pre-quantization |x*scale| (fp8/cast_fast.cpp), so the merged
   // bucket counts -- and every quantile -- must be bitwise-identical no
   // matter how parallel_for chunked the range.
@@ -266,7 +266,7 @@ TEST(Determinism, CastMagnitudeHistogramInvariantAcrossThreadCounts) {
     histograms_reset();
     set_num_threads(threads);
     fp8_quantize_scaled_fast(in, out, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
-    return histogram_snapshot(HistChannel::kCastMagE4M3);
+    return histogram_snapshot(ObsFormat::kE4M3);
   };
   const HistogramSnapshot serial = run_at(1);
   const HistogramSnapshot parallel4 = run_at(4);
