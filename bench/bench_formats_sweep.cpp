@@ -20,8 +20,9 @@ namespace {
 double max_scaled_mse(const Tensor& x, const FormatSpec& spec) {
   const float amax = absmax(x);
   const float scale = amax > 0.0f ? spec.max_value() / amax : 1.0f;
+  const float inv = 1.0f / scale;
   Tensor q = x;
-  fp8_quantize_scaled(q.flat(), q.flat(), spec, scale);
+  for (float& v : q.flat()) v = fp8_quantize(v * scale, spec) * inv;
   return mse(x, q);
 }
 

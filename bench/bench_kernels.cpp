@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
   }
 
   // One thread: the numbers measure the kernels, not the parallel runtime
-  // (bench_parallel_scaling covers scaling).
+  // (perfbench/ measures scaling end to end).
   set_num_threads(1);
 
   const std::int64_t cast_n = smoke ? 65536 : 1 << 20;

@@ -1,6 +1,5 @@
-// Exploring the FP8 design space: custom EeMm formats, exponent-bias
-// shifting, rounding modes and packed storage -- the knobs behind the
-// paper's E5M2 / E4M3 / E3M4 choices.
+// Exploring the FP8 design space: custom EeMm formats and exponent-bias
+// shifting -- the knobs behind the paper's E5M2 / E4M3 / E3M4 choices.
 #include <cstdio>
 
 #include "core/fp8q.h"
@@ -24,30 +23,5 @@ int main() {
     std::printf("  bias %d: range [%g, %g]\n", bias, spec.min_subnormal(),
                 spec.max_value());
   }
-
-  // 3. Rounding modes on the same value.
-  const float x = 1.06f;
-  CastOptions rne;                                   // default: nearest-even
-  CastOptions rtz;
-  rtz.rounding = RoundingMode::kTowardZero;
-  CastOptions sr;
-  sr.rounding = RoundingMode::kStochastic;
-  std::uint64_t state = 7;
-  sr.rng_state = &state;
-  std::printf("\nrounding %g in E4M3: RNE=%g, toward-zero=%g, stochastic={", x,
-              fp8_quantize(x, Fp8Kind::E4M3, rne), fp8_quantize(x, Fp8Kind::E4M3, rtz));
-  for (int i = 0; i < 5; ++i) std::printf("%g ", fp8_quantize(x, Fp8Kind::E4M3, sr));
-  std::printf("}\n");
-
-  // 4. Packed storage: real FP8 bytes, 4x smaller than FP32.
-  Rng rng(3);
-  Tensor weights = randn(rng, {128, 128});
-  const auto packed = PackedFp8Tensor::pack_per_channel(weights, Fp8Kind::E4M3);
-  std::printf("\npacked [128,128] weight: %zu bytes vs %lld FP32 bytes (%.2fx smaller),"
-              "\nround-trip SQNR %.1f dB\n",
-              packed.storage_bytes(), static_cast<long long>(weights.numel() * 4),
-              static_cast<double>(weights.numel() * 4) /
-                  static_cast<double>(packed.storage_bytes()),
-              sqnr_db(weights.flat(), packed.unpack().flat()));
   return 0;
 }

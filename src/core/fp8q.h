@@ -22,11 +22,10 @@
 // and E3M4 use the paper's extended encoding: the all-ones exponent field
 // holds ordinary values, only the single all-ones exponent+mantissa
 // pattern per sign is NaN, and there is no Inf -- buying one extra binade
-// of finite range. By default casts SATURATE: any value beyond the max
-// finite magnitude (including +/-Inf inputs) clamps to +/-max rather than
-// producing Inf/NaN, which is what PTQ wants after range calibration; the
-// IEEE-faithful overflow-to-Inf/NaN behavior is available per cast via
-// CastOptions::overflow (fp8/cast.h). NaN inputs stay NaN in every mode.
+// of finite range. Casts SATURATE: any value beyond the max finite
+// magnitude (including +/-Inf inputs) clamps to +/-max rather than
+// producing Inf/NaN, which is what PTQ wants after range calibration.
+// NaN inputs stay NaN.
 //
 // Quick start:
 //
@@ -49,10 +48,8 @@
 #include "core/cpu_dispatch.h" // IWYU pragma: export
 #include "core/parallel.h" // IWYU pragma: export
 #include "fp8/cast.h"      // IWYU pragma: export
-#include "fp8/convert.h"   // IWYU pragma: export
 #include "fp8/format.h"    // IWYU pragma: export
 #include "fp8/int8.h"      // IWYU pragma: export
-#include "fp8/packed.h"    // IWYU pragma: export
 #include "io/serialize.h"   // IWYU pragma: export
 #include "metrics/metrics.h"   // IWYU pragma: export
 #include "metrics/passrate.h"  // IWYU pragma: export

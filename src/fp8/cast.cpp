@@ -4,47 +4,18 @@
 #include <cmath>
 #include <limits>
 
-#include "core/parallel.h"
-#include "obs/counters.h"
-
 namespace fp8q {
 
 namespace {
 
-/// Iterations per chunk for the element-wise quantize loops. The scalar
-/// slow path costs ~50-100ns/element, so this keeps chunks well above the
-/// pool's dispatch overhead while still splitting megabyte tensors.
-constexpr std::int64_t kCastGrain = 2048;
-
-/// xorshift64* step for stochastic rounding; returns uniform double in [0,1).
-double next_uniform(std::uint64_t* state) {
-  std::uint64_t x = *state ? *state : 0x9E3779B97F4A7C15ull;
-  x ^= x >> 12;
-  x ^= x << 25;
-  x ^= x >> 27;
-  *state = x;
-  return static_cast<double>((x * 0x2545F4914F6CDD1Dull) >> 11) * 0x1.0p-53;
-}
-
-/// Rounds a non-negative scaled significand to an integer per `opts`.
-/// `v` is always < 2^(m+1) + 1 <= 33, so the double arithmetic is exact.
-std::uint32_t round_significand(double v, const CastOptions& opts) {
+/// Rounds a non-negative scaled significand to the nearest integer, ties
+/// to even. `v` is always < 2^(m+1) + 1 <= 33, so the double arithmetic is
+/// exact.
+std::uint32_t round_nearest_even(double v) {
   const double f = std::floor(v);
   const double frac = v - f;
   auto fi = static_cast<std::uint32_t>(f);
-  switch (opts.rounding) {
-    case RoundingMode::kNearestEven:
-      if (frac > 0.5 || (frac == 0.5 && (fi & 1u))) ++fi;
-      return fi;
-    case RoundingMode::kTowardZero:
-      return fi;
-    case RoundingMode::kStochastic: {
-      std::uint64_t fallback = 0x1234567890ABCDEFull;
-      std::uint64_t* state = opts.rng_state ? opts.rng_state : &fallback;
-      if (frac > 0.0 && next_uniform(state) < frac) ++fi;
-      return fi;
-    }
-  }
+  if (frac > 0.5 || (frac == 0.5 && (fi & 1u))) ++fi;
   return fi;
 }
 
@@ -62,45 +33,6 @@ std::uint8_t max_finite_code(const FormatSpec& spec) {
   const unsigned mant = (1u << m) - 2u;
   return static_cast<std::uint8_t>((exp_field << m) | mant);
 }
-
-std::uint8_t infinity_code(const FormatSpec& spec) {
-  // Only meaningful for the IEEE family: top exponent, zero mantissa.
-  return static_cast<std::uint8_t>(((1u << spec.exp_bits) - 1u) << spec.man_bits);
-}
-
-/// Per-chunk quantization-event tally for the reference bulk casts; events
-/// are classified from (input, output) pairs, so every overflow policy and
-/// rounding mode is covered without duplicating cast logic.
-struct EventTally {
-  std::uint64_t quantized = 0;
-  std::uint64_t saturated = 0;
-  std::uint64_t flushed = 0;
-  std::uint64_t nan_produced = 0;
-  std::uint64_t inf_produced = 0;
-
-  /// `x` is the value in the format's domain (already scaled), `q` the
-  /// quantized result before any inverse scaling.
-  void classify(float x, float q, float max_value) {
-    ++quantized;
-    if (std::isnan(q)) {
-      if (!std::isnan(x)) ++nan_produced;  // NaN pass-through is not an event
-    } else if (std::isinf(q)) {
-      if (!std::isinf(x)) ++inf_produced;
-    } else if (q == 0.0f) {
-      if (x != 0.0f) ++flushed;
-    } else if (std::fabs(q) == max_value && std::fabs(x) > max_value) {
-      ++saturated;  // includes +/-Inf inputs under the saturating policy
-    }
-  }
-
-  void flush(ObsFormat fmt) const {
-    counter_add(fmt, ObsEvent::kQuantized, quantized);
-    counter_add(fmt, ObsEvent::kSaturated, saturated);
-    counter_add(fmt, ObsEvent::kFlushedToZero, flushed);
-    counter_add(fmt, ObsEvent::kNanProduced, nan_produced);
-    counter_add(fmt, ObsEvent::kInfProduced, inf_produced);
-  }
-};
 
 }  // namespace
 
@@ -129,19 +61,12 @@ bool fp8_is_inf(std::uint8_t code, const FormatSpec& spec) {
   return exp_field == (1u << spec.exp_bits) - 1u && mant == 0u;
 }
 
-std::uint8_t fp8_encode(float x, const FormatSpec& spec, const CastOptions& opts) {
+std::uint8_t fp8_encode(float x, const FormatSpec& spec) {
   const int m = spec.man_bits;
   const std::uint8_t sign = std::signbit(x) ? 0x80 : 0x00;
 
   if (std::isnan(x)) return static_cast<std::uint8_t>(sign | fp8_nan_code(spec));
-
-  if (std::isinf(x)) {
-    if (opts.overflow == OverflowPolicy::kInfinityNan) {
-      return static_cast<std::uint8_t>(
-          sign | (spec.has_infinity() ? infinity_code(spec) : fp8_nan_code(spec)));
-    }
-    return static_cast<std::uint8_t>(sign | max_finite_code(spec));
-  }
+  if (std::isinf(x)) return static_cast<std::uint8_t>(sign | max_finite_code(spec));
 
   const double a = std::fabs(static_cast<double>(x));
   if (a == 0.0) return sign;  // +/-0
@@ -149,7 +74,7 @@ std::uint8_t fp8_encode(float x, const FormatSpec& spec, const CastOptions& opts
   // Pick the exponent of the grid the value falls on. Values below the
   // normal range share the subnormal grid at min_unbiased_exp().
   int e = std::max(std::ilogb(a), spec.min_unbiased_exp());
-  std::uint32_t k = round_significand(std::ldexp(a, m - e), opts);
+  std::uint32_t k = round_nearest_even(std::ldexp(a, m - e));
   if (k >= (2u << m)) {  // rounded up across a binade boundary
     k >>= 1;
     ++e;
@@ -171,13 +96,7 @@ std::uint8_t fp8_encode(float x, const FormatSpec& spec, const CastOptions& opts
         biased == max_field && mant == (1 << m) - 1) {
       overflow = true;  // this code point is the NaN encoding
     }
-    if (overflow) {
-      if (opts.overflow == OverflowPolicy::kInfinityNan) {
-        return static_cast<std::uint8_t>(
-            sign | (spec.has_infinity() ? infinity_code(spec) : fp8_nan_code(spec)));
-      }
-      return static_cast<std::uint8_t>(sign | max_finite_code(spec));
-    }
+    if (overflow) return static_cast<std::uint8_t>(sign | max_finite_code(spec));
     code = static_cast<std::uint8_t>((static_cast<unsigned>(biased) << m) |
                                      static_cast<unsigned>(mant));
   }
@@ -207,22 +126,17 @@ float fp8_decode(std::uint8_t code, const FormatSpec& spec) {
   return negative ? -v : v;
 }
 
-float fp8_quantize(float x, const FormatSpec& spec, const CastOptions& opts) {
+float fp8_quantize(float x, const FormatSpec& spec) {
   const int m = spec.man_bits;
 
   if (std::isnan(x)) return x;
-  if (std::isinf(x)) {
-    if (opts.overflow == OverflowPolicy::kInfinityNan) {
-      return spec.has_infinity() ? x : std::numeric_limits<float>::quiet_NaN();
-    }
-    return std::copysign(spec.max_value(), x);
-  }
+  if (std::isinf(x)) return std::copysign(spec.max_value(), x);
 
   const double a = std::fabs(static_cast<double>(x));
   if (a == 0.0) return x;  // preserve signed zero
 
   int e = std::max(std::ilogb(a), spec.min_unbiased_exp());
-  std::uint32_t k = round_significand(std::ldexp(a, m - e), opts);
+  std::uint32_t k = round_nearest_even(std::ldexp(a, m - e));
   if (k >= (2u << m)) {
     k >>= 1;
     ++e;
@@ -231,87 +145,8 @@ float fp8_quantize(float x, const FormatSpec& spec, const CastOptions& opts) {
 
   auto v = static_cast<float>(std::ldexp(static_cast<double>(k), e - m));
   const float maxv = spec.max_value();
-  if (v > maxv) {
-    if (opts.overflow == OverflowPolicy::kInfinityNan) {
-      return spec.has_infinity() ? std::copysign(std::numeric_limits<float>::infinity(), x)
-                                 : std::numeric_limits<float>::quiet_NaN();
-    }
-    v = maxv;
-  }
+  if (v > maxv) v = maxv;  // saturate
   return std::copysign(v, x);
-}
-
-void fp8_quantize(std::span<const float> in, std::span<float> out,
-                  const FormatSpec& spec, const CastOptions& opts) {
-  const auto n = static_cast<std::int64_t>(std::min(in.size(), out.size()));
-  // Event counting is decided once per bulk call; the instrumented loops
-  // classify from (input, output) pairs and flush one tally per chunk, so
-  // outputs are bit-identical with counters on or off.
-  const bool counted = counters_enabled();
-  const ObsFormat fmt = counted ? obs_format(spec) : ObsFormat::kOther;
-  const float maxv = counted ? spec.max_value() : 0.0f;
-  if (opts.rounding == RoundingMode::kStochastic) {
-    // Stochastic rounding consumes a single rng stream in element order;
-    // stays serial so the draw sequence is identical at any thread count.
-    EventTally tally;
-    for (std::int64_t i = 0; i < n; ++i) {
-      out[i] = fp8_quantize(in[i], spec, opts);
-      if (counted) tally.classify(in[i], out[i], maxv);
-    }
-    if (counted) tally.flush(fmt);
-    return;
-  }
-  parallel_for(0, n, kCastGrain, [&, counted](std::int64_t lo, std::int64_t hi) {
-    if (!counted) {
-      for (std::int64_t i = lo; i < hi; ++i) out[i] = fp8_quantize(in[i], spec, opts);
-      return;
-    }
-    EventTally tally;
-    for (std::int64_t i = lo; i < hi; ++i) {
-      out[i] = fp8_quantize(in[i], spec, opts);
-      tally.classify(in[i], out[i], maxv);
-    }
-    tally.flush(fmt);
-  });
-}
-
-void fp8_quantize_scaled(std::span<const float> in, std::span<float> out,
-                         const FormatSpec& spec, float scale, const CastOptions& opts) {
-  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
-  const float inv = 1.0f / scale;
-  const auto n = static_cast<std::int64_t>(std::min(in.size(), out.size()));
-  // Events are classified in the scaled domain (the format's own range),
-  // before the inverse scale is applied to the stored output.
-  const bool counted = counters_enabled();
-  const ObsFormat fmt = counted ? obs_format(spec) : ObsFormat::kOther;
-  const float maxv = counted ? spec.max_value() : 0.0f;
-  if (opts.rounding == RoundingMode::kStochastic) {
-    EventTally tally;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float scaled = in[i] * scale;
-      const float q = fp8_quantize(scaled, spec, opts);
-      out[i] = q * inv;
-      if (counted) tally.classify(scaled, q, maxv);
-    }
-    if (counted) tally.flush(fmt);
-    return;
-  }
-  parallel_for(0, n, kCastGrain, [&, counted](std::int64_t lo, std::int64_t hi) {
-    if (!counted) {
-      for (std::int64_t i = lo; i < hi; ++i) {
-        out[i] = fp8_quantize(in[i] * scale, spec, opts) * inv;
-      }
-      return;
-    }
-    EventTally tally;
-    for (std::int64_t i = lo; i < hi; ++i) {
-      const float scaled = in[i] * scale;
-      const float q = fp8_quantize(scaled, spec, opts);
-      out[i] = q * inv;
-      tally.classify(scaled, q, maxv);
-    }
-    tally.flush(fmt);
-  });
 }
 
 std::vector<float> representable_values(const FormatSpec& spec) {

@@ -1,40 +1,23 @@
-// FP8 casting: bit-exact encode/decode between float32 and 8-bit codes,
-// plus the fused quantize-dequantize ("fake quant") used throughout the
-// emulation framework. This mirrors the role of the FP8 Emulation Toolkit
-// referenced by the paper: all arithmetic stays in FP32, values are snapped
-// onto the FP8 grid at operator boundaries.
+// FP8 casting reference: bit-exact encode/decode between float32 and 8-bit
+// codes, plus the scalar fused quantize-dequantize ("fake quant"). This
+// mirrors the role of the FP8 Emulation Toolkit referenced by the paper:
+// all arithmetic stays in FP32, values are snapped onto the FP8 grid at
+// operator boundaries, rounding to nearest-even and saturating (paper
+// section 2). Tensors take the fast path in fp8/cast_fast.h, which is
+// tested bit for bit against fp8_quantize here.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "fp8/format.h"
 
 namespace fp8q {
 
-/// Rounding mode applied when a float32 value falls between two FP8 grid
-/// points. The paper (and all FP8 inference hardware) uses round-to-nearest-
-/// even; stochastic rounding is provided for completeness/ablation.
-enum class RoundingMode : std::uint8_t { kNearestEven, kStochastic, kTowardZero };
-
-/// What to do with magnitudes beyond the largest finite value.
-enum class OverflowPolicy : std::uint8_t {
-  kSaturate,     ///< clamp to +/-max (inference default)
-  kInfinityNan,  ///< IEEE behaviour: overflow to Inf (E5M2) or NaN (extended)
-};
-
-/// Options bundle for the casting routines.
-struct CastOptions {
-  RoundingMode rounding = RoundingMode::kNearestEven;
-  OverflowPolicy overflow = OverflowPolicy::kSaturate;
-  /// State for stochastic rounding; ignored for deterministic modes.
-  std::uint64_t* rng_state = nullptr;
-};
-
-/// Encodes a float32 value into the 8-bit code of `spec`.
-[[nodiscard]] std::uint8_t fp8_encode(float x, const FormatSpec& spec,
-                                      const CastOptions& opts = {});
+/// Encodes a float32 value into the 8-bit code of `spec`: round to
+/// nearest-even, saturate beyond the max finite magnitude (+/-Inf inputs
+/// included), NaN to NaN.
+[[nodiscard]] std::uint8_t fp8_encode(float x, const FormatSpec& spec);
 
 /// Decodes an 8-bit code of `spec` into the exact float32 value it denotes.
 /// NaN codes produce quiet NaN; Inf codes (IEEE family) produce +/-Inf.
@@ -43,33 +26,18 @@ struct CastOptions {
 /// Fused quantize-dequantize: the float32 value nearest-representable in
 /// `spec`. Equal to fp8_decode(fp8_encode(x)) for every input (tested
 /// exhaustively) but avoids the intermediate code.
-[[nodiscard]] float fp8_quantize(float x, const FormatSpec& spec,
-                                 const CastOptions& opts = {});
+[[nodiscard]] float fp8_quantize(float x, const FormatSpec& spec);
 
 /// Convenience overloads on the paper's three formats.
-[[nodiscard]] inline float fp8_quantize(float x, Fp8Kind kind,
-                                        const CastOptions& opts = {}) {
-  return fp8_quantize(x, format_spec(kind), opts);
+[[nodiscard]] inline float fp8_quantize(float x, Fp8Kind kind) {
+  return fp8_quantize(x, format_spec(kind));
 }
-[[nodiscard]] inline std::uint8_t fp8_encode(float x, Fp8Kind kind,
-                                             const CastOptions& opts = {}) {
-  return fp8_encode(x, format_spec(kind), opts);
+[[nodiscard]] inline std::uint8_t fp8_encode(float x, Fp8Kind kind) {
+  return fp8_encode(x, format_spec(kind));
 }
 [[nodiscard]] inline float fp8_decode(std::uint8_t code, Fp8Kind kind) {
   return fp8_decode(code, format_spec(kind));
 }
-
-/// Vectorized fake-quant: out[i] = fp8_quantize(in[i]). `out` may alias `in`.
-void fp8_quantize(std::span<const float> in, std::span<float> out,
-                  const FormatSpec& spec, const CastOptions& opts = {});
-
-/// Scaled fake-quant used by the quantization schemes:
-///   out[i] = fp8_quantize(in[i] * scale) / scale.
-/// `scale` maps the calibrated tensor range onto the format's full range
-/// (s = float_max / max_T, paper section 3.1). `out` may alias `in`.
-void fp8_quantize_scaled(std::span<const float> in, std::span<float> out,
-                         const FormatSpec& spec, float scale,
-                         const CastOptions& opts = {});
 
 /// Every finite value representable by `spec`, ascending, deduplicated
 /// (+0 and -0 collapse to one entry). Useful for grid/density analyses

@@ -1,14 +1,14 @@
 // Branch-light FP8 fake-quantization via float32 bit manipulation.
 //
-// Semantics: identical to fp8_quantize(x, spec) with the default options
-// (round-to-nearest-even, saturate-on-overflow) -- verified exhaustively
-// against the reference implementation in the test suite. This is the hot
-// path of the emulation framework: every activation element of every
-// quantized operator passes through it.
+// Semantics: identical to the scalar reference fp8_quantize(x, spec) in
+// fp8/cast.h (round-to-nearest-even, saturate-on-overflow) -- verified
+// exhaustively against it in the test suite. This is the hot path of the
+// emulation framework: every activation element of every quantized
+// operator passes through it.
 //
 // Two forms (docs/PERFORMANCE.md):
-//   * fp8_quantize_fast      -- scalar, early-exit branches. Kept as the
-//                               exhaustive-test reference.
+//   * fp8_quantize_fast      -- scalar, early-exit branches; matches
+//                               cast.cpp's fp8_quantize bit for bit.
 //   * fp8_quantize_batch     -- branch-free loop over a contiguous chunk,
 //                               written so the compiler auto-vectorizes it
 //                               (constant shifts, compare-selects, no
@@ -23,10 +23,13 @@
 
 namespace fp8q {
 
-/// Precomputed per-format constants for the fast path.
+/// Precomputed per-format constants for the fast path. Only
+/// fast_cast_spec() builds one, and only for the paper's three formats:
+/// the batch kernel's branch-free rounding is verified on those alone and
+/// breaks on other layouts (at E6M1 the 1/step it builds for +/-Inf has a
+/// zero exponent field, so Inf * 0 gives NaN). Custom EeMm layouts take
+/// the scalar reference in fp8/cast.h instead.
 struct FastCastSpec {
-  explicit FastCastSpec(const FormatSpec& spec);
-
   int man_bits;
   int min_unbiased_exp;           ///< grid exponent floor (1 - bias)
   std::uint32_t max_bits;         ///< bit pattern of the largest finite value
@@ -35,6 +38,10 @@ struct FastCastSpec {
   std::uint32_t min_biased_exp;   ///< min_unbiased_exp + 127 (float32 bias)
   float max_value;                ///< largest finite representable magnitude
   ObsFormat obs_fmt;              ///< counter bucket for event accounting
+
+ private:
+  explicit FastCastSpec(const FormatSpec& spec);
+  friend const FastCastSpec& fast_cast_spec(Fp8Kind kind);
 };
 
 /// Per-chunk quantization-event tally produced by fp8_quantize_batch.

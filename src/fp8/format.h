@@ -25,12 +25,10 @@
 //     finite value. This buys roughly one extra binade of range:
 //     max finite 0x7E = 448 (E4M3) / 30 (E3M4).
 //
-// Saturation (paper section 2): the default cast policy clamps anything
-// beyond the max finite magnitude -- overflow, and +/-Inf inputs -- to
-// +/-max instead of producing Inf/NaN, the right behavior after PTQ range
-// calibration. CastOptions::overflow == kInfinityNan (fp8/cast.h) selects
-// the IEEE-faithful alternative: overflow goes to Inf where the format
-// has one (E5M2), else to NaN. NaN inputs encode to NaN in every mode.
+// Saturation (paper section 2): every cast clamps anything beyond the max
+// finite magnitude -- overflow, and +/-Inf inputs -- to +/-max instead of
+// producing Inf/NaN, the right behavior after PTQ range calibration. NaN
+// inputs encode to NaN.
 // All formats support signed zero and subnormals; canonical constants for
 // the three paper formats are tabulated in core/fp8q.h.
 #pragma once

@@ -1,7 +1,6 @@
 #include "io/serialize.h"
 
-#include <cstring>
-#include <fstream>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,31 +9,6 @@
 namespace fp8q {
 
 namespace {
-
-constexpr char kMagic[4] = {'F', 'P', '8', 'Q'};
-constexpr std::uint32_t kVersion = 1;
-
-void write_u32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-void write_i64(std::ostream& out, std::int64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  std::uint32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw std::runtime_error("fp8q load: truncated stream");
-  return v;
-}
-
-std::int64_t read_i64(std::istream& in) {
-  std::int64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  if (!in) throw std::runtime_error("fp8q load: truncated stream");
-  return v;
-}
 
 /// CSV field escaping: quotes fields containing separators.
 std::string escape(const std::string& s) {
@@ -48,112 +22,7 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string cur;
-  bool quoted = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        cur += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  fields.push_back(std::move(cur));
-  return fields;
-}
-
 }  // namespace
-
-void save_weights(Graph& graph, std::ostream& out) {
-  out.write(kMagic, sizeof kMagic);
-  write_u32(out, kVersion);
-
-  // Count weight-owning nodes first.
-  std::uint32_t owner_count = 0;
-  for (Graph::NodeId id : graph.node_ids()) {
-    auto& node = graph.node(id);
-    if (node.op && !node.op->weights().empty()) ++owner_count;
-  }
-  write_u32(out, owner_count);
-
-  for (Graph::NodeId id : graph.node_ids()) {
-    auto& node = graph.node(id);
-    if (!node.op) continue;
-    const auto ws = node.op->weights();
-    if (ws.empty()) continue;
-    write_u32(out, static_cast<std::uint32_t>(id));
-    write_u32(out, static_cast<std::uint32_t>(ws.size()));
-    for (Tensor* w : ws) {
-      write_u32(out, static_cast<std::uint32_t>(w->dim()));
-      for (std::int64_t axis : w->shape()) write_i64(out, axis);
-      out.write(reinterpret_cast<const char*>(w->data()),
-                static_cast<std::streamsize>(w->numel() * sizeof(float)));
-    }
-  }
-  if (!out) throw std::runtime_error("fp8q save: write failed");
-}
-
-void save_weights(Graph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("fp8q save: cannot open " + path);
-  save_weights(graph, out);
-}
-
-void load_weights(Graph& graph, std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
-    throw std::runtime_error("fp8q load: bad magic");
-  }
-  if (read_u32(in) != kVersion) throw std::runtime_error("fp8q load: unsupported version");
-
-  const std::uint32_t owner_count = read_u32(in);
-  for (std::uint32_t rec = 0; rec < owner_count; ++rec) {
-    const auto id = static_cast<Graph::NodeId>(read_u32(in));
-    if (id < 0 || id >= graph.node_count() || !graph.node(id).op) {
-      throw std::runtime_error("fp8q load: node id mismatch");
-    }
-    auto ws = graph.node(id).op->weights();
-    const std::uint32_t tensor_count = read_u32(in);
-    if (tensor_count != ws.size()) {
-      throw std::runtime_error("fp8q load: weight count mismatch at node " +
-                               std::to_string(id));
-    }
-    for (Tensor* w : ws) {
-      const std::uint32_t rank = read_u32(in);
-      Shape shape(rank);
-      for (auto& axis : shape) axis = read_i64(in);
-      if (shape != w->shape()) {
-        throw std::runtime_error("fp8q load: shape mismatch at node " + std::to_string(id));
-      }
-      in.read(reinterpret_cast<char*>(w->data()),
-              static_cast<std::streamsize>(w->numel() * sizeof(float)));
-      if (!in) throw std::runtime_error("fp8q load: truncated tensor data");
-    }
-  }
-}
-
-void load_weights(Graph& graph, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("fp8q load: cannot open " + path);
-  load_weights(graph, in);
-}
 
 void records_to_csv(const std::vector<AccuracyRecord>& records, std::ostream& out) {
   out << "workload,domain,config,fp32_accuracy,quant_accuracy,model_size_mb,"
@@ -308,30 +177,6 @@ RunReport report_from_json(std::istream& in) {
     }
   }
   return report;
-}
-
-std::vector<AccuracyRecord> records_from_csv(std::istream& in) {
-  std::vector<AccuracyRecord> records;
-  std::string line;
-  bool header = true;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (header) {
-      header = false;
-      continue;
-    }
-    const auto fields = split_csv_line(line);
-    if (fields.size() < 6) throw std::runtime_error("fp8q csv: malformed row: " + line);
-    AccuracyRecord r;
-    r.workload = fields[0];
-    r.domain = fields[1];
-    r.config = fields[2];
-    r.fp32_accuracy = std::stod(fields[3]);
-    r.quant_accuracy = std::stod(fields[4]);
-    r.model_size_mb = std::stod(fields[5]);
-    records.push_back(std::move(r));
-  }
-  return records;
 }
 
 }  // namespace fp8q

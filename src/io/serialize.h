@@ -1,11 +1,5 @@
-// Model-weight serialization and study-result export.
-//
-// Weights are stored in a simple versioned binary container ("FP8Q"): a
-// header, then one record per graph node that owns weights (node id +
-// tensor count + per-tensor shape and raw float32 data). Loading validates
-// that the target graph has the same weight structure, so a quantized
-// checkpoint can be snapshotted after QuantizedGraph::prepare() and
-// restored into a freshly built graph later.
+// Study-result export and run-report import: accuracy records as CSV (the
+// `fp8q_cli sweep` output) and the FP8Q_REPORT JSON reader.
 #pragma once
 
 #include <iosfwd>
@@ -13,27 +7,13 @@
 #include <vector>
 
 #include "metrics/passrate.h"
-#include "nn/graph.h"
 #include "obs/report.h"
 
 namespace fp8q {
 
-/// Writes every weight tensor of the graph to `out`. Throws on I/O error.
-void save_weights(Graph& graph, std::ostream& out);
-void save_weights(Graph& graph, const std::string& path);
-
-/// Reads weights previously written by save_weights into the graph. The
-/// graph must have an identical weight structure (same nodes, same tensor
-/// shapes); throws std::runtime_error otherwise.
-void load_weights(Graph& graph, std::istream& in);
-void load_weights(Graph& graph, const std::string& path);
-
 /// Serializes accuracy records as CSV (header + one row per record).
 void records_to_csv(const std::vector<AccuracyRecord>& records, std::ostream& out);
 [[nodiscard]] std::string records_to_csv(const std::vector<AccuracyRecord>& records);
-
-/// Parses records back from CSV produced by records_to_csv.
-[[nodiscard]] std::vector<AccuracyRecord> records_from_csv(std::istream& in);
 
 /// Parses a structured run report written by RunReport::write_json (the
 /// FP8Q_REPORT output, docs/OBSERVABILITY.md). Uses a self-contained JSON

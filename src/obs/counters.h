@@ -6,13 +6,15 @@
 //
 //   kQuantized      elements pushed through a counted bulk cast
 //   kSaturated      finite magnitude beyond max_value clamped to +/-max
-//                   (includes +/-Inf inputs under the saturating policy)
+//                   (includes +/-Inf inputs: every cast saturates)
 //   kFlushedToZero  nonzero input rounded to +/-0 (below half the
 //                   smallest subnormal after scaling)
-//   kNanProduced    NaN output from a non-NaN input (kInfinityNan
-//                   overflow on formats without Inf); NaN pass-through is
+//   kNanProduced    NaN output from a non-NaN input; NaN pass-through is
 //                   not counted
-//   kInfProduced    Inf output from a finite input (kInfinityNan, E5M2)
+//   kInfProduced    Inf output from a finite input
+//
+// No cast produces the last two (every cast saturates); they stay in the
+// matrix because report schema v6 lists every event.
 //
 // Design: every add lands in the calling thread's observation domain
 // (obs/domain.h): the CounterDomain bound with ScopedCounterDomain, else

@@ -26,11 +26,9 @@ TEST_P(CastProperty, DecodeEncodeIsIdentityOnAllCodes) {
       continue;
     }
     const std::uint8_t back = fp8_encode(v, s);
-    // Inf codes only survive with the IEEE overflow policy.
+    // Casts saturate: E5M2's Inf codes re-encode to +/-max.
     if (fp8_is_inf(code, s)) {
-      CastOptions opts;
-      opts.overflow = OverflowPolicy::kInfinityNan;
-      EXPECT_EQ(fp8_encode(v, s, opts), code);
+      EXPECT_EQ(fp8_decode(back, s), std::copysign(s.max_value(), v)) << "code=" << c;
       continue;
     }
     EXPECT_EQ(fp8_decode(back, s), v) << "code=" << c;
@@ -117,41 +115,6 @@ TEST_P(CastProperty, RoundingErrorBoundedByHalfStep) {
     const int e = std::max(std::ilogb(std::max(a, 1e-45)), s.min_unbiased_exp());
     const double step = std::ldexp(1.0, e - s.man_bits);
     EXPECT_LE(std::fabs(static_cast<double>(x) - q), step * 0.5 + 1e-12) << "x=" << x;
-  }
-}
-
-TEST_P(CastProperty, TowardZeroNeverIncreasesMagnitude) {
-  const auto& s = spec();
-  CastOptions opts;
-  opts.rounding = RoundingMode::kTowardZero;
-  Rng rng(29);
-  for (int i = 0; i < 50000; ++i) {
-    const float x = rng.normal(0.0f, 16.0f);
-    const float q = fp8_quantize(x, s, opts);
-    EXPECT_LE(std::fabs(q), std::fabs(x));
-  }
-}
-
-TEST_P(CastProperty, StochasticRoundingStaysOnAdjacentGrid) {
-  const auto& s = spec();
-  CastOptions sr;
-  sr.rounding = RoundingMode::kStochastic;
-  std::uint64_t state = 77;
-  sr.rng_state = &state;
-  CastOptions down;
-  down.rounding = RoundingMode::kTowardZero;
-  Rng rng(31);
-  for (int i = 0; i < 20000; ++i) {
-    const float x = rng.uniform(0.0f, s.max_value() * 0.99f);
-    const float lo = fp8_quantize(x, s, down);
-    const float q = fp8_quantize(x, s, sr);
-    EXPECT_GE(q, lo);
-    // q is either lo or the next grid point up; next point differs by at
-    // most one ULP step of the format at this magnitude.
-    if (q != lo) {
-      EXPECT_EQ(fp8_quantize(q, s), q);  // on-grid
-      EXPECT_GT(q, x - 1e-7f);
-    }
   }
 }
 

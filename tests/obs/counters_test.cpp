@@ -3,14 +3,11 @@
 // the exit of the threads that counted them.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 #include <vector>
 
 #include "core/parallel.h"
-#include "fp8/cast.h"
 #include "fp8/cast_fast.h"
-#include "fp8/convert.h"
 #include "fp8/int8.h"
 #include "obs/counters.h"
 
@@ -56,59 +53,6 @@ TEST(Counters, FastPathTotalsIndependentOfThreadCount) {
   }
 }
 
-TEST(Counters, SlowPathMatchesFastPathCensus) {
-  ObsGuard guard;
-  set_counters_enabled(true);
-  const std::size_t n = 1 << 15;
-  const auto in = census_input(n, 300, 700);
-  std::vector<float> out(n);
-
-  const CounterSnapshot before = counters_snapshot();
-  fp8_quantize_scaled(in, out, format_spec(Fp8Kind::E4M3), 1.0f);
-  const CounterSnapshot delta = counters_snapshot().since(before);
-  EXPECT_EQ(delta.get(ObsFormat::kE4M3, ObsEvent::kQuantized), n);
-  EXPECT_EQ(delta.get(ObsFormat::kE4M3, ObsEvent::kSaturated), 300u);
-  EXPECT_EQ(delta.get(ObsFormat::kE4M3, ObsEvent::kFlushedToZero), 700u);
-}
-
-TEST(Counters, InfinityNanPolicyProducesInfAndNanEvents) {
-  ObsGuard guard;
-  set_counters_enabled(true);
-  CastOptions opts;
-  opts.overflow = OverflowPolicy::kInfinityNan;
-  const std::vector<float> in = {1e6f, std::nanf(""), 1.0f};
-  std::vector<float> out(in.size());
-
-  // E5M2 has an Inf encoding: overflow becomes Inf.
-  CounterSnapshot before = counters_snapshot();
-  fp8_quantize(in, out, format_spec(Fp8Kind::E5M2), opts);
-  CounterSnapshot delta = counters_snapshot().since(before);
-  EXPECT_EQ(delta.get(ObsFormat::kE5M2, ObsEvent::kInfProduced), 1u);
-  EXPECT_EQ(delta.get(ObsFormat::kE5M2, ObsEvent::kNanProduced), 0u);
-
-  // E4M3 has no Inf: overflow becomes NaN. NaN pass-through is no event.
-  before = counters_snapshot();
-  fp8_quantize(in, out, format_spec(Fp8Kind::E4M3), opts);
-  delta = counters_snapshot().since(before);
-  EXPECT_EQ(delta.get(ObsFormat::kE4M3, ObsEvent::kNanProduced), 1u);
-  EXPECT_EQ(delta.get(ObsFormat::kE4M3, ObsEvent::kInfProduced), 0u);
-}
-
-TEST(Counters, ConvertAttributesEventsToTargetFormat) {
-  ObsGuard guard;
-  set_counters_enabled(true);
-  // E4M3's max (448) saturates when narrowed to E3M4 (max 30).
-  const std::uint8_t big = fp8_encode(448.0f, format_spec(Fp8Kind::E4M3));
-  const std::vector<std::uint8_t> in(10, big);
-  std::vector<std::uint8_t> out(in.size());
-
-  const CounterSnapshot before = counters_snapshot();
-  fp8_convert(in, out, format_spec(Fp8Kind::E4M3), format_spec(Fp8Kind::E3M4));
-  const CounterSnapshot delta = counters_snapshot().since(before);
-  EXPECT_EQ(delta.get(ObsFormat::kE3M4, ObsEvent::kQuantized), in.size());
-  EXPECT_EQ(delta.get(ObsFormat::kE3M4, ObsEvent::kSaturated), in.size());
-}
-
 TEST(Counters, Int8SaturationAndFlush) {
   ObsGuard guard;
   set_counters_enabled(true);
@@ -131,7 +75,6 @@ TEST(Counters, DisabledCountsNothing) {
   const auto in = census_input(1 << 15, 100, 100);
   std::vector<float> out(in.size());
   fp8_quantize_scaled_fast(in, out, fast_cast_spec(Fp8Kind::E4M3), 1.0f);
-  fp8_quantize_scaled(in, out, format_spec(Fp8Kind::E3M4), 1.0f);
   int8_quantize(in, out, int8_symmetric_params(1.0f));
   EXPECT_FALSE(counters_snapshot().any());
 }

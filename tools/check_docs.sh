@@ -39,7 +39,9 @@ ALLOW="bench_output report.json bench_report"
 fail=0
 err() { echo "check_docs: $*" >&2; fail=1; }
 allowed() { case " $ALLOW " in *" $1 "*) return 0 ;; *) return 1 ;; esac; }
-in_tree() { grep -rqF --include='*' -- "$1" "${SRC_DIRS[@]}" CMakeLists.txt; }
+# Whole words only: a deleted name must not pass because a live one starts
+# with it (fp8_quantize_scaled inside fp8_quantize_scaled_fast).
+in_tree() { grep -rqwF --include='*' -- "$1" "${SRC_DIRS[@]}" CMakeLists.txt; }
 
 # --- 1. repo paths ---------------------------------------------------------
 # Lookbehind rejects matches inside longer paths (./build/bench/... must not
@@ -89,7 +91,7 @@ done < <(grep -ohE '\bFP8Q_[A-Z][A-Z_]+' "${DOCS[@]}" | sort -u)
 # --- 4. backticked identifiers --------------------------------------------
 # Inline code only; fenced blocks contain no backticks so they are skipped.
 # CamelCase: a lowercase run followed later by another capital
-# (PackedFp8Tensor, IsaTier) — single words like `Tensor` stay prose.
+# (FastCastSpec, IsaTier) — single words like `Tensor` stay prose.
 camelcase() { [[ $1 =~ ^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*[A-Z] ]]; }
 while IFS= read -r id; do
   name="${id%%(*}"       # drop call parens: foo() -> foo

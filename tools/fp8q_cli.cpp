@@ -87,13 +87,19 @@ int cmd_eval(const char* workload, const char* fmt, bool dynamic) {
   return rec.passes() ? 0 : 1;
 }
 
+DType fp8_dtype(Fp8Kind kind) {
+  switch (kind) {
+    case Fp8Kind::E5M2: return DType::kE5M2;
+    case Fp8Kind::E4M3: return DType::kE4M3;
+    case Fp8Kind::E3M4: return DType::kE3M4;
+  }
+  return DType::kE4M3;
+}
+
 int cmd_tune(const char* workload, const char* fmt) {
+  const DType preferred = fp8_dtype(fp8_kind_from_string(fmt));
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, workload);
-  DType preferred = DType::kE4M3;
-  const std::string f(fmt);
-  if (f == "E5M2" || f == "e5m2") preferred = DType::kE5M2;
-  if (f == "E3M4" || f == "e3m4") preferred = DType::kE3M4;
   RunReport report;
   report.tool = "fp8q_cli tune";
   report.num_threads = num_threads();
@@ -120,14 +126,25 @@ int cmd_tune(const char* workload, const char* fmt) {
 }
 
 int cmd_sweep(const char* out_path, bool quick) {
+  // Opened before the sweep so a bad path fails in milliseconds, not
+  // after every workload has been evaluated.
+  std::ofstream out(out_path);
+  if (!out) {
+    std::fprintf(stderr, "error: cannot open %s for writing\n", out_path);
+    return 1;
+  }
   auto suite = build_suite();
   if (quick) suite = quick_suite(suite);
   const auto records = evaluate_table2(suite, table2_fp8_schemes(), {}, [&](int done) {
     std::fprintf(stderr, "\r%d/%zu", done, 6 * suite.size());
   });
   std::fprintf(stderr, "\n");
-  std::ofstream out(out_path);
   records_to_csv(records, out);
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "error: failed writing %s\n", out_path);
+    return 1;
+  }
   std::printf("wrote %zu records to %s\n", records.size(), out_path);
   for (const char* config : {"E5M2/direct", "E4M3/static", "E4M3/dynamic", "E3M4/static",
                              "E3M4/dynamic", "INT8"}) {
@@ -145,7 +162,7 @@ int usage() {
                "       fp8q_cli cast <value> <E5M2|E4M3|E3M4>\n"
                "       fp8q_cli list\n"
                "       fp8q_cli eval <workload> <E5M2|E4M3|E3M4|INT8|mixed> [dynamic]\n"
-               "       fp8q_cli tune <workload> <format>\n"
+               "       fp8q_cli tune <workload> <E5M2|E4M3|E3M4>\n"
                "       fp8q_cli sweep <out.csv> [quick]\n");
   return 2;
 }
