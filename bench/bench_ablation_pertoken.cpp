@@ -49,7 +49,8 @@ int main() {
                                       : standard_fp8_scheme(dt, dynamic);
       cfg.scheme.per_token_activations = per_token;
       cfg.scheme.smoothquant = true;
-      QuantizedGraph qg(&g, cfg);
+      Graph copy = g.clone();  // prepare() rewrites the weights
+      QuantizedGraph qg(&copy, cfg);
       qg.prepare(std::span<const Tensor>(calib));
       const Tensor got = qg.forward(x);
       std::printf(" %10.2f", sqnr_db(ref.flat(), got.flat()));

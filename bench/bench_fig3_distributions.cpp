@@ -43,7 +43,6 @@ Probe probe_activations(const Workload& w) {
   auto batch = w.make_batch(rng, 16);
   batch = w.perturb(rng, batch);
   (void)g.forward(batch);
-  g.clear_taps();
   return p;
 }
 

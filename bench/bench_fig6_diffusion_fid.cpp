@@ -133,7 +133,8 @@ int main() {
     ModelQuantConfig cfg;
     cfg.scheme = r.scheme;
     cfg.is_cnn = true;
-    QuantizedGraph qg(&unet, cfg);
+    Graph copy = unet.clone();  // prepare() rewrites the weights
+    QuantizedGraph qg(&copy, cfg);
     qg.prepare(std::span<const Tensor>(calib));
     const Tensor out = qg.forward(latents);
     std::printf("%-14s | %12.5f %12.3e | %s\n", r.name,

@@ -82,7 +82,8 @@ int main() {
     ModelQuantConfig cfg;
     cfg.scheme = c.scheme;
     cfg.scheme.smoothquant = true;  // NLP default
-    QuantizedGraph qg(&lm, cfg);
+    Graph copy = lm.clone();        // prepare() rewrites the weights
+    QuantizedGraph qg(&copy, cfg);
     qg.prepare(std::span<const std::vector<Tensor>>(calib));
     const auto tokens = beam_generate(make_lm_forward(qg), prompt, steps, beam);
     std::printf("%-14s | %14.3f %12.3f %14.3f\n", c.name,

@@ -39,8 +39,11 @@ int main() {
   std::printf("ResNet-class CNN PTQ (E3M4: the paper's CV default)\n\n");
   std::printf("%-34s %12s %14s\n", "recipe", "SQNR (dB)", "top1 agreement");
 
+  // Each recipe quantizes its own clone: prepare() rewrites the weights and
+  // the BatchNorm statistics of the graph it is given.
   auto report = [&](const char* name, ModelQuantConfig cfg) {
-    QuantizedGraph qg(&resnet, cfg);
+    Graph copy = resnet.clone();
+    QuantizedGraph qg(&copy, cfg);
     qg.prepare(std::span<const Tensor>(calib));
     const Tensor out = qg.forward(input);
     std::printf("%-34s %12.2f %14.4f\n", name, sqnr_db(reference.flat(), out.flat()),

@@ -54,7 +54,8 @@ int main() {
     ModelQuantConfig cfg;
     cfg.scheme = fmt == DType::kINT8 ? int8_scheme(true) : standard_fp8_scheme(fmt);
     cfg.scheme.smoothquant = true;
-    QuantizedGraph qg(&lm, cfg);
+    Graph copy = lm.clone();  // prepare() rewrites the weights
+    QuantizedGraph qg(&copy, cfg);
     qg.prepare(std::span<const std::vector<Tensor>>(calib));
     const auto out = beam_generate(make_lm_forward(qg), prompt, steps, 4);
     print_tokens(cfg.scheme.label().c_str(), out, prompt.size());

@@ -41,7 +41,8 @@ int main() {
     ModelQuantConfig cfg;
     cfg.scheme = scheme;
     cfg.scheme.smoothquant = true;  // paper: enabled on all NLP models
-    QuantizedGraph qg(&bert, cfg);
+    Graph copy = bert.clone();      // prepare() rewrites the weights
+    QuantizedGraph qg(&copy, cfg);
     qg.prepare(std::span<const Tensor>(calib));
     const Tensor out = qg.forward(input);
     std::printf("%-22s %12.2f %14.4f\n", name, sqnr_db(reference.flat(), out.flat()),

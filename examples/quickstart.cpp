@@ -28,17 +28,19 @@ int main() {
   Tensor input = randn(rng, {16, 32});
   const Tensor reference = model.forward(input);
 
-  // 4. Post-training quantization: one config per format.
+  // 4. Post-training quantization: one config per format. prepare()
+  //    rewrites the weights of the graph it is given, so each format
+  //    quantizes its own clone and `model` stays FP32.
   std::printf("\n%-14s %12s %12s\n", "scheme", "output MSE", "SQNR (dB)");
   for (DType fmt : {DType::kE5M2, DType::kE4M3, DType::kE3M4}) {
     ModelQuantConfig cfg;
     cfg.scheme = standard_fp8_scheme(fmt);  // per-channel weights, per-tensor acts
-    QuantizedGraph quantized(&model, cfg);
+    Graph copy = model.clone();
+    QuantizedGraph quantized(&copy, cfg);
     quantized.prepare(std::span<const Tensor>(calib));  // calibrate + quantize
     const Tensor output = quantized.forward(input);     // FP8 inference
     std::printf("%-14s %12.3e %12.2f\n", cfg.scheme.label().c_str(),
                 mse(reference, output), sqnr_db(reference.flat(), output.flat()));
-    // destructor restores the FP32 weights for the next scheme
   }
 
   // 5. Raw casting API, if you just want the formats.

@@ -35,8 +35,9 @@
 //   Graph model = make_transformer_encoder({});   // or your own Graph
 //   ModelQuantConfig cfg;
 //   cfg.scheme = standard_fp8_scheme(DType::kE4M3);
-//   QuantizedGraph qg(&model, cfg);
-//   qg.prepare(calibration_batches);              // PTQ pipeline
+//   Graph copy = model.clone();                   // prepare() rewrites weights
+//   QuantizedGraph qg(&copy, cfg);
+//   qg.prepare(calibration_batches);              // PTQ pipeline, once
 //   Tensor logits = qg.forward(input);            // FP8 inference
 //
 // Bulk casts, the matmul/conv kernels and the suite-level sweeps run on a

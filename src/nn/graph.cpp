@@ -36,11 +36,6 @@ void Graph::set_output(NodeId id) {
   output_ = id;
 }
 
-void Graph::clear_taps() {
-  input_tap_ = nullptr;
-  output_tap_ = nullptr;
-}
-
 Graph Graph::clone() const {
   Graph copy;
   copy.nodes_.reserve(nodes_.size());
@@ -53,7 +48,7 @@ Graph Graph::clone() const {
   return copy;
 }
 
-Tensor Graph::forward(std::span<const Tensor> inputs) {
+Tensor Graph::forward(std::span<const Tensor> inputs, const InputTap& input_tap) {
   if (inputs.size() != input_ids_.size()) {
     throw std::invalid_argument("Graph::forward: wrong number of inputs");
   }
@@ -72,9 +67,8 @@ Tensor Graph::forward(std::span<const Tensor> inputs) {
 
     // The input tap may replace an operand with a tensor of its own.
     auto tapped = [&](size_t s) -> std::optional<Tensor> {
-      if (!input_tap_) return std::nullopt;
-      return input_tap_(id, static_cast<int>(s),
-                        values[static_cast<size_t>(node.inputs[s])]);
+      if (!input_tap) return std::nullopt;
+      return input_tap(id, static_cast<int>(s), values[static_cast<size_t>(node.inputs[s])]);
     };
     if (node.inputs.size() == 1) {
       const std::optional<Tensor> replaced = tapped(0);

@@ -3,9 +3,12 @@
 // Nodes are appended in topological order (each node's inputs must already
 // exist). Execution walks the node list; two hooks let the quantization
 // layer participate without the graph knowing about formats:
-//   * input_tap: may replace a node's input tensor (fake-quantization of
-//     activations at operator boundaries);
-//   * output_tap: observes each node's output (range calibration).
+//   * input_tap: passed to each forward() call, may replace a node's input
+//     tensor (fake-quantization of activations at operator boundaries,
+//     calibration observers). Nothing of it outlives the call, so
+//     concurrent forwards with different taps do not interfere;
+//   * output_tap: held by the graph, observes each node's output
+//     (profiling, activation probes).
 #pragma once
 
 #include <functional>
@@ -38,11 +41,6 @@ class Graph {
   void set_output(NodeId id);
   [[nodiscard]] NodeId output() const { return output_; }
 
-  /// Runs the graph on the given input tensors (one per declared input)
-  /// and returns the output node's tensor.
-  [[nodiscard]] Tensor forward(std::span<const Tensor> inputs);
-  [[nodiscard]] Tensor forward(const Tensor& input) { return forward({&input, 1}); }
-
   /// Hook replacing a node input before the op runs. Return std::nullopt to
   /// pass the producer's tensor through untouched (no copy).
   using InputTap =
@@ -50,13 +48,21 @@ class Graph {
   /// Hook observing each node's freshly computed output.
   using OutputTap = std::function<void(NodeId node, const Tensor& value)>;
 
-  void set_input_tap(InputTap tap) { input_tap_ = std::move(tap); }
+  /// Runs the graph on the given input tensors (one per declared input)
+  /// and returns the output node's tensor. `input_tap`, if set, sees every
+  /// op input of this call only.
+  [[nodiscard]] Tensor forward(std::span<const Tensor> inputs,
+                               const InputTap& input_tap = nullptr);
+  [[nodiscard]] Tensor forward(const Tensor& input, const InputTap& input_tap = nullptr) {
+    return forward({&input, 1}, input_tap);
+  }
+
+  /// Installs the output tap every later forward() calls; nullptr removes it.
   void set_output_tap(OutputTap tap) { output_tap_ = std::move(tap); }
-  void clear_taps();
 
   /// Deep copy: every op (and its weights) is cloned, so the copy can be
-  /// mutated, quantized and run concurrently with the original. Taps are
-  /// NOT copied -- they hold caller context bound to this graph.
+  /// mutated, quantized and run concurrently with the original. The output
+  /// tap is NOT copied -- it holds caller context bound to this graph.
   [[nodiscard]] Graph clone() const;
 
   [[nodiscard]] int node_count() const { return static_cast<int>(nodes_.size()); }
@@ -87,7 +93,6 @@ class Graph {
   std::vector<Node> nodes_;
   std::vector<NodeId> input_ids_;
   NodeId output_ = -1;
-  InputTap input_tap_;
   OutputTap output_tap_;
 };
 

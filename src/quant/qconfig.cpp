@@ -29,6 +29,15 @@ Fp8Kind fp8_kind(DType dtype) {
   }
 }
 
+DType fp8_dtype(Fp8Kind kind) {
+  switch (kind) {
+    case Fp8Kind::E5M2: return DType::kE5M2;
+    case Fp8Kind::E4M3: return DType::kE4M3;
+    case Fp8Kind::E3M4: return DType::kE3M4;
+  }
+  throw std::invalid_argument("fp8_dtype: unknown FP8 kind");
+}
+
 const FormatSpec& fp8_spec(DType dtype) { return format_spec(fp8_kind(dtype)); }
 
 std::string_view to_string(CalibMethod method) {
@@ -84,12 +93,7 @@ SchemeConfig int8_scheme(bool dynamic) {
 SchemeConfig scheme_from_name(std::string_view name, bool dynamic) {
   if (name == "INT8" || name == "int8") return int8_scheme(dynamic);
   if (name == "mixed") return mixed_fp8_scheme();
-  switch (fp8_kind_from_string(name)) {
-    case Fp8Kind::E5M2: return standard_fp8_scheme(DType::kE5M2, dynamic);
-    case Fp8Kind::E4M3: return standard_fp8_scheme(DType::kE4M3, dynamic);
-    case Fp8Kind::E3M4: return standard_fp8_scheme(DType::kE3M4, dynamic);
-  }
-  throw std::invalid_argument("scheme_from_name: unknown FP8 kind");
+  return standard_fp8_scheme(fp8_dtype(fp8_kind_from_string(name)), dynamic);
 }
 
 }  // namespace fp8q

@@ -41,6 +41,9 @@ enum class DType : std::uint8_t { kFP32, kE5M2, kE4M3, kE3M4, kINT8 };
 
 [[nodiscard]] Fp8Kind fp8_kind(DType dtype);
 
+/// The DType of an FP8 format (the inverse of fp8_kind).
+[[nodiscard]] DType fp8_dtype(Fp8Kind kind);
+
 /// Scale-factor granularity (paper section 3.1: per-channel weights,
 /// per-tensor activations; per-group scaling from the related work --
 /// Zhou et al. / Mellempudi et al. -- is provided for the ablation bench).

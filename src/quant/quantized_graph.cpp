@@ -6,36 +6,51 @@
 #include "nn/norm.h"
 #include "obs/trace.h"
 #include "quant/calibrate.h"
+#include "quant/observer.h"
 #include "quant/smoothquant.h"
 #include "tensor/stats.h"
 
 namespace fp8q {
 
+std::set<Graph::NodeId> select_quantized_nodes(const Graph& graph,
+                                               const ModelQuantConfig& config) {
+  std::set<Graph::NodeId> nodes;
+  const Graph::NodeId first = graph.first_compute_node();
+  const Graph::NodeId last = graph.last_compute_node();
+  for (Graph::NodeId id : graph.quantizable_nodes()) {
+    const OpKind kind = graph.node(id).kind;
+    if (is_extended_op(kind) && !config.scheme.quantize_extended_ops) continue;
+    if (config.fallback_nodes.contains(id)) continue;
+    if (config.fallback_kinds.contains(kind)) continue;
+    if (config.is_cnn && config.scheme.skip_first_last && (id == first || id == last)) {
+      continue;
+    }
+    nodes.insert(id);
+  }
+  return nodes;
+}
+
+double quantized_compute_fraction(const Graph& graph, const ModelQuantConfig& config) {
+  const std::set<Graph::NodeId> quantized = select_quantized_nodes(graph, config);
+  // Weight each compute op by its parameter count (weightless MatMuls
+  // count a nominal 1 so attention coverage is still visible).
+  double total = 0.0;
+  double covered = 0.0;
+  for (Graph::NodeId id : graph.node_ids()) {
+    const auto& node = graph.node(id);
+    if (!node.op || !is_compute_op(node.kind)) continue;
+    const double weight =
+        std::max<double>(1.0, static_cast<double>(node.op->param_count()));
+    total += weight;
+    if (quantized.contains(id)) covered += weight;
+  }
+  return total > 0.0 ? covered / total : 0.0;
+}
+
 QuantizedGraph::QuantizedGraph(Graph* graph, ModelQuantConfig config)
     : graph_(graph), config_(std::move(config)) {
   if (!graph_) throw std::invalid_argument("QuantizedGraph: null graph");
-  select_quantized_nodes();
-}
-
-QuantizedGraph::~QuantizedGraph() {
-  restore_weights();
-  graph_->clear_taps();
-}
-
-void QuantizedGraph::select_quantized_nodes() {
-  quantized_nodes_.clear();
-  const Graph::NodeId first = graph_->first_compute_node();
-  const Graph::NodeId last = graph_->last_compute_node();
-  for (Graph::NodeId id : graph_->quantizable_nodes()) {
-    const OpKind kind = graph_->node(id).kind;
-    if (is_extended_op(kind) && !config_.scheme.quantize_extended_ops) continue;
-    if (config_.fallback_nodes.contains(id)) continue;
-    if (config_.fallback_kinds.contains(kind)) continue;
-    if (config_.is_cnn && config_.scheme.skip_first_last && (id == first || id == last)) {
-      continue;
-    }
-    quantized_nodes_.insert(id);
-  }
+  quantized_nodes_ = select_quantized_nodes(*graph_, config_);
 }
 
 bool QuantizedGraph::slot_quantized(Graph::NodeId id, int slot) const {
@@ -50,21 +65,20 @@ void QuantizedGraph::run_smoothquant(std::span<const std::vector<Tensor>> calib_
   TraceSpan span("qgraph/smoothquant");
   // Collect per-channel absmax of every quantized Linear's input.
   std::map<Graph::NodeId, std::vector<float>> act_cmax;
-  graph_->set_input_tap(
-      [&](Graph::NodeId id, int slot, const Tensor& v) -> std::optional<Tensor> {
-        if (slot == 0 && quantized_nodes_.contains(id) &&
-            graph_->node(id).kind == OpKind::kLinear && v.dim() >= 1) {
-          const auto cm = absmax_per_channel(v, -1);
-          auto& acc = act_cmax[id];
-          if (acc.empty()) acc.assign(cm.size(), 0.0f);
-          for (size_t j = 0; j < cm.size() && j < acc.size(); ++j) {
-            acc[j] = std::max(acc[j], cm[j]);
-          }
-        }
-        return std::nullopt;
-      });
-  for (const auto& batch : calib_batches) (void)graph_->forward(batch);
-  graph_->clear_taps();
+  const Graph::InputTap tap = [&](Graph::NodeId id, int slot,
+                                  const Tensor& v) -> std::optional<Tensor> {
+    if (slot == 0 && quantized_nodes_.contains(id) &&
+        graph_->node(id).kind == OpKind::kLinear && v.dim() >= 1) {
+      const auto cm = absmax_per_channel(v, -1);
+      auto& acc = act_cmax[id];
+      if (acc.empty()) acc.assign(cm.size(), 0.0f);
+      for (size_t j = 0; j < cm.size() && j < acc.size(); ++j) {
+        acc[j] = std::max(acc[j], cm[j]);
+      }
+    }
+    return std::nullopt;
+  };
+  for (const auto& batch : calib_batches) (void)graph_->forward(batch, tap);
 
   // Fold: W' = W * s, remember s so forward divides the activation.
   for (auto& [id, cmax] : act_cmax) {
@@ -98,25 +112,24 @@ void QuantizedGraph::quantize_weights() {
 void QuantizedGraph::calibrate_activations(
     std::span<const std::vector<Tensor>> calib_batches) {
   TraceSpan span("qgraph/calibrate-activations");
-  observers_.clear();
-  graph_->set_input_tap(
-      [&](Graph::NodeId id, int slot, const Tensor& v) -> std::optional<Tensor> {
-        if (!slot_quantized(id, slot)) return std::nullopt;
-        const auto it = smooth_factors_.find(id);
-        if (it != smooth_factors_.end() && slot == 0) {
-          Tensor smoothed = v;
-          divide_channels(smoothed, it->second);
-          observers_[{id, slot}].observe(smoothed);
-          return smoothed;  // folded weights need the divided activation
-        }
-        observers_[{id, slot}].observe(v);
-        return std::nullopt;
-      });
-  for (const auto& batch : calib_batches) (void)graph_->forward(batch);
-  graph_->clear_taps();
+  std::map<std::pair<Graph::NodeId, int>, Observer> observers;
+  const Graph::InputTap tap = [&](Graph::NodeId id, int slot,
+                                  const Tensor& v) -> std::optional<Tensor> {
+    if (!slot_quantized(id, slot)) return std::nullopt;
+    const auto it = smooth_factors_.find(id);
+    if (it != smooth_factors_.end() && slot == 0) {
+      Tensor smoothed = v;
+      divide_channels(smoothed, it->second);
+      observers[{id, slot}].observe(smoothed);
+      return smoothed;  // folded weights need the divided activation
+    }
+    observers[{id, slot}].observe(v);
+    return std::nullopt;
+  };
+  for (const auto& batch : calib_batches) (void)graph_->forward(batch, tap);
 
   const DType act = config_.scheme.act_dtype;
-  for (auto& [key, obs] : observers_) {
+  for (auto& [key, obs] : observers) {
     if (obs.empty()) continue;
     const float clip =
         calibrate_clip(obs, config_.scheme.act_calib, act, config_.scheme.percentile);
@@ -150,38 +163,23 @@ void QuantizedGraph::calibrate_batchnorm(
 
 void QuantizedGraph::prepare(std::span<const std::vector<Tensor>> calib_batches) {
   TraceSpan span("qgraph/prepare");
-  if (prepared_) restore_weights();
-  select_quantized_nodes();
-
-  // Back up every weight we may touch (SmoothQuant folding included).
-  weight_backup_.clear();
-  for (Graph::NodeId id : graph_->node_ids()) {
-    auto& node = graph_->node(id);
-    if (!node.op) continue;
-    const auto ws = node.op->weights();
-    if (ws.empty()) continue;
-    std::vector<Tensor> copy;
-    copy.reserve(ws.size());
-    for (Tensor* w : ws) copy.push_back(*w);
-    weight_backup_[id] = std::move(copy);
+  if (prepared_) {
+    throw std::logic_error(
+        "QuantizedGraph::prepare: the graph is already quantized; prepare a fresh "
+        "Graph::clone() instead");
   }
-
-  smooth_factors_.clear();
-  if (config_.scheme.smoothquant && !calib_batches.empty()) {
-    run_smoothquant(calib_batches);
-  }
-
-  quantize_weights();
-
-  static_params_.clear();
-  clips_.clear();
   const DType act = config_.scheme.act_dtype;
   const bool needs_range_calibration =
       !config_.scheme.dynamic_activations && !config_.scheme.per_token_activations &&
       (act == DType::kE4M3 || act == DType::kE3M4 || act == DType::kINT8);
-  if (needs_range_calibration && !calib_batches.empty()) {
-    calibrate_activations(calib_batches);
+  if (calib_batches.empty() && (needs_range_calibration || config_.scheme.smoothquant)) {
+    throw std::invalid_argument("QuantizedGraph::prepare: " + config_.scheme.label() +
+                                " needs calibration batches, got none");
   }
+
+  if (config_.scheme.smoothquant) run_smoothquant(calib_batches);
+  quantize_weights();
+  if (needs_range_calibration) calibrate_activations(calib_batches);
 
   prepared_ = true;
 
@@ -202,7 +200,7 @@ void QuantizedGraph::prepare(std::span<const Tensor> calib_batches) {
 }
 
 std::optional<Tensor> QuantizedGraph::quantize_input(Graph::NodeId id, int slot,
-                                                     const Tensor& value) {
+                                                     const Tensor& value) const {
   if (!slot_quantized(id, slot)) return std::nullopt;
 
   // Per-op span; the name (with the op kind) is only built when tracing
@@ -225,64 +223,28 @@ std::optional<Tensor> QuantizedGraph::quantize_input(Graph::NodeId id, int slot,
     apply_quant_inplace(out, make_dynamic_activation_params(act, out));
     return out;
   }
+  // prepare() calibrated every slot that needs a range, so a slot without
+  // static parameters is E5M2 direct quantization (scale 1) or FP32.
   const auto it = static_params_.find({id, slot});
   if (it != static_params_.end()) {
     apply_quant_inplace(out, it->second);
   } else {
-    // No calibrated range: E5M2 direct quantization (scale 1), or a
-    // defensive dynamic fallback for formats that need a range.
-    if (act == DType::kE5M2) {
-      apply_quant_inplace(out, make_activation_params(act, 1.0f));
-    } else {
-      apply_quant_inplace(out, make_dynamic_activation_params(act, out));
-    }
+    apply_quant_inplace(out, make_activation_params(act, 1.0f));
   }
   return out;
 }
 
-Tensor QuantizedGraph::forward(std::span<const Tensor> inputs) {
+Tensor QuantizedGraph::forward(std::span<const Tensor> inputs) const {
   TraceSpan span("qgraph/forward");
   if (!prepared_) throw std::logic_error("QuantizedGraph::forward: call prepare() first");
-  graph_->set_input_tap([this](Graph::NodeId id, int slot, const Tensor& v) {
+  return graph_->forward(inputs, [this](Graph::NodeId id, int slot, const Tensor& v) {
     return quantize_input(id, slot, v);
   });
-  Tensor out = graph_->forward(inputs);
-  graph_->clear_taps();
-  return out;
-}
-
-void QuantizedGraph::restore_weights() {
-  for (auto& [id, backup] : weight_backup_) {
-    auto ws = graph_->node(id).op->weights();
-    for (size_t i = 0; i < ws.size() && i < backup.size(); ++i) *ws[i] = backup[i];
-  }
-  weight_backup_.clear();
-  smooth_factors_.clear();
-  static_params_.clear();
-  clips_.clear();
-  observers_.clear();
-  prepared_ = false;
 }
 
 float QuantizedGraph::activation_clip(Graph::NodeId id, int slot) const {
   const auto it = clips_.find({id, slot});
   return it != clips_.end() ? it->second : 0.0f;
-}
-
-double QuantizedGraph::quantized_compute_fraction() const {
-  // Weight each compute op by its parameter count (weightless MatMuls
-  // count a nominal 1 so attention coverage is still visible).
-  double total = 0.0;
-  double covered = 0.0;
-  for (Graph::NodeId id : graph_->node_ids()) {
-    auto& node = graph_->node(id);
-    if (!node.op || !is_compute_op(node.kind)) continue;
-    const double weight =
-        std::max<double>(1.0, static_cast<double>(node.op->param_count()));
-    total += weight;
-    if (quantized_nodes_.contains(id)) covered += weight;
-  }
-  return total > 0.0 ? covered / total : 0.0;
 }
 
 }  // namespace fp8q

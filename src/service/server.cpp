@@ -36,12 +36,6 @@ EvalProtocol protocol_for_spec(const JobSpec& spec) {
   return protocol;
 }
 
-DType preferred_tune_format(const std::string& format) {
-  if (format == "E5M2" || format == "e5m2") return DType::kE5M2;
-  if (format == "E3M4" || format == "e3m4") return DType::kE3M4;
-  return DType::kE4M3;
-}
-
 void append_hist_ms(std::string& out, const char* key, const HistogramSnapshot& h) {
   out += '"';
   out += key;
@@ -115,7 +109,7 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
         TuneOptions options;
         if (spec.quick) options.max_trials = 6;
         const TuneResult r =
-            autotune(w, preferred_tune_format(spec.format), protocol, options);
+            autotune(w, fp8_dtype(fp8_kind_from_string(spec.format)), protocol, options);
         for (const auto& step : r.history) report.records.push_back(step.record);
         break;
       }
@@ -423,10 +417,15 @@ std::optional<std::string> Server::handle_frame(const std::string& payload,
 
   switch (req.cmd) {
     case Request::Cmd::kSubmit: {
-      // Validate outside the lock; both throw on bad input.
+      // Validate outside the lock; both throw on bad input. A tune job's
+      // format is the ladder's starting FP8 format, so it must name one.
       try {
         (void)find_workload(suite_, req.spec.workload);
-        (void)scheme_from_name(req.spec.format, req.spec.dynamic);
+        if (req.spec.kind == JobKind::kTune) {
+          (void)fp8_kind_from_string(req.spec.format);
+        } else {
+          (void)scheme_from_name(req.spec.format, req.spec.dynamic);
+        }
       } catch (const std::exception& e) {
         return error_response("unknown_workload", e.what());
       }

@@ -20,7 +20,8 @@ struct Arm {
 /// Evaluates one arm (accuracy record + quantized-compute fraction)
 /// against the shared plan. The plan carries the trial-invariant state
 /// (model prototype, data, FP32 targets), so each trial only pays for a
-/// clone plus the quantized passes.
+/// clone plus the quantized passes; the fraction reads the prototype's
+/// structure.
 TuneStep make_step(const EvalPlan& plan, const Arm& arm, const TuneOptions& options) {
   TuneStep step;
   step.description = arm.description;
@@ -31,11 +32,7 @@ TuneStep make_step(const EvalPlan& plan, const Arm& arm, const TuneOptions& opti
   // src/obs/ are a determinism hazard the linter rejects (fp8q_lint).
   const std::uint64_t t0 = obs_now_ns();
   step.record = evaluate_with_plan(plan, arm.config);
-  {
-    Graph g = plan.prototype.clone();
-    QuantizedGraph qg(&g, arm.config);
-    step.quantized_fraction = qg.quantized_compute_fraction();
-  }
+  step.quantized_fraction = quantized_compute_fraction(plan.prototype, arm.config);
   step.eval_ms = static_cast<double>(obs_now_ns() - t0) / 1e6;
   step.met = step.record.passes(options.accuracy_criterion);
   return step;
@@ -69,13 +66,8 @@ bool try_config(const EvalPlan& plan, const std::string& description,
 std::vector<std::pair<Graph::NodeId, double>> node_sensitivity_with_plan(
     const EvalPlan& plan, const ModelQuantConfig& base) {
   ScopedStage stage("tune/sensitivity");
-  Graph g = plan.prototype.clone();
   // Node set actually covered under this config.
-  std::set<Graph::NodeId> covered;
-  {
-    QuantizedGraph qg(&g, base);
-    covered = qg.quantized_nodes();
-  }
+  const std::set<Graph::NodeId> covered = select_quantized_nodes(plan.prototype, base);
 
   // One independent evaluation per node (quantize only that node) -- the
   // embarrassingly parallel half of the tuner. parallel_map returns the

@@ -176,13 +176,11 @@ EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
 AccuracyRecord evaluate_with_plan(const EvalPlan& plan, const ModelQuantConfig& config) {
   Graph g = plan.prototype.clone();
   ScoreAccumulator quant_acc{plan.metric, plan.margin_quantile};
-  {
-    QuantizedGraph qg(&g, config);
-    qg.prepare(std::span<const std::vector<Tensor>>(plan.calib));
-    for (const auto& pb : plan.batches) {
-      const Tensor out = qg.forward(pb.perturbed);
-      quant_acc.add(pb.clean_fp32_out, out);
-    }
+  QuantizedGraph qg(&g, config);
+  qg.prepare(std::span<const std::vector<Tensor>>(plan.calib));
+  for (const auto& pb : plan.batches) {
+    const Tensor out = qg.forward(pb.perturbed);
+    quant_acc.add(pb.clean_fp32_out, out);
   }
 
   AccuracyRecord record;

@@ -11,11 +11,12 @@
 namespace fp8q {
 namespace {
 
-double model_sqnr(Graph& g, const Tensor& ref, const Tensor& x,
+double model_sqnr(const Graph& g, const Tensor& ref, const Tensor& x,
                   const std::vector<Tensor>& calib, const SchemeConfig& scheme) {
   ModelQuantConfig cfg;
   cfg.scheme = scheme;
-  QuantizedGraph qg(&g, cfg);
+  Graph q = g.clone();
+  QuantizedGraph qg(&q, cfg);
   qg.prepare(std::span<const Tensor>(calib));
   const Tensor got = qg.forward(x);
   return sqnr_db(ref.flat(), got.flat());

@@ -54,10 +54,7 @@ TEST(GraphClone, TapsAreNotCopied) {
   Rng rng(10);
   Graph g = make_small_graph(rng);
   int tap_calls = 0;
-  g.set_input_tap([&](Graph::NodeId, int, const Tensor&) -> std::optional<Tensor> {
-    ++tap_calls;
-    return std::nullopt;
-  });
+  g.set_output_tap([&](Graph::NodeId, const Tensor&) { ++tap_calls; });
   Graph copy = g.clone();
   Tensor x = randn(rng, {2, 8});
   (void)copy.forward(x);

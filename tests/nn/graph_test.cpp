@@ -80,27 +80,30 @@ TEST(Graph, AddValidation) {
 TEST(Graph, InputTapReplacesValues) {
   Graph g = two_layer_mlp();
   int calls = 0;
-  g.set_input_tap([&](Graph::NodeId, int, const Tensor& v) -> std::optional<Tensor> {
+  const Graph::InputTap tap = [&](Graph::NodeId, int,
+                                  const Tensor& v) -> std::optional<Tensor> {
     ++calls;
     Tensor t = v;
     t.scale(2.0f);
     return t;
-  });
+  };
   Tensor x({1, 2}, {1.0f, 1.0f});
-  Tensor y = g.forward(x);
+  Tensor y = g.forward(x, tap);
   // Each of the 3 ops had its input doubled: 1*2 -> relu -> (2+2)*2 = 8...
   // fc1 input doubled: [2,2]; relu input doubled: [4,4]; fc2 input doubled:
   // [8,8] -> sum = 16.
   EXPECT_FLOAT_EQ(y[0], 16.0f);
   EXPECT_EQ(calls, 3);
+  // The tap belonged to that call: the next forward is the FP32 one.
+  EXPECT_FLOAT_EQ(g.forward(x)[0], 2.0f);
+  EXPECT_EQ(calls, 3);
 }
 
 TEST(Graph, InputTapNulloptPassesThrough) {
   Graph g = two_layer_mlp();
-  g.set_input_tap([](Graph::NodeId, int, const Tensor&) { return std::nullopt; });
+  const Graph::InputTap pass = [](Graph::NodeId, int, const Tensor&) { return std::nullopt; };
   Tensor x({1, 2}, {1.0f, 1.0f});
-  EXPECT_FLOAT_EQ(g.forward(x)[0], 2.0f);
-  g.clear_taps();
+  EXPECT_FLOAT_EQ(g.forward(x, pass)[0], 2.0f);
   EXPECT_FLOAT_EQ(g.forward(x)[0], 2.0f);
 }
 
@@ -113,17 +116,18 @@ TEST(Graph, TapReplacedOperandsAreMovedNotCopied) {
   const auto a = g.add_input("a");
   const auto b = g.add_input("b");
   g.add("mm", std::make_unique<MatMulOp>(), {a, b});
-  g.set_input_tap([](Graph::NodeId, int, const Tensor& v) -> std::optional<Tensor> {
+  const Graph::InputTap tap = [](Graph::NodeId, int,
+                                 const Tensor& v) -> std::optional<Tensor> {
     Tensor t = v;
     t.scale(2.0f);
     return t;
-  });
+  };
   std::vector<Tensor> ins;
   ins.push_back(Tensor({2, 3}, 1.0f));
   ins.push_back(Tensor({3, 4}, 1.0f));
 
   const AllocCounterSnapshot before = alloc_counters_snapshot();
-  const Tensor y = g.forward(ins);
+  const Tensor y = g.forward(ins, tap);
   const std::uint64_t allocs = alloc_counters_snapshot().since(before).allocs;
   EXPECT_FLOAT_EQ(y[0], 12.0f);  // 3 terms of 2 * 2
   EXPECT_EQ(allocs, 6u);

@@ -71,7 +71,8 @@ TEST(PerTokenQuant, SchemeFlagRunsEndToEnd) {
   ModelQuantConfig cfg;
   cfg.scheme = standard_fp8_scheme(DType::kE4M3);
   cfg.scheme.per_token_activations = true;
-  QuantizedGraph qg(&g, cfg);
+  Graph q = g.clone();
+  QuantizedGraph qg(&q, cfg);
   qg.prepare(std::span<const Tensor>{});  // no range calibration needed
   const Tensor got = qg.forward(x);
   EXPECT_GT(sqnr_db(ref.flat(), got.flat()), 15.0);

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
+#include "core/parallel.h"
 #include "metrics/metrics.h"
 #include "nn/conv.h"
 #include "nn/elementwise.h"
@@ -70,50 +73,80 @@ TEST(QuantizedGraph, ForwardBeforePrepareThrows) {
   EXPECT_THROW((void)qg.forward(x), std::logic_error);
 }
 
-TEST(QuantizedGraph, WeightsQuantizedAndRestored) {
+TEST(QuantizedGraph, PrepareQuantizesTheGraphInPlace) {
   Rng rng(7);
   Graph g = make_mlp(rng);
   auto* fc1 = dynamic_cast<LinearOp*>(g.node(2).op.get());
   ASSERT_NE(fc1, nullptr);
   const Tensor original = fc1->weight();
 
+  Graph q = g.clone();
+  auto* q_fc1 = dynamic_cast<LinearOp*>(q.node(2).op.get());
+  ASSERT_NE(q_fc1, nullptr);
   ModelQuantConfig cfg;
   cfg.scheme = standard_fp8_scheme(DType::kE4M3);
-  {
-    QuantizedGraph qg(&g, cfg);
-    auto calib = make_batches(rng, 2, {4, 16});
-    qg.prepare(std::span<const Tensor>(calib));
-    // Weights now differ (quantized in place)...
-    EXPECT_GT(max_abs_error(original.flat(), fc1->weight().flat()), 0.0);
-    // ...and every element sits on the E4M3 per-channel grid (idempotent).
-    const auto params = make_weight_params(fc1->weight(), DType::kE4M3);
-    const Tensor again = apply_quant(fc1->weight(), params);
-    // Not bit-exact: the re-derived channel scale differs by one float ULP
-    // when the channel max itself was the scaled value; grid points match
-    // to that tolerance.
-    EXPECT_LT(max_abs_error(fc1->weight().flat(), again.flat()), 1e-6);
-  }
-  // Destructor restored FP32 weights.
+  QuantizedGraph qg(&q, cfg);
+  auto calib = make_batches(rng, 2, {4, 16});
+  qg.prepare(std::span<const Tensor>(calib));
+  // The clone's weights now differ (quantized in place)...
+  EXPECT_GT(max_abs_error(original.flat(), q_fc1->weight().flat()), 0.0);
+  // ...and every element sits on the E4M3 per-channel grid (idempotent).
+  const auto params = make_weight_params(q_fc1->weight(), DType::kE4M3);
+  const Tensor again = apply_quant(q_fc1->weight(), params);
+  // Not bit-exact: the re-derived channel scale differs by one float ULP
+  // when the channel max itself was the scaled value; grid points match
+  // to that tolerance.
+  EXPECT_LT(max_abs_error(q_fc1->weight().flat(), again.flat()), 1e-6);
+  // The source graph keeps its FP32 weights.
   EXPECT_EQ(max_abs_error(original.flat(), fc1->weight().flat()), 0.0);
 }
 
-TEST(QuantizedGraph, RepreparationWithDifferentSchemeWorks) {
+TEST(QuantizedGraph, SecondPrepareThrows) {
   Rng rng(9);
   Graph g = make_mlp(rng);
   auto* fc1 = dynamic_cast<LinearOp*>(g.node(2).op.get());
-  const Tensor original = fc1->weight();
+  ASSERT_NE(fc1, nullptr);
 
+  // SmoothQuant folds its factors into the weights, so a second pipeline
+  // run would visibly move them.
   ModelQuantConfig cfg;
-  cfg.scheme = standard_fp8_scheme(DType::kE5M2);
+  cfg.scheme = standard_fp8_scheme(DType::kE4M3);
+  cfg.scheme.smoothquant = true;
   QuantizedGraph qg(&g, cfg);
   auto calib = make_batches(rng, 2, {4, 16});
   qg.prepare(std::span<const Tensor>(calib));
-  const Tensor w_e5m2 = fc1->weight();
-  // Re-prepare restores and re-quantizes from the FP32 originals.
-  qg.prepare(std::span<const Tensor>(calib));
-  EXPECT_EQ(max_abs_error(w_e5m2.flat(), fc1->weight().flat()), 0.0);
-  qg.restore_weights();
-  EXPECT_EQ(max_abs_error(original.flat(), fc1->weight().flat()), 0.0);
+  const Tensor quantized = fc1->weight();
+  EXPECT_THROW(qg.prepare(std::span<const Tensor>(calib)), std::logic_error);
+  // The rejected call leaves the weights as the first prepare() left them.
+  EXPECT_EQ(max_abs_error(quantized.flat(), fc1->weight().flat()), 0.0);
+  EXPECT_TRUE(qg.prepared());
+}
+
+TEST(QuantizedGraph, CalibratingSchemesRejectAnEmptyCalibrationSet) {
+  // A scheme that needs calibration data refuses an empty set instead of
+  // running as some other scheme under its own label.
+  SchemeConfig smooth = standard_fp8_scheme(DType::kE4M3, true);
+  smooth.smoothquant = true;
+  for (const SchemeConfig& scheme :
+       {standard_fp8_scheme(DType::kE4M3), standard_fp8_scheme(DType::kE3M4),
+        int8_scheme(false), smooth}) {
+    Rng rng(10);
+    Graph g = make_mlp(rng);
+    auto* fc1 = dynamic_cast<LinearOp*>(g.node(2).op.get());
+    ASSERT_NE(fc1, nullptr);
+    const Tensor original = fc1->weight();
+    ModelQuantConfig cfg;
+    cfg.scheme = scheme;
+    QuantizedGraph qg(&g, cfg);
+    try {
+      qg.prepare(std::span<const Tensor>{});
+      ADD_FAILURE() << scheme.label() << " prepared on an empty calibration set";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(scheme.label()), std::string::npos) << e.what();
+    }
+    EXPECT_FALSE(qg.prepared());
+    EXPECT_EQ(max_abs_error(original.flat(), fc1->weight().flat()), 0.0);
+  }
 }
 
 TEST(QuantizedGraph, QuantizationPerturbsButTracksReference) {
@@ -139,19 +172,19 @@ TEST(QuantizedGraph, ExtendedOpsCoverageToggle) {
 
   ModelQuantConfig std_cfg;
   std_cfg.scheme = standard_fp8_scheme(DType::kE4M3);
-  QuantizedGraph std_qg(&g, std_cfg);
+  const auto std_nodes = select_quantized_nodes(g, std_cfg);
   // Standard scheme: only the two Linears (LayerNorm/Add excluded).
-  EXPECT_EQ(std_qg.quantized_nodes().size(), 2u);
-  EXPECT_FALSE(std_qg.node_quantized(1));  // LayerNorm
-  EXPECT_TRUE(std_qg.node_quantized(2));   // fc1
+  EXPECT_EQ(std_nodes.size(), 2u);
+  EXPECT_FALSE(std_nodes.contains(1));  // LayerNorm
+  EXPECT_TRUE(std_nodes.contains(2));   // fc1
 
   ModelQuantConfig ext_cfg;
   ext_cfg.scheme = standard_fp8_scheme(DType::kE4M3);
   ext_cfg.scheme.quantize_extended_ops = true;
-  QuantizedGraph ext_qg(&g, ext_cfg);
-  EXPECT_EQ(ext_qg.quantized_nodes().size(), 4u);  // + LayerNorm + Add
-  EXPECT_TRUE(ext_qg.node_quantized(1));
-  EXPECT_TRUE(ext_qg.node_quantized(5));
+  const auto ext_nodes = select_quantized_nodes(g, ext_cfg);
+  EXPECT_EQ(ext_nodes.size(), 4u);  // + LayerNorm + Add
+  EXPECT_TRUE(ext_nodes.contains(1));
+  EXPECT_TRUE(ext_nodes.contains(5));
 }
 
 TEST(QuantizedGraph, FallbackNodeAndKindExclusions) {
@@ -162,10 +195,10 @@ TEST(QuantizedGraph, FallbackNodeAndKindExclusions) {
   cfg.scheme.quantize_extended_ops = true;
   cfg.fallback_nodes = {2};                    // fc1 forced FP32
   cfg.fallback_kinds = {OpKind::kLayerNorm};   // all LayerNorms FP32
-  QuantizedGraph qg(&g, cfg);
-  EXPECT_FALSE(qg.node_quantized(2));
-  EXPECT_FALSE(qg.node_quantized(1));
-  EXPECT_TRUE(qg.node_quantized(4));  // fc2 still on
+  const auto nodes = select_quantized_nodes(g, cfg);
+  EXPECT_FALSE(nodes.contains(2));
+  EXPECT_FALSE(nodes.contains(1));
+  EXPECT_TRUE(nodes.contains(4));  // fc2 still on
 }
 
 TEST(QuantizedGraph, CnnFirstLastException) {
@@ -188,22 +221,21 @@ TEST(QuantizedGraph, CnnFirstLastException) {
   ModelQuantConfig cfg;
   cfg.scheme = standard_fp8_scheme(DType::kE4M3);
   cfg.is_cnn = true;
-  QuantizedGraph qg(&g, cfg);
-  EXPECT_FALSE(qg.node_quantized(1));  // first conv stays FP32
-  EXPECT_FALSE(qg.node_quantized(5));  // last linear stays FP32
-  EXPECT_TRUE(qg.node_quantized(3));   // middle conv quantized
+  const auto nodes = select_quantized_nodes(g, cfg);
+  EXPECT_FALSE(nodes.contains(1));  // first conv stays FP32
+  EXPECT_FALSE(nodes.contains(5));  // last linear stays FP32
+  EXPECT_TRUE(nodes.contains(3));   // middle conv quantized
 
   // With the exception disabled (tuning option, section 4.3.1) they join.
   cfg.scheme.skip_first_last = false;
-  QuantizedGraph qg2(&g, cfg);
-  EXPECT_TRUE(qg2.node_quantized(1));
-  EXPECT_TRUE(qg2.node_quantized(5));
+  const auto all_nodes = select_quantized_nodes(g, cfg);
+  EXPECT_TRUE(all_nodes.contains(1));
+  EXPECT_TRUE(all_nodes.contains(5));
 
   // Non-CNN models never apply the exception.
   cfg.scheme.skip_first_last = true;
   cfg.is_cnn = false;
-  QuantizedGraph qg3(&g, cfg);
-  EXPECT_TRUE(qg3.node_quantized(1));
+  EXPECT_TRUE(select_quantized_nodes(g, cfg).contains(1));
 }
 
 TEST(QuantizedGraph, StaticMatchesDynamicWhenCalibMatchesEval) {
@@ -216,11 +248,11 @@ TEST(QuantizedGraph, StaticMatchesDynamicWhenCalibMatchesEval) {
 
   ModelQuantConfig scfg;
   scfg.scheme = standard_fp8_scheme(DType::kE4M3, false);
-  QuantizedGraph sqg(&g, scfg);
+  Graph sg = g.clone();
+  QuantizedGraph sqg(&sg, scfg);
   std::vector<Tensor> calib = {x};
   sqg.prepare(std::span<const Tensor>(calib));
   const Tensor ys = sqg.forward(x);
-  sqg.restore_weights();
 
   ModelQuantConfig dcfg;
   dcfg.scheme = standard_fp8_scheme(DType::kE4M3, true);
@@ -331,7 +363,8 @@ TEST(QuantizedGraph, SmoothQuantImprovesOutlierModelUnderInt8) {
     ModelQuantConfig cfg;
     cfg.scheme = int8_scheme(false);
     cfg.scheme.smoothquant = smooth;
-    QuantizedGraph qg(&g, cfg);
+    Graph q = g.clone();
+    QuantizedGraph qg(&q, cfg);
     qg.prepare(std::span<const Tensor>(calib));
     const Tensor y = qg.forward(x);
     return mse(ref.flat(), y.flat());
@@ -354,11 +387,11 @@ TEST(QuantizedGraph, EmbeddingIndicesNeverQuantized) {
 
   ModelQuantConfig cfg;
   cfg.scheme = standard_fp8_scheme(DType::kE4M3);
+  EXPECT_TRUE(select_quantized_nodes(g, cfg).contains(1));  // the table is covered...
   QuantizedGraph qg(&g, cfg);
   Tensor ids({5}, {0.0f, 17.0f, 42.0f, 99.0f, 3.0f});
   std::vector<Tensor> calib = {ids};
   qg.prepare(std::span<const Tensor>(calib));
-  EXPECT_TRUE(qg.node_quantized(1));  // the table is covered...
   // ...but forward must not throw (quantizing id 99 against the table's
   // tiny scale would produce out-of-range garbage indices).
   const Tensor y = qg.forward(ids);
@@ -371,23 +404,54 @@ TEST(QuantizedGraph, QuantizedComputeFraction) {
   // All compute ops quantized (non-CNN, no fallbacks): fraction 1.
   ModelQuantConfig all;
   all.scheme = standard_fp8_scheme(DType::kE4M3);
-  QuantizedGraph qa(&g, all);
-  EXPECT_DOUBLE_EQ(qa.quantized_compute_fraction(), 1.0);
+  EXPECT_DOUBLE_EQ(quantized_compute_fraction(g, all), 1.0);
 
   // Falling back fc1 (the larger share of parameters) drops the fraction
   // below 1 but above 0.
   ModelQuantConfig part = all;
   part.fallback_nodes = {2};
-  QuantizedGraph qp(&g, part);
-  EXPECT_GT(qp.quantized_compute_fraction(), 0.0);
-  EXPECT_LT(qp.quantized_compute_fraction(), 1.0);
+  EXPECT_GT(quantized_compute_fraction(g, part), 0.0);
+  EXPECT_LT(quantized_compute_fraction(g, part), 1.0);
 
   // FP32-everything config: nothing covered.
   ModelQuantConfig none;
   none.fallback_kinds = {OpKind::kLinear, OpKind::kConv2d, OpKind::kMatMul,
                          OpKind::kBatchMatMul, OpKind::kEmbedding};
-  QuantizedGraph qn(&g, none);
-  EXPECT_DOUBLE_EQ(qn.quantized_compute_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(quantized_compute_fraction(g, none), 0.0);
+}
+
+TEST(QuantizedGraph, ConcurrentForwardsMatchSerialForwards) {
+  // forward() writes no shared state, so forwards racing on one prepared
+  // graph must return exactly the serial outputs. The size matters: with
+  // much less work per forward, the forwards rarely overlap.
+  Rng rng(43);
+  Graph g = make_mlp(rng, 64);
+  ModelQuantConfig cfg;
+  cfg.scheme = standard_fp8_scheme(DType::kE4M3);
+  QuantizedGraph qg(&g, cfg);
+  const auto calib = make_batches(rng, 2, {32, 64});
+  qg.prepare(std::span<const Tensor>(calib));
+
+  const auto inputs = make_batches(rng, 64, {64, 64});
+  std::vector<Tensor> serial;
+  serial.reserve(inputs.size());
+  for (const Tensor& x : inputs) serial.push_back(qg.forward(x));
+
+  set_num_threads(4);
+  const std::vector<Tensor> concurrent =
+      parallel_map(static_cast<std::int64_t>(inputs.size()),
+                   [&](std::int64_t i) { return qg.forward(inputs[static_cast<size_t>(i)]); });
+  set_num_threads(0);
+
+  ASSERT_EQ(concurrent.size(), serial.size());
+  for (size_t b = 0; b < serial.size(); ++b) {
+    ASSERT_EQ(concurrent[b].shape(), serial[b].shape());
+    for (std::int64_t i = 0; i < serial[b].numel(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(concurrent[b][i]),
+                std::bit_cast<std::uint32_t>(serial[b][i]))
+          << "batch " << b << " element " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -302,6 +302,12 @@ TEST(Service, MalformedAndInvalidRequestsGetStructuredErrors) {
   EXPECT_EQ(roundtrip(conn, "{\"cmd\":\"frobnicate\"}").string_or("code"), "bad_request");
   EXPECT_EQ(roundtrip(conn, submit_payload("eval", "no-such-workload")).string_or("code"),
             "unknown_workload");
+  // A tune job's format starts the FP8 ladder, so INT8 and mixed name no
+  // tune format (they would otherwise tune E4M3).
+  EXPECT_EQ(roundtrip(conn, submit_payload("tune", "dlrm-ish", "INT8")).string_or("code"),
+            "unknown_workload");
+  EXPECT_EQ(roundtrip(conn, submit_payload("tune", "dlrm-ish", "mixed")).string_or("code"),
+            "unknown_workload");
   EXPECT_EQ(roundtrip(conn, "{\"cmd\":\"status\",\"job_id\":999}").string_or("code"),
             "unknown_job");
   // The connection survives every rejected request.

@@ -87,15 +87,6 @@ int cmd_eval(const char* workload, const char* fmt, bool dynamic) {
   return rec.passes() ? 0 : 1;
 }
 
-DType fp8_dtype(Fp8Kind kind) {
-  switch (kind) {
-    case Fp8Kind::E5M2: return DType::kE5M2;
-    case Fp8Kind::E4M3: return DType::kE4M3;
-    case Fp8Kind::E3M4: return DType::kE3M4;
-  }
-  return DType::kE4M3;
-}
-
 int cmd_tune(const char* workload, const char* fmt) {
   const DType preferred = fp8_dtype(fp8_kind_from_string(fmt));
   const auto suite = build_suite();
