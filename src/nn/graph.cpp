@@ -1,5 +1,6 @@
 #include "nn/graph.h"
 
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -9,6 +10,7 @@ namespace fp8q {
 Graph::NodeId Graph::add_input(std::string name) {
   const auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(Node{std::move(name), nullptr, {}, OpKind::kInput});
+  last_use_.push_back(-1);
   input_ids_.push_back(id);
   output_ = id;
   return id;
@@ -25,8 +27,11 @@ Graph::NodeId Graph::add(std::string name, OpPtr op, std::vector<NodeId> inputs)
       throw std::invalid_argument("Graph::add: input id out of order for " + name);
     }
   }
+  // Nodes arrive in topological order, so the newest consumer is the last.
+  for (NodeId in : inputs) last_use_[static_cast<size_t>(in)] = id;
   const OpKind kind = op->kind();
   nodes_.push_back(Node{std::move(name), std::move(op), std::move(inputs), kind});
+  last_use_.push_back(-1);
   output_ = id;
   return id;
 }
@@ -34,6 +39,10 @@ Graph::NodeId Graph::add(std::string name, OpPtr op, std::vector<NodeId> inputs)
 void Graph::set_output(NodeId id) {
   if (id < 0 || id >= node_count()) throw std::invalid_argument("Graph::set_output: bad id");
   output_ = id;
+}
+
+void Graph::set_output_tap(OutputTap tap) {
+  output_tap_ = tap ? std::make_unique<TapState>(std::move(tap)) : nullptr;
 }
 
 Graph Graph::clone() const {
@@ -44,11 +53,20 @@ Graph Graph::clone() const {
         Node{node.name, node.op ? node.op->clone() : nullptr, node.inputs, node.kind});
   }
   copy.input_ids_ = input_ids_;
+  copy.last_use_ = last_use_;
   copy.output_ = output_;
   return copy;
 }
 
 Tensor Graph::forward(std::span<const Tensor> inputs, const InputTap& input_tap) {
+  if (!output_tap_) return run(inputs, input_tap, nullptr);
+  // The output tap keeps per-forward state, so tapped forwards take turns.
+  std::lock_guard<std::mutex> turn(output_tap_->forward_mu);
+  return run(inputs, input_tap, &output_tap_->tap);
+}
+
+Tensor Graph::run(std::span<const Tensor> inputs, const InputTap& input_tap,
+                  const OutputTap* output_tap) {
   if (inputs.size() != input_ids_.size()) {
     throw std::invalid_argument("Graph::forward: wrong number of inputs");
   }
@@ -57,7 +75,7 @@ Tensor Graph::forward(std::span<const Tensor> inputs, const InputTap& input_tap)
   std::vector<Tensor> values(nodes_.size());
   for (size_t i = 0; i < input_ids_.size(); ++i) {
     values[static_cast<size_t>(input_ids_[i])] = inputs[i];
-    if (output_tap_) output_tap_(input_ids_[i], values[static_cast<size_t>(input_ids_[i])]);
+    if (output_tap) (*output_tap)(input_ids_[i], values[static_cast<size_t>(input_ids_[i])]);
   }
 
   for (size_t n = 0; n < nodes_.size(); ++n) {
@@ -91,9 +109,15 @@ Tensor Graph::forward(std::span<const Tensor> inputs, const InputTap& input_tap)
       }
       values[n] = node.op->forward(gathered);
     }
-    if (output_tap_) output_tap_(id, values[n]);
+    if (output_tap) (*output_tap)(id, values[n]);
+    // Free each operand this node was the last to read.
+    for (NodeId in : node.inputs) {
+      if (last_use_[static_cast<size_t>(in)] == id && in != output_) {
+        values[static_cast<size_t>(in)] = Tensor{};
+      }
+    }
   }
-  return values[static_cast<size_t>(output_)];
+  return std::move(values[static_cast<size_t>(output_)]);
 }
 
 std::vector<Graph::NodeId> Graph::node_ids() const {

@@ -1,20 +1,27 @@
 // A static dataflow graph of Ops with taps for quantization.
 //
 // Nodes are appended in topological order (each node's inputs must already
-// exist). Execution walks the node list; two hooks let the quantization
+// exist). Execution walks the node list and frees each value right after
+// its last consumer runs (the output node's value is kept and returned), so
+// a forward holds only the live values. Two hooks let the quantization
 // layer participate without the graph knowing about formats:
 //   * input_tap: passed to each forward() call, may replace a node's input
 //     tensor (fake-quantization of activations at operator boundaries,
 //     calibration observers). Nothing of it outlives the call, so
 //     concurrent forwards with different taps do not interfere;
 //   * output_tap: held by the graph, observes each node's output
-//     (profiling, activation probes).
+//     (profiling, activation probes). While one is installed, forwards on
+//     the graph run one at a time, so the tap sees one forward's nodes in
+//     order; it must not run the graph it observes.
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
+#include "core/thread_annotations.h"
 #include "nn/op.h"
 
 namespace fp8q {
@@ -50,7 +57,9 @@ class Graph {
 
   /// Runs the graph on the given input tensors (one per declared input)
   /// and returns the output node's tensor. `input_tap`, if set, sees every
-  /// op input of this call only.
+  /// op input of this call only. Concurrent calls are safe, since ops write
+  /// no state outside BatchNorm calibration; with an output tap installed
+  /// they take turns.
   [[nodiscard]] Tensor forward(std::span<const Tensor> inputs,
                                const InputTap& input_tap = nullptr);
   [[nodiscard]] Tensor forward(const Tensor& input, const InputTap& input_tap = nullptr) {
@@ -58,7 +67,8 @@ class Graph {
   }
 
   /// Installs the output tap every later forward() calls; nullptr removes it.
-  void set_output_tap(OutputTap tap) { output_tap_ = std::move(tap); }
+  /// Must not race a running forward().
+  void set_output_tap(OutputTap tap);
 
   /// Deep copy: every op (and its weights) is cloned, so the copy can be
   /// mutated, quantized and run concurrently with the original. The output
@@ -90,10 +100,24 @@ class Graph {
   }
 
  private:
+  /// The installed output tap and the lock its forwards take turns on,
+  /// held by pointer so the graph stays movable.
+  struct TapState {
+    explicit TapState(OutputTap t) : tap(std::move(t)) {}
+    std::mutex forward_mu;
+    OutputTap tap FP8Q_GUARDED_BY(forward_mu);
+  };
+
+  /// forward() once the output tap to call, if any, is settled.
+  [[nodiscard]] Tensor run(std::span<const Tensor> inputs, const InputTap& input_tap,
+                           const OutputTap* output_tap);
+
   std::vector<Node> nodes_;
   std::vector<NodeId> input_ids_;
+  /// Per node: the last node consuming its value, or -1 when none does.
+  std::vector<NodeId> last_use_;
   NodeId output_ = -1;
-  OutputTap output_tap_;
+  std::unique_ptr<TapState> output_tap_;
 };
 
 }  // namespace fp8q

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/parallel.h"
 #include "metrics/metrics.h"
 #include "quant/quantized_graph.h"
 
@@ -156,18 +157,25 @@ EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
 
   // Evaluation set; FP32 targets and the FP32 baseline come first, while
   // the weights are pristine. Each batch draws clean, then perturbed, from
-  // one seeded stream.
+  // one seeded stream, so the data is drawn serially; the teacher forwards
+  // then fan out, one unit per forward (2b clean, 2b + 1 perturbed), and
+  // the baseline folds in batch order.
+  const auto n = static_cast<size_t>(protocol.eval_batches);
   Rng eval_rng(w.data_seed * 104729 + 2);
-  plan.batches.reserve(static_cast<size_t>(protocol.eval_batches));
+  std::vector<std::vector<Tensor>> clean(n);
+  plan.batches.resize(n);
+  for (size_t b = 0; b < n; ++b) {
+    clean[b] = w.make_batch(eval_rng, protocol.eval_batch_size);
+    plan.batches[b].perturbed = w.perturb(eval_rng, clean[b]);
+  }
+  std::vector<Tensor> outs = parallel_map(static_cast<std::int64_t>(2 * n), [&](std::int64_t u) {
+    const auto b = static_cast<size_t>(u / 2);
+    return plan.prototype.forward(u % 2 == 0 ? clean[b] : plan.batches[b].perturbed);
+  });
   ScoreAccumulator fp32_acc{w.metric, w.margin_quantile};
-  for (int b = 0; b < protocol.eval_batches; ++b) {
-    EvalPlan::PlanBatch pb;
-    auto clean = w.make_batch(eval_rng, protocol.eval_batch_size);
-    pb.perturbed = w.perturb(eval_rng, clean);
-    pb.clean_fp32_out = plan.prototype.forward(clean);
-    const Tensor fp32_out = plan.prototype.forward(pb.perturbed);
-    fp32_acc.add(pb.clean_fp32_out, fp32_out);
-    plan.batches.push_back(std::move(pb));
+  for (size_t b = 0; b < n; ++b) {
+    plan.batches[b].clean_fp32_out = std::move(outs[2 * b]);
+    fp32_acc.add(plan.batches[b].clean_fp32_out, outs[2 * b + 1]);
   }
   plan.fp32_score = fp32_acc.score();
   return plan;
@@ -175,13 +183,15 @@ EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
 
 AccuracyRecord evaluate_with_plan(const EvalPlan& plan, const ModelQuantConfig& config) {
   Graph g = plan.prototype.clone();
-  ScoreAccumulator quant_acc{plan.metric, plan.margin_quantile};
   QuantizedGraph qg(&g, config);
   qg.prepare(std::span<const std::vector<Tensor>>(plan.calib));
-  for (const auto& pb : plan.batches) {
-    const Tensor out = qg.forward(pb.perturbed);
-    quant_acc.add(pb.clean_fp32_out, out);
-  }
+  // One unit per batch; the score folds in batch order.
+  const std::vector<Tensor> outs =
+      parallel_map(static_cast<std::int64_t>(plan.batches.size()), [&](std::int64_t b) {
+        return qg.forward(plan.batches[static_cast<size_t>(b)].perturbed);
+      });
+  ScoreAccumulator quant_acc{plan.metric, plan.margin_quantile};
+  for (size_t b = 0; b < outs.size(); ++b) quant_acc.add(plan.batches[b].clean_fp32_out, outs[b]);
 
   AccuracyRecord record;
   record.workload = plan.workload_name;

@@ -108,14 +108,21 @@ struct EvalPlan {
 
 /// Builds the trial-invariant evaluation state. The data streams depend
 /// only on the workload's seeds and the protocol, so every plan built for
-/// one (workload, protocol) pair is the same, bit for bit.
+/// one (workload, protocol) pair is the same, bit for bit. The data is
+/// drawn serially; the FP32 teacher forwards (one clean and one perturbed
+/// per batch) then run as one parallel_map on the prototype, and the
+/// baseline score folds in batch order. Inside a parallel region (a suite
+/// pair) the fan-out runs inline.
 [[nodiscard]] EvalPlan make_eval_plan(const Workload& workload,
                                       const EvalProtocol& protocol = {});
 
 /// Scores one quantization configuration against a prebuilt plan. Clones
 /// the prototype and runs the PTQ pipeline on the clone; the config is
 /// taken as-is (no domain defaults are applied), and the plan is only
-/// read, so concurrent trials may share it.
+/// read, so concurrent trials may share it. prepare() runs serially, then
+/// the quantized forwards run one per batch through parallel_map and the
+/// score folds in batch order. Inside a parallel region (a suite pair, a
+/// tuner arm or sensitivity trial) the fan-out runs inline.
 [[nodiscard]] AccuracyRecord evaluate_with_plan(const EvalPlan& plan,
                                                 const ModelQuantConfig& config);
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.h"
@@ -83,6 +84,16 @@ void expect_bit_identical(const AccuracyRecord& got, const AccuracyRecord& want)
       << where;
 }
 
+/// Tensors equal bit for bit: shape, and the raw bits of every element.
+void expect_bit_equal(const Tensor& got, const Tensor& want, const std::string& where) {
+  ASSERT_EQ(got.shape(), want.shape()) << where;
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got.flat()[i]),
+              std::bit_cast<std::uint32_t>(want.flat()[i]))
+        << where << " element " << i;
+  }
+}
+
 TEST(Determinism, BulkCastBitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
   Rng rng(42);
@@ -150,6 +161,56 @@ TEST(Determinism, AccuracyRecordsIdenticalAt1And8Threads) {
     EXPECT_EQ(serial[i].fp32_accuracy, parallel[i].fp32_accuracy) << serial[i].workload;
     EXPECT_EQ(serial[i].quant_accuracy, parallel[i].quant_accuracy) << serial[i].workload;
     EXPECT_EQ(serial[i].model_size_mb, parallel[i].model_size_mb) << serial[i].workload;
+  }
+}
+
+TEST(Determinism, OneEvaluationFansOutBitIdentically) {
+  // make_eval_plan runs its teacher forwards, and evaluate_with_plan its
+  // quantized forwards, through parallel_map. With more batches than
+  // threads, the plan, the record and the counter deltas at 4 threads must
+  // equal the serial run's bit for bit.
+  ThreadCountGuard guard;
+  EvalProtocol protocol = quick_protocol();
+  protocol.eval_batches = 6;
+  for (const Workload& w : sample_workloads()) {
+    set_num_threads(1);
+    const EvalPlan serial = make_eval_plan(w, protocol);
+    set_num_threads(4);
+    const EvalPlan parallel = make_eval_plan(w, protocol);
+    ASSERT_EQ(serial.batches.size(), 6u);
+    ASSERT_EQ(parallel.batches.size(), serial.batches.size());
+    for (size_t b = 0; b < serial.batches.size(); ++b) {
+      const std::string where = w.name + " batch " + std::to_string(b);
+      const EvalPlan::PlanBatch& want = serial.batches[b];
+      const EvalPlan::PlanBatch& got = parallel.batches[b];
+      ASSERT_EQ(got.perturbed.size(), want.perturbed.size()) << where;
+      for (size_t i = 0; i < want.perturbed.size(); ++i) {
+        expect_bit_equal(got.perturbed[i], want.perturbed[i], where + " perturbed");
+      }
+      expect_bit_equal(got.clean_fp32_out, want.clean_fp32_out, where + " teacher");
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel.fp32_score),
+              std::bit_cast<std::uint64_t>(serial.fp32_score))
+        << w.name;
+
+    const std::pair<SchemeConfig, ObsFormat> cases[] = {
+        {standard_fp8_scheme(DType::kE4M3), ObsFormat::kE4M3},
+        {int8_scheme(w.domain != "CV"), ObsFormat::kInt8}};
+    for (const auto& [scheme, format] : cases) {
+      auto run_at = [&](int threads) {
+        set_num_threads(threads);
+        const CounterSnapshot before = counters_snapshot();
+        AccuracyRecord record = evaluate_workload(w, scheme, protocol);
+        return std::pair{std::move(record), counters_snapshot().since(before)};
+      };
+      set_counters_enabled(true);
+      const auto [record1, counted1] = run_at(1);
+      const auto [record4, counted4] = run_at(4);
+      set_counters_enabled(false);
+      expect_bit_identical(record4, record1);
+      EXPECT_TRUE(counted4 == counted1) << w.name << " " << scheme.label();
+      EXPECT_GT(counted1.get(format, ObsEvent::kQuantized), 0u) << w.name << " " << scheme.label();
+    }
   }
 }
 
