@@ -125,7 +125,8 @@ class Listener {
 [[nodiscard]] Listener listen_unix(const std::string& path);
 
 /// Binds + listens on 127.0.0.1:`port` (0 picks an ephemeral port, read
-/// it back with tcp_port()). Throws std::runtime_error on failure.
+/// it back with tcp_port()). Throws std::runtime_error on failure, and
+/// before binding anything when `port` is outside [0, 65535].
 [[nodiscard]] Listener listen_tcp_loopback(int port);
 
 /// Client connect calls. Throw std::runtime_error on failure.

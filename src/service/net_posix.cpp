@@ -215,6 +215,10 @@ Listener listen_unix(const std::string& path) {
 }
 
 Listener listen_tcp_loopback(int port) {
+  // htons would wrap a larger port onto another one (70000 -> 4464).
+  if (port < 0 || port > 65535) {
+    throw std::runtime_error("TCP port " + std::to_string(port) + " is out of range (0-65535)");
+  }
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) throw_errno("fp8qd socket(AF_INET)");
   set_cloexec(fd.get());

@@ -1,5 +1,6 @@
 #include "service/server.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -61,7 +62,7 @@ ServerOptions options_from_env() {
   const char* sock = std::getenv("FP8QD_SOCKET");
   opts.unix_path = (sock != nullptr && sock[0] != '\0') ? sock : "fp8qd.sock";
   if (const char* port = std::getenv("FP8QD_TCP_PORT"); port != nullptr && port[0] != '\0') {
-    opts.tcp_port = std::atoi(port);
+    opts.tcp_port = parse_tcp_port(port);
   }
   if (const char* qmax = std::getenv("FP8QD_QUEUE_MAX"); qmax != nullptr && qmax[0] != '\0') {
     const int n = std::atoi(qmax);
@@ -75,7 +76,18 @@ ServerOptions options_from_env() {
   return opts;
 }
 
-RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spec) {
+int parse_tcp_port(std::string_view text) {
+  int port = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, port);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw std::runtime_error("TCP port '" + std::string(text) + "' is not a whole number");
+  }
+  return port;
+}
+
+RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spec,
+                          PlanCache& plans) {
   const Workload& w = find_workload(suite, spec.workload);
   const EvalProtocol protocol = protocol_for_spec(spec);
 
@@ -101,8 +113,9 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
     ScopedThreadReport report_scope(&report);
     switch (spec.kind) {
       case JobKind::kEval: {
-        report.records.push_back(
-            evaluate_workload(w, scheme_from_name(spec.format, spec.dynamic), protocol));
+        report.records.push_back(evaluate_with_plan(
+            *plans.get(w, protocol),
+            default_model_config(w, scheme_from_name(spec.format, spec.dynamic), protocol)));
         break;
       }
       case JobKind::kTune: {
@@ -140,13 +153,15 @@ Server::Server(ServerOptions options)
     throw std::runtime_error("fp8qd: no listener configured (need a socket path or a "
                              "TCP port)");
   }
-  if (!options.unix_path.empty()) {
-    unix_listener_ = listen_unix(options.unix_path);
-    unix_path_ = options.unix_path;
-  }
+  // TCP first: listen_tcp_loopback rejects an out-of-range port before
+  // anything is bound.
   if (options.tcp_port >= 0) {
     tcp_listener_ = listen_tcp_loopback(options.tcp_port);
     tcp_port_ = tcp_listener_.tcp_port();
+  }
+  if (!options.unix_path.empty()) {
+    unix_listener_ = listen_unix(options.unix_path);
+    unix_path_ = options.unix_path;
   }
   workers_ = options.workers < 1 ? 1 : (options.workers > 64 ? 64 : options.workers);
   // Split the machine across the executor workers: each job's parallel
@@ -212,6 +227,7 @@ ServiceStats Server::stats_snapshot() const {
   }
   s.job_wall_ns = job_wall_ns_.snap;
   s.queue_wait_ns = queue_wait_ns_.snap;
+  s.plan_cache = plans_.stats();
   return s;
 }
 
@@ -252,7 +268,7 @@ void Server::executor_loop(int slot) {
     std::string report_json;
     std::string error;
     try {
-      report_json = run_job_oneshot(suite_, job->spec).to_json();
+      report_json = run_job_oneshot(suite_, job->spec, plans_).to_json();
     } catch (const std::exception& e) {
       error = e.what();
     } catch (...) {
@@ -402,6 +418,17 @@ std::string Server::stats_response_locked() {
   append_hist_ms(out, "job_wall", job_wall_ns_.snap);
   out += ",";
   append_hist_ms(out, "queue_wait", queue_wait_ns_.snap);
+  const PlanCacheStats plans = plans_.stats();
+  out += "},\"plan_cache\":{\"entries\":";
+  out += std::to_string(plans.entries);
+  out += ",\"bytes\":";
+  out += std::to_string(plans.bytes);
+  out += ",\"hits\":";
+  out += std::to_string(plans.hits);
+  out += ",\"misses\":";
+  out += std::to_string(plans.misses);
+  out += ",\"evictions\":";
+  out += std::to_string(plans.evictions);
   out += "}}";
   return out;
 }

@@ -25,12 +25,17 @@
 //     machine and jobs never serialize on the global pool's region lock.
 //
 // A running job shares no mutable state with other jobs: it builds its own
-// model, data and quantized weights. The only locks it can contend on are
-// the process-global trace buffers.
+// model copy and quantized weights. Eval jobs share one read-only EvalPlan
+// per (workload, protocol) through the server's PlanCache
+// (service/plan_cache.h); a plan is a pure function of its key and records
+// no quantization events, so sharing it changes no report. The only locks
+// a job can contend on are the plan cache's and the process-global trace
+// buffers.
 //
 // Memory stays bounded under sustained load: the job table keeps at most
 // kMaxTerminalJobs finished (terminal) jobs, evicting the oldest at each
-// submit, and an evicted id answers unknown_job.
+// submit, and an evicted id answers unknown_job. The plan cache holds at
+// most kPlanCacheBytes of plans, evicting the least recently used.
 #pragma once
 
 #include <atomic>
@@ -39,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -47,6 +53,7 @@
 #include "obs/report.h"
 #include "service/job_queue.h"
 #include "service/net.h"
+#include "service/plan_cache.h"
 #include "workloads/workload.h"
 
 // Lint note (tools/fp8q_lint.cpp raw-thread rule): service/server.cpp is
@@ -75,8 +82,14 @@ struct ServerOptions {
 inline constexpr std::size_t kMaxTerminalJobs = 256;
 
 /// ServerOptions from the environment: FP8QD_SOCKET (default
-/// "fp8qd.sock"), FP8QD_TCP_PORT, FP8QD_QUEUE_MAX, FP8QD_WORKERS.
+/// "fp8qd.sock"), FP8QD_TCP_PORT, FP8QD_QUEUE_MAX, FP8QD_WORKERS. Throws
+/// std::runtime_error when FP8QD_TCP_PORT is set but not a whole number.
 [[nodiscard]] ServerOptions options_from_env();
+
+/// Parses a --tcp-port / FP8QD_TCP_PORT value: a whole decimal int, where
+/// a negative one disables TCP. Throws std::runtime_error naming the text
+/// on anything else. The upper bound is checked when the port is bound.
+[[nodiscard]] int parse_tcp_port(std::string_view text);
 
 /// One executor worker's utilization (the stats endpoint's per_worker row).
 struct WorkerStats {
@@ -103,6 +116,7 @@ struct ServiceStats {
   std::vector<WorkerStats> per_worker;  ///< one row per executor worker
   HistogramSnapshot job_wall_ns;    ///< executor wall time per finished job
   HistogramSnapshot queue_wait_ns;  ///< admission -> executor pickup
+  PlanCacheStats plan_cache;        ///< the eval-plan cache
 };
 
 /// Executes one job spec end to end and returns its report -- exactly the
@@ -111,11 +125,13 @@ struct ServiceStats {
 /// caller's enclosing domain on return, so the report's counter blocks are
 /// the job's exact events whether the caller is an executor worker, a
 /// test, or an embedder -- served and one-shot runs are the same code by
-/// construction. Public so the end-to-end tests can compare a served
-/// job's report against a direct run of the same spec. Throws on unknown
-/// workloads/formats and on job-body failures.
+/// construction. An eval job takes its EvalPlan from `plans`, building it
+/// there on a miss; pass a fresh PlanCache for a cold run. Public so the
+/// end-to-end tests can compare a served job's report against a direct
+/// run of the same spec. Throws on unknown workloads/formats and on
+/// job-body failures.
 [[nodiscard]] RunReport run_job_oneshot(const std::vector<Workload>& suite,
-                                        const JobSpec& spec);
+                                        const JobSpec& spec, PlanCache& plans);
 
 class Server {
  public:
@@ -194,6 +210,9 @@ class Server {
   std::uint64_t start_ns_ = 0;
   int workers_ = 1;       ///< executor worker count
   int job_threads_ = 1;   ///< per-job parallel arena budget
+
+  /// Eval plans shared across jobs; it locks for itself.
+  PlanCache plans_;
 
   WakePipe wake_;
   std::atomic<bool> shutdown_requested_{false};

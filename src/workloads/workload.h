@@ -11,6 +11,7 @@
 // criterion measures.
 #pragma once
 
+#include <compare>
 #include <functional>
 #include <string>
 
@@ -68,6 +69,9 @@ struct EvalProtocol {
   int eval_batches = 14;
   int eval_batch_size = 128;
   int bn_calibration_batches = 4;
+
+  /// Field-wise, so a plan cache keyed by the protocol sees every knob.
+  friend auto operator<=>(const EvalProtocol&, const EvalProtocol&) = default;
 };
 
 /// Precomputed evaluation state shared across every quantization trial of

@@ -3,10 +3,10 @@
 // artifact. The central suite boots the same daemon at 1, 2 and 4
 // executor workers, submits one mixed-priority job set each time, and
 // asserts that every job's report -- accuracy records, quantization-event
-// counters, per-stage counter deltas -- is identical
-// to a one-shot run of the same spec (docs/THREADING.md, "Scoped
-// observation domains"). Also covers the deadline-at-observation path and
-// the scheduler stats fields.
+// counters, per-stage counter deltas -- is identical to a cold one-shot
+// run of the same spec (docs/THREADING.md, "Scoped observation domains"),
+// including an eval served from the daemon's plan cache. Also covers the
+// deadline-at-observation path and the scheduler stats fields.
 //
 // Tests live outside src/, so std::thread and raw sleeps are fair game
 // here (the linted library keeps to core/parallel and obs_now_ns).
@@ -85,7 +85,8 @@ struct SpecRow {
   int priority;
 };
 
-/// Mixed kinds, workloads, formats and priorities.
+/// Mixed kinds, workloads, formats and priorities. The two dlrm-ish evals
+/// share a key, so the second runs on a cached or in-flight plan.
 constexpr SpecRow kJobSet[] = {
     {"eval", "dlrm-ish", "E4M3", 0},
     {"quantize", "dlrm-ish", "E5M2", 5},
@@ -93,6 +94,7 @@ constexpr SpecRow kJobSet[] = {
     {"quantize", "nlp/distil-mlp-0", "E3M4", 3},
     {"eval", "resnet50-ish", "E3M4", 1},
     {"quantize", "resnet50-ish", "E4M3", 0},
+    {"eval", "dlrm-ish", "E5M2", 2},
 };
 
 std::string submit_payload(const SpecRow& row) {
@@ -192,11 +194,12 @@ TEST(Scheduler, PerJobReportsBitIdenticalAcrossWorkerCounts) {
   // varies across the worker counts below (4, 2, 1 threads per job).
   set_num_threads(4);
 
-  // Baseline: one-shot runs of every spec.
+  // Baseline: cold one-shot runs of every spec, each with its own cache.
   const std::vector<Workload> suite = build_suite();
   std::vector<RunReport> baseline;
   for (const SpecRow& row : kJobSet) {
-    baseline.push_back(through_json(run_job_oneshot(suite, spec_of(row))));
+    PlanCache cold;
+    baseline.push_back(through_json(run_job_oneshot(suite, spec_of(row), cold)));
   }
 
   for (const int workers : {1, 2, 4}) {

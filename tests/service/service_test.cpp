@@ -194,7 +194,8 @@ TEST(Service, ConcurrentJobsAreBitIdenticalToOneShotRuns) {
       spec.workload = "dlrm-ish";
       spec.format = "E4M3";
     }
-    const RunReport oneshot = through_json(run_job_oneshot(suite, spec));
+    PlanCache cold;
+    const RunReport oneshot = through_json(run_job_oneshot(suite, spec, cold));
     expect_same_records_and_counters(report, oneshot, report.tool + "/" + spec.workload);
   }
 }
@@ -338,6 +339,55 @@ TEST(Service, StatsEndpointTracksJobsAndQueue) {
   EXPECT_EQ(snap.submitted, 1u);
   EXPECT_EQ(snap.completed, 1u);
   EXPECT_EQ(snap.queue_capacity, 7u);
+}
+
+TEST(Service, EvalJobsOfOneWorkloadShareOneCachedPlan) {
+  set_counters_enabled(true);
+  ServerFixture fixture;  // one worker: the jobs run one after another
+  Connection conn = fixture.connect();
+  for (const char* format : {"E4M3", "E3M4", "E5M2"}) {
+    const json::Value result =
+        submit_and_wait(conn, submit_payload("eval", "nlp/distil-mlp-0", format));
+    ASSERT_EQ(result.string_or("state"), "done") << result.string_or("error");
+  }
+
+  const json::Value stats = roundtrip(conn, "{\"cmd\":\"stats\"}");
+  const json::Value* plans = stats.find("plan_cache");
+  ASSERT_NE(plans, nullptr);
+  EXPECT_EQ(static_cast<int>(plans->number_or("misses")), 1);
+  EXPECT_EQ(static_cast<int>(plans->number_or("hits")), 2);
+  EXPECT_EQ(static_cast<int>(plans->number_or("entries")), 1);
+  EXPECT_EQ(static_cast<int>(plans->number_or("evictions")), 0);
+  EXPECT_GT(plans->number_or("bytes"), 0.0);
+  // The in-process snapshot carries the same numbers.
+  const PlanCacheStats snap = fixture.server().stats_snapshot().plan_cache;
+  EXPECT_EQ(snap.misses, 1u);
+  EXPECT_EQ(snap.hits, 2u);
+  EXPECT_EQ(snap.entries, 1u);
+  EXPECT_EQ(static_cast<double>(snap.bytes), plans->number_or("bytes"));
+}
+
+TEST(Service, OutOfRangeTcpPortsAreRejectedBeforeBinding) {
+  for (const int port : {70000, 65536}) {
+    ServerOptions options;
+    options.tcp_port = port;
+    try {
+      Server server(options);
+      ADD_FAILURE() << "port " << port << " bound 127.0.0.1:" << server.tcp_port();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(port)), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Service, TcpPortTextMustBeAWholeNumber) {
+  EXPECT_EQ(parse_tcp_port("0"), 0);
+  EXPECT_EQ(parse_tcp_port("8470"), 8470);
+  EXPECT_EQ(parse_tcp_port("-1"), -1);
+  for (const char* bad : {"", "abc", "12abc", " 80", "80 ", "1e3", "99999999999"}) {
+    EXPECT_THROW((void)parse_tcp_port(bad), std::runtime_error) << "'" << bad << "'";
+  }
 }
 
 TEST(Service, GracefulShutdownDrainsAndAnswersWaiters) {

@@ -54,13 +54,24 @@ bool parse_flag(const char* arg, const char* name, const char** value) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  fp8q::service::ServerOptions options = fp8q::service::options_from_env();
+  fp8q::service::ServerOptions options;
+  try {
+    options = fp8q::service::options_from_env();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fp8qd: FP8QD_TCP_PORT: %s\n", e.what());
+    return 2;
+  }
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
     if (parse_flag(argv[i], "--socket", &value)) {
       options.unix_path = value;
     } else if (parse_flag(argv[i], "--tcp-port", &value)) {
-      options.tcp_port = std::atoi(value);
+      try {
+        options.tcp_port = fp8q::service::parse_tcp_port(value);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "fp8qd: --tcp-port: %s\n", e.what());
+        return 2;
+      }
     } else if (parse_flag(argv[i], "--queue-max", &value)) {
       const int n = std::atoi(value);
       if (n <= 0) {
@@ -90,9 +101,10 @@ int main(int argc, char** argv) {
     if (server.tcp_port() >= 0) {
       std::fprintf(stderr, " and 127.0.0.1:%d", server.tcp_port());
     }
+    const int workers = server.stats_snapshot().workers;  // clamped to [1, 64]
     std::fprintf(stderr, " (queue capacity %zu, %d worker%s)\n",
-                 static_cast<std::size_t>(options.queue_max), options.workers,
-                 options.workers == 1 ? "" : "s");
+                 static_cast<std::size_t>(options.queue_max), workers,
+                 workers == 1 ? "" : "s");
 
     server.run();
 
