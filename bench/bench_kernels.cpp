@@ -1,7 +1,8 @@
 // Hot-path kernel performance snapshot (docs/PERFORMANCE.md). Measures:
 //
-//   * fake-quant cast throughput, scalar fast-cast loop vs the batched
-//     branch-free kernel, per FP8 format, pinned to one thread;
+//   * fake-quant cast throughput, scalar loop vs the batched branch-free
+//     kernel, per FP8 format and for INT8 (asymmetric, parameters from the
+//     data's range), pinned to one thread;
 //   * MatMulOp throughput in GFLOP/s;
 //   * the GEMM microkernel (nn/gemm.h, docs/KERNELS.md) at the scalar
 //     reference tier and at the dispatched ISA tier (the top-level "isa"
@@ -14,12 +15,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/cpu_dispatch.h"
 #include "core/parallel.h"
 #include "fp8/cast_fast.h"
+#include "fp8/int8.h"
 #include "nn/gemm.h"
 #include "nn/matmul.h"
 #include "obs/trace.h"
@@ -41,6 +44,38 @@ struct CastResult {
   double batched_elems_per_sec;
 };
 
+/// Best-of-`reps` throughput of `scalar(i)`, one element of `dst` per
+/// call, and of `batched()`, the kernel over all of `dst`. The two timings
+/// alternate, so a drift in machine speed hits both.
+template <typename Scalar, typename Batched>
+CastResult time_cast(const char* format, std::span<const float> dst, int iters, int reps,
+                     Scalar scalar, Batched batched) {
+  const auto n = static_cast<double>(dst.size());
+  double scalar_best = 0.0;
+  double batched_best = 0.0;
+  volatile float sink = 0.0f;
+  for (int r = 0; r < reps; ++r) {
+    std::uint64_t t0 = obs_now_ns();
+    for (int it = 0; it < iters; ++it) {
+      for (std::size_t i = 0; i < dst.size(); ++i) scalar(i);
+      sink = dst[0];
+    }
+    const double scalar_rate = n * iters / seconds_since(t0);
+
+    t0 = obs_now_ns();
+    for (int it = 0; it < iters; ++it) {
+      batched();
+      sink = dst[0];
+    }
+    const double batched_rate = n * iters / seconds_since(t0);
+
+    scalar_best = std::max(scalar_best, scalar_rate);
+    batched_best = std::max(batched_best, batched_rate);
+  }
+  (void)sink;
+  return {format, scalar_best, batched_best};
+}
+
 CastResult measure_cast(Fp8Kind kind, std::int64_t n, int iters, int reps) {
   const FastCastSpec& spec = fast_cast_spec(kind);
   Rng rng(17);
@@ -50,34 +85,23 @@ CastResult measure_cast(Fp8Kind kind, std::int64_t n, int iters, int reps) {
   const float inv = 1.0f / scale;
   const auto in = data.flat();
   auto dst = out.flat();
+  return time_cast(
+      to_string(kind).data(), dst, iters, reps,
+      [&](std::size_t i) { dst[i] = fp8_quantize_fast(in[i] * scale, spec) * inv; },
+      [&] { fp8_quantize_batch(in, dst, spec, scale); });
+}
 
-  double scalar_best = 0.0;
-  double batched_best = 0.0;
-  volatile float sink = 0.0f;
-  for (int r = 0; r < reps; ++r) {
-    std::uint64_t t0 = obs_now_ns();
-    for (int it = 0; it < iters; ++it) {
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        dst[i] = fp8_quantize_fast(in[i] * scale, spec) * inv;
-      }
-      sink = dst[0];
-    }
-    const double scalar_rate =
-        static_cast<double>(n) * iters / seconds_since(t0);
-
-    t0 = obs_now_ns();
-    for (int it = 0; it < iters; ++it) {
-      fp8_quantize_batch(in, dst, spec, scale);
-      sink = dst[0];
-    }
-    const double batched_rate =
-        static_cast<double>(n) * iters / seconds_since(t0);
-
-    if (scalar_rate > scalar_best) scalar_best = scalar_rate;
-    if (batched_rate > batched_best) batched_best = batched_rate;
-  }
-  (void)sink;
-  return {to_string(kind).data(), scalar_best, batched_best};
+CastResult measure_int8_cast(std::int64_t n, int iters, int reps) {
+  Rng rng(17);
+  Tensor data = randn(rng, {n});
+  Tensor out(data.shape());
+  const auto in = data.flat();
+  auto dst = out.flat();
+  const auto [lo, hi] = std::minmax_element(in.begin(), in.end());
+  const Int8Params p = int8_asymmetric_params(*lo, *hi);
+  return time_cast(
+      "INT8", dst, iters, reps, [&](std::size_t i) { dst[i] = int8_quantize(in[i], p); },
+      [&] { int8_quantize_batch(in, dst, p); });
 }
 
 struct MatmulResult {
@@ -183,6 +207,7 @@ int main(int argc, char** argv) {
     for (Fp8Kind kind : {Fp8Kind::E5M2, Fp8Kind::E4M3, Fp8Kind::E3M4}) {
       casts.push_back(measure_cast(kind, cast_n, cast_iters, reps));
     }
+    casts.push_back(measure_int8_cast(cast_n, cast_iters, reps));
   }
 
   std::vector<MatmulResult> matmuls;

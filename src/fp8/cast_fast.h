@@ -44,11 +44,11 @@ struct FastCastSpec {
   friend const FastCastSpec& fast_cast_spec(Fp8Kind kind);
 };
 
-/// Per-chunk quantization-event tally produced by fp8_quantize_batch.
-/// Semantics match the per-element counters the scalar path feeds into
-/// obs/counters.h: `quantized` counts every element, `saturated` counts
-/// finite overflow and +/-Inf (not NaN), `flushed` counts nonzero inputs
-/// at or below half the smallest subnormal -- all classified on the
+/// Per-chunk quantization-event tally produced by fp8_quantize_batch and
+/// int8_quantize_batch (fp8/int8.h), folded into obs/counters.h once per
+/// chunk. `quantized` counts every element. For FP8, `saturated` counts
+/// finite overflow and +/-Inf (not NaN) and `flushed` counts nonzero
+/// inputs at or below half the smallest subnormal -- all classified on the
 /// SCALED value, before dividing the scale back out.
 struct CastTally {
   std::uint64_t quantized = 0;

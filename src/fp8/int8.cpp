@@ -1,9 +1,13 @@
 #include "fp8/int8.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <stdexcept>
 
+#include "core/parallel.h"
 #include "obs/counters.h"
 #include "obs/histogram.h"
 
@@ -28,6 +32,22 @@ std::int32_t round_nearest_even(float v) {
   return static_cast<std::int32_t>(fi);
 }
 
+/// A usable scale, else 1: the fallback for an empty or non-finite range,
+/// and for a range so small that dividing it into steps underflows to 0.
+float sanitize_scale(float scale) {
+  return scale > 0.0f && std::isfinite(scale) ? scale : 1.0f;
+}
+
+/// The batch kernel's precondition (int8.h), checked once per span call.
+void check_kernel_params(const Int8Params& p) {
+  if (!(p.scale > 0.0f) || !std::isfinite(p.scale) || p.qmin < -128 || p.qmin > 0 ||
+      p.qmax < 0 || p.qmax > 127 || p.zero_point < p.qmin || p.zero_point > p.qmax) {
+    throw std::invalid_argument(
+        "int8_quantize: needs a positive finite scale and "
+        "-128 <= qmin <= {0, zero_point} <= qmax <= 127");
+  }
+}
+
 }  // namespace
 
 Int8Params int8_symmetric_params(float absmax) {
@@ -35,7 +55,7 @@ Int8Params int8_symmetric_params(float absmax) {
   p.qmin = -127;
   p.qmax = 127;
   p.zero_point = 0;
-  p.scale = (absmax > 0.0f && std::isfinite(absmax)) ? absmax / 127.0f : 1.0f;
+  p.scale = sanitize_scale(absmax / 127.0f);
   return p;
 }
 
@@ -46,8 +66,7 @@ Int8Params int8_asymmetric_params(float min_value, float max_value) {
   Int8Params p;
   p.qmin = -128;
   p.qmax = 127;
-  const float span = max_value - min_value;
-  p.scale = (span > 0.0f && std::isfinite(span)) ? span / 255.0f : 1.0f;
+  p.scale = sanitize_scale((max_value - min_value) / 255.0f);
   const float zp = static_cast<float>(p.qmin) - min_value / p.scale;
   p.zero_point = std::clamp(round_nearest_even(zp), p.qmin, p.qmax);
   return p;
@@ -68,42 +87,94 @@ float int8_quantize(float x, const Int8Params& p) {
   return int8_decode(int8_encode(x, p), p);
 }
 
-void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Params& p) {
-  const size_t n = std::min(in.size(), out.size());
-  if (histograms_enabled()) {
-    // Pre-quant magnitude sweep over the raw inputs, done first because
-    // `out` may alias `in`. Per-element classification, so the merged
-    // counts do not depend on call granularity.
-    LocalHistogram local;
-    for (size_t i = 0; i < n; ++i) local.record(std::fabs(static_cast<double>(in[i])));
-    hist_merge(ObsFormat::kInt8, local);
-  }
-  if (!counters_enabled()) {
-    for (size_t i = 0; i < n; ++i) out[i] = int8_quantize(in[i], p);
-    return;
-  }
-  // Saturation = rounded value clipped by [qmin, qmax]; flush-to-zero =
-  // nonzero input decodes to exactly 0 (NaN inputs also land here by the
-  // encode rule). Tallied locally, flushed once per call.
+void int8_quantize_batch(std::span<const float> in, std::span<float> out, const Int8Params& p,
+                         CastTally* tally) {
+  const std::size_t n = std::min(in.size(), out.size());
+  const float scale = p.scale;
+  const auto zp = static_cast<float>(p.zero_point);
+  const auto lo = static_cast<float>(p.qmin);
+  const auto hi = static_cast<float>(p.qmax);
+  // One code past each end: anything that rounds outside [qmin, qmax]
+  // still rounds outside after this clamp, so the saturation test below
+  // sees the same verdict as int8_encode's int32 rounding.
+  const float wide_lo = lo - 1.0f;
+  const float wide_hi = hi + 1.0f;
+  // NaN encodes to code 0. -zero_point * scale is a real input that
+  // encodes to code 0 too (x / scale + zero_point lands within a few ulp
+  // of 0), so NaN lanes take its bits and need no float test of their own.
+  const std::uint32_t nan_stand_in = std::bit_cast<std::uint32_t>(-zp * scale);
+
+  // Every lane runs the same straight-line code. Under the default
+  // -ftrapping-math the vectorizer gives up on a loop whose float compares
+  // feed anything but selects of float values, so NaN is picked out on the
+  // bit pattern and both events are tested as integers. The clamped
+  // scaled value lies in [-129, 128], well inside the +/-2^22 range where
+  // the 1.5 * 2^23 magic add rounds to the nearest integer, ties to even;
+  // every other step matches int8_encode / int8_decode operation for
+  // operation, so the outputs are bit-identical to the scalar reference.
+  // This file builds at -O3 (src/fp8/CMakeLists.txt).
+  constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
   std::uint64_t saturated = 0;
   std::uint64_t flushed = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const float x = in[i];
-    const float q = int8_quantize(x, p);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t u = std::bit_cast<std::uint32_t>(in[i]);
+    const std::uint32_t au = u & 0x7FFFFFFFu;
+    const float x = std::bit_cast<float>(au > 0x7F800000u ? nan_stand_in : u);
+    float v = x / scale + zp;
+    v = v < wide_lo ? wide_lo : v;
+    v = v > wide_hi ? wide_hi : v;
+    const float k = (v + kRoundMagic) - kRoundMagic;  // RNE to integer
+    float r = k < lo ? lo : k;
+    r = r > hi ? hi : r;
+    const float q = (r - zp) * scale;
     out[i] = q;
-    if (!std::isnan(x)) {
-      const float scaled = x / p.scale + static_cast<float>(p.zero_point);
-      const std::int32_t rounded = round_nearest_even(scaled);
-      if (rounded < p.qmin || rounded > p.qmax) {
-        ++saturated;
-      } else if (q == 0.0f && x != 0.0f) {
-        ++flushed;
-      }
-    }
+    // Saturated: the rounded code fell outside [qmin, qmax]. NaN's stand-in
+    // rounds to 0, which never saturates.
+    const std::uint32_t sat = std::bit_cast<std::uint32_t>(k) != std::bit_cast<std::uint32_t>(r);
+    // Flushed: an unsaturated, nonzero, non-NaN input decoded to +/-0.
+    const std::uint32_t zero_out = (std::bit_cast<std::uint32_t>(q) & 0x7FFFFFFFu) == 0u;
+    const std::uint32_t nonzero_in = au - 1u < 0x7F800000u;
+    saturated += sat;
+    flushed += (sat ^ 1u) & zero_out & nonzero_in;
   }
-  counter_add(ObsFormat::kInt8, ObsEvent::kQuantized, static_cast<std::uint64_t>(n));
-  counter_add(ObsFormat::kInt8, ObsEvent::kSaturated, saturated);
-  counter_add(ObsFormat::kInt8, ObsEvent::kFlushedToZero, flushed);
+  if (tally != nullptr) {
+    tally->quantized += static_cast<std::uint64_t>(n);
+    tally->saturated += saturated;
+    tally->flushed += flushed;
+  }
+}
+
+void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Params& p) {
+  check_kernel_params(p);
+  const auto n = static_cast<std::int64_t>(std::min(in.size(), out.size()));
+  // Like fp8_quantize_scaled_fast: counting is decided once per call, and
+  // each chunk folds one tally (and one histogram) into the calling
+  // thread's domain. Totals are integer sums, so they do not depend on
+  // the thread count.
+  const bool counted = counters_enabled();
+  const bool histed = histograms_enabled();
+  constexpr std::int64_t kGrain = kParallelGrainBytes / static_cast<std::int64_t>(sizeof(float));
+  parallel_for(0, n, kGrain, [&, counted, histed](std::int64_t begin, std::int64_t end) {
+    const auto len = static_cast<std::size_t>(end - begin);
+    const auto src = in.subspan(static_cast<std::size_t>(begin), len);
+    const auto dst = out.subspan(static_cast<std::size_t>(begin), len);
+    if (histed) {
+      // Pre-quant magnitudes, read before the kernel because `out` may
+      // alias `in`.
+      LocalHistogram local;
+      for (std::size_t i = 0; i < len; ++i) local.record(std::fabs(static_cast<double>(src[i])));
+      hist_merge(ObsFormat::kInt8, local);
+    }
+    // The kernel counts in its quantize loop either way; only the fold
+    // depends on `counted`.
+    CastTally tally;
+    int8_quantize_batch(src, dst, p, &tally);
+    if (counted) {
+      counter_add(ObsFormat::kInt8, ObsEvent::kQuantized, tally.quantized);
+      counter_add(ObsFormat::kInt8, ObsEvent::kSaturated, tally.saturated);
+      counter_add(ObsFormat::kInt8, ObsEvent::kFlushedToZero, tally.flushed);
+    }
+  });
 }
 
 }  // namespace fp8q

@@ -4,10 +4,20 @@
 // scheme the paper's INT8 baseline uses through Neural Compressor:
 // per-channel symmetric weights, per-tensor activations (static for CV,
 // dynamic for NLP).
+//
+// Two forms, like the FP8 cast (fp8/cast_fast.h, docs/PERFORMANCE.md):
+//   * int8_encode / int8_decode / int8_quantize(float) -- the scalar
+//     reference, simple enough to audit;
+//   * int8_quantize_batch -- a branch-free loop over a contiguous chunk
+//     that the compiler auto-vectorizes, bit-identical to the reference
+//     and counting quantization events in the same pass. The span
+//     int8_quantize runs it per chunk under parallel_for.
 #pragma once
 
 #include <cstdint>
 #include <span>
+
+#include "fp8/cast_fast.h"
 
 namespace fp8q {
 
@@ -21,13 +31,18 @@ struct Int8Params {
 
 /// Symmetric parameters from a calibrated absolute maximum. Uses the
 /// restricted range [-127, 127] so the grid is symmetric around zero.
+/// Scale 1 when absmax is not positive and finite, or so small that
+/// absmax / 127 underflows to 0.
 [[nodiscard]] Int8Params int8_symmetric_params(float absmax);
 
 /// Asymmetric parameters from calibrated [min, max]; full [-128, 127] range
 /// with a zero-point chosen so that real 0.0 is exactly representable.
+/// Scale 1 when the range is empty, not finite, or so small that dividing
+/// it into 255 steps underflows to 0.
 [[nodiscard]] Int8Params int8_asymmetric_params(float min_value, float max_value);
 
 /// Quantizes one value to its integer code (round-to-nearest-even, clamped).
+/// NaN encodes to code 0.
 [[nodiscard]] std::int8_t int8_encode(float x, const Int8Params& p);
 
 /// Dequantizes an integer code back to float32.
@@ -36,7 +51,22 @@ struct Int8Params {
 /// Fused quantize-dequantize of one value.
 [[nodiscard]] float int8_quantize(float x, const Int8Params& p);
 
-/// Vectorized fused quantize-dequantize. `out` may alias `in`.
+/// Batched chunk kernel: out[i] = int8_quantize(in[i], p) for i in
+/// [0, min(in.size, out.size)), single-threaded and branch-free. `out` may
+/// alias `in` exactly (same base pointer) or not overlap at all. The caller
+/// must pass parameters the span form below accepts. When `tally` is
+/// non-null the chunk's events are added to it: `saturated` counts non-NaN
+/// elements whose rounded code falls outside [qmin, qmax], `flushed`
+/// counts the other nonzero, non-NaN elements that decode to +/-0.
+void int8_quantize_batch(std::span<const float> in, std::span<float> out, const Int8Params& p,
+                         CastTally* tally = nullptr);
+
+/// Span form: int8_quantize_batch over ~kParallelGrainBytes chunks under
+/// parallel_for, folding one event tally per chunk into the counters when
+/// counting is enabled. `out` may alias `in`. Throws std::invalid_argument
+/// unless the scale is positive and finite and
+/// -128 <= qmin <= {0, zero_point} <= qmax <= 127, which both builders
+/// above guarantee.
 void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Params& p);
 
 }  // namespace fp8q

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "fp8/cast.h"
 #include "fp8/cast_fast.h"
 #include "obs/trace.h"
 #include "quant/calibrate.h"
@@ -12,13 +11,11 @@
 
 namespace fp8q {
 
-QuantParams make_weight_params(const Tensor& w, DType dtype, Granularity granularity,
-                               int axis) {
+QuantParams make_weight_params(const Tensor& w, DType dtype, Granularity granularity) {
   QuantParams p;
   p.dtype = dtype;
   if (dtype == DType::kFP32) return p;
   p.granularity = granularity;
-  p.channel_axis = axis;
 
   if (granularity == Granularity::kPerTensor) {
     const float amax = absmax(w);
@@ -35,7 +32,7 @@ QuantParams make_weight_params(const Tensor& w, DType dtype, Granularity granula
     return p;
   }
 
-  const auto maxima = absmax_per_channel(w, axis);
+  const auto maxima = absmax_per_channel(w, 0);
   if (is_fp8(dtype)) {
     const float fmax = fp8_spec(dtype).max_value();
     p.channel_scales.resize(maxima.size());
@@ -72,14 +69,10 @@ QuantParams make_dynamic_activation_params(DType dtype, const Tensor& x) {
 
 namespace {
 
+/// Channels lie on axis 0, so each one is a contiguous block.
 void apply_per_channel(Tensor& t, const QuantParams& p) {
-  int axis = p.channel_axis;
-  if (axis < 0) axis += t.dim();
-  if (axis < 0 || axis >= t.dim()) {
-    throw std::invalid_argument("apply_quant: bad channel axis");
-  }
-  const std::int64_t channels = t.size(axis);
-  const std::int64_t stride = t.strides()[static_cast<size_t>(axis)];
+  if (t.dim() < 1) throw std::invalid_argument("apply_quant: per-channel needs a channel axis");
+  const std::int64_t channels = t.size(0);
   const bool fp8 = is_fp8(p.dtype);
   if (fp8 && static_cast<std::int64_t>(p.channel_scales.size()) != channels) {
     throw std::invalid_argument("apply_quant: channel scale count mismatch");
@@ -89,29 +82,14 @@ void apply_per_channel(Tensor& t, const QuantParams& p) {
   }
 
   auto data = t.flat();
-  if (axis == 0 && t.dim() >= 1) {
-    // Fast path: contiguous blocks per channel.
-    const std::int64_t block = t.numel() / channels;
-    for (std::int64_t c = 0; c < channels; ++c) {
-      auto span = data.subspan(static_cast<size_t>(c * block), static_cast<size_t>(block));
-      if (fp8) {
-        fp8_quantize_scaled_fast(span, span, fast_cast_spec(fp8_kind(p.dtype)),
-                                 p.channel_scales[static_cast<size_t>(c)]);
-      } else {
-        int8_quantize(span, span, p.channel_int8[static_cast<size_t>(c)]);
-      }
-    }
-    return;
-  }
-  const std::int64_t n = t.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto c = static_cast<size_t>((i / stride) % channels);
-    auto& v = data[static_cast<size_t>(i)];
+  const std::int64_t block = t.numel() / channels;
+  for (std::int64_t c = 0; c < channels; ++c) {
+    auto span = data.subspan(static_cast<size_t>(c * block), static_cast<size_t>(block));
     if (fp8) {
-      const float s = p.channel_scales[c];
-      v = fp8_quantize_fast(v * s, fast_cast_spec(fp8_kind(p.dtype))) * (1.0f / s);
+      fp8_quantize_scaled_fast(span, span, fast_cast_spec(fp8_kind(p.dtype)),
+                               p.channel_scales[static_cast<size_t>(c)]);
     } else {
-      v = int8_quantize(v, p.channel_int8[c]);
+      int8_quantize(span, span, p.channel_int8[static_cast<size_t>(c)]);
     }
   }
 }

@@ -33,14 +33,13 @@ namespace fp8q {
 struct QuantParams {
   DType dtype = DType::kFP32;
   Granularity granularity = Granularity::kPerTensor;
-  int channel_axis = 0;
   std::int64_t group_size = 0;  ///< kPerGroup: elements per scale group
 
   // Per-tensor parameters.
   float scale = 1.0f;  ///< FP8: s = float_max / max_T
   Int8Params int8;
 
-  // Per-channel parameters (weights).
+  // Per-channel parameters (weights; channels on axis 0).
   std::vector<float> channel_scales;
   std::vector<Int8Params> channel_int8;
 
@@ -48,10 +47,10 @@ struct QuantParams {
 };
 
 /// Builds weight parameters from the weight tensor itself (per-channel
-/// absmax on `axis`, or per-tensor when `granularity` says so).
+/// absmax over axis 0, the output channels, or per-tensor when
+/// `granularity` says so).
 [[nodiscard]] QuantParams make_weight_params(const Tensor& w, DType dtype,
-                                             Granularity granularity = Granularity::kPerChannel,
-                                             int axis = 0);
+                                             Granularity granularity = Granularity::kPerChannel);
 
 /// Per-group weight parameters: consecutive runs of `group_size` elements
 /// (flattened, row-major) share one symmetric scale. Finer than per-channel

@@ -128,24 +128,6 @@ TEST(ApplyQuant, PerChannelAxisMismatchThrows) {
   p.granularity = Granularity::kPerChannel;
   p.channel_scales = {1.0f, 1.0f, 1.0f};  // wrong count
   EXPECT_THROW(apply_quant_inplace(w, p), std::invalid_argument);
-  p.channel_scales = {1.0f, 1.0f};
-  p.channel_axis = 7;
-  EXPECT_THROW(apply_quant_inplace(w, p), std::invalid_argument);
-}
-
-TEST(ApplyQuant, PerChannelNonZeroAxis) {
-  // Per-channel on the last axis (paths other than the contiguous fast
-  // path).
-  Tensor x({2, 2}, {1.0f, 100.0f, -1.0f, -100.0f});
-  QuantParams p;
-  p.dtype = DType::kE4M3;
-  p.granularity = Granularity::kPerChannel;
-  p.channel_axis = 1;
-  p.channel_scales = {448.0f, 4.48f};
-  const Tensor q = apply_quant(x, p);
-  EXPECT_FLOAT_EQ(q[0], 1.0f);
-  EXPECT_FLOAT_EQ(q[1], 100.0f);
-  EXPECT_FLOAT_EQ(q[3], -100.0f);
 }
 
 TEST(ApplyQuant, FormatPrecisionOrderingOnSmoothTensor) {

@@ -16,6 +16,7 @@
 #include "core/parallel.h"
 #include "fp8q_lint_lib.h"
 #include "fp8/cast_fast.h"
+#include "fp8/int8.h"
 #include "nn/conv.h"
 #include "nn/matmul.h"
 #include "obs/counters.h"
@@ -96,22 +97,46 @@ void expect_bit_equal(const Tensor& got, const Tensor& want, const std::string& 
 
 TEST(Determinism, BulkCastBitIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
+  const bool counting = counters_enabled();
+  set_counters_enabled(true);
   Rng rng(42);
   std::vector<float> in(1 << 18);
   for (float& v : in) v = rng.normal(0.0f, 3.0f);
+  // An asymmetric grid narrower than the data, so both tails saturate and
+  // the values nearest 0 flush.
+  const Int8Params int8 = int8_asymmetric_params(-4.0f, 6.0f);
 
-  set_num_threads(1);
-  std::vector<float> serial(in.size());
-  fp8_quantize_scaled_fast(in, serial, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
-
-  for (int threads : {2, 8}) {
+  struct Casts {
+    std::vector<float> fp8;
+    std::vector<float> int8;
+    CounterSnapshot events;
+  };
+  auto run = [&](int threads) {
     set_num_threads(threads);
-    std::vector<float> parallel(in.size());
-    fp8_quantize_scaled_fast(in, parallel, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
+    Casts c{std::vector<float>(in.size()), std::vector<float>(in.size()), {}};
+    const CounterSnapshot before = counters_snapshot();
+    fp8_quantize_scaled_fast(in, c.fp8, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
+    int8_quantize(in, c.int8, int8);
+    c.events = counters_snapshot().since(before);
+    return c;
+  };
+
+  const Casts serial = run(1);
+  EXPECT_GT(serial.events.get(ObsFormat::kInt8, ObsEvent::kSaturated), 0u);
+  EXPECT_GT(serial.events.get(ObsFormat::kInt8, ObsEvent::kFlushedToZero), 0u);
+  for (int threads : {2, 8}) {
+    const Casts parallel = run(threads);
     for (size_t i = 0; i < in.size(); ++i) {
-      ASSERT_EQ(serial[i], parallel[i]) << "threads=" << threads << " i=" << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(serial.fp8[i]),
+                std::bit_cast<std::uint32_t>(parallel.fp8[i]))
+          << "E4M3 threads=" << threads << " i=" << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(serial.int8[i]),
+                std::bit_cast<std::uint32_t>(parallel.int8[i]))
+          << "INT8 threads=" << threads << " i=" << i;
     }
+    EXPECT_TRUE(parallel.events == serial.events) << "threads=" << threads;
   }
+  set_counters_enabled(counting);
 }
 
 TEST(Determinism, MatMulAndConvBitIdenticalAcrossThreadCounts) {
