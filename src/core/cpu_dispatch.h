@@ -6,11 +6,12 @@
 //
 //   kScalar   portable reference: one row at a time, plain loops. The
 //             bit-exactness anchor every other tier is tested against.
-//   kBatched  four rows per pass, loops written so the compiler
-//             auto-vectorizes them. Works on every target; the default
-//             when no native path exists.
-//   kNative   explicit AVX2 on x86-64, with the same per-element
-//             operation order as the scalar tier.
+//   kBatched  the vector kernel on 16-byte vectors (SSE2 on x86-64, NEON
+//             on AArch64): 4 rows x 8 columns per pass. Works on every
+//             target; the default when no native path exists.
+//   kNative   the same kernel body on 32-byte vectors, compiled for AVX2
+//             on x86-64, with the same per-element operation order as
+//             the scalar tier.
 //
 // Tier resolution order: set_isa_tier() override > the FP8Q_ISA
 // environment variable ("scalar" | "batched" | "native"; "avx2" is an

@@ -9,7 +9,6 @@
 
 #include "core/thread_annotations.h"
 #include "obs/domain.h"
-#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace fp8q {
@@ -52,10 +51,10 @@ std::atomic<int> g_thread_override{0};
 /// (ParallelArena) construct with a fixed worker count.
 ///
 /// Obs-context propagation: each job publishes the dispatching thread's
-/// CounterDomain and per-thread report binding (obs/domain.h,
-/// obs/report.h) with the job state, and every worker binds both around
-/// its share of the region -- so a job running under a scoped observation
-/// domain keeps its counters exact when it fans out across the pool.
+/// CounterDomain (obs/domain.h) with the job state, and every worker binds
+/// it around its share of the region -- so a job running under a scoped
+/// observation domain keeps its counters exact, and its stages land in
+/// its report, when it fans out across the pool.
 class ThreadPool {
  public:
   /// Global-sized pool: resizes to num_threads()-1 at each region.
@@ -82,7 +81,6 @@ class ThreadPool {
       job_fn_ = &fn;
       job_n_ = n;
       job_domain_ = current_counter_domain();
-      job_report_ = current_thread_report();
       next_.store(0, std::memory_order_relaxed);
       active_ = static_cast<int>(workers_.size());
       error_ = nullptr;
@@ -137,7 +135,6 @@ class ThreadPool {
       const std::function<void(std::int64_t)>* fn = nullptr;
       std::int64_t n = 0;
       CounterDomain* domain = nullptr;
-      ThreadReportBinding report;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         work_cv_.wait(lock, [&] { return stop_ || job_id_ != seen; });
@@ -146,15 +143,12 @@ class ThreadPool {
         fn = job_fn_;
         n = job_n_;
         domain = job_domain_;
-        report = job_report_;
       }
       if (fn) {
-        // Adopt the dispatcher's obs context for this region: its domain
-        // (the root when it bound none) and its report binding.
+        // Adopt the dispatcher's observation domain (the root when it
+        // bound none) for this region.
         ScopedCounterDomain domain_scope(domain);
-        const ThreadReportBinding prev = set_thread_report(report);
         drain(n, *fn);
-        set_thread_report(prev);
       }
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -194,7 +188,6 @@ class ThreadPool {
   const std::function<void(std::int64_t)>* job_fn_ FP8Q_GUARDED_BY(mutex_) = nullptr;
   std::int64_t job_n_ FP8Q_GUARDED_BY(mutex_) = 0;
   CounterDomain* job_domain_ FP8Q_GUARDED_BY(mutex_) = nullptr;
-  ThreadReportBinding job_report_ FP8Q_GUARDED_BY(mutex_);
   std::atomic<std::int64_t> next_{0};
   int active_ FP8Q_GUARDED_BY(mutex_) = 0;
   std::uint64_t job_id_ FP8Q_GUARDED_BY(mutex_) = 0;

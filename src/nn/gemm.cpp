@@ -1,13 +1,13 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace fp8q {
 namespace {
 
-// Column-tile width for the portable tiers: wide enough that the
-// accumulate loops auto-vectorize cleanly, small enough that four rows of
-// accumulators stay in L1.
+// Column-tile width for the scalar tier: wide enough that its accumulate
+// loop vectorizes cleanly, small enough that the accumulators stay in L1.
 constexpr std::int64_t kTileN = 64;
 
 // ---------------------------------------------------------------------------
@@ -36,60 +36,93 @@ void gemm_scalar_tier(const float* a, const float* b, float* y, std::int64_t m,
 }
 
 // ---------------------------------------------------------------------------
-// kBatched tier: four rows share each pass over a b row, in loops shaped
-// for the auto-vectorizer. This TU is compiled -O3 -ffp-contract=off, so
-// each acc update is an exact mul+add in both the scalar and the vector
-// lowering.
+// The vector tiers: one kernel body over a GCC vector-extension type V of
+// 16 bytes (kBatched: SSE2 on x86-64, NEON on AArch64) or 32 bytes
+// (kNative: AVX2). Four rows at a time (then one at a time for the row
+// tail), an 8-column block of y stays in registers as 8/lanes V
+// accumulators per row; each kk step loads the b strip once, broadcasts
+// the rows' a values against it, and updates every accumulator with an
+// explicit multiply then add, kk ascending. Columns past the last full
+// block run one element per row. This TU is compiled -ffp-contract=off,
+// so no multiply-add fuses into an FMA.
 // ---------------------------------------------------------------------------
 
-void gemm_batched_tier(const float* a, const float* b, float* y, std::int64_t m,
-                       std::int64_t n, std::int64_t k) {
-  float acc0[kTileN];
-  float acc1[kTileN];
-  float acc2[kTileN];
-  float acc3[kTileN];
-  std::int64_t r = 0;
-  for (; r + 4 <= m; r += 4) {
-    const float* a0 = a + (r + 0) * k;
-    const float* a1 = a + (r + 1) * k;
-    const float* a2 = a + (r + 2) * k;
-    const float* a3 = a + (r + 3) * k;
-    float* y0 = y + (r + 0) * n;
-    float* y1 = y + (r + 1) * n;
-    float* y2 = y + (r + 2) * n;
-    float* y3 = y + (r + 3) * n;
-    for (std::int64_t j0 = 0; j0 < n; j0 += kTileN) {
-      const std::int64_t jw = std::min(kTileN, n - j0);
-      for (std::int64_t j = 0; j < jw; ++j) {
-        acc0[j] = y0[j0 + j];
-        acc1[j] = y1[j0 + j];
-        acc2[j] = y2[j0 + j];
-        acc3[j] = y3[j0 + j];
-      }
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float* brow = b + kk * n + j0;
-        const float av0 = a0[kk];
-        const float av1 = a1[kk];
-        const float av2 = a2[kk];
-        const float av3 = a3[kk];
-        for (std::int64_t j = 0; j < jw; ++j) {
-          const float bv = brow[j];
-          acc0[j] += av0 * bv;
-          acc1[j] += av1 * bv;
-          acc2[j] += av2 * bv;
-          acc3[j] += av3 * bv;
-        }
-      }
-      for (std::int64_t j = 0; j < jw; ++j) {
-        y0[j0 + j] = acc0[j];
-        y1[j0 + j] = acc1[j];
-        y2[j0 + j] = acc2[j];
-        y3[j0 + j] = acc3[j];
+using Vec16 = float __attribute__((vector_size(16)));
+using Vec32 = float __attribute__((vector_size(32)));
+
+constexpr std::int64_t kRows = 4;
+constexpr std::int64_t kCols = 8;
+
+// Vectors pass by reference: a 32-byte vector passed or returned by value
+// changes the ABI under AVX (-Wpsabi). memcpy is an unaligned load/store.
+template <class V>
+inline void load(V& v, const float* p) {
+  std::memcpy(&v, p, sizeof(V));
+}
+
+template <class V>
+inline void store(float* p, const V& v) {
+  std::memcpy(p, &v, sizeof(V));
+}
+
+/// y[0, R) += a[0, R) * b: R rows of a and y, all n columns.
+template <class V, std::int64_t R>
+void gemm_rows(const float* a, const float* b, float* y, std::int64_t n, std::int64_t k) {
+  constexpr std::int64_t kLanes = sizeof(V) / sizeof(float);
+  constexpr std::int64_t kVecs = kCols / kLanes;  // vectors per row of a block
+  std::int64_t j = 0;
+  for (; j + kCols <= n; j += kCols) {
+    // Fully unrolled, so acc lives in registers: left rolled, GCC keeps it
+    // on the stack and copies each block in and out.
+    V acc[R][kVecs];
+#pragma GCC unroll 4
+    for (std::int64_t i = 0; i < R; ++i) {
+#pragma GCC unroll 2
+      for (std::int64_t v = 0; v < kVecs; ++v) load(acc[i][v], y + i * n + j + v * kLanes);
+    }
+    const float* bp = b + j;
+    for (std::int64_t kk = 0; kk < k; ++kk, bp += n) {
+      for (std::int64_t v = 0; v < kVecs; ++v) {
+        V bv;
+        load(bv, bp + v * kLanes);
+        for (std::int64_t i = 0; i < R; ++i) acc[i][v] = acc[i][v] + a[i * k + kk] * bv;
       }
     }
+#pragma GCC unroll 4
+    for (std::int64_t i = 0; i < R; ++i) {
+#pragma GCC unroll 2
+      for (std::int64_t v = 0; v < kVecs; ++v) store(y + i * n + j + v * kLanes, acc[i][v]);
+    }
   }
-  if (r < m) gemm_scalar_tier(a + r * k, b, y + r * n, m - r, n, k);
+  for (; j < n; ++j) {
+    float acc[R];
+    for (std::int64_t i = 0; i < R; ++i) acc[i] = y[i * n + j];
+    const float* bp = b + j;
+    for (std::int64_t kk = 0; kk < k; ++kk, bp += n) {
+      for (std::int64_t i = 0; i < R; ++i) acc[i] += a[i * k + kk] * *bp;
+    }
+    for (std::int64_t i = 0; i < R; ++i) y[i * n + j] = acc[i];
+  }
 }
+
+template <class V>
+void gemm_vector_tier(const float* a, const float* b, float* y, std::int64_t m,
+                      std::int64_t n, std::int64_t k) {
+  std::int64_t r = 0;
+  for (; r + kRows <= m; r += kRows) gemm_rows<V, kRows>(a + r * k, b, y + r * n, n, k);
+  for (; r < m; ++r) gemm_rows<V, 1>(a + r * k, b, y + r * n, n, k);
+}
+
+#if defined(__x86_64__)
+// kNative: the 32-byte instantiation compiled for AVX2 (and not FMA).
+// flatten inlines the whole body here, so it is generated under this
+// function's target; gemm_kernel enters it only after the runtime probe.
+[[gnu::target("avx2"), gnu::flatten]] void gemm_avx2_tier(const float* a, const float* b,
+                                                          float* y, std::int64_t m,
+                                                          std::int64_t n, std::int64_t k) {
+  gemm_vector_tier<Vec32>(a, b, y, m, n, k);
+}
+#endif
 
 }  // namespace
 
@@ -98,12 +131,12 @@ GemmKernel gemm_kernel(IsaTier tier) {
     case IsaTier::kScalar:
       return gemm_scalar_tier;
     case IsaTier::kBatched:
-      return gemm_batched_tier;
+      return gemm_vector_tier<Vec16>;
     case IsaTier::kNative:
-#if defined(FP8Q_GEMM_AVX2_TU)
-      if (isa_native_available()) return detail::gemm_kernel_avx2();
+#if defined(__x86_64__)
+      if (isa_native_available()) return gemm_avx2_tier;
 #endif
-      return gemm_batched_tier;
+      return gemm_vector_tier<Vec16>;
   }
   return gemm_scalar_tier;
 }

@@ -8,7 +8,7 @@
 // a is [m, k], b is [k, n] and y is [m, n], all dense row-major. y's
 // incoming value (a bias, or 0) is the first term of every sum, kk runs
 // strictly ascending per output element, and every product and every sum
-// is rounded on its own (fp contraction is off in each kernel TU). So
+// is rounded on its own (fp contraction is off in gemm.cpp). So
 // every tier produces the bits of the naive triple loop, and rows never
 // interact: any split of the m rows gives the same result.
 //
@@ -17,8 +17,10 @@
 // multiplies each group's weight rows by an im2col matrix.
 //
 // Dispatch: gemm_kernel(tier) returns that tier's kernel; callers index it
-// with isa_tier() (core/cpu_dispatch.h). The kNative kernel lives in
-// gemm_avx2.cpp; without AVX2 (CPU or build) kNative falls back to the
+// with isa_tier() (core/cpu_dispatch.h). Two bodies live in gemm.cpp: the
+// scalar reference, and one vector kernel whose 16-byte instantiation is
+// kBatched and whose 32-byte instantiation, compiled for AVX2, is kNative
+// on x86-64. Without AVX2 (CPU or architecture) kNative falls back to the
 // kBatched kernel.
 #pragma once
 
@@ -40,10 +42,5 @@ using GemmKernel = void (*)(const float* a, const float* b, float* y, std::int64
 /// dst[c][r] = src[r][c] for a dense row-major [rows, cols] src: the
 /// Linear weight and MatMul's transpose_b operand become a k-major b.
 void transpose(const float* src, std::int64_t rows, std::int64_t cols, float* dst);
-
-namespace detail {
-/// Defined by gemm_avx2.cpp, which only x86-64 builds compile.
-[[nodiscard]] GemmKernel gemm_kernel_avx2();
-}  // namespace detail
 
 }  // namespace fp8q

@@ -9,13 +9,6 @@ namespace {
 /// The calling thread's bound domain; nullptr routes to the root.
 thread_local CounterDomain* tls_domain = nullptr;
 
-/// Where unbound threads' observations land. Intentionally leaked (never
-/// destroyed) so threads that outlive static destruction can still write.
-CounterDomain& root_domain() {
-  static CounterDomain* root = new CounterDomain();
-  return *root;
-}
-
 }  // namespace
 
 void CounterDomain::add(ObsFormat fmt, ObsEvent event, std::uint64_t n) {
@@ -98,7 +91,14 @@ void CounterDomain::fold_into_global() {
 }
 
 CounterDomain* current_counter_domain() {
-  return tls_domain != nullptr ? tls_domain : &root_domain();
+  return tls_domain != nullptr ? tls_domain : &root_counter_domain();
+}
+
+CounterDomain& root_counter_domain() {
+  // Intentionally leaked (never destroyed) so threads that outlive static
+  // destruction can still write.
+  static CounterDomain* root = new CounterDomain();
+  return *root;
 }
 
 ScopedCounterDomain::ScopedCounterDomain(CounterDomain* domain) : prev_(tls_domain) {

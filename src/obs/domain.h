@@ -25,6 +25,12 @@
 // value, and a fold preserves every count exactly (integer adds, exact
 // min/max histogram merges), so "sum over domains + root" is invariant.
 //
+// A domain also carries the RunReport that ScopedStage appends to
+// (obs/report.h): active_report() is the calling thread's domain's
+// report, and set_active_report() sets the root's. So a job binds one
+// domain and its stages land in its own report, on every thread it fans
+// out to.
+//
 // Trace spans stay process-global (obs/trace.h): they are timing
 // telemetry keyed by thread and time, not part of a job's deterministic
 // result surface.
@@ -40,6 +46,8 @@
 #include "obs/memory.h"
 
 namespace fp8q {
+
+struct RunReport;  // obs/report.h, a layer above this one
 
 /// One unit of work's observation state. Counter and allocation writes are
 /// relaxed atomics, histogram merges take a domain-local mutex, so any
@@ -67,6 +75,11 @@ class CounterDomain {
   void reset_alloc_counters();
   void reset_histograms();
 
+  /// The report this domain's stages append to (obs/report.h), or
+  /// nullptr. Not moved by fold_into_global().
+  [[nodiscard]] RunReport* report() const { return report_.load(std::memory_order_acquire); }
+  void set_report(RunReport* report) { report_.store(report, std::memory_order_release); }
+
   /// Moves (not copies: the domain is left empty) every tally into the
   /// calling thread's domain -- the enclosing bound domain when domains
   /// nest, else the root. Call after the last ScopedCounterDomain binding
@@ -81,11 +94,16 @@ class CounterDomain {
   std::atomic<std::uint64_t> allocs_{0};
   mutable std::mutex hist_mutex_;
   HistogramSnapshot hists_[kObsFormatCount] FP8Q_GUARDED_BY(hist_mutex_);
+  std::atomic<RunReport*> report_{nullptr};
 };
 
 /// The domain the calling thread's observations land in: its bound domain,
 /// else the process root. Never null.
 [[nodiscard]] CounterDomain* current_counter_domain();
+
+/// The process root domain, where every unbound thread's observations
+/// land.
+[[nodiscard]] CounterDomain& root_counter_domain();
 
 /// RAII binding: routes this thread's obs writes and reads to `domain` for
 /// the scope's lifetime, restoring the previous binding -- bindings nest --

@@ -1,6 +1,5 @@
 #include "obs/report.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -10,44 +9,16 @@
 #include <stdexcept>
 
 #include "core/thread_annotations.h"
+#include "obs/domain.h"
 
 namespace fp8q {
 
 namespace {
 
-std::atomic<RunReport*> g_active_report{nullptr};
-
-/// Per-thread shadow of the global report (ScopedThreadReport). The flag
-/// distinguishes "bound to nullptr" from "not bound at all".
-thread_local ThreadReportBinding tls_report;
-
 /// Guards appends to the active report's stage list. The report pointer
-/// itself is the atomic above (lock-free null check on the hot path); the
-/// *pointed-to* stages vector is only mutated under this mutex.
+/// itself is an atomic in the domain (lock-free null check on the hot
+/// path); the *pointed-to* stages vector is only mutated under this mutex.
 std::mutex g_report_mutex;
-
-/// JSON string escaping (control characters, quotes, backslash).
-void write_escaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 /// Shortest round-trippable decimal for a double (%.17g is always exact).
 void write_double(std::ostream& out, double v) {
@@ -97,21 +68,45 @@ void write_histogram(std::ostream& out, const HistogramSnapshot& h) {
 
 }  // namespace
 
+std::string json_quoted(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xF];
+          out += kHex[c & 0xF];
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
 void RunReport::write_json(std::ostream& out) const {
   out << "{\n";
   out << "  \"fp8q_report_version\": " << kReportVersion << ",\n";
   out << "  \"tool\": ";
-  write_escaped(out, tool);
+  out << json_quoted(tool);
   out << ",\n  \"num_threads\": " << num_threads << ",\n";
   out << "  \"isa\": ";
-  write_escaped(out, isa);
+  out << json_quoted(isa);
   out << ",\n";
 
   out << "  \"stages\": [";
   for (std::size_t i = 0; i < stages.size(); ++i) {
     const StageReport& s = stages[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"name\": ";
-    write_escaped(out, s.name);
+    out << json_quoted(s.name);
     out << ", \"wall_ms\": ";
     write_double(out, s.wall_ms);
     out << ", \"alloc_bytes\": " << s.alloc_bytes << ", \"allocs\": " << s.allocs
@@ -125,11 +120,11 @@ void RunReport::write_json(std::ostream& out) const {
   for (std::size_t i = 0; i < records.size(); ++i) {
     const AccuracyRecord& r = records[i];
     out << (i == 0 ? "\n" : ",\n") << "    {\"workload\": ";
-    write_escaped(out, r.workload);
+    out << json_quoted(r.workload);
     out << ", \"domain\": ";
-    write_escaped(out, r.domain);
+    out << json_quoted(r.domain);
     out << ", \"config\": ";
-    write_escaped(out, r.config);
+    out << json_quoted(r.config);
     out << ", \"fp32_accuracy\": ";
     write_double(out, r.fp32_accuracy);
     out << ", \"quant_accuracy\": ";
@@ -153,7 +148,7 @@ void RunReport::write_json(std::ostream& out) const {
   out << "  \"histograms\": {";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     out << (i == 0 ? "\n" : ",\n") << "    ";
-    write_escaped(out, histograms[i].name);
+    out << json_quoted(histograms[i].name);
     out << ": ";
     write_histogram(out, histograms[i].hist);
   }
@@ -166,7 +161,7 @@ void RunReport::write_json(std::ostream& out) const {
     out << (i == 0 ? "\n" : ",\n") << "    {\"id\": " << s.id
         << ", \"parent\": " << s.parent << ", \"thread\": " << s.thread_id
         << ", \"name\": ";
-    write_escaped(out, s.name);
+    out << json_quoted(s.name);
     out << ", \"start_ns\": " << s.start_ns << ", \"duration_ns\": " << s.duration_ns
         << "}";
   }
@@ -180,33 +175,9 @@ std::string RunReport::to_json() const {
   return os.str();
 }
 
-RunReport* active_report() {
-  if (tls_report.bound) return tls_report.report;
-  return g_active_report.load(std::memory_order_acquire);
-}
+RunReport* active_report() { return current_counter_domain()->report(); }
 
-void set_active_report(RunReport* report) {
-  g_active_report.store(report, std::memory_order_release);
-}
-
-ThreadReportBinding current_thread_report() { return tls_report; }
-
-ThreadReportBinding set_thread_report(ThreadReportBinding binding) {
-  const ThreadReportBinding previous = tls_report;
-  tls_report = binding;
-  return previous;
-}
-
-ScopedThreadReport::ScopedThreadReport(RunReport* report)
-    : prev_(tls_report.report), prev_bound_(tls_report.bound) {
-  tls_report.report = report;
-  tls_report.bound = true;
-}
-
-ScopedThreadReport::~ScopedThreadReport() {
-  tls_report.report = prev_;
-  tls_report.bound = prev_bound_;
-}
+void set_active_report(RunReport* report) { root_counter_domain().set_report(report); }
 
 ScopedStage::ScopedStage(std::string_view name) : span_(name) {
   if (active_report() == nullptr) return;

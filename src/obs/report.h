@@ -26,6 +26,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/passrate.h"
@@ -91,45 +92,23 @@ struct RunReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// The report instrumented code appends to, or nullptr: the calling
-/// thread's bound report (ScopedThreadReport) when one is set, else the
-/// process-wide one. Appends are internally synchronized.
+/// `s` as a quoted JSON string: quote, backslash, \n, \r and \t take
+/// their short escapes, other control characters \u00XX, and every other
+/// byte passes through. The one string escaper behind every JSON writer:
+/// run reports, Chrome traces, and fp8qd's responses and bench snapshots.
+[[nodiscard]] std::string json_quoted(std::string_view s);
+
+/// The report instrumented code appends to, or nullptr: the report of
+/// the calling thread's observation domain (obs/domain.h) -- its bound
+/// domain's, else the root's. Appends are internally synchronized.
 [[nodiscard]] RunReport* active_report();
 
-/// Publishes the process-wide report (the tool main()s' path). Threads
-/// with a ScopedThreadReport binding shadow it.
+/// Publishes the process-wide report (the tool main()s' path): the root
+/// domain's. A thread bound to another domain sees that domain's report
+/// instead; fp8qd binds one domain per job, carrying the job's report, so
+/// concurrent jobs append stages to their own reports, and the parallel
+/// runtime carries the binding to the pool threads a job fans out to.
 void set_active_report(RunReport* report);
-
-/// RAII per-thread report binding: while alive, active_report() on this
-/// thread resolves to `report` instead of the process-wide pointer, and
-/// the parallel runtime propagates the binding to pool threads a region
-/// fans out to (core/parallel.cpp). This is how fp8qd runs N jobs
-/// concurrently, each appending stages to its own report: a global
-/// set_active_report would interleave them. Passing nullptr shadows the
-/// global report with "no report" for the scope. Bindings nest; the
-/// previous binding is restored on destruction.
-class ScopedThreadReport {
- public:
-  explicit ScopedThreadReport(RunReport* report);
-  ~ScopedThreadReport();
-
-  ScopedThreadReport(const ScopedThreadReport&) = delete;
-  ScopedThreadReport& operator=(const ScopedThreadReport&) = delete;
-
- private:
-  RunReport* prev_;
-  bool prev_bound_;
-};
-
-/// Raw TLS accessors for the parallel runtime's save/restore around pool
-/// jobs: `bound` distinguishes "bound to nullptr" (shadowing the global
-/// report) from "not bound" (global routing). Prefer ScopedThreadReport.
-struct ThreadReportBinding {
-  RunReport* report = nullptr;
-  bool bound = false;
-};
-[[nodiscard]] ThreadReportBinding current_thread_report();
-ThreadReportBinding set_thread_report(ThreadReportBinding binding);
 
 /// RAII stage: measures wall time, the counter delta and the allocation
 /// delta of a scope and appends a StageReport to the active report (if

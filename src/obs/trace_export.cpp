@@ -7,32 +7,11 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "obs/report.h"
+
 namespace fp8q {
 
 namespace {
-
-/// JSON string escaping (same contract as the report writer's).
-void write_escaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\r': out << "\\r"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
 
 /// Trace-event timestamps are microseconds; keep nanosecond precision as
 /// a decimal fraction (exact: value is n/1000 with n < 2^53 after the
@@ -71,7 +50,7 @@ void write_chrome_trace(std::ostream& out, const std::vector<SpanRecord>& spans)
   for (const SpanRecord& s : spans) {
     sep();
     out << "    {\"name\": ";
-    write_escaped(out, s.name);
+    out << json_quoted(s.name);
     out << ", \"ph\": \"X\", \"ts\": ";
     write_us(out, s.start_ns - epoch_ns);
     out << ", \"dur\": ";

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "io/json.h"
+#include "obs/report.h"
 
 namespace fp8q::service {
 
@@ -142,34 +143,21 @@ Request parse_request(std::string_view payload) {
                            "shutdown)");
 }
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+void append_quantiles(std::string& out, const HistogramSnapshot& h, double scale) {
+  out += "{\"count\":";
+  out += std::to_string(h.total);
+  out += ",\"p50\":" + std::to_string(h.quantile(0.50) * scale);
+  out += ",\"p95\":" + std::to_string(h.quantile(0.95) * scale);
+  out += ",\"p99\":" + std::to_string(h.quantile(0.99) * scale);
+  out += ",\"max\":" + std::to_string((h.total != 0 ? h.max_value : 0.0) * scale);
+  out += "}";
 }
 
 std::string error_response(std::string_view code, std::string_view message) {
   std::string out = "{\"ok\":false,\"code\":";
-  append_json_string(out, code);
+  out += json_quoted(code);
   out += ",\"error\":";
-  append_json_string(out, message);
+  out += json_quoted(message);
   out += "}";
   return out;
 }

@@ -13,6 +13,8 @@
 #include <string>
 #include <string_view>
 
+#include "obs/histogram.h"
+
 namespace fp8q::service {
 
 /// What a submitted job runs. Mirrors the fp8q_cli subcommands.
@@ -71,8 +73,10 @@ struct Request {
 /// job kind, out-of-range priority or deadline.
 [[nodiscard]] Request parse_request(std::string_view payload);
 
-/// Appends `s` as a quoted JSON string (with escaping) to `out`.
-void append_json_string(std::string& out, std::string_view s);
+/// Appends h's {"count","p50","p95","p99","max"} block to `out`, each
+/// value times `scale` (1.0 / 1e6 turns nanoseconds into milliseconds):
+/// the latency blocks of the stats endpoint and of fp8qd_bench snapshots.
+void append_quantiles(std::string& out, const HistogramSnapshot& h, double scale);
 
 /// {"ok":false,"code":code,"error":message} -- codes are part of the
 /// protocol contract: bad_request, unknown_workload, unknown_job,

@@ -11,6 +11,7 @@
 #include "obs/counters.h"
 #include "obs/domain.h"
 #include "obs/memory.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "quant/qconfig.h"
 #include "quant/quantized_graph.h"
@@ -37,53 +38,36 @@ EvalProtocol protocol_for_spec(const JobSpec& spec) {
   return protocol;
 }
 
-void append_hist_ms(std::string& out, const char* key, const HistogramSnapshot& h) {
-  out += '"';
-  out += key;
-  out += "\":{\"count\":";
-  out += std::to_string(h.total);
-  const double to_ms = 1.0 / 1e6;
-  for (const auto& [name, q] : {std::pair{"p50", 0.50}, std::pair{"p95", 0.95},
-                                std::pair{"p99", 0.99}}) {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    out += std::to_string(h.quantile(q) * to_ms);
-  }
-  out += ",\"max\":";
-  out += std::to_string((h.total != 0 ? h.max_value : 0.0) * to_ms);
-  out += "}";
-}
-
 }  // namespace
 
 ServerOptions options_from_env() {
   ServerOptions opts;
   const char* sock = std::getenv("FP8QD_SOCKET");
   opts.unix_path = (sock != nullptr && sock[0] != '\0') ? sock : "fp8qd.sock";
-  if (const char* port = std::getenv("FP8QD_TCP_PORT"); port != nullptr && port[0] != '\0') {
-    opts.tcp_port = parse_tcp_port(port);
-  }
-  if (const char* qmax = std::getenv("FP8QD_QUEUE_MAX"); qmax != nullptr && qmax[0] != '\0') {
-    const int n = std::atoi(qmax);
-    if (n > 0) opts.queue_max = static_cast<std::size_t>(n);
-  }
-  if (const char* workers = std::getenv("FP8QD_WORKERS");
-      workers != nullptr && workers[0] != '\0') {
-    const int n = std::atoi(workers);
-    if (n > 0) opts.workers = n;
-  }
+  const auto setting = [](const char* name, int fallback, int min) {
+    const char* text = std::getenv(name);
+    return text != nullptr && text[0] != '\0' ? parse_whole_number(name, text, min) : fallback;
+  };
+  opts.tcp_port = setting("FP8QD_TCP_PORT", opts.tcp_port, std::numeric_limits<int>::min());
+  opts.queue_max =
+      static_cast<std::size_t>(setting("FP8QD_QUEUE_MAX", static_cast<int>(opts.queue_max), 1));
+  opts.workers = setting("FP8QD_WORKERS", opts.workers, 1);
   return opts;
 }
 
-int parse_tcp_port(std::string_view text) {
-  int port = 0;
+int parse_whole_number(std::string_view name, std::string_view text, int min) {
+  int value = 0;
   const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, port);
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (text.empty() || ec != std::errc() || ptr != end) {
-    throw std::runtime_error("TCP port '" + std::string(text) + "' is not a whole number");
+    throw std::runtime_error(std::string(name) + ": '" + std::string(text) +
+                             "' is not a whole number");
   }
-  return port;
+  if (value < min) {
+    throw std::runtime_error(std::string(name) + ": " + std::string(text) +
+                             " is below the minimum of " + std::to_string(min));
+  }
+  return value;
 }
 
 RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spec,
@@ -100,17 +84,18 @@ RunReport run_job_oneshot(const std::vector<Workload>& suite, const JobSpec& spe
   // counter, allocation and histogram the job (and its parallel fan-out)
   // produces lands in `domain`, so the report's counter blocks are this
   // job's exact events -- no root before/after snapshots, hence exact even
-  // with other jobs running concurrently. The fold guard moves the tallies
+  // with other jobs running concurrently. The domain also carries `report`,
+  // so the job's stages land there. The fold guard moves the tallies
   // into the caller's enclosing domain (normally the root) on every exit
   // path, so cumulative process-wide totals are unchanged by the detour.
   CounterDomain domain;
+  domain.set_report(&report);
   struct FoldGuard {
     CounterDomain& domain;
     ~FoldGuard() { domain.fold_into_global(); }
   } fold_guard{domain};
   {
     ScopedCounterDomain domain_scope(&domain);
-    ScopedThreadReport report_scope(&report);
     switch (spec.kind) {
       case JobKind::kEval: {
         report.records.push_back(evaluate_with_plan(
@@ -196,8 +181,12 @@ void Server::request_shutdown() noexcept {
 }
 
 ServiceStats Server::stats_snapshot() const {
-  const std::uint64_t now = obs_now_ns();
   std::lock_guard<std::mutex> lock(mutex_);
+  return stats_snapshot_locked();
+}
+
+ServiceStats Server::stats_snapshot_locked() const {
+  const std::uint64_t now = obs_now_ns();
   ServiceStats s;
   s.uptime_ns = now - start_ns_;
   s.submitted = submitted_;
@@ -211,7 +200,6 @@ ServiceStats Server::stats_snapshot() const {
   s.workers = workers_;
   s.job_threads = job_threads_;
   s.active_jobs = active_jobs_;
-  s.job_running = active_jobs_ != 0;
   s.draining = drain_mode_;
   s.per_worker.reserve(slots_.size());
   for (const WorkerSlot& slot : slots_) {
@@ -348,7 +336,7 @@ std::string Server::result_response_locked(const Job& job) {
   std::string out = "{\"ok\":true,\"job_id\":";
   out += std::to_string(job.id);
   out += ",\"state\":";
-  append_json_string(out, to_string(job.state));
+  out += json_quoted(to_string(job.state));
   if (job.state == JobState::kDone) {
     out += ",\"wall_ms\":";
     out += std::to_string(static_cast<double>(job.finish_ns - job.start_ns) / 1e6);
@@ -358,77 +346,69 @@ std::string Server::result_response_locked(const Job& job) {
     out += job.report_json;  // already a JSON object
   } else if (is_terminal(job.state)) {
     out += ",\"error\":";
-    append_json_string(out, job.error);
+    out += json_quoted(job.error);
   }
   out += "}";
   return out;
 }
 
-std::string Server::stats_response_locked() {
+std::string Server::stats_response_locked() const {
+  const ServiceStats s = stats_snapshot_locked();
   std::string out = "{\"ok\":true,\"uptime_ms\":";
-  out += std::to_string(static_cast<double>(obs_now_ns() - start_ns_) / 1e6);
+  out += std::to_string(static_cast<double>(s.uptime_ns) / 1e6);
   out += ",\"isa\":";
-  append_json_string(out, isa_label());
+  out += json_quoted(isa_label());
   out += ",\"num_threads\":";
   out += std::to_string(num_threads());
   out += ",\"jobs\":{\"submitted\":";
-  out += std::to_string(submitted_);
+  out += std::to_string(s.submitted);
   out += ",\"completed\":";
-  out += std::to_string(completed_);
+  out += std::to_string(s.completed);
   out += ",\"failed\":";
-  out += std::to_string(failed_);
+  out += std::to_string(s.failed);
   out += ",\"cancelled\":";
-  out += std::to_string(cancelled_);
+  out += std::to_string(s.cancelled);
   out += ",\"expired\":";
-  out += std::to_string(expired_);
+  out += std::to_string(s.expired);
   out += ",\"rejected\":";
-  out += std::to_string(rejected_);
+  out += std::to_string(s.rejected);
   out += "},\"queue\":{\"depth\":";
-  out += std::to_string(queue_.size());
+  out += std::to_string(s.queue_depth);
   out += ",\"capacity\":";
-  out += std::to_string(queue_.capacity());
+  out += std::to_string(s.queue_capacity);
   out += ",\"running\":";
-  out += std::to_string(active_jobs_);
+  out += std::to_string(s.active_jobs);
   out += ",\"draining\":";
-  out += drain_mode_ ? "true" : "false";
+  out += s.draining ? "true" : "false";
   out += "},\"scheduler\":{\"workers\":";
-  out += std::to_string(workers_);
+  out += std::to_string(s.workers);
   out += ",\"job_threads\":";
-  out += std::to_string(job_threads_);
+  out += std::to_string(s.job_threads);
   out += ",\"active_jobs\":";
-  out += std::to_string(active_jobs_);
+  out += std::to_string(s.active_jobs);
   out += ",\"per_worker\":[";
-  const std::uint64_t now = obs_now_ns();
-  const std::uint64_t uptime = now - start_ns_;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const WorkerSlot& slot = slots_[i];
-    std::uint64_t busy = slot.busy_ns;
-    if (slot.busy_since_ns != 0 && now > slot.busy_since_ns) busy += now - slot.busy_since_ns;
-    double fraction =
-        uptime != 0 ? static_cast<double>(busy) / static_cast<double>(uptime) : 0.0;
-    if (fraction > 1.0) fraction = 1.0;
+  for (std::size_t i = 0; i < s.per_worker.size(); ++i) {
     out += i == 0 ? "{" : ",{";
     out += "\"jobs\":";
-    out += std::to_string(slot.jobs);
+    out += std::to_string(s.per_worker[i].jobs);
     out += ",\"busy_fraction\":";
-    out += std::to_string(fraction);
+    out += std::to_string(s.per_worker[i].busy_fraction);
     out += "}";
   }
-  out += "]},\"latency_ms\":{";
-  append_hist_ms(out, "job_wall", job_wall_ns_.snap);
-  out += ",";
-  append_hist_ms(out, "queue_wait", queue_wait_ns_.snap);
-  const PlanCacheStats plans = plans_.stats();
+  out += "]},\"latency_ms\":{\"job_wall\":";
+  append_quantiles(out, s.job_wall_ns, 1.0 / 1e6);
+  out += ",\"queue_wait\":";
+  append_quantiles(out, s.queue_wait_ns, 1.0 / 1e6);
   out += "},\"plan_cache\":{\"entries\":";
-  out += std::to_string(plans.entries);
+  out += std::to_string(s.plan_cache.entries);
   out += ",\"bytes\":";
-  out += std::to_string(plans.bytes);
+  out += std::to_string(s.plan_cache.bytes);
   out += ",\"hits\":";
-  out += std::to_string(plans.hits);
+  out += std::to_string(s.plan_cache.hits);
   out += ",\"misses\":";
-  out += std::to_string(plans.misses);
+  out += std::to_string(s.plan_cache.misses);
   out += ",\"evictions\":";
-  out += std::to_string(plans.evictions);
+  out += std::to_string(s.plan_cache.evictions);
   out += "}}";
   return out;
 }
@@ -495,7 +475,7 @@ std::optional<std::string> Server::handle_frame(const std::string& payload,
       std::string out = "{\"ok\":true,\"job_id\":";
       out += std::to_string(req.job_id);
       out += ",\"state\":";
-      append_json_string(out, to_string(it->second->state));
+      out += json_quoted(to_string(it->second->state));
       out += ",\"queue_depth\":";
       out += std::to_string(queue_.size());
       out += "}";
@@ -516,7 +496,7 @@ std::optional<std::string> Server::handle_frame(const std::string& payload,
       std::string out = "{\"ok\":true,\"job_id\":";
       out += std::to_string(req.job_id);
       out += ",\"state\":";
-      append_json_string(out, to_string(it->second->state));
+      out += json_quoted(to_string(it->second->state));
       out += "}";
       return out;
     }
@@ -540,7 +520,7 @@ std::optional<std::string> Server::handle_frame(const std::string& payload,
       out += ",\"cancelled\":";
       out += cancelled ? "true" : "false";
       out += ",\"state\":";
-      append_json_string(out, to_string(job->state));
+      out += json_quoted(to_string(job->state));
       out += "}";
       return out;
     }

@@ -40,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,14 +83,20 @@ struct ServerOptions {
 inline constexpr std::size_t kMaxTerminalJobs = 256;
 
 /// ServerOptions from the environment: FP8QD_SOCKET (default
-/// "fp8qd.sock"), FP8QD_TCP_PORT, FP8QD_QUEUE_MAX, FP8QD_WORKERS. Throws
-/// std::runtime_error when FP8QD_TCP_PORT is set but not a whole number.
+/// "fp8qd.sock"), FP8QD_TCP_PORT, FP8QD_QUEUE_MAX, FP8QD_WORKERS. An unset
+/// or empty variable keeps the default; a set numeric one goes through
+/// parse_whole_number, which throws on a bad value.
 [[nodiscard]] ServerOptions options_from_env();
 
-/// Parses a --tcp-port / FP8QD_TCP_PORT value: a whole decimal int, where
-/// a negative one disables TCP. Throws std::runtime_error naming the text
-/// on anything else. The upper bound is checked when the port is bound.
-[[nodiscard]] int parse_tcp_port(std::string_view text);
+/// Parses the numeric fp8qd setting `name` (a flag or environment
+/// variable, named in the error): a whole decimal int -- an optional '-'
+/// and digits, nothing else, within int's range -- that is at least
+/// `min`. Throws std::runtime_error on anything else. The TCP port takes
+/// any int (a negative one disables TCP; the upper bound is checked when
+/// the port is bound); the queue capacity and the worker count take
+/// min = 1, and the Server clamps workers to 64.
+[[nodiscard]] int parse_whole_number(std::string_view name, std::string_view text,
+                                     int min = std::numeric_limits<int>::min());
 
 /// One executor worker's utilization (the stats endpoint's per_worker row).
 struct WorkerStats {
@@ -111,7 +118,6 @@ struct ServiceStats {
   int workers = 1;              ///< executor worker count
   int job_threads = 1;          ///< per-job parallel arena budget
   std::size_t active_jobs = 0;  ///< jobs running right now (<= workers)
-  bool job_running = false;     ///< active_jobs != 0 (pre-scheduler field)
   bool draining = false;
   std::vector<WorkerStats> per_worker;  ///< one row per executor worker
   HistogramSnapshot job_wall_ns;    ///< executor wall time per finished job
@@ -190,7 +196,9 @@ class Server {
 
   // "_locked" = caller holds mutex_.
   [[nodiscard]] std::string result_response_locked(const Job& job);
-  [[nodiscard]] std::string stats_response_locked();
+  [[nodiscard]] ServiceStats stats_snapshot_locked() const;
+  /// The stats endpoint's JSON, rendered from one stats_snapshot_locked().
+  [[nodiscard]] std::string stats_response_locked() const;
 
   /// One executor worker's utilization ledger. busy_since_ns != 0 marks a
   /// job in flight; the stats endpoint adds the open interval so

@@ -315,7 +315,6 @@ TEST(Scheduler, StatsExposeWorkersActiveJobsAndPerWorkerUtilization) {
   std::uint64_t snap_jobs = 0;
   for (const WorkerStats& w : snap.per_worker) snap_jobs += w.jobs;
   EXPECT_EQ(snap_jobs, 4u);
-  EXPECT_FALSE(snap.job_running);
 }
 
 TEST(Scheduler, DrainingShutdownJoinsEveryWorker) {

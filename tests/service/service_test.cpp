@@ -16,9 +16,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -382,11 +384,60 @@ TEST(Service, OutOfRangeTcpPortsAreRejectedBeforeBinding) {
 }
 
 TEST(Service, TcpPortTextMustBeAWholeNumber) {
-  EXPECT_EQ(parse_tcp_port("0"), 0);
-  EXPECT_EQ(parse_tcp_port("8470"), 8470);
-  EXPECT_EQ(parse_tcp_port("-1"), -1);
+  EXPECT_EQ(parse_whole_number("--tcp-port", "0"), 0);
+  EXPECT_EQ(parse_whole_number("--tcp-port", "8470"), 8470);
+  EXPECT_EQ(parse_whole_number("--tcp-port", "-1"), -1);
   for (const char* bad : {"", "abc", "12abc", " 80", "80 ", "1e3", "99999999999"}) {
-    EXPECT_THROW((void)parse_tcp_port(bad), std::runtime_error) << "'" << bad << "'";
+    EXPECT_THROW((void)parse_whole_number("--tcp-port", bad), std::runtime_error)
+        << "'" << bad << "'";
+  }
+}
+
+TEST(Service, QueueMaxAndWorkersMustBeWholeNumbersOfAtLeastOne) {
+  for (const char* name : {"--queue-max", "--workers"}) {
+    EXPECT_EQ(parse_whole_number(name, "1", 1), 1);
+    EXPECT_EQ(parse_whole_number(name, "100", 1), 100);
+    for (const char* bad : {"", "0", "-3", "2x", "12abc", "abc", " 2", "2 ", "4294967298"}) {
+      try {
+        (void)parse_whole_number(name, bad, 1);
+        ADD_FAILURE() << name << " accepted '" << bad << "'";
+      } catch (const std::runtime_error& e) {
+        // The message names the setting and the rejected text.
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
+TEST(Service, NumericEnvironmentSettingsMustBeWholeNumbers) {
+  static constexpr const char* kNames[] = {"FP8QD_TCP_PORT", "FP8QD_QUEUE_MAX", "FP8QD_WORKERS"};
+  struct Unset {
+    ~Unset() {
+      for (const char* name : kNames) ::unsetenv(name);
+    }
+  } unset;
+  ::setenv("FP8QD_TCP_PORT", "-1", 1);
+  ::setenv("FP8QD_QUEUE_MAX", "12", 1);
+  ::setenv("FP8QD_WORKERS", "3", 1);
+  const ServerOptions good = options_from_env();
+  EXPECT_EQ(good.tcp_port, -1);
+  EXPECT_EQ(good.queue_max, 12u);
+  EXPECT_EQ(good.workers, 3);
+
+  const std::pair<const char*, const char*> bad[] = {
+      {"FP8QD_TCP_PORT", "80x"}, {"FP8QD_QUEUE_MAX", "12abc"}, {"FP8QD_QUEUE_MAX", "0"},
+      {"FP8QD_WORKERS", "abc"},  {"FP8QD_WORKERS", "2x"},      {"FP8QD_WORKERS", "-1"},
+      {"FP8QD_WORKERS", "4294967298"}};
+  for (const auto& [name, value] : bad) {
+    ::setenv(name, value, 1);
+    try {
+      (void)options_from_env();
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    ::unsetenv(name);
   }
 }
 

@@ -11,13 +11,15 @@
 #      scalar cast-speedup floor and the dispatched GEMM kernel >= 2x
 #      scalar-tier floor (docs/KERNELS.md), `fp8q_report check-trace`
 #      validates the Chrome trace JSON, and `fp8q_report diff` between the
-#      two runs gates counter determinism and wall/memory regressions with
-#      explicit thresholds (docs/PERFORMANCE.md, docs/OBSERVABILITY.md). A third
-#      bench run pinned to FP8Q_ISA=scalar re-checks counter determinism
-#      across dispatch tiers (the GEMM kernel's bit-exactness contract).
-#      Then the Table 2 bit-identity gate: bench_table2_passrate --quick at
-#      FP8Q_NUM_THREADS=1 and at the default count, diffed at zero counter
-#      drift and zero accuracy drop.
+#      two runs gates wall/memory regressions with explicit thresholds
+#      (docs/PERFORMANCE.md, docs/OBSERVABILITY.md); bench_kernels calls
+#      the uncounted cast kernels, so its counters are all zero. Then the
+#      Table 2 bit-identity gates: bench_table2_passrate --quick at the
+#      default thread count and tier, against FP8Q_NUM_THREADS=1 and
+#      against FP8Q_ISA=scalar and FP8Q_ISA=batched (the GEMM kernel's
+#      cross-tier contract), each diffed at zero counter drift and zero
+#      accuracy drop -- the tier pairs in both directions, so an accuracy
+#      that rises fails too.
 #   4. service smoke: boot fp8qd at 1 worker and again at 2 workers on a
 #      private socket, drive both with fp8qd_bench (--append folds the two
 #      runs into one BENCH_service.json scaling curve), gate the snapshot
@@ -79,24 +81,13 @@ FP8Q_TRACE=1 FP8Q_TRACE_JSON="$PREFIX/trace_smoke.json" \
 "$PREFIX/tools/fp8q_report" check-trace "$PREFIX/trace_smoke.json"
 "$PREFIX/tools/fp8q_report" print "$PREFIX/report_smoke.json" > /dev/null
 
-# Second instrumented run, diffed against the first: quantization-event
-# counters must be bit-identical (drift 0% -- the determinism contract,
-# docs/THREADING.md); wall time and memory may wobble but not explode.
+# Second instrumented run, diffed against the first: wall time and memory
+# may wobble but not explode. bench_kernels calls the uncounted cast
+# kernels directly, so every counter cell is 0 and the counter check here
+# has nothing to compare; the Table 2 diffs below are the counter gates.
 FP8Q_REPORT="$PREFIX/report_smoke2.json" \
   "$PREFIX/bench/bench_kernels" --smoke --out="$PREFIX/BENCH_kernels_smoke2.json"
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_smoke.json" "$PREFIX/report_smoke2.json" \
-  --max-counter-drift-pct=0 --max-wall-regress-pct=400 \
-  --max-alloc-growth-pct=50 --max-rss-growth-pct=100
-
-# Third run pinned to the scalar dispatch tier: the quantization-event
-# counters must STILL be bit-identical to the native-tier runs above (the
-# GEMM kernel's cross-tier bit-exactness contract, docs/KERNELS.md).
-# No gemm floor here -- pinned to scalar, the dispatched tier IS the
-# reference.
-FP8Q_ISA=scalar FP8Q_REPORT="$PREFIX/report_smoke_scalar.json" \
-  "$PREFIX/bench/bench_kernels" --smoke --out="$PREFIX/BENCH_kernels_smoke_scalar.json"
-"$PREFIX/tools/fp8q_report" diff "$PREFIX/report_smoke.json" \
-  "$PREFIX/report_smoke_scalar.json" \
   --max-counter-drift-pct=0 --max-wall-regress-pct=400 \
   --max-alloc-growth-pct=50 --max-rss-growth-pct=100
 
@@ -108,6 +99,20 @@ FP8Q_REPORT="$PREFIX/report_table2.json" \
   "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2_t1.json" \
   "$PREFIX/report_table2.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+
+# Cross-tier gate: the same sweep pinned to the scalar reference tier and
+# to the batched tier must equal the default-tier run, records and
+# counters (the GEMM kernel's contract, docs/KERNELS.md). Each pair is
+# diffed both ways: --max-accuracy-drop fails only a drop, so a record
+# whose accuracy rises fails the reverse diff.
+for tier in scalar batched; do
+  FP8Q_ISA=$tier FP8Q_REPORT="$PREFIX/report_table2_$tier.json" \
+    "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
+  "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2.json" \
+    "$PREFIX/report_table2_$tier.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+  "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2_$tier.json" \
+    "$PREFIX/report_table2.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+done
 
 step "service smoke (fp8qd at 1 and 2 workers + fp8qd_bench through fp8q_report)"
 # Boot the resident daemon twice -- one executor worker, then two -- and

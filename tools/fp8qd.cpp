@@ -13,7 +13,6 @@
 // rejected with code "draining", then the process exits.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -56,39 +55,25 @@ bool parse_flag(const char* arg, const char* name, const char** value) {
 int main(int argc, char** argv) {
   fp8q::service::ServerOptions options;
   try {
+    using fp8q::service::parse_whole_number;
     options = fp8q::service::options_from_env();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fp8qd: FP8QD_TCP_PORT: %s\n", e.what());
-    return 2;
-  }
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (parse_flag(argv[i], "--socket", &value)) {
-      options.unix_path = value;
-    } else if (parse_flag(argv[i], "--tcp-port", &value)) {
-      try {
-        options.tcp_port = fp8q::service::parse_tcp_port(value);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "fp8qd: --tcp-port: %s\n", e.what());
-        return 2;
+    for (int i = 1; i < argc; ++i) {
+      const char* value = nullptr;
+      if (parse_flag(argv[i], "--socket", &value)) {
+        options.unix_path = value;
+      } else if (parse_flag(argv[i], "--tcp-port", &value)) {
+        options.tcp_port = parse_whole_number("--tcp-port", value);
+      } else if (parse_flag(argv[i], "--queue-max", &value)) {
+        options.queue_max = static_cast<std::size_t>(parse_whole_number("--queue-max", value, 1));
+      } else if (parse_flag(argv[i], "--workers", &value)) {
+        options.workers = parse_whole_number("--workers", value, 1);
+      } else {
+        return usage();
       }
-    } else if (parse_flag(argv[i], "--queue-max", &value)) {
-      const int n = std::atoi(value);
-      if (n <= 0) {
-        std::fprintf(stderr, "fp8qd: --queue-max must be positive\n");
-        return 2;
-      }
-      options.queue_max = static_cast<std::size_t>(n);
-    } else if (parse_flag(argv[i], "--workers", &value)) {
-      const int n = std::atoi(value);
-      if (n <= 0) {
-        std::fprintf(stderr, "fp8qd: --workers must be positive\n");
-        return 2;
-      }
-      options.workers = n;
-    } else {
-      return usage();
     }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fp8qd: %s\n", e.what());
+    return 2;
   }
 
   try {

@@ -39,6 +39,7 @@
 
 #include "io/json.h"
 #include "obs/histogram.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "service/net.h"
 #include "service/protocol.h"
@@ -98,11 +99,11 @@ std::vector<std::string> split_mix(const std::string& mix) {
 
 std::string submit_payload(const BenchOptions& opts, const std::string& kind) {
   std::string payload = "{\"cmd\":\"submit\",\"kind\":";
-  service::append_json_string(payload, kind);
+  payload += json_quoted(kind);
   payload += ",\"workload\":";
-  service::append_json_string(payload, opts.workload);
+  payload += json_quoted(opts.workload);
   payload += ",\"format\":";
-  service::append_json_string(payload, opts.format);
+  payload += json_quoted(opts.format);
   payload += opts.quick ? ",\"quick\":true}" : "}";
   return payload;
 }
@@ -159,20 +160,6 @@ void worker(const BenchOptions& opts, const std::vector<std::string>& kinds,
                    v.string_or("error").c_str());
     }
   }
-}
-
-void append_quantiles(std::string& out, const HistogramSnapshot& h, double scale) {
-  out += "{\"count\":";
-  out += std::to_string(h.total);
-  out += ",\"p50\":" + std::to_string(h.quantile(0.50) * scale);
-  out += ",\"p95\":" + std::to_string(h.quantile(0.95) * scale);
-  out += ",\"p99\":" + std::to_string(h.quantile(0.99) * scale);
-  out += ",\"max\":" + std::to_string((h.total != 0 ? h.max_value : 0.0) * scale);
-  out += "}";
-}
-
-void append_quantiles_ms(std::string& out, const HistogramSnapshot& h) {
-  append_quantiles(out, h, 1.0 / 1e6);
 }
 
 /// Re-serializes one quantile block parsed back out of a prior snapshot.
@@ -413,9 +400,9 @@ int main(int argc, char** argv) {
     row += ",\"wall_s\":" + std::to_string(wall_s);
     row += ",\"jobs_per_sec\":" + std::to_string(jobs_per_sec);
     row += ",\"latency_ms\":";
-    append_quantiles_ms(row, latency);
+    service::append_quantiles(row, latency, 1.0 / 1e6);
     row += ",\"retries_per_job\":";
-    append_quantiles(row, retries_per_job, 1.0);
+    service::append_quantiles(row, retries_per_job, 1.0);
     row += "}";
 
     std::vector<std::string> runs = load_prior_runs(opts);
@@ -429,19 +416,19 @@ int main(int argc, char** argv) {
     json += ",\n    \"failed\": " + std::to_string(failed);
     json += ",\n    \"queue_full_retries\": " + std::to_string(retries);
     json += ",\n    \"workload\": ";
-    service::append_json_string(json, opts.workload);
+    json += json_quoted(opts.workload);
     json += ",\n    \"mix\": ";
-    service::append_json_string(json, opts.mix);
+    json += json_quoted(opts.mix);
     json += ",\n    \"format\": ";
-    service::append_json_string(json, opts.format);
+    json += json_quoted(opts.format);
     json += ",\n    \"quick\": ";
     json += opts.quick ? "true" : "false";
     json += ",\n    \"wall_s\": " + std::to_string(wall_s);
     json += ",\n    \"jobs_per_sec\": " + std::to_string(jobs_per_sec);
     json += ",\n    \"latency_ms\": ";
-    append_quantiles_ms(json, latency);
+    service::append_quantiles(json, latency, 1.0 / 1e6);
     json += ",\n    \"retries_per_job\": ";
-    append_quantiles(json, retries_per_job, 1.0);
+    service::append_quantiles(json, retries_per_job, 1.0);
     json += "\n  },\n  \"runs\": [\n";
     for (std::size_t i = 0; i < runs.size(); ++i) {
       json += "    " + runs[i];
