@@ -4,7 +4,9 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <functional>
 #include <mutex>
+#include <queue>
 #include <thread>
 
 #include "core/thread_annotations.h"
@@ -302,6 +304,97 @@ void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
     const std::int64_t hi = lo + base + (c < rem ? 1 : 0);
     fn(lo, hi);
   });
+}
+
+namespace {
+
+/// One parallel_stream call: the ready keys, the units in flight and the
+/// smallest failing key. Every thread of the region drains it.
+class UnitStream {
+ public:
+  using UnitFn = std::function<std::vector<std::int64_t>(std::int64_t)>;
+
+  UnitStream(std::vector<std::int64_t> ready, const UnitFn& fn)
+      : fn_(fn),
+        traced_(trace_enabled()),
+        parent_(traced_ ? current_span_id() : 0),
+        ready_(std::greater<>{}, std::move(ready)) {}
+
+  /// Runs the smallest ready unit until none is ready or running. While
+  /// units are in flight, an idle thread waits for them to release more.
+  void drain() FP8Q_EXCLUDES(mutex_) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      cv_.wait(lock, [this] { return !ready_.empty() || running_ == 0; });
+      if (ready_.empty()) return;
+      const std::int64_t key = ready_.top();
+      ready_.pop();
+      ++running_;
+      lock.unlock();
+      std::vector<std::int64_t> next;
+      std::exception_ptr error;
+      try {
+        next = run(key);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      --running_;
+      for (const std::int64_t k : next) ready_.push(k);
+      if (error && (!error_ || key < error_key_)) {
+        error_ = error;
+        error_key_ = key;
+      }
+      if (ready_.empty() && running_ == 0) {
+        cv_.notify_all();  // the stream is done
+      } else {
+        // This thread takes one released key itself.
+        for (std::size_t i = 1; i < next.size(); ++i) cv_.notify_one();
+      }
+    }
+  }
+
+  /// After every drain has returned.
+  void rethrow() FP8Q_EXCLUDES(mutex_) {
+    std::exception_ptr error;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      error = error_;
+    }
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  std::vector<std::int64_t> run(std::int64_t key) const {
+    if (!traced_) return fn_(key);
+    TraceSpan span("parallel/task", parent_);
+    return fn_(key);
+  }
+
+  const UnitFn& fn_;
+  const bool traced_;
+  const std::int64_t parent_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::priority_queue<std::int64_t, std::vector<std::int64_t>, std::greater<>> ready_
+      FP8Q_GUARDED_BY(mutex_);
+  int running_ FP8Q_GUARDED_BY(mutex_) = 0;
+  std::exception_ptr error_ FP8Q_GUARDED_BY(mutex_);
+  std::int64_t error_key_ FP8Q_GUARDED_BY(mutex_) = 0;
+};
+
+}  // namespace
+
+void parallel_stream(std::vector<std::int64_t> ready,
+                     const std::function<std::vector<std::int64_t>(std::int64_t)>& fn) {
+  UnitStream stream(std::move(ready), fn);
+  const int threads = num_threads();
+  if (threads == 1 || tls_in_region) {
+    stream.drain();
+  } else {
+    run_region(threads, [&stream](std::int64_t) { stream.drain(); });
+  }
+  stream.rethrow();
 }
 
 }  // namespace fp8q

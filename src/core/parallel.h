@@ -15,12 +15,16 @@
 //     fn(0..n-1) across the pool (dynamic scheduling for load balance)
 //     and returns the results in index order, so callers observe the
 //     exact sequence a serial loop would have produced.
+//   * parallel_stream(ready, fn)           -- a growing set of keyed
+//     units: an idle thread always runs the smallest ready key, and a
+//     finished unit releases its successors.
 //
 // Thread-count precedence: set_num_threads(n) > FP8Q_NUM_THREADS >
 // std::thread::hardware_concurrency(). Nested calls from inside a worker
 // run serially inline (no pool re-entry, no deadlock). Exceptions thrown
 // by workers are captured and the first one (in chunk/index order of
-// observation) is rethrown on the calling thread.
+// observation) is rethrown on the calling thread; parallel_stream
+// rethrows the smallest failing key's.
 #pragma once
 
 #include <cstdint>
@@ -164,5 +168,20 @@ template <class Fn>
   parallel_run(n, [&out, &fn](std::int64_t i) { out[static_cast<std::size_t>(i)] = fn(i); });
   return out;
 }
+
+/// Keyed unit stream: runs fn(key) once for every key in `ready` and for
+/// every key a finished unit returns (the successors it releases), until
+/// no unit is ready or running. An idle thread always takes the smallest
+/// ready key, so a caller numbers its work in the order it wants it done
+/// and releases a key once the unit's inputs exist. Keys must be distinct
+/// over the whole stream. At one thread, and when called from inside a
+/// parallel region, the units run inline on the calling thread in exact
+/// key order. A unit that throws releases nothing; the stream still
+/// drains every other runnable unit, then rethrows the exception of the
+/// smallest failing key -- the same exception at any thread count when
+/// what a unit releases does not depend on timing. A full barrier, like
+/// the other primitives.
+void parallel_stream(std::vector<std::int64_t> ready,
+                     const std::function<std::vector<std::int64_t>(std::int64_t)>& fn);
 
 }  // namespace fp8q

@@ -31,9 +31,8 @@ Conv2dOp::Conv2dOp(Tensor weight, Tensor bias, int stride, int padding, int grou
 }
 
 std::vector<Tensor*> Conv2dOp::weights() {
-  std::vector<Tensor*> ws = {&weight_};
-  if (!bias_.empty()) ws.push_back(&bias_);
-  return ws;
+  if (bias_.empty()) return {&weight_};
+  return {&weight_, &bias_};
 }
 
 Tensor Conv2dOp::forward(std::span<const Tensor> inputs) {

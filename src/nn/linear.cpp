@@ -19,9 +19,8 @@ LinearOp::LinearOp(Tensor weight, Tensor bias)
 }
 
 std::vector<Tensor*> LinearOp::weights() {
-  std::vector<Tensor*> ws = {&weight_};
-  if (!bias_.empty()) ws.push_back(&bias_);
-  return ws;
+  if (bias_.empty()) return {&weight_};
+  return {&weight_, &bias_};
 }
 
 Tensor LinearOp::forward(std::span<const Tensor> inputs) {

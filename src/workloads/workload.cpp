@@ -142,65 +142,85 @@ std::vector<std::vector<Tensor>> make_calib_batches(const Workload& w,
   return calib;
 }
 
-EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
+EvalPlanBuild::EvalPlanBuild(const Workload& w, const EvalProtocol& protocol) {
   if (!w.build || !w.make_batch || !w.perturb) {
     throw std::invalid_argument("make_eval_plan: incomplete workload " + w.name);
   }
-  EvalPlan plan;
-  plan.workload_name = w.name;
-  plan.domain = w.domain;
-  plan.metric = w.metric;
-  plan.margin_quantile = w.margin_quantile;
-  plan.prototype = w.build();
-  plan.model_size_mb = plan.prototype.size_mb();
-  plan.calib = make_calib_batches(w, protocol);
+  plan_.workload_name = w.name;
+  plan_.domain = w.domain;
+  plan_.metric = w.metric;
+  plan_.margin_quantile = w.margin_quantile;
+  plan_.prototype = w.build();
+  plan_.model_size_mb = plan_.prototype.size_mb();
+  plan_.calib = make_calib_batches(w, protocol);
 
   // Evaluation set; FP32 targets and the FP32 baseline come first, while
   // the weights are pristine. Each batch draws clean, then perturbed, from
-  // one seeded stream, so the data is drawn serially; the teacher forwards
-  // then fan out, one unit per forward (2b clean, 2b + 1 perturbed), and
-  // the baseline folds in batch order.
+  // one seeded stream, so the data is drawn here, serially.
   const auto n = static_cast<size_t>(protocol.eval_batches);
   Rng eval_rng(w.data_seed * 104729 + 2);
-  std::vector<std::vector<Tensor>> clean(n);
-  plan.batches.resize(n);
+  clean_.resize(n);
+  plan_.batches.resize(n);
   for (size_t b = 0; b < n; ++b) {
-    clean[b] = w.make_batch(eval_rng, protocol.eval_batch_size);
-    plan.batches[b].perturbed = w.perturb(eval_rng, clean[b]);
+    clean_[b] = w.make_batch(eval_rng, protocol.eval_batch_size);
+    plan_.batches[b].perturbed = w.perturb(eval_rng, clean_[b]);
   }
-  std::vector<Tensor> outs = parallel_map(static_cast<std::int64_t>(2 * n), [&](std::int64_t u) {
-    const auto b = static_cast<size_t>(u / 2);
-    return plan.prototype.forward(u % 2 == 0 ? clean[b] : plan.batches[b].perturbed);
-  });
-  ScoreAccumulator fp32_acc{w.metric, w.margin_quantile};
-  for (size_t b = 0; b < n; ++b) {
-    plan.batches[b].clean_fp32_out = std::move(outs[2 * b]);
-    fp32_acc.add(plan.batches[b].clean_fp32_out, outs[2 * b + 1]);
+  outs_.resize(2 * n);
+}
+
+void EvalPlanBuild::teacher_forward(std::int64_t unit) {
+  const auto b = static_cast<size_t>(unit / 2);
+  outs_[static_cast<size_t>(unit)] =
+      plan_.prototype.forward(unit % 2 == 0 ? clean_[b] : plan_.batches[b].perturbed);
+}
+
+EvalPlan EvalPlanBuild::fold() && {
+  ScoreAccumulator fp32_acc{plan_.metric, plan_.margin_quantile};
+  for (size_t b = 0; b < plan_.batches.size(); ++b) {
+    plan_.batches[b].clean_fp32_out = std::move(outs_[2 * b]);
+    fp32_acc.add(plan_.batches[b].clean_fp32_out, outs_[2 * b + 1]);
   }
-  plan.fp32_score = fp32_acc.score();
-  return plan;
+  plan_.fp32_score = fp32_acc.score();
+  return std::move(plan_);
+}
+
+EvalTrial::EvalTrial(const EvalPlan& plan, const ModelQuantConfig& config)
+    : plan_(plan),
+      graph_(plan.prototype.clone()),
+      quantized_(&graph_, config),
+      outs_(plan.batches.size()) {
+  quantized_.prepare(std::span<const std::vector<Tensor>>(plan.calib));
+}
+
+void EvalTrial::forward(std::int64_t batch) {
+  const auto b = static_cast<size_t>(batch);
+  outs_[b] = quantized_.forward(plan_.batches[b].perturbed);
+}
+
+AccuracyRecord EvalTrial::fold() const {
+  ScoreAccumulator quant_acc{plan_.metric, plan_.margin_quantile};
+  for (size_t b = 0; b < outs_.size(); ++b) quant_acc.add(plan_.batches[b].clean_fp32_out, outs_[b]);
+
+  AccuracyRecord record;
+  record.workload = plan_.workload_name;
+  record.domain = plan_.domain;
+  record.config = quantized_.config().scheme.label();
+  record.fp32_accuracy = plan_.fp32_score;
+  record.quant_accuracy = quant_acc.score();
+  record.model_size_mb = plan_.model_size_mb;
+  return record;
+}
+
+EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
+  EvalPlanBuild build(w, protocol);
+  parallel_run(build.teacher_units(), [&build](std::int64_t u) { build.teacher_forward(u); });
+  return std::move(build).fold();
 }
 
 AccuracyRecord evaluate_with_plan(const EvalPlan& plan, const ModelQuantConfig& config) {
-  Graph g = plan.prototype.clone();
-  QuantizedGraph qg(&g, config);
-  qg.prepare(std::span<const std::vector<Tensor>>(plan.calib));
-  // One unit per batch; the score folds in batch order.
-  const std::vector<Tensor> outs =
-      parallel_map(static_cast<std::int64_t>(plan.batches.size()), [&](std::int64_t b) {
-        return qg.forward(plan.batches[static_cast<size_t>(b)].perturbed);
-      });
-  ScoreAccumulator quant_acc{plan.metric, plan.margin_quantile};
-  for (size_t b = 0; b < outs.size(); ++b) quant_acc.add(plan.batches[b].clean_fp32_out, outs[b]);
-
-  AccuracyRecord record;
-  record.workload = plan.workload_name;
-  record.domain = plan.domain;
-  record.config = config.scheme.label();
-  record.fp32_accuracy = plan.fp32_score;
-  record.quant_accuracy = quant_acc.score();
-  record.model_size_mb = plan.model_size_mb;
-  return record;
+  EvalTrial trial(plan, config);
+  parallel_run(trial.batches(), [&trial](std::int64_t b) { trial.forward(b); });
+  return trial.fold();
 }
 
 AccuracyRecord evaluate_workload(const Workload& w, const SchemeConfig& scheme,

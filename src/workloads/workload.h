@@ -12,8 +12,10 @@
 #pragma once
 
 #include <compare>
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "metrics/passrate.h"
 #include "nn/graph.h"
@@ -110,23 +112,70 @@ struct EvalPlan {
 [[nodiscard]] std::vector<std::vector<Tensor>> make_calib_batches(
     const Workload& workload, const EvalProtocol& protocol = {});
 
+/// The steps of make_eval_plan, for a scheduler that interleaves them
+/// across workloads (evaluate_suite). The constructor is the head: it
+/// checks the workload, builds the prototype, and draws the calibration
+/// and evaluation data serially from the workload's seeded streams.
+/// teacher_forward(u) runs one FP32 teacher forward on the prototype
+/// (unit 2b is batch b's clean input, unit 2b + 1 its perturbed one);
+/// calls with distinct units may run concurrently. fold(), once every
+/// unit has run, keeps the clean outputs as the teacher targets and folds
+/// the FP32 baseline score in batch order.
+class EvalPlanBuild {
+ public:
+  EvalPlanBuild(const Workload& workload, const EvalProtocol& protocol);
+
+  /// Two teacher forwards per evaluation batch.
+  [[nodiscard]] std::int64_t teacher_units() const {
+    return static_cast<std::int64_t>(outs_.size());
+  }
+  void teacher_forward(std::int64_t unit);
+  [[nodiscard]] EvalPlan fold() &&;
+
+ private:
+  EvalPlan plan_;
+  std::vector<std::vector<Tensor>> clean_;  ///< clean inputs, per batch
+  std::vector<Tensor> outs_;                ///< teacher outputs, per unit
+};
+
+/// The steps of evaluate_with_plan. The constructor is the prepare: it
+/// clones the plan's prototype and runs the PTQ pipeline on the clone
+/// (serially: calibration streams its batches in order); the config is
+/// taken as-is. forward(b) runs the quantized forward of evaluation batch
+/// b; calls with distinct batches may run concurrently. fold(), once
+/// every batch has run, scores the outputs in batch order. The plan is
+/// only read, so concurrent trials may share it; it must outlive the
+/// trial.
+class EvalTrial {
+ public:
+  EvalTrial(const EvalPlan& plan, const ModelQuantConfig& config);
+  EvalTrial(const EvalTrial&) = delete;
+  EvalTrial& operator=(const EvalTrial&) = delete;
+
+  [[nodiscard]] std::int64_t batches() const { return static_cast<std::int64_t>(outs_.size()); }
+  void forward(std::int64_t batch);
+  [[nodiscard]] AccuracyRecord fold() const;
+
+ private:
+  const EvalPlan& plan_;
+  Graph graph_;                ///< the quantized clone
+  QuantizedGraph quantized_;   ///< holds &graph_
+  std::vector<Tensor> outs_;   ///< quantized outputs, per batch
+};
+
 /// Builds the trial-invariant evaluation state. The data streams depend
 /// only on the workload's seeds and the protocol, so every plan built for
-/// one (workload, protocol) pair is the same, bit for bit. The data is
-/// drawn serially; the FP32 teacher forwards (one clean and one perturbed
-/// per batch) then run as one parallel_map on the prototype, and the
-/// baseline score folds in batch order. Inside a parallel region (a suite
-/// pair) the fan-out runs inline.
+/// one (workload, protocol) pair is the same, bit for bit. Runs
+/// EvalPlanBuild's steps: the head, then the teacher forwards as one
+/// parallel_run on the prototype (inline inside a parallel region), then
+/// the fold.
 [[nodiscard]] EvalPlan make_eval_plan(const Workload& workload,
                                       const EvalProtocol& protocol = {});
 
-/// Scores one quantization configuration against a prebuilt plan. Clones
-/// the prototype and runs the PTQ pipeline on the clone; the config is
-/// taken as-is (no domain defaults are applied), and the plan is only
-/// read, so concurrent trials may share it. prepare() runs serially, then
-/// the quantized forwards run one per batch through parallel_map and the
-/// score folds in batch order. Inside a parallel region (a suite pair, a
-/// tuner arm or sensitivity trial) the fan-out runs inline.
+/// Scores one quantization configuration against a prebuilt plan: runs
+/// EvalTrial's steps, the prepare, then the quantized forwards as one
+/// parallel_run (inline inside a parallel region: a tuner arm or
+/// sensitivity trial), then the fold.
 [[nodiscard]] AccuracyRecord evaluate_with_plan(const EvalPlan& plan,
                                                 const ModelQuantConfig& config);
 

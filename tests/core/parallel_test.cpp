@@ -1,13 +1,16 @@
 // Concurrency contract of the parallel runtime (docs/THREADING.md):
-// coverage, chunking, nesting, exception propagation, thread-count knobs.
+// coverage, chunking, key order, nesting, exception propagation,
+// thread-count knobs.
 #include "core/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -209,6 +212,121 @@ TEST(Parallel, ConcurrentTopLevelRegionsSerializeSafely) {
   t2.join();
   EXPECT_EQ(a.load(), 20 * 1000);
   EXPECT_EQ(b.load(), 20 * 100);
+}
+
+TEST(ParallelStream, OneThreadRunsUnitsInKeyOrderIncludingReleasedOnes) {
+  ThreadCountGuard guard;
+  set_num_threads(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::int64_t> order;
+  parallel_stream({40, 10, 30}, [&](std::int64_t key) -> std::vector<std::int64_t> {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(key);
+    if (key == 10) return {35, 20};  // one released key below a ready one
+    if (key == 20) return {25};
+    return {};
+  });
+  EXPECT_EQ(order, (std::vector<std::int64_t>{10, 20, 25, 30, 35, 40}));
+}
+
+TEST(ParallelStream, EveryUnitRunsExactlyOnceAtAnyThreadCount) {
+  ThreadCountGuard guard;
+  // A binary tree of releases: unit k releases 2k + 1 and 2k + 2, so the
+  // stream grows from one key to all of [0, kN).
+  constexpr std::int64_t kN = 4000;
+  for (int threads : {2, 4, 8}) {
+    set_num_threads(threads);
+    std::vector<std::atomic<int>> hits(kN);
+    std::mutex mutex;
+    std::set<std::thread::id> ran_on;
+    parallel_stream({0}, [&](std::int64_t key) {
+      hits[static_cast<size_t>(key)].fetch_add(1);
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        ran_on.insert(std::this_thread::get_id());
+      }
+      std::vector<std::int64_t> next;
+      for (std::int64_t child : {2 * key + 1, 2 * key + 2}) {
+        if (child < kN) next.push_back(child);
+      }
+      return next;
+    });
+    for (std::int64_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "threads=" << threads << " key " << i;
+    }
+    EXPECT_LE(ran_on.size(), static_cast<size_t>(threads));
+  }
+}
+
+TEST(ParallelStream, NestedCallsRunInlineInKeyOrder) {
+  ThreadCountGuard guard;
+  set_num_threads(4);
+  std::atomic<int> failures{0};
+  parallel_run(8, [&](std::int64_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<std::int64_t> order;
+    parallel_stream({3, 1, 2}, [&](std::int64_t key) -> std::vector<std::int64_t> {
+      if (std::this_thread::get_id() != self) failures.fetch_add(1);
+      order.push_back(key);
+      return key == 1 ? std::vector<std::int64_t>{0} : std::vector<std::int64_t>{};
+    });
+    if (order != std::vector<std::int64_t>{1, 0, 2, 3}) failures.fetch_add(1);
+  });
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ParallelStream, RethrowsTheSmallestFailingKeyWithoutHanging) {
+  ThreadCountGuard guard;
+  // Keys 0..63 are ready. Unit 30 throws before releasing 100..103, so
+  // those never run; unit 10 releases 70, which throws; unit 50 throws.
+  // Unit 30 fails last in time when threads are free, yet the stream
+  // drains the rest and rethrows key 30's exception.
+  for (int threads : {1, 3, 8}) {
+    set_num_threads(threads);
+    std::vector<std::int64_t> keys;
+    for (std::int64_t k = 63; k >= 0; --k) keys.push_back(k);
+    std::vector<std::atomic<int>> hits(104);
+    std::string message;
+    try {
+      parallel_stream(keys, [&](std::int64_t key) -> std::vector<std::int64_t> {
+        hits[static_cast<size_t>(key)].fetch_add(1);
+        if (key == 30) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        if (key == 30 || key == 50 || key == 70) {
+          throw std::runtime_error("unit " + std::to_string(key));
+        }
+        if (key == 10) return {70};
+        return {};
+      });
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(message, "unit 30") << "threads=" << threads;
+    for (std::int64_t k = 0; k < 64; ++k) {
+      EXPECT_EQ(hits[static_cast<size_t>(k)].load(), 1) << "threads=" << threads << " key " << k;
+    }
+    EXPECT_EQ(hits[70].load(), 1) << "threads=" << threads;
+    for (std::int64_t k = 100; k < 104; ++k) EXPECT_EQ(hits[static_cast<size_t>(k)].load(), 0);
+  }
+  // The pool survives and runs the next stream.
+  set_num_threads(4);
+  std::atomic<int> calls{0};
+  parallel_stream({0, 1, 2}, [&](std::int64_t) {
+    calls.fetch_add(1);
+    return std::vector<std::int64_t>{};
+  });
+  EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(ParallelStream, ThrowingSoleUnitWithSuccessorsEndsTheStream) {
+  ThreadCountGuard guard;
+  set_num_threads(4);
+  // The only running unit throws while other threads wait for it to
+  // release work: they must see the stream end, not wait forever.
+  EXPECT_THROW(parallel_stream({0},
+                               [](std::int64_t) -> std::vector<std::int64_t> {
+                                 throw std::invalid_argument("head");
+                               }),
+               std::invalid_argument);
 }
 
 TEST(ParallelArena, BudgetGovernsNumThreadsWhileBound) {

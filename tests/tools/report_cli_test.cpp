@@ -163,6 +163,42 @@ TEST(ReportDiff, AccuracyAndPassRateGates) {
   EXPECT_EQ(report_cli::diff_reports(base, cand, t, out2), 0);
 }
 
+TEST(ReportDiff, AccuracyGateCoversTheFp32Baseline) {
+  RunReport base = sample_report();
+  RunReport cand = sample_report();
+  cand.records[0].fp32_accuracy = 0.79;  // a changed plan fold
+  DiffThresholds t;
+  t.max_accuracy_drop = 0.0;
+  std::ostringstream out;
+  EXPECT_EQ(report_cli::diff_reports(base, cand, t, out), 1);
+  EXPECT_NE(out.str().find("fp32_accuracy"), std::string::npos) << out.str();
+  // Only a drop fails: the reverse diff sees a rise and passes, which is
+  // why CI diffs each bit-identity pair both ways.
+  std::ostringstream reverse;
+  EXPECT_EQ(report_cli::diff_reports(cand, base, t, reverse), 0);
+}
+
+TEST(ReportDiff, RecordMissingFromEitherSideIsABreach) {
+  RunReport base = sample_report();
+  RunReport cand = sample_report();
+  AccuracyRecord extra = base.records[0];
+  extra.config = "E5M2/direct";
+  base.records.push_back(extra);
+  DiffThresholds t;
+  t.max_accuracy_drop = 0.0;
+  std::ostringstream out;
+  EXPECT_EQ(report_cli::diff_reports(base, cand, t, out), 1);
+  EXPECT_NE(out.str().find("E5M2/direct missing from candidate"), std::string::npos)
+      << out.str();
+  std::ostringstream reverse;
+  EXPECT_EQ(report_cli::diff_reports(cand, base, t, reverse), 1);
+  EXPECT_NE(reverse.str().find("E5M2/direct missing from base"), std::string::npos)
+      << reverse.str();
+  // With the accuracy gate off, records are not compared at all.
+  std::ostringstream off;
+  EXPECT_EQ(report_cli::diff_reports(base, cand, DiffThresholds{}, off), 0);
+}
+
 TEST(ReportFormat, RendersEverySection) {
   const std::string text = report_cli::format_report(sample_report());
   EXPECT_NE(text.find("tool=cli-test"), std::string::npos);

@@ -1,15 +1,17 @@
 // Threading-model determinism contract (docs/THREADING.md): every metric
 // the runtime produces must be bit-identical at any thread count. Run once
 // normally and once under ctest with FP8Q_NUM_THREADS=1 (see
-// tests/CMakeLists.txt); the in-process set_num_threads() sweep below
-// compares 1-thread and 8-thread results directly.
+// tests/CMakeLists.txt); the in-process set_num_threads() sweeps below
+// compare 1-thread results with 2, 3 and 8 threads directly.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -164,7 +166,7 @@ TEST(Determinism, MatMulAndConvBitIdenticalAcrossThreadCounts) {
   for (std::int64_t i = 0; i < c1.numel(); ++i) ASSERT_EQ(c1.flat()[i], c8.flat()[i]);
 }
 
-TEST(Determinism, AccuracyRecordsIdenticalAt1And8Threads) {
+TEST(Determinism, AccuracyRecordsIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
   const auto workloads = sample_workloads();
   const EvalProtocol protocol = quick_protocol();
@@ -173,19 +175,14 @@ TEST(Determinism, AccuracyRecordsIdenticalAt1And8Threads) {
 
   set_num_threads(1);
   const auto serial = evaluate_suite(workloads, schemes, protocol);
-  set_num_threads(8);
-  const auto parallel = evaluate_suite(workloads, schemes, protocol);
-
   ASSERT_EQ(serial.size(), workloads.size() * schemes.size());
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    // Same pair order as the serial double loop...
-    EXPECT_EQ(serial[i].workload, parallel[i].workload) << i;
-    EXPECT_EQ(serial[i].config, parallel[i].config) << i;
-    // ...and bit-identical metrics (exact double equality, no tolerance).
-    EXPECT_EQ(serial[i].fp32_accuracy, parallel[i].fp32_accuracy) << serial[i].workload;
-    EXPECT_EQ(serial[i].quant_accuracy, parallel[i].quant_accuracy) << serial[i].workload;
-    EXPECT_EQ(serial[i].model_size_mb, parallel[i].model_size_mb) << serial[i].workload;
+  for (int threads : {2, 3, 8}) {
+    set_num_threads(threads);
+    const auto parallel = evaluate_suite(workloads, schemes, protocol);
+    ASSERT_EQ(serial.size(), parallel.size()) << "threads=" << threads;
+    // Same pair order as the serial double loop, and bit-identical
+    // metrics (exact double equality, no tolerance).
+    for (size_t i = 0; i < serial.size(); ++i) expect_bit_identical(parallel[i], serial[i]);
   }
 }
 
@@ -256,7 +253,7 @@ TEST(Determinism, SuiteSharedPlanMatchesFreshPlanPerPair) {
                                          default_model_config(w, scheme, protocol)));
     }
   }
-  for (int threads : {1, 8}) {
+  for (int threads : {1, 2, 3, 8}) {
     set_num_threads(threads);
     const auto shared = evaluate_suite(workloads, schemes, protocol);
     ASSERT_EQ(shared.size(), fresh.size()) << "threads=" << threads;
@@ -277,7 +274,7 @@ TEST(Determinism, SuiteBuildsEachWorkloadOncePerCall) {
   const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3),
                                              standard_fp8_scheme(DType::kE3M4)};
   int calls = 0;
-  for (int threads : {1, 8}) {
+  for (int threads : {1, 2, 3, 8}) {
     set_num_threads(threads);
     (void)evaluate_suite(workloads, schemes, quick_protocol());
     ++calls;
@@ -287,29 +284,68 @@ TEST(Determinism, SuiteBuildsEachWorkloadOncePerCall) {
   }
 }
 
-TEST(Determinism, SuiteWithIncompleteWorkloadThrows) {
-  // A plan that cannot be built fails every pair of its workload with the
-  // build's exception; pairs waiting on that build must wake up, not hang.
+TEST(Determinism, SuiteRethrowsTheLowerFailingWorkloadsException) {
+  // Two workloads fail: the lower one slowly (its build runs, then waits,
+  // before it throws), the higher one at once (no perturb). Every other
+  // pair still runs, nothing hangs, and the lower workload's exception is
+  // the one rethrown at any thread count, though the higher one fails
+  // first in time when threads are free.
   ThreadCountGuard guard;
-  set_num_threads(8);
   auto suite = build_suite();
-  Workload incomplete = find_workload(suite, "dlrm-ish");
-  incomplete.name = "incomplete";
-  incomplete.perturb = nullptr;
   Workload failing = find_workload(suite, "cv/superres-0");
   failing.name = "failing-build";
   failing.build = [inner = failing.build]() -> Graph {
-    (void)inner();  // long enough for the other pairs to wait on the build
+    (void)inner();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
     throw std::invalid_argument("failing-build");
   };
-  const std::vector<Workload> workloads = {find_workload(suite, "nlp/distil-mlp-0"),
-                                           incomplete, failing,
-                                           find_workload(suite, "hubert-ish")};
+  Workload incomplete = find_workload(suite, "dlrm-ish");
+  incomplete.name = "incomplete";
+  incomplete.perturb = nullptr;
+  const std::vector<Workload> workloads = {find_workload(suite, "nlp/distil-mlp-0"), failing,
+                                           incomplete, find_workload(suite, "hubert-ish")};
   const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3),
                                              standard_fp8_scheme(DType::kE3M4),
                                              standard_fp8_scheme(DType::kE5M2)};
-  EXPECT_THROW((void)evaluate_suite(workloads, schemes, quick_protocol()),
-               std::invalid_argument);
+  for (int threads : {1, 3, 8}) {
+    set_num_threads(threads);
+    std::atomic<int> completed{0};
+    std::string message;
+    try {
+      (void)evaluate_suite(workloads, schemes, quick_protocol(),
+                           [&](int) { completed.fetch_add(1); });
+    } catch (const std::invalid_argument& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(message, "failing-build") << "threads=" << threads;
+    EXPECT_EQ(completed.load(), 2 * static_cast<int>(schemes.size())) << "threads=" << threads;
+  }
+}
+
+TEST(Determinism, OneThreadSuiteKeepsOnePlanAlive) {
+  // At one thread the stream runs in key order: workload k's build starts
+  // only after every pair of workload k - 1 has reported progress, so one
+  // plan is alive at a time.
+  ThreadCountGuard guard;
+  set_num_threads(1);
+  auto workloads = sample_workloads();
+  std::atomic<int> completed{0};
+  std::vector<int> completed_at_build(workloads.size(), -1);
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    workloads[i].build = [inner = workloads[i].build, &completed, &at = completed_at_build[i]] {
+      at = completed.load();
+      return inner();
+    };
+  }
+  const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3),
+                                             standard_fp8_scheme(DType::kE5M2)};
+  (void)evaluate_table2(workloads, schemes, quick_protocol(),
+                        [&](int done) { completed.store(done); });
+  const int pairs = static_cast<int>(schemes.size()) + 1;
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    EXPECT_EQ(completed_at_build[i], static_cast<int>(i) * pairs) << workloads[i].name;
+  }
+  EXPECT_EQ(completed.load(), static_cast<int>(workloads.size()) * pairs);
 }
 
 TEST(Determinism, Table2RowsAreWorkloadMajorWithInt8Last) {

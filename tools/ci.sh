@@ -18,8 +18,8 @@
 #      default thread count and tier, against FP8Q_NUM_THREADS=1 and
 #      against FP8Q_ISA=scalar and FP8Q_ISA=batched (the GEMM kernel's
 #      cross-tier contract), each diffed at zero counter drift and zero
-#      accuracy drop -- the tier pairs in both directions, so an accuracy
-#      that rises fails too.
+#      accuracy drop in both directions, so an accuracy that rises fails
+#      too, as does a record present in only one run.
 #   4. service smoke: boot fp8qd at 1 worker and again at 2 workers on a
 #      private socket, drive both with fp8qd_bench (--append folds the two
 #      runs into one BENCH_service.json scaling curve), gate the snapshot
@@ -93,12 +93,16 @@ FP8Q_REPORT="$PREFIX/report_smoke2.json" \
 
 # Table 2 bit-identity gate: records and counters of the quick sweep at
 # one thread must equal those at the default count (docs/THREADING.md).
+# Diffed both ways: --max-accuracy-drop fails only a drop, so a record
+# whose accuracy rises fails the reverse diff.
 FP8Q_NUM_THREADS=1 FP8Q_REPORT="$PREFIX/report_table2_t1.json" \
   "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
 FP8Q_REPORT="$PREFIX/report_table2.json" \
   "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2_t1.json" \
   "$PREFIX/report_table2.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+"$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2.json" \
+  "$PREFIX/report_table2_t1.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
 
 # Cross-tier gate: the same sweep pinned to the scalar reference tier and
 # to the batched tier must equal the default-tier run, records and

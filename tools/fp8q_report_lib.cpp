@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "io/serialize.h"
@@ -191,25 +192,36 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
 
   if (t.max_accuracy_drop >= 0.0 || t.max_pass_rate_drop >= 0.0) {
     if (t.max_accuracy_drop >= 0.0) {
-      for (const auto& br : base.records) {
-        const AccuracyRecord* cr = nullptr;
-        for (const auto& r : candidate.records) {
-          if (r.workload == br.workload && r.config == br.config) {
-            cr = &r;
-            break;
-          }
+      // Records are matched by workload + config and must match both ways:
+      // a record in only one report is a dropped or renamed pair.
+      auto find = [](const std::vector<AccuracyRecord>& records, const AccuracyRecord& r) {
+        for (const auto& other : records) {
+          if (other.workload == r.workload && other.config == r.config) return &other;
         }
+        return static_cast<const AccuracyRecord*>(nullptr);
+      };
+      for (const auto& br : base.records) {
+        const AccuracyRecord* cr = find(candidate.records, br);
         if (cr == nullptr) {
-          gate.note("record " + br.workload + "/" + br.config + " missing from candidate");
+          gate.check(true, "record " + br.workload + "/" + br.config + " missing from candidate");
           continue;
         }
-        const double drop = br.quant_accuracy - cr->quant_accuracy;
-        std::ostringstream line;
-        line << "record " << br.workload << "/" << br.config << " quant_accuracy "
-             << std::fixed << std::setprecision(5) << br.quant_accuracy << " -> "
-             << cr->quant_accuracy << " (drop " << drop << ", limit "
-             << t.max_accuracy_drop << ")";
-        gate.check(drop > t.max_accuracy_drop, line.str());
+        const std::pair<const char*, double AccuracyRecord::*> fields[] = {
+            {"fp32_accuracy", &AccuracyRecord::fp32_accuracy},
+            {"quant_accuracy", &AccuracyRecord::quant_accuracy}};
+        for (const auto& [name, field] : fields) {
+          const double drop = br.*field - cr->*field;
+          std::ostringstream line;
+          line << "record " << br.workload << "/" << br.config << " " << name << " "
+               << std::fixed << std::setprecision(5) << br.*field << " -> " << cr->*field
+               << " (drop " << drop << ", limit " << t.max_accuracy_drop << ")";
+          gate.check(drop > t.max_accuracy_drop, line.str());
+        }
+      }
+      for (const auto& cr : candidate.records) {
+        if (find(base.records, cr) == nullptr) {
+          gate.check(true, "record " + cr.workload + "/" + cr.config + " missing from base");
+        }
       }
     }
     if (t.max_pass_rate_drop >= 0.0 && (!base.records.empty() || !candidate.records.empty())) {

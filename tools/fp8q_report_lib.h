@@ -25,7 +25,9 @@ struct DiffThresholds {
   double max_alloc_growth_pct = -1.0;
   /// Growth of peak RSS ("memory.peak_rss_bytes"), percent.
   double max_rss_growth_pct = -1.0;
-  /// Absolute drop of quant_accuracy per record (matched workload+config).
+  /// Absolute drop of fp32_accuracy and of quant_accuracy per record,
+  /// matched by workload + config. When enabled, a record present in only
+  /// one of the two reports is a breach too.
   double max_accuracy_drop = -1.0;
   /// Absolute drop of the overall pass rate, in percentage points.
   double max_pass_rate_drop = -1.0;
