@@ -6,6 +6,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <numeric>
 #include <queue>
 #include <thread>
 
@@ -46,15 +47,18 @@ int env_default_threads() {
 /// set_num_threads() override; 0 means "no override, use the default".
 std::atomic<int> g_thread_override{0};
 
-/// One-job-at-a-time pool. Concurrent top-level regions (from distinct
+/// One-region-at-a-time pool. Concurrent top-level regions (from distinct
 /// user threads) serialize on run_mutex_; nested regions never reach the
 /// pool (they run inline via tls_in_region). The default-constructed
 /// global pool tracks num_threads()-1 workers; arena pools
-/// (ParallelArena) construct with a fixed worker count.
+/// (ParallelArena) construct with a fixed worker count. A region is one
+/// drain function that every worker and the calling thread run once: the
+/// UnitStream below, which does all the scheduling and catches every
+/// unit's exception.
 ///
-/// Obs-context propagation: each job publishes the dispatching thread's
-/// CounterDomain (obs/domain.h) with the job state, and every worker binds
-/// it around its share of the region -- so a job running under a scoped
+/// Obs-context propagation: each region publishes the dispatching
+/// thread's CounterDomain (obs/domain.h) with the job state, and every
+/// worker binds it around its drain -- so a job running under a scoped
 /// observation domain keeps its counters exact, and its stages land in
 /// its report, when it fans out across the pool.
 class ThreadPool {
@@ -69,40 +73,28 @@ class ThreadPool {
     return pool;
   }
 
-  /// Executes fn(i) for every i in [0, n) across the workers plus the
-  /// calling thread; returns after all indices complete. Rethrows the
-  /// first captured worker exception.
-  void run(std::int64_t n, const std::function<void(std::int64_t)>& fn)
-      FP8Q_EXCLUDES(run_mutex_) {
+  /// Runs `drain` once on every worker and once on the calling thread;
+  /// returns after all of them have returned. `drain` must not throw.
+  void run(const std::function<void()>& drain) FP8Q_EXCLUDES(run_mutex_) {
     std::lock_guard<std::mutex> run_lock(run_mutex_);
     resize_locked(fixed_workers_ >= 0 ? fixed_workers_ : num_threads() - 1);
-
-    std::exception_ptr error;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      job_fn_ = &fn;
-      job_n_ = n;
+      job_fn_ = &drain;
       job_domain_ = current_counter_domain();
-      next_.store(0, std::memory_order_relaxed);
       active_ = static_cast<int>(workers_.size());
-      error_ = nullptr;
       ++job_id_;
     }
     work_cv_.notify_all();
 
     // The caller participates in its own region.
     tls_in_region = true;
-    drain(n, fn);
+    drain();
     tls_in_region = false;
 
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      done_cv_.wait(lock, [this] { return active_ == 0; });
-      job_fn_ = nullptr;
-      error = error_;
-      error_ = nullptr;
-    }
-    if (error) std::rethrow_exception(error);
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, [this] { return active_ == 0; });
+    job_fn_ = nullptr;
   }
 
   ~ThreadPool() {
@@ -111,21 +103,6 @@ class ThreadPool {
   }
 
  private:
-
-  /// Claims indices until the job is exhausted, capturing the first error.
-  void drain(std::int64_t n, const std::function<void(std::int64_t)>& fn) {
-    for (;;) {
-      const std::int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!error_) error_ = std::current_exception();
-      }
-    }
-  }
-
   /// `seen` starts at the job_id_ current when the worker was spawned:
   /// job_id_ persists across resize_locked(), so a fresh worker must not
   /// treat jobs published before its creation as pending (it would pass
@@ -134,8 +111,7 @@ class ThreadPool {
   void worker_loop(std::uint64_t seen) {
     tls_in_region = true;
     for (;;) {
-      const std::function<void(std::int64_t)>* fn = nullptr;
-      std::int64_t n = 0;
+      const std::function<void()>* fn = nullptr;
       CounterDomain* domain = nullptr;
       {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -143,14 +119,13 @@ class ThreadPool {
         if (stop_) return;
         seen = job_id_;
         fn = job_fn_;
-        n = job_n_;
         domain = job_domain_;
       }
       if (fn) {
         // Adopt the dispatcher's observation domain (the root when it
         // bound none) for this region.
         ScopedCounterDomain domain_scope(domain);
-        drain(n, *fn);
+        (*fn)();
       }
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -186,14 +161,11 @@ class ThreadPool {
   std::vector<std::thread> workers_ FP8Q_GUARDED_BY(run_mutex_);
   bool stop_ FP8Q_GUARDED_BY(mutex_) = false;
 
-  // Current job (guarded by mutex_ except the lock-free index counter).
-  const std::function<void(std::int64_t)>* job_fn_ FP8Q_GUARDED_BY(mutex_) = nullptr;
-  std::int64_t job_n_ FP8Q_GUARDED_BY(mutex_) = 0;
+  // Current region.
+  const std::function<void()>* job_fn_ FP8Q_GUARDED_BY(mutex_) = nullptr;
   CounterDomain* job_domain_ FP8Q_GUARDED_BY(mutex_) = nullptr;
-  std::atomic<std::int64_t> next_{0};
   int active_ FP8Q_GUARDED_BY(mutex_) = 0;
   std::uint64_t job_id_ FP8Q_GUARDED_BY(mutex_) = 0;
-  std::exception_ptr error_ FP8Q_GUARDED_BY(mutex_);
 
   /// -1 = track num_threads()-1 (the global pool); >= 0 = fixed size.
   const int fixed_workers_ = -1;
@@ -233,9 +205,8 @@ ParallelArena::ParallelArena(int budget) : budget_(clamp_threads(budget)) {
 ParallelArena::~ParallelArena() = default;
 
 /// Runs one region on the arena's own pool (friend of ParallelArena).
-void arena_run_region(ParallelArena& arena, std::int64_t n,
-                      const std::function<void(std::int64_t)>& fn) {
-  arena.impl_->pool.run(n, fn);
+void arena_run_region(ParallelArena& arena, const std::function<void()>& drain) {
+  arena.impl_->pool.run(drain);
 }
 
 ParallelArena* current_arena() { return tls_arena; }
@@ -245,40 +216,6 @@ ScopedArenaBinding::ScopedArenaBinding(ParallelArena* arena) : prev_(tls_arena) 
 }
 
 ScopedArenaBinding::~ScopedArenaBinding() { tls_arena = prev_; }
-
-namespace {
-
-void run_region(std::int64_t n, const std::function<void(std::int64_t)>& fn) {
-  if (n == 1 || num_threads() == 1 || tls_in_region) {
-    for (std::int64_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // num_threads() > 1 here, so a bound arena has budget > 1 and owns a pool.
-  if (ParallelArena* arena = tls_arena) {
-    arena_run_region(*arena, n, fn);
-    return;
-  }
-  ThreadPool::global().run(n, fn);
-}
-
-}  // namespace
-
-void parallel_run(std::int64_t n, const std::function<void(std::int64_t)>& fn) {
-  if (n <= 0) return;
-  if (!trace_enabled()) {
-    run_region(n, fn);
-    return;
-  }
-  // Per-task spans cross threads when the pool is engaged, so the logical
-  // parent (the innermost span open on the *dispatching* thread) is
-  // captured here and passed explicitly; see obs/trace.h.
-  const std::int64_t parent = current_span_id();
-  const std::function<void(std::int64_t)> traced = [&fn, parent](std::int64_t i) {
-    TraceSpan span("parallel/task", parent);
-    fn(i);
-  };
-  run_region(n, traced);
-}
 
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   const std::function<void(std::int64_t, std::int64_t)>& fn) {
@@ -314,18 +251,23 @@ class UnitStream {
  public:
   using UnitFn = std::function<std::vector<std::int64_t>(std::int64_t)>;
 
-  UnitStream(std::vector<std::int64_t> ready, const UnitFn& fn)
+  /// `releases` false promises that every unit returns no keys.
+  UnitStream(std::vector<std::int64_t> ready, const UnitFn& fn, bool releases)
       : fn_(fn),
         traced_(trace_enabled()),
+        releases_(releases),
         parent_(traced_ ? current_span_id() : 0),
         ready_(std::greater<>{}, std::move(ready)) {}
 
   /// Runs the smallest ready unit until none is ready or running. While
-  /// units are in flight, an idle thread waits for them to release more.
+  /// units are in flight, an idle thread waits for them to release more,
+  /// unless none can: then it leaves, and the region's barrier waits for
+  /// the units still running. Catches every unit's exception, so it never
+  /// throws one.
   void drain() FP8Q_EXCLUDES(mutex_) {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      cv_.wait(lock, [this] { return !ready_.empty() || running_ == 0; });
+      cv_.wait(lock, [this] { return !ready_.empty() || running_ == 0 || !releases_; });
       if (ready_.empty()) return;
       const std::int64_t key = ready_.top();
       ready_.pop();
@@ -367,12 +309,16 @@ class UnitStream {
  private:
   std::vector<std::int64_t> run(std::int64_t key) const {
     if (!traced_) return fn_(key);
+    // Units cross threads when the pool is engaged, so the logical parent
+    // (the innermost span open on the *dispatching* thread) is captured at
+    // construction and passed explicitly; see obs/trace.h.
     TraceSpan span("parallel/task", parent_);
     return fn_(key);
   }
 
   const UnitFn& fn_;
   const bool traced_;
+  const bool releases_;
   const std::int64_t parent_;
   std::mutex mutex_;
   std::condition_variable cv_;
@@ -383,18 +329,42 @@ class UnitStream {
   std::int64_t error_key_ FP8Q_GUARDED_BY(mutex_) = 0;
 };
 
+/// Drains `stream` on the calling thread alone when `alone` is set, at one
+/// thread and inside a region (units then run in exact key order), else
+/// on every thread of the bound arena or the global pool; then rethrows
+/// the smallest failing key's exception.
+void run_stream(UnitStream& stream, bool alone) {
+  if (alone || num_threads() == 1 || tls_in_region) {
+    stream.drain();
+  } else if (ParallelArena* arena = tls_arena) {
+    // num_threads() > 1 here, so a bound arena has budget > 1 and owns a
+    // pool.
+    arena_run_region(*arena, [&stream] { stream.drain(); });
+  } else {
+    ThreadPool::global().run([&stream] { stream.drain(); });
+  }
+  stream.rethrow();
+}
+
 }  // namespace
+
+void parallel_run(std::int64_t n, const std::function<void(std::int64_t)>& fn) {
+  if (n <= 0) return;
+  // One stream whose keys are all ready and release nothing.
+  std::vector<std::int64_t> keys(static_cast<std::size_t>(n));
+  std::iota(keys.begin(), keys.end(), std::int64_t{0});
+  const UnitStream::UnitFn unit = [&fn](std::int64_t i) {
+    fn(i);
+    return std::vector<std::int64_t>{};
+  };
+  UnitStream stream(std::move(keys), unit, false);
+  run_stream(stream, n == 1);
+}
 
 void parallel_stream(std::vector<std::int64_t> ready,
                      const std::function<std::vector<std::int64_t>(std::int64_t)>& fn) {
-  UnitStream stream(std::move(ready), fn);
-  const int threads = num_threads();
-  if (threads == 1 || tls_in_region) {
-    stream.drain();
-  } else {
-    run_region(threads, [&stream](std::int64_t) { stream.drain(); });
-  }
-  stream.rethrow();
+  UnitStream stream(std::move(ready), fn, true);
+  run_stream(stream, false);
 }
 
 }  // namespace fp8q

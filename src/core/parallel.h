@@ -1,30 +1,23 @@
 // Parallel quantization runtime (see docs/THREADING.md for the contract).
 //
-// A lazily-initialized global thread pool drives two primitives:
+// A lazily-initialized global thread pool drives three primitives, all
+// scheduled by one key-ordered unit stream (each is documented below):
 //
-//   * parallel_for(begin, end, grain, fn)  -- data-parallel loops. The
-//     range is split into near-equal contiguous chunks, never more than
-//     num_threads() of them and never more than ceil(n / grain), so
-//     `grain` bounds the fan-out for small ranges. The partition depends
-//     only on (begin, end, grain, num_threads()), never on timing:
-//     per-index writes are bit-identical at every thread count, while
-//     per-chunk accumulations merged in chunk order are deterministic for
-//     a given num_threads() but may differ across thread counts (chunk
-//     boundaries move with the thread count).
-//   * parallel_map(n, fn)                  -- task-level fan-out. Runs
-//     fn(0..n-1) across the pool (dynamic scheduling for load balance)
-//     and returns the results in index order, so callers observe the
-//     exact sequence a serial loop would have produced.
+//   * parallel_for(begin, end, grain, fn)  -- data-parallel loops over a
+//     deterministic static partition into contiguous chunks.
+//   * parallel_map(n, fn) / parallel_run   -- task-level fan-out; results
+//     land in index order.
 //   * parallel_stream(ready, fn)           -- a growing set of keyed
 //     units: an idle thread always runs the smallest ready key, and a
-//     finished unit releases its successors.
+//     finished unit releases its successors. parallel_run is a stream
+//     whose keys are all ready and release nothing.
 //
 // Thread-count precedence: set_num_threads(n) > FP8Q_NUM_THREADS >
 // std::thread::hardware_concurrency(). Nested calls from inside a worker
-// run serially inline (no pool re-entry, no deadlock). Exceptions thrown
-// by workers are captured and the first one (in chunk/index order of
-// observation) is rethrown on the calling thread; parallel_stream
-// rethrows the smallest failing key's.
+// run serially inline (no pool re-entry, no deadlock). One exception
+// rule: a throwing index or unit does not stop the others, and once all
+// have run, the smallest failing index's or key's exception is rethrown
+// on the calling thread, the same one at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +100,7 @@ class ParallelArena {
   [[nodiscard]] int budget() const { return budget_; }
 
  private:
-  friend void arena_run_region(ParallelArena& arena, std::int64_t n,
-                               const std::function<void(std::int64_t)>& fn);
+  friend void arena_run_region(ParallelArena& arena, const std::function<void()>& drain);
   int budget_;
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -146,10 +138,13 @@ class ScopedArenaBinding {
 void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                   const std::function<void(std::int64_t, std::int64_t)>& fn);
 
-/// Task-level fan-out: invokes fn(i) for i in [0, n) across the pool.
-/// Scheduling is dynamic (an idle thread takes the next unclaimed index,
-/// which load-balances heterogeneous tasks), but each index is executed
-/// exactly once and completion of the call is a full barrier.
+/// Task-level fan-out: invokes fn(i) for i in [0, n) across the pool, as
+/// one parallel_stream whose keys 0..n-1 are all ready and release
+/// nothing. Scheduling is dynamic (an idle thread takes the smallest
+/// unclaimed index, which load-balances heterogeneous tasks), but each
+/// index is executed exactly once and completion of the call is a full
+/// barrier. If indices throw, every other index still runs, and the
+/// exception of the smallest failing index is rethrown.
 void parallel_run(std::int64_t n, const std::function<void(std::int64_t)>& fn);
 
 /// Runs fn(i) for i in [0, n) across the pool and collects the results in
@@ -169,18 +164,19 @@ template <class Fn>
   return out;
 }
 
-/// Keyed unit stream: runs fn(key) once for every key in `ready` and for
-/// every key a finished unit returns (the successors it releases), until
-/// no unit is ready or running. An idle thread always takes the smallest
-/// ready key, so a caller numbers its work in the order it wants it done
-/// and releases a key once the unit's inputs exist. Keys must be distinct
-/// over the whole stream. At one thread, and when called from inside a
-/// parallel region, the units run inline on the calling thread in exact
-/// key order. A unit that throws releases nothing; the stream still
-/// drains every other runnable unit, then rethrows the exception of the
-/// smallest failing key -- the same exception at any thread count when
-/// what a unit releases does not depend on timing. A full barrier, like
-/// the other primitives.
+/// Keyed unit stream, the scheduler under every primitive here: runs
+/// fn(key) once for every key in `ready` and for every key a finished
+/// unit returns (the successors it releases), until no unit is ready or
+/// running. An idle thread always takes the smallest ready key, so a
+/// caller numbers its work in the order it wants it done and releases a
+/// key once the unit's inputs exist. Keys must be distinct over the whole
+/// stream. At one thread, and when called from inside a parallel region,
+/// the units run inline on the calling thread in exact key order. A unit
+/// that throws releases nothing; the stream still drains every other
+/// runnable unit, then rethrows the exception of the smallest failing
+/// key -- the same exception at any thread count when what a unit
+/// releases does not depend on timing. Each unit is one `parallel/task`
+/// trace span when tracing. A full barrier, like the other primitives.
 void parallel_stream(std::vector<std::int64_t> ready,
                      const std::function<std::vector<std::int64_t>(std::int64_t)>& fn);
 

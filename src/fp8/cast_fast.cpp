@@ -133,45 +133,55 @@ void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
   }
 }
 
-void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
-                              const FastCastSpec& spec, float scale) {
-  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
+void quantize_chunks(
+    std::span<const float> in, std::span<float> out, ObsFormat fmt, float hist_scale,
+    const std::function<void(std::span<const float>, std::span<float>, CastTally*)>& kernel) {
   const auto n = static_cast<std::int64_t>(in.size() < out.size() ? in.size() : out.size());
-  // Event counting is decided once per bulk call (not per element); tallies
-  // are folded into the counters once per chunk, and the batch
-  // kernel computes them in a separate pass so outputs are bit-identical
-  // with counters on or off.
+  // Event counting is decided once per bulk call (not per element), and
+  // tallies are folded into the counters once per chunk.
   const bool counted = counters_enabled();
   const bool histed = histograms_enabled();
-  // Pure per-element bit math: each index writes only out[i], so the
-  // result is bit-identical at any thread count. The fast path runs at a
-  // fraction of a ns/element; a large grain keeps single-batch calls inline.
+  // Pure per-element math: each index writes only out[i], so the result
+  // is bit-identical at any thread count. The kernels run at a fraction
+  // of a ns/element; a large grain keeps single-batch calls inline.
   constexpr std::int64_t kGrain = kParallelGrainBytes / static_cast<std::int64_t>(sizeof(float));
   parallel_for(0, n, kGrain, [&, counted, histed](std::int64_t lo, std::int64_t hi) {
     const auto len = static_cast<std::size_t>(hi - lo);
     const auto src = in.subspan(static_cast<std::size_t>(lo), len);
     const auto dst = out.subspan(static_cast<std::size_t>(lo), len);
     if (histed) {
-      // Pre-quant magnitude distribution. Like the tally pass this reads
-      // the inputs BEFORE the quantize loop (out may alias in), and each
-      // element is classified into a bucket exactly once per bulk call, so
-      // the merged counts are invariant to chunking / thread count.
+      // Pre-quant magnitude distribution, read BEFORE the kernel (out may
+      // alias in). Each element is classified into a bucket exactly once
+      // per bulk call, so the merged counts are invariant to chunking /
+      // thread count.
       LocalHistogram local;
       for (std::size_t i = 0; i < len; ++i) {
-        local.record(std::fabs(static_cast<double>(src[i]) * scale));
+        local.record(std::fabs(static_cast<double>(src[i]) * hist_scale));
       }
-      hist_merge(spec.obs_fmt, local);
+      hist_merge(fmt, local);
     }
     if (!counted) {
-      fp8_quantize_batch(src, dst, spec, scale);
+      kernel(src, dst, nullptr);
       return;
     }
     CastTally tally;
-    fp8_quantize_batch(src, dst, spec, scale, &tally);
-    counter_add(spec.obs_fmt, ObsEvent::kQuantized, tally.quantized);
-    counter_add(spec.obs_fmt, ObsEvent::kSaturated, tally.saturated);
-    counter_add(spec.obs_fmt, ObsEvent::kFlushedToZero, tally.flushed);
+    kernel(src, dst, &tally);
+    counter_add(fmt, ObsEvent::kQuantized, tally.quantized);
+    counter_add(fmt, ObsEvent::kSaturated, tally.saturated);
+    counter_add(fmt, ObsEvent::kFlushedToZero, tally.flushed);
   });
+}
+
+void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
+                              const FastCastSpec& spec, float scale) {
+  if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
+  // With counting off the kernel gets no tally and skips its separate
+  // counting pass; outputs are bit-identical either way.
+  quantize_chunks(in, out, spec.obs_fmt, scale,
+                  [&spec, scale](std::span<const float> src, std::span<float> dst,
+                                 CastTally* tally) {
+                    fp8_quantize_batch(src, dst, spec, scale, tally);
+                  });
 }
 
 const FastCastSpec& fast_cast_spec(Fp8Kind kind) {

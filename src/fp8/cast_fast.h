@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "fp8/format.h"
@@ -69,6 +70,17 @@ struct CastTally {
 void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
                         const FastCastSpec& spec, float scale,
                         CastTally* tally = nullptr);
+
+/// The chunk driver under both span casts (fp8_quantize_scaled_fast and
+/// int8_quantize, fp8/int8.h): runs kernel(src, dst, tally) over
+/// ~kParallelGrainBytes chunks of [0, min(in.size, out.size)) under
+/// parallel_for. Per chunk, with histograms on, it first records the
+/// pre-quant magnitudes |in[i] * hist_scale| into `fmt`'s histogram; with
+/// counting on, it passes the kernel a tally to fill and folds it into
+/// `fmt`'s counters, else a null tally.
+void quantize_chunks(
+    std::span<const float> in, std::span<float> out, ObsFormat fmt, float hist_scale,
+    const std::function<void(std::span<const float>, std::span<float>, CastTally*)>& kernel);
 
 /// Vector form: out[i] = fp8_quantize_fast(in[i] * scale) / scale.
 /// `out` may alias `in`. A non-finite or non-positive scale is treated as 1.

@@ -7,10 +7,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/parallel.h"
-#include "obs/counters.h"
-#include "obs/histogram.h"
-
 namespace fp8q {
 
 namespace {
@@ -146,35 +142,12 @@ void int8_quantize_batch(std::span<const float> in, std::span<float> out, const 
 
 void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Params& p) {
   check_kernel_params(p);
-  const auto n = static_cast<std::int64_t>(std::min(in.size(), out.size()));
-  // Like fp8_quantize_scaled_fast: counting is decided once per call, and
-  // each chunk folds one tally (and one histogram) into the calling
-  // thread's domain. Totals are integer sums, so they do not depend on
-  // the thread count.
-  const bool counted = counters_enabled();
-  const bool histed = histograms_enabled();
-  constexpr std::int64_t kGrain = kParallelGrainBytes / static_cast<std::int64_t>(sizeof(float));
-  parallel_for(0, n, kGrain, [&, counted, histed](std::int64_t begin, std::int64_t end) {
-    const auto len = static_cast<std::size_t>(end - begin);
-    const auto src = in.subspan(static_cast<std::size_t>(begin), len);
-    const auto dst = out.subspan(static_cast<std::size_t>(begin), len);
-    if (histed) {
-      // Pre-quant magnitudes, read before the kernel because `out` may
-      // alias `in`.
-      LocalHistogram local;
-      for (std::size_t i = 0; i < len; ++i) local.record(std::fabs(static_cast<double>(src[i])));
-      hist_merge(ObsFormat::kInt8, local);
-    }
-    // The kernel counts in its quantize loop either way; only the fold
-    // depends on `counted`.
-    CastTally tally;
-    int8_quantize_batch(src, dst, p, &tally);
-    if (counted) {
-      counter_add(ObsFormat::kInt8, ObsEvent::kQuantized, tally.quantized);
-      counter_add(ObsFormat::kInt8, ObsEvent::kSaturated, tally.saturated);
-      counter_add(ObsFormat::kInt8, ObsEvent::kFlushedToZero, tally.flushed);
-    }
-  });
+  // The FP8 span cast's chunk driver; the histogram records the unscaled
+  // magnitudes.
+  quantize_chunks(in, out, ObsFormat::kInt8, 1.0f,
+                  [&p](std::span<const float> src, std::span<float> dst, CastTally* tally) {
+                    int8_quantize_batch(src, dst, p, tally);
+                  });
 }
 
 }  // namespace fp8q

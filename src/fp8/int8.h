@@ -61,12 +61,12 @@ struct Int8Params {
 void int8_quantize_batch(std::span<const float> in, std::span<float> out, const Int8Params& p,
                          CastTally* tally = nullptr);
 
-/// Span form: int8_quantize_batch over ~kParallelGrainBytes chunks under
-/// parallel_for, folding one event tally per chunk into the counters when
-/// counting is enabled. `out` may alias `in`. Throws std::invalid_argument
-/// unless the scale is positive and finite and
-/// -128 <= qmin <= {0, zero_point} <= qmax <= 127, which both builders
-/// above guarantee.
+/// Span form: int8_quantize_batch on quantize_chunks (fp8/cast_fast.h),
+/// the FP8 span cast's chunk driver, which folds one event tally per
+/// chunk into the counters when counting is enabled. `out` may alias
+/// `in`. Throws std::invalid_argument unless the scale is positive and
+/// finite and -128 <= qmin <= {0, zero_point} <= qmax <= 127, which both
+/// builders above guarantee.
 void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Params& p);
 
 }  // namespace fp8q

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "fp8/cast_fast.h"
 #include "obs/trace.h"
@@ -69,56 +70,27 @@ QuantParams make_dynamic_activation_params(DType dtype, const Tensor& x) {
 
 namespace {
 
-/// Channels lie on axis 0, so each one is a contiguous block.
-void apply_per_channel(Tensor& t, const QuantParams& p) {
-  if (t.dim() < 1) throw std::invalid_argument("apply_quant: per-channel needs a channel axis");
-  const std::int64_t channels = t.size(0);
-  const bool fp8 = is_fp8(p.dtype);
-  if (fp8 && static_cast<std::int64_t>(p.channel_scales.size()) != channels) {
-    throw std::invalid_argument("apply_quant: channel scale count mismatch");
-  }
-  if (!fp8 && static_cast<std::int64_t>(p.channel_int8.size()) != channels) {
-    throw std::invalid_argument("apply_quant: channel int8 param count mismatch");
-  }
-
-  auto data = t.flat();
-  const std::int64_t block = t.numel() / channels;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    auto span = data.subspan(static_cast<size_t>(c * block), static_cast<size_t>(block));
-    if (fp8) {
-      fp8_quantize_scaled_fast(span, span, fast_cast_spec(fp8_kind(p.dtype)),
-                               p.channel_scales[static_cast<size_t>(c)]);
-    } else {
-      int8_quantize(span, span, p.channel_int8[static_cast<size_t>(c)]);
-    }
-  }
-}
-
-}  // namespace
-
-namespace {
-
-void apply_per_group(Tensor& t, const QuantParams& p) {
-  if (p.group_size <= 0) throw std::invalid_argument("apply_quant: bad group size");
+/// Quantizes `t` in place in consecutive blocks of `block` elements (the
+/// last may be shorter), block i with channel_scales[i] (FP8) or
+/// channel_int8[i]. `what` names a block in the count-mismatch error.
+void apply_blocks(Tensor& t, const QuantParams& p, std::int64_t block, const char* what) {
   const std::int64_t n = t.numel();
-  const auto groups = static_cast<std::int64_t>((n + p.group_size - 1) / p.group_size);
+  const std::int64_t blocks = (n + block - 1) / block;
   const bool fp8 = is_fp8(p.dtype);
-  if (fp8 && static_cast<std::int64_t>(p.channel_scales.size()) != groups) {
-    throw std::invalid_argument("apply_quant: group scale count mismatch");
-  }
-  if (!fp8 && static_cast<std::int64_t>(p.channel_int8.size()) != groups) {
-    throw std::invalid_argument("apply_quant: group int8 param count mismatch");
+  const std::size_t have = fp8 ? p.channel_scales.size() : p.channel_int8.size();
+  if (static_cast<std::int64_t>(have) != blocks) {
+    throw std::invalid_argument(std::string("apply_quant: ") + what +
+                                (fp8 ? " scale" : " int8 param") + " count mismatch");
   }
   auto data = t.flat();
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const auto begin = static_cast<size_t>(g * p.group_size);
-    const auto len = static_cast<size_t>(std::min<std::int64_t>(p.group_size, n - g * p.group_size));
-    auto span = data.subspan(begin, len);
+  for (std::int64_t i = 0; i < blocks; ++i) {
+    auto span = data.subspan(static_cast<size_t>(i * block),
+                             static_cast<size_t>(std::min(block, n - i * block)));
     if (fp8) {
       fp8_quantize_scaled_fast(span, span, fast_cast_spec(fp8_kind(p.dtype)),
-                               p.channel_scales[static_cast<size_t>(g)]);
+                               p.channel_scales[static_cast<size_t>(i)]);
     } else {
-      int8_quantize(span, span, p.channel_int8[static_cast<size_t>(g)]);
+      int8_quantize(span, span, p.channel_int8[static_cast<size_t>(i)]);
     }
   }
 }
@@ -152,12 +124,15 @@ void apply_quant_inplace(Tensor& t, const QuantParams& p) {
   if (p.is_noop() || t.empty()) return;
   if (p.granularity == Granularity::kPerGroup) {
     TraceSpan span("quant/apply-group");
-    apply_per_group(t, p);
+    if (p.group_size <= 0) throw std::invalid_argument("apply_quant: bad group size");
+    apply_blocks(t, p, p.group_size, "group");
     return;
   }
   if (p.granularity == Granularity::kPerChannel) {
     TraceSpan span("quant/apply-channel");
-    apply_per_channel(t, p);
+    // Channels lie on axis 0, so each one is a contiguous block.
+    if (t.dim() < 1) throw std::invalid_argument("apply_quant: per-channel needs a channel axis");
+    apply_blocks(t, p, t.numel() / t.size(0), "channel");
     return;
   }
   TraceSpan span("quant/apply-tensor");

@@ -23,19 +23,10 @@ namespace fp8q::service {
 
 namespace {
 
-/// Evaluation budget for a job: the full protocol, or the smoke-sized one
-/// when the spec asks for quick (same shape the unit tests use -- seconds
-/// instead of minutes per job, with every determinism property intact).
+/// Evaluation budget for a job: the full protocol, or smoke_protocol()
+/// when the spec asks for quick.
 EvalProtocol protocol_for_spec(const JobSpec& spec) {
-  EvalProtocol protocol;
-  if (spec.quick) {
-    protocol.calib_batches = 2;
-    protocol.calib_batch_size = 8;
-    protocol.eval_batches = 2;
-    protocol.eval_batch_size = 32;
-    protocol.bn_calibration_batches = 2;
-  }
-  return protocol;
+  return spec.quick ? smoke_protocol() : EvalProtocol{};
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "core/parallel.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
@@ -17,36 +16,23 @@ struct Arm {
   ModelQuantConfig config;
 };
 
-/// Evaluates one arm (accuracy record + quantized-compute fraction)
-/// against the shared plan. The plan carries the trial-invariant state
-/// (model prototype, data, FP32 targets), so each trial only pays for a
-/// clone plus the quantized passes; the fraction reads the prototype's
-/// structure.
-TuneStep make_step(const EvalPlan& plan, const Arm& arm, const TuneOptions& options) {
+/// Records one scored arm (best/success bookkeeping, its quantized-compute
+/// fraction read from the prototype's structure, and its `trial:` report
+/// stage); returns true when it meets the criterion. Runs on the calling
+/// thread in history order, so trials reach the active report in
+/// deterministic order even when their units ran in parallel.
+bool absorb(TuneResult& result, const EvalPlan& plan, const Arm& arm, PairResult scored,
+            const TuneOptions& options) {
   TuneStep step;
   step.description = arm.description;
   step.config = arm.config;
-  std::optional<TraceSpan> span;
-  if (trace_enabled()) span.emplace("tune/trial:" + arm.description);
-  // Timing goes through the obs-owned clock: wall-clock reads outside
-  // src/obs/ are a determinism hazard the linter rejects (fp8q_lint).
-  const std::uint64_t t0 = obs_now_ns();
-  step.record = evaluate_with_plan(plan, arm.config);
+  step.record = std::move(scored.record);
   step.quantized_fraction = quantized_compute_fraction(plan.prototype, arm.config);
-  step.eval_ms = static_cast<double>(obs_now_ns() - t0) / 1e6;
+  step.eval_ms = scored.unit_ms;
   step.met = step.record.passes(options.accuracy_criterion);
-  return step;
-}
-
-/// Records an evaluated step (best/success bookkeeping); returns step.met.
-/// Runs on the folding thread, so trials reach the active report in
-/// deterministic history order even when the arms evaluated in parallel.
-bool absorb(TuneResult& result, TuneStep step) {
   report_add_stage("trial:" + step.description, step.eval_ms);
-  const bool first = result.history.empty();
-  const bool better =
-      first || step.record.relative_loss() < result.best_record.relative_loss();
-  if (better) {
+  if (result.history.empty() ||
+      step.record.relative_loss() < result.best_record.relative_loss()) {
     result.best = step.config;
     result.best_record = step.record;
   }
@@ -55,11 +41,18 @@ bool absorb(TuneResult& result, TuneStep step) {
   return result.history.back().met;
 }
 
-/// Applies one trial and records it; returns true when the criterion is met.
-bool try_config(const EvalPlan& plan, const std::string& description,
-                const ModelQuantConfig& config, const TuneOptions& options,
+/// Evaluates one trial of a serial stage alone and records it; returns
+/// true when the criterion is met.
+bool try_config(const EvalPlan& plan, const Arm& arm, const TuneOptions& options,
                 TuneResult& result) {
-  return absorb(result, make_step(plan, {description, config}, options));
+  std::optional<TraceSpan> span;
+  if (trace_enabled()) span.emplace("tune/trial:" + arm.description);
+  // Timing goes through the obs-owned clock: wall-clock reads outside
+  // src/obs/ are a determinism hazard the linter rejects (fp8q_lint).
+  const std::uint64_t t0 = obs_now_ns();
+  AccuracyRecord record = evaluate_with_plan(plan, arm.config);
+  const double ms = static_cast<double>(obs_now_ns() - t0) / 1e6;
+  return absorb(result, plan, arm, {std::move(record), ms}, options);
 }
 
 /// node_sensitivity against a prebuilt plan (autotune reuses its own).
@@ -69,23 +62,25 @@ std::vector<std::pair<Graph::NodeId, double>> node_sensitivity_with_plan(
   // Node set actually covered under this config.
   const std::set<Graph::NodeId> covered = select_quantized_nodes(plan.prototype, base);
 
-  // One independent evaluation per node (quantize only that node) -- the
-  // embarrassingly parallel half of the tuner. parallel_map returns the
-  // losses in node order, so the sort below sees the same input sequence
-  // at any thread count.
+  // One independent evaluation per node (quantize only that node), all
+  // in one evaluate_pairs call. Results come back in node order, so the
+  // sort below sees the same input sequence at any thread count.
   const std::vector<Graph::NodeId> ids(covered.begin(), covered.end());
-  const std::vector<double> losses =
-      parallel_map(static_cast<std::int64_t>(ids.size()), [&](std::int64_t i) {
-        ModelQuantConfig solo = base;
-        for (Graph::NodeId other : covered) {
-          if (other != ids[static_cast<std::size_t>(i)]) solo.fallback_nodes.insert(other);
-        }
-        return evaluate_with_plan(plan, solo).relative_loss();
-      });
+  std::vector<ModelQuantConfig> solos;
+  for (const Graph::NodeId id : ids) {
+    ModelQuantConfig solo = base;
+    for (const Graph::NodeId other : covered) {
+      if (other != id) solo.fallback_nodes.insert(other);
+    }
+    solos.push_back(std::move(solo));
+  }
+  const std::vector<PairResult> scored = evaluate_pairs({{nullptr, &plan, std::move(solos)}});
 
   std::vector<std::pair<Graph::NodeId, double>> sensitivity;
   sensitivity.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) sensitivity.emplace_back(ids[i], losses[i]);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    sensitivity.emplace_back(ids[i], scored[i].record.relative_loss());
+  }
   std::sort(sensitivity.begin(), sensitivity.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   return sensitivity;
@@ -109,10 +104,10 @@ TuneResult autotune(const Workload& w, DType preferred, const EvalProtocol& prot
   const EvalPlan plan = make_eval_plan(w, protocol);
 
   // Stages 1-4 form a fixed ladder whose configurations do not depend on
-  // earlier outcomes (only the early exit does), so the arms evaluate in
-  // parallel and are folded in ladder order afterwards: history, best and
-  // trial count are identical to the serial loop, which stops at (and
-  // records) the first arm that meets the criterion.
+  // earlier outcomes (only the early exit does), so every arm is scored in
+  // one evaluate_pairs call and folded in ladder order afterwards: history,
+  // best and trial count are identical to the serial loop, which stops at
+  // (and records) the first arm that meets the criterion.
   std::vector<Arm> arms;
 
   // 1. Standard scheme, preferred format, static.
@@ -154,12 +149,11 @@ TuneResult autotune(const Workload& w, DType preferred, const EvalProtocol& prot
   }
   {
     ScopedStage stage("tune/ladder");
-    std::vector<TuneStep> steps =
-        parallel_map(static_cast<std::int64_t>(arms.size()), [&](std::int64_t i) {
-          return make_step(plan, arms[static_cast<std::size_t>(i)], options);
-        });
-    for (TuneStep& step : steps) {
-      if (absorb(result, std::move(step))) return result;
+    std::vector<ModelQuantConfig> configs;
+    for (const Arm& arm : arms) configs.push_back(arm.config);
+    std::vector<PairResult> scored = evaluate_pairs({{nullptr, &plan, std::move(configs)}});
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      if (absorb(result, plan, arms[i], std::move(scored[i]), options)) return result;
     }
   }
 
@@ -173,8 +167,8 @@ TuneResult autotune(const Workload& w, DType preferred, const EvalProtocol& prot
       ModelQuantConfig cfg = base;
       if (cfg.fallback_kinds.contains(kind)) continue;
       cfg.fallback_kinds.insert(kind);
-      if (try_config(plan, std::string("fallback-kind ") + std::string(to_string(kind)),
-                     cfg, options, result)) {
+      if (try_config(plan, {std::string("fallback-kind ") + std::string(to_string(kind)), cfg},
+                     options, result)) {
         return result;
       }
     }
@@ -192,7 +186,7 @@ TuneResult autotune(const Workload& w, DType preferred, const EvalProtocol& prot
       if (loss <= 0.0) break;  // remaining nodes are harmless
       cfg.fallback_nodes.insert(id);
       ++disabled;
-      if (try_config(plan, "fallback-node #" + std::to_string(id), cfg, options, result)) {
+      if (try_config(plan, {"fallback-node #" + std::to_string(id), cfg}, options, result)) {
         return result;
       }
     }

@@ -1,12 +1,7 @@
 #include "workloads/registry.h"
 
-#include <algorithm>
-#include <atomic>
-#include <memory>
-#include <optional>
 #include <stdexcept>
 
-#include "core/parallel.h"
 #include "models/zoo.h"
 #include "nn/norm.h"
 
@@ -605,112 +600,31 @@ std::vector<Workload> quick_suite(const std::vector<Workload>& suite) {
 
 namespace {
 
-/// The one loop under evaluate_suite and evaluate_table2: per workload, a
-/// pair per scheme, then with `int8_row` a pair for int8_scheme(domain !=
-/// "CV") whose record is labelled "INT8". Every workload's evaluation
-/// steps run as units of one parallel_stream, keyed (workload, phase,
-/// pair, unit) so an idle thread finishes the earliest workload first:
-/// the head releases the teacher forwards; the last teacher forward folds
-/// the plan and releases a prepare per pair; each prepare releases its
-/// pair's quantized forwards; the last of those folds the record, and the
-/// workload's last record frees its plan.
-std::vector<AccuracyRecord> evaluate_pairs(const std::vector<Workload>& suite,
-                                           const std::vector<SchemeConfig>& schemes,
-                                           bool int8_row, const EvalProtocol& protocol,
-                                           const std::function<void(int)>& progress) {
-  const auto pairs = static_cast<std::int64_t>(schemes.size()) + (int8_row ? 1 : 0);
-  if (pairs == 0) return {};
-  enum Phase : std::int64_t { kHead, kTeacher, kPrepare, kForward };
-  constexpr std::int64_t kPhases = 4;
-  // The most units of one (workload, phase, pair): the teacher forwards,
-  // two per batch.
-  const std::int64_t width = std::max<std::int64_t>(1, 2 * std::int64_t{protocol.eval_batches});
-  auto key = [&](std::int64_t w, Phase phase, std::int64_t pair, std::int64_t unit) {
-    return ((w * kPhases + phase) * pairs + pair) * width + unit;
-  };
-
-  struct WorkloadRun {
-    std::optional<EvalPlanBuild> build;  ///< head -> last teacher forward
-    std::optional<EvalPlan> plan;        ///< last teacher forward -> last record
-    std::atomic<std::int64_t> teachers_left{0};
-    std::atomic<std::int64_t> pairs_left{0};
-  };
-  struct PairRun {
-    std::unique_ptr<EvalTrial> trial;  ///< prepare -> record
-    std::atomic<std::int64_t> forwards_left{0};
-  };
-  std::vector<WorkloadRun> runs(suite.size());
-  std::vector<PairRun> pair_runs(suite.size() * static_cast<std::size_t>(pairs));
-  std::vector<AccuracyRecord> records(pair_runs.size());
-  std::atomic<int> completed{0};
-
-  auto fold_plan = [&](std::int64_t w) {
-    WorkloadRun& run = runs[static_cast<std::size_t>(w)];
-    run.plan.emplace(std::move(*run.build).fold());
-    run.build.reset();
-    run.pairs_left = pairs;
-    std::vector<std::int64_t> prepares;
-    for (std::int64_t p = 0; p < pairs; ++p) prepares.push_back(key(w, kPrepare, p, 0));
-    return prepares;
-  };
-  auto fold_record = [&](std::int64_t w, std::int64_t p) {
-    WorkloadRun& run = runs[static_cast<std::size_t>(w)];
-    const auto pair = static_cast<std::size_t>(w * pairs + p);
-    AccuracyRecord rec = pair_runs[pair].trial->fold();
-    pair_runs[pair].trial.reset();
-    if (p == static_cast<std::int64_t>(schemes.size())) rec.config = "INT8";
-    records[pair] = std::move(rec);
-    if (run.pairs_left.fetch_sub(1) == 1) run.plan.reset();
-    if (progress) progress(completed.fetch_add(1, std::memory_order_relaxed) + 1);
-  };
-
-  std::vector<std::int64_t> heads;
-  for (std::int64_t w = 0; w < static_cast<std::int64_t>(suite.size()); ++w) {
-    heads.push_back(key(w, kHead, 0, 0));
-  }
-  parallel_stream(std::move(heads), [&](std::int64_t k) {
-    const std::int64_t unit = k % width;
-    const std::int64_t p = k / width % pairs;
-    const auto phase = static_cast<Phase>(k / width / pairs % kPhases);
-    const std::int64_t w = k / width / pairs / kPhases;
-    const Workload& workload = suite[static_cast<std::size_t>(w)];
-    WorkloadRun& run = runs[static_cast<std::size_t>(w)];
-    std::vector<std::int64_t> next;
-    switch (phase) {
-      case kHead: {
-        run.build.emplace(workload, protocol);
-        const std::int64_t n = run.build->teacher_units();
-        if (n == 0) return fold_plan(w);
-        run.teachers_left = n;
-        for (std::int64_t u = 0; u < n; ++u) next.push_back(key(w, kTeacher, 0, u));
-        break;
-      }
-      case kTeacher:
-        run.build->teacher_forward(unit);
-        if (run.teachers_left.fetch_sub(1) == 1) return fold_plan(w);
-        break;
-      case kPrepare: {
-        const SchemeConfig scheme = p == static_cast<std::int64_t>(schemes.size())
-                                        ? int8_scheme(workload.domain != "CV")
-                                        : schemes[static_cast<std::size_t>(p)];
-        PairRun& pair = pair_runs[static_cast<std::size_t>(w * pairs + p)];
-        pair.trial = std::make_unique<EvalTrial>(
-            *run.plan, default_model_config(workload, scheme, protocol));
-        const std::int64_t n = pair.trial->batches();
-        if (n == 0) fold_record(w, p);
-        pair.forwards_left = n;
-        for (std::int64_t b = 0; b < n; ++b) next.push_back(key(w, kForward, p, b));
-        break;
-      }
-      case kForward: {
-        PairRun& pair = pair_runs[static_cast<std::size_t>(w * pairs + p)];
-        pair.trial->forward(unit);
-        if (pair.forwards_left.fetch_sub(1) == 1) fold_record(w, p);
-        break;
-      }
+/// evaluate_suite and evaluate_table2 on the one driver, evaluate_pairs:
+/// a job per workload, built in the stream, with a config per scheme,
+/// then with `int8_row` one for int8_scheme(domain != "CV") whose record
+/// is labelled "INT8".
+std::vector<AccuracyRecord> suite_records(const std::vector<Workload>& suite,
+                                          const std::vector<SchemeConfig>& schemes,
+                                          bool int8_row, const EvalProtocol& protocol,
+                                          const std::function<void(int)>& progress) {
+  std::vector<EvalJob> jobs(suite.size());
+  for (std::size_t w = 0; w < suite.size(); ++w) {
+    jobs[w].workload = &suite[w];
+    for (const SchemeConfig& scheme : schemes) {
+      jobs[w].configs.push_back(default_model_config(suite[w], scheme, protocol));
     }
-    return next;
-  });
+    if (int8_row) {
+      jobs[w].configs.push_back(
+          default_model_config(suite[w], int8_scheme(suite[w].domain != "CV"), protocol));
+    }
+  }
+  std::vector<AccuracyRecord> records;
+  for (PairResult& result : evaluate_pairs(jobs, protocol, progress)) {
+    records.push_back(std::move(result.record));
+    // Each workload's last config is its INT8 row.
+    if (int8_row && records.size() % (schemes.size() + 1) == 0) records.back().config = "INT8";
+  }
   return records;
 }
 
@@ -720,14 +634,14 @@ std::vector<AccuracyRecord> evaluate_suite(const std::vector<Workload>& suite,
                                            const std::vector<SchemeConfig>& schemes,
                                            const EvalProtocol& protocol,
                                            const std::function<void(int)>& progress) {
-  return evaluate_pairs(suite, schemes, false, protocol, progress);
+  return suite_records(suite, schemes, false, protocol, progress);
 }
 
 std::vector<AccuracyRecord> evaluate_table2(const std::vector<Workload>& suite,
                                             const std::vector<SchemeConfig>& fp8_schemes,
                                             const EvalProtocol& protocol,
                                             const std::function<void(int)>& progress) {
-  return evaluate_pairs(suite, fp8_schemes, true, protocol, progress);
+  return suite_records(suite, fp8_schemes, true, protocol, progress);
 }
 
 const Workload& find_workload(const std::vector<Workload>& suite, const std::string& name) {

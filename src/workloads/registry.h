@@ -22,21 +22,12 @@ namespace fp8q {
 /// Every fifth workload of `suite`: the 15-workload quick subset.
 [[nodiscard]] std::vector<Workload> quick_suite(const std::vector<Workload>& suite);
 
-/// Evaluates every (workload, scheme) pair of the cross product with one
-/// EvalPlan per workload. Every workload's evaluation steps (the plan's
-/// head, teacher forwards and fold; each pair's prepare, quantized
-/// forwards and record fold) run as units of one parallel_stream keyed
-/// (workload, phase, scheme, batch), so the pool finishes the earliest
-/// workload first and the next workload's units fill idle threads; a
-/// workload's last record frees its plan, so at most num_threads() + 1
-/// plans are alive, and one at a single thread (docs/THREADING.md).
-/// Records are returned grouped by workload, with the schemes in the
-/// given order within each group: exactly the order a serial double loop
-/// would produce, regardless of which unit finished first. If units
-/// throw, the rest still run and the lowest failing workload's exception
-/// is rethrown. `progress`, if set, is invoked once per completed pair
-/// with the running completion count; it may be called from any pool
-/// thread concurrently with other units, so it must be thread-safe.
+/// Evaluates every (workload, scheme) pair of the cross product in one
+/// evaluate_pairs call (workload.h, docs/THREADING.md): a job per
+/// workload, whose plan is built in the stream, scoring the workload's
+/// default_model_config per scheme. Records come grouped by workload,
+/// schemes in order within each group, as a serial double loop would
+/// produce them. Failures and `progress` behave as in evaluate_pairs.
 [[nodiscard]] std::vector<AccuracyRecord> evaluate_suite(
     const std::vector<Workload>& suite, const std::vector<SchemeConfig>& schemes,
     const EvalProtocol& protocol = {},

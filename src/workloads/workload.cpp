@@ -1,11 +1,15 @@
 #include "workloads/workload.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "core/parallel.h"
 #include "metrics/metrics.h"
+#include "obs/trace.h"
 #include "quant/quantized_graph.h"
 
 namespace fp8q {
@@ -142,74 +146,117 @@ std::vector<std::vector<Tensor>> make_calib_batches(const Workload& w,
   return calib;
 }
 
-EvalPlanBuild::EvalPlanBuild(const Workload& w, const EvalProtocol& protocol) {
-  if (!w.build || !w.make_batch || !w.perturb) {
-    throw std::invalid_argument("make_eval_plan: incomplete workload " + w.name);
+namespace {
+
+/// The steps of a plan build. The constructor is the head: it builds the
+/// prototype and draws the data serially from the workload's seeded
+/// streams. teacher_forward(u) runs one FP32 teacher forward (unit 2b is
+/// batch b's clean input, 2b + 1 its perturbed one); distinct units may
+/// run concurrently. fold(), once every unit has run, keeps the clean
+/// outputs as the teacher targets and folds the FP32 baseline score.
+class EvalPlanBuild {
+ public:
+  EvalPlanBuild(const Workload& w, const EvalProtocol& protocol) {
+    if (!w.build || !w.make_batch || !w.perturb) {
+      throw std::invalid_argument("make_eval_plan: incomplete workload " + w.name);
+    }
+    plan_.workload_name = w.name;
+    plan_.domain = w.domain;
+    plan_.metric = w.metric;
+    plan_.margin_quantile = w.margin_quantile;
+    plan_.prototype = w.build();
+    plan_.model_size_mb = plan_.prototype.size_mb();
+    plan_.calib = make_calib_batches(w, protocol);
+
+    // Evaluation set; FP32 targets and the FP32 baseline come first, while
+    // the weights are pristine. Each batch draws clean, then perturbed,
+    // from one seeded stream, so the data is drawn here, serially.
+    const auto n = static_cast<size_t>(protocol.eval_batches);
+    Rng eval_rng(w.data_seed * 104729 + 2);
+    clean_.resize(n);
+    plan_.batches.resize(n);
+    for (size_t b = 0; b < n; ++b) {
+      clean_[b] = w.make_batch(eval_rng, protocol.eval_batch_size);
+      plan_.batches[b].perturbed = w.perturb(eval_rng, clean_[b]);
+    }
+    outs_.resize(2 * n);
   }
-  plan_.workload_name = w.name;
-  plan_.domain = w.domain;
-  plan_.metric = w.metric;
-  plan_.margin_quantile = w.margin_quantile;
-  plan_.prototype = w.build();
-  plan_.model_size_mb = plan_.prototype.size_mb();
-  plan_.calib = make_calib_batches(w, protocol);
 
-  // Evaluation set; FP32 targets and the FP32 baseline come first, while
-  // the weights are pristine. Each batch draws clean, then perturbed, from
-  // one seeded stream, so the data is drawn here, serially.
-  const auto n = static_cast<size_t>(protocol.eval_batches);
-  Rng eval_rng(w.data_seed * 104729 + 2);
-  clean_.resize(n);
-  plan_.batches.resize(n);
-  for (size_t b = 0; b < n; ++b) {
-    clean_[b] = w.make_batch(eval_rng, protocol.eval_batch_size);
-    plan_.batches[b].perturbed = w.perturb(eval_rng, clean_[b]);
+  /// Two teacher forwards per evaluation batch.
+  [[nodiscard]] std::int64_t teacher_units() const {
+    return static_cast<std::int64_t>(outs_.size());
   }
-  outs_.resize(2 * n);
-}
 
-void EvalPlanBuild::teacher_forward(std::int64_t unit) {
-  const auto b = static_cast<size_t>(unit / 2);
-  outs_[static_cast<size_t>(unit)] =
-      plan_.prototype.forward(unit % 2 == 0 ? clean_[b] : plan_.batches[b].perturbed);
-}
-
-EvalPlan EvalPlanBuild::fold() && {
-  ScoreAccumulator fp32_acc{plan_.metric, plan_.margin_quantile};
-  for (size_t b = 0; b < plan_.batches.size(); ++b) {
-    plan_.batches[b].clean_fp32_out = std::move(outs_[2 * b]);
-    fp32_acc.add(plan_.batches[b].clean_fp32_out, outs_[2 * b + 1]);
+  void teacher_forward(std::int64_t unit) {
+    const auto b = static_cast<size_t>(unit / 2);
+    outs_[static_cast<size_t>(unit)] =
+        plan_.prototype.forward(unit % 2 == 0 ? clean_[b] : plan_.batches[b].perturbed);
   }
-  plan_.fp32_score = fp32_acc.score();
-  return std::move(plan_);
-}
 
-EvalTrial::EvalTrial(const EvalPlan& plan, const ModelQuantConfig& config)
-    : plan_(plan),
-      graph_(plan.prototype.clone()),
-      quantized_(&graph_, config),
-      outs_(plan.batches.size()) {
-  quantized_.prepare(std::span<const std::vector<Tensor>>(plan.calib));
-}
+  [[nodiscard]] EvalPlan fold() && {
+    ScoreAccumulator fp32_acc{plan_.metric, plan_.margin_quantile};
+    for (size_t b = 0; b < plan_.batches.size(); ++b) {
+      plan_.batches[b].clean_fp32_out = std::move(outs_[2 * b]);
+      fp32_acc.add(plan_.batches[b].clean_fp32_out, outs_[2 * b + 1]);
+    }
+    plan_.fp32_score = fp32_acc.score();
+    return std::move(plan_);
+  }
 
-void EvalTrial::forward(std::int64_t batch) {
-  const auto b = static_cast<size_t>(batch);
-  outs_[b] = quantized_.forward(plan_.batches[b].perturbed);
-}
+ private:
+  EvalPlan plan_;
+  std::vector<std::vector<Tensor>> clean_;  ///< clean inputs, per batch
+  std::vector<Tensor> outs_;                ///< teacher outputs, per unit
+};
 
-AccuracyRecord EvalTrial::fold() const {
-  ScoreAccumulator quant_acc{plan_.metric, plan_.margin_quantile};
-  for (size_t b = 0; b < outs_.size(); ++b) quant_acc.add(plan_.batches[b].clean_fp32_out, outs_[b]);
+/// The steps of one trial. The constructor is the prepare: it clones the
+/// plan's prototype and runs the PTQ pipeline on the clone (serially:
+/// calibration streams its batches in order). forward(b) runs batch b's
+/// quantized forward; distinct batches may run concurrently. fold(), once
+/// every batch has run, scores the outputs in batch order. The plan is
+/// only read and must outlive the trial.
+class EvalTrial {
+ public:
+  EvalTrial(const EvalPlan& plan, const ModelQuantConfig& config)
+      : plan_(plan),
+        graph_(plan.prototype.clone()),
+        quantized_(&graph_, config),
+        outs_(plan.batches.size()) {
+    quantized_.prepare(std::span<const std::vector<Tensor>>(plan.calib));
+  }
+  EvalTrial(const EvalTrial&) = delete;
+  EvalTrial& operator=(const EvalTrial&) = delete;
 
-  AccuracyRecord record;
-  record.workload = plan_.workload_name;
-  record.domain = plan_.domain;
-  record.config = quantized_.config().scheme.label();
-  record.fp32_accuracy = plan_.fp32_score;
-  record.quant_accuracy = quant_acc.score();
-  record.model_size_mb = plan_.model_size_mb;
-  return record;
-}
+  [[nodiscard]] std::int64_t batches() const { return static_cast<std::int64_t>(outs_.size()); }
+
+  void forward(std::int64_t batch) {
+    const auto b = static_cast<size_t>(batch);
+    outs_[b] = quantized_.forward(plan_.batches[b].perturbed);
+  }
+
+  [[nodiscard]] AccuracyRecord fold() const {
+    ScoreAccumulator quant_acc{plan_.metric, plan_.margin_quantile};
+    for (size_t b = 0; b < outs_.size(); ++b) {
+      quant_acc.add(plan_.batches[b].clean_fp32_out, outs_[b]);
+    }
+    AccuracyRecord record;
+    record.workload = plan_.workload_name;
+    record.domain = plan_.domain;
+    record.config = quantized_.config().scheme.label();
+    record.fp32_accuracy = plan_.fp32_score;
+    record.quant_accuracy = quant_acc.score();
+    record.model_size_mb = plan_.model_size_mb;
+    return record;
+  }
+
+ private:
+  const EvalPlan& plan_;
+  Graph graph_;                ///< the quantized clone
+  QuantizedGraph quantized_;   ///< holds &graph_
+  std::vector<Tensor> outs_;   ///< quantized outputs, per batch
+};
+
+}  // namespace
 
 EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
   EvalPlanBuild build(w, protocol);
@@ -221,6 +268,128 @@ AccuracyRecord evaluate_with_plan(const EvalPlan& plan, const ModelQuantConfig& 
   EvalTrial trial(plan, config);
   parallel_run(trial.batches(), [&trial](std::int64_t b) { trial.forward(b); });
   return trial.fold();
+}
+
+std::vector<PairResult> evaluate_pairs(const std::vector<EvalJob>& jobs,
+                                       const EvalProtocol& protocol,
+                                       const std::function<void(int)>& progress) {
+  // Keys are (job, phase, pair, unit): `pairs` is the most configs of one
+  // job, `width` the most units of one (job, phase, pair) -- the teacher
+  // forwards, two per batch, or a given plan's forwards.
+  enum Phase : std::int64_t { kHead, kTeacher, kPrepare, kForward };
+  constexpr std::int64_t kPhases = 4;
+  std::int64_t pairs = 0;
+  std::int64_t width = std::max<std::int64_t>(1, 2 * std::int64_t{protocol.eval_batches});
+  std::vector<std::size_t> first;  ///< each job's first pair slot
+  std::size_t slots = 0;
+  for (const EvalJob& job : jobs) {
+    pairs = std::max(pairs, static_cast<std::int64_t>(job.configs.size()));
+    if (job.plan != nullptr) {
+      width = std::max(width, static_cast<std::int64_t>(job.plan->batches.size()));
+    }
+    first.push_back(slots);
+    slots += job.configs.size();
+  }
+  if (pairs == 0) return {};
+  auto key = [&](std::size_t j, Phase phase, std::int64_t pair, std::int64_t unit) {
+    return ((static_cast<std::int64_t>(j) * kPhases + phase) * pairs + pair) * width + unit;
+  };
+
+  struct JobRun {
+    std::optional<EvalPlanBuild> build;  ///< head -> last teacher forward
+    std::optional<EvalPlan> built;       ///< last teacher forward -> last record
+    const EvalPlan* plan = nullptr;      ///< given, or &*built
+    std::atomic<std::int64_t> teachers_left{0};
+    std::atomic<std::int64_t> pairs_left{0};
+  };
+  struct PairRun {
+    std::unique_ptr<EvalTrial> trial;  ///< prepare -> record
+    AccuracyRecord record;
+    std::atomic<std::int64_t> forwards_left{0};
+    std::atomic<std::uint64_t> unit_ns{0};
+  };
+  std::vector<JobRun> runs(jobs.size());
+  std::vector<PairRun> pair_runs(slots);
+  std::atomic<int> completed{0};
+
+  // A job's plan exists: release a prepare per config.
+  auto prepares = [&](std::size_t j) {
+    std::vector<std::int64_t> next;
+    for (std::size_t p = 0; p < jobs[j].configs.size(); ++p) {
+      next.push_back(key(j, kPrepare, static_cast<std::int64_t>(p), 0));
+    }
+    return next;
+  };
+  auto fold_plan = [&](std::size_t j) {
+    JobRun& run = runs[j];
+    run.built.emplace(std::move(*run.build).fold());
+    run.build.reset();
+    run.plan = &*run.built;
+    return prepares(j);
+  };
+  auto fold_record = [&](std::size_t j, PairRun& pair) {
+    pair.record = pair.trial->fold();
+    pair.trial.reset();
+    if (runs[j].pairs_left.fetch_sub(1) == 1) runs[j].built.reset();
+    if (progress) progress(completed.fetch_add(1, std::memory_order_relaxed) + 1);
+  };
+
+  std::vector<std::int64_t> ready;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    runs[j].plan = jobs[j].plan;
+    runs[j].pairs_left = static_cast<std::int64_t>(jobs[j].configs.size());
+    if (jobs[j].configs.empty()) continue;
+    if (jobs[j].plan == nullptr) {
+      ready.push_back(key(j, kHead, 0, 0));
+    } else {
+      for (const std::int64_t k : prepares(j)) ready.push_back(k);
+    }
+  }
+  parallel_stream(std::move(ready), [&](std::int64_t k) {
+    const std::uint64_t t0 = obs_now_ns();
+    const std::int64_t unit = k % width;
+    const std::int64_t p = k / width % pairs;
+    const auto phase = static_cast<Phase>(k / width / pairs % kPhases);
+    const auto j = static_cast<std::size_t>(k / width / pairs / kPhases);
+    JobRun& run = runs[j];
+    PairRun& pair = pair_runs[first[j] + static_cast<std::size_t>(p)];
+    std::vector<std::int64_t> next;
+    switch (phase) {
+      case kHead: {
+        run.build.emplace(*jobs[j].workload, protocol);
+        const std::int64_t n = run.build->teacher_units();
+        if (n == 0) return fold_plan(j);
+        run.teachers_left = n;
+        for (std::int64_t u = 0; u < n; ++u) next.push_back(key(j, kTeacher, 0, u));
+        return next;
+      }
+      case kTeacher:
+        run.build->teacher_forward(unit);
+        if (run.teachers_left.fetch_sub(1) == 1) return fold_plan(j);
+        return next;
+      case kPrepare: {
+        pair.trial = std::make_unique<EvalTrial>(*run.plan,
+                                                 jobs[j].configs[static_cast<std::size_t>(p)]);
+        const std::int64_t n = pair.trial->batches();
+        pair.forwards_left = n;
+        if (n == 0) fold_record(j, pair);
+        for (std::int64_t b = 0; b < n; ++b) next.push_back(key(j, kForward, p, b));
+        break;
+      }
+      case kForward:
+        pair.trial->forward(unit);
+        if (pair.forwards_left.fetch_sub(1) == 1) fold_record(j, pair);
+        break;
+    }
+    // A pair's time: its prepare, its forwards and its fold.
+    pair.unit_ns.fetch_add(obs_now_ns() - t0);
+    return next;
+  });
+  std::vector<PairResult> results;
+  for (PairRun& pair : pair_runs) {
+    results.push_back({std::move(pair.record), static_cast<double>(pair.unit_ns.load()) / 1e6});
+  }
+  return results;
 }
 
 AccuracyRecord evaluate_workload(const Workload& w, const SchemeConfig& scheme,

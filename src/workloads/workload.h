@@ -76,6 +76,18 @@ struct EvalProtocol {
   friend auto operator<=>(const EvalProtocol&, const EvalProtocol&) = default;
 };
 
+/// The smoke-sized protocol: 2 calibration batches of 8, 2 evaluation
+/// batches of 32, 2 BatchNorm-calibration batches. Seconds instead of
+/// minutes per evaluation, with every determinism property intact; fp8qd
+/// runs `quick` jobs under it, and the unit tests use it.
+[[nodiscard]] constexpr EvalProtocol smoke_protocol() {
+  return {.calib_batches = 2,
+          .calib_batch_size = 8,
+          .eval_batches = 2,
+          .eval_batch_size = 32,
+          .bn_calibration_batches = 2};
+}
+
 /// Precomputed evaluation state shared across every quantization trial of
 /// one (workload, protocol) pair. Building a plan performs the expensive
 /// trial-invariant work once -- model construction, calibration and
@@ -112,72 +124,58 @@ struct EvalPlan {
 [[nodiscard]] std::vector<std::vector<Tensor>> make_calib_batches(
     const Workload& workload, const EvalProtocol& protocol = {});
 
-/// The steps of make_eval_plan, for a scheduler that interleaves them
-/// across workloads (evaluate_suite). The constructor is the head: it
-/// checks the workload, builds the prototype, and draws the calibration
-/// and evaluation data serially from the workload's seeded streams.
-/// teacher_forward(u) runs one FP32 teacher forward on the prototype
-/// (unit 2b is batch b's clean input, unit 2b + 1 its perturbed one);
-/// calls with distinct units may run concurrently. fold(), once every
-/// unit has run, keeps the clean outputs as the teacher targets and folds
-/// the FP32 baseline score in batch order.
-class EvalPlanBuild {
- public:
-  EvalPlanBuild(const Workload& workload, const EvalProtocol& protocol);
-
-  /// Two teacher forwards per evaluation batch.
-  [[nodiscard]] std::int64_t teacher_units() const {
-    return static_cast<std::int64_t>(outs_.size());
-  }
-  void teacher_forward(std::int64_t unit);
-  [[nodiscard]] EvalPlan fold() &&;
-
- private:
-  EvalPlan plan_;
-  std::vector<std::vector<Tensor>> clean_;  ///< clean inputs, per batch
-  std::vector<Tensor> outs_;                ///< teacher outputs, per unit
-};
-
-/// The steps of evaluate_with_plan. The constructor is the prepare: it
-/// clones the plan's prototype and runs the PTQ pipeline on the clone
-/// (serially: calibration streams its batches in order); the config is
-/// taken as-is. forward(b) runs the quantized forward of evaluation batch
-/// b; calls with distinct batches may run concurrently. fold(), once
-/// every batch has run, scores the outputs in batch order. The plan is
-/// only read, so concurrent trials may share it; it must outlive the
-/// trial.
-class EvalTrial {
- public:
-  EvalTrial(const EvalPlan& plan, const ModelQuantConfig& config);
-  EvalTrial(const EvalTrial&) = delete;
-  EvalTrial& operator=(const EvalTrial&) = delete;
-
-  [[nodiscard]] std::int64_t batches() const { return static_cast<std::int64_t>(outs_.size()); }
-  void forward(std::int64_t batch);
-  [[nodiscard]] AccuracyRecord fold() const;
-
- private:
-  const EvalPlan& plan_;
-  Graph graph_;                ///< the quantized clone
-  QuantizedGraph quantized_;   ///< holds &graph_
-  std::vector<Tensor> outs_;   ///< quantized outputs, per batch
-};
-
 /// Builds the trial-invariant evaluation state. The data streams depend
 /// only on the workload's seeds and the protocol, so every plan built for
-/// one (workload, protocol) pair is the same, bit for bit. Runs
-/// EvalPlanBuild's steps: the head, then the teacher forwards as one
-/// parallel_run on the prototype (inline inside a parallel region), then
-/// the fold.
+/// one (workload, protocol) pair is the same, bit for bit. Draws the data
+/// serially on the calling thread, then runs the FP32 teacher forwards
+/// (two per evaluation batch, clean and perturbed) as one parallel_run on
+/// the prototype, then folds the baseline score in batch order.
 [[nodiscard]] EvalPlan make_eval_plan(const Workload& workload,
                                       const EvalProtocol& protocol = {});
 
-/// Scores one quantization configuration against a prebuilt plan: runs
-/// EvalTrial's steps, the prepare, then the quantized forwards as one
-/// parallel_run (inline inside a parallel region: a tuner arm or
-/// sensitivity trial), then the fold.
+/// Scores one quantization configuration against a prebuilt plan: clones
+/// the prototype and prepares the clone on the calling thread (the PTQ
+/// pipeline, whose GEMM and cast kernels fan out there), then runs one
+/// quantized forward per evaluation batch as one parallel_run, then
+/// folds the score in batch order. The config is taken as-is.
 [[nodiscard]] AccuracyRecord evaluate_with_plan(const EvalPlan& plan,
                                                 const ModelQuantConfig& config);
+
+/// One job of evaluate_pairs: a plan and the configurations scored
+/// against it. The plan is `plan` when set (it must outlive the call and
+/// is only read), else built in the stream from `workload` under the
+/// call's protocol and freed after the job's last record.
+struct EvalJob {
+  const Workload* workload = nullptr;
+  const EvalPlan* plan = nullptr;
+  std::vector<ModelQuantConfig> configs;
+};
+
+/// One scored (plan, config) pair.
+struct PairResult {
+  AccuracyRecord record;
+  /// Wall time of the pair's prepare, forwards and fold, summed wherever
+  /// they ran: what it takes inline on one thread (nondeterministic).
+  double unit_ms = 0.0;
+};
+
+/// The one multi-config evaluation loop. Every job's steps run as units
+/// of one parallel_stream keyed (job, phase, pair, unit), so an idle
+/// thread finishes the earliest job first and later jobs' units fill the
+/// threads it leaves idle (docs/THREADING.md). A job that builds its plan
+/// starts with a head (model build and the serial data draw), which
+/// releases the teacher forwards, one unit each; the last of those folds
+/// the plan and releases a prepare per config. A job with a given plan
+/// starts at its prepares. Each prepare releases its pair's quantized
+/// forwards, one unit per batch; the last of those folds the record. At
+/// most num_threads() + 1 built plans are alive, one at a single thread.
+/// Returns the results job by job, configs in order. If units throw, the
+/// rest still run and the lowest failing job's exception is rethrown.
+/// `progress`, if set, gets the running count of completed pairs, from
+/// any pool thread, so it must be thread-safe.
+[[nodiscard]] std::vector<PairResult> evaluate_pairs(
+    const std::vector<EvalJob>& jobs, const EvalProtocol& protocol = {},
+    const std::function<void(int)>& progress = nullptr);
 
 /// One evaluation: make_eval_plan plus evaluate_with_plan under
 /// default_model_config (SmoothQuant on NLP, paper section 4.2.1; CNN

@@ -121,6 +121,31 @@ TEST(ParallelRun, PropagatesException) {
                std::invalid_argument);
 }
 
+TEST(ParallelRun, RunsEveryIndexAndRethrowsTheSmallestFailing) {
+  ThreadCountGuard guard;
+  // Indices 7 and 40 throw. Index 7 sleeps first, so with threads free 40
+  // fails first in time. Every other index still runs, and index 7's
+  // exception is the one rethrown, at every thread count.
+  for (int threads : {1, 3, 8}) {
+    set_num_threads(threads);
+    std::vector<std::atomic<int>> hits(64);
+    std::string message;
+    try {
+      parallel_run(64, [&](std::int64_t i) {
+        hits[static_cast<size_t>(i)].fetch_add(1);
+        if (i == 7) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        if (i == 7 || i == 40) throw std::runtime_error("index " + std::to_string(i));
+      });
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    EXPECT_EQ(message, "index 7") << "threads=" << threads;
+    for (std::int64_t i = 0; i < 64; ++i) {
+      EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "threads=" << threads << " index " << i;
+    }
+  }
+}
+
 TEST(ParallelMap, ResultsAreInIndexOrder) {
   ThreadCountGuard guard;
   set_num_threads(8);

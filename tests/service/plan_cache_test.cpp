@@ -24,16 +24,6 @@
 namespace fp8q::service {
 namespace {
 
-EvalProtocol smoke_protocol() {
-  EvalProtocol protocol;
-  protocol.calib_batches = 2;
-  protocol.calib_batch_size = 8;
-  protocol.eval_batches = 2;
-  protocol.eval_batch_size = 32;
-  protocol.bn_calibration_batches = 2;
-  return protocol;
-}
-
 /// `name` from the suite, each build counted in `builds` and then
 /// preceded by `before`.
 Workload counted_workload(const std::string& name, std::atomic<int>& builds,

@@ -199,6 +199,29 @@ TEST(ReportDiff, RecordMissingFromEitherSideIsABreach) {
   EXPECT_EQ(report_cli::diff_reports(base, cand, DiffThresholds{}, off), 0);
 }
 
+TEST(ReportDiff, RepeatedRecordsPairByOccurrence) {
+  // A tuner report repeats a (workload, config) across trials, here with
+  // a worse first occurrence. The k-th base record pairs with the k-th
+  // candidate record of the same key, not with the first.
+  RunReport base = sample_report();
+  AccuracyRecord again = base.records[0];
+  base.records[0].quant_accuracy = 0.70;
+  again.quant_accuracy = 0.78;
+  base.records.push_back(again);
+  DiffThresholds t;
+  t.max_accuracy_drop = 0.0;
+  std::ostringstream same;
+  EXPECT_EQ(report_cli::diff_reports(base, base, t, same), 0) << same.str();
+
+  // A drop in the second occurrence fails, against that occurrence.
+  RunReport cand = base;
+  cand.records[1].quant_accuracy = 0.74;
+  std::ostringstream out;
+  EXPECT_EQ(report_cli::diff_reports(base, cand, t, out), 1) << out.str();
+  EXPECT_NE(out.str().find("quant_accuracy 0.78000 -> 0.74000"), std::string::npos)
+      << out.str();
+}
+
 TEST(ReportFormat, RendersEverySection) {
   const std::string text = report_cli::format_report(sample_report());
   EXPECT_NE(text.find("tool=cli-test"), std::string::npos);

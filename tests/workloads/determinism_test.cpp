@@ -34,16 +34,6 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { set_num_threads(0); }
 };
 
-EvalProtocol quick_protocol() {
-  EvalProtocol p;
-  p.calib_batches = 2;
-  p.calib_batch_size = 8;
-  p.eval_batches = 2;
-  p.eval_batch_size = 32;
-  p.bn_calibration_batches = 2;
-  return p;
-}
-
 /// A small cross-section of the suite: one CNN, one transformer encoder,
 /// one decoder LM (cheap but exercises conv, matmul and cast paths).
 std::vector<Workload> sample_workloads() {
@@ -56,7 +46,7 @@ std::vector<Workload> sample_workloads() {
 }
 
 /// More workloads than the 8-thread runs have threads, all cheap under
-/// quick_protocol(): BN-calibrated CNNs, a ViT, SmoothQuant NLP encoders, a
+/// smoke_protocol(): BN-calibrated CNNs, a ViT, SmoothQuant NLP encoders, a
 /// decoder LM, speech models, an MLP and dlrm-ish.
 std::vector<Workload> wide_workloads() {
   auto suite = build_suite();
@@ -169,7 +159,7 @@ TEST(Determinism, MatMulAndConvBitIdenticalAcrossThreadCounts) {
 TEST(Determinism, AccuracyRecordsIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
   const auto workloads = sample_workloads();
-  const EvalProtocol protocol = quick_protocol();
+  const EvalProtocol protocol = smoke_protocol();
   const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3),
                                              standard_fp8_scheme(DType::kE3M4)};
 
@@ -192,7 +182,7 @@ TEST(Determinism, OneEvaluationFansOutBitIdentically) {
   // threads, the plan, the record and the counter deltas at 4 threads must
   // equal the serial run's bit for bit.
   ThreadCountGuard guard;
-  EvalProtocol protocol = quick_protocol();
+  EvalProtocol protocol = smoke_protocol();
   protocol.eval_batches = 6;
   for (const Workload& w : sample_workloads()) {
     set_num_threads(1);
@@ -242,7 +232,7 @@ TEST(Determinism, SuiteSharedPlanMatchesFreshPlanPerPair) {
   ThreadCountGuard guard;
   const auto workloads = wide_workloads();
   ASSERT_GT(workloads.size(), 8u);
-  const EvalProtocol protocol = quick_protocol();
+  const EvalProtocol protocol = smoke_protocol();
   const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3),
                                              standard_fp8_scheme(DType::kE3M4, true),
                                              standard_fp8_scheme(DType::kE5M2)};
@@ -276,7 +266,7 @@ TEST(Determinism, SuiteBuildsEachWorkloadOncePerCall) {
   int calls = 0;
   for (int threads : {1, 2, 3, 8}) {
     set_num_threads(threads);
-    (void)evaluate_suite(workloads, schemes, quick_protocol());
+    (void)evaluate_suite(workloads, schemes, smoke_protocol());
     ++calls;
     for (size_t i = 0; i < workloads.size(); ++i) {
       EXPECT_EQ(builds[i].load(), calls) << workloads[i].name << " threads=" << threads;
@@ -312,7 +302,7 @@ TEST(Determinism, SuiteRethrowsTheLowerFailingWorkloadsException) {
     std::atomic<int> completed{0};
     std::string message;
     try {
-      (void)evaluate_suite(workloads, schemes, quick_protocol(),
+      (void)evaluate_suite(workloads, schemes, smoke_protocol(),
                            [&](int) { completed.fetch_add(1); });
     } catch (const std::invalid_argument& e) {
       message = e.what();
@@ -339,7 +329,7 @@ TEST(Determinism, OneThreadSuiteKeepsOnePlanAlive) {
   }
   const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3),
                                              standard_fp8_scheme(DType::kE5M2)};
-  (void)evaluate_table2(workloads, schemes, quick_protocol(),
+  (void)evaluate_table2(workloads, schemes, smoke_protocol(),
                         [&](int done) { completed.store(done); });
   const int pairs = static_cast<int>(schemes.size()) + 1;
   for (size_t i = 0; i < workloads.size(); ++i) {
@@ -356,7 +346,7 @@ TEST(Determinism, Table2RowsAreWorkloadMajorWithInt8Last) {
                                            find_workload(suite, "distilbert-mrpc-ish")};
   const std::vector<SchemeConfig> fp8 = {standard_fp8_scheme(DType::kE4M3),
                                          standard_fp8_scheme(DType::kE5M2)};
-  const EvalProtocol protocol = quick_protocol();
+  const EvalProtocol protocol = smoke_protocol();
   const auto rows = evaluate_table2(workloads, fp8, protocol);
   const size_t per_workload = fp8.size() + 1;
   ASSERT_EQ(rows.size(), workloads.size() * per_workload);
@@ -428,7 +418,7 @@ TEST(Determinism, CountersDoNotPerturbAccuracyRecords) {
   ThreadCountGuard guard;
   set_num_threads(8);
   const auto workloads = sample_workloads();
-  const EvalProtocol protocol = quick_protocol();
+  const EvalProtocol protocol = smoke_protocol();
   const std::vector<SchemeConfig> schemes = {standard_fp8_scheme(DType::kE4M3)};
 
   // Event counting classifies from values the cast computes anyway and

@@ -14,16 +14,6 @@
 namespace fp8q {
 namespace {
 
-EvalProtocol quick_protocol() {
-  EvalProtocol p;
-  p.calib_batches = 2;
-  p.calib_batch_size = 8;
-  p.eval_batches = 2;
-  p.eval_batch_size = 32;
-  p.bn_calibration_batches = 2;
-  return p;
-}
-
 void expect_same_record(const AccuracyRecord& a, const AccuracyRecord& b) {
   EXPECT_EQ(a.workload, b.workload);
   EXPECT_EQ(a.domain, b.domain);
@@ -36,7 +26,7 @@ void expect_same_record(const AccuracyRecord& a, const AccuracyRecord& b) {
 TEST(EvalPlan, CarriesWorkloadMetadataAndData) {
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "distilbert-mrpc-ish");
-  const auto protocol = quick_protocol();
+  const auto protocol = smoke_protocol();
   const EvalPlan plan = make_eval_plan(w, protocol);
   EXPECT_EQ(plan.workload_name, w.name);
   EXPECT_EQ(plan.domain, w.domain);
@@ -51,7 +41,7 @@ TEST(EvalPlan, RepeatedTrialsAreDeterministic) {
   // stay pristine throughout.
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "distilbert-mrpc-ish");
-  const auto protocol = quick_protocol();
+  const auto protocol = smoke_protocol();
   const auto config =
       default_model_config(w, standard_fp8_scheme(DType::kE4M3), protocol);
   const EvalPlan plan = make_eval_plan(w, protocol);
@@ -66,7 +56,7 @@ TEST(EvalPlan, CalibIsExactlyTheCalibStream) {
   // fp8qd's quantize jobs calibrate on make_calib_batches without building
   // a plan; both must see the same batches, bit for bit.
   const auto suite = build_suite();
-  const auto protocol = quick_protocol();
+  const auto protocol = smoke_protocol();
   for (const char* name : {"distilbert-mrpc-ish", "resnet50-ish"}) {
     const Workload& w = find_workload(suite, name);
     const EvalPlan plan = make_eval_plan(w, protocol);

@@ -10,16 +10,6 @@
 namespace fp8q {
 namespace {
 
-EvalProtocol quick_protocol() {
-  EvalProtocol p;
-  p.calib_batches = 2;
-  p.calib_batch_size = 8;
-  p.eval_batches = 2;
-  p.eval_batch_size = 32;
-  p.bn_calibration_batches = 2;
-  return p;
-}
-
 TEST(Registry, Has75WorkloadsWithPaperComposition) {
   const auto suite = build_suite();
   ASSERT_EQ(suite.size(), 75u);
@@ -97,7 +87,7 @@ TEST(Evaluate, Fp32SchemeHasZeroLoss) {
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "distilbert-mrpc-ish");
   SchemeConfig fp32;  // all FP32
-  const auto rec = evaluate_workload(w, fp32, quick_protocol());
+  const auto rec = evaluate_workload(w, fp32, smoke_protocol());
   EXPECT_DOUBLE_EQ(rec.fp32_accuracy, rec.quant_accuracy);
   EXPECT_TRUE(rec.passes());
 }
@@ -105,7 +95,7 @@ TEST(Evaluate, Fp32SchemeHasZeroLoss) {
 TEST(Evaluate, RecordsCarryMetadata) {
   const auto suite = build_suite();
   const Workload& w = find_workload(suite, "dlrm-ish");
-  const auto rec = evaluate_workload(w, standard_fp8_scheme(DType::kE4M3), quick_protocol());
+  const auto rec = evaluate_workload(w, standard_fp8_scheme(DType::kE4M3), smoke_protocol());
   EXPECT_EQ(rec.workload, "dlrm-ish");
   EXPECT_EQ(rec.domain, "NLP");
   EXPECT_EQ(rec.config, "E4M3/static");
@@ -119,7 +109,7 @@ TEST(Evaluate, BaselineBelowPerfectWithNoise) {
   const auto suite = build_suite();
   double total = 0.0;
   for (const char* name : {"resnet50-ish", "distilbert-mrpc-ish", "bloom7b-ish"}) {
-    const double fp32 = make_eval_plan(find_workload(suite, name), quick_protocol()).fp32_score;
+    const double fp32 = make_eval_plan(find_workload(suite, name), smoke_protocol()).fp32_score;
     EXPECT_GT(fp32, 0.5) << name;
     EXPECT_LE(fp32, 1.0) << name;
     total += fp32;
@@ -132,7 +122,7 @@ TEST(Evaluate, DefaultConfigAppliesPaperRules) {
   const auto suite = build_suite();
   const Workload& nlp = find_workload(suite, "distilbert-mrpc-ish");
   const Workload& cv = find_workload(suite, "resnet50-ish");
-  const auto protocol = quick_protocol();
+  const auto protocol = smoke_protocol();
 
   const auto nlp_cfg = default_model_config(nlp, standard_fp8_scheme(DType::kE4M3), protocol);
   EXPECT_TRUE(nlp_cfg.scheme.smoothquant);  // SmoothQuant on NLP
@@ -152,7 +142,7 @@ TEST(Evaluate, DefaultConfigAppliesPaperRules) {
 TEST(Evaluate, MarginFilterReducesSensitivity) {
   const auto suite = build_suite();
   Workload w = find_workload(suite, "nlp/bert-ish-0");
-  const auto protocol = quick_protocol();
+  const auto protocol = smoke_protocol();
   // With no margin filter, the same scheme shows a larger loss than with
   // the configured filter (random-net logit margins are tiny).
   Workload unfiltered = w;
@@ -167,7 +157,7 @@ TEST(Evaluate, CustomCalibrationGeneratorIsUsed) {
   // the static quantization result (proves make_calib_batch is honored).
   const auto suite = build_suite();
   Workload w = find_workload(suite, "distilbert-mrpc-ish");
-  const auto protocol = quick_protocol();
+  const auto protocol = smoke_protocol();
   const auto normal = evaluate_workload(w, standard_fp8_scheme(DType::kE4M3), protocol);
   Workload bad = w;
   bad.make_calib_batch = [base = w.make_batch](Rng& rng, int n) {

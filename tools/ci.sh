@@ -19,7 +19,11 @@
 #      against FP8Q_ISA=scalar and FP8Q_ISA=batched (the GEMM kernel's
 #      cross-tier contract), each diffed at zero counter drift and zero
 #      accuracy drop in both directions, so an accuracy that rises fails
-#      too, as does a record present in only one run.
+#      too, as does a record present in only one run. Then the tuner's
+#      thread-count gate: `fp8q_cli tune nlp/lm-extreme-3 E4M3` (the full
+#      ladder, both fallback stages and node sensitivity) at
+#      FP8Q_NUM_THREADS=1 and at the default count, where exit 0 or 1
+#      (criterion met or not) passes, diffed the same way.
 #   4. service smoke: boot fp8qd at 1 worker and again at 2 workers on a
 #      private socket, drive both with fp8qd_bench (--append folds the two
 #      runs into one BENCH_service.json scaling curve), gate the snapshot
@@ -103,6 +107,25 @@ FP8Q_REPORT="$PREFIX/report_table2.json" \
   "$PREFIX/report_table2.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2.json" \
   "$PREFIX/report_table2_t1.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+
+# Tuner thread-count gate: the 14-trial history of a workload that never
+# meets the criterion, so every stage runs, must equal the serial run's,
+# records (matched by occurrence: the fallback trials repeat a config) and
+# counters. fp8q_cli tune exits 0 or 1 for criterion met or not; any other
+# exit is a failure.
+tune_report() {  # <report.json> [VAR=value ...]
+  local out=$1 rc=0
+  shift
+  env "$@" FP8Q_REPORT="$out" "$PREFIX/tools/fp8q_cli" tune nlp/lm-extreme-3 E4M3 \
+    > /dev/null || rc=$?
+  [[ $rc -le 1 ]] || { echo "ci: fp8q_cli tune exited $rc" >&2; exit 1; }
+}
+tune_report "$PREFIX/report_tune_t1.json" FP8Q_NUM_THREADS=1
+tune_report "$PREFIX/report_tune.json"
+"$PREFIX/tools/fp8q_report" diff "$PREFIX/report_tune_t1.json" \
+  "$PREFIX/report_tune.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+"$PREFIX/tools/fp8q_report" diff "$PREFIX/report_tune.json" \
+  "$PREFIX/report_tune_t1.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
 
 # Cross-tier gate: the same sweep pinned to the scalar reference tier and
 # to the batched tier must equal the default-tier run, records and

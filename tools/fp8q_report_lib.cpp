@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -30,15 +31,6 @@ std::string human_bytes(std::uint64_t bytes) {
   return os.str();
 }
 
-bool counters_any(const CounterSnapshot& snap) {
-  for (int f = 0; f < kObsFormatCount; ++f) {
-    for (int e = 0; e < kObsEventCount; ++e) {
-      if (snap.counts[f][e] != 0) return true;
-    }
-  }
-  return false;
-}
-
 void print_counters(std::ostream& os, const CounterSnapshot& snap, const char* indent) {
   for (int f = 0; f < kObsFormatCount; ++f) {
     bool any = false;
@@ -57,6 +49,31 @@ void print_counters(std::ostream& os, const CounterSnapshot& snap, const char* i
 double growth_pct(double base, double candidate) {
   if (base > 0.0) return (candidate - base) / base * 100.0;
   return candidate > 0.0 ? std::numeric_limits<double>::infinity() : 0.0;
+}
+
+/// Pairs each base element with the first unused candidate element that
+/// `same` matches, so repeated keys pair up by occurrence index. Returns
+/// the candidate index per base element (-1 when unmatched); `used` marks
+/// the candidate elements taken.
+template <class T, class Same>
+std::vector<std::ptrdiff_t> pair_by_occurrence(const std::vector<T>& base,
+                                               const std::vector<T>& candidate,
+                                               std::vector<bool>& used, Same same) {
+  used.assign(candidate.size(), false);
+  std::vector<std::ptrdiff_t> match;
+  match.reserve(base.size());
+  for (const T& b : base) {
+    std::ptrdiff_t found = -1;
+    for (std::size_t i = 0; i < candidate.size(); ++i) {
+      if (!used[i] && same(b, candidate[i])) {
+        used[i] = true;
+        found = static_cast<std::ptrdiff_t>(i);
+        break;
+      }
+    }
+    match.push_back(found);
+  }
+  return match;
 }
 
 struct Gate {
@@ -101,7 +118,7 @@ std::string format_report(const RunReport& report) {
     }
   }
 
-  if (counters_any(report.counters)) {
+  if (report.counters.any()) {
     os << "counters:\n";
     print_counters(os, report.counters, "  ");
   }
@@ -145,20 +162,17 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
   if (t.max_wall_regress_pct >= 0.0) {
     // Stages matched by (name, occurrence index): duplicate names pair up
     // in order. Unmatched stages are noted, never failed.
-    std::vector<bool> used(candidate.stages.size(), false);
-    for (const auto& bs : base.stages) {
-      const StageReport* cs = nullptr;
-      for (std::size_t i = 0; i < candidate.stages.size(); ++i) {
-        if (!used[i] && candidate.stages[i].name == bs.name) {
-          used[i] = true;
-          cs = &candidate.stages[i];
-          break;
-        }
-      }
-      if (cs == nullptr) {
+    std::vector<bool> used;
+    const auto match = pair_by_occurrence(
+        base.stages, candidate.stages, used,
+        [](const StageReport& a, const StageReport& b) { return a.name == b.name; });
+    for (std::size_t s = 0; s < base.stages.size(); ++s) {
+      const StageReport& bs = base.stages[s];
+      if (match[s] < 0) {
         gate.note("stage '" + bs.name + "' missing from candidate");
         continue;
       }
+      const StageReport* cs = &candidate.stages[static_cast<std::size_t>(match[s])];
       const double g = growth_pct(bs.wall_ms, cs->wall_ms);
       std::ostringstream line;
       line << "stage '" << bs.name << "' wall " << std::fixed << std::setprecision(3)
@@ -192,20 +206,23 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
 
   if (t.max_accuracy_drop >= 0.0 || t.max_pass_rate_drop >= 0.0) {
     if (t.max_accuracy_drop >= 0.0) {
-      // Records are matched by workload + config and must match both ways:
-      // a record in only one report is a dropped or renamed pair.
-      auto find = [](const std::vector<AccuracyRecord>& records, const AccuracyRecord& r) {
-        for (const auto& other : records) {
-          if (other.workload == r.workload && other.config == r.config) return &other;
-        }
-        return static_cast<const AccuracyRecord*>(nullptr);
-      };
-      for (const auto& br : base.records) {
-        const AccuracyRecord* cr = find(candidate.records, br);
-        if (cr == nullptr) {
+      // Records are matched by (workload, config, occurrence index), like
+      // stages: a tuner report repeats a config across trials. They must
+      // match both ways: a record in only one report is a dropped or
+      // renamed pair.
+      std::vector<bool> used;
+      const auto match = pair_by_occurrence(
+          base.records, candidate.records, used,
+          [](const AccuracyRecord& a, const AccuracyRecord& b) {
+            return a.workload == b.workload && a.config == b.config;
+          });
+      for (std::size_t r = 0; r < base.records.size(); ++r) {
+        const AccuracyRecord& br = base.records[r];
+        if (match[r] < 0) {
           gate.check(true, "record " + br.workload + "/" + br.config + " missing from candidate");
           continue;
         }
+        const AccuracyRecord* cr = &candidate.records[static_cast<std::size_t>(match[r])];
         const std::pair<const char*, double AccuracyRecord::*> fields[] = {
             {"fp32_accuracy", &AccuracyRecord::fp32_accuracy},
             {"quant_accuracy", &AccuracyRecord::quant_accuracy}};
@@ -218,8 +235,9 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
           gate.check(drop > t.max_accuracy_drop, line.str());
         }
       }
-      for (const auto& cr : candidate.records) {
-        if (find(base.records, cr) == nullptr) {
+      for (std::size_t i = 0; i < candidate.records.size(); ++i) {
+        if (!used[i]) {
+          const AccuracyRecord& cr = candidate.records[i];
           gate.check(true, "record " + cr.workload + "/" + cr.config + " missing from base");
         }
       }

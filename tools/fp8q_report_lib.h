@@ -26,8 +26,9 @@ struct DiffThresholds {
   /// Growth of peak RSS ("memory.peak_rss_bytes"), percent.
   double max_rss_growth_pct = -1.0;
   /// Absolute drop of fp32_accuracy and of quant_accuracy per record,
-  /// matched by workload + config. When enabled, a record present in only
-  /// one of the two reports is a breach too.
+  /// matched by (workload, config, occurrence index), so repeated configs
+  /// (a tuner report's trials) pair up in order. When enabled, a record
+  /// present in only one of the two reports is a breach too.
   double max_accuracy_drop = -1.0;
   /// Absolute drop of the overall pass rate, in percentage points.
   double max_pass_rate_drop = -1.0;
