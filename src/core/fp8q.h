@@ -40,10 +40,10 @@
 //   qg.prepare(calibration_batches);              // PTQ pipeline, once
 //   Tensor logits = qg.forward(input);            // FP8 inference
 //
-// Bulk casts, the matmul/conv kernels and the suite-level sweeps run on a
-// global thread pool (core/parallel.h). Results are bit-identical at any
-// thread count; size the pool with FP8Q_NUM_THREADS or set_num_threads()
-// (docs/THREADING.md).
+// Evaluations, suite sweeps and the tuner run their batches and trials on
+// a global thread pool (core/parallel.h); each kernel runs on the thread
+// that calls it. Results are bit-identical at any thread count; size the
+// pool with FP8Q_NUM_THREADS or set_num_threads() (docs/THREADING.md).
 #pragma once
 
 #include "core/cpu_dispatch.h" // IWYU pragma: export

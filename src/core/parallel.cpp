@@ -190,8 +190,8 @@ void set_num_threads(int n) {
 
 bool in_parallel_region() { return tls_in_region; }
 
-/// A fixed pool of budget-1 workers, created lazily by the pool itself at
-/// the first multi-chunk region (a budget-1 arena never constructs one).
+/// A fixed pool of budget-1 workers, spawned lazily by the pool itself at
+/// the first region that fans out (a budget-1 arena never constructs one).
 struct ParallelArena::Impl {
   ThreadPool pool;
 
@@ -216,32 +216,6 @@ ScopedArenaBinding::ScopedArenaBinding(ParallelArena* arena) : prev_(tls_arena) 
 }
 
 ScopedArenaBinding::~ScopedArenaBinding() { tls_arena = prev_; }
-
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  const std::int64_t n = end - begin;
-  if (n <= 0) return;
-  if (grain < 1) grain = 1;
-
-  // Deterministic static partition: a pure function of the arguments and
-  // num_threads(). chunks = min(threads, ceil(n / grain)); chunk c gets
-  // the c-th near-equal contiguous slice.
-  const std::int64_t max_chunks = (n + grain - 1) / grain;
-  std::int64_t chunks = num_threads();
-  if (chunks > max_chunks) chunks = max_chunks;
-  if (chunks <= 1 || tls_in_region) {
-    fn(begin, end);
-    return;
-  }
-
-  const std::int64_t base = n / chunks;
-  const std::int64_t rem = n % chunks;
-  parallel_run(chunks, [&](std::int64_t c) {
-    const std::int64_t lo = begin + c * base + (c < rem ? c : rem);
-    const std::int64_t hi = lo + base + (c < rem ? 1 : 0);
-    fn(lo, hi);
-  });
-}
 
 namespace {
 

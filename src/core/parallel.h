@@ -1,16 +1,17 @@
 // Parallel quantization runtime (see docs/THREADING.md for the contract).
 //
-// A lazily-initialized global thread pool drives three primitives, all
+// A lazily-initialized global thread pool drives two primitives, both
 // scheduled by one key-ordered unit stream (each is documented below):
 //
-//   * parallel_for(begin, end, grain, fn)  -- data-parallel loops over a
-//     deterministic static partition into contiguous chunks.
 //   * parallel_map(n, fn) / parallel_run   -- task-level fan-out; results
 //     land in index order.
 //   * parallel_stream(ready, fn)           -- a growing set of keyed
 //     units: an idle thread always runs the smallest ready key, and a
 //     finished unit releases its successors. parallel_run is a stream
 //     whose keys are all ready and release nothing.
+//
+// Units are whole tasks (a forward, a prepare, an evaluation); the
+// kernels inside a unit run serially on its thread.
 //
 // Thread-count precedence: set_num_threads(n) > FP8Q_NUM_THREADS >
 // std::thread::hardware_concurrency(). Nested calls from inside a worker
@@ -28,30 +29,6 @@
 #include <vector>
 
 namespace fp8q {
-
-/// Parallelization grain for memory-bound elementwise kernels, in BYTES of
-/// input touched per chunk. Pass `kParallelGrainBytes / sizeof(T)` as the
-/// parallel_for grain so a chunk covers ~64 KiB regardless of element
-/// width -- enough work to amortize the fork/join handshake, small enough
-/// that short tensors still fan out. Kernels must not hard-code their own
-/// thresholds (lint rule "parallel-grain", tools/lint/rules.cpp).
-inline constexpr std::int64_t kParallelGrainBytes = 65536;
-
-/// Parallelization grain for compute-bound kernels (matmul/linear/conv), in
-/// FLOPs per chunk: the parallel_for grain is kParallelGrainFlops divided by
-/// the per-iteration cost, so a chunk carries ~64k FLOPs no matter how the
-/// loop is shaped.
-inline constexpr std::int64_t kParallelGrainFlops = 65536;
-
-/// Overflow-safe cost product for grain heuristics: a * b saturated to
-/// `cap`. Chainable (capped_cost(capped_cost(a, b, cap), c, cap)) because a
-/// saturated intermediate stays saturated. Any zero factor gives zero; the
-/// caller clamps (grain heuristics use max(1, ...) on both cost and grain).
-[[nodiscard]] constexpr std::int64_t capped_cost(std::int64_t a, std::int64_t b,
-                                                std::int64_t cap) {
-  if (a <= 0 || b <= 0) return 0;
-  return a > cap / b ? cap : a * b;
-}
 
 /// std::thread::hardware_concurrency(), clamped to >= 1. Cached.
 [[nodiscard]] int hardware_threads();
@@ -83,9 +60,7 @@ void set_num_threads(int n);
 /// serialize on the global pool's one-region-at-a-time lock nor
 /// oversubscribe the machine: N executors with budget max(1, threads/N)
 /// each use their slice. A budget-1 arena owns no threads at all; every
-/// region runs inline on the binding thread. The deterministic partition
-/// contract is unchanged: parallel_for under an arena chunks exactly as
-/// it would with num_threads() == budget.
+/// region runs inline on the binding thread.
 class ParallelArena {
  public:
   /// Budget counts the binding thread itself: budget 1 = serial, budget k
@@ -125,18 +100,6 @@ class ScopedArenaBinding {
  private:
   ParallelArena* prev_;
 };
-
-/// Splits [begin, end) into min(num_threads(), ceil(n / grain)) near-equal
-/// contiguous chunks (grain < 1 behaves as 1) and invokes
-/// fn(chunk_begin, chunk_end) for each chunk, concurrently. Empty and
-/// single-chunk ranges run inline on the calling thread. The chunk
-/// partition is a pure function of (begin, end, grain, num_threads()):
-/// per-index writes are deterministic at any thread count; per-chunk
-/// accumulations merged in chunk order are deterministic for a given
-/// num_threads() but may differ across thread counts as the chunk
-/// boundaries (and thus floating-point summation order) move.
-void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn);
 
 /// Task-level fan-out: invokes fn(i) for i in [0, n) across the pool, as
 /// one parallel_stream whose keys 0..n-1 are all ready and release

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/parallel.h"
 #include "obs/counters.h"
 #include "obs/histogram.h"
 
@@ -133,43 +132,30 @@ void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
   }
 }
 
-void quantize_chunks(
+void quantize_observed(
     std::span<const float> in, std::span<float> out, ObsFormat fmt, float hist_scale,
     const std::function<void(std::span<const float>, std::span<float>, CastTally*)>& kernel) {
-  const auto n = static_cast<std::int64_t>(in.size() < out.size() ? in.size() : out.size());
-  // Event counting is decided once per bulk call (not per element), and
-  // tallies are folded into the counters once per chunk.
-  const bool counted = counters_enabled();
-  const bool histed = histograms_enabled();
-  // Pure per-element math: each index writes only out[i], so the result
-  // is bit-identical at any thread count. The kernels run at a fraction
-  // of a ns/element; a large grain keeps single-batch calls inline.
-  constexpr std::int64_t kGrain = kParallelGrainBytes / static_cast<std::int64_t>(sizeof(float));
-  parallel_for(0, n, kGrain, [&, counted, histed](std::int64_t lo, std::int64_t hi) {
-    const auto len = static_cast<std::size_t>(hi - lo);
-    const auto src = in.subspan(static_cast<std::size_t>(lo), len);
-    const auto dst = out.subspan(static_cast<std::size_t>(lo), len);
-    if (histed) {
-      // Pre-quant magnitude distribution, read BEFORE the kernel (out may
-      // alias in). Each element is classified into a bucket exactly once
-      // per bulk call, so the merged counts are invariant to chunking /
-      // thread count.
-      LocalHistogram local;
-      for (std::size_t i = 0; i < len; ++i) {
-        local.record(std::fabs(static_cast<double>(src[i]) * hist_scale));
-      }
-      hist_merge(fmt, local);
-    }
-    if (!counted) {
-      kernel(src, dst, nullptr);
-      return;
-    }
-    CastTally tally;
-    kernel(src, dst, &tally);
-    counter_add(fmt, ObsEvent::kQuantized, tally.quantized);
-    counter_add(fmt, ObsEvent::kSaturated, tally.saturated);
-    counter_add(fmt, ObsEvent::kFlushedToZero, tally.flushed);
-  });
+  const std::size_t n = in.size() < out.size() ? in.size() : out.size();
+  const auto src = in.first(n);
+  const auto dst = out.first(n);
+  if (histograms_enabled()) {
+    // Pre-quant magnitude distribution, read BEFORE the kernel (out may
+    // alias in).
+    LocalHistogram local;
+    for (const float v : src) local.record(std::fabs(static_cast<double>(v) * hist_scale));
+    hist_merge(fmt, local);
+  }
+  // Event counting is decided once per call (not per element), and the
+  // tally is folded into the counters once.
+  if (!counters_enabled()) {
+    kernel(src, dst, nullptr);
+    return;
+  }
+  CastTally tally;
+  kernel(src, dst, &tally);
+  counter_add(fmt, ObsEvent::kQuantized, tally.quantized);
+  counter_add(fmt, ObsEvent::kSaturated, tally.saturated);
+  counter_add(fmt, ObsEvent::kFlushedToZero, tally.flushed);
 }
 
 void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
@@ -177,11 +163,11 @@ void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
   if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
   // With counting off the kernel gets no tally and skips its separate
   // counting pass; outputs are bit-identical either way.
-  quantize_chunks(in, out, spec.obs_fmt, scale,
-                  [&spec, scale](std::span<const float> src, std::span<float> dst,
-                                 CastTally* tally) {
-                    fp8_quantize_batch(src, dst, spec, scale, tally);
-                  });
+  quantize_observed(in, out, spec.obs_fmt, scale,
+                    [&spec, scale](std::span<const float> src, std::span<float> dst,
+                                   CastTally* tally) {
+                      fp8_quantize_batch(src, dst, spec, scale, tally);
+                    });
 }
 
 const FastCastSpec& fast_cast_spec(Fp8Kind kind) {

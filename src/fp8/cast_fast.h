@@ -45,9 +45,9 @@ struct FastCastSpec {
   friend const FastCastSpec& fast_cast_spec(Fp8Kind kind);
 };
 
-/// Per-chunk quantization-event tally produced by fp8_quantize_batch and
+/// Quantization-event tally produced by fp8_quantize_batch and
 /// int8_quantize_batch (fp8/int8.h), folded into obs/counters.h once per
-/// chunk. `quantized` counts every element. For FP8, `saturated` counts
+/// span call. `quantized` counts every element. For FP8, `saturated` counts
 /// finite overflow and +/-Inf (not NaN) and `flushed` counts nonzero
 /// inputs at or below half the smallest subnormal -- all classified on the
 /// SCALED value, before dividing the scale back out.
@@ -71,21 +71,20 @@ void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
                         const FastCastSpec& spec, float scale,
                         CastTally* tally = nullptr);
 
-/// The chunk driver under both span casts (fp8_quantize_scaled_fast and
-/// int8_quantize, fp8/int8.h): runs kernel(src, dst, tally) over
-/// ~kParallelGrainBytes chunks of [0, min(in.size, out.size)) under
-/// parallel_for. Per chunk, with histograms on, it first records the
-/// pre-quant magnitudes |in[i] * hist_scale| into `fmt`'s histogram; with
-/// counting on, it passes the kernel a tally to fill and folds it into
-/// `fmt`'s counters, else a null tally.
-void quantize_chunks(
+/// The wrapper under both span casts (fp8_quantize_scaled_fast and
+/// int8_quantize, fp8/int8.h): one kernel(src, dst, tally) call over
+/// [0, min(in.size, out.size)) on the calling thread. With histograms on,
+/// it first records the pre-quant magnitudes |in[i] * hist_scale| into
+/// `fmt`'s histogram; with counting on, it passes the kernel a tally to
+/// fill and folds it into `fmt`'s counters, else a null tally.
+void quantize_observed(
     std::span<const float> in, std::span<float> out, ObsFormat fmt, float hist_scale,
     const std::function<void(std::span<const float>, std::span<float>, CastTally*)>& kernel);
 
 /// Vector form: out[i] = fp8_quantize_fast(in[i] * scale) / scale.
 /// `out` may alias `in`. A non-finite or non-positive scale is treated as 1.
-/// Parallelizes over ~kParallelGrainBytes chunks and folds one event tally
-/// per chunk into the counters when counting is enabled.
+/// Runs on quantize_observed, so it folds one event tally into the
+/// counters when counting is enabled.
 void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
                               const FastCastSpec& spec, float scale);
 

@@ -142,12 +142,12 @@ void int8_quantize_batch(std::span<const float> in, std::span<float> out, const 
 
 void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Params& p) {
   check_kernel_params(p);
-  // The FP8 span cast's chunk driver; the histogram records the unscaled
+  // The FP8 span cast's wrapper; the histogram records the unscaled
   // magnitudes.
-  quantize_chunks(in, out, ObsFormat::kInt8, 1.0f,
-                  [&p](std::span<const float> src, std::span<float> dst, CastTally* tally) {
-                    int8_quantize_batch(src, dst, p, tally);
-                  });
+  quantize_observed(in, out, ObsFormat::kInt8, 1.0f,
+                    [&p](std::span<const float> src, std::span<float> dst, CastTally* tally) {
+                      int8_quantize_batch(src, dst, p, tally);
+                    });
 }
 
 }  // namespace fp8q

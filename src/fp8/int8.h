@@ -11,7 +11,7 @@
 //   * int8_quantize_batch -- a branch-free loop over a contiguous chunk
 //     that the compiler auto-vectorizes, bit-identical to the reference
 //     and counting quantization events in the same pass. The span
-//     int8_quantize runs it per chunk under parallel_for.
+//     int8_quantize runs it once over the whole span.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +61,9 @@ struct Int8Params {
 void int8_quantize_batch(std::span<const float> in, std::span<float> out, const Int8Params& p,
                          CastTally* tally = nullptr);
 
-/// Span form: int8_quantize_batch on quantize_chunks (fp8/cast_fast.h),
-/// the FP8 span cast's chunk driver, which folds one event tally per
-/// chunk into the counters when counting is enabled. `out` may alias
+/// Span form: int8_quantize_batch on quantize_observed (fp8/cast_fast.h),
+/// the FP8 span cast's wrapper, which folds one event tally into the
+/// counters when counting is enabled. `out` may alias
 /// `in`. Throws std::invalid_argument unless the scale is positive and
 /// finite and -128 <= qmin <= {0, zero_point} <= qmax <= 127, which both
 /// builders above guarantee.

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/parallel.h"
 #include "nn/gemm.h"
 
 namespace fp8q {
@@ -68,47 +67,36 @@ Tensor Conv2dOp::forward(std::span<const Tensor> inputs) {
   const std::int64_t taps = icg * kh * kw;
   const std::int64_t positions = oh * ow;
   const GemmKernel kernel = gemm_kernel(isa_tier());
-  // Parallel over images: each image writes a disjoint block of y, so
-  // results match the serial loop bit for bit. Grain targets
-  // ~kParallelGrainFlops multiply-adds per chunk; the chained capped_cost
-  // keeps the product from overflowing for huge shapes.
-  const std::int64_t flops_per_image = std::max<std::int64_t>(
-      std::int64_t{1},
-      capped_cost(capped_cost(oc, taps, kParallelGrainFlops), positions, kParallelGrainFlops));
-  const std::int64_t grain =
-      std::max<std::int64_t>(std::int64_t{1}, kParallelGrainFlops / flops_per_image);
-  parallel_for(0, n, grain, [&](std::int64_t lo, std::int64_t hi) {
-    std::vector<float> col(static_cast<std::size_t>(taps * positions));
-    for (std::int64_t b = lo; b < hi; ++b) {
-      float* yimg = yd + b * oc * positions;
-      if (bd != nullptr) {
-        for (std::int64_t o = 0; o < oc; ++o) {
-          std::fill_n(yimg + o * positions, positions, bd[o]);
-        }
+  std::vector<float> col(static_cast<std::size_t>(taps * positions));
+  for (std::int64_t b = 0; b < n; ++b) {
+    float* yimg = yd + b * oc * positions;
+    if (bd != nullptr) {
+      for (std::int64_t o = 0; o < oc; ++o) {
+        std::fill_n(yimg + o * positions, positions, bd[o]);
       }
-      for (std::int64_t g = 0; g < groups_; ++g) {
-        float* row = col.data();
-        for (std::int64_t c = 0; c < icg; ++c) {
-          const float* xplane = xd + (b * ic + g * icg + c) * h * w;
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            for (std::int64_t kx = 0; kx < kw; ++kx, row += positions) {
-              for (std::int64_t oy = 0; oy < oh; ++oy) {
-                const std::int64_t iy = oy * stride_ - padding_ + ky;
-                for (std::int64_t ox = 0; ox < ow; ++ox) {
-                  const std::int64_t ix = ox * stride_ - padding_ + kx;
-                  row[oy * ow + ox] = iy >= 0 && iy < h && ix >= 0 && ix < w
-                                          ? xplane[iy * w + ix]
-                                          : 0.0f;
-                }
+    }
+    for (std::int64_t g = 0; g < groups_; ++g) {
+      float* row = col.data();
+      for (std::int64_t c = 0; c < icg; ++c) {
+        const float* xplane = xd + (b * ic + g * icg + c) * h * w;
+        for (std::int64_t ky = 0; ky < kh; ++ky) {
+          for (std::int64_t kx = 0; kx < kw; ++kx, row += positions) {
+            for (std::int64_t oy = 0; oy < oh; ++oy) {
+              const std::int64_t iy = oy * stride_ - padding_ + ky;
+              for (std::int64_t ox = 0; ox < ow; ++ox) {
+                const std::int64_t ix = ox * stride_ - padding_ + kx;
+                row[oy * ow + ox] = iy >= 0 && iy < h && ix >= 0 && ix < w
+                                        ? xplane[iy * w + ix]
+                                        : 0.0f;
               }
             }
           }
         }
-        kernel(wd + g * ocg * taps, col.data(), yimg + g * ocg * positions, ocg, positions,
-               taps);
       }
+      kernel(wd + g * ocg * taps, col.data(), yimg + g * ocg * positions, ocg, positions,
+             taps);
     }
-  });
+  }
   return y;
 }
 

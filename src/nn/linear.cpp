@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/parallel.h"
 #include "nn/gemm.h"
 
 namespace fp8q {
@@ -44,21 +43,10 @@ Tensor LinearOp::forward(std::span<const Tensor> inputs) {
   const float* xd = x.data();
   const float* bd = bias_.empty() ? nullptr : bias_.data();
   float* yd = y.data();
-  const GemmKernel kernel = gemm_kernel(isa_tier());
-  // Parallel over input rows: each row owns a disjoint slice of y, so the
-  // result is bit-identical at any thread count. Grain targets
-  // ~kParallelGrainFlops multiply-adds per chunk (overflow-safe for huge
-  // out*in).
-  const std::int64_t cost_per_row = std::max<std::int64_t>(
-      std::int64_t{1}, capped_cost(out, in, kParallelGrainFlops));
-  const std::int64_t grain =
-      std::max<std::int64_t>(std::int64_t{1}, kParallelGrainFlops / cost_per_row);
-  parallel_for(0, rows, grain, [&](std::int64_t lo, std::int64_t hi) {
-    if (bd != nullptr) {
-      for (std::int64_t r = lo; r < hi; ++r) std::copy(bd, bd + out, yd + r * out);
-    }
-    kernel(xd + lo * in, wt.data(), yd + lo * out, hi - lo, out, in);
-  });
+  if (bd != nullptr) {
+    for (std::int64_t r = 0; r < rows; ++r) std::copy(bd, bd + out, yd + r * out);
+  }
+  gemm_kernel(isa_tier())(xd, wt.data(), yd, rows, out, in);
   return y;
 }
 

@@ -1,10 +1,9 @@
 #include "nn/matmul.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "core/parallel.h"
 #include "nn/gemm.h"
 
 namespace fp8q {
@@ -51,37 +50,16 @@ Tensor MatMulOp::forward(std::span<const Tensor> inputs) {
   if (transpose_b_) {
     bt.resize(static_cast<std::size_t>(b.numel()));
     float* td = bt.data();
-    const std::int64_t transpose_grain = std::max<std::int64_t>(
-        std::int64_t{1}, kParallelGrainBytes / static_cast<std::int64_t>(sizeof(float)) /
-                             std::max<std::int64_t>(std::int64_t{1}, b_stride));
-    parallel_for(0, batch, transpose_grain, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t bi = lo; bi < hi; ++bi) {
-        transpose(bd + bi * b_stride, n, k, td + bi * b_stride);
-      }
-    });
+    for (std::int64_t bi = 0; bi < batch; ++bi) {
+      transpose(bd + bi * b_stride, n, k, td + bi * b_stride);
+    }
     bd = td;
   }
 
-  // Parallel over all batch*m output rows. Each row owns a disjoint slice
-  // of y, so the result is bit-identical at any thread count. Grain
-  // targets ~kParallelGrainFlops multiply-adds per chunk (overflow-safe
-  // for huge n*k) so small matmuls stay inline.
   const GemmKernel kernel = gemm_kernel(isa_tier());
-  const std::int64_t cost_per_row = std::max<std::int64_t>(
-      std::int64_t{1}, capped_cost(n, k, kParallelGrainFlops));
-  const std::int64_t grain =
-      std::max<std::int64_t>(std::int64_t{1}, kParallelGrainFlops / cost_per_row);
-  parallel_for(0, batch * m, grain, [&](std::int64_t lo, std::int64_t hi) {
-    // A chunk may span batches: run the kernel once per batch segment.
-    std::int64_t bi = lo / m;
-    std::int64_t i = lo - bi * m;
-    for (std::int64_t r = lo; r < hi; ++bi, i = 0) {
-      const std::int64_t rows = std::min(m - i, hi - r);
-      kernel(ad + bi * a_stride + i * k, bd + bi * b_stride, yd + bi * y_stride + i * n, rows,
-             n, k);
-      r += rows;
-    }
-  });
+  for (std::int64_t bi = 0; bi < batch; ++bi) {
+    kernel(ad + bi * a_stride, bd + bi * b_stride, yd + bi * y_stride, m, n, k);
+  }
   return y;
 }
 

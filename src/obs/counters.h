@@ -66,7 +66,7 @@ inline constexpr int kObsEventCount = 5;
 void set_counters_enabled(bool enabled);
 
 /// Adds `n` to one cell of the calling thread's domain. Thread-safe and
-/// wait-free against other writers; callers batch per-chunk local tallies
+/// wait-free against other writers; callers batch a local tally per bulk call
 /// into one add rather than incrementing per element.
 void counter_add(ObsFormat fmt, ObsEvent event, std::uint64_t n);
 

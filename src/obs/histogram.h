@@ -90,7 +90,7 @@ struct HistogramSnapshot {
 };
 
 /// Stack-local accumulator for hot loops: record per element, fold into
-/// the domain once per chunk with hist_merge (one lock per chunk,
+/// the domain once per bulk call with hist_merge (one lock per call,
 /// mirroring how CastTally folds into counter_add).
 struct LocalHistogram {
   HistogramSnapshot snap;
@@ -114,7 +114,7 @@ struct LocalHistogram {
 [[nodiscard]] bool histograms_enabled();
 void set_histograms_enabled(bool enabled);
 
-/// Folds a chunk-local accumulation of pre-quantization magnitudes into
+/// Folds a call-local accumulation of pre-quantization magnitudes into
 /// the calling thread's domain, under cast_mag/<fmt>.
 void hist_merge(ObsFormat fmt, const LocalHistogram& local);
 

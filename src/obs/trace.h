@@ -1,7 +1,7 @@
 // Scoped tracing: RAII wall-clock spans (docs/OBSERVABILITY.md).
 //
 // A TraceSpan measures one named region -- a tuner stage, one op's
-// quantize-at-the-boundary, one parallel_for chunk -- and on destruction
+// quantize-at-the-boundary, one parallel_run unit -- and on destruction
 // appends a SpanRecord (name, start, duration, thread, parent) to the
 // calling thread's buffer. Buffers are aggregated by trace_snapshot().
 //
@@ -9,7 +9,7 @@
 // still open on the same thread when it was created. Regions dispatched to
 // pool workers cross threads, so the dispatching site captures
 // current_span_id() *before* the fan-out and passes it as an explicit
-// parent (core/parallel.cpp does this for per-chunk spans); the span tree
+// parent (core/parallel.cpp does this for per-unit spans); the span tree
 // therefore stays connected across the thread pool.
 //
 // Cost when disabled (FP8Q_TRACE unset/0 and no set_trace_enabled(true)):

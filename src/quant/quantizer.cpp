@@ -12,63 +12,26 @@
 
 namespace fp8q {
 
-QuantParams make_weight_params(const Tensor& w, DType dtype, Granularity granularity) {
-  QuantParams p;
-  p.dtype = dtype;
-  if (dtype == DType::kFP32) return p;
-  p.granularity = granularity;
-
-  if (granularity == Granularity::kPerTensor) {
-    const float amax = absmax(w);
-    if (is_fp8(dtype)) {
-      p.scale = fp8_activation_scale(dtype, amax);
-      if (dtype == DType::kE5M2) {
-        // Weights always use max scaling, even for E5M2: the direct-cast
-        // exception applies to activations only.
-        p.scale = amax > 0.0f ? fp8_spec(dtype).max_value() / amax : 1.0f;
-      }
-    } else {
-      p.int8 = int8_symmetric_params(amax);
-    }
-    return p;
-  }
-
-  const auto maxima = absmax_per_channel(w, 0);
-  if (is_fp8(dtype)) {
-    const float fmax = fp8_spec(dtype).max_value();
-    p.channel_scales.resize(maxima.size());
-    for (size_t c = 0; c < maxima.size(); ++c) {
-      p.channel_scales[c] = maxima[c] > 0.0f ? fmax / maxima[c] : 1.0f;
-    }
-  } else {
-    p.channel_int8.resize(maxima.size());
-    for (size_t c = 0; c < maxima.size(); ++c) {
-      p.channel_int8[c] = int8_symmetric_params(maxima[c]);
-    }
-  }
-  return p;
-}
-
-QuantParams make_activation_params(DType dtype, float min_v, float max_v) {
-  QuantParams p;
-  p.dtype = dtype;
-  if (dtype == DType::kFP32) return p;
-  if (is_fp8(dtype)) {
-    const float amax = std::max(std::fabs(min_v), std::fabs(max_v));
-    p.scale = fp8_activation_scale(dtype, amax);
-  } else {
-    p.int8 = int8_asymmetric_params(min_v, max_v);
-  }
-  return p;
-}
-
-QuantParams make_dynamic_activation_params(DType dtype, const Tensor& x) {
-  if (dtype == DType::kFP32) return QuantParams{};
-  const auto [lo, hi] = minmax(x);
-  return make_activation_params(dtype, lo, hi);
-}
-
 namespace {
+
+/// Symmetric weight parameters for `blocks` consecutive blocks of `block`
+/// elements of w (the last may be shorter; all are empty when w is), each
+/// from its block's NaN-skipping absmax: an FP8 max scale (1 for an
+/// all-zero block) or int8_symmetric_params.
+void add_block_params(QuantParams& p, const Tensor& w, std::int64_t blocks,
+                      std::int64_t block) {
+  const std::int64_t n = w.numel();
+  const auto data = w.flat();
+  for (std::int64_t i = 0; i < blocks; ++i) {
+    const float amax = absmax(data.subspan(static_cast<size_t>(i * block),
+                                           static_cast<size_t>(std::min(block, n - i * block))));
+    if (is_fp8(p.dtype)) {
+      p.channel_scales.push_back(amax > 0.0f ? fp8_spec(p.dtype).max_value() / amax : 1.0f);
+    } else {
+      p.channel_int8.push_back(int8_symmetric_params(amax));
+    }
+  }
+}
 
 /// Quantizes `t` in place in consecutive blocks of `block` elements (the
 /// last may be shorter), block i with channel_scales[i] (FP8) or
@@ -97,6 +60,55 @@ void apply_blocks(Tensor& t, const QuantParams& p, std::int64_t block, const cha
 
 }  // namespace
 
+QuantParams make_weight_params(const Tensor& w, DType dtype, Granularity granularity) {
+  QuantParams p;
+  p.dtype = dtype;
+  if (dtype == DType::kFP32) return p;
+  p.granularity = granularity;
+
+  if (granularity == Granularity::kPerTensor) {
+    const float amax = absmax(w);
+    if (is_fp8(dtype)) {
+      p.scale = fp8_activation_scale(dtype, amax);
+      if (dtype == DType::kE5M2) {
+        // Weights always use max scaling, even for E5M2: the direct-cast
+        // exception applies to activations only.
+        p.scale = amax > 0.0f ? fp8_spec(dtype).max_value() / amax : 1.0f;
+      }
+    } else {
+      p.int8 = int8_symmetric_params(amax);
+    }
+    return p;
+  }
+
+  // Channels lie on axis 0, so each one is a contiguous block.
+  if (w.dim() < 1) {
+    throw std::invalid_argument("make_weight_params: per-channel needs a channel axis");
+  }
+  const std::int64_t channels = w.size(0);
+  add_block_params(p, w, channels, channels > 0 ? w.numel() / channels : 0);
+  return p;
+}
+
+QuantParams make_activation_params(DType dtype, float min_v, float max_v) {
+  QuantParams p;
+  p.dtype = dtype;
+  if (dtype == DType::kFP32) return p;
+  if (is_fp8(dtype)) {
+    const float amax = std::max(std::fabs(min_v), std::fabs(max_v));
+    p.scale = fp8_activation_scale(dtype, amax);
+  } else {
+    p.int8 = int8_asymmetric_params(min_v, max_v);
+  }
+  return p;
+}
+
+QuantParams make_dynamic_activation_params(DType dtype, const Tensor& x) {
+  if (dtype == DType::kFP32) return QuantParams{};
+  const auto [lo, hi] = minmax(x);
+  return make_activation_params(dtype, lo, hi);
+}
+
 QuantParams make_group_weight_params(const Tensor& w, DType dtype, std::int64_t group_size) {
   if (group_size <= 0) throw std::invalid_argument("make_group_weight_params: bad group size");
   QuantParams p;
@@ -104,19 +116,7 @@ QuantParams make_group_weight_params(const Tensor& w, DType dtype, std::int64_t 
   if (dtype == DType::kFP32) return p;
   p.granularity = Granularity::kPerGroup;
   p.group_size = group_size;
-  const std::int64_t n = w.numel();
-  const auto groups = static_cast<std::int64_t>((n + group_size - 1) / group_size);
-  const auto data = w.flat();
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const auto begin = static_cast<size_t>(g * group_size);
-    const auto len = static_cast<size_t>(std::min<std::int64_t>(group_size, n - g * group_size));
-    const float amax = absmax(data.subspan(begin, len));
-    if (is_fp8(dtype)) {
-      p.channel_scales.push_back(amax > 0.0f ? fp8_spec(dtype).max_value() / amax : 1.0f);
-    } else {
-      p.channel_int8.push_back(int8_symmetric_params(amax));
-    }
-  }
+  add_block_params(p, w, (w.numel() + group_size - 1) / group_size, group_size);
   return p;
 }
 

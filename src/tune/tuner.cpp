@@ -47,12 +47,8 @@ bool try_config(const EvalPlan& plan, const Arm& arm, const TuneOptions& options
                 TuneResult& result) {
   std::optional<TraceSpan> span;
   if (trace_enabled()) span.emplace("tune/trial:" + arm.description);
-  // Timing goes through the obs-owned clock: wall-clock reads outside
-  // src/obs/ are a determinism hazard the linter rejects (fp8q_lint).
-  const std::uint64_t t0 = obs_now_ns();
-  AccuracyRecord record = evaluate_with_plan(plan, arm.config);
-  const double ms = static_cast<double>(obs_now_ns() - t0) / 1e6;
-  return absorb(result, plan, arm, {std::move(record), ms}, options);
+  std::vector<PairResult> scored = evaluate_pairs({{nullptr, &plan, {arm.config}}});
+  return absorb(result, plan, arm, std::move(scored.front()), options);
 }
 
 /// node_sensitivity against a prebuilt plan (autotune reuses its own).

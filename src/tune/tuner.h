@@ -34,10 +34,9 @@ struct TuneStep {
   /// (the Pareto efficiency axis of Appendix A.1).
   double quantized_fraction = 0.0;
   /// Time spent evaluating this trial (nondeterministic; reported to the
-  /// active RunReport as a "trial:..." stage, see obs/report.h). A stage
-  /// 1-4 arm's is its summed unit time from evaluate_pairs, what the arm
-  /// takes inline on one thread; a stage 5-6 trial's is the wall time of
-  /// its lone evaluation.
+  /// active RunReport as a "trial:..." stage, see obs/report.h): its
+  /// summed unit time from evaluate_pairs, what the trial takes inline on
+  /// one thread.
   double eval_ms = 0.0;
   bool met = false;
 };

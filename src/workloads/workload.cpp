@@ -264,12 +264,6 @@ EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
   return std::move(build).fold();
 }
 
-AccuracyRecord evaluate_with_plan(const EvalPlan& plan, const ModelQuantConfig& config) {
-  EvalTrial trial(plan, config);
-  parallel_run(trial.batches(), [&trial](std::int64_t b) { trial.forward(b); });
-  return trial.fold();
-}
-
 std::vector<PairResult> evaluate_pairs(const std::vector<EvalJob>& jobs,
                                        const EvalProtocol& protocol,
                                        const std::function<void(int)>& progress) {
@@ -390,6 +384,10 @@ std::vector<PairResult> evaluate_pairs(const std::vector<EvalJob>& jobs,
     results.push_back({std::move(pair.record), static_cast<double>(pair.unit_ns.load()) / 1e6});
   }
   return results;
+}
+
+AccuracyRecord evaluate_with_plan(const EvalPlan& plan, const ModelQuantConfig& config) {
+  return evaluate_pairs({{nullptr, &plan, {config}}}).front().record;
 }
 
 AccuracyRecord evaluate_workload(const Workload& w, const SchemeConfig& scheme,

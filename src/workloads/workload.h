@@ -133,11 +133,11 @@ struct EvalPlan {
 [[nodiscard]] EvalPlan make_eval_plan(const Workload& workload,
                                       const EvalProtocol& protocol = {});
 
-/// Scores one quantization configuration against a prebuilt plan: clones
-/// the prototype and prepares the clone on the calling thread (the PTQ
-/// pipeline, whose GEMM and cast kernels fan out there), then runs one
-/// quantized forward per evaluation batch as one parallel_run, then
-/// folds the score in batch order. The config is taken as-is.
+/// Scores one quantization configuration against a prebuilt plan: one
+/// evaluate_pairs job with the given plan and the one config, so the
+/// prepare (a clone of the prototype and the PTQ pipeline on it) runs as
+/// one unit, then one quantized forward per evaluation batch, then the
+/// score folds in batch order. The config is taken as-is.
 [[nodiscard]] AccuracyRecord evaluate_with_plan(const EvalPlan& plan,
                                                 const ModelQuantConfig& config);
 

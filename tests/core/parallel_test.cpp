@@ -1,6 +1,6 @@
 // Concurrency contract of the parallel runtime (docs/THREADING.md):
-// coverage, chunking, key order, nesting, exception propagation,
-// thread-count knobs.
+// coverage, key order, nesting, exception propagation, thread-count
+// knobs, arenas.
 #include "core/parallel.h"
 
 #include <gtest/gtest.h>
@@ -22,93 +22,13 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { set_num_threads(0); }
 };
 
-TEST(ParallelFor, EmptyRangeNeverInvokes) {
+TEST(ParallelRun, NonPositiveCountsNeverInvoke) {
   ThreadCountGuard guard;
   set_num_threads(4);
   int calls = 0;
-  parallel_for(0, 0, 1, [&](std::int64_t, std::int64_t) { ++calls; });
-  parallel_for(5, 5, 1, [&](std::int64_t, std::int64_t) { ++calls; });
-  parallel_for(7, 3, 1, [&](std::int64_t, std::int64_t) { ++calls; });
+  parallel_run(0, [&](std::int64_t) { ++calls; });
+  parallel_run(-3, [&](std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-}
-
-TEST(ParallelFor, RangeSmallerThanGrainRunsInlineAsOneChunk) {
-  ThreadCountGuard guard;
-  set_num_threads(8);
-  const std::thread::id caller = std::this_thread::get_id();
-  int calls = 0;
-  std::int64_t lo = -1;
-  std::int64_t hi = -1;
-  parallel_for(2, 7, 100, [&](std::int64_t b, std::int64_t e) {
-    ++calls;
-    lo = b;
-    hi = e;
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(lo, 2);
-  EXPECT_EQ(hi, 7);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadCountGuard guard;
-  set_num_threads(8);
-  constexpr std::int64_t kN = 10007;  // prime: uneven chunks
-  std::vector<std::atomic<int>> hits(kN);
-  parallel_for(0, kN, 1, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) hits[static_cast<size_t>(i)].fetch_add(1);
-  });
-  for (std::int64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelFor, ChunkCountRespectsGrainAndThreads) {
-  ThreadCountGuard guard;
-  set_num_threads(8);
-  // n=10, grain=4 -> ceil(10/4)=3 chunks even with 8 threads available.
-  std::mutex m;
-  std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
-  parallel_for(0, 10, 4, [&](std::int64_t b, std::int64_t e) {
-    std::lock_guard<std::mutex> lock(m);
-    chunks.emplace_back(b, e);
-  });
-  EXPECT_EQ(chunks.size(), 3u);
-  std::int64_t covered = 0;
-  for (const auto& [b, e] : chunks) covered += e - b;
-  EXPECT_EQ(covered, 10);
-}
-
-TEST(ParallelFor, PartitionIsIdenticalAcrossRuns) {
-  ThreadCountGuard guard;
-  set_num_threads(4);
-  auto collect = [] {
-    std::mutex m;
-    std::set<std::pair<std::int64_t, std::int64_t>> chunks;
-    parallel_for(3, 1003, 10, [&](std::int64_t b, std::int64_t e) {
-      std::lock_guard<std::mutex> lock(m);
-      chunks.emplace(b, e);
-    });
-    return chunks;
-  };
-  const auto first = collect();
-  for (int run = 0; run < 5; ++run) EXPECT_EQ(collect(), first);
-}
-
-TEST(ParallelFor, PropagatesWorkerException) {
-  ThreadCountGuard guard;
-  set_num_threads(4);
-  EXPECT_THROW(parallel_for(0, 1000, 1,
-                            [&](std::int64_t b, std::int64_t) {
-                              if (b >= 500) throw std::runtime_error("boom");
-                            }),
-               std::runtime_error);
-  // The pool survives a throwing region and runs the next one normally.
-  std::atomic<std::int64_t> sum{0};
-  parallel_for(0, 100, 1, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) sum.fetch_add(i);
-  });
-  EXPECT_EQ(sum.load(), 4950);
 }
 
 TEST(ParallelRun, PropagatesException) {
@@ -119,6 +39,10 @@ TEST(ParallelRun, PropagatesException) {
                               if (i == 13) throw std::invalid_argument("task 13");
                             }),
                std::invalid_argument);
+  // The pool survives a throwing region and runs the next one normally.
+  std::atomic<std::int64_t> sum{0};
+  parallel_run(100, [&](std::int64_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 4950);
 }
 
 TEST(ParallelRun, RunsEveryIndexAndRethrowsTheSmallestFailing) {
@@ -164,15 +88,9 @@ TEST(Parallel, NestedRegionsRunInlineWithoutDeadlock) {
   set_num_threads(4);
   EXPECT_FALSE(in_parallel_region());
   std::vector<std::atomic<int>> hits(64 * 64);
-  parallel_for(0, 64, 1, [&](std::int64_t ob, std::int64_t oe) {
+  parallel_run(64, [&](std::int64_t o) {
     EXPECT_TRUE(in_parallel_region());
-    for (std::int64_t o = ob; o < oe; ++o) {
-      parallel_for(0, 64, 1, [&](std::int64_t ib, std::int64_t ie) {
-        for (std::int64_t i = ib; i < ie; ++i) {
-          hits[static_cast<size_t>(o * 64 + i)].fetch_add(1);
-        }
-      });
-    }
+    parallel_run(64, [&](std::int64_t i) { hits[static_cast<size_t>(o * 64 + i)].fetch_add(1); });
   });
   EXPECT_FALSE(in_parallel_region());
   for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
@@ -194,9 +112,6 @@ TEST(Parallel, SingleThreadRunsEverythingOnCaller) {
   set_num_threads(1);
   const std::thread::id caller = std::this_thread::get_id();
   parallel_run(32, [&](std::int64_t) { EXPECT_EQ(std::this_thread::get_id(), caller); });
-  parallel_for(0, 1 << 20, 1, [&](std::int64_t, std::int64_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
 }
 
 TEST(Parallel, ResizeAfterPriorJobsDoesNotCorruptCompletion) {
@@ -225,7 +140,7 @@ TEST(Parallel, ConcurrentTopLevelRegionsSerializeSafely) {
   std::atomic<std::int64_t> b{0};
   std::thread t1([&] {
     for (int r = 0; r < 20; ++r) {
-      parallel_for(0, 1000, 10, [&](std::int64_t lo, std::int64_t hi) { a += hi - lo; });
+      parallel_run(1000, [&](std::int64_t) { a.fetch_add(1); });
     }
   });
   std::thread t2([&] {
@@ -388,12 +303,12 @@ TEST(ParallelArena, RegionsRunOnTheArenaNotTheGlobalPool) {
   set_num_threads(8);
   ParallelArena arena(4);
   ScopedArenaBinding binding(&arena);
-  constexpr std::int64_t kN = 4003;  // prime: uneven chunks
+  constexpr std::int64_t kN = 4003;
   std::vector<std::atomic<int>> hits(kN);
   std::mutex mutex;
   std::set<std::thread::id> workers;
-  parallel_for(0, kN, 1, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) hits[static_cast<size_t>(i)].fetch_add(1);
+  parallel_run(kN, [&](std::int64_t i) {
+    hits[static_cast<size_t>(i)].fetch_add(1);
     std::lock_guard<std::mutex> lock(mutex);
     workers.insert(std::this_thread::get_id());
   });
@@ -402,30 +317,6 @@ TEST(ParallelArena, RegionsRunOnTheArenaNotTheGlobalPool) {
   }
   // Never more threads than the arena budget, whatever the global count.
   EXPECT_LE(workers.size(), 4u);
-}
-
-TEST(ParallelArena, ChunkPartitionMatchesAnEqualGlobalThreadCount) {
-  // The determinism contract: parallel_for under a budget-k arena chunks
-  // exactly as it would with num_threads() == k, so a job's results do
-  // not depend on whether it ran under fp8qd's scheduler or standalone.
-  ThreadCountGuard guard;
-  auto boundaries = [](std::int64_t n) {
-    std::mutex mutex;
-    std::set<std::pair<std::int64_t, std::int64_t>> chunks;
-    parallel_for(0, n, 1, [&](std::int64_t b, std::int64_t e) {
-      std::lock_guard<std::mutex> lock(mutex);
-      chunks.insert({b, e});
-    });
-    return chunks;
-  };
-  set_num_threads(3);
-  const auto global3 = boundaries(1001);
-  set_num_threads(8);
-  ParallelArena arena(3);
-  {
-    ScopedArenaBinding binding(&arena);
-    EXPECT_EQ(boundaries(1001), global3);
-  }
 }
 
 TEST(ParallelArena, ConcurrentArenasDoNotSerializeOrInterfere) {
@@ -439,9 +330,7 @@ TEST(ParallelArena, ConcurrentArenasDoNotSerializeOrInterfere) {
   auto body = [kN](ParallelArena& arena, std::vector<std::atomic<int>>& hits) {
     ScopedArenaBinding binding(&arena);
     for (int round = 0; round < 8; ++round) {
-      parallel_for(0, kN, 1, [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t i = b; i < e; ++i) hits[static_cast<size_t>(i)].fetch_add(1);
-      });
+      parallel_run(kN, [&](std::int64_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
     }
   };
   ParallelArena arena_a(2), arena_b(2);

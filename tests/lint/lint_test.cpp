@@ -71,10 +71,6 @@ TEST(LintFixtures, MissingPragmaOnceFlagged) {
   EXPECT_TRUE(has_rule(lint_fixture("io/missing_pragma_once.h"), "pragma-once"));
 }
 
-TEST(LintFixtures, HardcodedGrainFlagged) {
-  EXPECT_TRUE(has_rule(lint_fixture("nn/hardcoded_grain.cpp"), "parallel-grain"));
-}
-
 TEST(LintFixtures, RawSocketFlagged) {
   const auto findings = lint_fixture("nn/uses_raw_socket.cpp");
   EXPECT_TRUE(has_rule(findings, "raw-socket-io"));
@@ -93,7 +89,6 @@ TEST(LintFixtures, TreeWalkFindsEverySeededViolation) {
   EXPECT_TRUE(has_rule(findings, "raw-clock"));
   EXPECT_TRUE(has_rule(findings, "io-stream"));
   EXPECT_TRUE(has_rule(findings, "pragma-once"));
-  EXPECT_TRUE(has_rule(findings, "parallel-grain"));
   EXPECT_TRUE(has_rule(findings, "raw-socket-io"));
   for (const auto& f : findings) {
     EXPECT_NE(f.file.find('/'), std::string::npos) << format_finding(f);
@@ -115,16 +110,6 @@ TEST(LintRules, ExemptPathsAreSkipped) {
   EXPECT_FALSE(has_rule(lint_file("tensor/rng.cpp", timed), "determinism"));
   EXPECT_TRUE(has_rule(lint_file("tensor/rng.cpp", timed), "raw-clock"));
   EXPECT_FALSE(lint_file("tensor/stats.cpp", timed).empty());
-}
-
-TEST(LintRules, ParallelGrainLiteralsOnly) {
-  // A 4+-digit literal in a parallel_for argument list trips the rule...
-  EXPECT_FALSE(lint_file("nn/x.cpp", "parallel_for(0, n, 16384, body);\n").empty());
-  // ...but named grains and small literals (e.g. grain 1) do not.
-  EXPECT_TRUE(lint_file("nn/x.cpp", "parallel_for(0, n, grain, body);\n").empty());
-  EXPECT_TRUE(lint_file("nn/x.cpp", "parallel_for(0, n, 64, body);\n").empty());
-  // core/parallel.* owns the grain constants and stays exempt.
-  EXPECT_TRUE(lint_file("core/parallel.cpp", "parallel_for(0, n, 16384, b);\n").empty());
 }
 
 TEST(LintRules, RawSocketSyscallsOnly) {

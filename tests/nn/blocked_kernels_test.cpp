@@ -1,7 +1,7 @@
 // Linear, MatMul and Conv2d lower onto the GEMM microkernel (nn/gemm.h),
 // and must be bit-identical to a naive loop reference at every dispatch
-// tier and thread count: transposition, im2col and row/image partitioning
-// only move data, never change any element's summation order.
+// tier and thread count: transposition and im2col only move data, never
+// change any element's summation order.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -91,8 +91,7 @@ TEST(BlockedMatMul, MatchesNaiveAcrossShapesAndFlags) {
     bool batched;
     bool transpose_b;
   };
-  // Odd sizes exercise the 4-row and 8-column remainders; sizes past the
-  // grain heuristic exercise the parallel split.
+  // Odd sizes exercise the 4-row and 8-column remainders.
   const Case cases[] = {
       {1, 1, 1, false, false},  {3, 5, 7, false, false},  {4, 8, 4, false, true},
       {7, 33, 13, false, false}, {7, 33, 13, false, true}, {5, 17, 9, true, false},

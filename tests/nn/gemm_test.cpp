@@ -1,18 +1,18 @@
 // The GEMM microkernel's contract (nn/gemm.h, docs/KERNELS.md): every
 // dispatch tier reproduces the naive ascending-k loop bit for bit, on odd
 // shapes that run every 4-row and 8-column tail path, and any split of
-// the rows across any thread count gives the same bits.
+// the rows into separate calls gives the same bits.
 #include "nn/gemm.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/cpu_dispatch.h"
-#include "core/parallel.h"
 #include "tensor/rng.h"
 
 namespace fp8q {
@@ -20,12 +20,9 @@ namespace {
 
 constexpr IsaTier kTiers[] = {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative};
 
-/// Restores tier and thread-count overrides even when a test fails.
+/// Restores the tier override even when a test fails.
 struct DispatchGuard {
-  ~DispatchGuard() {
-    reset_isa_tier();
-    set_num_threads(0);  // 0 = restore the env/hardware default
-  }
+  ~DispatchGuard() { reset_isa_tier(); }
 };
 
 std::vector<float> random_values(std::uint64_t seed, std::int64_t count) {
@@ -88,7 +85,7 @@ TEST(GemmKernel, EveryTierMatchesTheNaiveLoopOnOddShapes) {
   }
 }
 
-TEST(GemmKernel, AnyRowSplitAtAnyThreadCountGivesTheSameBits) {
+TEST(GemmKernel, AnyRowSplitGivesTheSameBits) {
   DispatchGuard guard;
   const Shape3 s{29, 37, 45};
   const auto a = random_values(21, s.m * s.k);
@@ -97,15 +94,15 @@ TEST(GemmKernel, AnyRowSplitAtAnyThreadCountGivesTheSameBits) {
   gemm_kernel(IsaTier::kScalar)(a.data(), b.data(), want.data(), s.m, s.n, s.k);
   for (IsaTier tier : kTiers) {
     const GemmKernel kernel = gemm_kernel(tier);
-    for (int threads : {1, 4, 8}) {
-      set_num_threads(threads);
+    // Row slices of every size, one kernel call each: 4-row blocks and
+    // row tails form differently than in the whole-matrix call.
+    for (std::int64_t rows = 1; rows <= s.m; ++rows) {
       std::vector<float> y(want.size(), 0.0f);
-      // Grain 1: rows land in chunks of every size, so 4-row blocks and
-      // row tails form differently than in the whole-matrix call.
-      parallel_for(0, s.m, 1, [&](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t lo = 0; lo < s.m; lo += rows) {
+        const std::int64_t hi = std::min(lo + rows, s.m);
         kernel(a.data() + lo * s.k, b.data(), y.data() + lo * s.n, hi - lo, s.n, s.k);
-      });
-      expect_bitwise_equal(y, want, label(tier, s) + " threads " + std::to_string(threads));
+      }
+      expect_bitwise_equal(y, want, label(tier, s) + " slices of " + std::to_string(rows));
     }
   }
 }

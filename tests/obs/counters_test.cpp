@@ -23,8 +23,7 @@ struct ObsGuard {
 };
 
 /// Input with a known event census: `sat` saturating values, `flush`
-/// flush-to-zero values, the rest ordinary. Large enough to cross the fast
-/// path's 16384-element chunk grain several times.
+/// flush-to-zero values, the rest ordinary.
 std::vector<float> census_input(std::size_t n, std::size_t sat, std::size_t flush) {
   std::vector<float> in(n, 1.0f);
   for (std::size_t i = 0; i < sat; ++i) in[i] = 1000.0f;  // > E4M3 max (448)

@@ -5,6 +5,7 @@
 // tests/CMakeLists.txt) so the whole suite also runs on a resized pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -128,11 +129,12 @@ TEST(HistMerge, EmptyMergeIsIdentity) {
   EXPECT_TRUE(merged == a.snap);
 }
 
-// The acceptance criterion: recording the same value set through the
-// chunked hot-loop pattern (LocalHistogram per chunk, hist_merge per
-// chunk, exactly like fp8/cast_fast.cpp) must produce bitwise-identical
-// merged snapshots at 1 thread and at 4 -- counts, totals, min/max and
-// therefore every quantile.
+// The acceptance criterion: recording the same value set in chunks
+// (a LocalHistogram and one hist_merge per chunk, the fold fp8/cast_fast.cpp
+// makes once per call), the chunks run as parallel_run units, must produce
+// bitwise-identical merged snapshots at 1 thread and at 4 -- counts,
+// totals, min/max and therefore every quantile -- whatever order the
+// chunks merge in.
 TEST(HistDeterminism, MergedSnapshotInvariantAcrossThreadCounts) {
   HistGuard guard;
   set_histograms_enabled(true);
@@ -150,9 +152,12 @@ TEST(HistDeterminism, MergedSnapshotInvariantAcrossThreadCounts) {
     histograms_reset();
     set_num_threads(threads);
     const auto n = static_cast<std::int64_t>(values.size());
-    parallel_for(0, n, 1024, [&](std::int64_t lo, std::int64_t hi) {
+    constexpr std::int64_t kChunk = 1024;
+    parallel_run((n + kChunk - 1) / kChunk, [&](std::int64_t c) {
       LocalHistogram local;
-      for (std::int64_t i = lo; i < hi; ++i) local.record(values[static_cast<std::size_t>(i)]);
+      for (std::int64_t i = c * kChunk; i < std::min(n, (c + 1) * kChunk); ++i) {
+        local.record(values[static_cast<std::size_t>(i)]);
+      }
       hist_merge(ObsFormat::kE4M3, local);
     });
     return histogram_snapshot(ObsFormat::kE4M3);

@@ -1,5 +1,5 @@
 // Trace span semantics (src/obs/trace.h): same-thread nesting gives
-// parent linkage, pool-dispatched chunk spans link to the dispatching
+// parent linkage, pool-dispatched unit spans link to the dispatching
 // span, and a disabled tracer records nothing.
 #include <gtest/gtest.h>
 
@@ -67,13 +67,13 @@ TEST(Trace, ChunkSpansLinkToDispatchingSpanAcrossThreads) {
   {
     TraceSpan root("root");
     root_id = root.id();
-    parallel_for(0, 1 << 16, 1024, [](std::int64_t, std::int64_t) {});
+    parallel_run(64, [](std::int64_t) {});
   }
   ASSERT_GE(root_id, 0);
 
   const auto chunks = spans_named(trace_snapshot(), "parallel/task");
-  // 8 threads, 64 possible chunks at this grain: the pool fans out.
-  ASSERT_GE(chunks.size(), 2u);
+  // 8 threads, one span per unit.
+  ASSERT_EQ(chunks.size(), 64u);
   std::set<std::int64_t> ids;
   for (const auto& c : chunks) {
     EXPECT_EQ(c.parent, root_id);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "fp8/cast.h"
 #include "metrics/metrics.h"
@@ -59,6 +61,58 @@ TEST(WeightParams, Int8PerChannel) {
   const Tensor q = apply_quant(w, p);
   EXPECT_NEAR(q[0], 1.0f, 0.01f);
   EXPECT_FLOAT_EQ(q[1], -2.0f);  // channel absmax is exact
+}
+
+TEST(WeightParams, PerChannelIsPerGroupAtTheChannelStride) {
+  // One group per channel gives the per-channel parameters, each channel's
+  // absmax skipping NaN, for FP8 and for INT8.
+  Rng rng(17);
+  Tensor w = randn(rng, {4, 3, 5});
+  w.at({2, 1, 3}) = std::nanf("");
+  const auto maxima = absmax_per_channel(w, 0);
+  ASSERT_TRUE(std::isfinite(maxima[2]));
+  for (const DType dtype : {DType::kE4M3, DType::kINT8}) {
+    const auto channel = make_weight_params(w, dtype);
+    const auto group = make_group_weight_params(w, dtype, 15);
+    EXPECT_EQ(channel.channel_scales, group.channel_scales);
+    ASSERT_EQ(channel.channel_int8.size(), group.channel_int8.size());
+    for (std::size_t c = 0; c < channel.channel_int8.size(); ++c) {
+      EXPECT_EQ(channel.channel_int8[c].scale, group.channel_int8[c].scale) << c;
+      EXPECT_EQ(channel.channel_int8[c].zero_point, group.channel_int8[c].zero_point) << c;
+    }
+    // ...and equal what the axis-0 channel maxima give.
+    if (dtype == DType::kE4M3) {
+      ASSERT_EQ(channel.channel_scales.size(), maxima.size());
+      for (std::size_t c = 0; c < maxima.size(); ++c) {
+        EXPECT_EQ(channel.channel_scales[c], 448.0f / maxima[c]) << c;
+      }
+    } else {
+      ASSERT_EQ(channel.channel_int8.size(), maxima.size());
+      for (std::size_t c = 0; c < maxima.size(); ++c) {
+        EXPECT_EQ(channel.channel_int8[c].scale, int8_symmetric_params(maxima[c]).scale) << c;
+      }
+    }
+  }
+}
+
+TEST(WeightParams, PerChannelEdgeShapes) {
+  // A rank-0 weight has no channel axis.
+  EXPECT_THROW((void)make_weight_params(Tensor(Shape{}), DType::kE4M3), std::invalid_argument);
+  EXPECT_THROW((void)make_weight_params(Tensor(Shape{}), DType::kINT8), std::invalid_argument);
+  // Three empty channels: three neutral FP8 scales, or three copies of
+  // the INT8 parameters of an all-zero range.
+  const Tensor empty(Shape{3, 0});
+  const auto fp8 = make_weight_params(empty, DType::kE4M3);
+  EXPECT_EQ(fp8.channel_scales, (std::vector<float>{1.0f, 1.0f, 1.0f}));
+  const auto int8 = make_weight_params(empty, DType::kINT8);
+  const Int8Params zero = int8_symmetric_params(0.0f);
+  ASSERT_EQ(int8.channel_int8.size(), 3u);
+  for (const Int8Params& p : int8.channel_int8) {
+    EXPECT_EQ(p.scale, zero.scale);
+    EXPECT_EQ(p.zero_point, zero.zero_point);
+    EXPECT_EQ(p.qmin, zero.qmin);
+    EXPECT_EQ(p.qmax, zero.qmax);
+  }
 }
 
 TEST(WeightParams, E5M2WeightsStillMaxScaled) {

@@ -20,9 +20,11 @@
 #include "fp8/cast_fast.h"
 #include "fp8/int8.h"
 #include "nn/conv.h"
+#include "nn/linear.h"
 #include "nn/matmul.h"
 #include "obs/counters.h"
 #include "obs/histogram.h"
+#include "obs/trace.h"
 #include "tensor/rng.h"
 #include "workloads/registry.h"
 #include "workloads/workload.h"
@@ -156,6 +158,37 @@ TEST(Determinism, MatMulAndConvBitIdenticalAcrossThreadCounts) {
   for (std::int64_t i = 0; i < c1.numel(); ++i) ASSERT_EQ(c1.flat()[i], c8.flat()[i]);
 }
 
+TEST(Determinism, KernelsRunOnTheCallingThread) {
+  // Only units fan out: called outside any region at 4 threads, the GEMM,
+  // conv and span-cast kernels run on the caller and dispatch no pool
+  // unit, even on shapes the pool could split.
+  ThreadCountGuard guard;
+  set_num_threads(4);
+  ASSERT_FALSE(in_parallel_region());
+  Rng rng(23);
+  LinearOp linear(randn(rng, {256, 512}), randn(rng, {256}));
+  const std::vector<Tensor> linear_in = {randn(rng, {64, 512})};
+  MatMulOp matmul(true, true);
+  const std::vector<Tensor> matmul_in = {randn(rng, {8, 64, 32}), randn(rng, {8, 64, 32})};
+  Conv2dOp conv(randn(rng, {32, 16, 3, 3}), randn(rng, {32}), 1, 1, 1);
+  const std::vector<Tensor> conv_in = {randn(rng, {8, 16, 32, 32})};
+  std::vector<float> in(1 << 20);
+  for (float& v : in) v = rng.normal(0.0f, 3.0f);
+  std::vector<float> out(in.size());
+
+  set_trace_enabled(true);
+  trace_reset();
+  (void)linear.forward(linear_in);
+  (void)matmul.forward(matmul_in);
+  (void)conv.forward(conv_in);
+  fp8_quantize_scaled_fast(in, out, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
+  int8_quantize(in, out, int8_symmetric_params(8.0f));
+  const std::vector<SpanRecord> spans = trace_snapshot();
+  set_trace_enabled(false);
+  trace_reset();
+  for (const SpanRecord& span : spans) EXPECT_NE(span.name, "parallel/task");
+}
+
 TEST(Determinism, AccuracyRecordsIdenticalAcrossThreadCounts) {
   ThreadCountGuard guard;
   const auto workloads = sample_workloads();
@@ -177,9 +210,9 @@ TEST(Determinism, AccuracyRecordsIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, OneEvaluationFansOutBitIdentically) {
-  // make_eval_plan runs its teacher forwards, and evaluate_with_plan its
-  // quantized forwards, through parallel_map. With more batches than
-  // threads, the plan, the record and the counter deltas at 4 threads must
+  // make_eval_plan runs its teacher forwards through parallel_run, and
+  // evaluate_with_plan its prepare and quantized forwards as
+  // evaluate_pairs units. With more batches than threads, the plan, the record and the counter deltas at 4 threads must
   // equal the serial run's bit for bit.
   ThreadCountGuard guard;
   EvalProtocol protocol = smoke_protocol();
@@ -371,8 +404,8 @@ TEST(Determinism, CastMagnitudeHistogramInvariantAcrossThreadCounts) {
 
   // Histograms on, tracing off: the cast_mag/* histograms classify each
   // element's pre-quantization |x*scale| (fp8/cast_fast.cpp), so the merged
-  // bucket counts -- and every quantile -- must be bitwise-identical no
-  // matter how parallel_for chunked the range.
+  // bucket counts -- and every quantile -- must be bitwise-identical at
+  // every thread count.
   set_histograms_enabled(true);
   auto run_at = [&](int threads) {
     histograms_reset();

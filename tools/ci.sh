@@ -23,7 +23,8 @@
 #      thread-count gate: `fp8q_cli tune nlp/lm-extreme-3 E4M3` (the full
 #      ladder, both fallback stages and node sensitivity) at
 #      FP8Q_NUM_THREADS=1 and at the default count, where exit 0 or 1
-#      (criterion met or not) passes, diffed the same way.
+#      (criterion met or not) passes and an error (exit 2) fails, diffed
+#      the same way.
 #   4. service smoke: boot fp8qd at 1 worker and again at 2 workers on a
 #      private socket, drive both with fp8qd_bench (--append folds the two
 #      runs into one BENCH_service.json scaling curve), gate the snapshot
@@ -38,6 +39,11 @@
 #   8. fuzz build (FP8Q_SANITIZE=fuzzer: ASan + the tests/fuzz/ harnesses)
 #      + a 30-second bounded run of both network-facing parser fuzzers
 #      over the checked-in corpora (`check_fuzz`)
+#
+# Every report, trace and BENCH file a gate reads is deleted just before
+# the run that writes it, so a run that fails to write one fails its gate
+# instead of the gate reading the previous run's file from a reused build
+# tree.
 #
 # Any failure stops the script with a non-zero exit. Build trees default to
 # build-ci-* next to the source tree; override the prefix with
@@ -68,6 +74,8 @@ cmake --build "$PREFIX" --target check_static
 echo "ci: SARIF artifact: $PREFIX/lint.sarif"
 
 step "perf + telemetry smoke (bench_kernels --smoke, table2 --quick through fp8q_report)"
+rm -f "$PREFIX/trace_smoke.json" "$PREFIX/report_smoke.json" \
+  "$PREFIX/BENCH_kernels_smoke.json"
 # Instrumented run: report + histograms + trace export all on. The gates
 # live in fp8q_report, each with an explicit threshold:
 #   check-bench   batched cast kernel must not lose to the scalar loop;
@@ -89,6 +97,7 @@ FP8Q_TRACE=1 FP8Q_TRACE_JSON="$PREFIX/trace_smoke.json" \
 # may wobble but not explode. bench_kernels calls the uncounted cast
 # kernels directly, so every counter cell is 0 and the counter check here
 # has nothing to compare; the Table 2 diffs below are the counter gates.
+rm -f "$PREFIX/report_smoke2.json" "$PREFIX/BENCH_kernels_smoke2.json"
 FP8Q_REPORT="$PREFIX/report_smoke2.json" \
   "$PREFIX/bench/bench_kernels" --smoke --out="$PREFIX/BENCH_kernels_smoke2.json"
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_smoke.json" "$PREFIX/report_smoke2.json" \
@@ -99,6 +108,7 @@ FP8Q_REPORT="$PREFIX/report_smoke2.json" \
 # one thread must equal those at the default count (docs/THREADING.md).
 # Diffed both ways: --max-accuracy-drop fails only a drop, so a record
 # whose accuracy rises fails the reverse diff.
+rm -f "$PREFIX/report_table2_t1.json" "$PREFIX/report_table2.json"
 FP8Q_NUM_THREADS=1 FP8Q_REPORT="$PREFIX/report_table2_t1.json" \
   "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
 FP8Q_REPORT="$PREFIX/report_table2.json" \
@@ -116,6 +126,7 @@ FP8Q_REPORT="$PREFIX/report_table2.json" \
 tune_report() {  # <report.json> [VAR=value ...]
   local out=$1 rc=0
   shift
+  rm -f "$out"
   env "$@" FP8Q_REPORT="$out" "$PREFIX/tools/fp8q_cli" tune nlp/lm-extreme-3 E4M3 \
     > /dev/null || rc=$?
   [[ $rc -le 1 ]] || { echo "ci: fp8q_cli tune exited $rc" >&2; exit 1; }
@@ -133,6 +144,7 @@ tune_report "$PREFIX/report_tune.json"
 # diffed both ways: --max-accuracy-drop fails only a drop, so a record
 # whose accuracy rises fails the reverse diff.
 for tier in scalar batched; do
+  rm -f "$PREFIX/report_table2_$tier.json"
   FP8Q_ISA=$tier FP8Q_REPORT="$PREFIX/report_table2_$tier.json" \
     "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
   "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2.json" \
@@ -163,11 +175,13 @@ service_bench() {
     sleep 0.1
   done
   [[ -S "$SERVICE_SOCK" ]] || { echo "ci: fp8qd never bound $SERVICE_SOCK" >&2; exit 1; }
+  rm -f "$PREFIX/report_service_w$workers.json"
   "$PREFIX/tools/fp8qd_bench" --socket="$SERVICE_SOCK" --connections=2 --jobs=8 \
     --quick --shutdown --out="$PREFIX/BENCH_service.json" \
     --report-out="$PREFIX/report_service_w$workers.json" "$@"
   wait "$daemon_pid"
 }
+rm -f "$PREFIX/BENCH_service.json"
 service_bench 1
 service_bench 2 --append
 "$PREFIX/tools/fp8q_report" check-bench "$PREFIX/BENCH_service.json" \

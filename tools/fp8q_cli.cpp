@@ -13,6 +13,10 @@
 // "Debugging a failed tuning trial" walkthrough in EXPERIMENTS.md. With
 // FP8Q_TRACE=1 FP8Q_TRACE_JSON=<path> the span tree is also exported as
 // Chrome trace-event JSON (open in ui.perfetto.dev).
+//
+// Exit status: 0 on success, 1 when `eval` scores a FAIL or `tune` does
+// not meet the criterion, 2 on a usage error or any other error.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -39,7 +43,13 @@ int cmd_formats() {
 }
 
 int cmd_cast(const char* value_str, const char* fmt_str) {
-  const float value = std::strtof(value_str, nullptr);
+  float value = 0.0f;
+  const char* end = value_str + std::strlen(value_str);
+  const auto [ptr, ec] = std::from_chars(value_str, end, value);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "error: cast value '%s' is not a float\n", value_str);
+    return 2;
+  }
   const Fp8Kind kind = fp8_kind_from_string(fmt_str);
   const std::uint8_t code = fp8_encode(value, kind);
   std::printf("%g -> %s: value %g, code 0x%02X, abs error %g\n", value,
@@ -122,7 +132,7 @@ int cmd_sweep(const char* out_path, bool quick) {
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "error: cannot open %s for writing\n", out_path);
-    return 1;
+    return 2;
   }
   auto suite = build_suite();
   if (quick) suite = quick_suite(suite);
@@ -134,7 +144,7 @@ int cmd_sweep(const char* out_path, bool quick) {
   out.flush();
   if (!out) {
     std::fprintf(stderr, "error: failed writing %s\n", out_path);
-    return 1;
+    return 2;
   }
   std::printf("wrote %zu records to %s\n", records.size(), out_path);
   for (const char* config : {"E5M2/direct", "E4M3/static", "E4M3/dynamic", "E3M4/static",
@@ -176,7 +186,7 @@ int main(int argc, char** argv) {
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+    return 2;
   }
   return usage();
 }

@@ -5,8 +5,8 @@
 // (lint/model.h), and the rules (lint/rules.cpp) match includes, call
 // sites, class members and range-for statements instead of raw lines.
 // The original rule set (raw-thread, raw-socket-io, determinism,
-// raw-clock, io-stream, parallel-grain, pragma-once) is ported onto the
-// token stream, plus four rules only a syntactic engine can express:
+// raw-clock, io-stream, pragma-once) is ported onto the token stream,
+// plus four rules only a syntactic engine can express:
 //
 //   include-layers  quoted includes must respect the layer DAG declared
 //                   in tools/lint/layers.manifest (back-edges — and

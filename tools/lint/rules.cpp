@@ -105,7 +105,7 @@ void rule_raw_thread(const Ctx& c) {
   }
   const std::string msg =
       "raw threading primitive outside core/parallel.{h,cpp}; use "
-      "parallel_for/parallel_run (docs/THREADING.md)";
+      "parallel_run/parallel_stream (docs/THREADING.md)";
   c.flag_includes({"thread", "future"}, "raw-thread", msg);
   c.flag_std_idents({"thread", "jthread", "async"}, "raw-thread", msg);
 }
@@ -160,31 +160,6 @@ void rule_io_stream(const Ctx& c) {
   c.flag_includes({"iostream"}, "io-stream", msg);
   c.flag_std_idents({"cout", "cerr", "clog"}, "io-stream", msg);
   c.flag_calls({"printf", "fprintf", "puts", "fputs", "putchar"}, "io-stream", msg);
-}
-
-void rule_parallel_grain(const Ctx& c) {
-  if (c.path.root == "src" && starts_with(c.path.sub, "core/parallel.")) return;
-  for (std::size_t ci = 0; ci + 1 < c.code.size(); ++ci) {
-    if (c.tok(ci).kind != TokKind::kIdent || c.tok(ci).text != "parallel_for" ||
-        !(c.tok(ci + 1).kind == TokKind::kPunct && c.tok(ci + 1).text == "(")) {
-      continue;
-    }
-    int depth = 0;
-    for (std::size_t j = ci + 1; j < c.code.size(); ++j) {
-      const Token& t = c.tok(j);
-      if (t.kind == TokKind::kPunct && t.text == "(") ++depth;
-      if (t.kind == TokKind::kPunct && t.text == ")") {
-        if (--depth == 0) break;
-      }
-      if (t.kind == TokKind::kNumber && t.value >= 1000.0) {
-        c.emit(t.line, "parallel-grain",
-               "hard-coded parallelization grain; derive it from "
-               "kParallelGrainBytes or kParallelGrainFlops (core/parallel.h) so "
-               "chunk boundaries stay consistent tree-wide "
-               "(docs/PERFORMANCE.md)");
-      }
-    }
-  }
 }
 
 void rule_pragma_once(const Ctx& c) {
@@ -331,7 +306,6 @@ void run_rules(const FilePath& path, const TuModel& model, const Manifest* manif
   rule_determinism(c);
   rule_raw_clock(c);
   rule_io_stream(c);
-  rule_parallel_grain(c);
   rule_pragma_once(c);
   rule_naked_mutex(c);
   rule_unordered_iteration(c);
