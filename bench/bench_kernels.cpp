@@ -6,7 +6,8 @@
 //   * MatMulOp throughput in GFLOP/s;
 //   * the GEMM microkernel (nn/gemm.h, docs/KERNELS.md) at the scalar
 //     reference tier and at the dispatched ISA tier (the top-level "isa"
-//     field), and the speedup between them.
+//     field), and the speedup between them;
+//   * the GELU kernel (nn/tanh.h) over 1 Mi floats, the same way.
 //
 // Writes BENCH_kernels.json (override with --out=<path>). `--smoke` runs a
 // reduced configuration with fewer and smaller shapes; the CI perf gate
@@ -25,6 +26,7 @@
 #include "fp8/int8.h"
 #include "nn/gemm.h"
 #include "nn/matmul.h"
+#include "nn/tanh.h"
 #include "obs/trace.h"
 #include "tensor/rng.h"
 
@@ -179,6 +181,46 @@ GemmResult measure_gemm(std::int64_t m, std::int64_t k, std::int64_t n, double m
   return result;
 }
 
+struct GeluResult {
+  std::int64_t n;
+  double scalar_elems_per_sec;
+  double elems_per_sec;
+};
+
+/// Elements/s of one tier's GELU kernel over a fresh copy of `in` per
+/// call, timing only the kernel calls until they have lasted `min_seconds`.
+double time_gelu(ActivationKernel kernel, const std::vector<float>& in, std::vector<float>& buf,
+                 double min_seconds) {
+  double busy = 0.0;
+  int calls = 0;
+  do {
+    buf = in;
+    const std::uint64_t t0 = obs_now_ns();
+    kernel(buf.data(), static_cast<std::int64_t>(buf.size()));
+    busy += seconds_since(t0);
+    ++calls;
+  } while (busy < min_seconds);
+  return static_cast<double>(in.size()) * calls / busy;
+}
+
+/// The GELU kernel (nn/tanh.h) at the scalar reference tier and at the
+/// dispatched tier, single-threaded, best of `reps` alternating timings
+/// each, as measure_gemm does.
+GeluResult measure_gelu(std::int64_t n, double min_seconds, int reps) {
+  Rng rng(31);
+  const Tensor x = randn(rng, {n});
+  const std::vector<float> in(x.flat().begin(), x.flat().end());
+  std::vector<float> buf;
+  GeluResult result{n, 0.0, 0.0};
+  for (int r = 0; r < reps; ++r) {
+    result.scalar_elems_per_sec = std::max(
+        result.scalar_elems_per_sec, time_gelu(gelu_kernel(IsaTier::kScalar), in, buf, min_seconds));
+    result.elems_per_sec =
+        std::max(result.elems_per_sec, time_gelu(gelu_kernel(isa_tier()), in, buf, min_seconds));
+  }
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,6 +265,12 @@ int main(int argc, char** argv) {
     gemms.push_back(measure_gemm(64, 256, 256, smoke ? 0.02 : 0.2, 5));
   }
 
+  GeluResult gelu{};
+  {
+    ScopedStage stage("kernels/gelu");
+    gelu = measure_gelu(1 << 20, smoke ? 0.02 : 0.2, 5);
+  }
+
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_kernels: cannot write %s\n", out_path.c_str());
@@ -259,6 +307,12 @@ int main(int argc, char** argv) {
                  static_cast<long long>(g.n), g.scalar_gflops, g.gflops,
                  g.gflops / g.scalar_gflops, i + 1 < gemms.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"gelu\": [\n");
+  std::fprintf(f,
+               "    {\"n\": %lld, \"scalar_elems_per_sec\": %.3e, \"elems_per_sec\": %.3e, "
+               "\"speedup\": %.2f}\n",
+               static_cast<long long>(gelu.n), gelu.scalar_elems_per_sec, gelu.elems_per_sec,
+               gelu.elems_per_sec / gelu.scalar_elems_per_sec);
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 
@@ -278,6 +332,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(g.n), isa_label(), g.gflops, g.scalar_gflops,
                 g.gflops / g.scalar_gflops);
   }
+  std::printf("  gelu n=%lld [%s]: %.3e elem/s  scalar %.3e elem/s  (%.2fx)\n",
+              static_cast<long long>(gelu.n), isa_label(), gelu.elems_per_sec,
+              gelu.scalar_elems_per_sec, gelu.elems_per_sec / gelu.scalar_elems_per_sec);
   // The perf gate itself lives in `fp8q_report check-bench` (tools/ci.sh),
   // which reads the JSON written above and applies explicit thresholds;
   // this binary only measures.

@@ -1,17 +1,17 @@
-// Runtime CPU dispatch for the GEMM microkernel (docs/KERNELS.md).
+// Runtime CPU dispatch for the GEMM and tanh kernels (docs/KERNELS.md).
 //
-// The f32 GEMM kernel under Linear, MatMul and Conv2d (nn/gemm.h) comes
-// in three tiers that produce bit-identical results and differ only in
-// speed:
+// The f32 GEMM kernel under Linear, MatMul and Conv2d (nn/gemm.h) and the
+// tanh kernel under Tanh and GELU (nn/tanh.h) each come in three tiers
+// that produce bit-identical results and differ only in speed:
 //
-//   kScalar   portable reference: one row at a time, plain loops. The
+//   kScalar   portable reference: plain loops (the GEMM one row at a
+//             time; tanh a transcription of fdlibm's branches). The
 //             bit-exactness anchor every other tier is tested against.
-//   kBatched  the vector kernel on 16-byte vectors (SSE2 on x86-64, NEON
-//             on AArch64): 4 rows x 8 columns per pass. Works on every
-//             target; the default when no native path exists.
-//   kNative   the same kernel body on 32-byte vectors, compiled for AVX2
-//             on x86-64, with the same per-element operation order as
-//             the scalar tier.
+//   kBatched  the kernel's vector body on 16-byte vectors (SSE2 on
+//             x86-64, NEON on AArch64). Works on every target; the
+//             default when no native path exists.
+//   kNative   the same vector body on 32-byte vectors, compiled for AVX2
+//             (not FMA) on x86-64.
 //
 // Tier resolution order: set_isa_tier() override > the FP8Q_ISA
 // environment variable ("scalar" | "batched" | "native"; "avx2" is an
@@ -22,8 +22,8 @@
 // The probe is a one-time cpuid check (__builtin_cpu_supports on x86-64;
 // every other architecture has no native tier), cached after first use.
 // Dispatch happens per op call by indexing the kernel table with the tier
-// (gemm_kernel in nn/gemm.h), so tests can flip tiers between calls with
-// set_isa_tier().
+// (gemm_kernel in nn/gemm.h, tanh_kernel and gelu_kernel in nn/tanh.h), so
+// tests can flip tiers between calls with set_isa_tier().
 #pragma once
 
 namespace fp8q {

@@ -1,8 +1,10 @@
 #include "nn/elementwise.h"
 
+#include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
+
+#include "nn/tanh.h"
 
 namespace fp8q {
 
@@ -48,19 +50,15 @@ Tensor ActivationOp::forward(std::span<const Tensor> inputs) {
     case OpKind::kRelu:
       for (float& v : y.flat()) v = v > 0.0f ? v : 0.0f;
       break;
-    case OpKind::kGelu: {
-      // tanh approximation of GELU.
-      const auto c = static_cast<float>(std::sqrt(2.0 / std::numbers::pi));
-      for (float& v : y.flat()) {
-        v = 0.5f * v * (1.0f + std::tanh(c * (v + 0.044715f * v * v * v)));
-      }
+    case OpKind::kGelu:
+      // tanh approximation of GELU (nn/tanh.h).
+      gelu_kernel(isa_tier())(y.data(), y.numel());
       break;
-    }
     case OpKind::kSigmoid:
       for (float& v : y.flat()) v = 1.0f / (1.0f + std::exp(-v));
       break;
     case OpKind::kTanh:
-      for (float& v : y.flat()) v = std::tanh(v);
+      tanh_kernel(isa_tier())(y.data(), y.numel());
       break;
     case OpKind::kSilu:
       // x * sigmoid(x): the swish activation of EfficientNet.

@@ -17,7 +17,8 @@
 // multiplies each group's weight rows by an im2col matrix.
 //
 // Dispatch: gemm_kernel(tier) returns that tier's kernel; callers index it
-// with isa_tier() (core/cpu_dispatch.h). Two bodies live in gemm.cpp: the
+// with isa_tier() (core/cpu_dispatch.h), as they do the tanh kernel's
+// (nn/tanh.h). Two bodies live in gemm.cpp: the
 // scalar reference, and one vector kernel whose 16-byte instantiation is
 // kBatched and whose 32-byte instantiation, compiled for AVX2, is kNative
 // on x86-64. Without AVX2 (CPU or architecture) kNative falls back to the

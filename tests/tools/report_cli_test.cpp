@@ -300,26 +300,47 @@ TEST(BenchGate, CheckBenchAppliesTheSpeedupFloor) {
   EXPECT_EQ(report_cli::check_bench(json::parse(R"({"cast": []})"), 1.0, 0.0, 0.0, out), 1);
 }
 
-TEST(BenchGate, CheckBenchAppliesTheGemmFloor) {
+TEST(BenchGate, CheckBenchAppliesTheDispatchFloorToGemmAndGeluRows) {
   const json::Value bench = json::parse(
       R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
                     "batched_elems_per_sec": 3e8, "speedup": 3.0}],
           "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
-                    "gflops": 24.0, "speedup": 3.0}]})");
+                    "gflops": 24.0, "speedup": 3.0}],
+          "gelu": [{"n": 1048576, "scalar_elems_per_sec": 3e7,
+                    "elems_per_sec": 1.2e8, "speedup": 4.0}]})");
   std::ostringstream out;
-  // <= 0 skips the gemm gate entirely; above the floor passes; a floor
-  // above the measured speedup breaches.
+  // <= 0 skips the dispatch gate entirely; above the floor passes; a floor
+  // above the measured gemm speedup breaches once.
   EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 0.0, out), 0);
   EXPECT_EQ(report_cli::check_bench(bench, 1.0, 2.0, 0.0, out), 0);
   EXPECT_EQ(report_cli::check_bench(bench, 1.0, 3.5, 0.0, out), 1);
   EXPECT_NE(out.str().find("gemm 64x256x256"), std::string::npos);
-  // With the gemm gate armed, a snapshot without gemm rows is a breach
-  // (silent gate = no gate); unarmed, the old snapshot stays valid.
+  EXPECT_NE(out.str().find("gelu n=1048576"), std::string::npos);
+  // With the gate armed, a snapshot without gemm or gelu rows breaches
+  // once per missing section (silent gate = no gate); unarmed, the old
+  // snapshot stays valid.
   const json::Value cast_only = json::parse(
       R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
                     "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
-  EXPECT_EQ(report_cli::check_bench(cast_only, 1.0, 2.0, 0.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(cast_only, 1.0, 2.0, 0.0, out), 2);
   EXPECT_EQ(report_cli::check_bench(cast_only, 1.0, 0.0, 0.0, out), 0);
+}
+
+TEST(BenchGate, CheckBenchFailsAGeluRowBelowTheFloor) {
+  // A GELU kernel that silently fell back to the scalar tier reads about
+  // 1x; the gemm row alone passing must not carry the snapshot.
+  const json::Value bench = json::parse(
+      R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
+                    "batched_elems_per_sec": 3e8, "speedup": 3.0}],
+          "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
+                    "gflops": 24.0, "speedup": 3.0}],
+          "gelu": [{"n": 1048576, "scalar_elems_per_sec": 3e7,
+                    "elems_per_sec": 3.3e7}]})");
+  std::ostringstream out;
+  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 2.0, 0.0, out), 1);
+  EXPECT_NE(out.str().find("FAIL  gelu n=1048576 dispatched/scalar speedup 1.10x"),
+            std::string::npos)
+      << out.str();
 }
 
 TEST(BenchGate, CheckBenchAppliesTheServiceJobsPerSecFloor) {
@@ -412,13 +433,13 @@ TEST(RunCli, ExitCodesAndFlagParsing) {
   EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=2.5"},
                             out, err), 1);
 
-  // --min-gemm-speedup arms the gemm gate: this snapshot has no gemm
-  // section, so a positive floor fails while the default (0 = off) keeps
-  // it valid. The removed packed-GEMM flag is now unknown.
+  // --min-dispatch-speedup arms the gemm and gelu gate: this snapshot has
+  // neither section, so a positive floor fails while the default (0 = off)
+  // keeps it valid. The flag it replaced is now unknown.
   EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=1.5",
-                             "--min-gemm-speedup=2.0"},
+                             "--min-dispatch-speedup=2.0"},
                             out, err), 1);
-  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-packed-gemm-speedup=2.0"},
+  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-gemm-speedup=2.0"},
                             out, err), 2);
 
   // diff-bench wires through to the regression gate.

@@ -8,16 +8,17 @@
 #      annotation tooling (fails on any finding)
 #   3. perf + telemetry smoke: bench_kernels --smoke twice, with report /
 #      trace export on; `fp8q_report check-bench` enforces the batched >=
-#      scalar cast-speedup floor and the dispatched GEMM kernel >= 2x
-#      scalar-tier floor (docs/KERNELS.md), `fp8q_report check-trace`
+#      scalar cast-speedup floor and the dispatched GEMM and GELU kernels
+#      >= 2x scalar-tier floor (docs/KERNELS.md), `fp8q_report check-trace`
 #      validates the Chrome trace JSON, and `fp8q_report diff` between the
 #      two runs gates wall/memory regressions with explicit thresholds
 #      (docs/PERFORMANCE.md, docs/OBSERVABILITY.md); bench_kernels calls
 #      the uncounted cast kernels, so its counters are all zero. Then the
 #      Table 2 bit-identity gates: bench_table2_passrate --quick at the
 #      default thread count and tier, against FP8Q_NUM_THREADS=1 and
-#      against FP8Q_ISA=scalar and FP8Q_ISA=batched (the GEMM kernel's
-#      cross-tier contract), each diffed at zero counter drift and zero
+#      against FP8Q_ISA=scalar and FP8Q_ISA=batched (the GEMM and tanh
+#      kernels' cross-tier contract; each pinned report must name the
+#      pinned tier), each diffed at zero counter drift and zero
 #      accuracy drop in both directions, so an accuracy that rises fails
 #      too, as does a record present in only one run. Then the tuner's
 #      thread-count gate: `fp8q_cli tune nlp/lm-extreme-3 E4M3` (the full
@@ -79,8 +80,9 @@ rm -f "$PREFIX/trace_smoke.json" "$PREFIX/report_smoke.json" \
 # Instrumented run: report + histograms + trace export all on. The gates
 # live in fp8q_report, each with an explicit threshold:
 #   check-bench   batched cast kernel must not lose to the scalar loop;
-#                 the dispatched GEMM kernel must beat the scalar tier
-#                 >= 2x (docs/KERNELS.md -- catches a silent fallback)
+#                 the dispatched GEMM and GELU kernels must beat the
+#                 scalar tier >= 2x (docs/KERNELS.md -- catches a silent
+#                 fallback)
 #   check-trace   FP8Q_TRACE_JSON output must be valid, properly nested
 #                 Chrome trace JSON
 #   print         the run report must round-trip through the hardened
@@ -89,7 +91,7 @@ FP8Q_TRACE=1 FP8Q_TRACE_JSON="$PREFIX/trace_smoke.json" \
   FP8Q_REPORT="$PREFIX/report_smoke.json" \
   "$PREFIX/bench/bench_kernels" --smoke --out="$PREFIX/BENCH_kernels_smoke.json"
 "$PREFIX/tools/fp8q_report" check-bench "$PREFIX/BENCH_kernels_smoke.json" \
-  --min-cast-speedup=1.0 --min-gemm-speedup=2.0
+  --min-cast-speedup=1.0 --min-dispatch-speedup=2.0
 "$PREFIX/tools/fp8q_report" check-trace "$PREFIX/trace_smoke.json"
 "$PREFIX/tools/fp8q_report" print "$PREFIX/report_smoke.json" > /dev/null
 
@@ -140,13 +142,21 @@ tune_report "$PREFIX/report_tune.json"
 
 # Cross-tier gate: the same sweep pinned to the scalar reference tier and
 # to the batched tier must equal the default-tier run, records and
-# counters (the GEMM kernel's contract, docs/KERNELS.md). Each pair is
-# diffed both ways: --max-accuracy-drop fails only a drop, so a record
-# whose accuracy rises fails the reverse diff.
+# counters (the GEMM and tanh kernels' contract, docs/KERNELS.md). Each
+# pair is diffed both ways: --max-accuracy-drop fails only a drop, so a
+# record whose accuracy rises fails the reverse diff. FP8Q_ISA maps an
+# unknown value to the best tier, so each pinned report must name the
+# pinned tier: a misspelled pin would otherwise diff the default tier
+# against itself and pass.
 for tier in scalar batched; do
   rm -f "$PREFIX/report_table2_$tier.json"
   FP8Q_ISA=$tier FP8Q_REPORT="$PREFIX/report_table2_$tier.json" \
     "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
+  isa=$(sed -n 's/^  "isa": "\([^"]*\)",$/\1/p' "$PREFIX/report_table2_$tier.json")
+  if [[ $isa != "$tier" ]]; then
+    echo "ci: FP8Q_ISA=$tier ran at isa '$isa', not '$tier'" >&2
+    exit 1
+  fi
   "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2.json" \
     "$PREFIX/report_table2_$tier.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
   "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2_$tier.json" \

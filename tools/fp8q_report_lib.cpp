@@ -360,7 +360,7 @@ std::vector<std::string> validate_chrome_trace(std::string_view json_text) {
   return problems;
 }
 
-int check_bench(const json::Value& bench, double min_speedup, double min_gemm_speedup,
+int check_bench(const json::Value& bench, double min_speedup, double min_dispatch_speedup,
                 double min_jobs_per_sec, std::ostream& out) {
   Gate gate{out};
   const json::Value* casts = bench.is_object() ? bench.find("cast") : nullptr;
@@ -385,22 +385,32 @@ int check_bench(const json::Value& bench, double min_speedup, double min_gemm_sp
       gate.check(speedup < min_speedup, line.str());
     }
   }
-  if (min_gemm_speedup > 0.0) {
-    const json::Value* gemm = bench.is_object() ? bench.find("gemm") : nullptr;
-    if (gemm == nullptr || !gemm->is_array() || gemm->array.empty()) {
-      gate.check(true, "bench json has no gemm measurements");
-      return gate.breaches;
-    }
-    for (const json::Value& g : gemm->array) {
-      if (!g.is_object()) continue;
-      const double scalar = g.number_or("scalar_gflops");
-      const double speedup =
-          g.number_or("speedup", scalar > 0.0 ? g.number_or("gflops") / scalar : 0.0);
-      std::ostringstream line;
-      line << "gemm " << g.number_or("m") << "x" << g.number_or("k") << "x"
-           << g.number_or("n") << " dispatched/scalar speedup " << std::fixed
-           << std::setprecision(2) << speedup << "x (min " << min_gemm_speedup << "x)";
-      gate.check(speedup < min_gemm_speedup, line.str());
+  if (min_dispatch_speedup > 0.0) {
+    // Every dispatched kernel row: "gemm" in GFLOP/s per shape, "gelu" in
+    // elements/s per length. Each section must be present.
+    for (const char* section : {"gemm", "gelu"}) {
+      const json::Value* rows = bench.is_object() ? bench.find(section) : nullptr;
+      if (rows == nullptr || !rows->is_array() || rows->array.empty()) {
+        gate.check(true, std::string("bench json has no ") + section + " measurements");
+        continue;
+      }
+      const bool gemm = std::string_view(section) == "gemm";
+      for (const json::Value& row : rows->array) {
+        if (!row.is_object()) continue;
+        const double scalar = row.number_or(gemm ? "scalar_gflops" : "scalar_elems_per_sec");
+        const double fast = row.number_or(gemm ? "gflops" : "elems_per_sec");
+        const double speedup = row.number_or("speedup", scalar > 0.0 ? fast / scalar : 0.0);
+        std::ostringstream line;
+        if (gemm) {
+          line << "gemm " << row.number_or("m") << "x" << row.number_or("k") << "x"
+               << row.number_or("n");
+        } else {
+          line << "gelu n=" << static_cast<long long>(row.number_or("n"));
+        }
+        line << " dispatched/scalar speedup " << std::fixed << std::setprecision(2) << speedup
+             << "x (min " << min_dispatch_speedup << "x)";
+        gate.check(speedup < min_dispatch_speedup, line.str());
+      }
     }
   }
   if (min_jobs_per_sec > 0.0) {
@@ -528,7 +538,7 @@ constexpr const char* kUsage =
     "       [--max-counter-drift-pct=P]   (negative disables a check)\n"
     "  check-trace <trace.json>\n"
     "  check-bench <BENCH.json> [--min-cast-speedup=S]\n"
-    "       [--min-gemm-speedup=S]          (<= 0 skips the gemm gate)\n"
+    "       [--min-dispatch-speedup=S]      (gemm and gelu rows; <= 0 skips)\n"
     "       [--min-jobs-per-sec=J]          (<= 0 skips the service gate)\n"
     "  diff-bench <base_BENCH.json> <candidate_BENCH.json> [--max-regress-pct=P]\n";
 
@@ -583,18 +593,18 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
 
     if (cmd == "check-bench" && args.size() >= 2) {
       double min_speedup = 1.0;
-      double min_gemm_speedup = 0.0;  // off unless requested: old snapshots stay valid
+      double min_dispatch_speedup = 0.0;  // off unless requested: old snapshots stay valid
       double min_jobs_per_sec = 0.0;  // off unless requested: kernel snapshots stay valid
       for (std::size_t i = 2; i < args.size(); ++i) {
         if (!flag_value(args[i], "--min-cast-speedup", &min_speedup) &&
-            !flag_value(args[i], "--min-gemm-speedup", &min_gemm_speedup) &&
+            !flag_value(args[i], "--min-dispatch-speedup", &min_dispatch_speedup) &&
             !flag_value(args[i], "--min-jobs-per-sec", &min_jobs_per_sec)) {
           err << "fp8q_report: unknown flag " << args[i] << "\n" << kUsage;
           return 2;
         }
       }
       const int breaches = check_bench(json::parse(read_file(args[1])), min_speedup,
-                                       min_gemm_speedup, min_jobs_per_sec, out);
+                                       min_dispatch_speedup, min_jobs_per_sec, out);
       out << (breaches > 0 ? "fp8q_report: bench gate FAILED\n" : "fp8q_report: bench ok\n");
       return breaches > 0 ? 1 : 0;
     }

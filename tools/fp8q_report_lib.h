@@ -57,9 +57,9 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
 
 /// Gate over one BENCH_*.json snapshot. Kernel snapshots (bench_kernels):
 /// every "cast" entry's batched/scalar speedup must be >= min_speedup,
-/// and -- when min_gemm_speedup > 0 -- every "gemm" entry's
-/// dispatched/scalar kernel speedup must be >= min_gemm_speedup (a
-/// missing gemm section is then a breach; <= 0 skips the gemm gate).
+/// and -- when min_dispatch_speedup > 0 -- every "gemm" and "gelu"
+/// entry's dispatched/scalar kernel speedup must be >= min_dispatch_speedup
+/// (a missing gemm or gelu section is then a breach; <= 0 skips the gate).
 /// Service snapshots (fp8qd_bench, docs/SERVICE.md): when
 /// min_jobs_per_sec > 0, the "service" section's sustained jobs_per_sec
 /// must be >= that floor (a missing service section is then a breach;
@@ -67,7 +67,7 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
 /// --append worker-scaling curve) is echoed one note per row. A snapshot
 /// with neither a cast nor a service section is always a breach. Returns
 /// breach count.
-int check_bench(const json::Value& bench, double min_speedup, double min_gemm_speedup,
+int check_bench(const json::Value& bench, double min_speedup, double min_dispatch_speedup,
                 double min_jobs_per_sec, std::ostream& out);
 
 /// Diffs two BENCH_kernels*.json snapshots: batched cast throughput (per
