@@ -3,6 +3,8 @@
 // "inference transform" (clean) calibration data. The paper recommends 3K
 // samples with the training transform.
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "metrics/metrics.h"
 #include "models/zoo.h"
@@ -50,19 +52,23 @@ int main() {
   std::printf("%-10s | %14s %14s | %14s\n", "samples", "train-xform", "infer-xform",
               "no BN calib");
 
-  // FP32 baseline once.
-  const double fp32 = make_eval_plan(w, protocol).fp32_score;
-
-  for (int samples : {128, 512, 1024, 3072}) {
+  // One plan per (samples, transform): the calibration stream differs,
+  // the evaluation batches and so the FP32 baseline do not. The no-BN
+  // config calibrates on the inference transform, so it shares that plan.
+  // All 12 configs then score in one evaluate_pairs call.
+  const SchemeConfig scheme = standard_fp8_scheme(DType::kE3M4);
+  const int kSamples[] = {128, 512, 1024, 3072};
+  std::vector<EvalPlan> plans;
+  plans.reserve(2 * std::size(kSamples));
+  std::vector<EvalJob> jobs;
+  for (int samples : kSamples) {
     const int batch = 64;
     const int batches = samples / batch;
-    double acc[3] = {0, 0, 0};
-    int mode = 0;
+    EvalProtocol p = protocol;
+    p.calib_batches = batches;
+    p.calib_batch_size = batch;
+    p.bn_calibration_batches = batches;
     for (bool train_xform : {true, false}) {
-      EvalProtocol p = protocol;
-      p.calib_batches = batches;
-      p.calib_batch_size = batch;
-      p.bn_calibration_batches = batches;
       Workload wv = w;
       if (train_xform) {
         // Only the calibration set is augmented; evaluation stays clean.
@@ -73,20 +79,22 @@ int main() {
           return in;
         };
       }
-      const auto rec = evaluate_workload(wv, standard_fp8_scheme(DType::kE3M4), p);
-      acc[mode++] = rec.quant_accuracy;
+      plans.push_back(make_eval_plan(wv, p));
+      jobs.push_back({nullptr, &plans.back(), {default_model_config(wv, scheme, p)}});
     }
-    {
-      EvalProtocol p = protocol;
-      p.calib_batches = batches;
-      p.calib_batch_size = batch;
-      p.bn_calibration_batches = 0;  // BN calibration disabled
-      const auto rec = evaluate_workload(w, standard_fp8_scheme(DType::kE3M4), p);
-      acc[2] = rec.quant_accuracy;
-    }
-    std::printf("%-10d | %14.4f %14.4f | %14.4f\n", samples, acc[0], acc[1], acc[2]);
-    std::fflush(stdout);
+    EvalProtocol no_bn = p;
+    no_bn.bn_calibration_batches = 0;  // BN calibration disabled
+    jobs.back().configs.push_back(default_model_config(w, scheme, no_bn));
   }
+  const auto results = evaluate_pairs(jobs);
+
+  // Results come job by job: train, then inference and no-BN, per size.
+  for (std::size_t s = 0; s < std::size(kSamples); ++s) {
+    std::printf("%-10d | %14.4f %14.4f | %14.4f\n", kSamples[s],
+                results[3 * s].record.quant_accuracy, results[3 * s + 1].record.quant_accuracy,
+                results[3 * s + 2].record.quant_accuracy);
+  }
+  const double fp32 = plans.front().fp32_score;
   std::printf("\nFP32 baseline accuracy: %.4f\n", fp32);
   std::printf("paper shape: accuracy recovers with more calibration samples; the\n"
               "training transform reaches peak accuracy at smaller sample sizes and\n"

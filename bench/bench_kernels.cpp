@@ -1,13 +1,16 @@
 // Hot-path kernel performance snapshot (docs/PERFORMANCE.md). Measures:
 //
-//   * fake-quant cast throughput, scalar loop vs the batched branch-free
-//     kernel, per FP8 format and for INT8 (asymmetric, parameters from the
-//     data's range), pinned to one thread;
+//   * the fake-quant cast kernels (fp8/cast_fast.h, fp8/int8.h) at the
+//     scalar reference tier and at the dispatched tier, per FP8 format and
+//     for INT8 (asymmetric, parameters from the data's range), each
+//     without and with an event tally;
 //   * MatMulOp throughput in GFLOP/s;
 //   * the GEMM microkernel (nn/gemm.h, docs/KERNELS.md) at the scalar
 //     reference tier and at the dispatched ISA tier (the top-level "isa"
 //     field), and the speedup between them;
 //   * the GELU kernel (nn/tanh.h) over 1 Mi floats, the same way.
+//
+// Everything runs on one thread.
 //
 // Writes BENCH_kernels.json (override with --out=<path>). `--smoke` runs a
 // reduced configuration with fewer and smaller shapes; the CI perf gate
@@ -42,68 +45,70 @@ double seconds_since(std::uint64_t t0_ns) {
 
 struct CastResult {
   const char* format;
+  bool counted;
   double scalar_elems_per_sec;
-  double batched_elems_per_sec;
+  double elems_per_sec;
 };
 
-/// Best-of-`reps` throughput of `scalar(i)`, one element of `dst` per
-/// call, and of `batched()`, the kernel over all of `dst`. The two timings
-/// alternate, so a drift in machine speed hits both.
-template <typename Scalar, typename Batched>
-CastResult time_cast(const char* format, std::span<const float> dst, int iters, int reps,
-                     Scalar scalar, Batched batched) {
-  const auto n = static_cast<double>(dst.size());
-  double scalar_best = 0.0;
-  double batched_best = 0.0;
-  volatile float sink = 0.0f;
+/// Elements/s of `cast` (one call over `n` elements) at `tier`, from one
+/// timing that repeats the call until it has lasted `min_seconds`.
+template <typename Cast>
+double time_cast(IsaTier tier, std::size_t n, double min_seconds, const Cast& cast) {
+  set_isa_tier(tier);
+  const std::uint64_t t0 = obs_now_ns();
+  int calls = 0;
+  double elapsed = 0.0;
+  do {
+    cast();
+    ++calls;
+    elapsed = seconds_since(t0);
+  } while (elapsed < min_seconds);
+  return static_cast<double>(n) * calls / elapsed;
+}
+
+/// One cast kernel (fp8_quantize_batch or int8_quantize_batch, out of
+/// place, with or without an event tally) at the scalar reference tier and
+/// at the dispatched tier, best of `reps` alternating timings each, as
+/// measure_gemm does.
+template <typename Cast>
+CastResult measure_cast(const char* format, bool counted, std::size_t n, double min_seconds,
+                        int reps, const Cast& cast) {
+  const IsaTier dispatched = isa_tier();
+  CastResult result{format, counted, 0.0, 0.0};
   for (int r = 0; r < reps; ++r) {
-    std::uint64_t t0 = obs_now_ns();
-    for (int it = 0; it < iters; ++it) {
-      for (std::size_t i = 0; i < dst.size(); ++i) scalar(i);
-      sink = dst[0];
-    }
-    const double scalar_rate = n * iters / seconds_since(t0);
-
-    t0 = obs_now_ns();
-    for (int it = 0; it < iters; ++it) {
-      batched();
-      sink = dst[0];
-    }
-    const double batched_rate = n * iters / seconds_since(t0);
-
-    scalar_best = std::max(scalar_best, scalar_rate);
-    batched_best = std::max(batched_best, batched_rate);
+    result.scalar_elems_per_sec = std::max(result.scalar_elems_per_sec,
+                                           time_cast(IsaTier::kScalar, n, min_seconds, cast));
+    result.elems_per_sec =
+        std::max(result.elems_per_sec, time_cast(dispatched, n, min_seconds, cast));
   }
-  (void)sink;
-  return {format, scalar_best, batched_best};
+  reset_isa_tier();
+  return result;
 }
 
-CastResult measure_cast(Fp8Kind kind, std::int64_t n, int iters, int reps) {
-  const FastCastSpec& spec = fast_cast_spec(kind);
+/// The FP8 rows (per format) and the INT8 row (asymmetric, parameters from
+/// the data's range), each uncounted and counted, over `n` normal draws.
+std::vector<CastResult> measure_casts(std::int64_t n, double min_seconds, int reps) {
   Rng rng(17);
-  Tensor data = randn(rng, {n});
-  Tensor out(data.shape());
-  const float scale = spec.max_value / 17.0f;
-  const float inv = 1.0f / scale;
-  const auto in = data.flat();
-  auto dst = out.flat();
-  return time_cast(
-      to_string(kind).data(), dst, iters, reps,
-      [&](std::size_t i) { dst[i] = fp8_quantize_fast(in[i] * scale, spec) * inv; },
-      [&] { fp8_quantize_batch(in, dst, spec, scale); });
-}
-
-CastResult measure_int8_cast(std::int64_t n, int iters, int reps) {
-  Rng rng(17);
-  Tensor data = randn(rng, {n});
+  const Tensor data = randn(rng, {n});
   Tensor out(data.shape());
   const auto in = data.flat();
   auto dst = out.flat();
-  const auto [lo, hi] = std::minmax_element(in.begin(), in.end());
-  const Int8Params p = int8_asymmetric_params(*lo, *hi);
-  return time_cast(
-      "INT8", dst, iters, reps, [&](std::size_t i) { dst[i] = int8_quantize(in[i], p); },
-      [&] { int8_quantize_batch(in, dst, p); });
+  std::vector<CastResult> rows;
+  for (const bool counted : {false, true}) {
+    CastTally tally;
+    CastTally* t = counted ? &tally : nullptr;
+    for (Fp8Kind kind : {Fp8Kind::E5M2, Fp8Kind::E4M3, Fp8Kind::E3M4}) {
+      const FastCastSpec& spec = fast_cast_spec(kind);
+      const float scale = spec.max_value / 17.0f;
+      rows.push_back(measure_cast(to_string(kind).data(), counted, in.size(), min_seconds, reps,
+                                  [&] { fp8_quantize_batch(in, dst, spec, scale, t); }));
+    }
+    const auto [lo, hi] = std::minmax_element(in.begin(), in.end());
+    const Int8Params p = int8_asymmetric_params(*lo, *hi);
+    rows.push_back(measure_cast("INT8", counted, in.size(), min_seconds, reps,
+                                [&] { int8_quantize_batch(in, dst, p, t); }));
+  }
+  return rows;
 }
 
 struct MatmulResult {
@@ -239,17 +244,12 @@ int main(int argc, char** argv) {
   // (perfbench/ measures scaling end to end).
   set_num_threads(1);
 
-  const std::int64_t cast_n = smoke ? 65536 : 1 << 20;
-  const int cast_iters = smoke ? 8 : 32;
   const int reps = smoke ? 2 : 3;
 
   std::vector<CastResult> casts;
   {
     ScopedStage stage("kernels/cast");
-    for (Fp8Kind kind : {Fp8Kind::E5M2, Fp8Kind::E4M3, Fp8Kind::E3M4}) {
-      casts.push_back(measure_cast(kind, cast_n, cast_iters, reps));
-    }
-    casts.push_back(measure_int8_cast(cast_n, cast_iters, reps));
+    casts = measure_casts(smoke ? 65536 : 1 << 20, smoke ? 0.01 : 0.1, reps);
   }
 
   std::vector<MatmulResult> matmuls;
@@ -282,10 +282,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < casts.size(); ++i) {
     const auto& c = casts[i];
     std::fprintf(f,
-                 "    {\"format\": \"%s\", \"scalar_elems_per_sec\": %.3e, "
-                 "\"batched_elems_per_sec\": %.3e, \"speedup\": %.2f}%s\n",
-                 c.format, c.scalar_elems_per_sec, c.batched_elems_per_sec,
-                 c.batched_elems_per_sec / c.scalar_elems_per_sec,
+                 "    {\"format\": \"%s\", \"counted\": %s, \"scalar_elems_per_sec\": %.3e, "
+                 "\"elems_per_sec\": %.3e, \"speedup\": %.2f}%s\n",
+                 c.format, c.counted ? "true" : "false", c.scalar_elems_per_sec,
+                 c.elems_per_sec, c.elems_per_sec / c.scalar_elems_per_sec,
                  i + 1 < casts.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"matmul\": [\n");
@@ -318,9 +318,9 @@ int main(int argc, char** argv) {
 
   std::printf("bench_kernels (%s) -> %s\n", smoke ? "smoke" : "full", out_path.c_str());
   for (const auto& c : casts) {
-    std::printf("  cast %-5s scalar %.3e elem/s  batched %.3e elem/s  (%.2fx)\n",
-                c.format, c.scalar_elems_per_sec, c.batched_elems_per_sec,
-                c.batched_elems_per_sec / c.scalar_elems_per_sec);
+    std::printf("  cast %-4s %-9s [%s]: %.3e elem/s  scalar %.3e elem/s  (%.2fx)\n", c.format,
+                c.counted ? "counted" : "uncounted", isa_label(), c.elems_per_sec,
+                c.scalar_elems_per_sec, c.elems_per_sec / c.scalar_elems_per_sec);
   }
   for (const auto& m : matmuls) {
     std::printf("  matmul %lldx%lldx%lld: %.2f GFLOP/s\n", static_cast<long long>(m.m),

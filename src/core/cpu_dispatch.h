@@ -1,15 +1,22 @@
-// Runtime CPU dispatch for the GEMM and tanh kernels (docs/KERNELS.md).
+// Runtime CPU dispatch for the cast, GEMM and tanh kernels
+// (docs/KERNELS.md).
 //
-// The f32 GEMM kernel under Linear, MatMul and Conv2d (nn/gemm.h) and the
-// tanh kernel under Tanh and GELU (nn/tanh.h) each come in three tiers
-// that produce bit-identical results and differ only in speed:
+// The fake-quant casts every quantized op runs (fp8_quantize_batch in
+// fp8/cast_fast.h, int8_quantize_batch in fp8/int8.h), the f32 GEMM kernel
+// under Linear, MatMul and Conv2d (nn/gemm.h) and the tanh kernel under
+// Tanh and GELU (nn/tanh.h) each come in three tiers that produce
+// bit-identical results (outputs and cast event tallies) and differ only
+// in speed:
 //
-//   kScalar   portable reference: plain loops (the GEMM one row at a
-//             time; tanh a transcription of fdlibm's branches). The
-//             bit-exactness anchor every other tier is tested against.
+//   kScalar   portable reference: plain loops (the casts one
+//             fp8_quantize_fast or int8_encode/int8_decode per element;
+//             the GEMM one row at a time; tanh a transcription of
+//             fdlibm's branches). The bit-exactness anchor every other
+//             tier is tested against.
 //   kBatched  the kernel's vector body on 16-byte vectors (SSE2 on
-//             x86-64, NEON on AArch64). Works on every target; the
-//             default when no native path exists.
+//             x86-64, NEON on AArch64): an auto-vectorized loop for the
+//             casts, GCC vector extensions for the GEMM and tanh. Works
+//             on every target; the default when no native path exists.
 //   kNative   the same vector body on 32-byte vectors, compiled for AVX2
 //             (not FMA) on x86-64.
 //
@@ -21,9 +28,12 @@
 //
 // The probe is a one-time cpuid check (__builtin_cpu_supports on x86-64;
 // every other architecture has no native tier), cached after first use.
-// Dispatch happens per op call by indexing the kernel table with the tier
-// (gemm_kernel in nn/gemm.h, tanh_kernel and gelu_kernel in nn/tanh.h), so
-// tests can flip tiers between calls with set_isa_tier().
+// Dispatch happens per call: the casts switch on isa_tier() inside
+// fp8_quantize_batch and int8_quantize_batch, and the ops index the GEMM
+// and tanh kernel tables with it (gemm_kernel in nn/gemm.h, tanh_kernel
+// and gelu_kernel in nn/tanh.h), so tests can flip tiers between calls
+// with set_isa_tier(). The range statistics that feed the casts
+// (tensor/stats.h) have no tiers: one 16-byte loop each.
 #pragma once
 
 namespace fp8q {

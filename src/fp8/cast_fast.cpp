@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "core/cpu_dispatch.h"
 #include "obs/counters.h"
 #include "obs/histogram.h"
 
@@ -64,34 +65,51 @@ float fp8_quantize_fast(float x, const FastCastSpec& spec) {
   return std::bit_cast<float>(sign | au);
 }
 
-void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
-                        const FastCastSpec& spec, float scale, CastTally* tally) {
-  const std::size_t n = in.size() < out.size() ? in.size() : out.size();
+namespace {
+
+// ---------------------------------------------------------------------------
+// kScalar tier: the reference every other tier is tested bit-equal
+// against. One fp8_quantize_fast call per element, and the events
+// classified per element on the same scaled value.
+// ---------------------------------------------------------------------------
+
+void fp8_scalar_tier(const float* in, float* out, std::size_t n, const FastCastSpec& spec,
+                     float scale, CastTally* tally) {
+  const float inv = 1.0f / scale;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float scaled = in[i] * scale;
+    out[i] = fp8_quantize_fast(scaled, spec) * inv;
+    if (tally == nullptr) continue;
+    const std::uint32_t au = std::bit_cast<std::uint32_t>(scaled) & 0x7FFFFFFFu;
+    // Finite overflow and +/-Inf clamp to +/-max; NaN (above the Inf
+    // pattern) passes through and is not an event.
+    if (au > spec.max_bits && au <= 0x7F800000u) ++tally->saturated;
+    // Nonzero but at or below half the smallest subnormal: rounds to 0.
+    if (au != 0u && au <= spec.half_min_sub) ++tally->flushed;
+  }
+  if (tally != nullptr) tally->quantized += n;
+}
+
+// ---------------------------------------------------------------------------
+// The vector tiers: one branch-free loop that GCC auto-vectorizes (this
+// file builds at -O3), at baseline width (kBatched: SSE2 on x86-64, NEON
+// on AArch64) and under AVX2 (kNative). With kTally the events are
+// classified in the same loop into 32-bit lane counters, one chunk of
+// fewer than 2^32 elements at a time, so no counter can wrap; 64-bit
+// counters in the loop would cost a widening per lane.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kTallyChunk = std::size_t{1} << 31;
+
+template <bool kTally>
+void fp8_vector_tier(const float* in, float* out, std::size_t n, const FastCastSpec& spec,
+                     float scale, CastTally* tally) {
   const float inv = 1.0f / scale;
   const auto man = static_cast<std::uint32_t>(spec.man_bits);
   const std::uint32_t min_eb = spec.min_biased_exp;
   const std::uint32_t max_bits = spec.max_bits;
   const std::uint32_t half_min_sub = spec.half_min_sub;
   const float max_value = spec.max_value;
-
-  if (tally != nullptr) {
-    // Classification pass over the inputs FIRST: `out` may alias `in`, and
-    // tallying in a separate read-only sweep keeps the quantize loop below
-    // byte-identical whether or not events are being counted.
-    std::uint64_t saturated = 0;
-    std::uint64_t flushed = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t au = std::bit_cast<std::uint32_t>(in[i] * scale) & 0x7FFFFFFFu;
-      // Finite overflow and +/-Inf clamp to +/-max; NaN (above the Inf
-      // pattern) passes through and is not an event.
-      saturated += static_cast<std::uint64_t>(au > max_bits && au <= 0x7F800000u);
-      // Nonzero but at or below half the smallest subnormal: rounds to 0.
-      flushed += static_cast<std::uint64_t>(au != 0u && au <= half_min_sub);
-    }
-    tally->quantized += static_cast<std::uint64_t>(n);
-    tally->saturated += saturated;
-    tally->flushed += flushed;
-  }
 
   // Branch-free rounding in the float domain. For a magnitude `ax` with
   // (clamped) biased exponent eb, the grid spacing is step = 2^(eb-127-man)
@@ -108,28 +126,83 @@ void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
   // Inf survives the arithmetic (v = k = q = Inf) and the saturate select
   // clamps it to max_value; NaN fails every compare and is passed through
   // by the final select with its payload intact. All operations are
-  // constant shifts, adds, multiplies and compare-selects, so the loop
-  // auto-vectorizes (this file builds at -O3, src/fp8/CMakeLists.txt).
+  // constant shifts, adds, multiplies, compare-selects and (with kTally)
+  // integer compare-adds, so the loop auto-vectorizes.
   constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
-  for (std::size_t i = 0; i < n; ++i) {
-    const float scaled = in[i] * scale;
-    const std::uint32_t u = std::bit_cast<std::uint32_t>(scaled);
-    const std::uint32_t sign = u & 0x80000000u;
-    const std::uint32_t au = u & 0x7FFFFFFFu;
-    std::uint32_t eb = au >> 23;
-    eb = eb < min_eb ? min_eb : eb;
-    const float step = std::bit_cast<float>((eb - man) << 23);
-    const float inv_step = std::bit_cast<float>((254u + man - eb) << 23);
-    const float ax = std::bit_cast<float>(au);
-    const float v = ax * inv_step;                        // exact
-    const float k = (v + kRoundMagic) - kRoundMagic;      // RNE to integer
-    float q = k * step;                                   // exact
-    q = q > max_value ? max_value : q;                    // saturate
-    std::uint32_t rbits = sign | std::bit_cast<std::uint32_t>(q);
-    rbits = au <= half_min_sub ? sign : rbits;            // flush to zero
-    rbits = au > 0x7F800000u ? u : rbits;                 // NaN passthrough
-    out[i] = std::bit_cast<float>(rbits) * inv;
+  for (std::size_t begin = 0; begin < n; begin += kTallyChunk) {
+    const std::size_t end = n - begin < kTallyChunk ? n : begin + kTallyChunk;
+    std::uint32_t saturated = 0;
+    std::uint32_t flushed = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const float scaled = in[i] * scale;
+      const std::uint32_t u = std::bit_cast<std::uint32_t>(scaled);
+      const std::uint32_t sign = u & 0x80000000u;
+      const std::uint32_t au = u & 0x7FFFFFFFu;
+      std::uint32_t eb = au >> 23;
+      eb = eb < min_eb ? min_eb : eb;
+      const float step = std::bit_cast<float>((eb - man) << 23);
+      const float inv_step = std::bit_cast<float>((254u + man - eb) << 23);
+      const float ax = std::bit_cast<float>(au);
+      const float v = ax * inv_step;                        // exact
+      const float k = (v + kRoundMagic) - kRoundMagic;      // RNE to integer
+      float q = k * step;                                   // exact
+      q = q > max_value ? max_value : q;                    // saturate
+      std::uint32_t rbits = sign | std::bit_cast<std::uint32_t>(q);
+      rbits = au <= half_min_sub ? sign : rbits;            // flush to zero
+      rbits = au > 0x7F800000u ? u : rbits;                 // NaN passthrough
+      out[i] = std::bit_cast<float>(rbits) * inv;
+      if constexpr (kTally) {
+        // The scalar tier's two rules on the same bits: finite overflow
+        // or +/-Inf, and nonzero at or below half the smallest subnormal.
+        saturated += static_cast<std::uint32_t>(au > max_bits) &
+                     static_cast<std::uint32_t>(au <= 0x7F800000u);
+        flushed += static_cast<std::uint32_t>(au != 0u) &
+                   static_cast<std::uint32_t>(au <= half_min_sub);
+      }
+    }
+    if constexpr (kTally) {
+      tally->saturated += saturated;
+      tally->flushed += flushed;
+    }
   }
+  if constexpr (kTally) tally->quantized += n;
+}
+
+#if defined(__x86_64__)
+// kNative: the same loop compiled for AVX2 (and not FMA). flatten inlines
+// the whole body here, so it is vectorized under this function's target;
+// the dispatch below enters it only after the runtime probe.
+template <bool kTally>
+[[gnu::target("avx2"), gnu::flatten]] void fp8_avx2_tier(const float* in, float* out,
+                                                         std::size_t n,
+                                                         const FastCastSpec& spec,
+                                                         float scale, CastTally* tally) {
+  fp8_vector_tier<kTally>(in, out, n, spec, scale, tally);
+}
+#endif
+
+}  // namespace
+
+void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
+                        const FastCastSpec& spec, float scale, CastTally* tally) {
+  const std::size_t n = in.size() < out.size() ? in.size() : out.size();
+  const bool counted = tally != nullptr;
+  switch (isa_tier()) {
+    case IsaTier::kScalar:
+      return fp8_scalar_tier(in.data(), out.data(), n, spec, scale, tally);
+    case IsaTier::kNative:
+#if defined(__x86_64__)
+      if (isa_native_available()) {
+        return counted ? fp8_avx2_tier<true>(in.data(), out.data(), n, spec, scale, tally)
+                       : fp8_avx2_tier<false>(in.data(), out.data(), n, spec, scale, tally);
+      }
+#endif
+      [[fallthrough]];
+    case IsaTier::kBatched:
+      break;
+  }
+  return counted ? fp8_vector_tier<true>(in.data(), out.data(), n, spec, scale, tally)
+                 : fp8_vector_tier<false>(in.data(), out.data(), n, spec, scale, tally);
 }
 
 void quantize_observed(
@@ -161,8 +234,8 @@ void quantize_observed(
 void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
                               const FastCastSpec& spec, float scale) {
   if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
-  // With counting off the kernel gets no tally and skips its separate
-  // counting pass; outputs are bit-identical either way.
+  // With counting off the kernel gets no tally and runs its uncounted
+  // loop; outputs are bit-identical either way.
   quantize_observed(in, out, spec.obs_fmt, scale,
                     [&spec, scale](std::span<const float> src, std::span<float> dst,
                                    CastTally* tally) {

@@ -9,11 +9,14 @@
 // Two forms (docs/PERFORMANCE.md):
 //   * fp8_quantize_fast      -- scalar, early-exit branches; matches
 //                               cast.cpp's fp8_quantize bit for bit.
-//   * fp8_quantize_batch     -- branch-free loop over a contiguous chunk,
-//                               written so the compiler auto-vectorizes it
-//                               (constant shifts, compare-selects, no
-//                               per-lane control flow). Bit-identical to
-//                               the scalar path, including NaN payloads.
+//   * fp8_quantize_batch     -- the chunk kernel, one tier per IsaTier
+//                               (core/cpu_dispatch.h, docs/KERNELS.md):
+//                               kScalar calls fp8_quantize_fast per
+//                               element; kBatched and kNative run one
+//                               branch-free loop that the compiler
+//                               auto-vectorizes at 16 and 32 bytes. Every
+//                               tier is bit-identical to the scalar path,
+//                               NaN payloads and event tallies included.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +64,12 @@ struct CastTally {
 [[nodiscard]] float fp8_quantize_fast(float x, const FastCastSpec& spec);
 
 /// Batched chunk kernel: out[i] = fp8_quantize_fast(in[i] * scale) / scale
-/// for i in [0, min(in.size, out.size)), single-threaded and branch-free.
-/// `out` may alias `in` exactly (same base pointer) or not overlap at all.
-/// The caller must pre-sanitize `scale` (positive, finite). When `tally`
-/// is non-null the chunk's events are accumulated into it via a separate
-/// classification pass over `in` BEFORE quantizing, so outputs are
-/// bit-identical whether or not events are tallied.
+/// for i in [0, min(in.size, out.size)), single-threaded, at the tier
+/// isa_tier() names on this call. `out` may alias `in` exactly (same base
+/// pointer) or not overlap at all. The caller must pre-sanitize `scale`
+/// (positive, finite). When `tally` is non-null the chunk's events are
+/// classified on each scaled input in the same loop and accumulated into
+/// it; outputs are bit-identical whether or not events are tallied.
 void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
                         const FastCastSpec& spec, float scale,
                         CastTally* tally = nullptr);

@@ -7,6 +7,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/cpu_dispatch.h"
+
 namespace fp8q {
 
 namespace {
@@ -83,9 +85,43 @@ float int8_quantize(float x, const Int8Params& p) {
   return int8_decode(int8_encode(x, p), p);
 }
 
-void int8_quantize_batch(std::span<const float> in, std::span<float> out, const Int8Params& p,
-                         CastTally* tally) {
-  const std::size_t n = std::min(in.size(), out.size());
+namespace {
+
+// ---------------------------------------------------------------------------
+// kScalar tier: the reference every other tier is tested bit-equal
+// against. int8_encode / int8_decode per element, and the events by the
+// documented rules (int8.h) on the unclamped rounded code.
+// ---------------------------------------------------------------------------
+
+void int8_scalar_tier(const float* in, float* out, std::size_t n, const Int8Params& p,
+                      CastTally* tally) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float x = in[i];
+    out[i] = int8_decode(int8_encode(x, p), p);
+    if (tally == nullptr || std::isnan(x)) continue;
+    const std::int32_t code = round_nearest_even(x / p.scale + static_cast<float>(p.zero_point));
+    if (code < p.qmin || code > p.qmax) {
+      ++tally->saturated;
+    } else if (x != 0.0f && out[i] == 0.0f) {
+      ++tally->flushed;
+    }
+  }
+  if (tally != nullptr) tally->quantized += n;
+}
+
+// ---------------------------------------------------------------------------
+// The vector tiers: one branch-free loop that GCC auto-vectorizes (this
+// file builds at -O3), at baseline width (kBatched) and under AVX2
+// (kNative), counting events in the same loop into 32-bit lane counters
+// one chunk of fewer than 2^32 elements at a time, as the FP8 kernel does
+// (cast_fast.cpp).
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kTallyChunk = std::size_t{1} << 31;
+
+template <bool kTally>
+void int8_vector_tier(const float* in, float* out, std::size_t n, const Int8Params& p,
+                      CastTally* tally) {
   const float scale = p.scale;
   const auto zp = static_cast<float>(p.zero_point);
   const auto lo = static_cast<float>(p.qmin);
@@ -108,36 +144,77 @@ void int8_quantize_batch(std::span<const float> in, std::span<float> out, const 
   // the 1.5 * 2^23 magic add rounds to the nearest integer, ties to even;
   // every other step matches int8_encode / int8_decode operation for
   // operation, so the outputs are bit-identical to the scalar reference.
-  // This file builds at -O3 (src/fp8/CMakeLists.txt).
   constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
-  std::uint64_t saturated = 0;
-  std::uint64_t flushed = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t u = std::bit_cast<std::uint32_t>(in[i]);
-    const std::uint32_t au = u & 0x7FFFFFFFu;
-    const float x = std::bit_cast<float>(au > 0x7F800000u ? nan_stand_in : u);
-    float v = x / scale + zp;
-    v = v < wide_lo ? wide_lo : v;
-    v = v > wide_hi ? wide_hi : v;
-    const float k = (v + kRoundMagic) - kRoundMagic;  // RNE to integer
-    float r = k < lo ? lo : k;
-    r = r > hi ? hi : r;
-    const float q = (r - zp) * scale;
-    out[i] = q;
-    // Saturated: the rounded code fell outside [qmin, qmax]. NaN's stand-in
-    // rounds to 0, which never saturates.
-    const std::uint32_t sat = std::bit_cast<std::uint32_t>(k) != std::bit_cast<std::uint32_t>(r);
-    // Flushed: an unsaturated, nonzero, non-NaN input decoded to +/-0.
-    const std::uint32_t zero_out = (std::bit_cast<std::uint32_t>(q) & 0x7FFFFFFFu) == 0u;
-    const std::uint32_t nonzero_in = au - 1u < 0x7F800000u;
-    saturated += sat;
-    flushed += (sat ^ 1u) & zero_out & nonzero_in;
+  for (std::size_t begin = 0; begin < n; begin += kTallyChunk) {
+    const std::size_t end = n - begin < kTallyChunk ? n : begin + kTallyChunk;
+    std::uint32_t saturated = 0;
+    std::uint32_t flushed = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t u = std::bit_cast<std::uint32_t>(in[i]);
+      const std::uint32_t au = u & 0x7FFFFFFFu;
+      const float x = std::bit_cast<float>(au > 0x7F800000u ? nan_stand_in : u);
+      float v = x / scale + zp;
+      v = v < wide_lo ? wide_lo : v;
+      v = v > wide_hi ? wide_hi : v;
+      const float k = (v + kRoundMagic) - kRoundMagic;  // RNE to integer
+      float r = k < lo ? lo : k;
+      r = r > hi ? hi : r;
+      const float q = (r - zp) * scale;
+      out[i] = q;
+      if constexpr (kTally) {
+        // Saturated: the rounded code fell outside [qmin, qmax]. NaN's
+        // stand-in rounds to 0, which never saturates.
+        const std::uint32_t sat =
+            std::bit_cast<std::uint32_t>(k) != std::bit_cast<std::uint32_t>(r);
+        // Flushed: an unsaturated, nonzero, non-NaN input decoded to +/-0.
+        const std::uint32_t zero_out = (std::bit_cast<std::uint32_t>(q) & 0x7FFFFFFFu) == 0u;
+        const std::uint32_t nonzero_in = au - 1u < 0x7F800000u;
+        saturated += sat;
+        flushed += (sat ^ 1u) & zero_out & nonzero_in;
+      }
+    }
+    if constexpr (kTally) {
+      tally->saturated += saturated;
+      tally->flushed += flushed;
+    }
   }
-  if (tally != nullptr) {
-    tally->quantized += static_cast<std::uint64_t>(n);
-    tally->saturated += saturated;
-    tally->flushed += flushed;
+  if constexpr (kTally) tally->quantized += n;
+}
+
+#if defined(__x86_64__)
+// kNative: the same loop compiled for AVX2 (and not FMA), entered only
+// after the runtime probe; flatten inlines the body so it is vectorized
+// under this target.
+template <bool kTally>
+[[gnu::target("avx2"), gnu::flatten]] void int8_avx2_tier(const float* in, float* out,
+                                                          std::size_t n, const Int8Params& p,
+                                                          CastTally* tally) {
+  int8_vector_tier<kTally>(in, out, n, p, tally);
+}
+#endif
+
+}  // namespace
+
+void int8_quantize_batch(std::span<const float> in, std::span<float> out, const Int8Params& p,
+                         CastTally* tally) {
+  const std::size_t n = std::min(in.size(), out.size());
+  const bool counted = tally != nullptr;
+  switch (isa_tier()) {
+    case IsaTier::kScalar:
+      return int8_scalar_tier(in.data(), out.data(), n, p, tally);
+    case IsaTier::kNative:
+#if defined(__x86_64__)
+      if (isa_native_available()) {
+        return counted ? int8_avx2_tier<true>(in.data(), out.data(), n, p, tally)
+                       : int8_avx2_tier<false>(in.data(), out.data(), n, p, tally);
+      }
+#endif
+      [[fallthrough]];
+    case IsaTier::kBatched:
+      break;
   }
+  return counted ? int8_vector_tier<true>(in.data(), out.data(), n, p, tally)
+                 : int8_vector_tier<false>(in.data(), out.data(), n, p, tally);
 }
 
 void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Params& p) {

@@ -8,8 +8,10 @@
 // Two forms, like the FP8 cast (fp8/cast_fast.h, docs/PERFORMANCE.md):
 //   * int8_encode / int8_decode / int8_quantize(float) -- the scalar
 //     reference, simple enough to audit;
-//   * int8_quantize_batch -- a branch-free loop over a contiguous chunk
-//     that the compiler auto-vectorizes, bit-identical to the reference
+//   * int8_quantize_batch -- the chunk kernel, one tier per IsaTier
+//     (core/cpu_dispatch.h): kScalar runs the reference per element,
+//     kBatched and kNative one branch-free loop that the compiler
+//     auto-vectorizes at 16 and 32 bytes, bit-identical to the reference
 //     and counting quantization events in the same pass. The span
 //     int8_quantize runs it once over the whole span.
 #pragma once
@@ -52,12 +54,13 @@ struct Int8Params {
 [[nodiscard]] float int8_quantize(float x, const Int8Params& p);
 
 /// Batched chunk kernel: out[i] = int8_quantize(in[i], p) for i in
-/// [0, min(in.size, out.size)), single-threaded and branch-free. `out` may
-/// alias `in` exactly (same base pointer) or not overlap at all. The caller
-/// must pass parameters the span form below accepts. When `tally` is
-/// non-null the chunk's events are added to it: `saturated` counts non-NaN
-/// elements whose rounded code falls outside [qmin, qmax], `flushed`
-/// counts the other nonzero, non-NaN elements that decode to +/-0.
+/// [0, min(in.size, out.size)), single-threaded, at the tier isa_tier()
+/// names on this call. `out` may alias `in` exactly (same base pointer) or
+/// not overlap at all. The caller must pass parameters the span form below
+/// accepts. When `tally` is non-null the chunk's events are added to it:
+/// `saturated` counts non-NaN elements whose rounded code falls outside
+/// [qmin, qmax], `flushed` counts the other nonzero, non-NaN elements that
+/// decode to +/-0.
 void int8_quantize_batch(std::span<const float> in, std::span<float> out, const Int8Params& p,
                          CastTally* tally = nullptr);
 

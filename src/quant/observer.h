@@ -12,10 +12,13 @@
 // Besides the running absmax/min/max the observer keeps a bounded
 // uniform reservoir sample of values so the percentile / KL / MSE
 // calibrators can be evaluated after the fact (Appendix A.1) without
-// retaining whole tensors. absmax/min/max are always exact; only the
-// sample-based methods see the reservoir. observe() mutates state and is
-// intentionally serial -- calibration streams batches in batch order
-// (docs/THREADING.md, "What is intentionally serial").
+// retaining whole tensors. absmax/min/max are always exact (value_range,
+// tensor/stats.h, one vector pass per batch); only the sample-based
+// methods see the reservoir. At capacity 0 the observer is range-only:
+// it keeps no sample and makes no per-element pass, which is all absmax
+// calibration needs. observe() mutates state and is intentionally serial
+// -- calibration streams batches in batch order (docs/THREADING.md, "What
+// is intentionally serial").
 #pragma once
 
 #include <cstdint>
@@ -27,9 +30,12 @@ namespace fp8q {
 
 class Observer {
  public:
+  /// The reservoir size the sample-based calibration methods get.
+  static constexpr std::size_t kDefaultCapacity = 16384;
+
   /// `reservoir_capacity` bounds the memory kept for the sample-based
-  /// calibration methods; absmax/minmax are always exact.
-  explicit Observer(std::size_t reservoir_capacity = 16384);
+  /// calibration methods (0: range only); absmax/minmax are always exact.
+  explicit Observer(std::size_t reservoir_capacity = kDefaultCapacity);
 
   /// Accumulates one calibration tensor.
   void observe(const Tensor& t);

@@ -112,18 +112,23 @@ void QuantizedGraph::quantize_weights() {
 void QuantizedGraph::calibrate_activations(
     std::span<const std::vector<Tensor>> calib_batches) {
   TraceSpan span("qgraph/calibrate-activations");
+  // absmax calibration reads only the observed range, so its observers
+  // keep no reservoir; the percentile, KL and MSE methods read the sample.
+  const std::size_t capacity =
+      config_.scheme.act_calib == CalibMethod::kAbsMax ? 0 : Observer::kDefaultCapacity;
   std::map<std::pair<Graph::NodeId, int>, Observer> observers;
   const Graph::InputTap tap = [&](Graph::NodeId id, int slot,
                                   const Tensor& v) -> std::optional<Tensor> {
     if (!slot_quantized(id, slot)) return std::nullopt;
+    Observer& obs = observers.try_emplace({id, slot}, capacity).first->second;
     const auto it = smooth_factors_.find(id);
     if (it != smooth_factors_.end() && slot == 0) {
       Tensor smoothed = v;
       divide_channels(smoothed, it->second);
-      observers[{id, slot}].observe(smoothed);
+      obs.observe(smoothed);
       return smoothed;  // folded weights need the divided activation
     }
-    observers[{id, slot}].observe(v);
+    obs.observe(v);
     return std::nullopt;
   };
   for (const auto& batch : calib_batches) (void)graph_->forward(batch, tap);

@@ -11,6 +11,12 @@
 
 namespace fp8q {
 
+// The range statistics below (absmax, minmax, value_range and their
+// per-channel forms) return the bits of the element-order scalar fold --
+// lo = x < lo ? x : lo, hi = hi < x ? x : hi, NaN skipped, a tie keeping
+// the earlier element, so a zero extreme is the first zero's sign -- from
+// branch-free 16-byte vector loops.
+
 /// Largest absolute value; 0 for empty input. NaNs are ignored.
 [[nodiscard]] float absmax(std::span<const float> v);
 [[nodiscard]] inline float absmax(const Tensor& t) { return absmax(t.flat()); }
@@ -20,6 +26,15 @@ namespace fp8q {
 [[nodiscard]] inline std::pair<float, float> minmax(const Tensor& t) {
   return minmax(t.flat());
 }
+
+/// minmax and the number of non-NaN values, in one pass; all zero when
+/// there is no non-NaN value.
+struct ValueRange {
+  float min = 0.0f;
+  float max = 0.0f;
+  std::int64_t count = 0;
+};
+[[nodiscard]] ValueRange value_range(std::span<const float> v);
 
 /// Per-channel absmax along `axis` (e.g. axis 0 of a [out, in] weight for
 /// the paper's per-channel weight scaling).

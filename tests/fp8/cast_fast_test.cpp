@@ -7,9 +7,12 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
+#include "core/cpu_dispatch.h"
 #include "fp8/cast.h"
 #include "tensor/rng.h"
 
@@ -21,10 +24,18 @@ namespace {
 // not reach it.
 static_assert(!std::is_constructible_v<FastCastSpec, const FormatSpec&>);
 
-class FastCast : public ::testing::TestWithParam<Fp8Kind> {
+// Every case runs at every IsaTier (core/cpu_dispatch.h): the scalar-path
+// cases are tier-independent, and the batch cases check the dispatched
+// kernel. Without AVX2, kNative runs the batched tier.
+class FastCast : public ::testing::TestWithParam<std::tuple<Fp8Kind, IsaTier>> {
  protected:
-  const FormatSpec& spec() const { return format_spec(GetParam()); }
-  const FastCastSpec& fast() const { return fast_cast_spec(GetParam()); }
+  void SetUp() override { set_isa_tier(tier()); }
+  void TearDown() override { reset_isa_tier(); }
+
+  Fp8Kind kind() const { return std::get<0>(GetParam()); }
+  IsaTier tier() const { return std::get<1>(GetParam()); }
+  const FormatSpec& spec() const { return format_spec(kind()); }
+  const FastCastSpec& fast() const { return fast_cast_spec(kind()); }
 
   void expect_match(float x) const {
     const float ref = fp8_quantize(x, spec());
@@ -232,11 +243,74 @@ TEST_P(FastCast, ScaledFastSanitizesNonFiniteScales) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllFormats, FastCast,
-                         ::testing::Values(Fp8Kind::E5M2, Fp8Kind::E4M3, Fp8Kind::E3M4),
-                         [](const auto& suite_info) {
-                           return std::string(to_string(suite_info.param));
-                         });
+bool same_tally(const CastTally& a, const CastTally& b) {
+  return a.quantized == b.quantized && a.saturated == b.saturated && a.flushed == b.flushed;
+}
+
+TEST_P(FastCast, EveryTierMatchesTheScalarTierOnShortSpans) {
+  // Spans of 0-17 elements from unaligned starts across every input
+  // class: the vector tiers' loop remainders and the counted and uncounted
+  // loops must give the scalar tier's bits and tally, in and out of place.
+  const std::vector<float> in = exhaustive_inputs(spec());
+  for (float scale : {1.0f, 3.7f, 1e30f}) {
+    for (std::size_t len = 0; len <= 17; ++len) {
+      for (std::size_t start = 0; start + len <= in.size(); start += 61) {
+        const auto src = std::span<const float>(in).subspan(start, len);
+        set_isa_tier(IsaTier::kScalar);
+        std::vector<float> want(len);
+        CastTally want_tally;
+        fp8_quantize_batch(src, want, fast(), scale, &want_tally);
+
+        set_isa_tier(tier());
+        std::vector<float> plain(len);
+        std::vector<float> counted(len);
+        std::vector<float> inplace(src.begin(), src.end());
+        CastTally tally;
+        CastTally inplace_tally;
+        fp8_quantize_batch(src, plain, fast(), scale);
+        fp8_quantize_batch(src, counted, fast(), scale, &tally);
+        fp8_quantize_batch(inplace, inplace, fast(), scale, &inplace_tally);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(bits_of(plain[i]), bits_of(want[i])) << "start " << start << " i " << i;
+          ASSERT_EQ(bits_of(counted[i]), bits_of(want[i])) << "start " << start << " i " << i;
+          ASSERT_EQ(bits_of(inplace[i]), bits_of(want[i])) << "start " << start << " i " << i;
+        }
+        ASSERT_TRUE(same_tally(tally, want_tally)) << "start " << start << " len " << len;
+        ASSERT_TRUE(same_tally(inplace_tally, want_tally)) << "start " << start;
+        ASSERT_EQ(want_tally.quantized, len);
+      }
+    }
+  }
+}
+
+TEST_P(FastCast, EveryTierMatchesTheScalarTierOnALongSpan) {
+  // The whole input class list at once, so the vector loop body (not only
+  // its remainder) runs over the specials, ties and NaN payloads.
+  const std::vector<float> in = exhaustive_inputs(spec());
+  set_isa_tier(IsaTier::kScalar);
+  std::vector<float> want(in.size());
+  CastTally want_tally;
+  fp8_quantize_batch(in, want, fast(), 448.0f, &want_tally);
+  set_isa_tier(tier());
+  std::vector<float> got(in.size());
+  CastTally tally;
+  fp8_quantize_batch(in, got, fast(), 448.0f, &tally);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_EQ(bits_of(got[i]), bits_of(want[i])) << "x bits " << bits_of(in[i]);
+  }
+  EXPECT_TRUE(same_tally(tally, want_tally));
+  EXPECT_GT(want_tally.saturated, 0u);
+  EXPECT_GT(want_tally.flushed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFormatsAndTiers, FastCast,
+    ::testing::Combine(::testing::Values(Fp8Kind::E5M2, Fp8Kind::E4M3, Fp8Kind::E3M4),
+                       ::testing::Values(IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative)),
+    [](const auto& suite_info) {
+      return std::string(to_string(std::get<0>(suite_info.param))) + "_" +
+             to_string(std::get<1>(suite_info.param));
+    });
 
 }  // namespace
 }  // namespace fp8q

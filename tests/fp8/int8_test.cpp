@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/cpu_dispatch.h"
 #include "core/parallel.h"
 #include "obs/counters.h"
 #include "tensor/rng.h"
@@ -204,7 +205,15 @@ void expect_same_tally(const CastTally& got, const CastTally& want) {
   EXPECT_EQ(got.flushed, want.flushed);
 }
 
-TEST(Int8Batch, MatchesScalarReferenceBitForBit) {
+// Every Int8Batch case runs at every IsaTier (core/cpu_dispatch.h);
+// without AVX2, kNative runs the batched tier.
+class Int8Batch : public ::testing::TestWithParam<IsaTier> {
+ protected:
+  void SetUp() override { set_isa_tier(GetParam()); }
+  void TearDown() override { reset_isa_tier(); }
+};
+
+TEST_P(Int8Batch, MatchesScalarReferenceBitForBit) {
   std::uint64_t seed = 1;
   for (const Int8Params& p : kernel_param_sets()) {
     const auto in = kernel_inputs(p, seed++);
@@ -223,7 +232,7 @@ TEST(Int8Batch, MatchesScalarReferenceBitForBit) {
   }
 }
 
-TEST(Int8Batch, SpanCallMatchesKernelAndCountsAtEveryThreadCount) {
+TEST_P(Int8Batch, SpanCallMatchesKernelAndCountsAtEveryThreadCount) {
   const bool counting = counters_enabled();
   set_counters_enabled(true);
   std::uint64_t seed = 100;
@@ -250,7 +259,7 @@ TEST(Int8Batch, SpanCallMatchesKernelAndCountsAtEveryThreadCount) {
   set_counters_enabled(counting);
 }
 
-TEST(Int8Batch, InPlaceMatchesOutOfPlace) {
+TEST_P(Int8Batch, InPlaceMatchesOutOfPlace) {
   const Int8Params p = int8_asymmetric_params(-2.0f, 6.0f);
   const auto in = kernel_inputs(p, 7);
   std::vector<float> out(in.size());
@@ -265,7 +274,7 @@ TEST(Int8Batch, InPlaceMatchesOutOfPlace) {
   }
 }
 
-TEST(Int8Batch, TallyCountsEvents) {
+TEST_P(Int8Batch, TallyCountsEvents) {
   // Symmetric, scale 1/127: the two finite values beyond 1 and both
   // infinities saturate; 1e-4 and -1e-3 round to code 0 and flush. Zero,
   // -0 and NaN count in neither bucket, and 0.5 lands on code 64.
@@ -279,7 +288,7 @@ TEST(Int8Batch, TallyCountsEvents) {
   EXPECT_EQ(tally.flushed, 2u);
 }
 
-TEST(Int8Batch, SaturatingOntoTheZeroPointIsNotAFlush) {
+TEST_P(Int8Batch, SaturatingOntoTheZeroPointIsNotAFlush) {
   // A [0, 2.55] range puts the zero point at qmin. -1 rounds below qmin,
   // so it saturates onto code -128 and decodes to 0: one saturation, no
   // flush. -0.004 rounds to code -128 itself: a flush. NaN decodes to
@@ -298,7 +307,7 @@ TEST(Int8Batch, SaturatingOntoTheZeroPointIsNotAFlush) {
   EXPECT_EQ(tally.flushed, 1u);
 }
 
-TEST(Int8Batch, SpanCallRejectsParamsOutsideTheKernelPrecondition) {
+TEST_P(Int8Batch, SpanCallRejectsParamsOutsideTheKernelPrecondition) {
   std::vector<float> buf(4, 1.0f);
   auto rejects = [&](auto&& edit) {
     Int8Params p;
@@ -322,6 +331,69 @@ TEST(Int8Batch, SpanCallRejectsParamsOutsideTheKernelPrecondition) {
   });
   EXPECT_NO_THROW(int8_quantize(buf, buf, Int8Params{}));
 }
+
+TEST_P(Int8Batch, EveryTierMatchesTheScalarTierOnShortSpans) {
+  // Spans of 0-17 elements from unaligned starts across every input
+  // class: the vector tiers' loop remainders and the counted and uncounted
+  // loops must give the scalar tier's bits and tally, in and out of place.
+  std::uint64_t seed = 200;
+  for (const Int8Params& p : kernel_param_sets()) {
+    const auto in = kernel_inputs(p, seed++);
+    for (std::size_t len = 0; len <= 17; ++len) {
+      for (std::size_t start = in.size() % 1009; start + len <= in.size(); start += 1009) {
+        const auto src = std::span<const float>(in).subspan(start, len);
+        set_isa_tier(IsaTier::kScalar);
+        std::vector<float> want(len);
+        CastTally want_tally;
+        int8_quantize_batch(src, want, p, &want_tally);
+
+        set_isa_tier(GetParam());
+        std::vector<float> plain(len);
+        std::vector<float> counted(len);
+        std::vector<float> inplace(src.begin(), src.end());
+        CastTally tally;
+        CastTally inplace_tally;
+        int8_quantize_batch(src, plain, p);
+        int8_quantize_batch(src, counted, p, &tally);
+        int8_quantize_batch(inplace, inplace, p, &inplace_tally);
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(bits_of(plain[i]), bits_of(want[i])) << "start " << start << " i " << i;
+          ASSERT_EQ(bits_of(counted[i]), bits_of(want[i])) << "start " << start << " i " << i;
+          ASSERT_EQ(bits_of(inplace[i]), bits_of(want[i])) << "start " << start << " i " << i;
+        }
+        expect_same_tally(tally, want_tally);
+        expect_same_tally(inplace_tally, want_tally);
+        ASSERT_EQ(want_tally.quantized, len);
+      }
+    }
+  }
+}
+
+TEST_P(Int8Batch, EveryTierMatchesTheScalarTierOnALongSpan) {
+  std::uint64_t seed = 300;
+  for (const Int8Params& p : kernel_param_sets()) {
+    const auto in = kernel_inputs(p, seed++);
+    set_isa_tier(IsaTier::kScalar);
+    std::vector<float> want(in.size());
+    CastTally want_tally;
+    int8_quantize_batch(in, want, p, &want_tally);
+    set_isa_tier(GetParam());
+    std::vector<float> got(in.size());
+    CastTally tally;
+    int8_quantize_batch(in, got, p, &tally);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      ASSERT_EQ(bits_of(got[i]), bits_of(want[i])) << "x bits " << bits_of(in[i]);
+    }
+    expect_same_tally(tally, want_tally);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTiers, Int8Batch,
+                         ::testing::Values(IsaTier::kScalar, IsaTier::kBatched,
+                                           IsaTier::kNative),
+                         [](const auto& suite_info) {
+                           return std::string(to_string(suite_info.param));
+                         });
 
 }  // namespace
 }  // namespace fp8q

@@ -1,7 +1,12 @@
 // Reference-value tests for each operator kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "nn/conv.h"
 #include "nn/elementwise.h"
@@ -10,6 +15,7 @@
 #include "nn/matmul.h"
 #include "nn/norm.h"
 #include "nn/shape_ops.h"
+#include "tensor/rng.h"
 
 namespace fp8q {
 namespace {
@@ -242,6 +248,52 @@ TEST(ActivationOp, Relu) {
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   EXPECT_FLOAT_EQ(y[1], 0.0f);
   EXPECT_FLOAT_EQ(y[2], 2.0f);
+}
+
+float relu_reference(float v) { return v > 0.0f ? v : 0.0f; }
+float leaky_relu_reference(float v) { return v > 0.0f ? v : 0.01f * v; }
+float hard_swish_reference(float v) {
+  const float r = std::min(6.0f, std::max(0.0f, v + 3.0f));
+  return v * r / 6.0f;
+}
+
+TEST(ActivationOp, ReluLeakyReluAndHardSwishMatchTheScalarFormulasBitForBit) {
+  // elementwise.cpp builds at -O3, where these loops vectorize; each lane
+  // must still give the scalar expression's bits, specials included.
+  using L = std::numeric_limits<float>;
+  const float specials[] = {0.0f,         -0.0f,          L::quiet_NaN(),  -L::quiet_NaN(),
+                            std::bit_cast<float>(0x7fc12345u), L::signaling_NaN(),
+                            L::infinity(), -L::infinity(), L::denorm_min(), -L::denorm_min(),
+                            L::min() / 2, -L::min() / 2,  L::min(),        -L::min(),
+                            L::max(),     -L::max(),      3.0f,            -3.0f,
+                            std::nextafter(-3.0f, 0.0f),  3.0f - 6.0f,     6.0f,
+                            1e-38f,       -1e-38f,        0.5f,            -0.5f};
+  Rng rng(59);
+  std::vector<float> values(std::begin(specials), std::end(specials));
+  for (int i = 0; i < 200; ++i) values.push_back(rng.normal(0.0f, 4.0f));
+  const struct {
+    OpKind kind;
+    float (*reference)(float);
+  } cases[] = {{OpKind::kRelu, relu_reference},
+               {OpKind::kLeakyRelu, leaky_relu_reference},
+               {OpKind::kHardSwish, hard_swish_reference}};
+  for (const auto& c : cases) {
+    // Every length up to 40 from a rotating start, so each special lands in
+    // the vector body and in the remainder.
+    for (std::size_t len = 1; len <= 40; ++len) {
+      for (std::size_t start = 0; start + len <= values.size(); start += 7) {
+        const std::vector<float> in(values.begin() + static_cast<std::ptrdiff_t>(start),
+                                    values.begin() + static_cast<std::ptrdiff_t>(start + len));
+        const Tensor y = ActivationOp(c.kind).forward(
+            single(Tensor({static_cast<std::int64_t>(len)}, in)));
+        for (std::size_t i = 0; i < len; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(y[static_cast<std::int64_t>(i)]),
+                    std::bit_cast<std::uint32_t>(c.reference(in[i])))
+              << to_string(c.kind) << " x bits " << std::bit_cast<std::uint32_t>(in[i]);
+        }
+      }
+    }
+  }
 }
 
 TEST(ActivationOp, GeluReferencePoints) {

@@ -297,6 +297,33 @@ TEST(QuantizedGraph, StaticCalibrationRecordsClips) {
   EXPECT_EQ(qg.activation_clip(3, 0), 0.0f);  // relu not quantized
 }
 
+TEST(QuantizedGraph, PercentileCalibrationStillSamples) {
+  // The percentile method reads the observers' reservoir, so its observers
+  // keep Vitter's algorithm: 4 batches of 512 x 16 overflow the 16384-value
+  // reservoir, and the clips are pinned to the bits the sampling observer
+  // has always produced. absmax calibration keeps no sample; its clip is
+  // the exact observed absmax, which no percentile below 1 reaches here.
+  auto prepared_clips = [](CalibMethod method) {
+    Rng rng(29);
+    Graph g = make_mlp(rng);
+    ModelQuantConfig cfg;
+    cfg.scheme = standard_fp8_scheme(DType::kE4M3);
+    cfg.scheme.act_calib = method;
+    cfg.scheme.percentile = 0.99;
+    QuantizedGraph qg(&g, cfg);
+    auto calib = make_batches(rng, 4, {512, 16});
+    qg.prepare(std::span<const Tensor>(calib));
+    return std::pair{std::bit_cast<std::uint32_t>(qg.activation_clip(2, 0)),
+                     std::bit_cast<std::uint32_t>(qg.activation_clip(4, 0))};
+  };
+  const auto percentile = prepared_clips(CalibMethod::kPercentile);
+  EXPECT_EQ(percentile.first, 0x401a0c02u);
+  EXPECT_EQ(percentile.second, 0x402da0e4u);
+  const auto amax = prepared_clips(CalibMethod::kAbsMax);
+  EXPECT_GT(std::bit_cast<float>(amax.first), std::bit_cast<float>(percentile.first));
+  EXPECT_GT(std::bit_cast<float>(amax.second), std::bit_cast<float>(percentile.second));
+}
+
 TEST(QuantizedGraph, BatchNormCalibrationRecoversShiftedStats) {
   Rng rng(25);
   // conv -> bn -> relu -> pool -> fc, with BN stats deliberately wrong.

@@ -288,56 +288,80 @@ TEST(TraceValidate, RejectsPartialOverlapOnOneThread) {
   EXPECT_TRUE(report_cli::validate_chrome_trace(two_tids).empty());
 }
 
-TEST(BenchGate, CheckBenchAppliesTheSpeedupFloor) {
-  const json::Value good = json::parse(
-      R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
-                    "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
+// One bench_kernels row per dispatched kernel: cast (per format and
+// tally), gemm and gelu, each the dispatched tier against the scalar tier.
+constexpr const char* kKernelRows =
+    R"("cast": [{"format": "E4M3", "counted": false, "scalar_elems_per_sec": 1e8,
+                 "elems_per_sec": 8e8, "speedup": 8.0},
+                {"format": "E4M3", "counted": true, "scalar_elems_per_sec": 1e8,
+                 "elems_per_sec": 7e8, "speedup": 7.0}],
+       "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
+                 "gflops": 24.0, "speedup": 3.0}],
+       "gelu": [{"n": 1048576, "scalar_elems_per_sec": 3e7,
+                 "elems_per_sec": 1.2e8, "speedup": 4.0}])";
+
+TEST(BenchGate, CheckBenchNeedsAKernelOrServiceSection) {
   std::ostringstream out;
-  EXPECT_EQ(report_cli::check_bench(good, 1.0, 0.0, 0.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(good, 3.5, 0.0, 0.0, out), 1);
-  // No cast section at all is itself a failure (silent gate = no gate).
-  EXPECT_EQ(report_cli::check_bench(json::parse("{}"), 1.0, 0.0, 0.0, out), 1);
-  EXPECT_EQ(report_cli::check_bench(json::parse(R"({"cast": []})"), 1.0, 0.0, 0.0, out), 1);
+  // No cast section at all is itself a failure (silent gate = no gate),
+  // armed or not.
+  EXPECT_EQ(report_cli::check_bench(json::parse("{}"), 0.0, 0.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(json::parse(R"({"cast": []})"), 0.0, 0.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(json::parse(R"({"cast": []})"), 2.0, 0.0, out), 1);
 }
 
-TEST(BenchGate, CheckBenchAppliesTheDispatchFloorToGemmAndGeluRows) {
-  const json::Value bench = json::parse(
-      R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
-                    "batched_elems_per_sec": 3e8, "speedup": 3.0}],
+TEST(BenchGate, CheckBenchAppliesTheDispatchFloorToEveryKernelRow) {
+  const json::Value bench = json::parse(std::string("{") + kKernelRows + "}");
+  std::ostringstream out;
+  // <= 0 skips the dispatch gate entirely; above the floor passes; a floor
+  // above the measured gemm and gelu speedups but below the casts' breaches
+  // twice, and one above every row four times.
+  EXPECT_EQ(report_cli::check_bench(bench, 0.0, 0.0, out), 0);
+  EXPECT_EQ(report_cli::check_bench(bench, 2.0, 0.0, out), 0);
+  EXPECT_EQ(report_cli::check_bench(bench, 5.0, 0.0, out), 2);
+  EXPECT_EQ(report_cli::check_bench(bench, 9.0, 0.0, out), 4);
+  EXPECT_NE(out.str().find("cast E4M3 uncounted"), std::string::npos);
+  EXPECT_NE(out.str().find("cast E4M3 counted"), std::string::npos);
+  EXPECT_NE(out.str().find("gemm 64x256x256"), std::string::npos);
+  EXPECT_NE(out.str().find("gelu n=1048576"), std::string::npos);
+  // With the gate armed, a snapshot without gemm or gelu rows breaches
+  // once per missing section (silent gate = no gate); unarmed, it passes.
+  const json::Value cast_only = json::parse(
+      R"({"cast": [{"format": "E4M3", "counted": false, "scalar_elems_per_sec": 1e8,
+                    "elems_per_sec": 8e8, "speedup": 8.0}]})");
+  EXPECT_EQ(report_cli::check_bench(cast_only, 2.0, 0.0, out), 2);
+  EXPECT_EQ(report_cli::check_bench(cast_only, 0.0, 0.0, out), 0);
+}
+
+TEST(BenchGate, CheckBenchFailsACastRowBelowTheFloor) {
+  // A cast kernel that silently fell back to the scalar tier reads about
+  // 1x; the other rows passing must not carry the snapshot. The row has no
+  // "speedup" field, so the gate derives it from the two rates.
+  const json::Value slow = json::parse(
+      R"({"cast": [{"format": "INT8", "counted": true, "scalar_elems_per_sec": 5e7,
+                    "elems_per_sec": 6e7}],
           "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
                     "gflops": 24.0, "speedup": 3.0}],
           "gelu": [{"n": 1048576, "scalar_elems_per_sec": 3e7,
                     "elems_per_sec": 1.2e8, "speedup": 4.0}]})");
   std::ostringstream out;
-  // <= 0 skips the dispatch gate entirely; above the floor passes; a floor
-  // above the measured gemm speedup breaches once.
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 0.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 2.0, 0.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 3.5, 0.0, out), 1);
-  EXPECT_NE(out.str().find("gemm 64x256x256"), std::string::npos);
-  EXPECT_NE(out.str().find("gelu n=1048576"), std::string::npos);
-  // With the gate armed, a snapshot without gemm or gelu rows breaches
-  // once per missing section (silent gate = no gate); unarmed, the old
-  // snapshot stays valid.
-  const json::Value cast_only = json::parse(
-      R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
-                    "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
-  EXPECT_EQ(report_cli::check_bench(cast_only, 1.0, 2.0, 0.0, out), 2);
-  EXPECT_EQ(report_cli::check_bench(cast_only, 1.0, 0.0, 0.0, out), 0);
+  EXPECT_EQ(report_cli::check_bench(slow, 2.0, 0.0, out), 1);
+  EXPECT_NE(out.str().find("FAIL  cast INT8 counted dispatched/scalar speedup 1.20x"),
+            std::string::npos)
+      << out.str();
 }
 
 TEST(BenchGate, CheckBenchFailsAGeluRowBelowTheFloor) {
   // A GELU kernel that silently fell back to the scalar tier reads about
-  // 1x; the gemm row alone passing must not carry the snapshot.
+  // 1x; the gemm and cast rows passing must not carry the snapshot.
   const json::Value bench = json::parse(
-      R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
-                    "batched_elems_per_sec": 3e8, "speedup": 3.0}],
+      R"({"cast": [{"format": "E4M3", "counted": false, "scalar_elems_per_sec": 1e8,
+                    "elems_per_sec": 8e8, "speedup": 8.0}],
           "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
                     "gflops": 24.0, "speedup": 3.0}],
           "gelu": [{"n": 1048576, "scalar_elems_per_sec": 3e7,
                     "elems_per_sec": 3.3e7}]})");
   std::ostringstream out;
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 2.0, 0.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(bench, 2.0, 0.0, out), 1);
   EXPECT_NE(out.str().find("FAIL  gelu n=1048576 dispatched/scalar speedup 1.10x"),
             std::string::npos)
       << out.str();
@@ -353,30 +377,33 @@ TEST(BenchGate, CheckBenchAppliesTheServiceJobsPerSecFloor) {
   std::ostringstream out;
   // A pure service snapshot passes without cast sections as long as the
   // service gate passes; the floor breaches when above the measurement.
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 1.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 0.0, out), 0);
-  EXPECT_EQ(report_cli::check_bench(bench, 1.0, 0.0, 5.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(bench, 0.0, 1.0, out), 0);
+  EXPECT_EQ(report_cli::check_bench(bench, 0.0, 0.0, out), 0);
+  EXPECT_EQ(report_cli::check_bench(bench, 0.0, 5.0, out), 1);
   EXPECT_NE(out.str().find("jobs/sec"), std::string::npos);
   // With the service gate armed, a kernel-only snapshot is a breach
-  // (silent gate = no gate), mirroring the gemm rule.
-  const json::Value cast_only = json::parse(
-      R"({"cast": [{"format": "E4M3", "scalar_elems_per_sec": 1e8,
-                    "batched_elems_per_sec": 3e8, "speedup": 3.0}]})");
-  EXPECT_EQ(report_cli::check_bench(cast_only, 1.0, 0.0, 1.0, out), 1);
+  // (silent gate = no gate), mirroring the kernel rule.
+  const json::Value kernels_only = json::parse(std::string("{") + kKernelRows + "}");
+  EXPECT_EQ(report_cli::check_bench(kernels_only, 0.0, 1.0, out), 1);
 }
 
 TEST(BenchGate, DiffBenchCatchesThroughputRegressions) {
   const json::Value base = json::parse(
-      R"({"cast": [{"format": "E4M3", "batched_elems_per_sec": 4e8}],
+      R"({"cast": [{"format": "E4M3", "counted": false, "elems_per_sec": 4e8},
+                   {"format": "E4M3", "counted": true, "elems_per_sec": 3e8}],
           "matmul": [{"m": 64, "k": 256, "n": 256, "gflops": 10.0}],
           "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0, "gflops": 30.0}]})");
   const json::Value slower = json::parse(
-      R"({"cast": [{"format": "E4M3", "batched_elems_per_sec": 2e8}],
+      R"({"cast": [{"format": "E4M3", "counted": false, "elems_per_sec": 2e8},
+                   {"format": "E4M3", "counted": true, "elems_per_sec": 2.9e8}],
           "matmul": [{"m": 64, "k": 256, "n": 256, "gflops": 9.5}],
           "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0, "gflops": 29.0}]})");
   std::ostringstream out;
-  // Cast halved (-50%) breaches a 20% limit; matmul -5% and gemm -3% do not.
+  // The uncounted cast halved (-50%) breaches a 20% limit; the counted
+  // cast -3%, matmul -5% and gemm -3% do not. Rows pair by format and tally.
   EXPECT_EQ(report_cli::diff_bench(base, slower, 20.0, out), 1);
+  EXPECT_NE(out.str().find("FAIL  cast E4M3 uncounted elem/s"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("  ok  cast E4M3 counted elem/s"), std::string::npos) << out.str();
   EXPECT_EQ(report_cli::diff_bench(base, slower, 60.0, out), 0);
   EXPECT_EQ(report_cli::diff_bench(base, base, 0.0, out), 0);
   EXPECT_NE(out.str().find("gemm 64x256x256 GFLOP/s"), std::string::npos);
@@ -423,29 +450,33 @@ TEST(RunCli, ExitCodesAndFlagParsing) {
   const std::string junk_path = write_temp("fp8q_cli_junk.json", "{nope");
   EXPECT_EQ(report_cli::run({"check-trace", junk_path}, out, err), 1);
 
-  // check-bench honors --min-cast-speedup.
+  // check-bench honors --min-dispatch-speedup on every kernel row: this
+  // snapshot's cast row reads 2x and it has no gemm or gelu section, so a
+  // floor fails while the default (0 = off) keeps it valid. The flags the
+  // dispatch floor replaced are now unknown.
   const std::string bench_path = write_temp(
       "fp8q_cli_bench.json",
-      R"({"cast": [{"format": "E4M3", "speedup": 2.0,
-                    "scalar_elems_per_sec": 1e8, "batched_elems_per_sec": 2e8}]})");
-  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=1.5"},
-                            out, err), 0);
-  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=2.5"},
+      R"({"cast": [{"format": "E4M3", "counted": false, "speedup": 2.0,
+                    "scalar_elems_per_sec": 1e8, "elems_per_sec": 2e8}]})");
+  EXPECT_EQ(report_cli::run({"check-bench", bench_path}, out, err), 0);
+  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-dispatch-speedup=1.5"},
                             out, err), 1);
-
-  // --min-dispatch-speedup arms the gemm and gelu gate: this snapshot has
-  // neither section, so a positive floor fails while the default (0 = off)
-  // keeps it valid. The flag it replaced is now unknown.
-  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=1.5",
-                             "--min-dispatch-speedup=2.0"},
-                            out, err), 1);
+  EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-cast-speedup=1.5"}, out, err),
+            2);
   EXPECT_EQ(report_cli::run({"check-bench", bench_path, "--min-gemm-speedup=2.0"},
                             out, err), 2);
+  const std::string kernels_path =
+      write_temp("fp8q_cli_kernels.json", std::string("{") + kKernelRows + "}");
+  EXPECT_EQ(report_cli::run({"check-bench", kernels_path, "--min-dispatch-speedup=2.0"},
+                            out, err), 0);
+  EXPECT_EQ(report_cli::run({"check-bench", kernels_path, "--min-dispatch-speedup=7.5"},
+                            out, err), 1);
 
   // diff-bench wires through to the regression gate.
   EXPECT_EQ(report_cli::run({"diff-bench", bench_path, bench_path}, out, err), 0);
 
-  for (const auto& p : {report_path, drifted_path, trace_path, junk_path, bench_path}) {
+  for (const auto& p :
+       {report_path, drifted_path, trace_path, junk_path, bench_path, kernels_path}) {
     std::remove(p.c_str());
   }
 }

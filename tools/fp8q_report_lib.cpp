@@ -97,6 +97,14 @@ std::string pct(double v) {
   return os.str();
 }
 
+/// "cast <format> counted|uncounted" for one bench_kernels cast row.
+std::string cast_label(const json::Value& row) {
+  const json::Value* counted = row.find("counted");
+  const bool tallied = counted != nullptr && counted->kind == json::Value::Kind::kBool &&
+                       counted->boolean;
+  return "cast " + row.string_or("format") + (tallied ? " counted" : " uncounted");
+}
+
 }  // namespace
 
 std::string format_report(const RunReport& report) {
@@ -360,8 +368,8 @@ std::vector<std::string> validate_chrome_trace(std::string_view json_text) {
   return problems;
 }
 
-int check_bench(const json::Value& bench, double min_speedup, double min_dispatch_speedup,
-                double min_jobs_per_sec, std::ostream& out) {
+int check_bench(const json::Value& bench, double min_dispatch_speedup, double min_jobs_per_sec,
+                std::ostream& out) {
   Gate gate{out};
   const json::Value* casts = bench.is_object() ? bench.find("cast") : nullptr;
   const json::Value* service = bench.is_object() ? bench.find("service") : nullptr;
@@ -373,22 +381,11 @@ int check_bench(const json::Value& bench, double min_speedup, double min_dispatc
     gate.check(true, "bench json has no cast or service measurements");
     return gate.breaches;
   }
-  if (has_casts) {
-    for (const json::Value& c : casts->array) {
-      if (!c.is_object()) continue;
-      const double scalar = c.number_or("scalar_elems_per_sec");
-      const double batched = c.number_or("batched_elems_per_sec");
-      const double speedup = c.number_or("speedup", scalar > 0.0 ? batched / scalar : 0.0);
-      std::ostringstream line;
-      line << "cast " << c.string_or("format") << " batched/scalar speedup " << std::fixed
-           << std::setprecision(2) << speedup << "x (min " << min_speedup << "x)";
-      gate.check(speedup < min_speedup, line.str());
-    }
-  }
   if (min_dispatch_speedup > 0.0) {
-    // Every dispatched kernel row: "gemm" in GFLOP/s per shape, "gelu" in
-    // elements/s per length. Each section must be present.
-    for (const char* section : {"gemm", "gelu"}) {
+    // Every dispatched kernel row: "cast" in elements/s per format and
+    // tally, "gemm" in GFLOP/s per shape, "gelu" in elements/s per length.
+    // Each section must be present.
+    for (const char* section : {"cast", "gemm", "gelu"}) {
       const json::Value* rows = bench.is_object() ? bench.find(section) : nullptr;
       if (rows == nullptr || !rows->is_array() || rows->array.empty()) {
         gate.check(true, std::string("bench json has no ") + section + " measurements");
@@ -404,6 +401,8 @@ int check_bench(const json::Value& bench, double min_speedup, double min_dispatc
         if (gemm) {
           line << "gemm " << row.number_or("m") << "x" << row.number_or("k") << "x"
                << row.number_or("n");
+        } else if (std::string_view(section) == "cast") {
+          line << cast_label(row);
         } else {
           line << "gelu n=" << static_cast<long long>(row.number_or("n"));
         }
@@ -468,11 +467,10 @@ int diff_bench(const json::Value& base, const json::Value& candidate,
   if (base_casts != nullptr && base_casts->is_array() && cand_casts != nullptr &&
       cand_casts->is_array()) {
     for (const json::Value& bc : base_casts->array) {
-      const std::string fmt = bc.string_or("format");
+      const std::string label = cast_label(bc);
       for (const json::Value& cc : cand_casts->array) {
-        if (cc.string_or("format") != fmt) continue;
-        gate_rate("cast " + fmt + " batched elem/s", bc.number_or("batched_elems_per_sec"),
-                  cc.number_or("batched_elems_per_sec"));
+        if (cast_label(cc) != label) continue;
+        gate_rate(label + " elem/s", bc.number_or("elems_per_sec"), cc.number_or("elems_per_sec"));
         break;
       }
     }
@@ -537,8 +535,8 @@ constexpr const char* kUsage =
     "       [--max-accuracy-drop=D] [--max-pass-rate-drop=P]\n"
     "       [--max-counter-drift-pct=P]   (negative disables a check)\n"
     "  check-trace <trace.json>\n"
-    "  check-bench <BENCH.json> [--min-cast-speedup=S]\n"
-    "       [--min-dispatch-speedup=S]      (gemm and gelu rows; <= 0 skips)\n"
+    "  check-bench <BENCH.json> [--min-dispatch-speedup=S]\n"
+    "                                       (cast, gemm and gelu rows; <= 0 skips)\n"
     "       [--min-jobs-per-sec=J]          (<= 0 skips the service gate)\n"
     "  diff-bench <base_BENCH.json> <candidate_BENCH.json> [--max-regress-pct=P]\n";
 
@@ -592,19 +590,17 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     }
 
     if (cmd == "check-bench" && args.size() >= 2) {
-      double min_speedup = 1.0;
-      double min_dispatch_speedup = 0.0;  // off unless requested: old snapshots stay valid
+      double min_dispatch_speedup = 0.0;  // off unless requested: service snapshots stay valid
       double min_jobs_per_sec = 0.0;  // off unless requested: kernel snapshots stay valid
       for (std::size_t i = 2; i < args.size(); ++i) {
-        if (!flag_value(args[i], "--min-cast-speedup", &min_speedup) &&
-            !flag_value(args[i], "--min-dispatch-speedup", &min_dispatch_speedup) &&
+        if (!flag_value(args[i], "--min-dispatch-speedup", &min_dispatch_speedup) &&
             !flag_value(args[i], "--min-jobs-per-sec", &min_jobs_per_sec)) {
           err << "fp8q_report: unknown flag " << args[i] << "\n" << kUsage;
           return 2;
         }
       }
-      const int breaches = check_bench(json::parse(read_file(args[1])), min_speedup,
-                                       min_dispatch_speedup, min_jobs_per_sec, out);
+      const int breaches = check_bench(json::parse(read_file(args[1])), min_dispatch_speedup,
+                                       min_jobs_per_sec, out);
       out << (breaches > 0 ? "fp8q_report: bench gate FAILED\n" : "fp8q_report: bench ok\n");
       return breaches > 0 ? 1 : 0;
     }

@@ -56,23 +56,23 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
 [[nodiscard]] std::vector<std::string> validate_chrome_trace(std::string_view json_text);
 
 /// Gate over one BENCH_*.json snapshot. Kernel snapshots (bench_kernels):
-/// every "cast" entry's batched/scalar speedup must be >= min_speedup,
-/// and -- when min_dispatch_speedup > 0 -- every "gemm" and "gelu"
-/// entry's dispatched/scalar kernel speedup must be >= min_dispatch_speedup
-/// (a missing gemm or gelu section is then a breach; <= 0 skips the gate).
-/// Service snapshots (fp8qd_bench, docs/SERVICE.md): when
+/// when min_dispatch_speedup > 0, every "cast", "gemm" and "gelu" entry's
+/// dispatched/scalar kernel speedup must be >= min_dispatch_speedup (a
+/// missing cast, gemm or gelu section is then a breach; <= 0 skips the
+/// gate). Service snapshots (fp8qd_bench, docs/SERVICE.md): when
 /// min_jobs_per_sec > 0, the "service" section's sustained jobs_per_sec
 /// must be >= that floor (a missing service section is then a breach;
 /// <= 0 skips the service gate), and a multi-row "runs" array (the
 /// --append worker-scaling curve) is echoed one note per row. A snapshot
 /// with neither a cast nor a service section is always a breach. Returns
 /// breach count.
-int check_bench(const json::Value& bench, double min_speedup, double min_dispatch_speedup,
-                double min_jobs_per_sec, std::ostream& out);
+int check_bench(const json::Value& bench, double min_dispatch_speedup, double min_jobs_per_sec,
+                std::ostream& out);
 
-/// Diffs two BENCH_kernels*.json snapshots: batched cast throughput (per
-/// format), matmul GFLOP/s and dispatched GEMM-kernel GFLOP/s (per shape)
-/// may regress at most max_regress_pct percent. Returns breach count.
+/// Diffs two BENCH_kernels*.json snapshots: dispatched cast throughput
+/// (per format and tally), matmul GFLOP/s and dispatched GEMM-kernel
+/// GFLOP/s (per shape) may regress at most max_regress_pct percent.
+/// Returns breach count.
 int diff_bench(const json::Value& base, const json::Value& candidate,
                double max_regress_pct, std::ostream& out);
 
