@@ -12,7 +12,8 @@ namespace {
 
 // The range statistics run on 16-byte GCC vectors (SSE2 on x86-64, NEON
 // on AArch64) with no tier table: a min/max fold is bound by memory, and
-// the same loops at 32 bytes measured no faster end to end.
+// the same loops at 32 bytes showed no end-to-end gain beyond noise
+// (docs/KERNELS.md, "The fake-quant casts").
 using Vec = float __attribute__((vector_size(16)));
 using IVec = std::int32_t __attribute__((vector_size(16)));
 constexpr std::size_t kLanes = sizeof(Vec) / sizeof(float);
