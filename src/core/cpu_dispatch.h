@@ -28,8 +28,8 @@
 //
 // The probe is a one-time cpuid check (__builtin_cpu_supports on x86-64;
 // every other architecture has no native tier), cached after first use.
-// Dispatch happens per call: the casts switch on isa_tier() inside
-// fp8_quantize_batch and int8_quantize_batch, and the ops index the GEMM
+// Dispatch happens per call: the casts pick their tier with isa_tier()
+// through run_cast_tier (fp8/cast_tier.h), and the ops index the GEMM
 // and tanh kernel tables with it (gemm_kernel in nn/gemm.h, tanh_kernel
 // and gelu_kernel in nn/tanh.h), so tests can flip tiers between calls
 // with set_isa_tier(). The range statistics that feed the casts

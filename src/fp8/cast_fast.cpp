@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/cpu_dispatch.h"
+#include "fp8/cast_tier.h"
 #include "obs/counters.h"
 #include "obs/histogram.h"
 
@@ -93,13 +93,10 @@ void fp8_scalar_tier(const float* in, float* out, std::size_t n, const FastCastS
 // ---------------------------------------------------------------------------
 // The vector tiers: one branch-free loop that GCC auto-vectorizes (this
 // file builds at -O3), at baseline width (kBatched: SSE2 on x86-64, NEON
-// on AArch64) and under AVX2 (kNative). With kTally the events are
-// classified in the same loop into 32-bit lane counters, one chunk of
-// fewer than 2^32 elements at a time, so no counter can wrap; 64-bit
-// counters in the loop would cost a widening per lane.
+// on AArch64) and under AVX2 (kNative; fp8/cast_tier.h). With kTally the
+// events are classified in the same loop into 32-bit lane counters, one
+// kTallyChunk at a time; without it the loop does not count.
 // ---------------------------------------------------------------------------
-
-constexpr std::size_t kTallyChunk = std::size_t{1} << 31;
 
 template <bool kTally>
 void fp8_vector_tier(const float* in, float* out, std::size_t n, const FastCastSpec& spec,
@@ -168,41 +165,19 @@ void fp8_vector_tier(const float* in, float* out, std::size_t n, const FastCastS
   if constexpr (kTally) tally->quantized += n;
 }
 
-#if defined(__x86_64__)
-// kNative: the same loop compiled for AVX2 (and not FMA). flatten inlines
-// the whole body here, so it is vectorized under this function's target;
-// the dispatch below enters it only after the runtime probe.
-template <bool kTally>
-[[gnu::target("avx2"), gnu::flatten]] void fp8_avx2_tier(const float* in, float* out,
-                                                         std::size_t n,
-                                                         const FastCastSpec& spec,
-                                                         float scale, CastTally* tally) {
-  fp8_vector_tier<kTally>(in, out, n, spec, scale, tally);
-}
-#endif
-
 }  // namespace
 
 void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
                         const FastCastSpec& spec, float scale, CastTally* tally) {
   const std::size_t n = in.size() < out.size() ? in.size() : out.size();
-  const bool counted = tally != nullptr;
-  switch (isa_tier()) {
-    case IsaTier::kScalar:
-      return fp8_scalar_tier(in.data(), out.data(), n, spec, scale, tally);
-    case IsaTier::kNative:
-#if defined(__x86_64__)
-      if (isa_native_available()) {
-        return counted ? fp8_avx2_tier<true>(in.data(), out.data(), n, spec, scale, tally)
-                       : fp8_avx2_tier<false>(in.data(), out.data(), n, spec, scale, tally);
-      }
-#endif
-      [[fallthrough]];
-    case IsaTier::kBatched:
-      break;
-  }
-  return counted ? fp8_vector_tier<true>(in.data(), out.data(), n, spec, scale, tally)
-                 : fp8_vector_tier<false>(in.data(), out.data(), n, spec, scale, tally);
+  run_cast_tier([&] { fp8_scalar_tier(in.data(), out.data(), n, spec, scale, tally); },
+                [&] {
+                  if (tally != nullptr) {
+                    fp8_vector_tier<true>(in.data(), out.data(), n, spec, scale, tally);
+                  } else {
+                    fp8_vector_tier<false>(in.data(), out.data(), n, spec, scale, nullptr);
+                  }
+                });
 }
 
 void quantize_observed(

@@ -7,7 +7,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/cpu_dispatch.h"
+#include "fp8/cast_tier.h"
 
 namespace fp8q {
 
@@ -112,14 +112,11 @@ void int8_scalar_tier(const float* in, float* out, std::size_t n, const Int8Para
 // ---------------------------------------------------------------------------
 // The vector tiers: one branch-free loop that GCC auto-vectorizes (this
 // file builds at -O3), at baseline width (kBatched) and under AVX2
-// (kNative), counting events in the same loop into 32-bit lane counters
-// one chunk of fewer than 2^32 elements at a time, as the FP8 kernel does
-// (cast_fast.cpp).
+// (kNative; fp8/cast_tier.h). It always counts events, into 32-bit lane
+// counters one kTallyChunk at a time, and folds them into `tally` only
+// when there is one.
 // ---------------------------------------------------------------------------
 
-constexpr std::size_t kTallyChunk = std::size_t{1} << 31;
-
-template <bool kTally>
 void int8_vector_tier(const float* in, float* out, std::size_t n, const Int8Params& p,
                       CastTally* tally) {
   const float scale = p.scale;
@@ -161,60 +158,31 @@ void int8_vector_tier(const float* in, float* out, std::size_t n, const Int8Para
       r = r > hi ? hi : r;
       const float q = (r - zp) * scale;
       out[i] = q;
-      if constexpr (kTally) {
-        // Saturated: the rounded code fell outside [qmin, qmax]. NaN's
-        // stand-in rounds to 0, which never saturates.
-        const std::uint32_t sat =
-            std::bit_cast<std::uint32_t>(k) != std::bit_cast<std::uint32_t>(r);
-        // Flushed: an unsaturated, nonzero, non-NaN input decoded to +/-0.
-        const std::uint32_t zero_out = (std::bit_cast<std::uint32_t>(q) & 0x7FFFFFFFu) == 0u;
-        const std::uint32_t nonzero_in = au - 1u < 0x7F800000u;
-        saturated += sat;
-        flushed += (sat ^ 1u) & zero_out & nonzero_in;
-      }
+      // Saturated: the rounded code fell outside [qmin, qmax]. NaN's
+      // stand-in rounds to 0, which never saturates.
+      const std::uint32_t sat =
+          std::bit_cast<std::uint32_t>(k) != std::bit_cast<std::uint32_t>(r);
+      // Flushed: an unsaturated, nonzero, non-NaN input decoded to +/-0.
+      const std::uint32_t zero_out = (std::bit_cast<std::uint32_t>(q) & 0x7FFFFFFFu) == 0u;
+      const std::uint32_t nonzero_in = au - 1u < 0x7F800000u;
+      saturated += sat;
+      flushed += (sat ^ 1u) & zero_out & nonzero_in;
     }
-    if constexpr (kTally) {
+    if (tally != nullptr) {
       tally->saturated += saturated;
       tally->flushed += flushed;
     }
   }
-  if constexpr (kTally) tally->quantized += n;
+  if (tally != nullptr) tally->quantized += n;
 }
-
-#if defined(__x86_64__)
-// kNative: the same loop compiled for AVX2 (and not FMA), entered only
-// after the runtime probe; flatten inlines the body so it is vectorized
-// under this target.
-template <bool kTally>
-[[gnu::target("avx2"), gnu::flatten]] void int8_avx2_tier(const float* in, float* out,
-                                                          std::size_t n, const Int8Params& p,
-                                                          CastTally* tally) {
-  int8_vector_tier<kTally>(in, out, n, p, tally);
-}
-#endif
 
 }  // namespace
 
 void int8_quantize_batch(std::span<const float> in, std::span<float> out, const Int8Params& p,
                          CastTally* tally) {
   const std::size_t n = std::min(in.size(), out.size());
-  const bool counted = tally != nullptr;
-  switch (isa_tier()) {
-    case IsaTier::kScalar:
-      return int8_scalar_tier(in.data(), out.data(), n, p, tally);
-    case IsaTier::kNative:
-#if defined(__x86_64__)
-      if (isa_native_available()) {
-        return counted ? int8_avx2_tier<true>(in.data(), out.data(), n, p, tally)
-                       : int8_avx2_tier<false>(in.data(), out.data(), n, p, tally);
-      }
-#endif
-      [[fallthrough]];
-    case IsaTier::kBatched:
-      break;
-  }
-  return counted ? int8_vector_tier<true>(in.data(), out.data(), n, p, tally)
-                 : int8_vector_tier<false>(in.data(), out.data(), n, p, tally);
+  run_cast_tier([&] { int8_scalar_tier(in.data(), out.data(), n, p, tally); },
+                [&] { int8_vector_tier(in.data(), out.data(), n, p, tally); });
 }
 
 void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Params& p) {

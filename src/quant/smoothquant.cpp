@@ -1,7 +1,6 @@
 #include "quant/smoothquant.h"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 namespace fp8q {
@@ -39,24 +38,12 @@ void divide_channels(Tensor& x, std::span<const float> factors) {
   if (x.dim() < 1 || static_cast<size_t>(x.size(-1)) != factors.size()) {
     throw std::invalid_argument("divide_channels: last axis must match factors");
   }
-  // 16-byte GCC vectors: each lane divides on its own, so the bits are
-  // the scalar loop's.
-  using Vec = float __attribute__((vector_size(16)));
-  constexpr std::size_t kLanes = sizeof(Vec) / sizeof(float);
-  const std::size_t d = factors.size();
-  const std::size_t rows = d == 0 ? 0 : static_cast<std::size_t>(x.numel()) / d;
-  float* row = x.data();
-  for (std::size_t r = 0; r < rows; ++r, row += d) {
-    std::size_t j = 0;
-    for (; j + kLanes <= d; j += kLanes) {
-      Vec v;
-      Vec f;
-      std::memcpy(&v, row + j, sizeof v);
-      std::memcpy(&f, factors.data() + j, sizeof f);
-      v /= f;
-      std::memcpy(row + j, &v, sizeof v);
-    }
-    for (; j < d; ++j) row[j] /= factors[j];
+  const auto d = static_cast<std::int64_t>(factors.size());
+  const std::int64_t rows = d == 0 ? 0 : x.numel() / d;
+  float* xd = x.data();
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* row = xd + r * d;
+    for (std::int64_t j = 0; j < d; ++j) row[j] /= factors[static_cast<size_t>(j)];
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "metrics/metrics.h"
 #include "nn/linear.h"
@@ -117,6 +119,31 @@ TEST(SmoothQuant, ImprovesInt8QuantizationOfOutlierActivations) {
   scale_weight_columns(w2, s);
   const double after = quant_product_mse(x2, w2);
   EXPECT_LT(after, before * 0.5);
+}
+
+TEST(SmoothQuant, DivideChannelsIsTheElementwiseQuotientBitForBit) {
+  // divide_channels is built to vectorize; every lane must still be one
+  // IEEE division, over widths that leave every remainder, including an
+  // empty last axis.
+  const float specials[] = {0.0f,      -0.0f, 1e-42f, -3.5f, 1e30f, -INFINITY,
+                            INFINITY, NAN,   7.0f,   1e-3f};
+  Rng rng(11);
+  for (std::int64_t d = 0; d <= 17; ++d) {
+    Tensor x = randn(rng, {3, d});
+    std::vector<float> f(static_cast<size_t>(d));
+    for (size_t j = 0; j < f.size(); ++j) f[j] = 0.25f + 3.0f * static_cast<float>(j % 5);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      if (i % 3 == 0) x.data()[i] = specials[static_cast<size_t>(i / 3) % 10];
+    }
+    Tensor want = x;
+    for (std::int64_t i = 0; i < want.numel(); ++i) want.data()[i] /= f[static_cast<size_t>(i % d)];
+    divide_channels(x, f);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(x.data()[i]),
+                std::bit_cast<std::uint32_t>(want.data()[i]))
+          << "d=" << d << " i=" << i;
+    }
+  }
 }
 
 TEST(SmoothQuant, ShapeValidation) {
