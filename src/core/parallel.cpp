@@ -1,5 +1,6 @@
 #include "core/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -18,12 +19,9 @@ namespace fp8q {
 
 namespace {
 
-/// Set while a thread is executing region tasks (worker, or the caller
-/// participating in its own region): nested parallel calls go inline.
+/// Set while a thread is executing region tasks (worker, or a dispatcher
+/// draining its own open stream): nested parallel calls go inline.
 thread_local bool tls_in_region = false;
-
-/// The calling thread's arena binding (ScopedArenaBinding), or nullptr.
-thread_local ParallelArena* tls_arena = nullptr;
 
 constexpr int kMaxThreads = 256;
 
@@ -47,129 +45,171 @@ int env_default_threads() {
 /// set_num_threads() override; 0 means "no override, use the default".
 std::atomic<int> g_thread_override{0};
 
-/// One-region-at-a-time pool. Concurrent top-level regions (from distinct
-/// user threads) serialize on run_mutex_; nested regions never reach the
-/// pool (they run inline via tls_in_region). The default-constructed
-/// global pool tracks num_threads()-1 workers; arena pools
-/// (ParallelArena) construct with a fixed worker count. A region is one
-/// drain function that every worker and the calling thread run once: the
-/// UnitStream below, which does all the scheduling and catches every
-/// unit's exception.
-///
-/// Obs-context propagation: each region publishes the dispatching
-/// thread's CounterDomain (obs/domain.h) with the job state, and every
-/// worker binds it around its drain -- so a job running under a scoped
-/// observation domain keeps its counters exact, and its stages land in
-/// its report, when it fans out across the pool.
+/// The pool's one lock: it guards the workers, the open streams and every
+/// stream's keys. No unit runs under it.
+std::mutex g_mutex;
+
+using UnitFn = std::function<std::vector<std::int64_t>(std::int64_t)>;
+
+/// One parallel_stream call: the ready keys, the units in flight and the
+/// smallest failing key, plus the dispatcher's observation context, which
+/// each unit runs under on whichever thread takes it.
+struct Stream {
+  Stream(std::vector<std::int64_t> keys, const UnitFn& unit)
+      : fn(unit),
+        traced(trace_enabled()),
+        parent(traced ? current_span_id() : 0),
+        domain(current_counter_domain()),
+        ready(std::greater<>{}, std::move(keys)) {}
+
+  /// Runs one unit under the dispatcher's CounterDomain (obs/domain.h), so
+  /// a job's counters and stages stay exact on every thread. Units cross
+  /// threads, so the trace parent (the innermost span open on the
+  /// dispatching thread) is captured at construction and passed
+  /// explicitly; see obs/trace.h.
+  std::vector<std::int64_t> run(std::int64_t key) const {
+    ScopedCounterDomain domain_scope(domain);
+    if (!traced) return fn(key);
+    TraceSpan span("parallel/task", parent);
+    return fn(key);
+  }
+
+  const UnitFn& fn;
+  const bool traced;
+  const std::int64_t parent;
+  CounterDomain* const domain;
+  std::condition_variable cv;  ///< the dispatcher waits here
+  std::priority_queue<std::int64_t, std::vector<std::int64_t>, std::greater<>> ready
+      FP8Q_GUARDED_BY(g_mutex);
+  int running FP8Q_GUARDED_BY(g_mutex) = 0;
+  std::exception_ptr error FP8Q_GUARDED_BY(g_mutex);
+  std::int64_t error_key FP8Q_GUARDED_BY(g_mutex) = 0;
+};
+
+/// The global pool (docs/THREADING.md, "Concurrent dispatchers"). Any
+/// number of streams may be open on it, one per dispatching thread. Each
+/// dispatcher drains its own stream, and an idle worker takes the smallest
+/// ready key of the oldest open stream that has one. Each open stream's
+/// dispatcher counts as one of the num_threads() threads, so with k streams
+/// open only workers 0 .. num_threads()-k-1 take new units and the rest
+/// sleep. Workers are spawned lazily, up to num_threads()-1, and joined
+/// only at exit.
 class ThreadPool {
  public:
-  /// Global-sized pool: resizes to num_threads()-1 at each region.
   ThreadPool() = default;
-  /// Fixed-size pool with exactly `workers` workers (may be 0).
-  explicit ThreadPool(int workers) : fixed_workers_(workers < 0 ? 0 : workers) {}
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
 
   static ThreadPool& global() {
     static ThreadPool pool;
     return pool;
   }
 
-  /// Runs `drain` once on every worker and once on the calling thread;
-  /// returns after all of them have returned. `drain` must not throw.
-  void run(const std::function<void()>& drain) FP8Q_EXCLUDES(run_mutex_) {
-    std::lock_guard<std::mutex> run_lock(run_mutex_);
-    resize_locked(fixed_workers_ >= 0 ? fixed_workers_ : num_threads() - 1);
+  ~ThreadPool() FP8Q_EXCLUDES(g_mutex) {
+    std::vector<std::thread> workers;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      job_fn_ = &drain;
-      job_domain_ = current_counter_domain();
-      active_ = static_cast<int>(workers_.size());
-      ++job_id_;
+      std::lock_guard<std::mutex> lock(g_mutex);
+      stop_ = true;
+      workers.swap(workers_);
     }
     work_cv_.notify_all();
-
-    // The caller participates in its own region.
-    tls_in_region = true;
-    drain();
-    tls_in_region = false;
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return active_ == 0; });
-    job_fn_ = nullptr;
+    for (std::thread& w : workers) w.join();
   }
 
-  ~ThreadPool() {
-    std::lock_guard<std::mutex> run_lock(run_mutex_);
-    resize_locked(0);
+  /// Runs `s` until no unit is ready or running, on the calling thread
+  /// and, with `share`, on the workers as well; returns the smallest
+  /// failing key's exception.
+  std::exception_ptr drain(Stream& s, bool share) FP8Q_EXCLUDES(g_mutex) {
+    std::unique_lock<std::mutex> lock(g_mutex);
+    if (share) open(s);
+    for (;;) {
+      s.cv.wait(lock, [&s] { return !s.ready.empty() || s.running == 0; });
+      if (s.ready.empty()) break;
+      run_one(s, lock);
+    }
+    if (share) close(s);
+    return s.error;
   }
 
  private:
-  /// `seen` starts at the job_id_ current when the worker was spawned:
-  /// job_id_ persists across resize_locked(), so a fresh worker must not
-  /// treat jobs published before its creation as pending (it would pass
-  /// the wait predicate with job_fn_ == nullptr and decrement active_ for
-  /// a job it never joined).
-  void worker_loop(std::uint64_t seen) {
+  void open(Stream& s) FP8Q_REQUIRES(g_mutex) {
+    for (int i = static_cast<int>(workers_.size()); i < num_threads() - 1; ++i) {
+      workers_.emplace_back([this, i] { worker_loop(i); });
+    }
+    open_.push_back(&s);
     tls_in_region = true;
-    for (;;) {
-      const std::function<void()>* fn = nullptr;
-      CounterDomain* domain = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_cv_.wait(lock, [&] { return stop_ || job_id_ != seen; });
-        if (stop_) return;
-        seen = job_id_;
-        fn = job_fn_;
-        domain = job_domain_;
-      }
-      if (fn) {
-        // Adopt the dispatcher's observation domain (the root when it
-        // bound none) for this region.
-        ScopedCounterDomain domain_scope(domain);
-        (*fn)();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (--active_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  /// Adjusts the worker count; requires run_mutex_ held and no active job.
-  void resize_locked(int target) FP8Q_REQUIRES(run_mutex_) {
-    if (static_cast<int>(workers_.size()) == target) return;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
     work_cv_.notify_all();
-    for (auto& w : workers_) w.join();
-    workers_.clear();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = false;
+  }
+
+  void close(Stream& s) FP8Q_REQUIRES(g_mutex) {
+    open_.erase(std::find(open_.begin(), open_.end(), &s));
+    tls_in_region = false;
+    work_cv_.notify_all();  // one more worker may take units
+  }
+
+  /// Runs the smallest ready key of `s` on the calling thread, with
+  /// `lock` released for the unit, then queues the keys it released.
+  /// Catches the unit's exception.
+  void run_one(Stream& s, std::unique_lock<std::mutex>& lock) FP8Q_REQUIRES(g_mutex) {
+    const std::int64_t key = s.ready.top();
+    s.ready.pop();
+    ++s.running;
+    lock.unlock();
+    std::vector<std::int64_t> next;
+    std::exception_ptr error;
+    try {
+      next = s.run(key);
+    } catch (...) {
+      error = std::current_exception();
     }
-    workers_.reserve(static_cast<std::size_t>(target));
-    for (int i = 0; i < target; ++i) {
-      workers_.emplace_back([this, cur = job_id_] { worker_loop(cur); });
+    lock.lock();
+    --s.running;
+    for (const std::int64_t k : next) s.ready.push(k);
+    if (error && (!s.error || key < s.error_key)) {
+      s.error = error;
+      s.error_key = key;
+    }
+    s.cv.notify_one();  // a key is ready, or the stream may be done
+    if (!next.empty()) work_cv_.notify_all();
+  }
+
+  /// The stream worker `index` may take a unit from, or nullptr.
+  Stream* next_stream(int index) FP8Q_REQUIRES(g_mutex) {
+    if (index >= num_threads() - static_cast<int>(open_.size())) return nullptr;
+    for (Stream* s : open_) {
+      if (!s->ready.empty()) return s;
+    }
+    return nullptr;
+  }
+
+  void worker_loop(int index) FP8Q_EXCLUDES(g_mutex) {
+    tls_in_region = true;
+    std::unique_lock<std::mutex> lock(g_mutex);
+    for (;;) {
+      Stream* s = nullptr;
+      work_cv_.wait(lock, [&] { return stop_ || (s = next_stream(index)) != nullptr; });
+      if (stop_) return;
+      run_one(*s, lock);
     }
   }
 
-  std::mutex run_mutex_ FP8Q_ACQUIRED_BEFORE(mutex_);  ///< serializes top-level regions
-  std::mutex mutex_;
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> workers_ FP8Q_GUARDED_BY(run_mutex_);
-  bool stop_ FP8Q_GUARDED_BY(mutex_) = false;
-
-  // Current region.
-  const std::function<void()>* job_fn_ FP8Q_GUARDED_BY(mutex_) = nullptr;
-  CounterDomain* job_domain_ FP8Q_GUARDED_BY(mutex_) = nullptr;
-  int active_ FP8Q_GUARDED_BY(mutex_) = 0;
-  std::uint64_t job_id_ FP8Q_GUARDED_BY(mutex_) = 0;
-
-  /// -1 = track num_threads()-1 (the global pool); >= 0 = fixed size.
-  const int fixed_workers_ = -1;
+  std::vector<Stream*> open_ FP8Q_GUARDED_BY(g_mutex);  ///< oldest first
+  bool stop_ FP8Q_GUARDED_BY(g_mutex) = false;
+  std::vector<std::thread> workers_ FP8Q_GUARDED_BY(g_mutex);
 };
+
+/// Runs a stream of `keys` to completion and rethrows the smallest failing
+/// key's exception. Its units run on the calling thread alone, in exact
+/// key order, when `alone` is set, at one thread and inside a region;
+/// otherwise the stream is open on the pool while the caller drains it.
+void run_stream(std::vector<std::int64_t> keys, const UnitFn& fn, bool alone) {
+  Stream s(std::move(keys), fn);
+  const bool share = !alone && num_threads() > 1 && !tls_in_region;
+  if (std::exception_ptr error = ThreadPool::global().drain(s, share)) {
+    std::rethrow_exception(error);
+  }
+}
 
 }  // namespace
 
@@ -179,7 +219,6 @@ int hardware_threads() {
 }
 
 int num_threads() {
-  if (const ParallelArena* arena = tls_arena) return arena->budget();
   const int override_n = g_thread_override.load(std::memory_order_relaxed);
   return override_n > 0 ? override_n : env_default_threads();
 }
@@ -190,155 +229,21 @@ void set_num_threads(int n) {
 
 bool in_parallel_region() { return tls_in_region; }
 
-/// A fixed pool of budget-1 workers, spawned lazily by the pool itself at
-/// the first region that fans out (a budget-1 arena never constructs one).
-struct ParallelArena::Impl {
-  ThreadPool pool;
-
-  explicit Impl(int workers) : pool(workers) {}
-};
-
-ParallelArena::ParallelArena(int budget) : budget_(clamp_threads(budget)) {
-  if (budget_ > 1) impl_ = std::make_unique<Impl>(budget_ - 1);
-}
-
-ParallelArena::~ParallelArena() = default;
-
-/// Runs one region on the arena's own pool (friend of ParallelArena).
-void arena_run_region(ParallelArena& arena, const std::function<void()>& drain) {
-  arena.impl_->pool.run(drain);
-}
-
-ParallelArena* current_arena() { return tls_arena; }
-
-ScopedArenaBinding::ScopedArenaBinding(ParallelArena* arena) : prev_(tls_arena) {
-  tls_arena = arena;
-}
-
-ScopedArenaBinding::~ScopedArenaBinding() { tls_arena = prev_; }
-
-namespace {
-
-/// One parallel_stream call: the ready keys, the units in flight and the
-/// smallest failing key. Every thread of the region drains it.
-class UnitStream {
- public:
-  using UnitFn = std::function<std::vector<std::int64_t>(std::int64_t)>;
-
-  /// `releases` false promises that every unit returns no keys.
-  UnitStream(std::vector<std::int64_t> ready, const UnitFn& fn, bool releases)
-      : fn_(fn),
-        traced_(trace_enabled()),
-        releases_(releases),
-        parent_(traced_ ? current_span_id() : 0),
-        ready_(std::greater<>{}, std::move(ready)) {}
-
-  /// Runs the smallest ready unit until none is ready or running. While
-  /// units are in flight, an idle thread waits for them to release more,
-  /// unless none can: then it leaves, and the region's barrier waits for
-  /// the units still running. Catches every unit's exception, so it never
-  /// throws one.
-  void drain() FP8Q_EXCLUDES(mutex_) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      cv_.wait(lock, [this] { return !ready_.empty() || running_ == 0 || !releases_; });
-      if (ready_.empty()) return;
-      const std::int64_t key = ready_.top();
-      ready_.pop();
-      ++running_;
-      lock.unlock();
-      std::vector<std::int64_t> next;
-      std::exception_ptr error;
-      try {
-        next = run(key);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      lock.lock();
-      --running_;
-      for (const std::int64_t k : next) ready_.push(k);
-      if (error && (!error_ || key < error_key_)) {
-        error_ = error;
-        error_key_ = key;
-      }
-      if (ready_.empty() && running_ == 0) {
-        cv_.notify_all();  // the stream is done
-      } else {
-        // This thread takes one released key itself.
-        for (std::size_t i = 1; i < next.size(); ++i) cv_.notify_one();
-      }
-    }
-  }
-
-  /// After every drain has returned.
-  void rethrow() FP8Q_EXCLUDES(mutex_) {
-    std::exception_ptr error;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      error = error_;
-    }
-    if (error) std::rethrow_exception(error);
-  }
-
- private:
-  std::vector<std::int64_t> run(std::int64_t key) const {
-    if (!traced_) return fn_(key);
-    // Units cross threads when the pool is engaged, so the logical parent
-    // (the innermost span open on the *dispatching* thread) is captured at
-    // construction and passed explicitly; see obs/trace.h.
-    TraceSpan span("parallel/task", parent_);
-    return fn_(key);
-  }
-
-  const UnitFn& fn_;
-  const bool traced_;
-  const bool releases_;
-  const std::int64_t parent_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::priority_queue<std::int64_t, std::vector<std::int64_t>, std::greater<>> ready_
-      FP8Q_GUARDED_BY(mutex_);
-  int running_ FP8Q_GUARDED_BY(mutex_) = 0;
-  std::exception_ptr error_ FP8Q_GUARDED_BY(mutex_);
-  std::int64_t error_key_ FP8Q_GUARDED_BY(mutex_) = 0;
-};
-
-/// Drains `stream` on the calling thread alone when `alone` is set, at one
-/// thread and inside a region (units then run in exact key order), else
-/// on every thread of the bound arena or the global pool; then rethrows
-/// the smallest failing key's exception.
-void run_stream(UnitStream& stream, bool alone) {
-  if (alone || num_threads() == 1 || tls_in_region) {
-    stream.drain();
-  } else if (ParallelArena* arena = tls_arena) {
-    // num_threads() > 1 here, so a bound arena has budget > 1 and owns a
-    // pool.
-    arena_run_region(*arena, [&stream] { stream.drain(); });
-  } else {
-    ThreadPool::global().run([&stream] { stream.drain(); });
-  }
-  stream.rethrow();
-}
-
-}  // namespace
-
 void parallel_run(std::int64_t n, const std::function<void(std::int64_t)>& fn) {
   if (n <= 0) return;
   // One stream whose keys are all ready and release nothing.
   std::vector<std::int64_t> keys(static_cast<std::size_t>(n));
   std::iota(keys.begin(), keys.end(), std::int64_t{0});
-  const UnitStream::UnitFn unit = [&fn](std::int64_t i) {
+  const UnitFn unit = [&fn](std::int64_t i) {
     fn(i);
     return std::vector<std::int64_t>{};
   };
-  UnitStream stream(std::move(keys), unit, false);
-  run_stream(stream, n == 1);
+  run_stream(std::move(keys), unit, n == 1);
 }
 
 void parallel_stream(std::vector<std::int64_t> ready,
                      const std::function<std::vector<std::int64_t>(std::int64_t)>& fn) {
-  UnitStream stream(std::move(ready), fn, true);
-  run_stream(stream, false);
+  run_stream(std::move(ready), fn, false);
 }
 
 }  // namespace fp8q

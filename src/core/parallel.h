@@ -14,16 +14,19 @@
 // kernels inside a unit run serially on its thread.
 //
 // Thread-count precedence: set_num_threads(n) > FP8Q_NUM_THREADS >
-// std::thread::hardware_concurrency(). Nested calls from inside a worker
-// run serially inline (no pool re-entry, no deadlock). One exception
-// rule: a throwing index or unit does not stop the others, and once all
-// have run, the smallest failing index's or key's exception is rethrown
-// on the calling thread, the same one at any thread count.
+// std::thread::hardware_concurrency(). Any number of threads may dispatch
+// at once: each drains its own stream, the pool's workers take units from
+// every open stream, and each dispatcher counts as one of the
+// num_threads() threads (docs/THREADING.md, "Concurrent dispatchers").
+// Nested calls from inside a unit run serially inline (no pool re-entry,
+// no deadlock). One exception rule: a throwing index or unit does not
+// stop the others, and once all have run, the smallest failing index's or
+// key's exception is rethrown on the calling thread, the same one at any
+// thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -33,73 +36,22 @@ namespace fp8q {
 /// std::thread::hardware_concurrency(), clamped to >= 1. Cached.
 [[nodiscard]] int hardware_threads();
 
-/// The number of threads (pool workers + the calling thread) parallel
-/// regions may use. A thread bound to a ParallelArena (below) reports the
-/// arena's budget; otherwise resolution order is the last
-/// set_num_threads() value, else FP8Q_NUM_THREADS (read once, on first
-/// use), else hardware_threads(). Always >= 1.
+/// The number of threads (pool workers + the dispatching threads) parallel
+/// regions may use. Resolution order is the last set_num_threads() value,
+/// else FP8Q_NUM_THREADS (read once, on first use), else
+/// hardware_threads(). Always >= 1.
 [[nodiscard]] int num_threads();
 
 /// Overrides the thread count for all subsequent parallel regions.
 /// `n <= 0` clears the override and restores the env-var/hardware default.
-/// The pool resizes lazily at the next parallel region. Not safe to call
-/// concurrently with a running parallel region.
+/// Workers read it before each unit they take, so surplus workers sleep
+/// once it drops; missing ones are spawned at the next region.
 void set_num_threads(int n);
 
 /// True when the calling thread is already executing inside a parallel
 /// region (pool worker, or the caller participating in its own region).
 /// Such threads execute nested parallel calls serially inline.
 [[nodiscard]] bool in_parallel_region();
-
-/// A private, fixed-budget slice of the parallel runtime
-/// (docs/THREADING.md, "Nested-parallelism budget"). While a thread is
-/// bound to an arena (ScopedArenaBinding), num_threads() reports the
-/// arena's budget and parallel regions dispatched from that thread run on
-/// the arena's own workers instead of the shared global pool -- so
-/// concurrent top-level dispatchers (fp8qd's executor workers) neither
-/// serialize on the global pool's one-region-at-a-time lock nor
-/// oversubscribe the machine: N executors with budget max(1, threads/N)
-/// each use their slice. A budget-1 arena owns no threads at all; every
-/// region runs inline on the binding thread.
-class ParallelArena {
- public:
-  /// Budget counts the binding thread itself: budget 1 = serial, budget k
-  /// = the binding thread plus k-1 arena workers (spawned lazily at the
-  /// first parallel region). Clamped to >= 1.
-  explicit ParallelArena(int budget);
-  ~ParallelArena();
-
-  ParallelArena(const ParallelArena&) = delete;
-  ParallelArena& operator=(const ParallelArena&) = delete;
-
-  [[nodiscard]] int budget() const { return budget_; }
-
- private:
-  friend void arena_run_region(ParallelArena& arena, const std::function<void()>& drain);
-  int budget_;
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// The calling thread's bound arena, or nullptr (global pool).
-[[nodiscard]] ParallelArena* current_arena();
-
-/// RAII arena binding: parallel regions (and num_threads()) on this
-/// thread use `arena` for the scope's lifetime; nullptr pins the global
-/// pool. Bindings nest; the previous binding is restored on destruction.
-/// The arena must outlive the binding, and at most one thread may be
-/// bound to a given arena at a time (its pool runs one region at a time).
-class ScopedArenaBinding {
- public:
-  explicit ScopedArenaBinding(ParallelArena* arena);
-  ~ScopedArenaBinding();
-
-  ScopedArenaBinding(const ScopedArenaBinding&) = delete;
-  ScopedArenaBinding& operator=(const ScopedArenaBinding&) = delete;
-
- private:
-  ParallelArena* prev_;
-};
 
 /// Task-level fan-out: invokes fn(i) for i in [0, n) across the pool, as
 /// one parallel_stream whose keys 0..n-1 are all ready and release

@@ -93,12 +93,12 @@ void fp8_scalar_tier(const float* in, float* out, std::size_t n, const FastCastS
 // ---------------------------------------------------------------------------
 // The vector tiers: one branch-free loop that GCC auto-vectorizes (this
 // file builds at -O3), at baseline width (kBatched: SSE2 on x86-64, NEON
-// on AArch64) and under AVX2 (kNative; fp8/cast_tier.h). With kTally the
-// events are classified in the same loop into 32-bit lane counters, one
-// kTallyChunk at a time; without it the loop does not count.
+// on AArch64) and under AVX2 (kNative; fp8/cast_tier.h). It always
+// classifies the events in the same loop, into 32-bit lane counters one
+// kTallyChunk at a time, and folds them into `tally` only when there is
+// one.
 // ---------------------------------------------------------------------------
 
-template <bool kTally>
 void fp8_vector_tier(const float* in, float* out, std::size_t n, const FastCastSpec& spec,
                      float scale, CastTally* tally) {
   const float inv = 1.0f / scale;
@@ -123,8 +123,8 @@ void fp8_vector_tier(const float* in, float* out, std::size_t n, const FastCastS
   // Inf survives the arithmetic (v = k = q = Inf) and the saturate select
   // clamps it to max_value; NaN fails every compare and is passed through
   // by the final select with its payload intact. All operations are
-  // constant shifts, adds, multiplies, compare-selects and (with kTally)
-  // integer compare-adds, so the loop auto-vectorizes.
+  // constant shifts, adds, multiplies, compare-selects and integer
+  // compare-adds, so the loop auto-vectorizes.
   constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
   for (std::size_t begin = 0; begin < n; begin += kTallyChunk) {
     const std::size_t end = n - begin < kTallyChunk ? n : begin + kTallyChunk;
@@ -148,21 +148,19 @@ void fp8_vector_tier(const float* in, float* out, std::size_t n, const FastCastS
       rbits = au <= half_min_sub ? sign : rbits;            // flush to zero
       rbits = au > 0x7F800000u ? u : rbits;                 // NaN passthrough
       out[i] = std::bit_cast<float>(rbits) * inv;
-      if constexpr (kTally) {
-        // The scalar tier's two rules on the same bits: finite overflow
-        // or +/-Inf, and nonzero at or below half the smallest subnormal.
-        saturated += static_cast<std::uint32_t>(au > max_bits) &
-                     static_cast<std::uint32_t>(au <= 0x7F800000u);
-        flushed += static_cast<std::uint32_t>(au != 0u) &
-                   static_cast<std::uint32_t>(au <= half_min_sub);
-      }
+      // The scalar tier's two rules on the same bits: finite overflow or
+      // +/-Inf, and nonzero at or below half the smallest subnormal.
+      saturated += static_cast<std::uint32_t>(au > max_bits) &
+                   static_cast<std::uint32_t>(au <= 0x7F800000u);
+      flushed += static_cast<std::uint32_t>(au != 0u) &
+                 static_cast<std::uint32_t>(au <= half_min_sub);
     }
-    if constexpr (kTally) {
+    if (tally != nullptr) {
       tally->saturated += saturated;
       tally->flushed += flushed;
     }
   }
-  if constexpr (kTally) tally->quantized += n;
+  if (tally != nullptr) tally->quantized += n;
 }
 
 }  // namespace
@@ -171,13 +169,7 @@ void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
                         const FastCastSpec& spec, float scale, CastTally* tally) {
   const std::size_t n = in.size() < out.size() ? in.size() : out.size();
   run_cast_tier([&] { fp8_scalar_tier(in.data(), out.data(), n, spec, scale, tally); },
-                [&] {
-                  if (tally != nullptr) {
-                    fp8_vector_tier<true>(in.data(), out.data(), n, spec, scale, tally);
-                  } else {
-                    fp8_vector_tier<false>(in.data(), out.data(), n, spec, scale, nullptr);
-                  }
-                });
+                [&] { fp8_vector_tier(in.data(), out.data(), n, spec, scale, tally); });
 }
 
 void quantize_observed(
@@ -209,8 +201,8 @@ void quantize_observed(
 void fp8_quantize_scaled_fast(std::span<const float> in, std::span<float> out,
                               const FastCastSpec& spec, float scale) {
   if (!(scale > 0.0f) || !std::isfinite(scale)) scale = 1.0f;
-  // With counting off the kernel gets no tally and runs its uncounted
-  // loop; outputs are bit-identical either way.
+  // With counting off the kernel gets no tally; outputs are bit-identical
+  // either way.
   quantize_observed(in, out, spec.obs_fmt, scale,
                     [&spec, scale](std::span<const float> src, std::span<float> dst,
                                    CastTally* tally) {

@@ -7,7 +7,7 @@
 // pointer to it:
 //
 //   * The first get() of a key builds the plan on the calling thread, so
-//     the build runs on the caller's parallel arena and records into the
+//     the build fans out from it over the global pool and records into the
 //     caller's CounterDomain. Concurrent get()s of the same key wait for
 //     that build instead of starting another.
 //   * A failed build is rethrown to the caller that ran it and to every

@@ -140,12 +140,6 @@ Server::Server(ServerOptions options)
     unix_path_ = options.unix_path;
   }
   workers_ = options.workers < 1 ? 1 : (options.workers > 64 ? 64 : options.workers);
-  // Split the machine across the executor workers: each job's parallel
-  // arena gets num_threads()/workers threads (at least 1), so full
-  // occupancy never oversubscribes. Sampled once here -- the budget is
-  // part of the server's configuration, not a per-job lookup.
-  const int base_threads = num_threads();
-  job_threads_ = base_threads / workers_ < 1 ? 1 : base_threads / workers_;
   slots_.resize(static_cast<std::size_t>(workers_));
   // The daemon always counts: per-job reports are the product it serves.
   set_counters_enabled(true);
@@ -189,7 +183,6 @@ ServiceStats Server::stats_snapshot_locked() const {
   s.queue_depth = queue_.size();
   s.queue_capacity = queue_.capacity();
   s.workers = workers_;
-  s.job_threads = job_threads_;
   s.active_jobs = active_jobs_;
   s.draining = drain_mode_;
   s.per_worker.reserve(slots_.size());
@@ -211,12 +204,6 @@ ServiceStats Server::stats_snapshot_locked() const {
 }
 
 void Server::executor_loop(int slot) {
-  // This worker's slice of the parallel runtime: every job it runs fans
-  // out over its own arena (budget job_threads_), so full occupancy uses
-  // workers x job_threads_ <= num_threads() threads and jobs never
-  // serialize on the global pool's region lock (core/parallel.h).
-  ParallelArena arena(job_threads_);
-  ScopedArenaBinding arena_binding(&arena);
   WorkerSlot& mine = slots_[static_cast<std::size_t>(slot)];
   for (;;) {
     std::shared_ptr<Job> job;
@@ -243,7 +230,8 @@ void Server::executor_loop(int slot) {
 
     // Run the job body outside the lock: submits/status/stats stay
     // responsive, and the other workers run their own jobs concurrently
-    // -- each under its own observation domain (run_job_oneshot).
+    // -- each under its own observation domain (run_job_oneshot), with
+    // every job's parallel streams open on the one global pool.
     std::string report_json;
     std::string error;
     try {
@@ -373,8 +361,6 @@ std::string Server::stats_response_locked() const {
   out += s.draining ? "true" : "false";
   out += "},\"scheduler\":{\"workers\":";
   out += std::to_string(s.workers);
-  out += ",\"job_threads\":";
-  out += std::to_string(s.job_threads);
   out += ",\"active_jobs\":";
   out += std::to_string(s.active_jobs);
   out += ",\"per_worker\":[";

@@ -10,19 +10,18 @@
 // Concurrency model: one poll(2) I/O thread (the caller of run())
 // multiplexes every connection and owns all protocol state, and a pool of
 // FP8QD_WORKERS executor threads pulls jobs from the bounded priority
-// queue and runs them CONCURRENTLY. Two mechanisms make that correct:
-//
-//   * Scoped observation domains (obs/domain.h): every job runs under a
-//     fresh CounterDomain, bound on its executor and propagated to the
-//     core/parallel threads it fans out to, so its report counter blocks
-//     are exact per-job deltas by construction -- bit-identical to a
-//     one-shot run of the same spec at any worker count and any
-//     interleaving. The domain folds into the process root domain when
-//     the job finishes, so cumulative totals still add up.
-//   * Per-worker arenas (core/parallel.h, ParallelArena): each executor
-//     owns a max(1, num_threads()/workers)-budget slice of the parallel
-//     runtime, so N workers x M pool threads never oversubscribe the
-//     machine and jobs never serialize on the global pool's region lock.
+// queue and runs them CONCURRENTLY. Every job runs under a fresh
+// CounterDomain (obs/domain.h), bound on its executor and propagated to
+// every core/parallel unit it fans out, so its report counter blocks are
+// exact per-job deltas by construction -- bit-identical to a one-shot run
+// of the same spec at any worker count and any interleaving. The domain
+// folds into the process root domain when the job finishes, so cumulative
+// totals still add up. The executors dispatch straight onto the one global
+// pool: each drains its own job's streams, the pool's workers take units
+// from every open stream, and each executor with a stream open counts as
+// one of the num_threads() threads (core/parallel.h), so N executors share
+// the machine and a job's serial stretch leaves the pool's other threads
+// to the other jobs.
 //
 // A running job shares no mutable state with other jobs: it builds its own
 // model copy and quantized weights. Eval jobs share one read-only EvalPlan
@@ -73,8 +72,8 @@ struct ServerOptions {
   /// Admission-queue capacity (jobs queued beyond the ones running).
   std::size_t queue_max = 64;
   /// Executor worker count: jobs running concurrently, each under its own
-  /// observation domain and a num_threads()/workers parallel arena.
-  /// Clamped to [1, 64].
+  /// observation domain, all sharing the global parallel pool. Clamped to
+  /// [1, 64].
   int workers = 1;
 };
 
@@ -116,7 +115,6 @@ struct ServiceStats {
   std::size_t queue_depth = 0;
   std::size_t queue_capacity = 0;
   int workers = 1;              ///< executor worker count
-  int job_threads = 1;          ///< per-job parallel arena budget
   std::size_t active_jobs = 0;  ///< jobs running right now (<= workers)
   bool draining = false;
   std::vector<WorkerStats> per_worker;  ///< one row per executor worker
@@ -216,8 +214,7 @@ class Server {
   int tcp_port_ = -1;
   std::vector<Workload> suite_;
   std::uint64_t start_ns_ = 0;
-  int workers_ = 1;       ///< executor worker count
-  int job_threads_ = 1;   ///< per-job parallel arena budget
+  int workers_ = 1;  ///< executor worker count
 
   /// Eval plans shared across jobs; it locks for itself.
   PlanCache plans_;

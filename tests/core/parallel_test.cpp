@@ -1,6 +1,6 @@
 // Concurrency contract of the parallel runtime (docs/THREADING.md):
 // coverage, key order, nesting, exception propagation, thread-count
-// knobs, arenas.
+// knobs, concurrent dispatchers.
 #include "core/parallel.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,16 @@ namespace {
 struct ThreadCountGuard {
   ~ThreadCountGuard() { set_num_threads(0); }
 };
+
+/// What unit `key` releases in a binary tree over [0, n): 2k + 1 and
+/// 2k + 2, so a stream started at key 0 grows to all of [0, n).
+std::vector<std::int64_t> tree_children(std::int64_t key, std::int64_t n) {
+  std::vector<std::int64_t> next;
+  for (std::int64_t child : {2 * key + 1, 2 * key + 2}) {
+    if (child < n) next.push_back(child);
+  }
+  return next;
+}
 
 TEST(ParallelRun, NonPositiveCountsNeverInvoke) {
   ThreadCountGuard guard;
@@ -116,11 +127,9 @@ TEST(Parallel, SingleThreadRunsEverythingOnCaller) {
 
 TEST(Parallel, ResizeAfterPriorJobsDoesNotCorruptCompletion) {
   ThreadCountGuard guard;
-  // Regression: job_id_ persists across pool resizes, so workers spawned
-  // after earlier jobs must not treat those published job ids as pending
-  // work (a spurious wake decremented active_ for a job the worker never
-  // joined, letting run() return while another worker still drained it).
-  // Alternate thread counts so every run() follows a resize.
+  // Alternate thread counts so every region follows a change: workers
+  // spawned at a higher count sleep at a lower one, and those spawned
+  // after earlier regions must take no unit twice and let none be lost.
   for (int round = 0; round < 50; ++round) {
     set_num_threads(2 + (round % 3) * 3);  // 2, 5, 8, 2, ...
     std::vector<std::atomic<int>> hits(128);
@@ -131,11 +140,11 @@ TEST(Parallel, ResizeAfterPriorJobsDoesNotCorruptCompletion) {
   }
 }
 
-TEST(Parallel, ConcurrentTopLevelRegionsSerializeSafely) {
+TEST(Parallel, ConcurrentTopLevelRegionsShareThePool) {
   ThreadCountGuard guard;
   set_num_threads(4);
-  // Two independent user threads each drive their own region; the pool
-  // serializes them internally and both must complete correctly.
+  // Two independent user threads each drive their own regions, open on
+  // the pool at the same time; both must complete correctly.
   std::atomic<std::int64_t> a{0};
   std::atomic<std::int64_t> b{0};
   std::thread t1([&] {
@@ -171,8 +180,7 @@ TEST(ParallelStream, OneThreadRunsUnitsInKeyOrderIncludingReleasedOnes) {
 
 TEST(ParallelStream, EveryUnitRunsExactlyOnceAtAnyThreadCount) {
   ThreadCountGuard guard;
-  // A binary tree of releases: unit k releases 2k + 1 and 2k + 2, so the
-  // stream grows from one key to all of [0, kN).
+  // A binary tree of releases (tree_children).
   constexpr std::int64_t kN = 4000;
   for (int threads : {2, 4, 8}) {
     set_num_threads(threads);
@@ -185,11 +193,7 @@ TEST(ParallelStream, EveryUnitRunsExactlyOnceAtAnyThreadCount) {
         std::lock_guard<std::mutex> lock(mutex);
         ran_on.insert(std::this_thread::get_id());
       }
-      std::vector<std::int64_t> next;
-      for (std::int64_t child : {2 * key + 1, 2 * key + 2}) {
-        if (child < kN) next.push_back(child);
-      }
-      return next;
+      return tree_children(key, kN);
     });
     for (std::int64_t i = 0; i < kN; ++i) {
       ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "threads=" << threads << " key " << i;
@@ -269,110 +273,117 @@ TEST(ParallelStream, ThrowingSoleUnitWithSuccessorsEndsTheStream) {
                std::invalid_argument);
 }
 
-TEST(ParallelArena, BudgetGovernsNumThreadsWhileBound) {
+TEST(Parallel, SleepingWorkersTakeNothing) {
   ThreadCountGuard guard;
   set_num_threads(8);
-  ParallelArena arena(3);
-  EXPECT_EQ(arena.budget(), 3);
-  EXPECT_EQ(current_arena(), nullptr);
-  {
-    ScopedArenaBinding binding(&arena);
-    EXPECT_EQ(current_arena(), &arena);
-    EXPECT_EQ(num_threads(), 3);
-  }
-  EXPECT_EQ(current_arena(), nullptr);
-  EXPECT_EQ(num_threads(), 8);
-}
-
-TEST(ParallelArena, BudgetOneRunsEverythingInlineOnTheBindingThread) {
-  ThreadCountGuard guard;
-  set_num_threads(8);
-  ParallelArena arena(1);
-  ScopedArenaBinding binding(&arena);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> calls{0};
-  parallel_run(16, [&](std::int64_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 16);
-}
-
-TEST(ParallelArena, RegionsRunOnTheArenaNotTheGlobalPool) {
-  ThreadCountGuard guard;
-  set_num_threads(8);
-  ParallelArena arena(4);
-  ScopedArenaBinding binding(&arena);
-  constexpr std::int64_t kN = 4003;
-  std::vector<std::atomic<int>> hits(kN);
+  parallel_run(64, [](std::int64_t) {});  // the pool now has 7 workers
+  set_num_threads(2);
   std::mutex mutex;
-  std::set<std::thread::id> workers;
-  parallel_run(kN, [&](std::int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1);
+  std::set<std::thread::id> ran_on;
+  parallel_run(256, [&](std::int64_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
     std::lock_guard<std::mutex> lock(mutex);
-    workers.insert(std::this_thread::get_id());
+    ran_on.insert(std::this_thread::get_id());
   });
-  for (std::int64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
-  }
-  // Never more threads than the arena budget, whatever the global count.
-  EXPECT_LE(workers.size(), 4u);
+  // The dispatcher and worker 0; the other six sleep.
+  EXPECT_LE(ran_on.size(), 2u);
 }
 
-TEST(ParallelArena, ConcurrentArenasDoNotSerializeOrInterfere) {
-  // Two threads, each bound to its own arena, each running regions: both
-  // must complete with full coverage (the fp8qd executor-pool shape; on
-  // the global pool these would serialize on the region lock).
+/// Polls `flag` until it is set or 10 s pass; returns its final value.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return flag.load();
+}
+
+TEST(ParallelStream, DispatchersDoNotWaitForEachOther) {
   ThreadCountGuard guard;
   set_num_threads(4);
-  constexpr std::int64_t kN = 2048;
-  std::vector<std::atomic<int>> hits_a(kN), hits_b(kN);
-  auto body = [kN](ParallelArena& arena, std::vector<std::atomic<int>>& hits) {
-    ScopedArenaBinding binding(&arena);
-    for (int round = 0; round < 8; ++round) {
-      parallel_run(kN, [&](std::int64_t i) { hits[static_cast<size_t>(i)].fetch_add(1); });
-    }
+  // Each stream's first unit waits for the other stream to start one: a
+  // pool that ran one stream at a time would time out here.
+  std::atomic<bool> started[2] = {false, false};
+  bool saw_other[2] = {false, false};
+  auto dispatch = [&](int self) {
+    parallel_stream({0, 1, 2}, [&](std::int64_t key) {
+      if (key == 0) {
+        started[self].store(true);
+        saw_other[self] = wait_for(started[1 - self]);
+      }
+      return std::vector<std::int64_t>{};
+    });
   };
-  ParallelArena arena_a(2), arena_b(2);
-  std::thread ta([&] { body(arena_a, hits_a); });
-  std::thread tb([&] { body(arena_b, hits_b); });
-  ta.join();
-  tb.join();
-  for (std::int64_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits_a[static_cast<size_t>(i)].load(), 8) << "arena A index " << i;
-    ASSERT_EQ(hits_b[static_cast<size_t>(i)].load(), 8) << "arena B index " << i;
+  std::thread a(dispatch, 0);
+  std::thread b(dispatch, 1);
+  a.join();
+  b.join();
+  EXPECT_TRUE(saw_other[0]);
+  EXPECT_TRUE(saw_other[1]);
+}
+
+TEST(ParallelStream, MoreDispatchersThanThreadsAllFinish) {
+  ThreadCountGuard guard;
+  set_num_threads(3);
+  // Six dispatchers, three threads: no worker has room while three or
+  // more streams are open, so each dispatcher drains its own stream.
+  constexpr int kDispatchers = 6;
+  constexpr int kRounds = 20;
+  constexpr std::int64_t kN = 64;
+  std::vector<std::vector<std::atomic<int>>> hits(kDispatchers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kRounds * kN);
+  std::vector<std::thread> dispatchers;
+  for (int d = 0; d < kDispatchers; ++d) {
+    dispatchers.emplace_back([&hits, d] {
+      for (int round = 0; round < kRounds; ++round) {
+        parallel_stream({0}, [&](std::int64_t key) {
+          hits[static_cast<size_t>(d)][static_cast<size_t>(round * kN + key)].fetch_add(1);
+          return tree_children(key, kN);
+        });
+      }
+    });
+  }
+  for (std::thread& t : dispatchers) t.join();
+  for (int d = 0; d < kDispatchers; ++d) {
+    for (std::int64_t i = 0; i < kRounds * kN; ++i) {
+      ASSERT_EQ(hits[static_cast<size_t>(d)][static_cast<size_t>(i)].load(), 1)
+          << "dispatcher " << d << " unit " << i;
+    }
   }
 }
 
-TEST(ParallelArena, NestedRegionsUnderAnArenaRunInline) {
+TEST(ParallelStream, ExceptionsStayInTheirStream) {
   ThreadCountGuard guard;
-  set_num_threads(8);
-  ParallelArena arena(4);
-  ScopedArenaBinding binding(&arena);
-  std::atomic<int> outer{0}, inner{0};
-  parallel_run(4, [&](std::int64_t) {
-    outer.fetch_add(1);
-    parallel_run(4, [&](std::int64_t) { inner.fetch_add(1); });
+  set_num_threads(4);
+  // The thrower's stream fails (keys 5 and 40) while the clean stream is
+  // open: its first unit waits until the thrower has finished.
+  std::atomic<bool> thrower_done{false};
+  std::string message;
+  std::thread thrower([&] {
+    std::vector<std::int64_t> keys(64);
+    std::iota(keys.begin(), keys.end(), std::int64_t{0});
+    try {
+      parallel_stream(keys, [](std::int64_t key) -> std::vector<std::int64_t> {
+        if (key == 5 || key == 40) throw std::runtime_error("unit " + std::to_string(key));
+        return {};
+      });
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    thrower_done.store(true);
   });
-  EXPECT_EQ(outer.load(), 4);
-  EXPECT_EQ(inner.load(), 16);
-}
-
-TEST(ParallelArena, ExceptionsPropagateFromArenaWorkers) {
-  ThreadCountGuard guard;
-  set_num_threads(8);
-  ParallelArena arena(4);
-  ScopedArenaBinding binding(&arena);
-  EXPECT_THROW(
-      parallel_run(64,
-                   [](std::int64_t i) {
-                     if (i == 13) throw std::runtime_error("arena boom");
-                   }),
-      std::runtime_error);
-  // The arena pool survives the exception and runs the next region.
-  std::atomic<int> calls{0};
-  parallel_run(8, [&](std::int64_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 8);
+  constexpr std::int64_t kN = 256;
+  std::vector<std::atomic<int>> hits(kN);
+  bool overlapped = false;
+  EXPECT_NO_THROW(parallel_stream({0}, [&](std::int64_t key) {
+    if (key == 0) overlapped = wait_for(thrower_done);
+    hits[static_cast<size_t>(key)].fetch_add(1);
+    return tree_children(key, kN);
+  }));
+  thrower.join();
+  EXPECT_TRUE(overlapped);
+  EXPECT_EQ(message, "unit 5");
+  for (std::int64_t i = 0; i < kN; ++i) ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << i;
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 // moves the tallies over. The suite pins: isolation from the root,
 // isolation BETWEEN domains (the fp8qd concurrent-jobs property), nesting,
 // the conservation law (sum over domains + root is invariant under
-// folds), propagation across parallel regions, and the unbound fallback.
+// folds), propagation across parallel regions (concurrent dispatchers
+// included), and the unbound fallback.
 #include "obs/domain.h"
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -186,6 +188,30 @@ TEST(CounterDomain, ParallelRegionsInheritTheDispatchersDomain) {
   EXPECT_FALSE(counters_snapshot().any());
   EXPECT_FALSE(histogram_snapshot(ObsFormat::kE4M3).any());
   EXPECT_EQ(alloc_counters_snapshot().allocs, 0u);
+
+  // Two dispatchers fanning out at once, each bound to its own domain: the
+  // pool's workers take units of both streams, and each unit's writes land
+  // in its own dispatcher's domain.
+  set_num_threads(4);
+  CounterDomain first;
+  CounterDomain second;
+  std::atomic<int> arrived{0};
+  const auto fan_out = [&arrived](CounterDomain* bound, std::uint64_t n) {
+    ScopedCounterDomain scope(bound);
+    arrived.fetch_add(1);
+    while (arrived.load() < 2) std::this_thread::yield();
+    for (int round = 0; round < 20; ++round) {
+      parallel_run(64, [n](std::int64_t) { counter_add(ObsFormat::kE5M2, ObsEvent::kQuantized, n); });
+    }
+  };
+  std::thread a(fan_out, &first, std::uint64_t{1});
+  std::thread b(fan_out, &second, std::uint64_t{2});
+  a.join();
+  b.join();
+  set_num_threads(0);
+  EXPECT_EQ(first.counters().get(ObsFormat::kE5M2, ObsEvent::kQuantized), 20u * 64u);
+  EXPECT_EQ(second.counters().get(ObsFormat::kE5M2, ObsEvent::kQuantized), 2u * 20u * 64u);
+  EXPECT_FALSE(counters_snapshot().any());
 }
 
 TEST(CounterDomain, UnboundParallelRegionsShareTheRoot) {

@@ -13,8 +13,8 @@
 #      validates the Chrome trace JSON, and `fp8q_report diff` between the
 #      two runs gates wall/memory regressions with explicit thresholds
 #      (docs/PERFORMANCE.md, docs/OBSERVABILITY.md); bench_kernels calls
-#      the uncounted cast kernels, so its counters are all zero. Then the
-#      Table 2 bit-identity gates: bench_table2_passrate --quick at the
+#      the cast kernels without a tally, so its counters are all zero.
+#      Then the Table 2 bit-identity gates: bench_table2_passrate --quick at the
 #      default thread count and tier, against FP8Q_NUM_THREADS=1 and
 #      against FP8Q_ISA=scalar and FP8Q_ISA=batched (the cast, GEMM and
 #      tanh kernels' cross-tier contract; each pinned report must name the
@@ -32,11 +32,13 @@
 #      on a sustained jobs/sec floor via `fp8q_report check-bench
 #      --min-jobs-per-sec`, and diff a canonical job's report between the
 #      two worker counts at --max-counter-drift-pct=0 -- the scoped
-#      observation domains' bit-identity contract (docs/SERVICE.md,
+#      observation domains' bit-identity contract, with both executors
+#      dispatching onto the one shared thread pool (docs/SERVICE.md,
 #      docs/THREADING.md)
 #   5. AddressSanitizer build + full ctest suite (`check_asan`)
 #   6. UndefinedBehaviorSanitizer build + full ctest suite (`check_ubsan`)
-#   7. ThreadSanitizer build + concurrency suite (`check_tsan`)
+#   7. ThreadSanitizer build + concurrency suite (`check_tsan`), the
+#      daemon end to end included
 #   8. fuzz build (FP8Q_SANITIZE=fuzzer: ASan + the tests/fuzz/ harnesses)
 #      + a 30-second bounded run of both network-facing parser fuzzers
 #      over the checked-in corpora (`check_fuzz`)
@@ -95,9 +97,10 @@ FP8Q_TRACE=1 FP8Q_TRACE_JSON="$PREFIX/trace_smoke.json" \
 "$PREFIX/tools/fp8q_report" print "$PREFIX/report_smoke.json" > /dev/null
 
 # Second instrumented run, diffed against the first: wall time and memory
-# may wobble but not explode. bench_kernels calls the uncounted cast
-# kernels directly, so every counter cell is 0 and the counter check here
-# has nothing to compare; the Table 2 diffs below are the counter gates.
+# may wobble but not explode. bench_kernels calls the cast kernels
+# directly without a tally, so every counter cell is 0 and the counter
+# check here has nothing to compare; the Table 2 diffs below are the
+# counter gates.
 rm -f "$PREFIX/report_smoke2.json" "$PREFIX/BENCH_kernels_smoke2.json"
 FP8Q_REPORT="$PREFIX/report_smoke2.json" \
   "$PREFIX/bench/bench_kernels" --smoke --out="$PREFIX/BENCH_kernels_smoke2.json"

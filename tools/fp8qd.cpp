@@ -5,8 +5,9 @@
 // Listens on a Unix-domain socket (and optionally loopback TCP), accepts
 // quantize/eval/tune jobs over the length-prefixed line-JSON protocol,
 // and serves back per-job report JSON. --workers executor threads run
-// jobs concurrently, each under its own observation domain and a
-// num_threads()/workers parallel arena (docs/SERVICE.md, "Scheduler").
+// jobs concurrently, each under its own observation domain, all fanning
+// out over the one global thread pool (docs/SERVICE.md, "Admission,
+// priorities, deadlines, workers").
 // Flags override the FP8QD_* environment knobs (FP8QD_SOCKET,
 // FP8QD_TCP_PORT, FP8QD_QUEUE_MAX, FP8QD_WORKERS). SIGINT/SIGTERM
 // trigger a draining shutdown: queued jobs finish, new submits are
@@ -36,8 +37,8 @@ int usage() {
                "(FP8QD_TCP_PORT)\n"
                "  --queue-max=N    admission-queue capacity (FP8QD_QUEUE_MAX; default "
                "64)\n"
-               "  --workers=N      concurrent executor workers, 1-64 (FP8QD_WORKERS; "
-               "default 1)\n");
+               "  --workers=N      concurrent executor workers sharing the thread pool, "
+               "1-64 (FP8QD_WORKERS; default 1)\n");
   return 2;
 }
 
