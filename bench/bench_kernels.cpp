@@ -8,6 +8,8 @@
 //   * the GEMM microkernel (nn/gemm.h, docs/KERNELS.md) at the scalar
 //     reference tier and at the dispatched ISA tier (the top-level "isa"
 //     field), and the speedup between them;
+//   * Conv2dOp::forward on the suite's CNN shape (10x10 images, 3x3
+//     kernels, padding 1, 12 channels), dense and depthwise, the same way;
 //   * the GELU kernel (nn/tanh.h) over 1 Mi floats, the same way.
 //
 // Everything runs on one thread.
@@ -27,6 +29,7 @@
 #include "core/parallel.h"
 #include "fp8/cast_fast.h"
 #include "fp8/int8.h"
+#include "nn/conv.h"
 #include "nn/gemm.h"
 #include "nn/matmul.h"
 #include "nn/tanh.h"
@@ -186,6 +189,60 @@ GemmResult measure_gemm(std::int64_t m, std::int64_t k, std::int64_t n, double m
   return result;
 }
 
+// The suite's CNN shape (models/zoo.cpp, workloads/registry.cpp): 10x10
+// images, 3x3 kernels, padding 1.
+constexpr std::int64_t kConvSide = 10;
+constexpr std::int64_t kConvKernel = 3;
+constexpr int kConvPadding = 1;
+
+struct ConvResult {
+  std::int64_t n, channels, groups;
+  double scalar_gflops;
+  double gflops;
+};
+
+/// GFLOP/s of Conv2dOp::forward at `tier`, from one timing that repeats
+/// the call until it has lasted `min_seconds`. The flops are the conv's
+/// own 2 * taps per output, not the GEMM's.
+double time_conv(IsaTier tier, Conv2dOp& op, const Tensor& x, double flops,
+                 double min_seconds) {
+  set_isa_tier(tier);
+  volatile float sink = 0.0f;
+  const std::uint64_t t0 = obs_now_ns();
+  int calls = 0;
+  double elapsed = 0.0;
+  do {
+    sink = op.forward({&x, 1})[0];
+    ++calls;
+    elapsed = seconds_since(t0);
+  } while (elapsed < min_seconds);
+  (void)sink;
+  return flops * calls / elapsed / 1e9;
+}
+
+/// A conv of `channels` -> `channels` in `groups` groups over a batch of
+/// `n` images of the suite's shape, at the scalar reference tier and at
+/// the dispatched tier, best of `reps` alternating timings each, as
+/// measure_gemm does.
+ConvResult measure_conv(std::int64_t n, std::int64_t channels, std::int64_t groups,
+                        double min_seconds, int reps) {
+  Rng rng(37);
+  const Tensor x = randn(rng, {n, channels, kConvSide, kConvSide});
+  Conv2dOp op(randn(rng, {channels, channels / groups, kConvKernel, kConvKernel}),
+              randn(rng, {channels}), /*stride=*/1, kConvPadding, static_cast<int>(groups));
+  const double flops = 2.0 * static_cast<double>(n * channels * kConvSide * kConvSide) *
+                       static_cast<double>(channels / groups * kConvKernel * kConvKernel);
+  const IsaTier dispatched = isa_tier();
+  ConvResult result{n, channels, groups, 0.0, 0.0};
+  for (int r = 0; r < reps; ++r) {
+    result.scalar_gflops = std::max(result.scalar_gflops,
+                                    time_conv(IsaTier::kScalar, op, x, flops, min_seconds));
+    result.gflops = std::max(result.gflops, time_conv(dispatched, op, x, flops, min_seconds));
+  }
+  reset_isa_tier();
+  return result;
+}
+
 struct GeluResult {
   std::int64_t n;
   double scalar_elems_per_sec;
@@ -265,6 +322,15 @@ int main(int argc, char** argv) {
     gemms.push_back(measure_gemm(64, 256, 256, smoke ? 0.02 : 0.2, 5));
   }
 
+  std::vector<ConvResult> convs;
+  {
+    ScopedStage stage("kernels/conv");
+    const std::int64_t batch = smoke ? 16 : 128;
+    for (const std::int64_t groups : {1, 12}) {
+      convs.push_back(measure_conv(batch, 12, groups, smoke ? 0.02 : 0.2, 5));
+    }
+  }
+
   GeluResult gelu{};
   {
     ScopedStage stage("kernels/gelu");
@@ -307,6 +373,18 @@ int main(int argc, char** argv) {
                  static_cast<long long>(g.n), g.scalar_gflops, g.gflops,
                  g.gflops / g.scalar_gflops, i + 1 < gemms.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"conv\": [\n");
+  for (std::size_t i = 0; i < convs.size(); ++i) {
+    const auto& c = convs[i];
+    std::fprintf(f,
+                 "    {\"n\": %lld, \"channels\": %lld, \"groups\": %lld, \"hw\": %lld, "
+                 "\"kernel\": %lld, \"padding\": %d, \"scalar_gflops\": %.2f, "
+                 "\"gflops\": %.2f, \"speedup\": %.2f}%s\n",
+                 static_cast<long long>(c.n), static_cast<long long>(c.channels),
+                 static_cast<long long>(c.groups), static_cast<long long>(kConvSide),
+                 static_cast<long long>(kConvKernel), kConvPadding, c.scalar_gflops, c.gflops,
+                 c.gflops / c.scalar_gflops, i + 1 < convs.size() ? "," : "");
+  }
   std::fprintf(f, "  ],\n  \"gelu\": [\n");
   std::fprintf(f,
                "    {\"n\": %lld, \"scalar_elems_per_sec\": %.3e, \"elems_per_sec\": %.3e, "
@@ -331,6 +409,13 @@ int main(int argc, char** argv) {
                 static_cast<long long>(g.m), static_cast<long long>(g.k),
                 static_cast<long long>(g.n), isa_label(), g.gflops, g.scalar_gflops,
                 g.gflops / g.scalar_gflops);
+  }
+  for (const auto& c : convs) {
+    std::printf("  conv n=%lld %lld->%lld groups=%lld [%s]: %.2f GFLOP/s  scalar %.2f GFLOP/s  "
+                "(%.2fx)\n",
+                static_cast<long long>(c.n), static_cast<long long>(c.channels),
+                static_cast<long long>(c.channels), static_cast<long long>(c.groups), isa_label(),
+                c.gflops, c.scalar_gflops, c.gflops / c.scalar_gflops);
   }
   std::printf("  gelu n=%lld [%s]: %.3e elem/s  scalar %.3e elem/s  (%.2fx)\n",
               static_cast<long long>(gelu.n), isa_label(), gelu.elems_per_sec,

@@ -59,42 +59,52 @@ Tensor Conv2dOp::forward(std::span<const Tensor> inputs) {
   const float* bd = bias_.empty() ? nullptr : bias_.data();
   float* yd = y.data();
 
-  // One GEMM per (image, group): y[ocg, P] += W_g[ocg, K] * col[K, P], with
-  // K = icg*kh*kw taps in the weight's (c, ky, kx) order and P = oh*ow
-  // output positions. Row kk of col holds tap kk's input value at every
-  // output position, +0 where the tap falls in the padding.
+  // One GEMM per (image, group): grid[ocg, cols] += W_g[ocg, K] * b[K, cols],
+  // with K = icg*kh*kw taps in the weight's (c, ky, kx) order. b is a
+  // zero-bordered copy of the group's input planes: each channel is an
+  // hp x wp plane, the image at (padding, padding), plus kw - 1 floats of
+  // slack. Grid column q = gy*wp + gx is the window whose top-left corner
+  // is (gy, gx), so tap (c, ky, kx) of every window lies at the one offset
+  // c*plane + ky*wp + kx from q: those tap offsets are b's rows, and a tap
+  // in the padding reads the border's +0. The grid is the stride-1 windows
+  // of the first (oh-1)*stride + 1 rows; windows that wrap past a row's
+  // end (into the next row or the slack) are discarded, and the output
+  // keeps every stride-th row and column of the first oh x ow.
   const std::int64_t ocg = oc / groups_;
   const std::int64_t taps = icg * kh * kw;
-  const std::int64_t positions = oh * ow;
-  const GemmKernel kernel = gemm_kernel(isa_tier());
-  std::vector<float> col(static_cast<std::size_t>(taps * positions));
-  for (std::int64_t b = 0; b < n; ++b) {
-    float* yimg = yd + b * oc * positions;
-    if (bd != nullptr) {
-      for (std::int64_t o = 0; o < oc; ++o) {
-        std::fill_n(yimg + o * positions, positions, bd[o]);
-      }
+  const std::int64_t wp = w + 2 * padding_;
+  const std::int64_t plane = (h + 2 * padding_) * wp + kw - 1;
+  const std::int64_t cols = ((oh - 1) * stride_ + 1) * wp;
+  std::vector<std::int64_t> tap_offsets(static_cast<std::size_t>(taps));
+  for (std::int64_t c = 0, kk = 0; c < icg; ++c) {
+    for (std::int64_t ky = 0; ky < kh; ++ky) {
+      for (std::int64_t kx = 0; kx < kw; ++kx) tap_offsets[kk++] = c * plane + ky * wp + kx;
     }
+  }
+  // Only the image interiors are ever written, so the border stays zero.
+  std::vector<float> padded(static_cast<std::size_t>(icg * plane), 0.0f);
+  std::vector<float> grid(static_cast<std::size_t>(ocg * cols));
+  const GemmKernel kernel = gemm_kernel(isa_tier());
+  for (std::int64_t b = 0; b < n; ++b) {
     for (std::int64_t g = 0; g < groups_; ++g) {
-      float* row = col.data();
       for (std::int64_t c = 0; c < icg; ++c) {
         const float* xplane = xd + (b * ic + g * icg + c) * h * w;
-        for (std::int64_t ky = 0; ky < kh; ++ky) {
-          for (std::int64_t kx = 0; kx < kw; ++kx, row += positions) {
-            for (std::int64_t oy = 0; oy < oh; ++oy) {
-              const std::int64_t iy = oy * stride_ - padding_ + ky;
-              for (std::int64_t ox = 0; ox < ow; ++ox) {
-                const std::int64_t ix = ox * stride_ - padding_ + kx;
-                row[oy * ow + ox] = iy >= 0 && iy < h && ix >= 0 && ix < w
-                                        ? xplane[iy * w + ix]
-                                        : 0.0f;
-              }
-            }
+        float* dst = padded.data() + c * plane + padding_ * wp + padding_;
+        for (std::int64_t iy = 0; iy < h; ++iy) std::copy_n(xplane + iy * w, w, dst + iy * wp);
+      }
+      for (std::int64_t o = 0; o < ocg; ++o) {
+        std::fill_n(grid.data() + o * cols, cols, bd != nullptr ? bd[g * ocg + o] : 0.0f);
+      }
+      kernel(wd + g * ocg * taps, padded.data(), tap_offsets.data(), grid.data(), ocg, cols, taps);
+      for (std::int64_t o = 0; o < ocg; ++o) {
+        const float* src = grid.data() + o * cols;
+        float* yplane = yd + (b * oc + g * ocg + o) * oh * ow;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            yplane[oy * ow + ox] = src[oy * stride_ * wp + ox * stride_];
           }
         }
       }
-      kernel(wd + g * ocg * taps, col.data(), yimg + g * ocg * positions, ocg, positions,
-             taps);
     }
   }
   return y;

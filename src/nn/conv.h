@@ -1,11 +1,13 @@
 // 2D convolution (NCHW, optionally grouped/depthwise).
 //
 // forward() lowers onto the one GEMM microkernel (nn/gemm.h,
-// docs/KERNELS.md): for each image and group it builds an im2col matrix
-// [ic/g * kh * kw, oh * ow] in task-local scratch and multiplies the
-// group's [oc/g, ic/g * kh * kw] weight rows by it, writing the NCHW
-// output planes directly on top of the broadcast bias. Padded taps enter
-// the sum as 0 * w terms; docs/KERNELS.md states when that is exact.
+// docs/KERNELS.md): for each image and group it copies the group's input
+// planes once into a zero-bordered scratch and runs one GEMM of the
+// group's [oc/g, ic/g * kh * kw] weight rows over every stride-1 window
+// of it, each tap a row offset into the copy, on top of the broadcast
+// bias; the output keeps every stride-th row and column of the windows
+// that fit. Padded taps enter the sum as +0 * w terms read from the
+// border; docs/KERNELS.md states when that is exact.
 #pragma once
 
 #include "nn/op.h"

@@ -1,7 +1,8 @@
 // Linear, MatMul and Conv2d lower onto the GEMM microkernel (nn/gemm.h),
 // and must be bit-identical to a naive loop reference at every dispatch
-// tier and thread count: transposition and im2col only move data, never
-// change any element's summation order.
+// tier and thread count: transposition, Conv2d's zero-bordered input copy
+// and its grid copy-out only move data, never change any element's
+// summation order.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -193,6 +195,28 @@ Tensor naive_conv(const Tensor& x, const Tensor& weight, const Tensor& bias,
   return ref;
 }
 
+/// Cycles +Inf, -Inf and NaN along the four edges of every input plane.
+/// The NaN is the host's own Inf - Inf, so every NaN the convolution
+/// makes has one bit pattern whichever operand order an add takes.
+void put_nonfinite_edges(Tensor& x) {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const std::array<float, 3> values = {inf, -inf, inf - inf};
+  const std::int64_t h = x.size(2);
+  const std::int64_t w = x.size(3);
+  auto xd = x.flat();
+  for (std::int64_t p = 0; p < x.size(0) * x.size(1); ++p) {
+    float* plane = xd.data() + p * h * w;
+    for (std::int64_t i = 0; i < w; ++i) {
+      plane[i] = values[static_cast<std::size_t>(i % 3)];
+      plane[(h - 1) * w + i] = values[static_cast<std::size_t>((i + 1) % 3)];
+    }
+    for (std::int64_t i = 0; i < h; ++i) {
+      plane[i * w] = values[static_cast<std::size_t>((i + 2) % 3)];
+      plane[i * w + w - 1] = values[static_cast<std::size_t>(i % 3)];
+    }
+  }
+}
+
 TEST(BlockedConv, MatchesNaiveAcrossStridePaddingGroups) {
   Rng rng(303);
   const ConvCase cases[] = {
@@ -203,26 +227,42 @@ TEST(BlockedConv, MatchesNaiveAcrossStridePaddingGroups) {
       {1, 2, 6, 6, 2, 3, 3, 2, 0, 1, true},
       // Depthwise: one channel per group, no bias.
       {3, 6, 7, 9, 6, 3, 3, 1, 1, 6, false},
-      // 1x1, unpadded, ungrouped: im2col is a plain copy of the input.
+      // 1x1, unpadded, ungrouped: the zero-bordered copy has no border.
       {5, 7, 6, 5, 9, 1, 1, 1, 0, 1, true},
       // Stride 2 with padding and kh != kw.
       {2, 3, 10, 9, 5, 5, 3, 2, 1, 1, true},
+      // The suite's shape: 12 -> 12 channels, 10x10, 3x3, padding 1.
+      {2, 12, 10, 10, 12, 3, 3, 1, 1, 1, true},
+      // The suite's depthwise shape, with a bias.
+      {2, 12, 10, 10, 12, 3, 3, 1, 1, 12, true},
+      // 1x1 with padding 2: the two-wide output border is the bias alone.
+      {2, 3, 5, 6, 4, 1, 1, 1, 2, 1, true},
+      // Stride 3 with padding and h != w: the grid keeps every third row
+      // and column.
+      {2, 3, 11, 8, 4, 3, 3, 3, 1, 1, true},
   };
   for (const auto& c : cases) {
-    Tensor x = randn(rng, {c.n, c.ic, c.h, c.w});
-    Tensor weight = randn(rng, {c.oc, c.ic / c.groups, c.kh, c.kw});
-    Tensor bias = c.with_bias ? randn(rng, {c.oc}) : Tensor{};
-    Conv2dOp op(weight, bias, c.stride, c.padding, c.groups);
-    const Tensor ref = naive_conv(x, weight, bias, c);
-    for_each_tier_and_thread_count([&](const std::string& what) {
-      expect_bitwise_equal(op.forward({&x, 1}), ref, what);
-    });
+    // Every case also runs with non-finite values on each image edge: a
+    // discarded grid column reads the next row's first value, so a wrong
+    // copy-out would carry an Inf or NaN into a finite output.
+    for (const bool nonfinite : {false, true}) {
+      Tensor x = randn(rng, {c.n, c.ic, c.h, c.w});
+      if (nonfinite) put_nonfinite_edges(x);
+      Tensor weight = randn(rng, {c.oc, c.ic / c.groups, c.kh, c.kw});
+      Tensor bias = c.with_bias ? randn(rng, {c.oc}) : Tensor{};
+      Conv2dOp op(weight, bias, c.stride, c.padding, c.groups);
+      const Tensor ref = naive_conv(x, weight, bias, c);
+      for_each_tier_and_thread_count([&](const std::string& what) {
+        expect_bitwise_equal(op.forward({&x, 1}), ref,
+                             what + (nonfinite ? " non-finite edges" : ""));
+      });
+    }
   }
 }
 
 TEST(BlockedConv, PaddedTapTurnsANegativeZeroBiasPositive) {
-  // The padded-tap policy (docs/KERNELS.md): im2col adds each padded tap
-  // as a +0 * w term rather than skipping it. The one visible difference
+  // The padded-tap policy (docs/KERNELS.md): the zero border adds each
+  // padded tap as a +0 * w term rather than skipping it. The one visible difference
   // is a -0.0f accumulator: -0 + +0 is +0. A 3x3 window over a 1x1 input
   // with padding 1 has 8 padded taps around the one real tap, so with a
   // -0.0f bias and a -0.0f input the output is +0 here, where skipping

@@ -1,7 +1,8 @@
 // The GEMM microkernel's contract (nn/gemm.h, docs/KERNELS.md): every
 // dispatch tier reproduces the naive ascending-k loop bit for bit, on odd
-// shapes that run every 4-row and 8-column tail path, and any split of
-// the rows into separate calls gives the same bits.
+// shapes that run every 4-row and 8-column tail path, with b's rows dense
+// or from an offset table (overlapping, as Conv2d's taps are), and any
+// split of the rows into separate calls gives the same bits.
 #include "nn/gemm.h"
 
 #include <gtest/gtest.h>
@@ -45,6 +46,22 @@ void naive_gemm(const std::vector<float>& a, const std::vector<float>& b, std::v
   }
 }
 
+/// The table form: row kk of b is the n floats from b + rows[kk].
+void naive_table_gemm(const std::vector<float>& a, const std::vector<float>& b,
+                      const std::vector<std::int64_t>& rows, std::vector<float>& y,
+                      std::int64_t m, std::int64_t n, std::int64_t k) {
+  for (std::int64_t r = 0; r < m; ++r) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = y[static_cast<std::size_t>(r * n + j)];
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        acc += a[static_cast<std::size_t>(r * k + kk)] *
+               b[static_cast<std::size_t>(rows[static_cast<std::size_t>(kk)] + j)];
+      }
+      y[static_cast<std::size_t>(r * n + j)] = acc;
+    }
+  }
+}
+
 void expect_bitwise_equal(const std::vector<float>& got, const std::vector<float>& want,
                           const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
@@ -81,6 +98,45 @@ TEST(GemmKernel, EveryTierMatchesTheNaiveLoopOnOddShapes) {
       std::vector<float> y = y0;
       gemm_kernel(tier)(a.data(), b.data(), y.data(), s.m, s.n, s.k);
       expect_bitwise_equal(y, want, label(tier, s));
+    }
+  }
+}
+
+TEST(GemmKernel, EveryTierMatchesTheNaiveLoopWithOverlappingTableRows) {
+  for (const Shape3& s : kOddShapes) {
+    // Conv2d's kx taps: rows kk and kk + 1 start one float apart, in runs
+    // of three, each run one "padded row" of n + 2 floats below the last.
+    std::vector<std::int64_t> rows(static_cast<std::size_t>(s.k));
+    for (std::int64_t kk = 0; kk < s.k; ++kk) {
+      rows[static_cast<std::size_t>(kk)] = (kk / 3) * (s.n + 2) + kk % 3;
+    }
+    const auto a = random_values(14, s.m * s.k);
+    const auto b = random_values(15, rows.back() + s.n);
+    const auto y0 = random_values(16, s.m * s.n);
+    std::vector<float> want = y0;
+    naive_table_gemm(a, b, rows, want, s.m, s.n, s.k);
+    for (IsaTier tier : kTiers) {
+      std::vector<float> y = y0;
+      gemm_kernel(tier)(a.data(), b.data(), rows.data(), y.data(), s.m, s.n, s.k);
+      expect_bitwise_equal(y, want, label(tier, s) + " table");
+    }
+  }
+}
+
+TEST(GemmKernel, DenseFormEqualsTheTableFormAtRowStrideN) {
+  for (const Shape3& s : kOddShapes) {
+    std::vector<std::int64_t> rows(static_cast<std::size_t>(s.k));
+    for (std::int64_t kk = 0; kk < s.k; ++kk) rows[static_cast<std::size_t>(kk)] = kk * s.n;
+    const auto a = random_values(17, s.m * s.k);
+    const auto b = random_values(18, s.k * s.n);
+    const auto y0 = random_values(19, s.m * s.n);
+    for (IsaTier tier : kTiers) {
+      const GemmKernel kernel = gemm_kernel(tier);
+      std::vector<float> dense = y0;
+      std::vector<float> table = y0;
+      kernel(a.data(), b.data(), dense.data(), s.m, s.n, s.k);
+      kernel(a.data(), b.data(), rows.data(), table.data(), s.m, s.n, s.k);
+      expect_bitwise_equal(table, dense, label(tier, s) + " dense vs table");
     }
   }
 }
