@@ -67,9 +67,9 @@ Tensor Conv2dOp::forward(std::span<const Tensor> inputs) {
   // is (gy, gx), so tap (c, ky, kx) of every window lies at the one offset
   // c*plane + ky*wp + kx from q: those tap offsets are b's rows, and a tap
   // in the padding reads the border's +0. The grid is the stride-1 windows
-  // of the first (oh-1)*stride + 1 rows; windows that wrap past a row's
-  // end (into the next row or the slack) are discarded, and the output
-  // keeps every stride-th row and column of the first oh x ow.
+  // of the first (oh-1)*stride + 1 rows, and output (oy, ox) is the
+  // window at (oy*stride, ox*stride). Windows that wrap past a row's end
+  // (into the next row or the slack) are never kept.
   const std::int64_t ocg = oc / groups_;
   const std::int64_t taps = icg * kh * kw;
   const std::int64_t wp = w + 2 * padding_;
