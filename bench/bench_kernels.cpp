@@ -7,7 +7,10 @@
 //   * MatMulOp throughput in GFLOP/s;
 //   * the GEMM microkernel (nn/gemm.h, docs/KERNELS.md) at the scalar
 //     reference tier and at the dispatched ISA tier (the top-level "isa"
-//     field), and the speedup between them;
+//     field), and the speedup between them, at 64x256x256 and at the
+//     shapes bert-large-cola-ish runs: its Linear layers over 1024 rows
+//     (128 sequences of 8 tokens) with 64 and 256 features, and its
+//     attention scores MatMul (8 tokens by 8, over 64 features);
 //   * Conv2dOp::forward on the suite's CNN shape (10x10 images, 3x3
 //     kernels, padding 1, 12 channels), dense and depthwise, the same way;
 //   * the GELU kernel (nn/tanh.h) over 1 Mi floats, the same way.
@@ -319,7 +322,13 @@ int main(int argc, char** argv) {
   std::vector<GemmResult> gemms;
   {
     ScopedStage stage("kernels/gemm");
-    gemms.push_back(measure_gemm(64, 256, 256, smoke ? 0.02 : 0.2, 5));
+    // m, k, n: 64x256x256, then bert-large-cola-ish's q/k/v/proj, ffn1
+    // and ffn2 Linears and its attention scores.
+    constexpr std::int64_t kGemmShapes[][3] = {
+        {64, 256, 256}, {1024, 64, 64}, {1024, 64, 256}, {1024, 256, 64}, {8, 64, 8}};
+    for (const auto& s : kGemmShapes) {
+      gemms.push_back(measure_gemm(s[0], s[1], s[2], smoke ? 0.02 : 0.2, 5));
+    }
   }
 
   std::vector<ConvResult> convs;

@@ -8,26 +8,29 @@ namespace fp8q {
 
 namespace {
 
-bool probe_native() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool native_available_cached() {
-  static const bool value = probe_native();
+/// The best tier this CPU runs, probed once.
+IsaTier best_tier() {
+#if defined(__x86_64__)
+  static const IsaTier value =
+      __builtin_cpu_supports("avx2") == 0 ? IsaTier::kBatched
+      : __builtin_cpu_supports("avx512f") == 0 || __builtin_cpu_supports("avx512vl") == 0
+          ? IsaTier::kNative
+          : IsaTier::kWide;
   return value;
+#else
+  return IsaTier::kBatched;
+#endif
 }
 
 /// FP8Q_ISA parse; falls back to the best supported tier on unset/unknown.
 IsaTier env_default_tier() {
   const char* v = std::getenv("FP8Q_ISA");
-  if (v != nullptr && std::strcmp(v, "scalar") == 0) return IsaTier::kScalar;
-  if (v != nullptr && std::strcmp(v, "batched") == 0) return IsaTier::kBatched;
-  // Unset, "native", "avx2" or unknown: the best tier this CPU runs.
-  return native_available_cached() ? IsaTier::kNative : IsaTier::kBatched;
+  const auto is = [v](const char* name) { return v != nullptr && std::strcmp(v, name) == 0; };
+  if (is("scalar")) return IsaTier::kScalar;
+  if (is("batched")) return IsaTier::kBatched;
+  if (is("native") || is("avx2")) return runnable_tier(IsaTier::kNative);
+  // Unset, "wide", "avx512" or unknown: the best tier this CPU runs.
+  return best_tier();
 }
 
 IsaTier env_tier_cached() {
@@ -45,6 +48,7 @@ const char* to_string(IsaTier tier) {
     case IsaTier::kScalar: return "scalar";
     case IsaTier::kBatched: return "batched";
     case IsaTier::kNative: return "native";
+    case IsaTier::kWide: return "wide";
   }
   return "?";
 }
@@ -56,19 +60,23 @@ IsaTier isa_tier() {
 }
 
 void set_isa_tier(IsaTier tier) {
-  if (tier == IsaTier::kNative && !native_available_cached()) tier = IsaTier::kBatched;
-  g_tier_override.store(static_cast<int>(tier), std::memory_order_relaxed);
+  g_tier_override.store(static_cast<int>(runnable_tier(tier)), std::memory_order_relaxed);
 }
 
 void reset_isa_tier() { g_tier_override.store(-1, std::memory_order_relaxed); }
 
-bool isa_native_available() { return native_available_cached(); }
+bool isa_native_available() { return best_tier() >= IsaTier::kNative; }
+
+bool isa_wide_available() { return best_tier() == IsaTier::kWide; }
+
+IsaTier runnable_tier(IsaTier tier) { return tier < best_tier() ? tier : best_tier(); }
 
 const char* isa_label() {
   switch (isa_tier()) {
     case IsaTier::kScalar: return "scalar";
     case IsaTier::kBatched: return "batched";
     case IsaTier::kNative: return "native:avx2";
+    case IsaTier::kWide: return "wide:avx512";
   }
   return "?";
 }

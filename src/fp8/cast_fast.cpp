@@ -93,10 +93,10 @@ void fp8_scalar_tier(const float* in, float* out, std::size_t n, const FastCastS
 // ---------------------------------------------------------------------------
 // The vector tiers: one branch-free loop that GCC auto-vectorizes (this
 // file builds at -O3), at baseline width (kBatched: SSE2 on x86-64, NEON
-// on AArch64) and under AVX2 (kNative; fp8/cast_tier.h). It always
-// classifies the events in the same loop, into 32-bit lane counters one
-// kTallyChunk at a time, and folds them into `tally` only when there is
-// one.
+// on AArch64), under AVX2 (kNative) and under AVX-512 (kWide;
+// fp8/cast_tier.h). It always classifies the events in the same loop,
+// into 32-bit lane counters one kTallyChunk at a time, and folds them
+// into `tally` only when there is one.
 // ---------------------------------------------------------------------------
 
 void fp8_vector_tier(const float* in, float* out, std::size_t n, const FastCastSpec& spec,

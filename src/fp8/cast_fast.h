@@ -12,9 +12,9 @@
 //   * fp8_quantize_batch     -- the chunk kernel, one tier per IsaTier
 //                               (core/cpu_dispatch.h, docs/KERNELS.md):
 //                               kScalar calls fp8_quantize_fast per
-//                               element; kBatched and kNative run one
+//                               element; the vector tiers run one
 //                               branch-free loop that the compiler
-//                               auto-vectorizes at 16 and 32 bytes. Every
+//                               auto-vectorizes at 16, 32 and 64 bytes. Every
 //                               tier is bit-identical to the scalar path,
 //                               NaN payloads and event tallies included.
 #pragma once

@@ -3,10 +3,11 @@
 //
 // Each cast has a per-element reference loop (kScalar) and one branch-free
 // loop written to auto-vectorize. run_cast_tier picks between them on
-// isa_tier() per call, as gemm_kernel and tanh_kernel are indexed: the
-// vector loop runs at baseline width at kBatched, and at kNative it is
-// inlined into an AVX2 function, so the same source is vectorized at 32
-// bytes. The files that instantiate it build -O3 -ffp-contract=off
+// isa_tier() per call through run_tier (core/cpu_dispatch.h), as the GEMM
+// and tanh kernels do: the vector loop runs at baseline width at kBatched,
+// and at kNative and kWide it is inlined into that tier's AVX2 or
+// AVX-512 wrapper, so the same source is vectorized at 32 or 64 bytes.
+// The files that instantiate it build -O3 -ffp-contract=off
 // (src/fp8/CMakeLists.txt).
 #pragma once
 
@@ -22,32 +23,11 @@ namespace fp8q {
 /// 64-bit counters in the loop would cost a widening per lane.
 inline constexpr std::size_t kTallyChunk = std::size_t{1} << 31;
 
-#if defined(__x86_64__)
-/// kNative: `loop` compiled for AVX2 (and not FMA). flatten inlines the
-/// whole loop here, so it is vectorized under this function's target;
-/// run_cast_tier enters it only after the runtime probe.
-template <class Loop>
-[[gnu::target("avx2"), gnu::flatten]] void run_avx2(const Loop& loop) {
-  loop();
-}
-#endif
-
-/// Runs `scalar()` at kScalar and `vector()` at kBatched and kNative,
-/// under AVX2 at kNative when the CPU has it.
+/// Runs `scalar()` at kScalar and `vector()` at every vector tier, under
+/// that tier's target.
 template <class Scalar, class Vector>
 void run_cast_tier(const Scalar& scalar, const Vector& vector) {
-  switch (isa_tier()) {
-    case IsaTier::kScalar:
-      return scalar();
-    case IsaTier::kNative:
-#if defined(__x86_64__)
-      if (isa_native_available()) return run_avx2(vector);
-#endif
-      [[fallthrough]];
-    case IsaTier::kBatched:
-      break;
-  }
-  vector();
+  run_tier(isa_tier(), scalar, [&](auto /*width*/) { vector(); });
 }
 
 }  // namespace fp8q

@@ -111,10 +111,10 @@ void int8_scalar_tier(const float* in, float* out, std::size_t n, const Int8Para
 
 // ---------------------------------------------------------------------------
 // The vector tiers: one branch-free loop that GCC auto-vectorizes (this
-// file builds at -O3), at baseline width (kBatched) and under AVX2
-// (kNative; fp8/cast_tier.h). It always counts events, into 32-bit lane
-// counters one kTallyChunk at a time, and folds them into `tally` only
-// when there is one.
+// file builds at -O3), at baseline width (kBatched), under AVX2 (kNative)
+// and under AVX-512 (kWide; fp8/cast_tier.h). It always counts events,
+// into 32-bit lane counters one kTallyChunk at a time, and folds them
+// into `tally` only when there is one.
 // ---------------------------------------------------------------------------
 
 void int8_vector_tier(const float* in, float* out, std::size_t n, const Int8Params& p,

@@ -10,8 +10,8 @@
 //     reference, simple enough to audit;
 //   * int8_quantize_batch -- the chunk kernel, one tier per IsaTier
 //     (core/cpu_dispatch.h): kScalar runs the reference per element,
-//     kBatched and kNative one branch-free loop that the compiler
-//     auto-vectorizes at 16 and 32 bytes, bit-identical to the reference
+//     the vector tiers one branch-free loop that the compiler
+//     auto-vectorizes at 16, 32 and 64 bytes, bit-identical to the reference
 //     and counting quantization events in the same pass. The span
 //     int8_quantize runs it once over the whole span.
 #pragma once

@@ -8,6 +8,12 @@ namespace {
 
 // Where each body finds row kk of b (nn/gemm.h): dense rows at stride n
 // (Linear, MatMul), or a table of offsets (Conv2d's taps).
+struct DenseRows {};
+
+struct TableRows {
+  const std::int64_t* offsets;
+};
+
 inline const float* b_row(const float* b, DenseRows /*rows*/, std::int64_t n, std::int64_t kk) {
   return b + kk * n;
 }
@@ -51,22 +57,35 @@ void gemm_scalar_tier(const float* a, const float* b, Rows rows, float* y, std::
 }
 
 // ---------------------------------------------------------------------------
-// The vector tiers: one kernel body over a GCC vector-extension type V of
-// 16 bytes (kBatched: SSE2 on x86-64, NEON on AArch64) or 32 bytes
-// (kNative: AVX2). Four rows at a time (then one at a time for the row
-// tail), an 8-column block of y stays in registers as 8/lanes V
-// accumulators per row; each kk step loads the b strip once, broadcasts
-// the rows' a values against it, and updates every accumulator with an
-// explicit multiply then add, kk ascending. Columns past the last full
-// block run one element per row. This TU is compiled -ffp-contract=off,
-// so no multiply-add fuses into an FMA.
+// The vector tiers: one kernel body over GCC vector-extension types,
+// templated on its register block: R rows by NV vectors of kBytes. Each
+// block of y stays in registers as R x NV accumulators; each kk step
+// loads the block's b strip once, broadcasts the rows' a values against
+// it, and updates every accumulator with an explicit multiply then add,
+// kk ascending. Columns past the last full block go by one vector, then
+// one vector of each narrower width down to 16 bytes, then one column at
+// a time; rows past the last full block go by 4, then 1. Every output's
+// sum is the same at any block, so every tier gives the same bits. This
+// TU is compiled -ffp-contract=off, so no multiply-add fuses into an FMA.
 // ---------------------------------------------------------------------------
 
-using Vec16 = float __attribute__((vector_size(16)));
-using Vec32 = float __attribute__((vector_size(32)));
+/// kBytes / 4 floats in one vector; at 4 bytes, a plain float.
+template <int kBytes>
+struct VecOf {
+  // A typedef, not a using: GCC drops a dependent vector_size from an
+  // alias declaration and leaves a plain float.
+  typedef float type __attribute__((vector_size(kBytes)));
+};
 
-constexpr std::int64_t kRows = 4;
-constexpr std::int64_t kCols = 8;
+template <>
+struct VecOf<4> {
+  using type = float;
+};
+
+template <int kBytes>
+using Vec = typename VecOf<kBytes>::type;
+
+static_assert(sizeof(Vec<64>) == 64 && sizeof(Vec<4>) == sizeof(float));
 
 // Vectors pass by reference: a 32-byte vector passed or returned by value
 // changes the ABI under AVX (-Wpsabi). memcpy is an unaligned load/store.
@@ -80,88 +99,89 @@ inline void store(float* p, const V& v) {
   std::memcpy(p, &v, sizeof(V));
 }
 
-/// y[0, R) += a[0, R) * b: R rows of a and y, all n columns.
-template <class V, std::int64_t R, class Rows>
-void gemm_rows(const float* a, const float* b, Rows rows, float* y, std::int64_t n,
-               std::int64_t k) {
+/// Columns [j, j + NV vectors) of y[0, R) += a[0, R) * b.
+template <class V, int R, int NV, class Rows>
+inline void gemm_block(const float* a, const float* b, Rows rows, float* y, std::int64_t n,
+                       std::int64_t k, std::int64_t j) {
   constexpr std::int64_t kLanes = sizeof(V) / sizeof(float);
-  constexpr std::int64_t kVecs = kCols / kLanes;  // vectors per row of a block
-  std::int64_t j = 0;
-  for (; j + kCols <= n; j += kCols) {
-    // Fully unrolled, so acc lives in registers: left rolled, GCC keeps it
-    // on the stack and copies each block in and out.
-    V acc[R][kVecs];
-#pragma GCC unroll 4
-    for (std::int64_t i = 0; i < R; ++i) {
+  // Fully unrolled, so acc lives in registers: left rolled, GCC keeps it
+  // on the stack and copies each block in and out.
+  V acc[R][NV];
+#pragma GCC unroll 8
+  for (int i = 0; i < R; ++i) {
 #pragma GCC unroll 2
-      for (std::int64_t v = 0; v < kVecs; ++v) load(acc[i][v], y + i * n + j + v * kLanes);
-    }
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* bp = b_row(b, rows, n, kk) + j;
-      for (std::int64_t v = 0; v < kVecs; ++v) {
-        V bv;
-        load(bv, bp + v * kLanes);
-        for (std::int64_t i = 0; i < R; ++i) acc[i][v] = acc[i][v] + a[i * k + kk] * bv;
-      }
-    }
-#pragma GCC unroll 4
-    for (std::int64_t i = 0; i < R; ++i) {
+    for (int v = 0; v < NV; ++v) load(acc[i][v], y + i * n + j + v * kLanes);
+  }
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const float* bp = b_row(b, rows, n, kk) + j;
 #pragma GCC unroll 2
-      for (std::int64_t v = 0; v < kVecs; ++v) store(y + i * n + j + v * kLanes, acc[i][v]);
+    for (int v = 0; v < NV; ++v) {
+      V bv;
+      load(bv, bp + v * kLanes);
+#pragma GCC unroll 8
+      for (int i = 0; i < R; ++i) acc[i][v] = acc[i][v] + a[i * k + kk] * bv;
     }
   }
-  for (; j < n; ++j) {
-    float acc[R];
-    for (std::int64_t i = 0; i < R; ++i) acc[i] = y[i * n + j];
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float bv = b_row(b, rows, n, kk)[j];
-      for (std::int64_t i = 0; i < R; ++i) acc[i] += a[i * k + kk] * bv;
-    }
-    for (std::int64_t i = 0; i < R; ++i) y[i * n + j] = acc[i];
+#pragma GCC unroll 8
+  for (int i = 0; i < R; ++i) {
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) store(y + i * n + j + v * kLanes, acc[i][v]);
   }
 }
 
-template <class V, class Rows>
+/// Columns [j, n) of y[0, R): blocks of NV vectors of kBytes while they
+/// fit, then the narrower steps of the cascade.
+template <int kBytes, int R, int NV, class Rows>
+void gemm_columns(const float* a, const float* b, Rows rows, float* y, std::int64_t n,
+                  std::int64_t k, std::int64_t j) {
+  constexpr std::int64_t kCols = NV * kBytes / static_cast<std::int64_t>(sizeof(float));
+  for (; j + kCols <= n; j += kCols) gemm_block<Vec<kBytes>, R, NV>(a, b, rows, y, n, k, j);
+  if constexpr (NV > 1) {
+    gemm_columns<kBytes, R, 1>(a, b, rows, y, n, k, j);
+  } else if constexpr (kBytes > 16) {
+    gemm_columns<kBytes / 2, R, 1>(a, b, rows, y, n, k, j);
+  } else if constexpr (kBytes == 16) {
+    gemm_columns<sizeof(float), R, 1>(a, b, rows, y, n, k, j);
+  }
+}
+
+/// y += a * b in blocks of R rows by NV vectors of kBytes, with the
+/// cascading tails.
+template <int kBytes, int R, int NV, class Rows>
 void gemm_vector_tier(const float* a, const float* b, Rows rows, float* y, std::int64_t m,
                       std::int64_t n, std::int64_t k) {
   std::int64_t r = 0;
-  for (; r + kRows <= m; r += kRows) gemm_rows<V, kRows>(a + r * k, b, rows, y + r * n, n, k);
-  for (; r < m; ++r) gemm_rows<V, 1>(a + r * k, b, rows, y + r * n, n, k);
-}
-
-#if defined(__x86_64__)
-// kNative: the 32-byte instantiation compiled for AVX2 (and not FMA).
-// flatten inlines the whole body here, so it is generated under this
-// function's target; gemm_kernel enters it only after the runtime probe.
-template <class Rows>
-[[gnu::target("avx2"), gnu::flatten]] void gemm_avx2_tier(const float* a, const float* b,
-                                                          Rows rows, float* y, std::int64_t m,
-                                                          std::int64_t n, std::int64_t k) {
-  gemm_vector_tier<Vec32>(a, b, rows, y, m, n, k);
-}
-#endif
-
-/// The one tier switch, instantiated once per way of finding b's rows.
-template <class Rows>
-GemmKernel::Body<Rows> tier_body(IsaTier tier) {
-  switch (tier) {
-    case IsaTier::kScalar:
-      return gemm_scalar_tier<Rows>;
-    case IsaTier::kBatched:
-      return gemm_vector_tier<Vec16, Rows>;
-    case IsaTier::kNative:
-#if defined(__x86_64__)
-      if (isa_native_available()) return gemm_avx2_tier<Rows>;
-#endif
-      return gemm_vector_tier<Vec16, Rows>;
+  for (; r + R <= m; r += R) gemm_columns<kBytes, R, NV>(a + r * k, b, rows, y + r * n, n, k, 0);
+  if constexpr (R > 4) {
+    for (; r + 4 <= m; r += 4) gemm_columns<kBytes, 4, NV>(a + r * k, b, rows, y + r * n, n, k, 0);
   }
-  return gemm_scalar_tier<Rows>;
+  for (; r < m; ++r) gemm_columns<kBytes, 1, NV>(a + r * k, b, rows, y + r * n, n, k, 0);
+}
+
+/// One call at `tier`. Each width's block, by measurement
+/// (docs/KERNELS.md): two vectors per row, 4 rows at 16 and 32 bytes and
+/// 8 rows at 64, where AVX-512's 32 registers hold 16 accumulators.
+template <class Rows>
+void gemm_at(IsaTier tier, const float* a, const float* b, Rows rows, float* y, std::int64_t m,
+             std::int64_t n, std::int64_t k) {
+  run_tier(
+      tier, [&] { gemm_scalar_tier(a, b, rows, y, m, n, k); },
+      [&](auto width) {
+        constexpr int kBytes = decltype(width)::value;
+        gemm_vector_tier<kBytes, kBytes == 64 ? 8 : 4, 2>(a, b, rows, y, m, n, k);
+      });
 }
 
 }  // namespace
 
-GemmKernel gemm_kernel(IsaTier tier) {
-  return {tier_body<DenseRows>(tier), tier_body<TableRows>(tier)};
+void GemmKernel::operator()(const float* a, const float* b, float* y, std::int64_t m,
+                            std::int64_t n, std::int64_t k) const {
+  gemm_at(tier, a, b, DenseRows{}, y, m, n, k);
+}
+
+void GemmKernel::operator()(const float* a, const float* b, const std::int64_t* b_rows, float* y,
+                            std::int64_t m, std::int64_t n, std::int64_t k) const {
+  gemm_at(tier, a, b, TableRows{b_rows}, y, m, n, k);
 }
 
 void transpose(const float* src, std::int64_t rows, std::int64_t cols, float* dst) {

@@ -21,11 +21,14 @@
 //
 // Dispatch: gemm_kernel(tier) returns that tier's kernel; callers index it
 // with isa_tier() (core/cpu_dispatch.h), as they do the tanh kernel's
-// (nn/tanh.h). Two bodies live in gemm.cpp, each a template on how it
-// finds row kk of b: the scalar reference, and one vector kernel whose
-// 16-byte instantiation is kBatched and whose 32-byte instantiation,
-// compiled for AVX2, is kNative on x86-64. Without AVX2 (CPU or
-// architecture) kNative falls back to the kBatched kernel.
+// (nn/tanh.h), and each call runs through run_tier(). Two bodies live in
+// gemm.cpp, each a template on how it finds row kk of b: the scalar
+// reference, and one vector body templated on its register block (rows by
+// columns). kBatched runs it at 16 bytes with a 4x8 block, kNative at 32
+// bytes under AVX2 with 4x16, and kWide at 64 bytes under AVX-512 with
+// 8x32. Past the last full block, columns go by one vector, then each
+// narrower vector down to 4 lanes, then one at a time; rows by 4, then 1.
+// A tier the CPU lacks clamps down to one it runs.
 #pragma once
 
 #include <cstdint>
@@ -34,38 +37,21 @@
 
 namespace fp8q {
 
-/// Row kk of b starts at b + kk * n: a dense row-major [k, n] b.
-struct DenseRows {};
-
-/// Row kk of b starts at b + offsets[kk]; rows may overlap.
-struct TableRows {
-  const std::int64_t* offsets;
-};
-
 /// One tier's kernel: y += a * b over m rows, single-threaded (contract in
 /// the file comment), with b's rows dense or from a table.
 struct GemmKernel {
-  template <class Rows>
-  using Body = void (*)(const float* a, const float* b, Rows rows, float* y, std::int64_t m,
-                        std::int64_t n, std::int64_t k);
-  Body<DenseRows> dense;
-  Body<TableRows> table;
+  IsaTier tier;
 
   /// b is a dense row-major [k, n].
   void operator()(const float* a, const float* b, float* y, std::int64_t m, std::int64_t n,
-                  std::int64_t k) const {
-    dense(a, b, DenseRows{}, y, m, n, k);
-  }
-  /// Row kk of b is the n floats from b + b_rows[kk].
+                  std::int64_t k) const;
+  /// Row kk of b is the n floats from b + b_rows[kk]; rows may overlap.
   void operator()(const float* a, const float* b, const std::int64_t* b_rows, float* y,
-                  std::int64_t m, std::int64_t n, std::int64_t k) const {
-    table(a, b, TableRows{b_rows}, y, m, n, k);
-  }
+                  std::int64_t m, std::int64_t n, std::int64_t k) const;
 };
 
-/// The kernel of one tier. kNative falls back to kBatched when no native
-/// kernel is available.
-[[nodiscard]] GemmKernel gemm_kernel(IsaTier tier);
+/// The kernel of one tier. A tier the CPU lacks runs the best one below it.
+[[nodiscard]] inline GemmKernel gemm_kernel(IsaTier tier) { return {tier}; }
 
 /// dst[c][r] = src[r][c] for a dense row-major [rows, cols] src: the
 /// Linear weight and MatMul's transpose_b operand become a k-major b.

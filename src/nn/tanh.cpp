@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
+#include <type_traits>
 
 namespace fp8q {
 namespace {
@@ -114,12 +115,16 @@ void scalar_tier(float* v, std::int64_t n) {
 // ---------------------------------------------------------------------------
 // The vector tiers: one branch-free body over a GCC vector-extension type
 // V of 16 bytes (kBatched: SSE2 on x86-64, NEON on AArch64) or 32 bytes
-// (kNative: AVX2). Every lane computes every path of the reference with
-// the same operations, and a mask per path picks each lane's result. Lanes
-// that fdlibm returns early (±0, |x| < 2^-55, |x| >= 22, Inf, NaN) run the
-// |x| = 1 path on the side, so every lane converts an in-range float to
-// int. This TU is compiled -ffp-contract=off, so no multiply-add fuses
-// into an FMA.
+// (kNative under AVX2, kWide under AVX-512). Every lane computes every
+// path of the reference with the same operations, and a mask per path
+// picks each lane's result. Lanes that fdlibm returns early (±0,
+// |x| < 2^-55, |x| >= 22, Inf, NaN) run the |x| = 1 path on the side, so
+// every lane converts an in-range float to int. This TU is compiled
+// -ffp-contract=off, so no multiply-add fuses into an FMA.
+//
+// kWide keeps the 32-byte body: GCC 12 scalarizes the 64-byte one (each
+// lane's selects become vpextrd / vpinsrd / setg / cmove), and it ran
+// 2.3-2.5x slower (docs/KERNELS.md).
 // ---------------------------------------------------------------------------
 
 using Vec16 = float __attribute__((vector_size(16)));
@@ -222,36 +227,24 @@ void vector_tier(float* v, std::int64_t n) {
   }
 }
 
-#if defined(__x86_64__)
-// kNative: the 32-byte instantiation compiled for AVX2 (and not FMA).
-// flatten inlines the whole body here, so it is generated under this
-// function's target; kernel_for enters it only after the runtime probe.
 template <bool kGelu>
-[[gnu::target("avx2"), gnu::flatten]] void avx2_tier(float* v, std::int64_t n) {
-  vector_tier<Vec32, kGelu>(v, n);
-}
-#endif
-
-template <bool kGelu>
-ActivationKernel kernel_for(IsaTier tier) {
-  switch (tier) {
-    case IsaTier::kScalar:
-      return scalar_tier<kGelu>;
-    case IsaTier::kBatched:
-      return vector_tier<Vec16, kGelu>;
-    case IsaTier::kNative:
-#if defined(__x86_64__)
-      if (isa_native_available()) return avx2_tier<kGelu>;
-#endif
-      return vector_tier<Vec16, kGelu>;
-  }
-  return scalar_tier<kGelu>;
+void activate_at(IsaTier tier, float* v, std::int64_t n) {
+  run_tier(
+      tier, [&] { scalar_tier<kGelu>(v, n); },
+      [&](auto width) {
+        using V = std::conditional_t<decltype(width)::value == 16, Vec16, Vec32>;
+        vector_tier<V, kGelu>(v, n);
+      });
 }
 
 }  // namespace
 
-ActivationKernel tanh_kernel(IsaTier tier) { return kernel_for<false>(tier); }
-
-ActivationKernel gelu_kernel(IsaTier tier) { return kernel_for<true>(tier); }
+void ActivationKernel::operator()(float* v, std::int64_t n) const {
+  if (gelu) {
+    activate_at<true>(tier, v, n);
+  } else {
+    activate_at<false>(tier, v, n);
+  }
+}
 
 }  // namespace fp8q

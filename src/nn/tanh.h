@@ -12,11 +12,12 @@
 //
 // Dispatch: tanh_kernel(tier) and gelu_kernel(tier) return that tier's
 // kernel; callers index them with isa_tier() (core/cpu_dispatch.h), as
-// gemm_kernel is. Two bodies live in tanh.cpp: the scalar reference, a
-// transcription of fdlibm with its branches, and one branch-free vector
-// body whose 16-byte instantiation is kBatched and whose 32-byte
-// instantiation, compiled for AVX2, is kNative on x86-64. Without AVX2
-// (CPU or architecture) kNative falls back to the kBatched kernel.
+// gemm_kernel is, and each call runs through run_tier(). Two bodies live
+// in tanh.cpp: the scalar reference, a transcription of fdlibm with its
+// branches, and one branch-free vector body whose 16-byte instantiation is
+// kBatched and whose 32-byte instantiation runs at kNative under AVX2 and
+// at kWide under AVX-512 (its 64-byte one is slower; docs/KERNELS.md). A
+// tier the CPU lacks clamps down to one it runs.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +26,19 @@
 
 namespace fp8q {
 
-/// One tier's kernel: v[i] = f(v[i]) for i < n, in place, single-threaded.
-using ActivationKernel = void (*)(float* v, std::int64_t n);
+/// One tier's kernel: v[i] = f(v[i]) for i < n, in place, single-threaded;
+/// f is tanh, or GELU when `gelu` is set.
+struct ActivationKernel {
+  IsaTier tier;
+  bool gelu;
 
-/// tanh at one tier. kNative falls back to kBatched when no native kernel
-/// is available.
-[[nodiscard]] ActivationKernel tanh_kernel(IsaTier tier);
+  void operator()(float* v, std::int64_t n) const;
+};
 
-/// GELU (tanh approximation) at one tier, with the same fallback.
-[[nodiscard]] ActivationKernel gelu_kernel(IsaTier tier);
+/// tanh at one tier. A tier the CPU lacks runs the best one below it.
+[[nodiscard]] inline ActivationKernel tanh_kernel(IsaTier tier) { return {tier, false}; }
+
+/// GELU (tanh approximation) at one tier, with the same clamp.
+[[nodiscard]] inline ActivationKernel gelu_kernel(IsaTier tier) { return {tier, true}; }
 
 }  // namespace fp8q

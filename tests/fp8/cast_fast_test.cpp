@@ -26,7 +26,7 @@ static_assert(!std::is_constructible_v<FastCastSpec, const FormatSpec&>);
 
 // Every case runs at every IsaTier (core/cpu_dispatch.h): the scalar-path
 // cases are tier-independent, and the batch cases check the dispatched
-// kernel. Without AVX2, kNative runs the batched tier.
+// kernel. A tier the CPU lacks runs the best one below it.
 class FastCast : public ::testing::TestWithParam<std::tuple<Fp8Kind, IsaTier>> {
  protected:
   void SetUp() override { set_isa_tier(tier()); }
@@ -306,7 +306,8 @@ TEST_P(FastCast, EveryTierMatchesTheScalarTierOnALongSpan) {
 INSTANTIATE_TEST_SUITE_P(
     AllFormatsAndTiers, FastCast,
     ::testing::Combine(::testing::Values(Fp8Kind::E5M2, Fp8Kind::E4M3, Fp8Kind::E3M4),
-                       ::testing::Values(IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative)),
+                       ::testing::Values(IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative,
+                                         IsaTier::kWide)),
     [](const auto& suite_info) {
       return std::string(to_string(std::get<0>(suite_info.param))) + "_" +
              to_string(std::get<1>(suite_info.param));

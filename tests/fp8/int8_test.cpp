@@ -205,8 +205,8 @@ void expect_same_tally(const CastTally& got, const CastTally& want) {
   EXPECT_EQ(got.flushed, want.flushed);
 }
 
-// Every Int8Batch case runs at every IsaTier (core/cpu_dispatch.h);
-// without AVX2, kNative runs the batched tier.
+// Every Int8Batch case runs at every IsaTier (core/cpu_dispatch.h); a
+// tier the CPU lacks runs the best one below it.
 class Int8Batch : public ::testing::TestWithParam<IsaTier> {
  protected:
   void SetUp() override { set_isa_tier(GetParam()); }
@@ -390,7 +390,7 @@ TEST_P(Int8Batch, EveryTierMatchesTheScalarTierOnALongSpan) {
 
 INSTANTIATE_TEST_SUITE_P(AllTiers, Int8Batch,
                          ::testing::Values(IsaTier::kScalar, IsaTier::kBatched,
-                                           IsaTier::kNative),
+                                           IsaTier::kNative, IsaTier::kWide),
                          [](const auto& suite_info) {
                            return std::string(to_string(suite_info.param));
                          });

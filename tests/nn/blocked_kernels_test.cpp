@@ -36,7 +36,7 @@ struct DispatchGuard {
 /// failure messages.
 void for_each_tier_and_thread_count(const std::function<void(const std::string&)>& body) {
   DispatchGuard guard;
-  for (IsaTier tier : {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative}) {
+  for (IsaTier tier : {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative, IsaTier::kWide}) {
     for (int threads : {1, 4, 8}) {
       set_isa_tier(tier);
       set_num_threads(threads);

@@ -1,8 +1,8 @@
 // The GEMM microkernel's contract (nn/gemm.h, docs/KERNELS.md): every
 // dispatch tier reproduces the naive ascending-k loop bit for bit, on odd
-// shapes that run every 4-row and 8-column tail path, with b's rows dense
-// or from an offset table (overlapping, as Conv2d's taps are), and any
-// split of the rows into separate calls gives the same bits.
+// shapes that run every step of each tier's row and column cascade, with
+// b's rows dense or from an offset table (overlapping, as Conv2d's taps
+// are), and any split of the rows into separate calls gives the same bits.
 #include "nn/gemm.h"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,8 @@
 namespace fp8q {
 namespace {
 
-constexpr IsaTier kTiers[] = {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative};
+constexpr IsaTier kTiers[] = {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative,
+                               IsaTier::kWide};
 
 /// Restores the tier override even when a test fails.
 struct DispatchGuard {
@@ -75,11 +76,16 @@ struct Shape3 {
   std::int64_t m, n, k;
 };
 
-// m covers full 4-row blocks plus every tail length; n covers full
-// 8-column strips, every tail length and more than one 64-column tile.
-constexpr Shape3 kOddShapes[] = {{1, 1, 1},  {2, 7, 3},   {3, 9, 5},    {4, 8, 16},
-                                 {5, 15, 1}, {6, 17, 33}, {7, 65, 12},  {9, 70, 7},
-                                 {13, 25, 40}};
+// m covers full blocks of 4 and 8 rows plus every tail length; n covers
+// full blocks of 8, 16 and 32 columns, every tail length and more than one
+// 64-column tile. 15 x 63 runs every step of every tier's cascade: rows
+// 8 + 4 + 3 x 1 at 64 bytes and 3 x 4 + 3 x 1 below; columns
+// 32 + 16 + 8 + 4 + 3 x 1 at 64 bytes, 3 x 16 + 8 + 4 + 3 x 1 at 32 and
+// 7 x 8 + 4 + 3 x 1 at 16. 12 x 120 x 108 is the dense 12 -> 12 conv's
+// GEMM on 10 x 10 images (the table test runs it with overlapping rows).
+constexpr Shape3 kOddShapes[] = {{1, 1, 1},    {2, 7, 3},   {3, 9, 5},   {4, 8, 16},
+                                 {5, 15, 1},   {6, 17, 33}, {7, 65, 12}, {9, 70, 7},
+                                 {13, 25, 40}, {8, 32, 5},  {15, 63, 9}, {12, 120, 108}};
 
 std::string label(IsaTier tier, const Shape3& s) {
   return std::string(to_string(tier)) + " " + std::to_string(s.m) + "x" +
@@ -172,6 +178,19 @@ TEST(GemmKernel, NativeTierClampsWhenUnavailable) {
   } else {
     EXPECT_EQ(isa_tier(), IsaTier::kBatched);
   }
+}
+
+TEST(GemmKernel, WideTierClampsWhenUnavailable) {
+  DispatchGuard guard;
+  set_isa_tier(IsaTier::kWide);
+  if (isa_wide_available()) {
+    EXPECT_TRUE(isa_native_available());
+    EXPECT_EQ(isa_tier(), IsaTier::kWide);
+    EXPECT_STREQ(isa_label(), "wide:avx512");
+  } else {
+    EXPECT_EQ(isa_tier(), isa_native_available() ? IsaTier::kNative : IsaTier::kBatched);
+  }
+  EXPECT_EQ(runnable_tier(IsaTier::kWide), isa_tier());
 }
 
 TEST(Transpose, SwapsRowsAndColumns) {

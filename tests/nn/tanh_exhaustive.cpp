@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 #include "core/cpu_dispatch.h"
@@ -26,10 +27,11 @@ using namespace fp8q;
 
 constexpr std::int64_t kBlocks = 1 << 16;
 constexpr std::int64_t kBlock = 1 << 16;
-constexpr IsaTier kVectorTiers[] = {IsaTier::kBatched, IsaTier::kNative};
+constexpr IsaTier kVectorTiers[] = {IsaTier::kBatched, IsaTier::kNative, IsaTier::kWide};
+constexpr int kNumVectorTiers = static_cast<int>(std::size(kVectorTiers));
 
 struct BlockResult {
-  std::uint64_t tier_mismatches[2] = {0, 0};
+  std::uint64_t tier_mismatches[kNumVectorTiers] = {};
   std::uint64_t libm_mismatches = 0;
   std::int64_t first_libm_mismatch = -1;  // bit pattern, -1 if none
 };
@@ -47,7 +49,7 @@ BlockResult check_block(std::int64_t block) {
       if (r.libm_mismatches++ == 0) r.first_libm_mismatch = block * kBlock + j;
     }
   }
-  for (int t = 0; t < 2; ++t) {
+  for (int t = 0; t < kNumVectorTiers; ++t) {
     std::vector<float> got = in;
     tanh_kernel(kVectorTiers[t])(got.data(), kBlock);
     for (std::int64_t j = 0; j < kBlock; ++j) {
@@ -67,13 +69,13 @@ int main() {
 
   BlockResult total;
   for (const BlockResult& b : blocks) {
-    for (int t = 0; t < 2; ++t) total.tier_mismatches[t] += b.tier_mismatches[t];
+    for (int t = 0; t < kNumVectorTiers; ++t) total.tier_mismatches[t] += b.tier_mismatches[t];
     if (total.first_libm_mismatch < 0) total.first_libm_mismatch = b.first_libm_mismatch;
     total.libm_mismatches += b.libm_mismatches;
   }
   std::printf("tanh on all 2^32 floats (%s dispatch available, %d threads)\n", isa_label(),
               num_threads());
-  for (int t = 0; t < 2; ++t) {
+  for (int t = 0; t < kNumVectorTiers; ++t) {
     std::printf("  %-8s vs replica:    %llu mismatches\n", to_string(kVectorTiers[t]),
                 static_cast<unsigned long long>(total.tier_mismatches[t]));
   }
@@ -84,7 +86,8 @@ int main() {
                 static_cast<unsigned long long>(total.first_libm_mismatch));
   }
   std::printf("\n");
-  const bool ok = total.tier_mismatches[0] == 0 && total.tier_mismatches[1] == 0;
+  bool ok = true;
+  for (const std::uint64_t mismatches : total.tier_mismatches) ok = ok && mismatches == 0;
   std::printf("check_tanh_exhaustive: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -22,7 +22,8 @@
 namespace fp8q {
 namespace {
 
-constexpr IsaTier kTiers[] = {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative};
+constexpr IsaTier kTiers[] = {IsaTier::kScalar, IsaTier::kBatched, IsaTier::kNative,
+                               IsaTier::kWide};
 
 /// Restores the tier override even when a test fails.
 struct DispatchGuard {

@@ -14,11 +14,14 @@
 #      two runs gates wall/memory regressions with explicit thresholds
 #      (docs/PERFORMANCE.md, docs/OBSERVABILITY.md); bench_kernels calls
 #      the cast kernels without a tally, so its counters are all zero.
+#      `objdump -d` of the gemm, tanh, cast_fast and int8 objects must
+#      hold no vfmadd (every tier rounds each multiply and add on its own).
 #      Then the Table 2 bit-identity gates: bench_table2_passrate --quick at the
 #      default thread count and tier, against FP8Q_NUM_THREADS=1 and
-#      against FP8Q_ISA=scalar and FP8Q_ISA=batched (the cast, GEMM and
-#      tanh kernels' cross-tier contract; each pinned report must name the
-#      pinned tier), each diffed at zero counter drift and zero
+#      against FP8Q_ISA=scalar, FP8Q_ISA=batched and, where the CPU runs
+#      it, FP8Q_ISA=native (the cast, GEMM and tanh kernels' cross-tier
+#      contract; each pinned report must name the pinned tier), each
+#      diffed at zero counter drift and zero
 #      accuracy drop in both directions, so an accuracy that rises fails
 #      too, as does a record present in only one run. Then the tuner's
 #      thread-count gate: `fp8q_cli tune nlp/lm-extreme-3 E4M3` (the full
@@ -96,6 +99,20 @@ FP8Q_TRACE=1 FP8Q_TRACE_JSON="$PREFIX/trace_smoke.json" \
 "$PREFIX/tools/fp8q_report" check-trace "$PREFIX/trace_smoke.json"
 "$PREFIX/tools/fp8q_report" print "$PREFIX/report_smoke.json" > /dev/null
 
+# No FMA in the kernel objects (docs/KERNELS.md): every tier rounds each
+# multiply and each add on its own. The wide tier's AVX-512F target
+# carries FMA instructions, so only -ffp-contract=off keeps them out; this
+# checks the objects it builds.
+for obj in nn/CMakeFiles/fp8q_nn.dir/gemm.cpp.o nn/CMakeFiles/fp8q_nn.dir/tanh.cpp.o \
+  fp8/CMakeFiles/fp8q_fp8.dir/cast_fast.cpp.o fp8/CMakeFiles/fp8q_fp8.dir/int8.cpp.o; do
+  objdump -d "$PREFIX/src/$obj" > "$PREFIX/kernel.dis"
+  fma=$(grep -c vfmadd "$PREFIX/kernel.dis" || true)
+  if [[ $fma != 0 ]]; then
+    echo "ci: $obj holds $fma vfmadd instructions" >&2
+    exit 1
+  fi
+done
+
 # Second instrumented run, diffed against the first: wall time and memory
 # may wobble but not explode. bench_kernels calls the cast kernels
 # directly without a tally, so every counter cell is 0 and the counter
@@ -142,20 +159,26 @@ tune_report "$PREFIX/report_tune.json"
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_tune.json" \
   "$PREFIX/report_tune_t1.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
 
-# Cross-tier gate: the same sweep pinned to the scalar reference tier and
-# to the batched tier must equal the default-tier run, records and
-# counters (the cast, GEMM and tanh kernels' contract, docs/KERNELS.md). Each
-# pair is diffed both ways: --max-accuracy-drop fails only a drop, so a
-# record whose accuracy rises fails the reverse diff. FP8Q_ISA maps an
-# unknown value to the best tier, so each pinned report must name the
-# pinned tier: a misspelled pin would otherwise diff the default tier
-# against itself and pass.
-for tier in scalar batched; do
+# Cross-tier gate: the same sweep pinned to the scalar reference tier, to
+# the batched tier and, where the CPU runs it, to the native (AVX2) tier
+# must equal the default-tier run, records and counters (the cast, GEMM
+# and tanh kernels' contract, docs/KERNELS.md). On an AVX-512 host the
+# default is the wide tier, so the native pin keeps the AVX2 bodies under
+# the gate. Each pair is diffed both ways: --max-accuracy-drop fails only
+# a drop, so a record whose accuracy rises fails the reverse diff.
+# FP8Q_ISA maps an unknown value to the best tier, so each pinned report
+# must name the pinned tier (its label is the tier, then the ISA after a
+# colon: native:avx2): a misspelled pin would otherwise diff the default
+# tier against itself and pass.
+report_isa() { sed -n 's/^  "isa": "\([^"]*\)",$/\1/p' "$1"; }
+tiers="scalar batched"
+[[ $(report_isa "$PREFIX/report_table2.json") == batched ]] || tiers+=" native"
+for tier in $tiers; do
   rm -f "$PREFIX/report_table2_$tier.json"
   FP8Q_ISA=$tier FP8Q_REPORT="$PREFIX/report_table2_$tier.json" \
     "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
-  isa=$(sed -n 's/^  "isa": "\([^"]*\)",$/\1/p' "$PREFIX/report_table2_$tier.json")
-  if [[ $isa != "$tier" ]]; then
+  isa=$(report_isa "$PREFIX/report_table2_$tier.json")
+  if [[ ${isa%%:*} != "$tier" ]]; then
     echo "ci: FP8Q_ISA=$tier ran at isa '$isa', not '$tier'" >&2
     exit 1
   fi
