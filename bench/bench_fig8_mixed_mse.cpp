@@ -1,6 +1,7 @@
 // Reproduces paper Figure 8: output MSE of a BERT-style Linear operator
 // under every (activation format x weight format) combination, showing the
 // mixed-format sweet spot E4M3 activations + E3M4 weights (section 3.2).
+#include <array>
 #include <cstdio>
 
 #include "metrics/metrics.h"
@@ -34,9 +35,7 @@ int main() {
   Tensor w = randn(rng, {out, in}, 0.0f, 0.15f);
 
   LinearOp ref_op(w, Tensor{});
-  std::vector<Tensor> ref_in;
-  ref_in.push_back(x);
-  const Tensor ref = ref_op.forward(ref_in);
+  const Tensor ref = ref_op.forward(std::array{&x});
 
   const DType formats[] = {DType::kE5M2, DType::kE4M3, DType::kE3M4};
   std::printf("Figure 8: Linear output MSE, activation format x weight format\n\n");
@@ -53,9 +52,7 @@ int main() {
       Tensor xq = apply_quant(x, make_activation_params(af, absmax(x)));
       Tensor wq = apply_quant(w, make_weight_params(w, wf));
       LinearOp op(wq, Tensor{});
-      std::vector<Tensor> in_q;
-      in_q.push_back(xq);
-      const double m = mse(ref.flat(), op.forward(in_q).flat());
+      const double m = mse(ref.flat(), op.forward(std::array{&xq}).flat());
       std::printf(" %12.4e", m);
       if (m < best) {
         best = m;

@@ -22,6 +22,7 @@
 // is `fp8q_report check-bench` / `fp8q_report diff` over the written JSON
 // with explicit thresholds (tools/ci.sh, docs/PERFORMANCE.md).
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -128,7 +129,7 @@ MatmulResult measure_matmul(std::int64_t m, std::int64_t k, std::int64_t n, int 
   Tensor a = randn(rng, {m, k});
   Tensor b = randn(rng, {k, n});
   MatMulOp op(false, false);
-  const std::vector<Tensor> in = {a, b};
+  const std::array<const Tensor*, 2> in = {&a, &b};
   double best = 0.0;
   volatile float sink = 0.0f;
   for (int r = 0; r < reps; ++r) {
@@ -215,7 +216,7 @@ double time_conv(IsaTier tier, Conv2dOp& op, const Tensor& x, double flops,
   int calls = 0;
   double elapsed = 0.0;
   do {
-    sink = op.forward({&x, 1})[0];
+    sink = op.forward(std::array{&x})[0];
     ++calls;
     elapsed = seconds_since(t0);
   } while (elapsed < min_seconds);

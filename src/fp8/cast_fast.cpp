@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "core/cpu_dispatch.h"
 #include "fp8/cast_tier.h"
 #include "obs/counters.h"
 #include "obs/histogram.h"
@@ -93,8 +94,8 @@ void fp8_scalar_tier(const float* in, float* out, std::size_t n, const FastCastS
 // ---------------------------------------------------------------------------
 // The vector tiers: one branch-free loop that GCC auto-vectorizes (this
 // file builds at -O3), at baseline width (kBatched: SSE2 on x86-64, NEON
-// on AArch64), under AVX2 (kNative) and under AVX-512 (kWide;
-// fp8/cast_tier.h). It always classifies the events in the same loop,
+// on AArch64), under AVX2 (kNative) and under AVX-512 (kWide; run_tier in
+// core/cpu_dispatch.h). It always classifies the events in the same loop,
 // into 32-bit lane counters one kTallyChunk at a time, and folds them
 // into `tally` only when there is one.
 // ---------------------------------------------------------------------------
@@ -168,8 +169,9 @@ void fp8_vector_tier(const float* in, float* out, std::size_t n, const FastCastS
 void fp8_quantize_batch(std::span<const float> in, std::span<float> out,
                         const FastCastSpec& spec, float scale, CastTally* tally) {
   const std::size_t n = in.size() < out.size() ? in.size() : out.size();
-  run_cast_tier([&] { fp8_scalar_tier(in.data(), out.data(), n, spec, scale, tally); },
-                [&] { fp8_vector_tier(in.data(), out.data(), n, spec, scale, tally); });
+  run_tier(
+      isa_tier(), [&] { fp8_scalar_tier(in.data(), out.data(), n, spec, scale, tally); },
+      [&](auto /*width*/) { fp8_vector_tier(in.data(), out.data(), n, spec, scale, tally); });
 }
 
 void quantize_observed(

@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/cpu_dispatch.h"
 #include "fp8/cast_tier.h"
 
 namespace fp8q {
@@ -112,9 +113,9 @@ void int8_scalar_tier(const float* in, float* out, std::size_t n, const Int8Para
 // ---------------------------------------------------------------------------
 // The vector tiers: one branch-free loop that GCC auto-vectorizes (this
 // file builds at -O3), at baseline width (kBatched), under AVX2 (kNative)
-// and under AVX-512 (kWide; fp8/cast_tier.h). It always counts events,
-// into 32-bit lane counters one kTallyChunk at a time, and folds them
-// into `tally` only when there is one.
+// and under AVX-512 (kWide; run_tier in core/cpu_dispatch.h). It always
+// counts events, into 32-bit lane counters one kTallyChunk at a time, and
+// folds them into `tally` only when there is one.
 // ---------------------------------------------------------------------------
 
 void int8_vector_tier(const float* in, float* out, std::size_t n, const Int8Params& p,
@@ -181,8 +182,9 @@ void int8_vector_tier(const float* in, float* out, std::size_t n, const Int8Para
 void int8_quantize_batch(std::span<const float> in, std::span<float> out, const Int8Params& p,
                          CastTally* tally) {
   const std::size_t n = std::min(in.size(), out.size());
-  run_cast_tier([&] { int8_scalar_tier(in.data(), out.data(), n, p, tally); },
-                [&] { int8_vector_tier(in.data(), out.data(), n, p, tally); });
+  run_tier(
+      isa_tier(), [&] { int8_scalar_tier(in.data(), out.data(), n, p, tally); },
+      [&](auto /*width*/) { int8_vector_tier(in.data(), out.data(), n, p, tally); });
 }
 
 void int8_quantize(std::span<const float> in, std::span<float> out, const Int8Params& p) {

@@ -20,7 +20,7 @@ class Conv2dOp final : public Op {
   Conv2dOp(Tensor weight, Tensor bias, int stride = 1, int padding = 0, int groups = 1);
 
   /// Input [n, in_ch, h, w] -> [n, out_ch, h', w'].
-  Tensor forward(std::span<const Tensor> inputs) override;
+  Tensor forward(std::span<const Tensor* const> inputs) override;
 
   [[nodiscard]] OpKind kind() const override { return OpKind::kConv2d; }
   [[nodiscard]] std::vector<Tensor*> weights() override;

@@ -11,7 +11,7 @@ class BinaryOp final : public Op {
  public:
   explicit BinaryOp(OpKind kind);  ///< kAdd or kMul
 
-  Tensor forward(std::span<const Tensor> inputs) override;
+  Tensor forward(std::span<const Tensor* const> inputs) override;
   [[nodiscard]] OpKind kind() const override { return kind_; }
   [[nodiscard]] int arity() const override { return 2; }
 
@@ -26,7 +26,7 @@ class ActivationOp final : public Op {
  public:
   explicit ActivationOp(OpKind kind);
 
-  Tensor forward(std::span<const Tensor> inputs) override;
+  Tensor forward(std::span<const Tensor* const> inputs) override;
   [[nodiscard]] OpKind kind() const override { return kind_; }
 
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<ActivationOp>(*this); }
@@ -38,7 +38,7 @@ class ActivationOp final : public Op {
 /// Softmax over the last axis.
 class SoftmaxOp final : public Op {
  public:
-  Tensor forward(std::span<const Tensor> inputs) override;
+  Tensor forward(std::span<const Tensor* const> inputs) override;
   [[nodiscard]] OpKind kind() const override { return OpKind::kSoftmax; }
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<SoftmaxOp>(*this); }
 };
@@ -48,7 +48,7 @@ class ScaleOp final : public Op {
  public:
   explicit ScaleOp(float factor) : factor_(factor) {}
 
-  Tensor forward(std::span<const Tensor> inputs) override;
+  Tensor forward(std::span<const Tensor* const> inputs) override;
   [[nodiscard]] OpKind kind() const override { return OpKind::kScale; }
   [[nodiscard]] float factor() const { return factor_; }
 

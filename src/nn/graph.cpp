@@ -72,52 +72,46 @@ Tensor Graph::run(std::span<const Tensor> inputs, const InputTap& input_tap,
   }
   if (output_ < 0) throw std::logic_error("Graph::forward: empty graph");
 
-  std::vector<Tensor> values(nodes_.size());
+  // A node's value is the caller's tensor for a graph input and the op's
+  // output, held in `computed`, for any other node.
+  std::vector<Tensor> computed(nodes_.size());
+  std::vector<const Tensor*> values(nodes_.size());
   for (size_t i = 0; i < input_ids_.size(); ++i) {
-    values[static_cast<size_t>(input_ids_[i])] = inputs[i];
-    if (output_tap) (*output_tap)(input_ids_[i], values[static_cast<size_t>(input_ids_[i])]);
+    values[static_cast<size_t>(input_ids_[i])] = &inputs[i];
+    if (output_tap) (*output_tap)(input_ids_[i], inputs[i]);
   }
 
+  std::vector<std::optional<Tensor>> replaced;
+  std::vector<const Tensor*> operands;
   for (size_t n = 0; n < nodes_.size(); ++n) {
     Node& node = nodes_[n];
     if (!node.op) continue;  // graph input
     const auto id = static_cast<NodeId>(n);
 
-    // The input tap may replace an operand with a tensor of its own.
-    auto tapped = [&](size_t s) -> std::optional<Tensor> {
-      if (!input_tap) return std::nullopt;
-      return input_tap(id, static_cast<int>(s), values[static_cast<size_t>(node.inputs[s])]);
-    };
-    if (node.inputs.size() == 1) {
-      const std::optional<Tensor> replaced = tapped(0);
-      const Tensor& in =
-          replaced ? *replaced : values[static_cast<size_t>(node.inputs[0])];
-      values[n] = node.op->forward({&in, 1});
-    } else {
-      // Ops take a contiguous Tensor span, so multi-input operands are
-      // gathered: tap-replaced ones move in, and only untouched ones are
-      // copied (Tensor copies copy data).
-      std::vector<Tensor> gathered;
-      gathered.reserve(node.inputs.size());
-      for (size_t s = 0; s < node.inputs.size(); ++s) {
-        std::optional<Tensor> replaced = tapped(s);
-        if (replaced) {
-          gathered.push_back(std::move(*replaced));
-        } else {
-          gathered.push_back(values[static_cast<size_t>(node.inputs[s])]);
-        }
-      }
-      values[n] = node.op->forward(gathered);
+    // Each operand is its producer's value, unless the input tap replaces
+    // it with a tensor of its own, which lives until the op returns.
+    replaced.resize(node.inputs.size());
+    operands.resize(node.inputs.size());
+    for (size_t s = 0; s < node.inputs.size(); ++s) {
+      const Tensor& value = *values[static_cast<size_t>(node.inputs[s])];
+      if (input_tap) replaced[s] = input_tap(id, static_cast<int>(s), value);
+      operands[s] = replaced[s] ? &*replaced[s] : &value;
     }
-    if (output_tap) (*output_tap)(id, values[n]);
-    // Free each operand this node was the last to read.
+    computed[n] = node.op->forward(operands);
+    replaced.clear();
+    values[n] = &computed[n];
+    if (output_tap) (*output_tap)(id, computed[n]);
+    // Free each computed operand this node was the last to read.
     for (NodeId in : node.inputs) {
       if (last_use_[static_cast<size_t>(in)] == id && in != output_) {
-        values[static_cast<size_t>(in)] = Tensor{};
+        computed[static_cast<size_t>(in)] = Tensor{};
       }
     }
   }
-  return std::move(values[static_cast<size_t>(output_)]);
+  // Never move from the caller's tensor: an output that is a graph input
+  // is returned as a copy.
+  if (!nodes_[static_cast<size_t>(output_)].op) return *values[static_cast<size_t>(output_)];
+  return std::move(computed[static_cast<size_t>(output_)]);
 }
 
 std::vector<Graph::NodeId> Graph::node_ids() const {

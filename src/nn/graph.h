@@ -1,18 +1,22 @@
 // A static dataflow graph of Ops with taps for quantization.
 //
 // Nodes are appended in topological order (each node's inputs must already
-// exist). Execution walks the node list and frees each value right after
-// its last consumer runs (the output node's value is kept and returned), so
-// a forward holds only the live values. Two hooks let the quantization
-// layer participate without the graph knowing about formats:
-//   * input_tap: passed to each forward() call, may replace a node's input
-//     tensor (fake-quantization of activations at operator boundaries,
-//     calibration observers). Nothing of it outlives the call, so
-//     concurrent forwards with different taps do not interfere;
-//   * output_tap: held by the graph, observes each node's output
-//     (profiling, activation probes). While one is installed, forwards on
-//     the graph run one at a time, so the tap sees one forward's nodes in
-//     order; it must not run the graph it observes.
+// exist). Execution walks the node list, and each op reads its operands in
+// place by pointer: the caller's input tensor or the producer's value,
+// never a copy. Each computed value is freed right after its last consumer
+// runs (the output node's value is kept and returned), so a forward holds
+// only the live values. Two hooks let the quantization layer participate without
+// the graph knowing about formats:
+//   * input_tap: passed to each forward() call, may replace an operand with
+//     a tensor of its own, freed once the op returns (fake-quantization of
+//     activations at operator boundaries, calibration observers). Nothing
+//     of it outlives the call, so concurrent forwards with different taps
+//     do not interfere;
+//   * output_tap: held by the graph, observes each graph input, then each
+//     node's output right after its op runs (profiling, activation
+//     probes). While one is installed, forwards on the graph run one at a
+//     time, so the tap sees one forward's nodes in order; it must not run
+//     the graph it observes.
 #pragma once
 
 #include <functional>
@@ -48,18 +52,18 @@ class Graph {
   void set_output(NodeId id);
   [[nodiscard]] NodeId output() const { return output_; }
 
-  /// Hook replacing a node input before the op runs. Return std::nullopt to
-  /// pass the producer's tensor through untouched (no copy).
+  /// Hook replacing a node's operand before the op runs. Return std::nullopt
+  /// to let the op read the operand in place.
   using InputTap =
       std::function<std::optional<Tensor>(NodeId node, int slot, const Tensor& value)>;
   /// Hook observing each node's freshly computed output.
   using OutputTap = std::function<void(NodeId node, const Tensor& value)>;
 
   /// Runs the graph on the given input tensors (one per declared input)
-  /// and returns the output node's tensor. `input_tap`, if set, sees every
-  /// op input of this call only. Concurrent calls are safe, since ops write
-  /// no state outside BatchNorm calibration; with an output tap installed
-  /// they take turns.
+  /// and returns the output node's tensor, or a copy when the output is a
+  /// graph input. `input_tap`, if set, sees every op input of this call
+  /// only. Concurrent calls are safe, since ops write no state outside
+  /// BatchNorm calibration; with an output tap installed they take turns.
   [[nodiscard]] Tensor forward(std::span<const Tensor> inputs,
                                const InputTap& input_tap = nullptr);
   [[nodiscard]] Tensor forward(const Tensor& input, const InputTap& input_tap = nullptr) {

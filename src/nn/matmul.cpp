@@ -11,10 +11,10 @@ namespace fp8q {
 MatMulOp::MatMulOp(bool batched, bool transpose_b)
     : batched_(batched), transpose_b_(transpose_b) {}
 
-Tensor MatMulOp::forward(std::span<const Tensor> inputs) {
+Tensor MatMulOp::forward(std::span<const Tensor* const> inputs) {
   if (inputs.size() != 2) throw std::invalid_argument("MatMulOp: expects 2 inputs");
-  const Tensor& a = inputs[0];
-  const Tensor& b = inputs[1];
+  const Tensor& a = *inputs[0];
+  const Tensor& b = *inputs[1];
   if (a.dim() < 2 || b.dim() < 2 || a.dim() != b.dim()) {
     throw std::invalid_argument("MatMulOp: operands must share rank >= 2");
   }

@@ -19,7 +19,7 @@ class MatMulOp final : public Op {
 
   /// A [..., m, k] x B [..., k, n] -> [..., m, n]. Leading batch dims must
   /// match elementwise.
-  Tensor forward(std::span<const Tensor> inputs) override;
+  Tensor forward(std::span<const Tensor* const> inputs) override;
 
   [[nodiscard]] OpKind kind() const override {
     return batched_ ? OpKind::kBatchMatMul : OpKind::kMatMul;

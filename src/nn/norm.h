@@ -16,7 +16,7 @@ class LayerNormOp final : public Op {
   /// `gamma`/`beta` are [dim] over the last axis.
   LayerNormOp(Tensor gamma, Tensor beta, float eps = 1e-5f);
 
-  Tensor forward(std::span<const Tensor> inputs) override;
+  Tensor forward(std::span<const Tensor* const> inputs) override;
 
   [[nodiscard]] OpKind kind() const override { return OpKind::kLayerNorm; }
   [[nodiscard]] std::vector<Tensor*> weights() override { return {&gamma_, &beta_}; }
@@ -39,7 +39,7 @@ class GroupNormOp final : public Op {
  public:
   GroupNormOp(int groups, Tensor gamma, Tensor beta, float eps = 1e-5f);
 
-  Tensor forward(std::span<const Tensor> inputs) override;
+  Tensor forward(std::span<const Tensor* const> inputs) override;
 
   [[nodiscard]] OpKind kind() const override { return OpKind::kGroupNorm; }
   [[nodiscard]] std::vector<Tensor*> weights() override { return {&gamma_, &beta_}; }
@@ -60,7 +60,7 @@ class BatchNorm2dOp final : public Op {
   BatchNorm2dOp(Tensor gamma, Tensor beta, Tensor running_mean, Tensor running_var,
                 float eps = 1e-5f);
 
-  Tensor forward(std::span<const Tensor> inputs) override;
+  Tensor forward(std::span<const Tensor* const> inputs) override;
 
   [[nodiscard]] OpKind kind() const override { return OpKind::kBatchNorm; }
   [[nodiscard]] std::vector<Tensor*> weights() override { return {&gamma_, &beta_}; }

@@ -2,7 +2,9 @@
 //
 // Every kernel computes in FP32, exactly like the paper's emulation setup;
 // quantization happens by snapping weights and operator inputs onto the
-// FP8/INT8 grid around these kernels (see src/quant/quantizer.h).
+// FP8/INT8 grid around these kernels (see src/quant/quantizer.h). An op
+// reads its operands in place, by pointer (nn/graph.h), and returns a new
+// output tensor.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +67,9 @@ class Op {
  public:
   virtual ~Op() = default;
 
-  /// Runs the FP32 kernel. The number of inputs must match `arity()`.
-  virtual Tensor forward(std::span<const Tensor> inputs) = 0;
+  /// Runs the FP32 kernel on the operands, which it only reads. Their
+  /// number must match `arity()`.
+  virtual Tensor forward(std::span<const Tensor* const> inputs) = 0;
 
   [[nodiscard]] virtual OpKind kind() const = 0;
 

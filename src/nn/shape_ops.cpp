@@ -4,23 +4,23 @@
 
 namespace fp8q {
 
-Tensor ReshapeOp::forward(std::span<const Tensor> inputs) {
+Tensor ReshapeOp::forward(std::span<const Tensor* const> inputs) {
   if (inputs.size() != 1) throw std::invalid_argument("ReshapeOp: expects 1 input");
   Shape shape = target_;
   for (size_t i = 0; i < shape.size(); ++i) {
     if (shape[i] == 0) {
-      if (static_cast<int>(i) >= inputs[0].dim()) {
+      if (static_cast<int>(i) >= inputs[0]->dim()) {
         throw std::invalid_argument("ReshapeOp: passthrough axis beyond input rank");
       }
-      shape[i] = inputs[0].size(static_cast<int>(i));
+      shape[i] = inputs[0]->size(static_cast<int>(i));
     }
   }
-  return inputs[0].reshape(std::move(shape));
+  return inputs[0]->reshape(std::move(shape));
 }
 
-Tensor TransposeLastTwoOp::forward(std::span<const Tensor> inputs) {
+Tensor TransposeLastTwoOp::forward(std::span<const Tensor* const> inputs) {
   if (inputs.size() != 1) throw std::invalid_argument("TransposeOp: expects 1 input");
-  const Tensor& x = inputs[0];
+  const Tensor& x = *inputs[0];
   if (x.dim() < 2) throw std::invalid_argument("TransposeOp: rank must be >= 2");
   const std::int64_t m = x.size(-2);
   const std::int64_t n = x.size(-1);
@@ -41,9 +41,9 @@ Tensor TransposeLastTwoOp::forward(std::span<const Tensor> inputs) {
   return y;
 }
 
-Tensor GlobalAvgPoolOp::forward(std::span<const Tensor> inputs) {
+Tensor GlobalAvgPoolOp::forward(std::span<const Tensor* const> inputs) {
   if (inputs.size() != 1) throw std::invalid_argument("GlobalAvgPoolOp: expects 1 input");
-  const Tensor& x = inputs[0];
+  const Tensor& x = *inputs[0];
   if (x.dim() != 4) throw std::invalid_argument("GlobalAvgPoolOp: input must be [n, c, h, w]");
   const std::int64_t n = x.size(0);
   const std::int64_t c = x.size(1);
@@ -62,9 +62,9 @@ Tensor GlobalAvgPoolOp::forward(std::span<const Tensor> inputs) {
   return y;
 }
 
-Tensor MaxPool2x2Op::forward(std::span<const Tensor> inputs) {
+Tensor MaxPool2x2Op::forward(std::span<const Tensor* const> inputs) {
   if (inputs.size() != 1) throw std::invalid_argument("MaxPool2x2Op: expects 1 input");
-  const Tensor& x = inputs[0];
+  const Tensor& x = *inputs[0];
   if (x.dim() != 4) throw std::invalid_argument("MaxPool2x2Op: input must be [n, c, h, w]");
   const std::int64_t n = x.size(0);
   const std::int64_t c = x.size(1);
@@ -102,9 +102,9 @@ Tensor MaxPool2x2Op::forward(std::span<const Tensor> inputs) {
 
 namespace fp8q {
 
-Tensor Upsample2xOp::forward(std::span<const Tensor> inputs) {
+Tensor Upsample2xOp::forward(std::span<const Tensor* const> inputs) {
   if (inputs.size() != 1) throw std::invalid_argument("Upsample2xOp: expects 1 input");
-  const Tensor& x = inputs[0];
+  const Tensor& x = *inputs[0];
   if (x.dim() != 4) throw std::invalid_argument("Upsample2xOp: input must be [n, c, h, w]");
   const std::int64_t n = x.size(0);
   const std::int64_t c = x.size(1);
@@ -133,10 +133,10 @@ Tensor Upsample2xOp::forward(std::span<const Tensor> inputs) {
 
 namespace fp8q {
 
-Tensor ConcatChannelsOp::forward(std::span<const Tensor> inputs) {
+Tensor ConcatChannelsOp::forward(std::span<const Tensor* const> inputs) {
   if (inputs.size() != 2) throw std::invalid_argument("ConcatChannelsOp: expects 2 inputs");
-  const Tensor& a = inputs[0];
-  const Tensor& b = inputs[1];
+  const Tensor& a = *inputs[0];
+  const Tensor& b = *inputs[1];
   if (a.dim() < 2 || a.dim() != b.dim()) {
     throw std::invalid_argument("ConcatChannelsOp: rank mismatch");
   }

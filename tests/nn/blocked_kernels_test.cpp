@@ -107,7 +107,7 @@ TEST(BlockedMatMul, MatchesNaiveAcrossShapesAndFlags) {
                               : (c.transpose_b ? Shape{c.n, c.k} : Shape{c.k, c.n});
     Tensor b = randn(rng, b_shape);
     MatMulOp op(c.batched, c.transpose_b);
-    const std::vector<Tensor> in = {a, b};
+    const std::array<const Tensor*, 2> in = {&a, &b};
     const Tensor ref = naive_matmul(a, b, c.transpose_b);
     for_each_tier_and_thread_count([&](const std::string& what) {
       expect_bitwise_equal(op.forward(in), ref, what);
@@ -142,7 +142,7 @@ TEST(BlockedLinear, MatchesNaiveWithAndWithoutBias) {
       }
       LinearOp op(w, bias);
       for_each_tier_and_thread_count([&](const std::string& what) {
-        expect_bitwise_equal(op.forward({&x, 1}), ref, what);
+        expect_bitwise_equal(op.forward(std::array{&x}), ref, what);
       });
     }
   }
@@ -253,7 +253,7 @@ TEST(BlockedConv, MatchesNaiveAcrossStridePaddingGroups) {
       Conv2dOp op(weight, bias, c.stride, c.padding, c.groups);
       const Tensor ref = naive_conv(x, weight, bias, c);
       for_each_tier_and_thread_count([&](const std::string& what) {
-        expect_bitwise_equal(op.forward({&x, 1}), ref,
+        expect_bitwise_equal(op.forward(std::array{&x}), ref,
                              what + (nonfinite ? " non-finite edges" : ""));
       });
     }
@@ -273,11 +273,11 @@ TEST(BlockedConv, PaddedTapTurnsANegativeZeroBiasPositive) {
   Conv2dOp padded(Tensor({1, 1, 3, 3}, 1.0f), bias, /*stride=*/1, /*padding=*/1);
   Conv2dOp unpadded(Tensor({1, 1, 1, 1}, 1.0f), bias);
   for_each_tier_and_thread_count([&](const std::string& what) {
-    const Tensor y = padded.forward({&x, 1});
+    const Tensor y = padded.forward(std::array{&x});
     ASSERT_EQ(y.shape(), (Shape{1, 1, 1, 1})) << what;
     EXPECT_EQ(y[0], 0.0f) << what;
     EXPECT_FALSE(std::signbit(y[0])) << what;
-    EXPECT_TRUE(std::signbit(unpadded.forward({&x, 1})[0])) << what;
+    EXPECT_TRUE(std::signbit(unpadded.forward(std::array{&x})[0])) << what;
   });
 }
 

@@ -2,6 +2,7 @@
 // agree on overlapping semantics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "metrics/metrics.h"
@@ -15,11 +16,8 @@
 namespace fp8q {
 namespace {
 
-std::vector<Tensor> single(Tensor t) {
-  std::vector<Tensor> v;
-  v.push_back(std::move(t));
-  return v;
-}
+/// One operand for an op's forward(), read in place.
+std::array<const Tensor*, 1> single(const Tensor& t) { return {&t}; }
 
 TEST(Equivalence, OneByOneConvMatchesLinearPerPixel) {
   // A 1x1 convolution is a Linear applied at every spatial location.
@@ -65,9 +63,7 @@ TEST(Equivalence, LinearMatchesMatMulWithTransposedWeight) {
   Tensor x = randn(rng, {4, 9});
   LinearOp lin(w, Tensor{});
   MatMulOp mm(false, /*transpose_b=*/true);
-  std::vector<Tensor> in;
-  in.push_back(x);
-  in.push_back(w);
+  const std::array<const Tensor*, 2> in = {&x, &w};
   const Tensor a = lin.forward(single(x));
   const Tensor b = mm.forward(in);
   EXPECT_LT(max_abs_error(a.flat(), b.flat()), 1e-5);
@@ -78,17 +74,13 @@ TEST(Equivalence, TransposedMatMulMatchesExplicitTranspose) {
   Tensor a = randn(rng, {2, 3, 5});
   Tensor b = randn(rng, {2, 4, 5});
   MatMulOp fused(true, /*transpose_b=*/true);
-  std::vector<Tensor> in1;
-  in1.push_back(a);
-  in1.push_back(b);
+  const std::array<const Tensor*, 2> in1 = {&a, &b};
   const Tensor y1 = fused.forward(in1);
 
   TransposeLastTwoOp tr;
   const Tensor bt = tr.forward(single(b));
   MatMulOp plain(true, false);
-  std::vector<Tensor> in2;
-  in2.push_back(a);
-  in2.push_back(bt);
+  const std::array<const Tensor*, 2> in2 = {&a, &bt};
   const Tensor y2 = plain.forward(in2);
   EXPECT_LT(max_abs_error(y1.flat(), y2.flat()), 1e-5);
 }

@@ -2,6 +2,7 @@
 // channel concatenation.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "metrics/metrics.h"
@@ -13,11 +14,8 @@
 namespace fp8q {
 namespace {
 
-std::vector<Tensor> single(Tensor t) {
-  std::vector<Tensor> v;
-  v.push_back(std::move(t));
-  return v;
-}
+/// One operand for an op's forward(), read in place.
+std::array<const Tensor*, 1> single(const Tensor& t) { return {&t}; }
 
 TEST(Silu, ReferencePoints) {
   Tensor x({3}, {0.0f, 1.0f, -1.0f});
@@ -98,9 +96,7 @@ TEST(GroupNorm, IsExtendedSchemeOp) {
 TEST(ConcatChannels, LayoutAndShape) {
   Tensor a({2, 1, 1, 2}, {1, 2, 3, 4});
   Tensor b({2, 2, 1, 2}, {10, 20, 30, 40, 50, 60, 70, 80});
-  std::vector<Tensor> in;
-  in.push_back(a);
-  in.push_back(b);
+  const std::array<const Tensor*, 2> in = {&a, &b};
   Tensor y = ConcatChannelsOp().forward(in);
   ASSERT_EQ(y.shape(), (Shape{2, 3, 1, 2}));
   EXPECT_FLOAT_EQ(y.at({0, 0, 0, 0}), 1.0f);
@@ -114,9 +110,7 @@ TEST(ConcatChannels, Validation) {
   ConcatChannelsOp cat;
   Tensor a({2, 1, 4});
   Tensor b({3, 1, 4});
-  std::vector<Tensor> in;
-  in.push_back(a);
-  in.push_back(b);
+  const std::array<const Tensor*, 2> in = {&a, &b};
   EXPECT_THROW((void)cat.forward(in), std::invalid_argument);  // batch mismatch
 }
 

@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/parallel.h"
 #include "nn/elementwise.h"
@@ -164,6 +166,28 @@ TEST(Graph, TappedForwardsTakeTurns) {
   for (const Tensor& y : ys) EXPECT_EQ(y[0], 0.0f);
 }
 
+TEST(Graph, ConcurrentForwardsShareOneCallerInput) {
+  // Untapped forwards run at once on one caller tensor, which each reads
+  // in place through a ReLU and both slots of an Add. None may write or
+  // take it: every output equals the serial one and the input keeps its
+  // values (check_tsan runs this suite).
+  struct ThreadCountGuard {
+    ~ThreadCountGuard() { set_num_threads(0); }
+  } guard;
+  set_num_threads(4);
+  Graph g;
+  const auto x = g.add_input("x");
+  const auto r = g.add("relu", std::make_unique<ActivationOp>(OpKind::kRelu), {x});
+  g.add("add", std::make_unique<BinaryOp>(OpKind::kAdd), {x, r});
+  Tensor in({256, 256});
+  for (std::int64_t i = 0; i < in.numel(); ++i) in[i] = static_cast<float>(i % 7) - 3.0f;
+  const std::vector<float> before = values_of(in);
+  const std::vector<float> serial = values_of(g.forward(in));
+  const std::vector<Tensor> ys = parallel_map(16, [&](std::int64_t) { return g.forward(in); });
+  for (const Tensor& y : ys) EXPECT_EQ(values_of(y), serial);
+  EXPECT_EQ(values_of(in), before);
+}
+
 TEST(Graph, InputCountValidation) {
   Graph g = two_layer_mlp();
   std::vector<Tensor> none;
@@ -213,10 +237,10 @@ TEST(Graph, InputTapNulloptPassesThrough) {
 }
 
 TEST(Graph, TapReplacedOperandsAreMovedNotCopied) {
-  // A MatMul whose input tap replaces both operands. Each replacement is
-  // the tap's own tensor and must move into the op's operand span, so one
-  // forward allocates: the 2 graph inputs copied into the value table, the
-  // tap's 2 replacements and the product.
+  // A MatMul whose input tap replaces both operands. The op reads each
+  // replacement where the tap returned it and the graph inputs in place,
+  // so one forward allocates only the tap's 2 replacements and the
+  // product.
   Graph g;
   const auto a = g.add_input("a");
   const auto b = g.add_input("b");
@@ -235,7 +259,104 @@ TEST(Graph, TapReplacedOperandsAreMovedNotCopied) {
   const Tensor y = g.forward(ins, tap);
   const std::uint64_t allocs = alloc_counters_snapshot().since(before).allocs;
   EXPECT_FLOAT_EQ(y[0], 12.0f);  // 3 terms of 2 * 2
-  EXPECT_EQ(allocs, 5u);
+  EXPECT_EQ(allocs, 3u);
+}
+
+/// A two-input op that logs the address of each operand it is handed and
+/// returns a copy of the first.
+class OperandLogOp final : public Op {
+ public:
+  explicit OperandLogOp(std::vector<const Tensor*>* log) : log_(log) {}
+  Tensor forward(std::span<const Tensor* const> inputs) override {
+    log_->insert(log_->end(), inputs.begin(), inputs.end());
+    return *inputs[0];
+  }
+  [[nodiscard]] OpKind kind() const override { return OpKind::kAdd; }
+  [[nodiscard]] int arity() const override { return 2; }
+  [[nodiscard]] OpPtr clone() const override { return std::make_unique<OperandLogOp>(*this); }
+
+ private:
+  std::vector<const Tensor*>* log_;
+};
+
+TEST(Graph, UntouchedOperandsAreTheCallersInputsAndTheProducersValues) {
+  // Both slots of a two-input op read the tensor itself, by address: the
+  // caller's input or the producer's value (the one the output tap saw),
+  // also when one producer feeds both slots. A tap-replaced slot reads the
+  // replacement and leaves the other slot in place.
+  std::vector<const Tensor*> log;
+  Graph g;
+  const auto a = g.add_input("a");
+  const auto b = g.add_input("b");
+  const auto r = g.add("relu", std::make_unique<ActivationOp>(OpKind::kRelu), {a});
+  const auto ab = g.add("ab", std::make_unique<OperandLogOp>(&log), {a, b});
+  const auto rr = g.add("rr", std::make_unique<OperandLogOp>(&log), {r, r});
+  g.add("mix", std::make_unique<OperandLogOp>(&log), {ab, rr});
+  std::map<Graph::NodeId, const Tensor*> seen;
+  g.set_output_tap([&](Graph::NodeId id, const Tensor& v) { seen[id] = &v; });
+  std::vector<Tensor> ins;
+  ins.push_back(Tensor({2}, {1.0f, -1.0f}));
+  ins.push_back(Tensor({2}, {0.5f, 0.25f}));
+
+  (void)g.forward(ins);
+  EXPECT_EQ(seen[a], &ins[0]);
+  EXPECT_EQ(seen[b], &ins[1]);
+  EXPECT_EQ(log, (std::vector<const Tensor*>{&ins[0], &ins[1], seen[r], seen[r], seen[ab],
+                                              seen[rr]}));
+
+  log.clear();
+  const Graph::InputTap first_slot = [](Graph::NodeId, int slot,
+                                        const Tensor& v) -> std::optional<Tensor> {
+    if (slot != 0) return std::nullopt;
+    return v;
+  };
+  (void)g.forward(ins, first_slot);
+  ASSERT_EQ(log.size(), 6u);
+  EXPECT_NE(log[0], &ins[0]);
+  EXPECT_EQ(log[1], &ins[1]);
+  EXPECT_NE(log[2], seen[r]);
+  EXPECT_EQ(log[3], seen[r]);
+  EXPECT_EQ(log[5], seen[rr]);
+}
+
+TEST(Graph, AddOfTwoGraphInputsAllocatesOnlyItsOutput) {
+  Graph g;
+  const auto a = g.add_input("a");
+  const auto b = g.add_input("b");
+  g.add("add", std::make_unique<BinaryOp>(OpKind::kAdd), {a, b});
+  std::vector<Tensor> ins;
+  ins.push_back(Tensor({2, 3}, 1.0f));
+  ins.push_back(Tensor({2, 3}, 2.0f));
+
+  const AllocCounterSnapshot before = alloc_counters_snapshot();
+  const Tensor y = g.forward(ins);
+  const AllocCounterSnapshot spent = alloc_counters_snapshot().since(before);
+  EXPECT_EQ(values_of(y), std::vector<float>(6, 3.0f));
+  EXPECT_EQ(spent.allocs, 1u);
+  EXPECT_EQ(spent.bytes, 6 * sizeof(float));
+}
+
+TEST(Graph, OutputThatIsAnInputIsReturnedAsACopy) {
+  // The caller's tensor is read in place, never moved from or freed: the
+  // returned tensor is a copy of it, which the caller's stays equal to.
+  Graph g;
+  const auto x = g.add_input("x");
+  g.add("relu", std::make_unique<ActivationOp>(OpKind::kRelu), {x});
+  g.set_output(x);
+  const Tensor* read = nullptr;
+  const Graph::InputTap record = [&](Graph::NodeId, int, const Tensor& v) {
+    read = &v;
+    return std::nullopt;
+  };
+  const Tensor in({3}, {1.5f, -1.0f, 2.0f});
+  const float* payload = in.data();
+
+  const Tensor y = g.forward(in, record);
+  EXPECT_EQ(read, &in);
+  EXPECT_EQ(values_of(y), values_of(in));
+  EXPECT_NE(y.data(), payload);
+  EXPECT_EQ(in.data(), payload);
+  EXPECT_EQ(values_of(in), (std::vector<float>{1.5f, -1.0f, 2.0f}));
 }
 
 TEST(Graph, OutputTapSeesEveryNode) {

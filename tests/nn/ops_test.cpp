@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,11 +21,8 @@
 namespace fp8q {
 namespace {
 
-std::vector<Tensor> single(Tensor t) {
-  std::vector<Tensor> v;
-  v.push_back(std::move(t));
-  return v;
-}
+/// One operand for an op's forward(), read in place.
+std::array<const Tensor*, 1> single(const Tensor& t) { return {&t}; }
 
 TEST(LinearOp, HandComputed) {
   // y = x W^T + b with W = [[1,2],[3,4]], b = [0.5, -0.5].
@@ -121,9 +119,7 @@ TEST(MatMulOp, TwoByTwo) {
   MatMulOp op;
   Tensor a({2, 2}, {1, 2, 3, 4});
   Tensor b({2, 2}, {5, 6, 7, 8});
-  std::vector<Tensor> in;
-  in.push_back(a);
-  in.push_back(b);
+  const std::array<const Tensor*, 2> in = {&a, &b};
   Tensor y = op.forward(in);
   EXPECT_FLOAT_EQ(y.at({0, 0}), 19.0f);
   EXPECT_FLOAT_EQ(y.at({0, 1}), 22.0f);
@@ -137,9 +133,7 @@ TEST(MatMulOp, BatchedAndTransposed) {
   // A [2,1,2] x B^T where B [2,1,2]: result [2,1,1] of dot products.
   Tensor a({2, 1, 2}, {1, 2, 3, 4});
   Tensor b({2, 1, 2}, {5, 6, 7, 8});
-  std::vector<Tensor> in;
-  in.push_back(a);
-  in.push_back(b);
+  const std::array<const Tensor*, 2> in = {&a, &b};
   Tensor y = op.forward(in);
   ASSERT_EQ(y.shape(), (Shape{2, 1, 1}));
   EXPECT_FLOAT_EQ(y[0], 17.0f);  // 1*5+2*6
@@ -150,14 +144,10 @@ TEST(MatMulOp, Validation) {
   MatMulOp op;
   Tensor a({2, 3});
   Tensor b({4, 2});
-  std::vector<Tensor> in;
-  in.push_back(a);
-  in.push_back(b);
+  const std::array<const Tensor*, 2> in = {&a, &b};
   EXPECT_THROW((void)op.forward(in), std::invalid_argument);  // inner mismatch
   Tensor c({2, 2, 2});
-  std::vector<Tensor> in2;
-  in2.push_back(a);
-  in2.push_back(c);
+  const std::array<const Tensor*, 2> in2 = {&a, &c};
   EXPECT_THROW((void)op.forward(in2), std::invalid_argument);  // rank mismatch
 }
 
@@ -232,9 +222,7 @@ TEST(BatchNorm2dOp, CalibrationAveragesAcrossBatches) {
 TEST(BinaryOp, AddAndMul) {
   Tensor a({2}, {1, 2});
   Tensor b({2}, {10, 20});
-  std::vector<Tensor> in;
-  in.push_back(a);
-  in.push_back(b);
+  const std::array<const Tensor*, 2> in = {&a, &b};
   Tensor s = BinaryOp(OpKind::kAdd).forward(in);
   EXPECT_FLOAT_EQ(s[1], 22.0f);
   Tensor p = BinaryOp(OpKind::kMul).forward(in);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -228,10 +229,10 @@ TEST(TanhKernel, ActivationOpForwardsFollowTheDispatchedTier) {
   std::copy(edges.begin(), edges.begin() + 64, x.data());
   for (OpKind kind : {OpKind::kTanh, OpKind::kGelu}) {
     set_isa_tier(IsaTier::kScalar);
-    const Tensor want = ActivationOp(kind).forward({&x, 1});
+    const Tensor want = ActivationOp(kind).forward(std::array{&x});
     for (IsaTier tier : kTiers) {
       set_isa_tier(tier);
-      const Tensor got = ActivationOp(kind).forward({&x, 1});
+      const Tensor got = ActivationOp(kind).forward(std::array{&x});
       const std::vector<float> in(x.flat().begin(), x.flat().end());
       expect_bitwise_equal(std::vector<float>(got.flat().begin(), got.flat().end()),
                            std::vector<float>(want.flat().begin(), want.flat().end()), in,

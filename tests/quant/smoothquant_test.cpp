@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -47,9 +48,7 @@ TEST(SmoothQuant, TransformIsExactAtFp32) {
   amplify_channels(x, rng, 1, 0.25, 50.0f);  // outlier channels
 
   LinearOp ref(w, Tensor{});
-  std::vector<Tensor> in;
-  in.push_back(x);
-  const Tensor y_ref = ref.forward(in);
+  const Tensor y_ref = ref.forward(std::array{&x});
 
   const auto act_cmax = absmax_per_channel(x, 1);
   const auto w_cmax = absmax_per_channel(w, 1);
@@ -60,9 +59,7 @@ TEST(SmoothQuant, TransformIsExactAtFp32) {
   Tensor x2 = x;
   divide_channels(x2, s);
   LinearOp smoothed(w2, Tensor{});
-  std::vector<Tensor> in2;
-  in2.push_back(x2);
-  const Tensor y_smooth = smoothed.forward(in2);
+  const Tensor y_smooth = smoothed.forward(std::array{&x2});
 
   EXPECT_LT(max_abs_error(y_ref.flat(), y_smooth.flat()),
             1e-3 * (1.0 + max_abs_error(y_ref.flat(), Tensor(y_ref.shape()).flat())));
@@ -97,17 +94,13 @@ TEST(SmoothQuant, ImprovesInt8QuantizationOfOutlierActivations) {
 
   auto quant_product_mse = [&](const Tensor& xs, const Tensor& ws) {
     LinearOp fp32(ws, Tensor{});
-    std::vector<Tensor> in;
-    in.push_back(xs);
-    const Tensor ref = fp32.forward(in);
+    const Tensor ref = fp32.forward(std::array{&xs});
 
     const auto [lo, hi] = minmax(xs);
     Tensor xq = apply_quant(xs, make_activation_params(DType::kINT8, lo, hi));
     Tensor wq = apply_quant(ws, make_weight_params(ws, DType::kINT8));
     LinearOp qop(wq, Tensor{});
-    std::vector<Tensor> qin;
-    qin.push_back(xq);
-    const Tensor got = qop.forward(qin);
+    const Tensor got = qop.forward(std::array{&xq});
     return mse(ref.flat(), got.flat());
   };
 

@@ -5,6 +5,7 @@
 // compare 1-thread results with 2, 3 and 8 threads directly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -142,8 +143,8 @@ TEST(Determinism, MatMulAndConvBitIdenticalAcrossThreadCounts) {
   const Tensor w = randn(rng, {8, 6, 3, 3});
   MatMulOp mm(true, false);
   Conv2dOp conv(w, Tensor{}, 1, 1, 1);
-  const std::vector<Tensor> mm_in = {a, b};
-  const std::vector<Tensor> conv_in = {x};
+  const std::array<const Tensor*, 2> mm_in = {&a, &b};
+  const std::array<const Tensor*, 1> conv_in = {&x};
 
   set_num_threads(1);
   const Tensor y1 = mm.forward(mm_in);
@@ -167,20 +168,21 @@ TEST(Determinism, KernelsRunOnTheCallingThread) {
   ASSERT_FALSE(in_parallel_region());
   Rng rng(23);
   LinearOp linear(randn(rng, {256, 512}), randn(rng, {256}));
-  const std::vector<Tensor> linear_in = {randn(rng, {64, 512})};
+  const Tensor linear_x = randn(rng, {64, 512});
   MatMulOp matmul(true, true);
-  const std::vector<Tensor> matmul_in = {randn(rng, {8, 64, 32}), randn(rng, {8, 64, 32})};
+  const Tensor matmul_a = randn(rng, {8, 64, 32});
+  const Tensor matmul_b = randn(rng, {8, 64, 32});
   Conv2dOp conv(randn(rng, {32, 16, 3, 3}), randn(rng, {32}), 1, 1, 1);
-  const std::vector<Tensor> conv_in = {randn(rng, {8, 16, 32, 32})};
+  const Tensor conv_x = randn(rng, {8, 16, 32, 32});
   std::vector<float> in(1 << 20);
   for (float& v : in) v = rng.normal(0.0f, 3.0f);
   std::vector<float> out(in.size());
 
   set_trace_enabled(true);
   trace_reset();
-  (void)linear.forward(linear_in);
-  (void)matmul.forward(matmul_in);
-  (void)conv.forward(conv_in);
+  (void)linear.forward(std::array{&linear_x});
+  (void)matmul.forward(std::array{&matmul_a, &matmul_b});
+  (void)conv.forward(std::array{&conv_x});
   fp8_quantize_scaled_fast(in, out, fast_cast_spec(Fp8Kind::E4M3), 0.37f);
   int8_quantize(in, out, int8_symmetric_params(8.0f));
   const std::vector<SpanRecord> spans = trace_snapshot();

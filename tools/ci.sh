@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # One-shot correctness gate (docs/STATIC_ANALYSIS.md). Runs, in order:
 #
-#   1. warnings-as-errors build (FP8Q_WERROR=ON) + full ctest suite
+#   1. warnings-as-errors build (FP8Q_WERROR=ON) + full ctest suite, then
+#      the benchmark's own output-check and job-stream tests
+#      (perfbench/test_run.py)
 #   2. static-analysis gate: project linter, linter self-test, header
 #      self-containment, docs freshness (`check_static`); then the linter
 #      once more with --sarif so every CI run leaves a SARIF artifact for
@@ -21,9 +23,10 @@
 #      against FP8Q_ISA=scalar, FP8Q_ISA=batched and, where the CPU runs
 #      it, FP8Q_ISA=native (the cast, GEMM and tanh kernels' cross-tier
 #      contract; each pinned report must name the pinned tier), each
-#      diffed at zero counter drift and zero
-#      accuracy drop in both directions, so an accuracy that rises fails
-#      too, as does a record present in only one run. Then the tuner's
+#      diffed at zero counter drift, zero tensor-allocation growth and
+#      zero accuracy drop in both directions, so an accuracy or an
+#      allocation total that moves either way fails, as does a record
+#      present in only one run. Then the tuner's
 #      thread-count gate: `fp8q_cli tune nlp/lm-extreme-3 E4M3` (the full
 #      ladder, both fallback stages and node sensitivity) at
 #      FP8Q_NUM_THREADS=1 and at the default count, where exit 0 or 1
@@ -67,6 +70,7 @@ step "warnings-as-errors build + full suite"
 cmake -B "$PREFIX" -S "$ROOT" -DFP8Q_WERROR=ON
 cmake --build "$PREFIX" -j "$JOBS"
 ctest --test-dir "$PREFIX" --output-on-failure
+PYTHONDONTWRITEBYTECODE=1 python3 "$ROOT/perfbench/test_run.py"
 
 step "static-analysis gate (check_static)"
 cmake --build "$PREFIX" --target check_static
@@ -125,25 +129,29 @@ FP8Q_REPORT="$PREFIX/report_smoke2.json" \
   --max-counter-drift-pct=0 --max-wall-regress-pct=400 \
   --max-alloc-growth-pct=50 --max-rss-growth-pct=100
 
-# Table 2 bit-identity gate: records and counters of the quick sweep at
-# one thread must equal those at the default count (docs/THREADING.md).
-# Diffed both ways: --max-accuracy-drop fails only a drop, so a record
-# whose accuracy rises fails the reverse diff.
+# Table 2 bit-identity gate: records, counters and tensor-allocation
+# totals of the quick sweep at one thread must equal those at the default
+# count (docs/THREADING.md). Diffed both ways: --max-accuracy-drop and
+# --max-alloc-growth-pct fail only a rise in loss or in allocation, so a
+# record whose accuracy rises, or a total that falls, fails the reverse
+# diff.
 rm -f "$PREFIX/report_table2_t1.json" "$PREFIX/report_table2.json"
 FP8Q_NUM_THREADS=1 FP8Q_REPORT="$PREFIX/report_table2_t1.json" \
   "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
 FP8Q_REPORT="$PREFIX/report_table2.json" \
   "$PREFIX/bench/bench_table2_passrate" --quick > /dev/null
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2_t1.json" \
-  "$PREFIX/report_table2.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+  "$PREFIX/report_table2.json" --max-counter-drift-pct=0 --max-accuracy-drop=0 \
+  --max-alloc-growth-pct=0
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2.json" \
-  "$PREFIX/report_table2_t1.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+  "$PREFIX/report_table2_t1.json" --max-counter-drift-pct=0 --max-accuracy-drop=0 \
+  --max-alloc-growth-pct=0
 
 # Tuner thread-count gate: the 14-trial history of a workload that never
 # meets the criterion, so every stage runs, must equal the serial run's,
-# records (matched by occurrence: the fallback trials repeat a config) and
-# counters. fp8q_cli tune exits 0 or 1 for criterion met or not; any other
-# exit is a failure.
+# records (matched by occurrence: the fallback trials repeat a config),
+# counters and allocation totals. fp8q_cli tune exits 0 or 1 for criterion
+# met or not; any other exit is a failure.
 tune_report() {  # <report.json> [VAR=value ...]
   local out=$1 rc=0
   shift
@@ -155,17 +163,18 @@ tune_report() {  # <report.json> [VAR=value ...]
 tune_report "$PREFIX/report_tune_t1.json" FP8Q_NUM_THREADS=1
 tune_report "$PREFIX/report_tune.json"
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_tune_t1.json" \
-  "$PREFIX/report_tune.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+  "$PREFIX/report_tune.json" --max-counter-drift-pct=0 --max-accuracy-drop=0 \
+  --max-alloc-growth-pct=0
 "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_tune.json" \
-  "$PREFIX/report_tune_t1.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+  "$PREFIX/report_tune_t1.json" --max-counter-drift-pct=0 --max-accuracy-drop=0 \
+  --max-alloc-growth-pct=0
 
 # Cross-tier gate: the same sweep pinned to the scalar reference tier, to
 # the batched tier and, where the CPU runs it, to the native (AVX2) tier
-# must equal the default-tier run, records and counters (the cast, GEMM
-# and tanh kernels' contract, docs/KERNELS.md). On an AVX-512 host the
-# default is the wide tier, so the native pin keeps the AVX2 bodies under
-# the gate. Each pair is diffed both ways: --max-accuracy-drop fails only
-# a drop, so a record whose accuracy rises fails the reverse diff.
+# must equal the default-tier run, records, counters and allocation
+# totals (the cast, GEMM and tanh kernels' contract, docs/KERNELS.md). On
+# an AVX-512 host the default is the wide tier, so the native pin keeps
+# the AVX2 bodies under the gate. Each pair is diffed both ways, as above.
 # FP8Q_ISA maps an unknown value to the best tier, so each pinned report
 # must name the pinned tier (its label is the tier, then the ISA after a
 # colon: native:avx2): a misspelled pin would otherwise diff the default
@@ -183,9 +192,11 @@ for tier in $tiers; do
     exit 1
   fi
   "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2.json" \
-    "$PREFIX/report_table2_$tier.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+    "$PREFIX/report_table2_$tier.json" --max-counter-drift-pct=0 --max-accuracy-drop=0 \
+    --max-alloc-growth-pct=0
   "$PREFIX/tools/fp8q_report" diff "$PREFIX/report_table2_$tier.json" \
-    "$PREFIX/report_table2.json" --max-counter-drift-pct=0 --max-accuracy-drop=0
+    "$PREFIX/report_table2.json" --max-counter-drift-pct=0 --max-accuracy-drop=0 \
+    --max-alloc-growth-pct=0
 done
 
 step "service smoke (fp8qd at 1 and 2 workers + fp8qd_bench through fp8q_report)"
