@@ -21,10 +21,9 @@
 //   kNative   the same vector body at 32 bytes, compiled for AVX2 (not
 //             FMA) on x86-64.
 //   kWide     the same vector body at 64 bytes, compiled for AVX-512 F
-//             and VL (not FMA) on x86-64; each body picks its own width
-//             here (the GEMM 64 bytes, tanh 32). VL keeps 32-byte code in
-//             ymm registers: without it tanh ran 1.5x slower
-//             (docs/KERNELS.md).
+//             and VL (not FMA) on x86-64. VL gives the narrower vectors
+//             that run there, such as the GEMM's column tails, their ymm
+//             and xmm forms (docs/KERNELS.md).
 //
 // Tier resolution order: set_isa_tier() override > the FP8Q_ISA
 // environment variable ("scalar" | "batched" | "native" | "wide"; "avx2"

@@ -34,9 +34,9 @@ std::vector<Tensor*> Conv2dOp::weights() {
   return {&weight_, &bias_};
 }
 
-Tensor Conv2dOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1) throw std::invalid_argument("Conv2dOp: expects 1 input");
-  const Tensor& x = *inputs[0];
+Tensor Conv2dOp::forward(const Operands& in) {
+  if (in.size() != 1) throw std::invalid_argument("Conv2dOp: expects 1 input");
+  const Tensor& x = in[0];
   if (x.dim() != 4) throw std::invalid_argument("Conv2dOp: input must be [n, c, h, w]");
 
   const std::int64_t n = x.size(0);

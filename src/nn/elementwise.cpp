@@ -14,16 +14,16 @@ BinaryOp::BinaryOp(OpKind kind) : kind_(kind) {
   }
 }
 
-Tensor BinaryOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 2) throw std::invalid_argument("BinaryOp: expects 2 inputs");
-  if (!inputs[0]->same_shape(*inputs[1])) {
+Tensor BinaryOp::forward(const Operands& in) {
+  if (in.size() != 2) throw std::invalid_argument("BinaryOp: expects 2 inputs");
+  if (!in[0].same_shape(in[1])) {
     throw std::invalid_argument("BinaryOp: shape mismatch");
   }
-  Tensor y = *inputs[0];
+  Tensor y = in.take(0);
   if (kind_ == OpKind::kAdd) {
-    y.add(*inputs[1]);
+    y.add(in[1]);
   } else {
-    y.mul(*inputs[1]);
+    y.mul(in[1]);
   }
   return y;
 }
@@ -43,9 +43,9 @@ ActivationOp::ActivationOp(OpKind kind) : kind_(kind) {
   }
 }
 
-Tensor ActivationOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1) throw std::invalid_argument("ActivationOp: expects 1 input");
-  Tensor y = *inputs[0];
+Tensor ActivationOp::forward(const Operands& in) {
+  if (in.size() != 1) throw std::invalid_argument("ActivationOp: expects 1 input");
+  Tensor y = in.take(0);
   switch (kind_) {
     case OpKind::kRelu:
       for (float& v : y.flat()) v = v > 0.0f ? v : 0.0f;
@@ -80,9 +80,9 @@ Tensor ActivationOp::forward(std::span<const Tensor* const> inputs) {
   return y;
 }
 
-Tensor SoftmaxOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1) throw std::invalid_argument("SoftmaxOp: expects 1 input");
-  const Tensor& x = *inputs[0];
+Tensor SoftmaxOp::forward(const Operands& in) {
+  if (in.size() != 1) throw std::invalid_argument("SoftmaxOp: expects 1 input");
+  const Tensor& x = in[0];
   if (x.dim() < 1) throw std::invalid_argument("SoftmaxOp: rank must be >= 1");
   const std::int64_t d = x.size(-1);
   const std::int64_t rows = x.numel() / d;
@@ -105,9 +105,9 @@ Tensor SoftmaxOp::forward(std::span<const Tensor* const> inputs) {
   return y;
 }
 
-Tensor ScaleOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1) throw std::invalid_argument("ScaleOp: expects 1 input");
-  Tensor y = *inputs[0];
+Tensor ScaleOp::forward(const Operands& in) {
+  if (in.size() != 1) throw std::invalid_argument("ScaleOp: expects 1 input");
+  Tensor y = in.take(0);
   y.scale(factor_);
   return y;
 }

@@ -9,9 +9,9 @@ EmbeddingOp::EmbeddingOp(Tensor table) : table_(std::move(table)) {
   if (table_.dim() != 2) throw std::invalid_argument("EmbeddingOp: table must be [vocab, dim]");
 }
 
-Tensor EmbeddingOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1) throw std::invalid_argument("EmbeddingOp: expects 1 input");
-  const Tensor& idx = *inputs[0];
+Tensor EmbeddingOp::forward(const Operands& in) {
+  if (in.size() != 1) throw std::invalid_argument("EmbeddingOp: expects 1 input");
+  const Tensor& idx = in[0];
   const std::int64_t vocab = table_.size(0);
   const std::int64_t d = table_.size(1);
 

@@ -12,7 +12,7 @@ class EmbeddingOp final : public Op {
   explicit EmbeddingOp(Tensor table);
 
   /// Input [...] of indices -> output [..., dim].
-  Tensor forward(std::span<const Tensor* const> inputs) override;
+  Tensor forward(const Operands& in) override;
 
   [[nodiscard]] OpKind kind() const override { return OpKind::kEmbedding; }
   [[nodiscard]] std::vector<Tensor*> weights() override { return {&table_}; }

@@ -1,5 +1,6 @@
 #include "nn/graph.h"
 
+#include <algorithm>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -83,21 +84,33 @@ Tensor Graph::run(std::span<const Tensor> inputs, const InputTap& input_tap,
 
   std::vector<std::optional<Tensor>> replaced;
   std::vector<const Tensor*> operands;
+  std::vector<Tensor*> owned;  // per slot: the tensor take() may move, or null
   for (size_t n = 0; n < nodes_.size(); ++n) {
     Node& node = nodes_[n];
     if (!node.op) continue;  // graph input
     const auto id = static_cast<NodeId>(n);
 
     // Each operand is its producer's value, unless the input tap replaces
-    // it with a tensor of its own, which lives until the op returns.
-    replaced.resize(node.inputs.size());
-    operands.resize(node.inputs.size());
-    for (size_t s = 0; s < node.inputs.size(); ++s) {
-      const Tensor& value = *values[static_cast<size_t>(node.inputs[s])];
-      if (input_tap) replaced[s] = input_tap(id, static_cast<int>(s), value);
-      operands[s] = replaced[s] ? &*replaced[s] : &value;
+    // it with a tensor of its own, which lives until the op returns. The
+    // take rule (graph.h) is decided here and nowhere else.
+    const size_t arity = node.inputs.size();
+    replaced.resize(arity);
+    operands.resize(arity);
+    owned.resize(arity);
+    for (size_t s = 0; s < arity; ++s) {
+      const NodeId in = node.inputs[s];
+      const auto p = static_cast<size_t>(in);
+      operands[s] = values[p];
+      const bool takeable = nodes_[p].op && in != output_ && last_use_[p] == id &&
+                            std::count(node.inputs.begin(), node.inputs.end(), in) == 1;
+      owned[s] = takeable ? &computed[p] : nullptr;
     }
-    computed[n] = node.op->forward(operands);
+    const Operands view(operands, owned);
+    for (size_t s = 0; input_tap && s < arity; ++s) {
+      replaced[s] = input_tap(id, static_cast<int>(s), view);
+      if (replaced[s]) operands[s] = owned[s] = &*replaced[s];
+    }
+    computed[n] = node.op->forward(view);
     replaced.clear();
     values[n] = &computed[n];
     if (output_tap) (*output_tap)(id, computed[n]);

@@ -5,13 +5,20 @@
 // place by pointer: the caller's input tensor or the producer's value,
 // never a copy. Each computed value is freed right after its last consumer
 // runs (the output node's value is kept and returned), so a forward holds
-// only the live values. Two hooks let the quantization layer participate without
+// only the live values. A node that is a value's last reader may take it
+// (Operands::take in nn/op.h) and write its own output into that buffer.
+// run() decides this once per slot: slot s of node n may be taken when it
+// is the input tap's replacement, or when its producer is a computed node
+// that is not the graph's output, whose last reader is n, and that feeds no
+// other slot of n. A caller's input is never taken, so concurrent forwards
+// may share one. Two hooks let the quantization layer participate without
 // the graph knowing about formats:
 //   * input_tap: passed to each forward() call, may replace an operand with
 //     a tensor of its own, freed once the op returns (fake-quantization of
-//     activations at operator boundaries, calibration observers). Nothing
-//     of it outlives the call, so concurrent forwards with different taps
-//     do not interfere;
+//     activations at operator boundaries, calibration observers); it may
+//     take the operand to build that replacement in place. Nothing of it
+//     outlives the call, so concurrent forwards with different taps do not
+//     interfere;
 //   * output_tap: held by the graph, observes each graph input, then each
 //     node's output right after its op runs (profiling, activation
 //     probes). While one is installed, forwards on the graph run one at a
@@ -52,10 +59,12 @@ class Graph {
   void set_output(NodeId id);
   [[nodiscard]] NodeId output() const { return output_; }
 
-  /// Hook replacing a node's operand before the op runs. Return std::nullopt
-  /// to let the op read the operand in place.
+  /// Hook replacing operand `slot` of a node before the op runs. It reads
+  /// `in[slot]`, or takes it to write the replacement in place and returns
+  /// that. Return std::nullopt, without taking, to let the op read the
+  /// operand in place.
   using InputTap =
-      std::function<std::optional<Tensor>(NodeId node, int slot, const Tensor& value)>;
+      std::function<std::optional<Tensor>(NodeId node, int slot, const Operands& in)>;
   /// Hook observing each node's freshly computed output.
   using OutputTap = std::function<void(NodeId node, const Tensor& value)>;
 

@@ -22,9 +22,9 @@ std::vector<Tensor*> LinearOp::weights() {
   return {&weight_, &bias_};
 }
 
-Tensor LinearOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1) throw std::invalid_argument("LinearOp: expects 1 input");
-  const Tensor& x = *inputs[0];
+Tensor LinearOp::forward(const Operands& operands) {
+  if (operands.size() != 1) throw std::invalid_argument("LinearOp: expects 1 input");
+  const Tensor& x = operands[0];
   const std::int64_t in = in_features();
   const std::int64_t out = out_features();
   if (x.dim() < 1 || x.size(-1) != in) {

@@ -18,7 +18,7 @@ class LinearOp final : public Op {
   LinearOp(Tensor weight, Tensor bias);
 
   /// Input [..., in_features] -> output [..., out_features].
-  Tensor forward(std::span<const Tensor* const> inputs) override;
+  Tensor forward(const Operands& in) override;
 
   [[nodiscard]] OpKind kind() const override { return OpKind::kLinear; }
   [[nodiscard]] std::vector<Tensor*> weights() override;

@@ -12,9 +12,9 @@ LayerNormOp::LayerNormOp(Tensor gamma, Tensor beta, float eps)
   }
 }
 
-Tensor LayerNormOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1) throw std::invalid_argument("LayerNormOp: expects 1 input");
-  const Tensor& x = *inputs[0];
+Tensor LayerNormOp::forward(const Operands& in) {
+  if (in.size() != 1) throw std::invalid_argument("LayerNormOp: expects 1 input");
+  const Tensor& x = in[0];
   const std::int64_t d = gamma_.size(0);
   if (x.dim() < 1 || x.size(-1) != d) {
     throw std::invalid_argument("LayerNormOp: last axis must match gamma dim");
@@ -78,9 +78,9 @@ void BatchNorm2dOp::finish_calibration() {
   }
 }
 
-Tensor BatchNorm2dOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1) throw std::invalid_argument("BatchNorm2dOp: expects 1 input");
-  const Tensor& x = *inputs[0];
+Tensor BatchNorm2dOp::forward(const Operands& in) {
+  if (in.size() != 1) throw std::invalid_argument("BatchNorm2dOp: expects 1 input");
+  const Tensor& x = in[0];
   if (x.dim() != 4 || x.size(1) != gamma_.size(0)) {
     throw std::invalid_argument("BatchNorm2dOp: input must be [n, c, h, w] with matching c");
   }
@@ -153,9 +153,9 @@ GroupNormOp::GroupNormOp(int groups, Tensor gamma, Tensor beta, float eps)
   }
 }
 
-Tensor GroupNormOp::forward(std::span<const Tensor* const> inputs) {
-  if (inputs.size() != 1) throw std::invalid_argument("GroupNormOp: expects 1 input");
-  const Tensor& x = *inputs[0];
+Tensor GroupNormOp::forward(const Operands& in) {
+  if (in.size() != 1) throw std::invalid_argument("GroupNormOp: expects 1 input");
+  const Tensor& x = in[0];
   if (x.dim() != 4 || x.size(1) != gamma_.size(0)) {
     throw std::invalid_argument("GroupNormOp: input must be [n, c, h, w] with matching c");
   }

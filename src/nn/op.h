@@ -3,14 +3,18 @@
 // Every kernel computes in FP32, exactly like the paper's emulation setup;
 // quantization happens by snapping weights and operator inputs onto the
 // FP8/INT8 grid around these kernels (see src/quant/quantizer.h). An op
-// reads its operands in place, by pointer (nn/graph.h), and returns a new
-// output tensor.
+// reads its operands in place, by pointer (nn/graph.h), and returns its
+// output tensor. Where the op is an operand's last reader, it may take
+// that operand's buffer and write its output there instead of copying it;
+// a caller's input is never taken.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -63,13 +67,45 @@ enum class OpKind : std::uint8_t {
   return is_compute_op(kind) || is_extended_op(kind);
 }
 
+/// One call's operands. `in[s]` reads slot s in place; `in.take(s)` returns
+/// slot s as a tensor of the caller's own: the operand itself, moved, where
+/// the executor made this call its last reader (Graph::run decides), else a
+/// copy. A taken slot is not read again.
+class Operands {
+ public:
+  /// Operands that are only read: take() copies. Accepts a span or array
+  /// of operand pointers.
+  template <class Values>
+    requires std::convertible_to<const Values&, std::span<const Tensor* const>>
+  Operands(const Values& values) : values_(values) {}
+
+  /// `owned[s]`, where not null, is slot s's operand, which take(s) moves.
+  Operands(std::span<const Tensor* const> values, std::span<Tensor* const> owned)
+      : values_(values), owned_(owned) {}
+
+  [[nodiscard]] int size() const { return static_cast<int>(values_.size()); }
+  [[nodiscard]] const Tensor& operator[](int s) const {
+    return *values_[static_cast<std::size_t>(s)];
+  }
+
+  [[nodiscard]] Tensor take(int s) const {
+    const auto i = static_cast<std::size_t>(s);
+    if (i < owned_.size() && owned_[i]) return std::move(*owned_[i]);
+    return *values_[i];
+  }
+
+ private:
+  std::span<const Tensor* const> values_;
+  std::span<Tensor* const> owned_;
+};
+
 class Op {
  public:
   virtual ~Op() = default;
 
-  /// Runs the FP32 kernel on the operands, which it only reads. Their
-  /// number must match `arity()`.
-  virtual Tensor forward(std::span<const Tensor* const> inputs) = 0;
+  /// Runs the FP32 kernel on the operands, whose number must match
+  /// `arity()`. It reads them, or takes one to write its output in place.
+  virtual Tensor forward(const Operands& in) = 0;
 
   [[nodiscard]] virtual OpKind kind() const = 0;
 

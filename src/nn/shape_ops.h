@@ -7,11 +7,12 @@ namespace fp8q {
 
 /// Reshape to a fixed target shape; one axis may be -1 (inferred), and axis
 /// value 0 copies the input's axis at that position (batch passthrough).
+/// Relabels the operand's buffer where the op may take it, else a copy.
 class ReshapeOp final : public Op {
  public:
   explicit ReshapeOp(Shape target) : target_(std::move(target)) {}
 
-  Tensor forward(std::span<const Tensor* const> inputs) override;
+  Tensor forward(const Operands& in) override;
   [[nodiscard]] OpKind kind() const override { return OpKind::kReshape; }
 
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<ReshapeOp>(*this); }
@@ -23,7 +24,7 @@ class ReshapeOp final : public Op {
 /// Swaps the last two axes (used to build attention from MatMul primitives).
 class TransposeLastTwoOp final : public Op {
  public:
-  Tensor forward(std::span<const Tensor* const> inputs) override;
+  Tensor forward(const Operands& in) override;
   [[nodiscard]] OpKind kind() const override { return OpKind::kTranspose; }
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<TransposeLastTwoOp>(*this); }
 };
@@ -31,7 +32,7 @@ class TransposeLastTwoOp final : public Op {
 /// Global average pooling over the spatial dims: [n, c, h, w] -> [n, c].
 class GlobalAvgPoolOp final : public Op {
  public:
-  Tensor forward(std::span<const Tensor* const> inputs) override;
+  Tensor forward(const Operands& in) override;
   [[nodiscard]] OpKind kind() const override { return OpKind::kAvgPool; }
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<GlobalAvgPoolOp>(*this); }
 };
@@ -39,7 +40,7 @@ class GlobalAvgPoolOp final : public Op {
 /// 2x2 stride-2 max pooling: [n, c, h, w] -> [n, c, h/2, w/2].
 class MaxPool2x2Op final : public Op {
  public:
-  Tensor forward(std::span<const Tensor* const> inputs) override;
+  Tensor forward(const Operands& in) override;
   [[nodiscard]] OpKind kind() const override { return OpKind::kMaxPool; }
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<MaxPool2x2Op>(*this); }
 };
@@ -48,7 +49,7 @@ class MaxPool2x2Op final : public Op {
 /// [n, c1, ...] + [n, c2, ...] -> [n, c1+c2, ...]. U-Net skip connections.
 class ConcatChannelsOp final : public Op {
  public:
-  Tensor forward(std::span<const Tensor* const> inputs) override;
+  Tensor forward(const Operands& in) override;
   [[nodiscard]] OpKind kind() const override { return OpKind::kConcat; }
   [[nodiscard]] int arity() const override { return 2; }
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<ConcatChannelsOp>(*this); }
@@ -58,7 +59,7 @@ class ConcatChannelsOp final : public Op {
 /// (U-Net decoder path). Reported as a Reshape-class (never quantized) op.
 class Upsample2xOp final : public Op {
  public:
-  Tensor forward(std::span<const Tensor* const> inputs) override;
+  Tensor forward(const Operands& in) override;
   [[nodiscard]] OpKind kind() const override { return OpKind::kReshape; }
   [[nodiscard]] OpPtr clone() const override { return std::make_unique<Upsample2xOp>(*this); }
 };

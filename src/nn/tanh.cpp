@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <numbers>
-#include <type_traits>
 
 namespace fp8q {
 namespace {
@@ -114,21 +113,30 @@ void scalar_tier(float* v, std::int64_t n) {
 
 // ---------------------------------------------------------------------------
 // The vector tiers: one branch-free body over a GCC vector-extension type
-// V of 16 bytes (kBatched: SSE2 on x86-64, NEON on AArch64) or 32 bytes
-// (kNative under AVX2, kWide under AVX-512). Every lane computes every
-// path of the reference with the same operations, and a mask per path
-// picks each lane's result. Lanes that fdlibm returns early (±0,
-// |x| < 2^-55, |x| >= 22, Inf, NaN) run the |x| = 1 path on the side, so
-// every lane converts an in-range float to int. This TU is compiled
-// -ffp-contract=off, so no multiply-add fuses into an FMA.
+// V of 16 bytes (kBatched: SSE2 on x86-64, NEON on AArch64), 32 bytes
+// (kNative under AVX2) or 64 bytes (kWide under AVX-512). Every lane
+// computes every path of the reference with the same operations, and a
+// mask per path picks each lane's result. Lanes that fdlibm returns early
+// (±0, |x| < 2^-55, |x| >= 22, Inf, NaN) run the |x| = 1 path on the
+// side, so every lane converts an in-range float to int. This TU is
+// compiled -ffp-contract=off, so no multiply-add fuses into an FMA.
 //
-// kWide keeps the 32-byte body: GCC 12 scalarizes the 64-byte one (each
-// lane's selects become vpextrd / vpinsrd / setg / cmove), and it ran
-// 2.3-2.5x slower (docs/KERNELS.md).
+// A select on the OR of two lane compares, (a < lo) | (a >= hi), makes
+// GCC 12 scalarize the 64-byte body inlined under run_avx512 (vpextrd /
+// vpinsrd / setg / cmov per lane), which ran 2.3-2.5x slower than the
+// 32-byte one; nested selects fuse back into the OR. So each range test
+// is one unsigned compare, (unsigned)(a - lo) >= hi - lo, which GCC keeps
+// in vector registers. Keep them that way: CI fails on a vpextrd or
+// vpinsrd in this object (docs/KERNELS.md).
 // ---------------------------------------------------------------------------
 
-using Vec16 = float __attribute__((vector_size(16)));
-using Vec32 = float __attribute__((vector_size(32)));
+/// kBytes / 4 floats in one vector.
+template <int kBytes>
+struct VecOf {
+  // A typedef, not a using: GCC drops a dependent vector_size from an
+  // alias declaration and leaves a plain float.
+  typedef float type __attribute__((vector_size(kBytes)));
+};
 
 // Vectors pass by reference: a 32-byte vector passed or returned by value
 // changes the ABI under AVX (-Wpsabi). Casts between same-size vector
@@ -139,6 +147,7 @@ using Vec32 = float __attribute__((vector_size(32)));
 template <class V>
 inline void expm1_lanes(V& y, const V& a) {
   using VI = decltype(a < a);
+  typedef std::uint32_t VU __attribute__((vector_size(sizeof(V))));
   const VI hx = (VI)a & 0x7fffffff;
   const V half = (VI)a < 0 ? V{} - 0.5f : V{} + 0.5f;
   VI k = __builtin_convertvector(kInvLn2 * a + half, VI);
@@ -168,7 +177,7 @@ inline void expm1_lanes(V& y, const V& a) {
   const V y_mid = (V)((VI)((1.0f - two_mk) - (e - x)) + kexp);         // 2 <= k <= 22
   const V y_high = (V)((VI)((x - (e + two_mk)) + 1.0f) + kexp);        // 23 <= k <= 56
   y = k < 23 ? y_mid : y_high;
-  y = (k <= -2) | (k > 56) ? y_far : y;
+  y = (VU)(k + 1) > 57u ? y_far : y;  // k <= -2 or k > 56
   y = k == -1 ? 0.5f * (x - e) - 0.5f : y;
   y = k == 0 ? x - (x * e0 - hxs) : y;
   y = hx < kExpm1Tiny ? a : y;
@@ -178,9 +187,11 @@ inline void expm1_lanes(V& y, const V& a) {
 template <class V>
 inline void tanh_lanes(V& x) {
   using VI = decltype(x < x);
+  typedef std::uint32_t VU __attribute__((vector_size(sizeof(V))));
   const VI jx = (VI)x;
   const VI ix = jx & 0x7fffffff;
-  const VI early = (ix < kTanhTiny) | (ix >= kTanhHuge);
+  // ix < kTanhTiny or ix >= kTanhHuge
+  const VI early = (VU)(ix - kTanhTiny) >= std::uint32_t{kTanhHuge - kTanhTiny};
   const V ax = (V)(early ? VI{} + kTanhOne : ix);
   const VI ge1 = (VI)ax >= kTanhOne;
   V a = 2.0f * ax;
@@ -231,10 +242,7 @@ template <bool kGelu>
 void activate_at(IsaTier tier, float* v, std::int64_t n) {
   run_tier(
       tier, [&] { scalar_tier<kGelu>(v, n); },
-      [&](auto width) {
-        using V = std::conditional_t<decltype(width)::value == 16, Vec16, Vec32>;
-        vector_tier<V, kGelu>(v, n);
-      });
+      [&](auto width) { vector_tier<typename VecOf<decltype(width)::value>::type, kGelu>(v, n); });
 }
 
 }  // namespace

@@ -14,10 +14,11 @@
 // kernel; callers index them with isa_tier() (core/cpu_dispatch.h), as
 // gemm_kernel is, and each call runs through run_tier(). Two bodies live
 // in tanh.cpp: the scalar reference, a transcription of fdlibm with its
-// branches, and one branch-free vector body whose 16-byte instantiation is
-// kBatched and whose 32-byte instantiation runs at kNative under AVX2 and
-// at kWide under AVX-512 (its 64-byte one is slower; docs/KERNELS.md). A
-// tier the CPU lacks clamps down to one it runs.
+// branches, and one branch-free vector body, run at 16 bytes at kBatched,
+// 32 bytes at kNative (AVX2) and 64 bytes at kWide (AVX-512). Its range
+// tests are single unsigned compares: GCC 12 scalarizes the 64-byte body
+// around a select on the OR of two compares (docs/KERNELS.md). A tier the
+// CPU lacks clamps down to one it runs.
 #pragma once
 
 #include <cstdint>

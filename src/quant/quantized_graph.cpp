@@ -66,10 +66,10 @@ void QuantizedGraph::run_smoothquant(std::span<const std::vector<Tensor>> calib_
   // Collect per-channel absmax of every quantized Linear's input.
   std::map<Graph::NodeId, std::vector<float>> act_cmax;
   const Graph::InputTap tap = [&](Graph::NodeId id, int slot,
-                                  const Tensor& v) -> std::optional<Tensor> {
+                                  const Operands& in) -> std::optional<Tensor> {
     if (slot == 0 && quantized_nodes_.contains(id) &&
-        graph_->node(id).kind == OpKind::kLinear && v.dim() >= 1) {
-      const auto cm = absmax_per_channel(v, -1);
+        graph_->node(id).kind == OpKind::kLinear && in[0].dim() >= 1) {
+      const auto cm = absmax_per_channel(in[0], -1);
       auto& acc = act_cmax[id];
       if (acc.empty()) acc.assign(cm.size(), 0.0f);
       for (size_t j = 0; j < cm.size() && j < acc.size(); ++j) {
@@ -118,17 +118,17 @@ void QuantizedGraph::calibrate_activations(
       config_.scheme.act_calib == CalibMethod::kAbsMax ? 0 : Observer::kDefaultCapacity;
   std::map<std::pair<Graph::NodeId, int>, Observer> observers;
   const Graph::InputTap tap = [&](Graph::NodeId id, int slot,
-                                  const Tensor& v) -> std::optional<Tensor> {
+                                  const Operands& in) -> std::optional<Tensor> {
     if (!slot_quantized(id, slot)) return std::nullopt;
     Observer& obs = observers.try_emplace({id, slot}, capacity).first->second;
     const auto it = smooth_factors_.find(id);
     if (it != smooth_factors_.end() && slot == 0) {
-      Tensor smoothed = v;
+      Tensor smoothed = in.take(0);
       divide_channels(smoothed, it->second);
       obs.observe(smoothed);
       return smoothed;  // folded weights need the divided activation
     }
-    obs.observe(v);
+    obs.observe(in[slot]);
     return std::nullopt;
   };
   for (const auto& batch : calib_batches) (void)graph_->forward(batch, tap);
@@ -205,7 +205,7 @@ void QuantizedGraph::prepare(std::span<const Tensor> calib_batches) {
 }
 
 std::optional<Tensor> QuantizedGraph::quantize_input(Graph::NodeId id, int slot,
-                                                     const Tensor& value) const {
+                                                     const Operands& in) const {
   if (!slot_quantized(id, slot)) return std::nullopt;
 
   // Per-op span; the name (with the op kind) is only built when tracing
@@ -215,7 +215,9 @@ std::optional<Tensor> QuantizedGraph::quantize_input(Graph::NodeId id, int slot,
     span.emplace("qgraph/input:" + std::string(to_string(graph_->node(id).kind)));
   }
 
-  Tensor out = value;
+  // The operand itself where this node is its last reader (Graph::run),
+  // else a copy: either way the divide and the cast then run in place.
+  Tensor out = in.take(slot);
   const auto sf = smooth_factors_.find(id);
   if (sf != smooth_factors_.end() && slot == 0) divide_channels(out, sf->second);
 
@@ -242,8 +244,8 @@ std::optional<Tensor> QuantizedGraph::quantize_input(Graph::NodeId id, int slot,
 Tensor QuantizedGraph::forward(std::span<const Tensor> inputs) const {
   TraceSpan span("qgraph/forward");
   if (!prepared_) throw std::logic_error("QuantizedGraph::forward: call prepare() first");
-  return graph_->forward(inputs, [this](Graph::NodeId id, int slot, const Tensor& v) {
-    return quantize_input(id, slot, v);
+  return graph_->forward(inputs, [this](Graph::NodeId id, int slot, const Operands& in) {
+    return quantize_input(id, slot, in);
   });
 }
 

@@ -92,9 +92,10 @@ class QuantizedGraph {
   /// (Embedding indices are never quantized).
   [[nodiscard]] bool slot_quantized(Graph::NodeId id, int slot) const;
 
-  /// The fake-quant input tap used for quantized inference.
+  /// The fake-quant input tap used for quantized inference. It takes the
+  /// operand where the node is its last reader, and casts it in place.
   [[nodiscard]] std::optional<Tensor> quantize_input(Graph::NodeId id, int slot,
-                                                     const Tensor& value) const;
+                                                     const Operands& in) const;
 
   Graph* graph_;
   ModelQuantConfig config_;

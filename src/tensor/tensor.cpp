@@ -85,7 +85,11 @@ float Tensor::at(std::initializer_list<std::int64_t> idx) const {
   return data_[static_cast<size_t>(flatten_index(shape_, idx))];
 }
 
-Tensor Tensor::reshape(Shape new_shape) const {
+Tensor Tensor::reshape(Shape new_shape) const& {
+  return Tensor(*this).reshape(std::move(new_shape));
+}
+
+Tensor Tensor::reshape(Shape new_shape) && {
   std::int64_t known = 1;
   int infer_axis = -1;
   for (size_t i = 0; i < new_shape.size(); ++i) {
@@ -105,7 +109,8 @@ Tensor Tensor::reshape(Shape new_shape) const {
   if (shape_numel(new_shape) != numel()) {
     throw std::invalid_argument("reshape changes element count");
   }
-  return Tensor(std::move(new_shape), data_);
+  shape_ = std::move(new_shape);
+  return std::move(*this);
 }
 
 Tensor& Tensor::fill(float v) {

@@ -63,9 +63,11 @@ class Tensor {
   [[nodiscard]] float& operator[](std::int64_t i) { return data_[static_cast<size_t>(i)]; }
   [[nodiscard]] float operator[](std::int64_t i) const { return data_[static_cast<size_t>(i)]; }
 
-  /// Returns a copy with a new shape covering the same number of elements.
+  /// Returns the tensor with a new shape covering the same number of
+  /// elements: a copy, or this tensor relabelled when called on an rvalue.
   /// One axis may be -1 (inferred).
-  [[nodiscard]] Tensor reshape(Shape new_shape) const;
+  [[nodiscard]] Tensor reshape(Shape new_shape) const&;
+  [[nodiscard]] Tensor reshape(Shape new_shape) &&;
 
   /// In-place scalar ops.
   Tensor& fill(float v);

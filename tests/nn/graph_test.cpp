@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -13,6 +14,7 @@
 #include "nn/elementwise.h"
 #include "nn/linear.h"
 #include "nn/matmul.h"
+#include "nn/shape_ops.h"
 #include "obs/memory.h"
 
 namespace fp8q {
@@ -84,12 +86,78 @@ TEST(Graph, SetOutputSelectsIntermediate) {
 }
 
 TEST(Graph, LivenessProducerFeedsBothSlotsOfOneOp) {
+  // add is relu's last reader, but reads it in both slots, so it may not
+  // take it: slot 1 must still hold relu's values after slot 0 is read.
   Graph g;
   const auto x = g.add_input("x");
   const auto r = g.add("relu", std::make_unique<ActivationOp>(OpKind::kRelu), {x});
   g.add("add", std::make_unique<BinaryOp>(OpKind::kAdd), {r, r});
-  const Tensor y = g.forward(Tensor({3}, {1.5f, -1.0f, 2.0f}));
+  const Tensor x_in({3}, {1.5f, -1.0f, 2.0f});
+  const AllocCounterSnapshot before = alloc_counters_snapshot();
+  const Tensor y = g.forward(x_in);
+  EXPECT_EQ(alloc_counters_snapshot().since(before).allocs, 2u);  // relu's and add's copies
   EXPECT_EQ(values_of(y), (std::vector<float>{3.0f, 0.0f, 4.0f}));
+}
+
+TEST(Graph, ElementwiseChainAllocatesOnlyItsFirstOutput) {
+  // ReLU copies the caller's input; GELU, Scale and Reshape are each the
+  // last reader of their operand, so each takes it and writes, or
+  // relabels, in place.
+  Graph g;
+  const auto x = g.add_input("x");
+  const auto r = g.add("relu", std::make_unique<ActivationOp>(OpKind::kRelu), {x});
+  const auto ge = g.add("gelu", std::make_unique<ActivationOp>(OpKind::kGelu), {r});
+  const auto s = g.add("scale", std::make_unique<ScaleOp>(2.0f), {ge});
+  g.add("reshape", std::make_unique<ReshapeOp>(Shape{-1}), {s});
+  const Tensor in({2, 2}, {1.0f, -1.0f, 0.5f, 3.0f});
+
+  const AllocCounterSnapshot before = alloc_counters_snapshot();
+  const Tensor y = g.forward(in);
+  const AllocCounterSnapshot spent = alloc_counters_snapshot().since(before);
+  EXPECT_EQ(spent.allocs, 1u);
+  EXPECT_EQ(spent.bytes, 4 * sizeof(float));
+
+  const Tensor relu = ActivationOp(OpKind::kRelu).forward(std::array{&in});
+  const Tensor gelu = ActivationOp(OpKind::kGelu).forward(std::array{&relu});
+  const Tensor want = ScaleOp(2.0f).forward(std::array{&gelu});
+  EXPECT_EQ(y.shape(), (Shape{4}));
+  EXPECT_EQ(values_of(y), values_of(want));
+  EXPECT_EQ(values_of(in), (std::vector<float>{1.0f, -1.0f, 0.5f, 3.0f}));
+}
+
+TEST(Graph, OperandReadByALaterNodeIsNotTaken) {
+  // relu reads fc1's value p, and add reads p again after relu: relu is
+  // not p's last reader, so it copies p and add sees p unchanged. scale
+  // and add each take their slot-0 operand.
+  Graph g = fanout_to_last();
+  const Tensor x({1, 2}, {3.0f, -2.0f});
+  const AllocCounterSnapshot before = alloc_counters_snapshot();
+  const Tensor y = g.forward(x);
+  EXPECT_EQ(alloc_counters_snapshot().since(before).allocs, 2u);  // fc1's output, relu's copy
+  EXPECT_EQ(values_of(y), (std::vector<float>{9.0f, -2.0f}));    // 2 * relu(p) + p
+}
+
+TEST(Graph, OutputIsNeverTakenAndTheOutputTapSeesValuesBeforeTakes) {
+  // relu is the graph's output and scale1 its last reader, so scale1
+  // copies it; scale2 takes scale1's value. The output tap sees each
+  // value as its op wrote it, before the next op takes it.
+  Graph g;
+  const auto x = g.add_input("x");
+  const auto r = g.add("relu", std::make_unique<ActivationOp>(OpKind::kRelu), {x});
+  const auto s1 = g.add("scale1", std::make_unique<ScaleOp>(2.0f), {r});
+  const auto s2 = g.add("scale2", std::make_unique<ScaleOp>(3.0f), {s1});
+  g.set_output(r);
+  std::map<Graph::NodeId, std::vector<float>> seen;
+  g.set_output_tap([&](Graph::NodeId id, const Tensor& v) { seen[id] = values_of(v); });
+  const Tensor in({3}, {1.0f, -1.0f, 2.0f});
+
+  const AllocCounterSnapshot before = alloc_counters_snapshot();
+  const Tensor y = g.forward(in);
+  EXPECT_EQ(alloc_counters_snapshot().since(before).allocs, 2u);  // relu's and scale1's copies
+  EXPECT_EQ(values_of(y), (std::vector<float>{1.0f, 0.0f, 2.0f}));
+  EXPECT_EQ(seen[r], values_of(y));
+  EXPECT_EQ(seen[s1], (std::vector<float>{2.0f, 0.0f, 4.0f}));
+  EXPECT_EQ(seen[s2], (std::vector<float>{6.0f, 0.0f, 12.0f}));
 }
 
 TEST(Graph, LivenessFanOutProducerReadByFirstAndLastOp) {
@@ -168,9 +236,10 @@ TEST(Graph, TappedForwardsTakeTurns) {
 
 TEST(Graph, ConcurrentForwardsShareOneCallerInput) {
   // Untapped forwards run at once on one caller tensor, which each reads
-  // in place through a ReLU and both slots of an Add. None may write or
-  // take it: every output equals the serial one and the input keeps its
-  // values (check_tsan runs this suite).
+  // in place through a ReLU, slot 1 of an Add, and a Scale that is its
+  // last reader. None may write or take it, though add and sum take their
+  // computed slot-0 operands: every output equals the serial one and the
+  // input keeps its values and its buffer (check_tsan runs this suite).
   struct ThreadCountGuard {
     ~ThreadCountGuard() { set_num_threads(0); }
   } guard;
@@ -178,14 +247,21 @@ TEST(Graph, ConcurrentForwardsShareOneCallerInput) {
   Graph g;
   const auto x = g.add_input("x");
   const auto r = g.add("relu", std::make_unique<ActivationOp>(OpKind::kRelu), {x});
-  g.add("add", std::make_unique<BinaryOp>(OpKind::kAdd), {x, r});
+  const auto a = g.add("add", std::make_unique<BinaryOp>(OpKind::kAdd), {r, x});
+  const auto s = g.add("scale", std::make_unique<ScaleOp>(0.5f), {x});
+  g.add("sum", std::make_unique<BinaryOp>(OpKind::kAdd), {a, s});
   Tensor in({256, 256});
   for (std::int64_t i = 0; i < in.numel(); ++i) in[i] = static_cast<float>(i % 7) - 3.0f;
   const std::vector<float> before = values_of(in);
+  const float* payload = in.data();
+
+  const AllocCounterSnapshot start = alloc_counters_snapshot();
   const std::vector<float> serial = values_of(g.forward(in));
+  EXPECT_EQ(alloc_counters_snapshot().since(start).allocs, 2u);  // relu's and scale's copies
   const std::vector<Tensor> ys = parallel_map(16, [&](std::int64_t) { return g.forward(in); });
   for (const Tensor& y : ys) EXPECT_EQ(values_of(y), serial);
   EXPECT_EQ(values_of(in), before);
+  EXPECT_EQ(in.data(), payload);
 }
 
 TEST(Graph, InputCountValidation) {
@@ -209,10 +285,10 @@ TEST(Graph, AddValidation) {
 TEST(Graph, InputTapReplacesValues) {
   Graph g = two_layer_mlp();
   int calls = 0;
-  const Graph::InputTap tap = [&](Graph::NodeId, int,
-                                  const Tensor& v) -> std::optional<Tensor> {
+  const Graph::InputTap tap = [&](Graph::NodeId, int slot,
+                                  const Operands& in) -> std::optional<Tensor> {
     ++calls;
-    Tensor t = v;
+    Tensor t = in.take(slot);
     t.scale(2.0f);
     return t;
   };
@@ -230,7 +306,7 @@ TEST(Graph, InputTapReplacesValues) {
 
 TEST(Graph, InputTapNulloptPassesThrough) {
   Graph g = two_layer_mlp();
-  const Graph::InputTap pass = [](Graph::NodeId, int, const Tensor&) { return std::nullopt; };
+  const Graph::InputTap pass = [](Graph::NodeId, int, const Operands&) { return std::nullopt; };
   Tensor x({1, 2}, {1.0f, 1.0f});
   EXPECT_FLOAT_EQ(g.forward(x, pass)[0], 2.0f);
   EXPECT_FLOAT_EQ(g.forward(x)[0], 2.0f);
@@ -245,9 +321,9 @@ TEST(Graph, TapReplacedOperandsAreMovedNotCopied) {
   const auto a = g.add_input("a");
   const auto b = g.add_input("b");
   g.add("mm", std::make_unique<MatMulOp>(), {a, b});
-  const Graph::InputTap tap = [](Graph::NodeId, int,
-                                 const Tensor& v) -> std::optional<Tensor> {
-    Tensor t = v;
+  const Graph::InputTap tap = [](Graph::NodeId, int slot,
+                                 const Operands& in) -> std::optional<Tensor> {
+    Tensor t = in[slot];
     t.scale(2.0f);
     return t;
   };
@@ -267,9 +343,10 @@ TEST(Graph, TapReplacedOperandsAreMovedNotCopied) {
 class OperandLogOp final : public Op {
  public:
   explicit OperandLogOp(std::vector<const Tensor*>* log) : log_(log) {}
-  Tensor forward(std::span<const Tensor* const> inputs) override {
-    log_->insert(log_->end(), inputs.begin(), inputs.end());
-    return *inputs[0];
+  Tensor forward(const Operands& in) override {
+    log_->push_back(&in[0]);
+    log_->push_back(&in[1]);
+    return in[0];
   }
   [[nodiscard]] OpKind kind() const override { return OpKind::kAdd; }
   [[nodiscard]] int arity() const override { return 2; }
@@ -306,9 +383,9 @@ TEST(Graph, UntouchedOperandsAreTheCallersInputsAndTheProducersValues) {
 
   log.clear();
   const Graph::InputTap first_slot = [](Graph::NodeId, int slot,
-                                        const Tensor& v) -> std::optional<Tensor> {
+                                        const Operands& in) -> std::optional<Tensor> {
     if (slot != 0) return std::nullopt;
-    return v;
+    return in[0];
   };
   (void)g.forward(ins, first_slot);
   ASSERT_EQ(log.size(), 6u);
@@ -344,8 +421,8 @@ TEST(Graph, OutputThatIsAnInputIsReturnedAsACopy) {
   g.add("relu", std::make_unique<ActivationOp>(OpKind::kRelu), {x});
   g.set_output(x);
   const Tensor* read = nullptr;
-  const Graph::InputTap record = [&](Graph::NodeId, int, const Tensor& v) {
-    read = &v;
+  const Graph::InputTap record = [&](Graph::NodeId, int slot, const Operands& in) {
+    read = &in[slot];
     return std::nullopt;
   };
   const Tensor in({3}, {1.5f, -1.0f, 2.0f});

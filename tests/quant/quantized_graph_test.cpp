@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "nn/norm.h"
 #include "nn/shape_ops.h"
 #include "nn/embedding.h"
+#include "obs/memory.h"
 #include "quant/smoothquant.h"
 #include "tensor/rng.h"
 #include "tensor/stats.h"
@@ -282,6 +284,41 @@ TEST(QuantizedGraph, E5M2NeedsNoCalibration) {
   EXPECT_EQ(y.numel(), 4 * 16);
   // No clips recorded (no range calibration for E5M2).
   EXPECT_EQ(qg.activation_clip(2, 0), 0.0f);
+}
+
+TEST(QuantizedGraph, SecondLinearCastsItsInputInPlace) {
+  // fc2 is the last reader of fc1's output, so its input fake-quant takes
+  // that tensor and casts it in place. A forward allocates the cast copy
+  // of the caller's input and the two Linear outputs, and no copy of fc1's
+  // output, with the bits of casting each input by hand.
+  Rng rng(47);
+  Graph g;
+  const auto x = g.add_input("x");
+  const auto fc1 = g.add(
+      "fc1", std::make_unique<LinearOp>(randn(rng, {16, 16}, 0.0f, 0.3f), Tensor{}), {x});
+  const auto fc2 = g.add(
+      "fc2", std::make_unique<LinearOp>(randn(rng, {16, 16}, 0.0f, 0.3f), Tensor{}), {fc1});
+  ModelQuantConfig cfg;
+  cfg.scheme = standard_fp8_scheme(DType::kE5M2);
+  QuantizedGraph qg(&g, cfg);
+  qg.prepare(std::span<const Tensor>{});
+  const Tensor in = randn(rng, {4, 16});
+
+  const AllocCounterSnapshot before = alloc_counters_snapshot();
+  const Tensor y = qg.forward(in);
+  EXPECT_EQ(alloc_counters_snapshot().since(before).allocs, 3u);
+
+  const QuantParams direct = make_activation_params(DType::kE5M2, 1.0f);
+  Tensor a = in;
+  apply_quant_inplace(a, direct);
+  Tensor h = g.node(fc1).op->forward(std::array{&a});
+  apply_quant_inplace(h, direct);
+  const Tensor want = g.node(fc2).op->forward(std::array{&h});
+  ASSERT_EQ(y.shape(), want.shape());
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(y[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << "element " << i;
+  }
 }
 
 TEST(QuantizedGraph, StaticCalibrationRecordsClips) {

@@ -147,6 +147,23 @@ TEST(ReportDiff, MemoryGrowthGates) {
   EXPECT_EQ(report_cli::diff_reports(base, cand, t, out2), 2);
 }
 
+TEST(ReportDiff, AllocationCountGateFailsAtEqualBytes) {
+  // The same bytes over one more allocation: the bytes line passes and
+  // the count line fails, under the same limit.
+  RunReport base = sample_report();
+  RunReport cand = sample_report();
+  cand.memory.allocs = 11;
+  DiffThresholds t;
+  t.max_alloc_growth_pct = 0.0;
+  std::ostringstream out;
+  EXPECT_EQ(report_cli::diff_reports(base, cand, t, out), 1);
+  EXPECT_NE(out.str().find("tensor alloc bytes 1000 -> 1000"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("tensor allocations 10 -> 11"), std::string::npos) << out.str();
+  // Fewer allocations pass this direction; the reverse diff fails them.
+  std::ostringstream reverse;
+  EXPECT_EQ(report_cli::diff_reports(cand, base, t, reverse), 0) << reverse.str();
+}
+
 TEST(ReportDiff, AccuracyAndPassRateGates) {
   RunReport base = sample_report();
   RunReport cand = sample_report();

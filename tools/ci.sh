@@ -17,15 +17,18 @@
 #      (docs/PERFORMANCE.md, docs/OBSERVABILITY.md); bench_kernels calls
 #      the cast kernels without a tally, so its counters are all zero.
 #      `objdump -d` of the gemm, tanh, cast_fast and int8 objects must
-#      hold no vfmadd (every tier rounds each multiply and add on its own).
+#      hold no vfmadd (every tier rounds each multiply and add on its own),
+#      and the tanh object no vpextrd or vpinsrd (its 64-byte body stays
+#      in vector registers); then `check_tanh_exhaustive` compares every
+#      tier of the tanh kernel with the scalar replica on all 2^32 floats.
 #      Then the Table 2 bit-identity gates: bench_table2_passrate --quick at the
 #      default thread count and tier, against FP8Q_NUM_THREADS=1 and
 #      against FP8Q_ISA=scalar, FP8Q_ISA=batched and, where the CPU runs
 #      it, FP8Q_ISA=native (the cast, GEMM and tanh kernels' cross-tier
 #      contract; each pinned report must name the pinned tier), each
-#      diffed at zero counter drift, zero tensor-allocation growth and
-#      zero accuracy drop in both directions, so an accuracy or an
-#      allocation total that moves either way fails, as does a record
+#      diffed at zero counter drift, zero tensor-allocation growth (bytes
+#      and count) and zero accuracy drop in both directions, so an accuracy
+#      or an allocation total that moves either way fails, as does a record
 #      present in only one run. Then the tuner's
 #      thread-count gate: `fp8q_cli tune nlp/lm-extreme-3 E4M3` (the full
 #      ladder, both fallback stages and node sensitivity) at
@@ -116,6 +119,18 @@ for obj in nn/CMakeFiles/fp8q_nn.dir/gemm.cpp.o nn/CMakeFiles/fp8q_nn.dir/tanh.c
     exit 1
   fi
 done
+# GCC 12 scalarizes tanh's 64-byte body (lane extracts and inserts) if a
+# select tests the OR of two lane compares; each range test is one
+# unsigned compare instead (src/nn/tanh.cpp, docs/KERNELS.md).
+objdump -d "$PREFIX/src/nn/CMakeFiles/fp8q_nn.dir/tanh.cpp.o" > "$PREFIX/kernel.dis"
+lane=$(grep -cE 'vpextrd|vpinsrd' "$PREFIX/kernel.dis" || true)
+if [[ $lane != 0 ]]; then
+  echo "ci: tanh.cpp.o holds $lane vpextrd/vpinsrd instructions" >&2
+  exit 1
+fi
+# Every tier of the tanh kernel against the scalar fdlibm replica on all
+# 2^32 floats, under Tanh and GELU's shared vector body.
+cmake --build "$PREFIX" --target check_tanh_exhaustive
 
 # Second instrumented run, diffed against the first: wall time and memory
 # may wobble but not explode. bench_kernels calls the cast kernels

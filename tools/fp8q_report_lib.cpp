@@ -261,13 +261,17 @@ int diff_reports(const RunReport& base, const RunReport& candidate,
   }
 
   if (t.max_alloc_growth_pct >= 0.0) {
-    const double g = growth_pct(static_cast<double>(base.memory.alloc_bytes),
-                                static_cast<double>(candidate.memory.alloc_bytes));
-    std::ostringstream line;
-    line << "tensor alloc bytes " << base.memory.alloc_bytes << " -> "
-         << candidate.memory.alloc_bytes << " (" << pct(g) << ", limit +"
-         << t.max_alloc_growth_pct << "%)";
-    gate.check(g > t.max_alloc_growth_pct, line.str());
+    // Bytes and allocation counts, each under the same limit, so more
+    // allocations of the same total bytes fail too.
+    const auto alloc_gate = [&](const char* what, std::uint64_t b, std::uint64_t c) {
+      const double g = growth_pct(static_cast<double>(b), static_cast<double>(c));
+      std::ostringstream line;
+      line << "tensor " << what << " " << b << " -> " << c << " (" << pct(g) << ", limit +"
+           << t.max_alloc_growth_pct << "%)";
+      gate.check(g > t.max_alloc_growth_pct, line.str());
+    };
+    alloc_gate("alloc bytes", base.memory.alloc_bytes, candidate.memory.alloc_bytes);
+    alloc_gate("allocations", base.memory.allocs, candidate.memory.allocs);
   }
 
   if (t.max_rss_growth_pct >= 0.0) {

@@ -21,7 +21,8 @@ struct DiffThresholds {
   /// Per-stage wall-time growth, percent of the baseline stage. Stages
   /// are matched by name; unmatched stages are reported but never fail.
   double max_wall_regress_pct = -1.0;
-  /// Growth of total tensor-allocation bytes ("memory.alloc_bytes"), pct.
+  /// Growth of total tensor-allocation bytes ("memory.alloc_bytes") and,
+  /// under the same limit, of their count ("memory.allocs"), pct.
   double max_alloc_growth_pct = -1.0;
   /// Growth of peak RSS ("memory.peak_rss_bytes"), percent.
   double max_rss_growth_pct = -1.0;
