@@ -15,7 +15,10 @@
 //     kernels, padding 1, 12 channels), dense and depthwise, the same way;
 //   * the GELU kernel (nn/tanh.h) over 1 Mi floats, and over the 262,144
 //     (1024 rows by 256 features) of bert-large-cola-ish's FFN activation,
-//     which fits in cache as the transformer models run it, the same way.
+//     which fits in cache as the transformer models run it, the same way;
+//   * LayerNormOp::forward (nn/norm.h) over 1024 rows of 64 features and
+//     1280 rows of 48, the LayerNorm shapes of serve's two models, the
+//     same way.
 //
 // Everything runs on one thread.
 //
@@ -38,6 +41,7 @@
 #include "nn/conv.h"
 #include "nn/gemm.h"
 #include "nn/matmul.h"
+#include "nn/norm.h"
 #include "nn/tanh.h"
 #include "obs/trace.h"
 #include "tensor/rng.h"
@@ -207,11 +211,9 @@ struct ConvResult {
   double gflops;
 };
 
-/// GFLOP/s of Conv2dOp::forward at `tier`, from one timing that repeats
-/// the call until it has lasted `min_seconds`. The flops are the conv's
-/// own 2 * taps per output, not the GEMM's.
-double time_conv(IsaTier tier, Conv2dOp& op, const Tensor& x, double flops,
-                 double min_seconds) {
+/// Calls/s of `op.forward(x)` at `tier`, from one timing that repeats the
+/// call until it has lasted `min_seconds`.
+double forwards_per_sec(IsaTier tier, Op& op, const Tensor& x, double min_seconds) {
   set_isa_tier(tier);
   volatile float sink = 0.0f;
   const std::uint64_t t0 = obs_now_ns();
@@ -223,13 +225,14 @@ double time_conv(IsaTier tier, Conv2dOp& op, const Tensor& x, double flops,
     elapsed = seconds_since(t0);
   } while (elapsed < min_seconds);
   (void)sink;
-  return flops * calls / elapsed / 1e9;
+  return calls / elapsed;
 }
 
 /// A conv of `channels` -> `channels` in `groups` groups over a batch of
-/// `n` images of the suite's shape, at the scalar reference tier and at
-/// the dispatched tier, best of `reps` alternating timings each, as
-/// measure_gemm does.
+/// `n` images of the suite's shape, in GFLOP/s at the scalar reference
+/// tier and at the dispatched tier, best of `reps` alternating timings
+/// each, as measure_gemm does. The flops are the conv's own 2 * taps per
+/// output, not the GEMM's.
 ConvResult measure_conv(std::int64_t n, std::int64_t channels, std::int64_t groups,
                         double min_seconds, int reps) {
   Rng rng(37);
@@ -241,9 +244,10 @@ ConvResult measure_conv(std::int64_t n, std::int64_t channels, std::int64_t grou
   const IsaTier dispatched = isa_tier();
   ConvResult result{n, channels, groups, 0.0, 0.0};
   for (int r = 0; r < reps; ++r) {
-    result.scalar_gflops = std::max(result.scalar_gflops,
-                                    time_conv(IsaTier::kScalar, op, x, flops, min_seconds));
-    result.gflops = std::max(result.gflops, time_conv(dispatched, op, x, flops, min_seconds));
+    result.scalar_gflops = std::max(
+        result.scalar_gflops, flops * forwards_per_sec(IsaTier::kScalar, op, x, min_seconds) / 1e9);
+    result.gflops =
+        std::max(result.gflops, flops * forwards_per_sec(dispatched, op, x, min_seconds) / 1e9);
   }
   reset_isa_tier();
   return result;
@@ -286,6 +290,34 @@ GeluResult measure_gelu(std::int64_t n, double min_seconds, int reps) {
     result.elems_per_sec =
         std::max(result.elems_per_sec, time_gelu(gelu_kernel(isa_tier()), in, buf, min_seconds));
   }
+  return result;
+}
+
+struct LayerNormResult {
+  std::int64_t rows, d;
+  double scalar_elems_per_sec;
+  double elems_per_sec;
+};
+
+/// LayerNorm over `rows` rows of `d` features, in elements/s at the scalar
+/// reference tier and at the dispatched tier, best of `reps` alternating
+/// timings each, as measure_gemm does.
+LayerNormResult measure_layernorm(std::int64_t rows, std::int64_t d, double min_seconds,
+                                  int reps) {
+  Rng rng(41);
+  const Tensor x = randn(rng, {rows, d});
+  LayerNormOp op(randn(rng, {d}), randn(rng, {d}, 0.0f, 0.1f));
+  const IsaTier dispatched = isa_tier();
+  const auto elems = static_cast<double>(x.numel());
+  LayerNormResult result{rows, d, 0.0, 0.0};
+  for (int r = 0; r < reps; ++r) {
+    result.scalar_elems_per_sec =
+        std::max(result.scalar_elems_per_sec,
+                 elems * forwards_per_sec(IsaTier::kScalar, op, x, min_seconds));
+    result.elems_per_sec =
+        std::max(result.elems_per_sec, elems * forwards_per_sec(dispatched, op, x, min_seconds));
+  }
+  reset_isa_tier();
   return result;
 }
 
@@ -351,6 +383,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<LayerNormResult> layernorms;
+  {
+    ScopedStage stage("kernels/layernorm");
+    for (const auto [rows, d] : {std::array<std::int64_t, 2>{1024, 64}, {1280, 48}}) {
+      layernorms.push_back(measure_layernorm(rows, d, smoke ? 0.02 : 0.2, 5));
+    }
+  }
+
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_kernels: cannot write %s\n", out_path.c_str());
@@ -408,6 +448,16 @@ int main(int argc, char** argv) {
                  static_cast<long long>(g.n), g.scalar_elems_per_sec, g.elems_per_sec,
                  g.elems_per_sec / g.scalar_elems_per_sec, i + 1 < gelus.size() ? "," : "");
   }
+  std::fprintf(f, "  ],\n  \"layernorm\": [\n");
+  for (std::size_t i = 0; i < layernorms.size(); ++i) {
+    const auto& l = layernorms[i];
+    std::fprintf(f,
+                 "    {\"rows\": %lld, \"d\": %lld, \"scalar_elems_per_sec\": %.3e, "
+                 "\"elems_per_sec\": %.3e, \"speedup\": %.2f}%s\n",
+                 static_cast<long long>(l.rows), static_cast<long long>(l.d),
+                 l.scalar_elems_per_sec, l.elems_per_sec,
+                 l.elems_per_sec / l.scalar_elems_per_sec, i + 1 < layernorms.size() ? "," : "");
+  }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 
@@ -438,6 +488,12 @@ int main(int argc, char** argv) {
     std::printf("  gelu n=%lld [%s]: %.3e elem/s  scalar %.3e elem/s  (%.2fx)\n",
                 static_cast<long long>(g.n), isa_label(), g.elems_per_sec,
                 g.scalar_elems_per_sec, g.elems_per_sec / g.scalar_elems_per_sec);
+  }
+  for (const auto& l : layernorms) {
+    std::printf("  layernorm %lldx%lld [%s]: %.3e elem/s  scalar %.3e elem/s  (%.2fx)\n",
+                static_cast<long long>(l.rows), static_cast<long long>(l.d), isa_label(),
+                l.elems_per_sec, l.scalar_elems_per_sec,
+                l.elems_per_sec / l.scalar_elems_per_sec);
   }
   // The perf gate itself lives in `fp8q_report check-bench` (tools/ci.sh),
   // which reads the JSON written above and applies explicit thresholds;

@@ -1,23 +1,26 @@
-// Runtime CPU dispatch for the cast, GEMM and tanh kernels
+// Runtime CPU dispatch for the cast, GEMM, tanh and LayerNorm kernels
 // (docs/KERNELS.md): the tier switch, the CPU probes and the target
 // wrappers, in one place.
 //
 // The fake-quant casts every quantized op runs (fp8_quantize_batch in
 // fp8/cast_fast.h, int8_quantize_batch in fp8/int8.h), the f32 GEMM kernel
-// under Linear, MatMul and Conv2d (nn/gemm.h) and the tanh kernel under
-// Tanh and GELU (nn/tanh.h) each come in four tiers that produce
-// bit-identical results (outputs and cast event tallies) and differ only
-// in speed:
+// under Linear, MatMul and Conv2d (nn/gemm.h), the tanh kernel under
+// Tanh and GELU (nn/tanh.h) and LayerNorm's rows (nn/norm.h) each come
+// in four tiers that produce bit-identical results (outputs and cast
+// event tallies) and differ only in speed:
 //
 //   kScalar   portable reference: plain loops (the casts one
 //             fp8_quantize_fast or int8_encode/int8_decode per element;
 //             the GEMM one row at a time; tanh a transcription of
-//             fdlibm's branches). The bit-exactness anchor every other
-//             tier is tested against.
+//             fdlibm's branches; LayerNorm each row's mean and variance
+//             summed serially in double). The bit-exactness anchor every
+//             other tier is tested against.
 //   kBatched  the kernel's vector body at 16 bytes (SSE2 on x86-64, NEON
 //             on AArch64): an auto-vectorized loop for the casts, GCC
-//             vector extensions for the GEMM and tanh. Works on every
-//             target; the default when no wider tier runs.
+//             vector extensions for the GEMM, tanh and LayerNorm, whose
+//             body puts one row in each double lane and sums it in the
+//             reference's order. Works on every target; the default when
+//             no wider tier runs.
 //   kNative   the same vector body at 32 bytes, compiled for AVX2 (not
 //             FMA) on x86-64.
 //   kWide     the same vector body at 64 bytes, compiled for AVX-512 F

@@ -1,6 +1,7 @@
 #include "nn/conv.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -53,7 +54,7 @@ Tensor Conv2dOp::forward(const Operands& in) {
   const std::int64_t ow = (w + 2 * padding_ - kw) / stride_ + 1;
   if (oh < 1 || ow < 1) throw std::invalid_argument("Conv2dOp: output would be empty");
 
-  Tensor y({n, oc, oh, ow});
+  Tensor y = Tensor::unfilled({n, oc, oh, ow});  // every output is copied out of a grid
   const float* xd = x.data();
   const float* wd = weight_.data();
   const float* bd = bias_.empty() ? nullptr : bias_.data();
@@ -82,8 +83,9 @@ Tensor Conv2dOp::forward(const Operands& in) {
     }
   }
   // Only the image interiors are ever written, so the border stays zero.
+  // The grid is bias-filled before each GEMM, so it starts unwritten.
   std::vector<float> padded(static_cast<std::size_t>(icg * plane), 0.0f);
-  std::vector<float> grid(static_cast<std::size_t>(ocg * cols));
+  const auto grid = std::make_unique_for_overwrite<float[]>(static_cast<std::size_t>(ocg * cols));
   const GemmKernel kernel = gemm_kernel(isa_tier());
   for (std::int64_t b = 0; b < n; ++b) {
     for (std::int64_t g = 0; g < groups_; ++g) {
@@ -93,11 +95,11 @@ Tensor Conv2dOp::forward(const Operands& in) {
         for (std::int64_t iy = 0; iy < h; ++iy) std::copy_n(xplane + iy * w, w, dst + iy * wp);
       }
       for (std::int64_t o = 0; o < ocg; ++o) {
-        std::fill_n(grid.data() + o * cols, cols, bd != nullptr ? bd[g * ocg + o] : 0.0f);
+        std::fill_n(grid.get() + o * cols, cols, bd != nullptr ? bd[g * ocg + o] : 0.0f);
       }
-      kernel(wd + g * ocg * taps, padded.data(), tap_offsets.data(), grid.data(), ocg, cols, taps);
+      kernel(wd + g * ocg * taps, padded.data(), tap_offsets.data(), grid.get(), ocg, cols, taps);
       for (std::int64_t o = 0; o < ocg; ++o) {
-        const float* src = grid.data() + o * cols;
+        const float* src = grid.get() + o * cols;
         float* yplane = yd + (b * oc + g * ocg + o) * oh * ow;
         for (std::int64_t oy = 0; oy < oh; ++oy) {
           for (std::int64_t ox = 0; ox < ow; ++ox) {

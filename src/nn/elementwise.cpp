@@ -86,7 +86,7 @@ Tensor SoftmaxOp::forward(const Operands& in) {
   if (x.dim() < 1) throw std::invalid_argument("SoftmaxOp: rank must be >= 1");
   const std::int64_t d = x.size(-1);
   const std::int64_t rows = x.numel() / d;
-  Tensor y(x.shape());
+  Tensor y = Tensor::unfilled(x.shape());  // every row is written below
   const float* xd = x.data();
   float* yd = y.data();
   for (std::int64_t r = 0; r < rows; ++r) {

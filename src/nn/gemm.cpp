@@ -185,8 +185,18 @@ void GemmKernel::operator()(const float* a, const float* b, const std::int64_t* 
 }
 
 void transpose(const float* src, std::int64_t rows, std::int64_t cols, float* dst) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * cols + c];
+  // In square tiles, so the lines a tile reads and the lines it writes
+  // both stay in L1: column by column over the whole matrix, every store
+  // lands on a new line (a [256, 64] weight ran 6x slower).
+  constexpr std::int64_t kTile = 16;
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::int64_t r1 = std::min(rows, r0 + kTile);
+    for (std::int64_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::int64_t c1 = std::min(cols, c0 + kTile);
+      for (std::int64_t r = r0; r < r1; ++r) {
+        for (std::int64_t c = c0; c < c1; ++c) dst[c * rows + r] = src[r * cols + c];
+      }
+    }
   }
 }
 

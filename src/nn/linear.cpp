@@ -1,6 +1,7 @@
 #include "nn/linear.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -34,19 +35,24 @@ Tensor LinearOp::forward(const Operands& operands) {
 
   Shape out_shape = x.shape();
   out_shape.back() = out;
-  Tensor y(std::move(out_shape));
+  Tensor y = Tensor::unfilled(std::move(out_shape));
 
-  // The kernel's b operand is k-major: W^T as [in, out].
-  std::vector<float> wt(static_cast<std::size_t>(in * out));
-  transpose(weight_.data(), out, in, wt.data());
+  // The kernel's b operand is k-major: W^T as [in, out], scratch that
+  // the transpose writes in full.
+  const auto wt = std::make_unique_for_overwrite<float[]>(static_cast<std::size_t>(in * out));
+  transpose(weight_.data(), out, in, wt.get());
 
-  const float* xd = x.data();
+  // The GEMM adds into y: each row starts as the bias, or zeros.
   const float* bd = bias_.empty() ? nullptr : bias_.data();
   float* yd = y.data();
-  if (bd != nullptr) {
-    for (std::int64_t r = 0; r < rows; ++r) std::copy(bd, bd + out, yd + r * out);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    if (bd != nullptr) {
+      std::copy_n(bd, out, yd + r * out);
+    } else {
+      std::fill_n(yd + r * out, out, 0.0f);
+    }
   }
-  gemm_kernel(isa_tier())(xd, wt.data(), yd, rows, out, in);
+  gemm_kernel(isa_tier())(x.data(), wt.get(), yd, rows, out, in);
   return y;
 }
 

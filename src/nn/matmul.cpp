@@ -1,8 +1,8 @@
 #include "nn/matmul.h"
 
+#include <memory>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "nn/gemm.h"
 
@@ -45,15 +45,15 @@ Tensor MatMulOp::forward(const Operands& in) {
 
   // The kernel wants each batch's B as [k, n], which is B's own layout
   // unless transpose_b_ is set; then each [n, k] slice is transposed once
-  // per call into scratch.
-  std::vector<float> bt;
+  // per call into scratch the transposes write in full. y keeps its
+  // zeros: the GEMM adds into it.
+  std::unique_ptr<float[]> bt;
   if (transpose_b_) {
-    bt.resize(static_cast<std::size_t>(b.numel()));
-    float* td = bt.data();
+    bt = std::make_unique_for_overwrite<float[]>(static_cast<std::size_t>(b.numel()));
     for (std::int64_t bi = 0; bi < batch; ++bi) {
-      transpose(bd + bi * b_stride, n, k, td + bi * b_stride);
+      transpose(bd + bi * b_stride, n, k, bt.get() + bi * b_stride);
     }
-    bd = td;
+    bd = bt.get();
   }
 
   const GemmKernel kernel = gemm_kernel(isa_tier());

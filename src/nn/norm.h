@@ -1,5 +1,11 @@
 // LayerNorm and BatchNorm2d.
 //
+// LayerNorm's rows run through run_tier (core/cpu_dispatch.h, on
+// isa_tier()): the scalar reference sums each row's mean and variance
+// serially in double, and the vector tiers put one row in each double
+// lane and sum it in the same order, so every tier gives the reference's
+// bits (docs/KERNELS.md).
+//
 // BatchNorm2d supports a calibration mode used by the paper's BatchNorm
 // Calibration step (section 3, Sun et al. 2019): while calibrating, the op
 // re-estimates its running mean/variance from the (quantized) activations

@@ -1,5 +1,6 @@
 #include "quant/quantized_graph.h"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
@@ -61,27 +62,43 @@ bool QuantizedGraph::slot_quantized(Graph::NodeId id, int slot) const {
   return true;
 }
 
-void QuantizedGraph::run_smoothquant(std::span<const std::vector<Tensor>> calib_batches) {
-  TraceSpan span("qgraph/smoothquant");
-  // Collect per-channel absmax of every quantized Linear's input.
-  std::map<Graph::NodeId, std::vector<float>> act_cmax;
+namespace {
+
+/// acc[j] = max(acc[j], channel_max[j]), from zeros when acc is new.
+void merge_channels(std::vector<float>& acc, std::span<const float> channel_max) {
+  if (acc.empty()) acc.assign(channel_max.size(), 0.0f);
+  for (size_t j = 0; j < channel_max.size() && j < acc.size(); ++j) {
+    acc[j] = std::max(acc[j], channel_max[j]);
+  }
+}
+
+}  // namespace
+
+SmoothQuantStats smoothquant_statistics(Graph& graph,
+                                        std::span<const std::vector<Tensor>> calib_batches) {
+  TraceSpan span("qgraph/smoothquant-statistics");
+  SmoothQuantStats stats;
   const Graph::InputTap tap = [&](Graph::NodeId id, int slot,
                                   const Operands& in) -> std::optional<Tensor> {
-    if (slot == 0 && quantized_nodes_.contains(id) &&
-        graph_->node(id).kind == OpKind::kLinear && in[0].dim() >= 1) {
-      const auto cm = absmax_per_channel(in[0], -1);
-      auto& acc = act_cmax[id];
-      if (acc.empty()) acc.assign(cm.size(), 0.0f);
-      for (size_t j = 0; j < cm.size() && j < acc.size(); ++j) {
-        acc[j] = std::max(acc[j], cm[j]);
-      }
+    if (slot == 0 && graph.node(id).kind == OpKind::kLinear && in[0].dim() >= 1) {
+      merge_channels(stats[id], absmax_per_channel(in[0], -1));
     }
     return std::nullopt;
   };
-  for (const auto& batch : calib_batches) (void)graph_->forward(batch, tap);
+  for (const auto& batch : calib_batches) (void)graph.forward(batch, tap);
+  return stats;
+}
 
-  // Fold: W' = W * s, remember s so forward divides the activation.
-  for (auto& [id, cmax] : act_cmax) {
+void merge_smoothquant_statistics(SmoothQuantStats& into, const SmoothQuantStats& batch) {
+  for (const auto& [id, channel_max] : batch) merge_channels(into[id], channel_max);
+}
+
+void QuantizedGraph::run_smoothquant(const SmoothQuantStats& stats) {
+  TraceSpan span("qgraph/smoothquant");
+  // Fold each quantized Linear's statistics: W' = W * s, and remember s so
+  // forward divides the activation.
+  for (const auto& [id, cmax] : stats) {
+    if (!quantized_nodes_.contains(id)) continue;
     auto* op = graph_->node(id).op.get();
     auto ws = op->weights();
     if (ws.empty()) continue;
@@ -167,6 +184,16 @@ void QuantizedGraph::calibrate_batchnorm(
 }
 
 void QuantizedGraph::prepare(std::span<const std::vector<Tensor>> calib_batches) {
+  run_pipeline(calib_batches, nullptr);
+}
+
+void QuantizedGraph::prepare(std::span<const std::vector<Tensor>> calib_batches,
+                             const SmoothQuantStats& smoothquant_stats) {
+  run_pipeline(calib_batches, &smoothquant_stats);
+}
+
+void QuantizedGraph::run_pipeline(std::span<const std::vector<Tensor>> calib_batches,
+                                  const SmoothQuantStats* stats) {
   TraceSpan span("qgraph/prepare");
   if (prepared_) {
     throw std::logic_error(
@@ -182,7 +209,11 @@ void QuantizedGraph::prepare(std::span<const std::vector<Tensor>> calib_batches)
                                 " needs calibration batches, got none");
   }
 
-  if (config_.scheme.smoothquant) run_smoothquant(calib_batches);
+  if (config_.scheme.smoothquant && stats != nullptr) {
+    run_smoothquant(*stats);
+  } else if (config_.scheme.smoothquant) {
+    run_smoothquant(smoothquant_statistics(*graph_, calib_batches));
+  }
   quantize_weights();
   if (needs_range_calibration) calibrate_activations(calib_batches);
 

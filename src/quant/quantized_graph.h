@@ -2,7 +2,9 @@
 // paper Figure 2 applied to one Graph.
 //
 // prepare() runs the pipeline once, rewriting the graph in place:
-//   1. (NLP, optional) SmoothQuant statistics pass + weight folding
+//   1. (NLP, optional) SmoothQuant weight folding, from statistics the
+//      caller gives (smoothquant_statistics of the FP32 model, which an
+//      EvalPlan computes once) or computed first on the calibration set
 //   2. per-channel weight fake-quantization
 //   3. static range calibration of activations (skipped for E5M2 direct
 //      quantization and for dynamic mode)
@@ -14,7 +16,9 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "nn/graph.h"
 #include "quant/quantizer.h"
@@ -50,6 +54,23 @@ struct ModelQuantConfig {
 [[nodiscard]] double quantized_compute_fraction(const Graph& graph,
                                                 const ModelQuantConfig& config);
 
+/// Per-channel input absmax of each Linear node of a graph over a
+/// calibration set: SmoothQuant's activation statistics.
+using SmoothQuantStats = std::map<Graph::NodeId, std::vector<float>>;
+
+/// Runs one forward of `graph` per calibration batch and records every
+/// Linear node's per-channel input absmax, max-merged over the batches
+/// into a zero start. The statistics depend only on the FP32 model and
+/// the data, not on any config: prepare() folds those of the Linears it
+/// quantizes.
+[[nodiscard]] SmoothQuantStats smoothquant_statistics(
+    Graph& graph, std::span<const std::vector<Tensor>> calib_batches);
+
+/// Max-merges `batch` into `into`, channel by channel, as
+/// smoothquant_statistics merges its batches: statistics computed one
+/// batch at a time and merged in batch order equal those of the set.
+void merge_smoothquant_statistics(SmoothQuantStats& into, const SmoothQuantStats& batch);
+
 class QuantizedGraph {
  public:
   /// The graph must outlive this object. prepare() quantizes it in place:
@@ -66,7 +87,15 @@ class QuantizedGraph {
   /// std::logic_error and leaves the graph as it is. Throws
   /// std::invalid_argument when the set is empty and the scheme needs
   /// data (static E4M3/E3M4/INT8 range calibration, or SmoothQuant).
+  /// With SmoothQuant on, computes smoothquant_statistics of the graph on
+  /// the set first.
   void prepare(std::span<const std::vector<Tensor>> calib_batches);
+
+  /// prepare() with SmoothQuant statistics already computed on this
+  /// graph's FP32 model and set (an EvalPlan's): folds them for the
+  /// quantized Linears and runs no statistics forward.
+  void prepare(std::span<const std::vector<Tensor>> calib_batches,
+               const SmoothQuantStats& smoothquant_stats);
 
   /// Convenience for single-input graphs.
   void prepare(std::span<const Tensor> calib_batches);
@@ -83,7 +112,10 @@ class QuantizedGraph {
   [[nodiscard]] float activation_clip(Graph::NodeId id, int slot) const;
 
  private:
-  void run_smoothquant(std::span<const std::vector<Tensor>> calib_batches);
+  /// Both prepare()s: `stats` is null when they are to be computed.
+  void run_pipeline(std::span<const std::vector<Tensor>> calib_batches,
+                    const SmoothQuantStats* stats);
+  void run_smoothquant(const SmoothQuantStats& stats);
   void quantize_weights();
   void calibrate_activations(std::span<const std::vector<Tensor>> calib_batches);
   void calibrate_batchnorm(std::span<const std::vector<Tensor>> calib_batches);

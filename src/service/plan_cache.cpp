@@ -13,10 +13,13 @@ std::size_t tensor_bytes(const std::vector<Tensor>& tensors) {
 }
 
 /// The plan's tensor bytes: prototype weights, calibration batches,
-/// perturbed inputs and teacher outputs.
+/// SmoothQuant statistics, perturbed inputs and teacher outputs.
 std::size_t plan_bytes(const EvalPlan& plan) {
   std::size_t bytes = static_cast<std::size_t>(plan.prototype.param_count()) * sizeof(float);
   for (const auto& batch : plan.calib) bytes += tensor_bytes(batch);
+  for (const auto& [id, channel_max] : plan.smoothquant_stats) {
+    bytes += channel_max.size() * sizeof(float);
+  }
   for (const EvalPlan::PlanBatch& batch : plan.batches) {
     bytes += tensor_bytes(batch.perturbed);
     bytes += static_cast<std::size_t>(batch.clean_fp32_out.numel()) * sizeof(float);

@@ -1,5 +1,7 @@
 #include "tensor/tensor.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <numeric>
 #include <sstream>
@@ -23,13 +25,24 @@ Tensor::Tensor(Shape shape)
   alloc_counter_add(data_.size() * sizeof(float));
 }
 
+Tensor Tensor::unfilled(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.data_.resize(static_cast<size_t>(shape_numel(t.shape_)));
+#if defined(__SANITIZE_ADDRESS__)
+  std::fill(t.data_.begin(), t.data_.end(), std::bit_cast<float>(0x7fc0dead));
+#endif
+  alloc_counter_add(t.data_.size() * sizeof(float));
+  return t;
+}
+
 Tensor::Tensor(Shape shape, float value)
     : shape_(std::move(shape)), data_(static_cast<size_t>(shape_numel(shape_)), value) {
   alloc_counter_add(data_.size() * sizeof(float));
 }
 
 Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
+    : shape_(std::move(shape)), data_(data.begin(), data.end()) {
   if (static_cast<std::int64_t>(data_.size()) != shape_numel(shape_)) {
     throw std::invalid_argument("data size does not match shape");
   }

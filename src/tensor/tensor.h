@@ -7,13 +7,42 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace fp8q {
 
 using Shape = std::vector<std::int64_t>;
+
+/// std::allocator, except that a value-initializing construct (what
+/// vector(n) and resize(n) call) leaves the element default-initialized:
+/// for a float, unwritten. Tensor's payload uses it, so only the
+/// constructors that ask for a fill pay for one.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 class Tensor {
  public:
@@ -41,6 +70,12 @@ class Tensor {
 
   [[nodiscard]] static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   [[nodiscard]] static Tensor full(Shape shape, float v) { return {std::move(shape), v}; }
+
+  /// Allocates a tensor whose elements are left unwritten, counted as
+  /// Tensor(Shape) is. For outputs the caller then writes in full. In an
+  /// AddressSanitizer build every element starts as a NaN instead, so a
+  /// test run there shows an element left unwritten.
+  [[nodiscard]] static Tensor unfilled(Shape shape);
 
   [[nodiscard]] const Shape& shape() const { return shape_; }
   [[nodiscard]] int dim() const { return static_cast<int>(shape_.size()); }
@@ -85,7 +120,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 /// Total element count of a shape; throws on negative axes.

@@ -150,10 +150,13 @@ namespace {
 
 /// The steps of a plan build. The constructor is the head: it builds the
 /// prototype and draws the data serially from the workload's seeded
-/// streams. teacher_forward(u) runs one FP32 teacher forward (unit 2b is
-/// batch b's clean input, 2b + 1 its perturbed one); distinct units may
-/// run concurrently. fold(), once every unit has run, keeps the clean
-/// outputs as the teacher targets and folds the FP32 baseline score.
+/// streams. forward(u) runs one FP32 forward on the prototype: for u < 2n
+/// (n evaluation batches) a teacher forward, unit 2b on batch b's clean
+/// input and 2b + 1 on its perturbed one; past those, calibration batch
+/// u - 2n's SmoothQuant statistics. Distinct units may run concurrently.
+/// fold(), once every unit has run, keeps the clean outputs as the
+/// teacher targets, folds the FP32 baseline score and merges the
+/// statistics, each in batch order.
 class EvalPlanBuild {
  public:
   EvalPlanBuild(const Workload& w, const EvalProtocol& protocol) {
@@ -180,17 +183,24 @@ class EvalPlanBuild {
       plan_.batches[b].perturbed = w.perturb(eval_rng, clean_[b]);
     }
     outs_.resize(2 * n);
+    calib_stats_.resize(plan_.calib.size());
   }
 
-  /// Two teacher forwards per evaluation batch.
-  [[nodiscard]] std::int64_t teacher_units() const {
-    return static_cast<std::int64_t>(outs_.size());
+  /// Two teacher forwards per evaluation batch, then one statistics
+  /// forward per calibration batch.
+  [[nodiscard]] std::int64_t units() const {
+    return static_cast<std::int64_t>(outs_.size() + calib_stats_.size());
   }
 
-  void teacher_forward(std::int64_t unit) {
-    const auto b = static_cast<size_t>(unit / 2);
-    outs_[static_cast<size_t>(unit)] =
-        plan_.prototype.forward(unit % 2 == 0 ? clean_[b] : plan_.batches[b].perturbed);
+  void forward(std::int64_t unit) {
+    const auto u = static_cast<size_t>(unit);
+    if (u >= outs_.size()) {
+      const size_t c = u - outs_.size();
+      calib_stats_[c] = smoothquant_statistics(plan_.prototype, {&plan_.calib[c], 1});
+      return;
+    }
+    const size_t b = u / 2;
+    outs_[u] = plan_.prototype.forward(u % 2 == 0 ? clean_[b] : plan_.batches[b].perturbed);
   }
 
   [[nodiscard]] EvalPlan fold() && {
@@ -200,13 +210,17 @@ class EvalPlanBuild {
       fp32_acc.add(plan_.batches[b].clean_fp32_out, outs_[2 * b + 1]);
     }
     plan_.fp32_score = fp32_acc.score();
+    for (const SmoothQuantStats& stats : calib_stats_) {
+      merge_smoothquant_statistics(plan_.smoothquant_stats, stats);
+    }
     return std::move(plan_);
   }
 
  private:
   EvalPlan plan_;
-  std::vector<std::vector<Tensor>> clean_;  ///< clean inputs, per batch
-  std::vector<Tensor> outs_;                ///< teacher outputs, per unit
+  std::vector<std::vector<Tensor>> clean_;   ///< clean inputs, per batch
+  std::vector<Tensor> outs_;                 ///< teacher outputs, per unit
+  std::vector<SmoothQuantStats> calib_stats_;  ///< statistics, per calibration batch
 };
 
 /// The steps of one trial. The constructor is the prepare: it clones the
@@ -222,7 +236,7 @@ class EvalTrial {
         graph_(plan.prototype.clone()),
         quantized_(&graph_, config),
         outs_(plan.batches.size()) {
-    quantized_.prepare(std::span<const std::vector<Tensor>>(plan.calib));
+    quantized_.prepare(std::span<const std::vector<Tensor>>(plan.calib), plan.smoothquant_stats);
   }
   EvalTrial(const EvalTrial&) = delete;
   EvalTrial& operator=(const EvalTrial&) = delete;
@@ -260,7 +274,7 @@ class EvalTrial {
 
 EvalPlan make_eval_plan(const Workload& w, const EvalProtocol& protocol) {
   EvalPlanBuild build(w, protocol);
-  parallel_run(build.teacher_units(), [&build](std::int64_t u) { build.teacher_forward(u); });
+  parallel_run(build.units(), [&build](std::int64_t u) { build.forward(u); });
   return std::move(build).fold();
 }
 
@@ -268,12 +282,14 @@ std::vector<PairResult> evaluate_pairs(const std::vector<EvalJob>& jobs,
                                        const EvalProtocol& protocol,
                                        const std::function<void(int)>& progress) {
   // Keys are (job, phase, pair, unit): `pairs` is the most configs of one
-  // job, `width` the most units of one (job, phase, pair) -- the teacher
-  // forwards, two per batch, or a given plan's forwards.
+  // job, `width` the most units of one (job, phase, pair) -- a plan
+  // build's FP32 forwards, two per evaluation batch and one per
+  // calibration batch, or a given plan's forwards.
   enum Phase : std::int64_t { kHead, kTeacher, kPrepare, kForward };
   constexpr std::int64_t kPhases = 4;
   std::int64_t pairs = 0;
-  std::int64_t width = std::max<std::int64_t>(1, 2 * std::int64_t{protocol.eval_batches});
+  std::int64_t width = std::max<std::int64_t>(
+      1, 2 * std::int64_t{protocol.eval_batches} + std::max(0, protocol.calib_batches));
   std::vector<std::size_t> first;  ///< each job's first pair slot
   std::size_t slots = 0;
   for (const EvalJob& job : jobs) {
@@ -351,14 +367,14 @@ std::vector<PairResult> evaluate_pairs(const std::vector<EvalJob>& jobs,
     switch (phase) {
       case kHead: {
         run.build.emplace(*jobs[j].workload, protocol);
-        const std::int64_t n = run.build->teacher_units();
+        const std::int64_t n = run.build->units();
         if (n == 0) return fold_plan(j);
         run.teachers_left = n;
         for (std::int64_t u = 0; u < n; ++u) next.push_back(key(j, kTeacher, 0, u));
         return next;
       }
       case kTeacher:
-        run.build->teacher_forward(unit);
+        run.build->forward(unit);
         if (run.teachers_left.fetch_sub(1) == 1) return fold_plan(j);
         return next;
       case kPrepare: {

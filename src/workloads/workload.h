@@ -92,8 +92,9 @@ struct EvalProtocol {
 /// one (workload, protocol) pair. Building a plan performs the expensive
 /// trial-invariant work once -- model construction, calibration and
 /// evaluation data generation, the clean FP32 forward passes that produce
-/// the teacher targets, and the FP32 baseline score. Each trial then only
-/// pays for a Graph::clone() plus the quantized passes.
+/// the teacher targets, the FP32 baseline score, and SmoothQuant's
+/// activation statistics. Each trial then only pays for a Graph::clone()
+/// plus the quantized passes.
 struct EvalPlan {
   std::string workload_name;
   std::string domain;
@@ -105,6 +106,10 @@ struct EvalPlan {
   Graph prototype;
   /// Calibration batches (make_calib_batches).
   std::vector<std::vector<Tensor>> calib;
+  /// SmoothQuant's activation statistics of the prototype on `calib`
+  /// (smoothquant_statistics): each trial folds them instead of running
+  /// the statistics forwards again.
+  SmoothQuantStats smoothquant_stats;
 
   struct PlanBatch {
     std::vector<Tensor> perturbed;  ///< inputs both networks are scored on
@@ -127,9 +132,11 @@ struct EvalPlan {
 /// Builds the trial-invariant evaluation state. The data streams depend
 /// only on the workload's seeds and the protocol, so every plan built for
 /// one (workload, protocol) pair is the same, bit for bit. Draws the data
-/// serially on the calling thread, then runs the FP32 teacher forwards
-/// (two per evaluation batch, clean and perturbed) as one parallel_run on
-/// the prototype, then folds the baseline score in batch order.
+/// serially on the calling thread, then runs the FP32 forwards on the
+/// prototype as one parallel_run: the teacher forwards (two per
+/// evaluation batch, clean and perturbed) and one SmoothQuant statistics
+/// forward per calibration batch. Then folds the baseline score and
+/// merges the statistics, both in batch order.
 [[nodiscard]] EvalPlan make_eval_plan(const Workload& workload,
                                       const EvalProtocol& protocol = {});
 
@@ -164,8 +171,9 @@ struct PairResult {
 /// thread finishes the earliest job first and later jobs' units fill the
 /// threads it leaves idle (docs/THREADING.md). A job that builds its plan
 /// starts with a head (model build and the serial data draw), which
-/// releases the teacher forwards, one unit each; the last of those folds
-/// the plan and releases a prepare per config. A job with a given plan
+/// releases the plan's FP32 forwards (teacher and SmoothQuant statistics),
+/// one unit each; the last of those folds the plan and releases a prepare
+/// per config. A job with a given plan
 /// starts at its prepares. Each prepare releases its pair's quantized
 /// forwards, one unit per batch; the last of those folds the record. At
 /// most num_threads() + 1 built plans are alive, one at a single thread.

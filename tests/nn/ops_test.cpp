@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "nn/conv.h"
@@ -348,6 +349,67 @@ TEST(MaxPool2x2Op, TakesWindowMax) {
   EXPECT_FLOAT_EQ(y[0], 5.0f);
   Tensor odd({1, 1, 3, 3});
   EXPECT_THROW((void)op.forward(single(odd)), std::invalid_argument);
+}
+
+/// Runs `op` on `in` after freeing NaN-filled tensors of its output's size,
+/// which the allocator tends to hand straight back, and expects every
+/// output element written: finite, as every input here is. In an
+/// AddressSanitizer build each unfilled output starts as NaN by itself
+/// (Tensor::unfilled), so there an unwritten element always shows.
+void expect_every_output_written(Op& op, const std::vector<const Tensor*>& in,
+                                 const std::string& what) {
+  const std::int64_t n = op.forward(in).numel();
+  {
+    std::vector<Tensor> dirt;
+    for (int i = 0; i < 4; ++i) {
+      dirt.push_back(Tensor::full({n}, std::numeric_limits<float>::quiet_NaN()));
+    }
+  }
+  const Tensor y = op.forward(in);
+  ASSERT_EQ(y.numel(), n) << what;
+  for (std::int64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(std::isfinite(y[i])) << what << " left element " << i << " unwritten";
+  }
+}
+
+TEST(OpOutputs, OpsWithUnfilledOutputsWriteEveryElement) {
+  // Linear, LayerNorm, BatchNorm, GroupNorm, Softmax and Conv2d allocate
+  // their outputs without a zero fill, and Linear, MatMul and Conv2d their
+  // scratch too; each must write all of it.
+  Rng rng(61);
+  const Tensor rows = randn(rng, {19, 12});
+  LinearOp with_bias(randn(rng, {5, 12}), randn(rng, {5}));
+  LinearOp no_bias(randn(rng, {5, 12}), Tensor{});
+  expect_every_output_written(with_bias, {&rows}, "Linear with bias");
+  expect_every_output_written(no_bias, {&rows}, "Linear without bias");
+  LayerNormOp ln(randn(rng, {12}), randn(rng, {12}));
+  expect_every_output_written(ln, {&rows}, "LayerNorm");
+  SoftmaxOp softmax;
+  expect_every_output_written(softmax, {&rows}, "Softmax");
+
+  const Tensor a = randn(rng, {2, 3, 12});
+  const Tensor b = randn(rng, {2, 5, 12});
+  MatMulOp matmul(/*batched=*/true, /*transpose_b=*/true);
+  expect_every_output_written(matmul, {&a, &b}, "MatMul transpose_b");
+
+  const Tensor images = randn(rng, {2, 4, 7, 7});
+  BatchNorm2dOp bn(randn(rng, {4}), randn(rng, {4}), randn(rng, {4}), Tensor({4}, 2.0f));
+  expect_every_output_written(bn, {&images}, "BatchNorm");
+  bn.begin_calibration();
+  expect_every_output_written(bn, {&images}, "BatchNorm calibrating");
+  bn.finish_calibration();
+  GroupNormOp gn(2, randn(rng, {4}), randn(rng, {4}));
+  expect_every_output_written(gn, {&images}, "GroupNorm");
+  for (const int groups : {1, 2}) {
+    for (const int stride : {1, 2}) {
+      Conv2dOp conv_bias(randn(rng, {6, 4 / groups, 3, 3}), randn(rng, {6}), stride, 1, groups);
+      Conv2dOp conv(randn(rng, {6, 4 / groups, 3, 3}), Tensor{}, stride, 1, groups);
+      const std::string shape =
+          " groups " + std::to_string(groups) + " stride " + std::to_string(stride);
+      expect_every_output_written(conv_bias, {&images}, "Conv2d with bias" + shape);
+      expect_every_output_written(conv, {&images}, "Conv2d without bias" + shape);
+    }
+  }
 }
 
 TEST(OpKinds, ClassificationMatchesPaperSchemes) {

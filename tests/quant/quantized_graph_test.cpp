@@ -518,5 +518,116 @@ TEST(QuantizedGraph, ConcurrentForwardsMatchSerialForwards) {
   }
 }
 
+/// fc1 -> GELU -> fc2 over inputs with amplified channels, and 3 batches
+/// of them: a model SmoothQuant rescales.
+struct OutlierModel {
+  Graph graph;
+  Graph::NodeId fc1 = -1;
+  Graph::NodeId fc2 = -1;
+  std::vector<std::vector<Tensor>> calib;
+  Tensor x;
+};
+
+OutlierModel make_outlier_model() {
+  Rng rng(53);
+  const std::int64_t dim = 24;
+  OutlierModel m;
+  const auto in = m.graph.add_input("x");
+  m.fc1 = m.graph.add(
+      "fc1", std::make_unique<LinearOp>(randn(rng, {dim, dim}, 0.0f, 0.2f), randn(rng, {dim})),
+      {in});
+  const auto gelu = m.graph.add("gelu", std::make_unique<ActivationOp>(OpKind::kGelu), {m.fc1});
+  m.fc2 = m.graph.add(
+      "fc2", std::make_unique<LinearOp>(randn(rng, {dim, dim}, 0.0f, 0.2f), Tensor{}), {gelu});
+  auto batch = [&] {
+    Tensor t = randn(rng, {8, dim});
+    Rng channel_rng(99);  // the same channels amplified in every batch
+    amplify_channels(t, channel_rng, 1, 0.2, 40.0f);
+    return t;
+  };
+  for (int b = 0; b < 3; ++b) m.calib.push_back({batch()});
+  m.x = batch();
+  return m;
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want, const std::string& what) {
+  ASSERT_EQ(got.shape(), want.shape()) << what;
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << what << " element " << i;
+  }
+}
+
+TEST(QuantizedGraph, GivenSmoothQuantStatisticsPrepareAsComputedOnes) {
+  // prepare(calib) computes the statistics on the graph it quantizes;
+  // prepare(calib, stats) folds statistics computed on another clone of
+  // the FP32 model. Both must leave the same weights (the folded factors)
+  // and the same forward bits (the divide by them), with and without a
+  // fallback Linear, whose statistics are then ignored.
+  OutlierModel m = make_outlier_model();
+  Graph fp32 = m.graph.clone();
+  const SmoothQuantStats stats =
+      smoothquant_statistics(fp32, std::span<const std::vector<Tensor>>(m.calib));
+  ASSERT_TRUE(stats.contains(m.fc1));
+  ASSERT_TRUE(stats.contains(m.fc2));
+  for (const SchemeConfig& scheme :
+       {standard_fp8_scheme(DType::kE4M3), standard_fp8_scheme(DType::kE5M2), int8_scheme(false),
+        standard_fp8_scheme(DType::kE4M3, true)}) {
+    for (const bool fallback : {false, true}) {
+      ModelQuantConfig cfg;
+      cfg.scheme = scheme;
+      cfg.scheme.smoothquant = true;
+      if (fallback) cfg.fallback_nodes = {m.fc1};
+      const std::string what = scheme.label() + (fallback ? " fc1 fallback" : "");
+      Graph computed = m.graph.clone();
+      QuantizedGraph qc(&computed, cfg);
+      qc.prepare(std::span<const std::vector<Tensor>>(m.calib));
+      Graph given = m.graph.clone();
+      QuantizedGraph qg(&given, cfg);
+      qg.prepare(std::span<const std::vector<Tensor>>(m.calib), stats);
+      for (const Graph::NodeId id : {m.fc1, m.fc2}) {
+        expect_same_bits(*given.node(id).op->weights()[0], *computed.node(id).op->weights()[0],
+                         what + " weight of node " + std::to_string(id));
+      }
+      if (fallback) {
+        // Neither folded nor quantized: fc1 keeps the FP32 weight.
+        expect_same_bits(*given.node(m.fc1).op->weights()[0],
+                         *m.graph.node(m.fc1).op->weights()[0], what + " fc1 weight");
+      }
+      expect_same_bits(qg.forward(m.x), qc.forward(m.x), what + " forward");
+    }
+  }
+}
+
+TEST(QuantizedGraph, GivenSmoothQuantStatisticsRunNoForward) {
+  // With the statistics given, a SmoothQuant prepare that needs no range
+  // calibration (dynamic, or E5M2) runs no forward at all; without them
+  // it runs one statistics forward per calibration batch. An output tap
+  // on the graph counts the forwards' nodes.
+  OutlierModel m = make_outlier_model();
+  Graph fp32 = m.graph.clone();
+  const SmoothQuantStats stats =
+      smoothquant_statistics(fp32, std::span<const std::vector<Tensor>>(m.calib));
+  for (const SchemeConfig& scheme :
+       {standard_fp8_scheme(DType::kE4M3, true), standard_fp8_scheme(DType::kE5M2)}) {
+    ModelQuantConfig cfg;
+    cfg.scheme = scheme;
+    cfg.scheme.smoothquant = true;
+    for (const bool given : {true, false}) {
+      Graph g = m.graph.clone();
+      int values = 0;
+      g.set_output_tap([&values](Graph::NodeId /*id*/, const Tensor& /*value*/) { ++values; });
+      QuantizedGraph qg(&g, cfg);
+      if (given) {
+        qg.prepare(std::span<const std::vector<Tensor>>(m.calib), stats);
+      } else {
+        qg.prepare(std::span<const std::vector<Tensor>>(m.calib));
+      }
+      // One value per node (the input and three ops) per forward.
+      EXPECT_EQ(values, given ? 0 : 4 * static_cast<int>(m.calib.size())) << scheme.label();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fp8q

@@ -225,11 +225,15 @@ TEST(Service, QueueFullSubmitsAreRejectedWithBackpressure) {
   Connection conn = fixture.connect();
 
   // Fire submits far faster than quick jobs can drain: with one running
-  // slot and one queue slot, a tight loop of 50 must hit queue_full.
+  // slot and one queue slot, 50 submits sent before any reply is read
+  // must hit queue_full, however fast the jobs run.
+  for (int i = 0; i < 50; ++i) conn.send_frame(submit_payload("eval", "nlp/distil-mlp-0"));
   int accepted = 0, rejected = 0;
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 50; ++i) {
-    const json::Value reply = roundtrip(conn, submit_payload("eval", "nlp/distil-mlp-0"));
+    const auto frame = conn.recv_frame();
+    ASSERT_TRUE(frame.has_value()) << "connection closed after " << i << " replies";
+    const json::Value reply = json::parse(*frame);
     const json::Value* ok = reply.find("ok");
     if (ok != nullptr && ok->boolean) {
       ++accepted;

@@ -306,7 +306,8 @@ TEST(TraceValidate, RejectsPartialOverlapOnOneThread) {
 }
 
 // One bench_kernels row per dispatched kernel: cast (per format and
-// tally), gemm and gelu, each the dispatched tier against the scalar tier.
+// tally), gemm, gelu and layernorm, each the dispatched tier against the
+// scalar tier.
 constexpr const char* kKernelRows =
     R"("cast": [{"format": "E4M3", "counted": false, "scalar_elems_per_sec": 1e8,
                  "elems_per_sec": 8e8, "speedup": 8.0},
@@ -315,7 +316,9 @@ constexpr const char* kKernelRows =
        "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
                  "gflops": 24.0, "speedup": 3.0}],
        "gelu": [{"n": 1048576, "scalar_elems_per_sec": 3e7,
-                 "elems_per_sec": 1.2e8, "speedup": 4.0}])";
+                 "elems_per_sec": 1.2e8, "speedup": 4.0}],
+       "layernorm": [{"rows": 1024, "d": 64, "scalar_elems_per_sec": 7e8,
+                      "elems_per_sec": 1.4e9, "speedup": 2.0}])";
 
 TEST(BenchGate, CheckBenchNeedsAKernelOrServiceSection) {
   std::ostringstream out;
@@ -340,12 +343,13 @@ TEST(BenchGate, CheckBenchAppliesTheDispatchFloorToEveryKernelRow) {
   EXPECT_NE(out.str().find("cast E4M3 counted"), std::string::npos);
   EXPECT_NE(out.str().find("gemm 64x256x256"), std::string::npos);
   EXPECT_NE(out.str().find("gelu n=1048576"), std::string::npos);
-  // With the gate armed, a snapshot without gemm or gelu rows breaches
-  // once per missing section (silent gate = no gate); unarmed, it passes.
+  // With the gate armed, a snapshot without gemm, gelu or layernorm rows
+  // breaches once per missing section (silent gate = no gate); unarmed, it
+  // passes.
   const json::Value cast_only = json::parse(
       R"({"cast": [{"format": "E4M3", "counted": false, "scalar_elems_per_sec": 1e8,
                     "elems_per_sec": 8e8, "speedup": 8.0}]})");
-  EXPECT_EQ(report_cli::check_bench(cast_only, 2.0, 0.0, out), 2);
+  EXPECT_EQ(report_cli::check_bench(cast_only, 2.0, 0.0, out), 3);
   EXPECT_EQ(report_cli::check_bench(cast_only, 0.0, 0.0, out), 0);
 }
 
@@ -359,7 +363,9 @@ TEST(BenchGate, CheckBenchFailsACastRowBelowTheFloor) {
           "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
                     "gflops": 24.0, "speedup": 3.0}],
           "gelu": [{"n": 1048576, "scalar_elems_per_sec": 3e7,
-                    "elems_per_sec": 1.2e8, "speedup": 4.0}]})");
+                    "elems_per_sec": 1.2e8, "speedup": 4.0}],
+          "layernorm": [{"rows": 1024, "d": 64, "scalar_elems_per_sec": 7e8,
+                         "elems_per_sec": 1.4e9, "speedup": 2.0}]})");
   std::ostringstream out;
   EXPECT_EQ(report_cli::check_bench(slow, 2.0, 0.0, out), 1);
   EXPECT_NE(out.str().find("FAIL  cast INT8 counted dispatched/scalar speedup 1.20x"),
@@ -376,10 +382,39 @@ TEST(BenchGate, CheckBenchFailsAGeluRowBelowTheFloor) {
           "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
                     "gflops": 24.0, "speedup": 3.0}],
           "gelu": [{"n": 1048576, "scalar_elems_per_sec": 3e7,
-                    "elems_per_sec": 3.3e7}]})");
+                    "elems_per_sec": 3.3e7}],
+          "layernorm": [{"rows": 1024, "d": 64, "scalar_elems_per_sec": 7e8,
+                         "elems_per_sec": 1.4e9, "speedup": 2.0}]})");
   std::ostringstream out;
   EXPECT_EQ(report_cli::check_bench(bench, 2.0, 0.0, out), 1);
   EXPECT_NE(out.str().find("FAIL  gelu n=1048576 dispatched/scalar speedup 1.10x"),
+            std::string::npos)
+      << out.str();
+}
+
+TEST(BenchGate, CheckBenchHoldsLayerNormRowsToTheirOwnFloor) {
+  // LayerNorm's rows clear 1.5x, or the shared floor where it is lower: a
+  // 1.8x row passes the shared 2x, and a scalar fallback's 1.1x fails
+  // even a shared 1.2x.
+  auto bench_with = [](const char* layernorm_speedup) {
+    return json::parse(std::string(R"({"cast": [{"format": "E4M3", "counted": false,
+                    "scalar_elems_per_sec": 1e8, "elems_per_sec": 8e8, "speedup": 8.0}],
+          "gemm": [{"m": 64, "k": 256, "n": 256, "scalar_gflops": 8.0,
+                    "gflops": 24.0, "speedup": 3.0}],
+          "gelu": [{"n": 1048576, "scalar_elems_per_sec": 3e7,
+                    "elems_per_sec": 1.2e8, "speedup": 4.0}],
+          "layernorm": [{"rows": 1280, "d": 48, "scalar_elems_per_sec": 7e8,
+                         "elems_per_sec": 8e8, "speedup": )") +
+                       layernorm_speedup + "}]}");
+  };
+  std::ostringstream out;
+  EXPECT_EQ(report_cli::check_bench(bench_with("1.8"), 2.0, 0.0, out), 0);
+  EXPECT_NE(out.str().find("layernorm 1280x48 dispatched/scalar speedup 1.80x (min 1.50x)"),
+            std::string::npos)
+      << out.str();
+  EXPECT_EQ(report_cli::check_bench(bench_with("1.1"), 2.0, 0.0, out), 1);
+  EXPECT_EQ(report_cli::check_bench(bench_with("1.1"), 1.2, 0.0, out), 1);
+  EXPECT_NE(out.str().find("FAIL  layernorm 1280x48 dispatched/scalar speedup 1.10x (min 1.20x)"),
             std::string::npos)
       << out.str();
 }

@@ -8,7 +8,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
+#include "core/parallel.h"
 #include "workloads/registry.h"
 
 namespace fp8q {
@@ -75,6 +77,28 @@ TEST(EvalPlan, CalibIsExactlyTheCalibStream) {
       }
     }
   }
+}
+
+TEST(EvalPlan, SmoothQuantStatisticsAreTheCalibSetsAtAnyThreadCount) {
+  // The plan computes the statistics one calibration batch per unit and
+  // merges them in batch order: at 1 and 4 threads they must equal one
+  // serial pass of smoothquant_statistics over the plan's own calib set.
+  const auto suite = build_suite();
+  const Workload& w = find_workload(suite, "distilbert-mrpc-ish");
+  const auto protocol = smoke_protocol();
+  std::vector<SmoothQuantStats> at;
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    at.push_back(make_eval_plan(w, protocol).smoothquant_stats);
+  }
+  set_num_threads(0);
+  const EvalPlan plan = make_eval_plan(w, protocol);
+  Graph fp32 = plan.prototype.clone();
+  const SmoothQuantStats serial =
+      smoothquant_statistics(fp32, std::span<const std::vector<Tensor>>(plan.calib));
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(at[0], serial);
+  EXPECT_EQ(at[1], serial);
 }
 
 }  // namespace

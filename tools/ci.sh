@@ -10,14 +10,14 @@
 #      annotation tooling (fails on any finding)
 #   3. perf + telemetry smoke: bench_kernels --smoke twice, with report /
 #      trace export on; `fp8q_report check-bench` enforces the dispatched
-#      cast, GEMM and GELU kernels >= 2x scalar-tier floor
-#      (docs/KERNELS.md), `fp8q_report check-trace`
+#      cast, GEMM and GELU kernels >= 2x scalar-tier floor, and LayerNorm
+#      >= 1.5x (docs/KERNELS.md), `fp8q_report check-trace`
 #      validates the Chrome trace JSON, and `fp8q_report diff` between the
 #      two runs gates wall/memory regressions with explicit thresholds
 #      (docs/PERFORMANCE.md, docs/OBSERVABILITY.md); bench_kernels calls
 #      the cast kernels without a tally, so its counters are all zero.
-#      `objdump -d` of the gemm, tanh, cast_fast and int8 objects must
-#      hold no vfmadd (every tier rounds each multiply and add on its own),
+#      `objdump -d` of the gemm, tanh, norm, cast_fast and int8 objects
+#      must hold no vfmadd (every tier rounds each multiply and add on its own),
 #      and the tanh object no vpextrd or vpinsrd (its 64-byte body stays
 #      in vector registers); then `check_tanh_exhaustive` compares every
 #      tier of the tanh kernel with the scalar replica on all 2^32 floats.
@@ -92,8 +92,8 @@ rm -f "$PREFIX/trace_smoke.json" "$PREFIX/report_smoke.json" \
 # Instrumented run: report + histograms + trace export all on. The gates
 # live in fp8q_report, each with an explicit threshold:
 #   check-bench   the dispatched cast, GEMM and GELU kernels must beat
-#                 the scalar tier >= 2x (docs/KERNELS.md -- catches a
-#                 silent fallback)
+#                 the scalar tier >= 2x, and LayerNorm >= 1.5x
+#                 (docs/KERNELS.md -- catches a silent fallback)
 #   check-trace   FP8Q_TRACE_JSON output must be valid, properly nested
 #                 Chrome trace JSON
 #   print         the run report must round-trip through the hardened
@@ -111,6 +111,7 @@ FP8Q_TRACE=1 FP8Q_TRACE_JSON="$PREFIX/trace_smoke.json" \
 # carries FMA instructions, so only -ffp-contract=off keeps them out; this
 # checks the objects it builds.
 for obj in nn/CMakeFiles/fp8q_nn.dir/gemm.cpp.o nn/CMakeFiles/fp8q_nn.dir/tanh.cpp.o \
+  nn/CMakeFiles/fp8q_nn.dir/norm.cpp.o \
   fp8/CMakeFiles/fp8q_fp8.dir/cast_fast.cpp.o fp8/CMakeFiles/fp8q_fp8.dir/int8.cpp.o; do
   objdump -d "$PREFIX/src/$obj" > "$PREFIX/kernel.dis"
   fma=$(grep -c vfmadd "$PREFIX/kernel.dis" || true)

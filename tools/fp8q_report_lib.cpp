@@ -387,15 +387,23 @@ int check_bench(const json::Value& bench, double min_dispatch_speedup, double mi
   }
   if (min_dispatch_speedup > 0.0) {
     // Every dispatched kernel row: "cast" in elements/s per format and
-    // tally, "gemm" in GFLOP/s per shape, "gelu" in elements/s per length.
-    // Each section must be present.
-    for (const char* section : {"cast", "gemm", "gelu"}) {
+    // tally, "gemm" in GFLOP/s per shape, "gelu" in elements/s per length,
+    // "layernorm" in elements/s per shape. Each section must be present.
+    // LayerNorm's rows clear their own floor, kLayerNormMinSpeedup, when
+    // it is the lower one: its vector tiers read 2.0-2.5x the scalar
+    // reference on AVX-512 and about 2x on AVX2 (docs/KERNELS.md), too
+    // close to the shared 2x to gate on it, while a scalar fallback reads 1x.
+    constexpr double kLayerNormMinSpeedup = 1.5;
+    for (const char* section : {"cast", "gemm", "gelu", "layernorm"}) {
       const json::Value* rows = bench.is_object() ? bench.find(section) : nullptr;
       if (rows == nullptr || !rows->is_array() || rows->array.empty()) {
         gate.check(true, std::string("bench json has no ") + section + " measurements");
         continue;
       }
       const bool gemm = std::string_view(section) == "gemm";
+      const bool layernorm = std::string_view(section) == "layernorm";
+      const double floor =
+          layernorm ? std::min(min_dispatch_speedup, kLayerNormMinSpeedup) : min_dispatch_speedup;
       for (const json::Value& row : rows->array) {
         if (!row.is_object()) continue;
         const double scalar = row.number_or(gemm ? "scalar_gflops" : "scalar_elems_per_sec");
@@ -407,12 +415,15 @@ int check_bench(const json::Value& bench, double min_dispatch_speedup, double mi
                << row.number_or("n");
         } else if (std::string_view(section) == "cast") {
           line << cast_label(row);
+        } else if (layernorm) {
+          line << "layernorm " << static_cast<long long>(row.number_or("rows")) << "x"
+               << static_cast<long long>(row.number_or("d"));
         } else {
           line << "gelu n=" << static_cast<long long>(row.number_or("n"));
         }
         line << " dispatched/scalar speedup " << std::fixed << std::setprecision(2) << speedup
-             << "x (min " << min_dispatch_speedup << "x)";
-        gate.check(speedup < min_dispatch_speedup, line.str());
+             << "x (min " << floor << "x)";
+        gate.check(speedup < floor, line.str());
       }
     }
   }
@@ -540,7 +551,8 @@ constexpr const char* kUsage =
     "       [--max-counter-drift-pct=P]   (negative disables a check)\n"
     "  check-trace <trace.json>\n"
     "  check-bench <BENCH.json> [--min-dispatch-speedup=S]\n"
-    "                                       (cast, gemm and gelu rows; <= 0 skips)\n"
+    "                                       (cast, gemm, gelu and layernorm rows,\n"
+    "                                       layernorm at most 1.5; <= 0 skips)\n"
     "       [--min-jobs-per-sec=J]          (<= 0 skips the service gate)\n"
     "  diff-bench <base_BENCH.json> <candidate_BENCH.json> [--max-regress-pct=P]\n";
 
